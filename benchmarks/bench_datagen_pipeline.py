@@ -13,8 +13,13 @@ The contract asserted here is the pipeline's core claim: the chunked
 pass touches every record the materialized pass produces (same count,
 same digest) while its peak RSS stays essentially flat as volume grows.
 
-Each run appends a run-store-schema row (see ``_history``) to
-``BENCH_datagen_pipeline.json`` so the throughput and memory numbers
+A second benchmark times every registry generator at one fixed volume
+(records/s, MB/s, and ``fit`` seconds where the generator is fitted on
+seed data) — generation rate is a data generator's headline number
+(BDGS), and this is where a change to any generator's hot loop shows.
+
+Each run appends a run-store-schema row per benchmark (see ``_history``)
+to ``BENCH_datagen_pipeline.json`` so the throughput and memory numbers
 accumulate into a perf trajectory across revisions.
 """
 
@@ -24,16 +29,30 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from _history import append_history
 from conftest import print_banner
 
+import repro  # noqa: F401 — fills the registries
+from repro.core import registry
+from repro.core.prescription import load_seed
 from repro.execution.report import ascii_table
 
 GENERATOR = "random-text"
 VOLUME = 100_000
 CHUNK_SIZES = (128, 1024, 8192)
+
+#: Every registry generator is timed at this volume (generator-native
+#: units: documents, rows, vertices, events, images).
+RATE_VOLUME = 1000
+#: Seed data for the generators that cannot generate unfitted.
+FIT_SOURCES = {
+    "lda-text": "text-corpus",
+    "unigram-text": "text-corpus",
+    "fitted-table": "retail-orders",
+}
 
 RESULTS_FILE = Path(__file__).parent / "BENCH_datagen_pipeline.json"
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -153,4 +172,62 @@ def test_chunked_vs_materialized_pipeline(benchmark, tmp_path):
                 for shape, data in shapes.items()
             },
         },
+    )
+
+
+def _time_generator(name: str) -> dict:
+    generator = registry.generators.create(name)
+    measured: dict = {}
+    if name in FIT_SOURCES:
+        seed_data = load_seed(FIT_SOURCES[name])
+        started = time.perf_counter()
+        generator.fit(seed_data)
+        measured["fit_seconds"] = time.perf_counter() - started
+    # Fastest of three identical passes: the first also pays lazy imports.
+    seconds = float("inf")
+    for _ in range(3):
+        started = time.perf_counter()
+        dataset = generator.generate(RATE_VOLUME)
+        seconds = min(seconds, time.perf_counter() - started)
+    measured.update(
+        seconds=seconds,
+        records=len(dataset.records),
+        records_per_second=len(dataset.records) / seconds,
+        mb_per_second=dataset.estimated_bytes() / 1e6 / seconds,
+    )
+    return measured
+
+
+def test_generator_rates(benchmark):
+    names = sorted(registry.generators.names())
+
+    def drive():
+        return {name: _time_generator(name) for name in names}
+
+    rates = benchmark.pedantic(drive, rounds=1, iterations=1)
+
+    print_banner("E14", f"generation rate per generator, volume {RATE_VOLUME}")
+    print(
+        ascii_table(
+            [
+                {
+                    "generator": name,
+                    "records": data["records"],
+                    "records/s": data["records_per_second"],
+                    "MB/s": data["mb_per_second"],
+                    "fit s": data.get("fit_seconds", ""),
+                }
+                for name, data in rates.items()
+            ]
+        )
+    )
+
+    for name, data in rates.items():
+        assert data["records"] > 0, name
+
+    append_history(
+        RESULTS_FILE,
+        "datagen_pipeline.generator_rates",
+        {"volume": RATE_VOLUME, "generators": names},
+        {"generators": rates},
     )

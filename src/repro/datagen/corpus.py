@@ -22,6 +22,8 @@ The substitution is documented in DESIGN.md (Section 2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from repro.datagen.base import DataSet, DataType
@@ -80,17 +82,25 @@ def load_text_corpus(num_documents: int = 240, words_per_document: int = 80) -> 
     """
     rng = np.random.default_rng(_CORPUS_SEED)
     topics = list(TOPIC_VOCABULARIES)
+    # One topic-mixture CDF per dominant topic, built the way
+    # ``rng.choice(p=mixture)`` builds it, so ``bisect_right`` on one
+    # ``rng.random()`` picks the topic that call picked.
+    mixture_cdfs: list[list[float]] = []
+    for dominant in range(len(topics)):
+        mixture = np.full(len(topics), 0.1 / (len(topics) - 1))
+        mixture[dominant] = 0.9
+        cdf = mixture.cumsum()
+        cdf /= cdf[-1]
+        mixture_cdfs.append(cdf.tolist())
     documents: list[str] = []
     for doc_index in range(num_documents):
-        dominant = topics[doc_index % len(topics)]
-        mixture = np.full(len(topics), 0.1 / (len(topics) - 1))
-        mixture[topics.index(dominant)] = 0.9
+        mixture_cdf = mixture_cdfs[doc_index % len(topics)]
         words: list[str] = []
         for _ in range(words_per_document):
             if rng.random() < 0.25:
                 words.append(BACKGROUND_WORDS[int(rng.integers(len(BACKGROUND_WORDS)))])
                 continue
-            topic = topics[int(rng.choice(len(topics), p=mixture))]
+            topic = topics[bisect_right(mixture_cdf, rng.random())]
             vocabulary = TOPIC_VOCABULARIES[topic]
             # Zipf-like bias towards low-rank (frequent) words in the topic.
             rank = int(min(rng.zipf(1.6) - 1, len(vocabulary) - 1))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.core.errors import GenerationError
 from repro.datagen.base import DataGenerator, DataType, PurelySyntheticMixin
 
@@ -53,7 +55,7 @@ class KeyValueGenerator(PurelySyntheticMixin, DataGenerator):
             fields = {}
             for field_index in range(self.field_count):
                 letters = rng.integers(0, 26, size=self.field_length)
-                fields[f"field{field_index}"] = "".join(
-                    chr(97 + int(letter)) for letter in letters
+                fields[f"field{field_index}"] = (
+                    (letters + 97).astype(np.uint8).tobytes().decode("ascii")
                 )
             yield (key, fields)

@@ -5,7 +5,20 @@ implements: a text generator that (1) learns a word dictionary from a real
 text data set, (2) trains the parameters of an LDA model [Blei et al. 2003]
 on that data set, and (3) generates synthetic text from the trained model.
 
-The LDA trainer is a from-scratch collapsed Gibbs sampler (numpy only).
+The LDA trainer is a from-scratch collapsed Gibbs sampler.  Its seeded
+output is pinned to the first implementation, which drew every topic with
+``rng.choice(K, p=weights)`` and every word with ``rng.choice(V, p=phi[k])``:
+``choice`` consumes exactly one ``rng.random()`` and inverts
+``cumsum(p) / cumsum(p)[-1]`` with ``searchsorted(side="right")``, so the
+same uniforms are drawn here a document at a time and inverted inline —
+in ``fit`` on plain Python floats, normalised by a sum taken in
+``ndarray.sum``'s order (:func:`_ndarray_sum`) and with ``phi`` normalised
+on a C-contiguous array (the transposed view sums in another order and
+lands 1 ulp away); in ``sample_document`` by one ``searchsorted`` per
+topic on CDFs computed once per fitted model.  The original loops are the
+test oracle (``tests/datagen/_lda_reference.py``); records, fingerprints
+and cache keys are byte-identical, so nothing forks.
+
 Two baseline generators are provided for veracity ablations:
 
 * :class:`UnigramTextGenerator` — learns only the marginal word frequency
@@ -71,6 +84,71 @@ class Vocabulary:
         return list(self._words)
 
 
+_DEGENERATE_WEIGHTS = (
+    "LDA topic weights do not normalise: a word or topic has zero mass "
+    "(alpha and beta must leave every topic reachable)"
+)
+
+
+def _ndarray_sum(values: Sequence[float]) -> float:
+    """Sum floats in the order ``ndarray.sum`` adds a contiguous float64 vector.
+
+    numpy adds fewer than 8 elements left to right, up to 128 in eight
+    interleaved lanes combined as a balanced tree, and splits anything
+    longer in two at a multiple of 8.  Matching the order (not just the
+    value to a tolerance) is what keeps the scalar Gibbs sweep
+    byte-identical to the ``weights /= weights.sum()`` it replaced.
+    """
+    count = len(values)
+    if count < 8:
+        total = 0.0
+        for value in values:
+            total += value
+        return total
+    if count <= 128:
+        full = count - count % 8
+        lanes = []
+        for lane in range(8):
+            partial = values[lane]
+            for value in values[lane + 8:full:8]:
+                partial += value
+            lanes.append(partial)
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        for value in values[full:]:
+            total += value
+        return total
+    half = count // 2
+    half -= half % 8
+    return _ndarray_sum(values[:half]) + _ndarray_sum(values[half:])
+
+
+def _choose(weights: list[float], uniform: float) -> int:
+    """``int(rng.choice(len(weights), p=weights / weights.sum()))``, given the
+    one uniform that call would have drawn from ``rng``.
+
+    ``choice`` builds ``cdf = p.cumsum(); cdf /= cdf[-1]`` and returns
+    ``cdf.searchsorted(uniform, side="right")``, i.e. how many entries
+    are ``<= uniform``; this is the same arithmetic on Python floats.
+    Like ``choice`` it refuses weights that do not normalise.
+    """
+    total = _ndarray_sum(weights)
+    if not total > 0.0:  # zero, negative or NaN
+        raise ValueError(_DEGENERATE_WEIGHTS)
+    running = 0.0
+    cumulative = []
+    for weight in weights:
+        running += weight / total
+        cumulative.append(running)
+    index = 0
+    for value in cumulative:
+        if value / running > uniform:
+            break
+        index += 1
+    return index
+
+
 class LdaModel:
     """Latent Dirichlet Allocation fitted with collapsed Gibbs sampling.
 
@@ -89,6 +167,12 @@ class LdaModel:
     ) -> None:
         if num_topics <= 0:
             raise ValueError(f"num_topics must be positive, got {num_topics}")
+        if alpha < 0 or beta < 0:
+            # Negative priors make negative sampling weights, which the
+            # Gibbs sweep does not re-check per token.
+            raise ValueError(
+                f"alpha and beta must be non-negative, got {alpha}, {beta}"
+            )
         self.num_topics = num_topics
         self.alpha = alpha
         self.beta = beta
@@ -96,6 +180,7 @@ class LdaModel:
         self.seed = seed
         self.vocabulary: Vocabulary | None = None
         self.phi: np.ndarray | None = None  # topics x vocab
+        self._word_cdfs: np.ndarray | None = None  # row-wise CDFs of phi
         self.mean_document_length: float = 0.0
 
     @property
@@ -107,54 +192,74 @@ class LdaModel:
         if not documents:
             raise GenerationError("cannot fit an LDA model on an empty corpus")
         vocabulary = Vocabulary()
-        doc_tokens = [
-            np.array([vocabulary.add(word) for word in doc], dtype=np.int64)
-            for doc in documents
-        ]
+        doc_tokens = [[vocabulary.add(word) for word in doc] for doc in documents]
         vocab_size = len(vocabulary)
         if vocab_size == 0:
             raise GenerationError("corpus contains no tokens")
         rng = np.random.default_rng(self.seed)
         num_topics = self.num_topics
+        alpha = self.alpha
+        beta = self.beta
+        beta_mass = beta * vocab_size
 
-        topic_word = np.zeros((num_topics, vocab_size), dtype=np.float64)
-        doc_topic = np.zeros((len(doc_tokens), num_topics), dtype=np.float64)
-        topic_totals = np.zeros(num_topics, dtype=np.float64)
-        assignments: list[np.ndarray] = []
+        # Counts live in plain float lists (word-major, so one word's K
+        # counts are one list): the sweep below is scalar arithmetic, and
+        # numpy's per-call overhead on K-element arrays was ~all its cost.
+        word_topic = [[0.0] * num_topics for _ in range(vocab_size)]
+        doc_topic = [[0.0] * num_topics for _ in doc_tokens]
+        topic_totals = [0.0] * num_topics
+        assignments: list[list[int]] = []
 
-        for doc_index, tokens in enumerate(doc_tokens):
-            topics = rng.integers(num_topics, size=len(tokens))
+        for tokens, doc_counts in zip(doc_tokens, doc_topic):
+            topics = rng.integers(num_topics, size=len(tokens)).tolist()
             assignments.append(topics)
             for word_id, topic in zip(tokens, topics):
-                topic_word[topic, word_id] += 1
-                doc_topic[doc_index, topic] += 1
+                word_topic[word_id][topic] += 1
+                doc_counts[topic] += 1
                 topic_totals[topic] += 1
 
-        for _ in range(self.iterations):
-            for doc_index, tokens in enumerate(doc_tokens):
-                topics = assignments[doc_index]
-                for position, word_id in enumerate(tokens):
-                    old_topic = topics[position]
-                    topic_word[old_topic, word_id] -= 1
-                    doc_topic[doc_index, old_topic] -= 1
-                    topic_totals[old_topic] -= 1
+        try:
+            for _ in range(self.iterations):
+                for tokens, topics, doc_counts in zip(
+                    doc_tokens, assignments, doc_topic
+                ):
+                    # One uniform per token, in token order: the stream
+                    # ``rng.choice`` would consume one call at a time.
+                    uniforms = rng.random(len(tokens)).tolist()
+                    for position, word_id in enumerate(tokens):
+                        word_counts = word_topic[word_id]
+                        old_topic = topics[position]
+                        word_counts[old_topic] -= 1
+                        doc_counts[old_topic] -= 1
+                        topic_totals[old_topic] -= 1
 
-                    weights = (
-                        (topic_word[:, word_id] + self.beta)
-                        / (topic_totals + self.beta * vocab_size)
-                        * (doc_topic[doc_index] + self.alpha)
-                    )
-                    weights /= weights.sum()
-                    new_topic = int(rng.choice(num_topics, p=weights))
+                        weights = [
+                            (in_word + beta) / (in_topic + beta_mass)
+                            * (in_doc + alpha)
+                            for in_word, in_topic, in_doc in zip(
+                                word_counts, topic_totals, doc_counts
+                            )
+                        ]
+                        new_topic = _choose(weights, uniforms[position])
 
-                    topics[position] = new_topic
-                    topic_word[new_topic, word_id] += 1
-                    doc_topic[doc_index, new_topic] += 1
-                    topic_totals[new_topic] += 1
+                        topics[position] = new_topic
+                        word_counts[new_topic] += 1
+                        doc_counts[new_topic] += 1
+                        topic_totals[new_topic] += 1
+        except ZeroDivisionError:
+            # An empty topic under beta=0: numpy made this 0/0 = NaN and
+            # ``rng.choice`` refused it.
+            raise ValueError(_DEGENERATE_WEIGHTS) from None
 
-        phi = topic_word + self.beta
+        # C-contiguous K x V before normalising: the transposed view would
+        # sum each row in a different order and land 1 ulp away.
+        phi = np.ascontiguousarray(np.array(word_topic, dtype=np.float64).T)
+        phi += beta
         phi /= phi.sum(axis=1, keepdims=True)
         self.phi = phi
+        word_cdfs = phi.cumsum(axis=1)
+        word_cdfs /= word_cdfs[:, -1:]
+        self._word_cdfs = word_cdfs
         self.vocabulary = vocabulary
         self.mean_document_length = float(
             np.mean([len(tokens) for tokens in doc_tokens])
@@ -175,11 +280,17 @@ class LdaModel:
             length = max(1, int(rng.poisson(self.mean_document_length)))
         theta = rng.dirichlet(np.full(self.num_topics, max(self.alpha, 1e-6)))
         topics = rng.choice(self.num_topics, size=length, p=theta)
-        words: list[str] = []
-        for topic in topics:
-            word_id = int(rng.choice(self.phi.shape[1], p=self.phi[topic]))
-            words.append(self.vocabulary.word_of(word_id))
-        return words
+        if not (self._word_cdfs[topics, -1] == 1.0).all():
+            # A drawn topic's phi row is NaN (emptied under beta=0).
+            raise ValueError(_DEGENERATE_WEIGHTS)
+        # One uniform per word, as one ``rng.choice(V, p=phi[topic])`` per
+        # word drew them, inverted against that topic's precomputed CDF.
+        uniforms = rng.random(length)
+        word_ids = np.empty(length, dtype=np.int64)
+        for topic, cdf in enumerate(self._word_cdfs):
+            of_topic = topics == topic
+            word_ids[of_topic] = cdf.searchsorted(uniforms[of_topic], side="right")
+        return list(map(self.vocabulary.word_of, word_ids.tolist()))
 
     def infer_document_mixture(
         self, tokens: Sequence[str], iterations: int = 30
@@ -296,10 +407,11 @@ class UnigramTextGenerator(DataGenerator):
         self._require_fitted()
         count = self.partition_volume(volume, partition, num_partitions)
         rng = self.rng_for_partition(partition, num_partitions)
+        words = self._words
         for _ in range(count):
             length = self.document_length or max(1, int(rng.poisson(self._mean_length)))
-            indexes = rng.choice(len(self._words), size=length, p=self._probabilities)
-            yield " ".join(self._words[int(i)] for i in indexes)
+            indexes = rng.choice(len(words), size=length, p=self._probabilities)
+            yield " ".join([words[index] for index in indexes.tolist()])
 
 
 class RandomTextGenerator(PurelySyntheticMixin, DataGenerator):
@@ -337,9 +449,10 @@ class RandomTextGenerator(PurelySyntheticMixin, DataGenerator):
     ):
         count = self.partition_volume(volume, partition, num_partitions)
         rng = self.rng_for_partition(partition, num_partitions)
+        words = self.words
         for _ in range(count):
-            indexes = rng.integers(len(self.words), size=self.document_length)
-            yield " ".join(self.words[int(i)] for i in indexes)
+            indexes = rng.integers(len(words), size=self.document_length)
+            yield " ".join([words[index] for index in indexes.tolist()])
 
 
 def word_distribution(documents: Iterable[str]) -> dict[str, float]:

@@ -164,6 +164,9 @@ class Orchestrator:
         if isinstance(spec, str):
             spec = BenchmarkSpec(prescription=spec)
         spec.validate(self.repository)
+        # Enqueue and log under the lock the schedulers admit under: a
+        # scheduler may take the job at once, but cannot log ``admitted``
+        # ahead of this ``queued`` line (which carries the job itself).
         with self._cond:
             self._seq += 1
             job = Job(
@@ -172,11 +175,10 @@ class Orchestrator:
                 client=client,
                 priority=priority,
             )
-        self.queue.submit(job)
-        with self._cond:
+            self.queue.submit(job)
             self._jobs[job.job_id] = job
-        if self.job_log is not None:
-            self.job_log.append(job, "queued")
+            if self.job_log is not None:
+                self.job_log.append(job, "queued")
         self._notify(JobEvent(job.job_id, "queued", job.submitted_at))
         return job
 
@@ -229,11 +231,8 @@ class Orchestrator:
         with self._cond:
             if job.state != "queued":
                 return False
-            at = job.transition("cancelled")
-            self._cond.notify_all()
+            at = self._enter(job, "cancelled")
         self.queue.release(job.client)
-        if self.job_log is not None:
-            self.job_log.append(job, "cancelled")
         self._notify(JobEvent(job.job_id, "cancelled", at))
         return True
 
@@ -295,14 +294,24 @@ class Orchestrator:
                 continue
             self._run_job(job)
 
+    def _enter(
+        self, job: Job, state: str, detail: dict[str, Any] | None = None
+    ) -> float:
+        """Move ``job`` to ``state``, log it, then wake waiters (caller
+        holds ``_cond``).  In that order, so whoever observes a state —
+        a client returning from ``result()``, the next scheduler — finds
+        it already in ``jobs.jsonl`` and the log replays in order."""
+        at = job.transition(state)
+        if self.job_log is not None:
+            self.job_log.append(job, state, detail)
+        self._cond.notify_all()
+        return at
+
     def _transition(
         self, job: Job, state: str, detail: dict[str, Any] | None = None
     ) -> None:
         with self._cond:
-            at = job.transition(state)
-            self._cond.notify_all()
-        if self.job_log is not None:
-            self.job_log.append(job, state, detail)
+            at = self._enter(job, state, detail)
         self._notify(JobEvent(job.job_id, state, at, detail or {}))
 
     def _run_job(self, job: Job) -> None:
@@ -313,10 +322,7 @@ class Orchestrator:
         with self._cond:
             if job.state != "queued":
                 return
-            at = job.transition("admitted")
-            self._cond.notify_all()
-        if self.job_log is not None:
-            self.job_log.append(job, "admitted")
+            at = self._enter(job, "admitted")
         self._notify(JobEvent(job.job_id, "admitted", at))
         with self.tracer.activate():
             with self.tracer.span(

@@ -7,6 +7,8 @@ and an auditable job log.
 
 from __future__ import annotations
 
+import json
+import sys
 import threading
 
 import pytest
@@ -258,6 +260,36 @@ class TestEventsAndLog:
         assert replayed.state == "done"
         assert replayed.record_ids == job.record_ids
         assert replayed.spec == job.spec
+
+    def test_back_to_back_jobs_log_in_lifecycle_order(self, tmp_path):
+        """Regression: ``queued`` was appended after the job was already
+        takeable and ``done`` after the waiter was woken, so a client
+        cycling submit/result() could find a job's events out of order
+        (``jobs list`` then failed to replay the log)."""
+        log = JobLog(tmp_path)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ServiceClient(store_dir=str(tmp_path), schedulers=2) as client:
+                for _ in range(200):
+                    handle = client.submit(make_spec(volume=10))
+                    handle.result(timeout=60)
+                    # What result() observed is already in the log.
+                    last = json.loads(log.path.read_text().splitlines()[-1])
+                    assert (last["job_id"], last["event"]) == (
+                        handle.job_id, "done")
+        finally:
+            sys.setswitchinterval(interval)
+
+        jobs = log.replay()
+        assert len(jobs) == 200
+        assert all(job.state == "done" for job in jobs.values())
+        per_job: dict[str, list[str]] = {}
+        for event in log.events():
+            per_job.setdefault(event["job_id"], []).append(event["event"])
+        assert set(map(tuple, per_job.values())) == {
+            ("queued", "admitted", "running", "done")
+        }
 
 
 class TestServiceClient:

@@ -227,8 +227,19 @@ def load(
     )
 
     if service:
+        # None keeps ServiceTarget's stock spec; a named prescription
+        # gets every argument that shapes its jobs.
+        spec = None
+        if prescription is not None:
+            spec = BenchmarkSpec(
+                prescription,
+                engines=[engine] if engine else [],
+                volume=volume,
+                params=dict(params or {}),
+                layout=layout,
+            )
         target: Any = ServiceTarget(
-            spec=prescription,
+            spec=spec,
             store_dir=store_dir,
             schedulers=schedulers,
         )

@@ -36,31 +36,19 @@ from collections.abc import Sequence
 from repro.core.errors import ReproError
 
 
-_EXECUTOR_CHOICES = ["serial", "thread", "process"]
-
-
 def _store_parent() -> argparse.ArgumentParser:
-    """Shared ``--store-dir`` flag (hidden legacy alias: ``--store``)."""
+    """Shared ``--store-dir`` flag."""
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument("--store-dir", default=None, metavar="DIR",
                         help="run-store directory (default: "
                              "REPRO_STORE_DIR, else .repro-runs)")
-    # Hidden alias: SUPPRESS keeps it from clobbering the default above
-    # when absent, and out of --help when present.
-    parent.add_argument("--store", dest="store_dir",
-                        default=argparse.SUPPRESS, metavar="DIR",
-                        help=argparse.SUPPRESS)
     return parent
 
 
 def _common_parent(
     store_parent: argparse.ArgumentParser,
 ) -> argparse.ArgumentParser:
-    """Store + execution flags shared by run/compare/gate/submit/serve.
-
-    Hidden legacy aliases: ``--backend`` (for ``--executor``) and
-    ``--max-workers`` (for ``--workers``).
-    """
+    """Store + execution flags shared by run/compare/gate/submit/serve."""
     parent = argparse.ArgumentParser(
         add_help=False, parents=[store_parent]
     )
@@ -68,18 +56,11 @@ def _common_parent(
                         help="record outcomes into the persistent run "
                              "store")
     parent.add_argument("--executor", default="serial",
-                        choices=_EXECUTOR_CHOICES,
+                        choices=["serial", "thread", "process"],
                         help="fan-out backend for independent runs")
-    parent.add_argument("--backend", dest="executor",
-                        default=argparse.SUPPRESS,
-                        choices=_EXECUTOR_CHOICES,
-                        help=argparse.SUPPRESS)
     parent.add_argument("--workers", type=int, default=None,
                         help="worker count for the pooled executor "
                              "backends (default: one per CPU)")
-    parent.add_argument("--max-workers", dest="workers", type=int,
-                        default=argparse.SUPPRESS,
-                        help=argparse.SUPPRESS)
     parent.add_argument("--layout", default="row",
                         choices=["row", "columnar"],
                         help="execution layout: row-at-a-time iterators "
@@ -119,11 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "of this size (bounded memory); default "
                                  "is the REPRO_CHUNK_SIZE environment "
                                  "variable, else fully materialized")
-    run_parser.add_argument("--no-warm-pool", action="store_true",
-                            help="process backend: ship each task as a "
-                                 "self-contained payload to a fresh worker "
-                                 "runner instead of streaming descriptors "
-                                 "to a warm pool")
     run_parser.add_argument("--on-error", default="abort",
                             choices=["abort", "continue"],
                             help="failure policy: abort the run on the "
@@ -306,9 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ablate_parser.add_argument("--chunk-size", type=int, default=None,
                                help="stream data sets as record batches "
                                     "of this size")
-    ablate_parser.add_argument("--no-warm-pool", action="store_true",
-                               help="process backend: cold per-task "
-                                    "payloads instead of a warm pool")
     ablate_parser.add_argument("--no-one-offs", action="store_true",
                                help="skip the per-knob one-off profiles "
                                     "(normal vs optimized only)")
@@ -562,7 +535,6 @@ def _command_run(args, out) -> int:
         params=_parse_params(args.param),
         executor=args.executor,
         max_workers=args.workers,
-        warm_pool=not args.no_warm_pool,
         on_error=args.on_error,
         retries=args.retries,
         retry_backoff=args.retry_backoff,
@@ -1031,7 +1003,6 @@ def _command_ablate(args, out) -> int:
         layout=args.layout,
         executor=args.executor,
         max_workers=args.workers,
-        warm_pool=not args.no_warm_pool,
         chunk_size=args.chunk_size,
         include_one_offs=not args.no_one_offs,
         metrics=list(args.metric) or None,

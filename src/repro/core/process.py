@@ -100,12 +100,16 @@ class BenchmarkingProcess:
     def _execute_steps(self, spec: BenchmarkSpec, tracer: Tracer) -> ProcessReport:
         report = ProcessReport(spec=spec)
 
-        # Step 1: Planning — validate the spec, resolve engines and metrics.
+        # Step 1: Planning — validate the spec, then resolve it into the
+        # execution plan (engines, runner options, one task per engine).
         started = time.perf_counter()
+        from repro.execution.plan import resolve
+
         with tracer.span("planning"):
             spec.validate(self.repository)
-            prescription = self.repository.get(spec.prescription)
-            engine_names = spec.resolved_engines(self.repository)
+            plan = resolve(spec, self.repository)
+            prescription = plan.prescription
+            engine_names = list(plan.engines)
             metric_names = spec.metric_names or prescription.metric_names
         report.steps.append(
             StepReport(
@@ -177,76 +181,26 @@ class BenchmarkingProcess:
             )
         )
 
-        # Step 4: Execution — repeats on fresh engines, fanned out over
-        # the spec's executor backend through the test runner.  The
-        # runner regenerates each test, but the data set is served from
-        # the dataset cache warmed by step 2, so generation happens once
-        # for the whole run.
+        # Step 4: Execution — the plan's tasks on the plan's runner
+        # options (repeats on fresh engines, fanned out over the spec's
+        # executor backend).  The runner regenerates each test, but the
+        # data set is served from the dataset cache warmed by step 2, so
+        # generation happens once for the whole run.  The empty
+        # configuration table means an engine is built bare unless its
+        # task says otherwise.
         started = time.perf_counter()
-        from repro.execution.runner import RunnerOptions, RunTask, TestRunner
+        from repro.execution.runner import TestRunner, record_outcomes
 
         runner = TestRunner(
             test_generator=self.test_generator,
-            options=RunnerOptions(
-                repeats=spec.repeats,
-                check_format=False,
-                executor=spec.executor,
-                max_workers=spec.max_workers,
-                warm_pool=spec.warm_pool,
-                on_error=spec.on_error,
-                retries=spec.retries,
-                retry_backoff=spec.retry_backoff,
-                task_timeout=spec.task_timeout,
-            ),
+            configurations={},
+            options=plan.options,
         )
-        # Bare registry engines, exactly as the historical per-step loop
-        # built them (assigned after construction: an empty dict would
-        # otherwise be replaced by the default configuration table).
-        # A requested synthetic slowdown rides the fault substrate: each
-        # engine is wrapped so every execution stalls by the configured
-        # latency — deterministic, and invisible to the spec fingerprint
-        # (it models a code-level slowdown, not a different benchmark).
-        # The columnar layout rides the same per-engine configuration
-        # path: batch-at-a-time operators on the DBMS, per-partition
-        # combiner batching on MapReduce; engines with no layout notion
-        # run bare.  A non-normal tuning profile layers its knobs over
-        # the layout options (profile wins on conflict) through the
-        # same mechanism — see :mod:`repro.tuning.profiles`.
-        from repro.tuning.profiles import get_profile
-
-        runner.configurations = {}
-        profiles = {
-            engine_name: get_profile(engine_name, spec.tuning)
-            for engine_name in engine_names
-        }
-        slowdown = None
-        if spec.inject_latency:
-            from repro.engines.faults import FaultSpec
-
-            slowdown = FaultSpec(
-                latency_rate=1.0, latency_seconds=spec.inject_latency
-            )
-        run_tasks = [
-            RunTask(
-                prescription,
-                engine_name,
-                spec.volume,
-                dict(spec.params),
-                configuration=profiles[engine_name].configuration(
-                    spec.layout, fault=slowdown
-                ),
-                data_partitions=(
-                    spec.data_partitions if spec.data_partitions > 1 else None
-                ),
-                chunk_size=spec.chunk_size,
-            )
-            for engine_name in engine_names
-        ]
         cache = self.test_generator.dataset_cache
         cache_before = cache.stats() if cache is not None else None
         with tracer.span("execution", executor=spec.executor):
             try:
-                outcomes = runner.run_many(run_tasks)
+                outcomes = runner.run_many(plan.tasks)
             finally:
                 runner.close()
         results, failures = split_outcomes(outcomes)
@@ -297,51 +251,23 @@ class BenchmarkingProcess:
                     for result in ranking
                     if lead in result.metrics
                 ]
-            if spec.should_record:
-                analysis["recorded"] = self._record_outcomes(spec, report)
+            if plan.store_dir is not None:
+                from repro.analysis.store import RunStore
+
+                store = RunStore(plan.store_dir)
+                report.record_ids = [
+                    record.record_id
+                    for record in record_outcomes(
+                        store, plan.tasks, outcomes, plan.options
+                    )
+                ]
+                analysis["recorded"] = {
+                    "store": str(store.path),
+                    "record_ids": list(report.record_ids),
+                }
         report.steps.append(
             StepReport(
                 "analysis-evaluation", time.perf_counter() - started, analysis
             )
         )
         return report
-
-    def _record_outcomes(
-        self, spec: BenchmarkSpec, report: ProcessReport
-    ) -> dict[str, Any]:
-        """Persist every outcome into the configured run store.
-
-        One record per outcome (results and captured failures alike),
-        each under the spec fingerprint of its engine so repeat runs of
-        the same configuration accumulate into one comparable series.
-        """
-        from repro.analysis.store import (
-            RunStore,
-            environment_fingerprint,
-            resolve_store_dir,
-            spec_fingerprint,
-        )
-
-        from repro.tuning.profiles import get_profile
-
-        store = RunStore(resolve_store_dir(spec.store_dir))
-        environment = environment_fingerprint()
-        for outcome in report.results + report.failures:
-            fingerprint = spec_fingerprint(
-                spec.prescription,
-                outcome.engine,
-                workload=outcome.workload,
-                volume=spec.volume,
-                repeats=spec.repeats,
-                params=spec.params,
-                chunk_size=spec.chunk_size,
-                executor=spec.executor,
-                data_partitions=spec.data_partitions,
-                layout=spec.layout,
-                tuning=get_profile(outcome.engine, spec.tuning).fingerprint(),
-            )
-            record = store.record_outcome(
-                outcome, fingerprint, environment=environment
-            )
-            report.record_ids.append(record.record_id)
-        return {"store": str(store.path), "record_ids": list(report.record_ids)}

@@ -22,9 +22,10 @@ from repro.core.prescription import PrescriptionRepository
 #: schema (payloads with no ``spec_version`` field — e.g. specs embedded
 #: in job logs or run-store sidecars written before versioning landed);
 #: version 2 added the explicit field; version 3 added the ``tuning``
-#: profile name (v2 payloads load as ``"normal"``).  Bump this when a
+#: profile name (v2 payloads load as ``"normal"``); version 4 dropped
+#: ``warm_pool`` (the process backend has one path).  Bump this when a
 #: field is renamed or its meaning changes, and register a migration.
-SPEC_VERSION = 3
+SPEC_VERSION = 4
 
 #: Migration hooks: ``version -> fn(payload) -> payload`` upgrading a
 #: serialized spec from ``version`` to ``version + 1``.
@@ -83,6 +84,21 @@ def _migrate_v2(payload: dict[str, Any]) -> dict[str, Any]:
 register_spec_migration(2, _migrate_v2)
 
 
+def _migrate_v3(payload: dict[str, Any]) -> dict[str, Any]:
+    """Version 3 → 4: ``warm_pool`` is gone.
+
+    It selected between two process-backend paths that produced the
+    same results; it never entered the spec fingerprint, so dropping it
+    moves no series.
+    """
+    payload = dict(payload)
+    payload.pop("warm_pool", None)
+    return payload
+
+
+register_spec_migration(3, _migrate_v3)
+
+
 def _env_chunk_size() -> int | None:
     """Default chunk size from ``REPRO_CHUNK_SIZE`` (unset/empty = None).
 
@@ -133,10 +149,6 @@ class BenchmarkSpec:
     )
     #: Worker count for the pooled executor backends; None = one per CPU.
     max_workers: int | None = None
-    #: Process backend only: keep a warm worker pool alive across the
-    #: run's batches (workers initialize once, tasks ship as lightweight
-    #: descriptors).  False restores the cold per-task-payload path.
-    warm_pool: bool = True
     #: Failure policy: "abort" (fail-fast) or "continue" (capture
     #: per-task failures, keep completed results).
     on_error: str = "abort"

@@ -143,8 +143,17 @@ class MapReduceEngine(Engine):
                     self._map_phase(job, pairs, counters, cost)
                 )
                 if span:
-                    span.set(splits=len(map_outputs),
-                             records_per_split=list(map_task_records))
+                    # A task's cluster-model weight is its input plus its
+                    # (post-combine) output; the split is the input part.
+                    span.set(
+                        splits=len(map_outputs),
+                        records_per_split=[
+                            weight - len(task_output)
+                            for weight, task_output in zip(
+                                map_task_records, map_outputs
+                            )
+                        ],
+                    )
                     span.incr("input_records",
                               counters.get("map", "input_records"))
                     span.incr("output_records",

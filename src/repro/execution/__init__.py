@@ -21,8 +21,6 @@ from repro.execution.report import (
     markdown_table,
     render_results,
     render_trace,
-    results_json,
-    results_table,
 )
 from repro.execution.retry import (
     ON_ERROR_POLICIES,
@@ -74,6 +72,4 @@ __all__ = [
     "render_results",
     "render_trace",
     "resolve_executor",
-    "results_json",
-    "results_table",
 ]

@@ -107,24 +107,6 @@ def layout_options(layout: str) -> dict[str, dict[str, Any]]:
     }
 
 
-def layout_configuration(
-    engine_name: str, layout: str
-) -> SystemConfiguration | None:
-    """The configuration realizing ``layout`` on one engine, or None.
-
-    None means the engine should be built bare: either the layout is
-    the default row layout, or the engine has no layout notion.
-    """
-    options = layout_options(layout).get(engine_name)
-    if options is None:
-        return None
-    return SystemConfiguration(
-        engine_name,
-        options=dict(options),
-        label=f"{engine_name} ({layout} layout)",
-    )
-
-
 def default_configurations() -> dict[str, SystemConfiguration]:
     """One sensible default configuration per built-in engine."""
     return {

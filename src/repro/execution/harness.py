@@ -19,7 +19,8 @@ from typing import Any
 
 from repro.core.prescription import Prescription
 from repro.core.results import ResultAnalyzer, RunResult
-from repro.execution.config import SystemConfiguration, layout_configuration
+from repro.execution.config import SystemConfiguration
+from repro.execution.plan import engine_configuration
 from repro.execution.runner import RunTask, TestRunner
 
 
@@ -77,9 +78,10 @@ class BenchmarkHarness:
 
         ``layout="columnar"`` runs every point through the engine's
         columnar configuration (see
-        :func:`~repro.execution.config.layout_configuration`).
+        :func:`~repro.execution.plan.engine_configuration`) and, on a
+        runner with a store attached, records it in the columnar series.
         """
-        configuration = layout_configuration(engine_name, layout)
+        configuration = engine_configuration(engine_name, layout)
         tasks = [
             RunTask(
                 prescription,
@@ -87,6 +89,7 @@ class BenchmarkHarness:
                 volume,
                 dict(overrides),
                 configuration=configuration,
+                series={"layout": layout},
             )
             for volume in volumes
         ]
@@ -108,7 +111,7 @@ class BenchmarkHarness:
     ) -> SweepReport:
         """Run one prescription sweeping a workload parameter."""
         volume_override = fixed_overrides.pop("volume_override", None)
-        configuration = layout_configuration(engine_name, layout)
+        configuration = engine_configuration(engine_name, layout)
         tasks = [
             RunTask(
                 prescription,
@@ -116,6 +119,7 @@ class BenchmarkHarness:
                 volume_override,
                 {**fixed_overrides, parameter: value},
                 configuration=configuration,
+                series={"layout": layout},
             )
             for value in values
         ]

@@ -3,8 +3,7 @@
 One facade, :func:`render_results`, renders analysis results in every
 style the framework emits: aligned ASCII tables (what the benchmarks
 print), markdown tables (what EXPERIMENTS.md embeds), and JSON (for
-machine consumption).  The historical :func:`results_table` /
-:func:`results_json` entry points remain as deprecated delegates.
+machine consumption).
 
 Trace rendering lives here too: :func:`render_trace` draws the span
 tree a traced run produced (see :mod:`repro.observability`) as an ASCII
@@ -15,7 +14,6 @@ counters.
 from __future__ import annotations
 
 import json
-import warnings
 from typing import Any
 
 from repro.core.errors import ExecutionError
@@ -322,32 +320,6 @@ def _baseline_delta(mean: float, baseline_record: Any, metric: str) -> str:
     if reference == 0:
         return "n/a"
     return f"{(mean - reference) / abs(reference):+.1%}"
-
-
-def results_table(
-    results: list[RunResult], metric_names: list[str], style: str = "ascii"
-) -> str:
-    """Deprecated alias for :func:`render_results` (metrics table)."""
-    warnings.warn(
-        "results_table() is deprecated; use "
-        "repro.execution.report.render_results(results, style=..., "
-        "metrics=...) or the repro.api facade",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return render_results(results, style=style, metrics=metric_names)
-
-
-def results_json(results: list[RunResult]) -> str:
-    """Deprecated alias for :func:`render_results` (JSON)."""
-    warnings.warn(
-        "results_json() is deprecated; use "
-        "repro.execution.report.render_results(results, style='json') "
-        "or the repro.api facade",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return render_results(results, style="json")
 
 
 # ---------------------------------------------------------------------------

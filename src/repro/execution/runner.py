@@ -59,7 +59,6 @@ from repro.execution.workers import (
     WorkerInit,
     WorkerPool,
     WorkerPoolError,
-    annotate_task_trace,
     shipped_prescription,
 )
 from repro.execution.retry import (
@@ -101,11 +100,6 @@ class RunnerOptions:
     executor: str = field(default_factory=default_backend)
     #: Worker count for the pooled backends; None means one per CPU.
     max_workers: int | None = None
-    #: Process backend only: keep a warm worker pool alive across
-    #: ``run_many`` calls (workers initialize once — runner, suite,
-    #: engines, dataset cache — then stream lightweight descriptors).
-    #: False restores the cold per-task-payload path.
-    warm_pool: bool = True
     #: What a task that exhausts its attempts does to the batch:
     #: "abort" re-raises (fail-fast, the historical semantics) while
     #: "continue" captures a TaskFailure and completes the batch.
@@ -199,13 +193,15 @@ class RunTask:
     #: Record-batch size: when set, the data set is bound as a lazily
     #: streaming source (bounded memory) instead of a materialized list.
     chunk_size: int | None = None
-    #: Tuning-profile fingerprint payload (see
-    #: :meth:`repro.tuning.profiles.TuningProfile.fingerprint`) for the
-    #: run store: None for the normal profile (historical series stay
-    #: intact), a dict for tuned profiles (forks the series).  Purely a
-    #: recording annotation — the knobs themselves travel in
-    #: ``configuration``.
-    tuning: Any = None
+    #: The request-side entries of the run-store series key: the
+    #: requested ``layout`` and the tuning profile's ``fingerprint()``,
+    #: passed as keywords to
+    #: :func:`repro.analysis.store.spec_fingerprint` (which drops the
+    #: row/normal defaults, so historical series stay intact).  Purely a
+    #: recording annotation — the options themselves travel in
+    #: ``configuration``, and what the engine reports having executed
+    #: never feeds the key.
+    series: dict[str, Any] = field(default_factory=dict)
 
 
 class TestRunner:
@@ -222,13 +218,20 @@ class TestRunner:
         store: Any = None,
     ) -> None:
         self.test_generator = test_generator or TestGenerator()
-        self.configurations = configurations or default_configurations()
+        #: Engine name → configuration for tasks that carry none; an
+        #: engine absent from the table is built bare from the registry
+        #: (``{}`` means "every engine bare" — what spec-driven runs use).
+        self.configurations = (
+            configurations
+            if configurations is not None
+            else default_configurations()
+        )
         self.options = options or RunnerOptions()
         self.suite = suite or MetricSuite.standard()
         #: Optional :class:`~repro.analysis.store.RunStore`: when set,
-        #: every ``run_many`` batch auto-records its outcomes (the
-        #: five-step process records at the spec level instead — see
-        #: ``BenchmarkSpec.should_record`` — so it leaves this unset).
+        #: every ``run_many`` batch auto-records its outcomes through
+        #: :func:`record_outcomes` (the five-step process calls that at
+        #: its analysis step instead, so it leaves this unset).
         self.store = store
         self._executor: ParallelExecutor | None = None
         self._executor_key: tuple[str, int | None] | None = None
@@ -464,10 +467,7 @@ class TestRunner:
         streams lightweight descriptors to a warm worker pool that is
         kept alive across calls (see :mod:`repro.execution.workers`),
         shipping data sets as shared-memory/spill-file handles or cache
-        fingerprints instead of pickled rows.  With
-        ``options.warm_pool`` off — or when the pool cannot be built —
-        it falls back to the cold path: each task a self-contained
-        payload, a fresh serial runner per task in the worker.
+        fingerprints instead of pickled rows.
 
         The keyword-only arguments override the options' failure policy
         for this call: ``on_error`` selects abort/continue semantics,
@@ -529,43 +529,8 @@ class TestRunner:
         if tracer.enabled:
             self._graft_task_traces(tracer, outcomes)
         if self.store is not None:
-            self._record_outcomes(tasks, outcomes)
+            record_outcomes(self.store, tasks, outcomes, self.options)
         return outcomes
-
-    def _record_outcomes(
-        self, tasks: list[RunTask], outcomes: list[RunOutcome]
-    ) -> None:
-        """Persist a batch's outcomes into the attached run store.
-
-        The fingerprint is rebuilt from each task's own request (plus
-        the runner's repeat/executor options), so identical requests
-        recorded through the runner and through the five-step process
-        land in the same comparable series.
-        """
-        from repro.analysis.store import environment_fingerprint, spec_fingerprint
-
-        environment = environment_fingerprint()
-        for task, outcome in zip(tasks, outcomes):
-            prescription_name, workload_name = self._task_identity(task)
-            fingerprint = spec_fingerprint(
-                prescription_name,
-                task.engine_name,
-                workload=outcome.workload or workload_name,
-                volume=task.volume_override,
-                repeats=self.options.repeats,
-                params=task.overrides,
-                chunk_size=task.chunk_size,
-                executor=self.options.executor,
-                data_partitions=task.data_partitions,
-                # The executed layout as the workload dispatcher observed
-                # it (row when the engine has no layout notion), so
-                # columnar runs land in their own comparable series.
-                layout=outcome.extra.get("layout", "row"),
-                tuning=task.tuning,
-            )
-            self.store.record_outcome(
-                outcome, fingerprint, environment=environment
-            )
 
     def _run_task_traced(
         self,
@@ -665,37 +630,15 @@ class TestRunner:
     # Process-backend plumbing
     # ------------------------------------------------------------------
 
-    def _run_many_process(
-        self,
-        tasks: list[RunTask],
-        policy: RetryPolicy,
-        on_error: str,
-        tracer: Tracer,
-    ) -> list[RunOutcome]:
-        """Dispatch a batch to process workers: warm pool, cold fallback."""
-        if self.options.warm_pool:
-            try:
-                pool = self._ensure_worker_pool()
-            except WorkerPoolError:
-                # Unpicklable initializer state (e.g. a closure-bearing
-                # suite): degrade to the per-task-payload path, which
-                # handles that per component instead of per pool.
-                pool = None
-            if pool is not None:
-                return self._run_many_warm(
-                    pool, tasks, policy, on_error, tracer
-                )
-        return self._run_many_cold(tasks, policy, on_error, tracer)
-
     def _worker_init(self) -> tuple[WorkerInit, str]:
         """The pool initializer for the current runner state, plus its
         content digest (the pool-identity half of the invalidation key).
+
+        An unpicklable suite degrades to the standard suite in the
+        worker; an unpicklable engine configuration cannot run on this
+        backend at all and raises :class:`WorkerPoolError` naming it.
         """
-        suite: MetricSuite | None = self.suite
-        try:
-            pickle.dumps(suite)
-        except Exception:
-            suite = None
+        suite = self.suite if _picklable(self.suite) else None
         init = WorkerInit(
             options={
                 "repeats": self.options.repeats,
@@ -710,8 +653,14 @@ class TestRunner:
         try:
             payload = pickle.dumps(init)
         except Exception as error:
+            unpicklable = [
+                name
+                for name, configuration in self.configurations.items()
+                if not _picklable(configuration)
+            ]
             raise WorkerPoolError(
-                f"worker initializer is not picklable: {error}"
+                "the process backend cannot ship the configuration of "
+                f"engine(s) {unpicklable} to its workers: {error}"
             ) from error
         return init, hashlib.sha256(payload).hexdigest()
 
@@ -734,20 +683,16 @@ class TestRunner:
             self._worker_pool_key = key
         return self._worker_pool
 
-    def _run_many_warm(
+    def _run_many_process(
         self,
-        pool: WorkerPool,
         tasks: list[RunTask],
         policy: RetryPolicy,
         on_error: str,
         tracer: Tracer,
     ) -> list[RunOutcome]:
-        """The warm path: lightweight descriptors to persistent workers."""
-        shipped_policy: RetryPolicy | None = policy
-        try:
-            pickle.dumps(policy)
-        except Exception:
-            shipped_policy = None
+        """The process backend: lightweight descriptors to warm workers."""
+        pool = self._ensure_worker_pool()
+        shipped_policy = policy if _picklable(policy) else None
         scalars = (
             policy.max_attempts - 1,
             policy.backoff_seconds,
@@ -784,31 +729,6 @@ class TestRunner:
                 descriptor.payload_bytes = len(pickle.dumps(descriptor))
             tracer.count("pool_reuse", pool.batches)
         return pool.run_batch(descriptors)
-
-    def _run_many_cold(
-        self,
-        tasks: list[RunTask],
-        policy: RetryPolicy,
-        on_error: str,
-        tracer: Tracer,
-    ) -> list[RunOutcome]:
-        """The cold path: self-contained payloads, fresh worker runners."""
-        submitted_wall = time.time()
-        payloads = [
-            self._task_payload(
-                task,
-                policy=policy,
-                on_error=on_error,
-                task_index=index,
-                submitted_wall=submitted_wall,
-                trace=tracer.enabled,
-            )
-            for index, task in enumerate(tasks)
-        ]
-        if tracer.enabled:
-            for payload in payloads:
-                payload["payload_bytes"] = len(pickle.dumps(payload))
-        return self.executor.map(_subprocess_run_task, payloads)
 
     def _resolved_prescription(self, task: RunTask) -> Prescription:
         prescription = task.prescription
@@ -916,140 +836,49 @@ class TestRunner:
             for key in keys
         ]
 
-    def _task_payload(
-        self,
-        task: RunTask,
-        *,
-        policy: RetryPolicy | None = None,
-        on_error: str | None = None,
-        task_index: int = 0,
-        submitted_wall: float | None = None,
-        trace: bool = False,
-    ) -> dict[str, Any]:
-        """A self-contained, picklable description of one task.
 
-        The prescription ships by value when picklable; otherwise by
-        name, to be resolved from the worker's built-in repository
-        (iterative prescriptions hold stopping-condition callables that
-        cannot cross a process boundary).  The metric suite ships by
-        value too, so custom metrics survive the process boundary; an
-        unpicklable suite falls back to the standard one in the worker.
-        The retry policy ships by value when picklable (preserving a
-        custom ``retryable`` filter); otherwise the worker rebuilds an
-        equivalent policy from the scalar options.
-        """
-        prescription = task.prescription
-        if isinstance(prescription, str):
-            prescription = self.test_generator.repository.get(prescription)
-        shipped: Prescription | str
-        try:
-            pickle.dumps(prescription)
-            shipped = prescription
-        except Exception:
-            shipped = prescription.name
-        suite: MetricSuite | None = self.suite
-        try:
-            pickle.dumps(suite)
-        except Exception:
-            suite = None
-        configuration = (
-            task.configuration
-            if task.configuration is not None
-            else self.configurations.get(task.engine_name)
-        )
-        policy = policy or self.options.retry_policy()
-        shipped_policy: RetryPolicy | None = policy
-        try:
-            pickle.dumps(policy)
-        except Exception:
-            shipped_policy = None
-        return {
-            "prescription": shipped,
-            "engine_name": task.engine_name,
-            "volume_override": task.volume_override,
-            "overrides": dict(task.overrides),
-            "configuration": configuration,
-            "data_partitions": task.data_partitions,
-            "chunk_size": task.chunk_size,
-            "suite": suite,
-            "options": {
-                "repeats": self.options.repeats,
-                "warmup_runs": self.options.warmup_runs,
-                "check_format": self.options.check_format,
-                "on_error": (
-                    on_error if on_error is not None else self.options.on_error
-                ),
-                "retries": policy.max_attempts - 1,
-                "retry_backoff": policy.backoff_seconds,
-                "retry_jitter": policy.jitter,
-                "retry_seed": policy.seed,
-                "task_timeout": self.options.task_timeout,
-            },
-            "retry_policy": shipped_policy,
-            "task_index": task_index,
-            "submitted_wall": submitted_wall,
-            "trace": trace,
-        }
+def _picklable(value: Any) -> bool:
+    """Whether ``value`` survives the trip to a worker process."""
+    try:
+        pickle.dumps(value)
+    except Exception:  # noqa: BLE001 - any failure means "cannot ship"
+        return False
+    return True
 
 
-def _subprocess_run_task(payload: dict[str, Any]) -> RunOutcome:
-    """Worker-process entry point: rebuild a serial runner and run.
+def record_outcomes(
+    store: Any,
+    tasks: list[RunTask],
+    outcomes: list[RunOutcome],
+    options: RunnerOptions,
+) -> list[Any]:
+    """Persist a batch's outcomes into ``store``, in submission order.
 
-    Generation is deterministic, so the worker's fresh dataset is
-    record-for-record identical to what the parent would have generated;
-    metric means (other than wall-clock measurements) match the serial
-    path exactly.
-
-    The retry loop runs *here*, inside the worker, through the same
-    attempt-loop code path as the serial and thread backends — so fault
-    injection, backoff, and failure capture behave identically.  Under
-    ``on_error="continue"`` the captured :class:`TaskFailure` returns
-    through the pool like any result; under ``"abort"`` the exception
-    propagates and the pool re-raises it in the parent.
-
-    When the payload asks for tracing, the worker records into a fresh
-    tracer and returns its serialized span trees inside the outcome
-    payload; the parent grafts them in submission order.  Queue wait is
-    computed from the payload's wall-clock submit stamp — wall clocks
-    are the only clocks that cross the process boundary.
+    The one place a series key is built: each fingerprint comes from
+    the task's own request (its ``series`` annotation included) plus the
+    runner options, so the same request recorded by a runner-attached
+    store, the five-step process or the service lands in one series.
+    Returns the new :class:`~repro.analysis.store.RunRecord` s.
     """
-    import repro  # noqa: F401 — fills the registries in the worker
+    from repro.analysis.store import environment_fingerprint, spec_fingerprint
 
-    runner = TestRunner(
-        options=RunnerOptions(executor="serial", **payload["options"]),
-        suite=payload.get("suite"),
-    )
-    # Engine construction mirrors the parent: the payload carries the
-    # resolved configuration (None means a bare registry engine).
-    runner.configurations = {}
-    task = RunTask(
-        prescription=payload["prescription"],
-        engine_name=payload["engine_name"],
-        volume_override=payload["volume_override"],
-        overrides=dict(payload["overrides"]),
-        configuration=payload["configuration"],
-        data_partitions=payload["data_partitions"],
-        chunk_size=payload.get("chunk_size"),
-    )
-    policy = payload.get("retry_policy") or runner.options.retry_policy()
-    on_error = runner.options.on_error
-    if not payload.get("trace"):
-        return runner._run_task_guarded(task, policy, on_error)
-    submitted_wall = payload.get("submitted_wall")
-    queue_wait = (
-        max(0.0, time.time() - submitted_wall)
-        if submitted_wall is not None
-        else 0.0
-    )
-    outcome = runner._run_task_traced(
-        task,
-        payload.get("task_index", 0),
-        policy,
-        on_error,
-        queue_wait=queue_wait,
-    )
-    annotate_task_trace(
-        outcome.extra.get(TRACE_EXTRA_KEY),
-        payload_bytes=payload.get("payload_bytes"),
-    )
-    return outcome
+    environment = environment_fingerprint()
+    records = []
+    for task, outcome in zip(tasks, outcomes):
+        prescription_name, workload_name = TestRunner._task_identity(task)
+        fingerprint = spec_fingerprint(
+            prescription_name,
+            task.engine_name,
+            workload=outcome.workload or workload_name,
+            volume=task.volume_override,
+            repeats=options.repeats,
+            params=task.overrides,
+            chunk_size=task.chunk_size,
+            executor=options.executor,
+            data_partitions=task.data_partitions,
+            **task.series,
+        )
+        records.append(
+            store.record_outcome(outcome, fingerprint, environment=environment)
+        )
+    return records

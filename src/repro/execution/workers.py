@@ -67,11 +67,8 @@ __all__ = [
 
 
 class WorkerPoolError(ExecutionError):
-    """The warm pool cannot be built (e.g. unpicklable initializer state).
-
-    Callers fall back to the cold per-task-payload path, which degrades
-    task by task instead of refusing the whole batch.
-    """
+    """The worker pool cannot be built: an engine configuration in the
+    runner's table cannot be pickled (the message names the engine)."""
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +88,7 @@ class WorkerInit:
 
     options: dict[str, Any] = field(default_factory=dict)
     #: The runner's metric suite (None → the worker builds the standard
-    #: suite; unpicklable suites degrade the same way the cold path does).
+    #: suite, which is also what an unpicklable suite degrades to).
     suite: Any = None
     #: The runner's engine-configuration table, installed verbatim.
     configurations: dict[str, Any] = field(default_factory=dict)
@@ -430,14 +427,13 @@ def shipped_prescription(resolved: Any) -> Any:
     repository's entry of the same name ships as its name — the worker's
     own repository reproduces it, so the descriptor stays bytes-small.
     Anything else ships by value when picklable; unpicklable
-    prescriptions (iterative stopping conditions) fall back to the name,
-    exactly like the cold path.
+    prescriptions (iterative stopping conditions) fall back to the name.
     """
     import pickle
 
     try:
         payload = pickle.dumps(resolved)
-    except Exception:  # noqa: BLE001 - mirror the cold path's fallback
+    except Exception:  # noqa: BLE001 - the worker resolves the name
         return resolved.name
     if payload == _builtin_pickle(resolved.name):
         return resolved.name

@@ -147,13 +147,13 @@ class WorkloadTarget(LoadTarget):
                     f"{prescription.workload!r}"
                 )
             engine_name = supported[0]
-        from repro.execution.config import layout_configuration
+        from repro.execution.plan import engine_configuration
 
         self._test = generator.generate(
             prescription,
             engine_name,
             volume_override=self.volume,
-            configuration=layout_configuration(engine_name, self.layout),
+            configuration=engine_configuration(engine_name, self.layout),
         )
         self.engine = engine_name
         self.name = f"workload:{self.prescription}@{engine_name}"

@@ -18,9 +18,10 @@ backlog ran.  Subscribers get a :class:`JobEvent` per transition via
 :class:`~repro.service.client.JobHandle` (pull).
 
 Parity contract: a job's outcomes — metrics, extras, and recorded
-run-store entries — are exactly what the equivalent direct
-``TestRunner.run_many`` call with the spec's options would produce;
-the service owns the lifecycle, not the semantics.
+run-store entries — are exactly what ``api.run`` of the same spec
+produces, because both execute the plan
+:func:`~repro.execution.plan.resolve` builds from it; the service owns
+the lifecycle, not the semantics.
 """
 
 from __future__ import annotations
@@ -387,136 +388,47 @@ class Orchestrator:
     def _execute(self, spec: BenchmarkSpec) -> list[Any]:
         """One spec through the warm per-scheduler runner.
 
-        Mirrors the direct ``TestRunner`` call a library user would
-        make: default engine configurations, one
-        :class:`~repro.execution.runner.RunTask` per resolved engine,
-        the run store attached when the spec records.  The runner (and
+        The spec is resolved by the same
+        :func:`~repro.execution.plan.resolve` the direct five-step
+        process uses, so engines, metrics and series keys match it; the
+        run store is attached when the spec records.  The runner (and
         its warm process pool, dataset cache, and executor) persists on
-        this scheduler thread across jobs with the same execution
-        options.
+        this scheduler thread across jobs with equal runner options.
         """
-        from repro.execution.config import default_configurations, layout_options
-        from repro.execution.runner import RunTask
-        from repro.tuning.profiles import get_profile
+        from repro.analysis.store import RunStore
+        from repro.execution.plan import resolve
 
-        runner = self._runner_for(spec)
-        configurations = default_configurations()
-        engine_names = spec.resolved_engines(self.repository)
-        profiles = {
-            name: get_profile(name, spec.tuning) for name in engine_names
-        }
-        layout_opts = layout_options(spec.layout)
-        # Per-engine option overlay: layout options first, then the
-        # tuning profile's knobs (profile wins on conflict).
-        engine_options = {
-            name: {
-                **layout_opts.get(name, {}),
-                **(
-                    profiles[name].engine_options()
-                    if name in profiles
-                    else {}
-                ),
-            }
-            for name in set(engine_names) | set(layout_opts)
-        }
-        engine_options = {
-            name: options for name, options in engine_options.items() if options
-        }
-        if engine_options:
-            from dataclasses import replace
+        plan = resolve(spec, self.repository, store_dir=self.store_dir)
+        runner = self._runner_for(plan.options)
+        runner.store = (
+            RunStore(plan.store_dir) if plan.store_dir is not None else None
+        )
+        return runner.run_many(plan.tasks)
 
-            configurations = {
-                name: replace(
-                    configuration,
-                    options={
-                        **configuration.options,
-                        **engine_options.get(name, {}),
-                    },
-                )
-                for name, configuration in configurations.items()
-            }
-        if spec.inject_latency:
-            from dataclasses import replace
+    def _runner_for(self, options: Any):
+        """This scheduler thread's runner for ``options``.
 
-            from repro.engines.faults import FaultSpec
-
-            slowdown = FaultSpec(
-                latency_rate=1.0, latency_seconds=spec.inject_latency
-            )
-            configurations = {
-                name: replace(configuration, fault=slowdown)
-                for name, configuration in configurations.items()
-            }
-        runner.configurations = configurations
-        if spec.should_record:
-            from repro.analysis.store import RunStore, resolve_store_dir
-
-            runner.store = RunStore(
-                resolve_store_dir(spec.store_dir or self.store_dir)
-            )
-        else:
-            runner.store = None
-        prescription = self.repository.get(spec.prescription)
-        tasks = [
-            RunTask(
-                prescription,
-                engine_name,
-                spec.volume,
-                dict(spec.params),
-                data_partitions=(
-                    spec.data_partitions
-                    if spec.data_partitions > 1
-                    else None
-                ),
-                chunk_size=spec.chunk_size,
-                tuning=profiles[engine_name].fingerprint(),
-            )
-            for engine_name in engine_names
-        ]
-        return runner.run_many(tasks)
-
-    def _runner_for(self, spec: BenchmarkSpec):
-        """This scheduler thread's runner for the spec's options.
-
-        Keyed on everything that shapes execution; a job with different
-        options closes the thread's previous runner (releasing its
+        A job whose :class:`~repro.execution.runner.RunnerOptions`
+        differ closes the thread's previous runner (releasing its
         executor and warm pool) and builds a fresh one.
         """
         from repro.core.test_generator import TestGenerator
-        from repro.execution.runner import RunnerOptions, TestRunner
+        from repro.execution.runner import TestRunner
 
-        key = (
-            spec.executor,
-            spec.max_workers,
-            spec.warm_pool,
-            spec.repeats,
-            spec.on_error,
-            spec.retries,
-            spec.retry_backoff,
-            spec.task_timeout,
-        )
-        cached = getattr(self._local, "runner_entry", None)
-        if cached is not None and cached[0] == key:
-            return cached[1]
+        cached = getattr(self._local, "runner", None)
+        if cached is not None and cached.options == options:
+            return cached
         if cached is not None:
-            cached[1].close()
+            cached.close()
             with self._runner_lock:
-                if cached[1] in self._runners:
-                    self._runners.remove(cached[1])
+                if cached in self._runners:
+                    self._runners.remove(cached)
         runner = TestRunner(
             test_generator=TestGenerator(self.repository),
-            options=RunnerOptions(
-                repeats=spec.repeats,
-                executor=spec.executor,
-                max_workers=spec.max_workers,
-                warm_pool=spec.warm_pool,
-                on_error=spec.on_error,
-                retries=spec.retries,
-                retry_backoff=spec.retry_backoff,
-                task_timeout=spec.task_timeout,
-            ),
+            configurations={},
+            options=options,
         )
-        self._local.runner_entry = (key, runner)
+        self._local.runner = runner
         with self._runner_lock:
             self._runners.append(runner)
         return runner

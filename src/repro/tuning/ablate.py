@@ -25,7 +25,7 @@ local runner; outcomes, record ids, and verdicts come out identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
 from repro.analysis.compare import (
@@ -405,27 +405,23 @@ def _build_cells(
 # ---------------------------------------------------------------------------
 
 
-def _run_cells_local(
-    cells: list[AblationCell],
-    *,
-    repository: Any,
-    store: Any,
-    repeats: int,
-    warmup: int,
-    volume: int | None,
-    seed: int,
-    params: dict[str, Any] | None,
-    layout: str,
-    executor: str,
-    max_workers: int | None,
-    warm_pool: bool,
-    chunk_size: int | None,
-) -> None:
-    from repro.core.test_generator import TestGenerator
-    from repro.execution.runner import RunnerOptions, RunTask, TestRunner
+def _cell_spec(base: Any, cell: AblationCell) -> Any:
+    """The base spec narrowed to one cell of the matrix."""
+    return replace(
+        base,
+        prescription=cell.prescription,
+        engines=[cell.engine],
+        tuning=cell.profile.name,
+    )
 
-    overrides = dict(params or {})
-    overrides.setdefault("seed", seed)
+
+def _run_cells_local(
+    cells: list[AblationCell], base: Any, repository: Any, warmup: int
+) -> None:
+    from repro.analysis.store import RunStore
+    from repro.core.test_generator import TestGenerator
+    from repro.execution.plan import resolve
+    from repro.execution.runner import TestRunner
 
     # Cells sharing a dataset-cache budget share one runner (the budget
     # shapes the generator's cache, not the engine); the unbudgeted
@@ -442,54 +438,33 @@ def _run_cells_local(
             generator_kwargs["dataset_cache"] = DatasetCache(
                 max_resident_bytes=budget
             )
-        runner = TestRunner(
-            test_generator=TestGenerator(**generator_kwargs),
-            configurations={},
-            options=RunnerOptions(
-                repeats=repeats,
-                warmup_runs=warmup,
-                executor=executor,
-                max_workers=max_workers,
-                warm_pool=warm_pool,
-                on_error="continue",
-            ),
-            store=store,
-        )
-        tasks = [
-            RunTask(
-                repository.get(cell.prescription),
-                cell.engine,
-                volume_override=volume,
-                overrides=dict(overrides),
-                configuration=cell.profile.configuration(layout),
-                chunk_size=chunk_size,
-                tuning=cell.profile.fingerprint(),
+        # The cell's profile object stands in for the name the spec
+        # carries: custom profiles have no registered name.
+        plans = [
+            resolve(
+                _cell_spec(base, cell),
+                repository,
+                profiles={cell.engine: cell.profile},
             )
             for cell in group
         ]
+        runner = TestRunner(
+            test_generator=TestGenerator(**generator_kwargs),
+            configurations={},
+            options=replace(plans[0].options, warmup_runs=warmup),
+            store=RunStore(plans[0].store_dir),
+        )
         with runner:
-            outcomes = runner.run_many(tasks)
+            outcomes = runner.run_many(
+                [task for plan in plans for task in plan.tasks]
+            )
         for cell, outcome in zip(group, outcomes):
             cell.outcome = outcome
 
 
 def _run_cells_service(
-    cells: list[AblationCell],
-    *,
-    repository: Any,
-    store_dir: str,
-    repeats: int,
-    volume: int | None,
-    seed: int,
-    params: dict[str, Any] | None,
-    layout: str,
-    executor: str,
-    max_workers: int | None,
-    warm_pool: bool,
-    chunk_size: int | None,
-    schedulers: int,
+    cells: list[AblationCell], base: Any, repository: Any, schedulers: int
 ) -> None:
-    from repro.core.spec import BenchmarkSpec
     from repro.service import ServiceClient
 
     for cell in cells:
@@ -501,28 +476,12 @@ def _run_cells_service(
             )
 
     with ServiceClient(
-        schedulers=schedulers, store_dir=store_dir, repository=repository
+        schedulers=schedulers, store_dir=base.store_dir, repository=repository
     ) as client:
-        handles = []
-        cell_params = dict(params or {})
-        cell_params.setdefault("seed", seed)
-        for cell in cells:
-            spec = BenchmarkSpec(
-                prescription=cell.prescription,
-                engines=[cell.engine],
-                volume=volume,
-                repeats=repeats,
-                params=dict(cell_params),
-                executor=executor,
-                max_workers=max_workers,
-                warm_pool=warm_pool,
-                chunk_size=chunk_size,
-                layout=layout,
-                tuning=cell.profile.name,
-                record=True,
-                store_dir=store_dir,
-            )
-            handles.append(client.submit(spec, client="ablate"))
+        handles = [
+            client.submit(_cell_spec(base, cell), client="ablate")
+            for cell in cells
+        ]
         for cell, handle in zip(cells, handles):
             job = handle.wait()
             outcomes = job.outcomes or []
@@ -546,7 +505,6 @@ def run_ablation(
     layout: str = "row",
     executor: str = "serial",
     max_workers: int | None = None,
-    warm_pool: bool = True,
     chunk_size: int | None = None,
     include_one_offs: bool = True,
     profiles: dict[str, list[TuningProfile]] | None = None,
@@ -576,6 +534,7 @@ def run_ablation(
         RunStore,
         resolve_store_dir,
     )
+    from repro.core.spec import BenchmarkSpec
 
     if repository is None:
         from repro.core.prescription import builtin_repository
@@ -590,38 +549,26 @@ def run_ablation(
     resolved_dir = resolve_store_dir(store_dir)
     store = RunStore(resolved_dir)
 
+    # One base spec for the whole matrix; each cell narrows it to its
+    # prescription, engine and profile.  A failing cell must not abort
+    # the matrix, and every cell is recorded.
+    base = BenchmarkSpec(
+        prescription=prescription_names[0],
+        volume=volume,
+        repeats=repeats,
+        params={"seed": seed, **(params or {})},
+        executor=executor,
+        max_workers=max_workers,
+        chunk_size=chunk_size,
+        on_error="continue",
+        layout=layout,
+        record=True,
+        store_dir=resolved_dir,
+    )
     if service:
-        _run_cells_service(
-            runnable,
-            repository=repository,
-            store_dir=resolved_dir,
-            repeats=repeats,
-            volume=volume,
-            seed=seed,
-            params=params,
-            layout=layout,
-            executor=executor,
-            max_workers=max_workers,
-            warm_pool=warm_pool,
-            chunk_size=chunk_size,
-            schedulers=schedulers,
-        )
+        _run_cells_service(runnable, base, repository, schedulers)
     else:
-        _run_cells_local(
-            runnable,
-            repository=repository,
-            store=store,
-            repeats=repeats,
-            warmup=warmup,
-            volume=volume,
-            seed=seed,
-            params=params,
-            layout=layout,
-            executor=executor,
-            max_workers=max_workers,
-            warm_pool=warm_pool,
-            chunk_size=chunk_size,
-        )
+        _run_cells_local(runnable, base, repository, warmup)
 
     for cell in runnable:
         if cell.outcome is None:

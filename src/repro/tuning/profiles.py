@@ -200,32 +200,6 @@ class TuningProfile:
                 ) from error
         return self
 
-    def configuration(
-        self, layout: str = "row", fault: Any = None
-    ) -> Any:
-        """The :class:`~repro.execution.config.SystemConfiguration`
-        realizing this profile (merged over the layout's options), or
-        None when the engine should run bare.
-
-        None is load-bearing: a bare engine is exactly what historical
-        normal-profile runs used, so the normal/row/no-fault case must
-        not wrap the engine in an (empty) configuration.
-        """
-        from repro.execution.config import SystemConfiguration, layout_options
-
-        options = {
-            **layout_options(layout).get(self.engine, {}),
-            **self.engine_options(),
-        }
-        if not options and fault is None:
-            return None
-        return SystemConfiguration(
-            self.engine,
-            options=options,
-            label=f"{self.engine} ({self.name} profile)",
-            fault=fault,
-        )
-
     # -- serialization ----------------------------------------------------
 
     def as_dict(self) -> dict[str, Any]:

@@ -126,6 +126,39 @@ class TestSpecVersioning:
             register_spec_migration(1, lambda payload: payload)
 
 
+class TestWarmPoolFieldRemoved:
+    """v4 dropped ``warm_pool``; every payload an earlier release wrote
+    (job logs, exported specs) still loads."""
+
+    @pytest.mark.parametrize("warm_pool", [True, False])
+    def test_v3_payload_with_warm_pool_loads_and_round_trips(self, warm_pool):
+        spec = BenchmarkSpec.from_dict(
+            {"spec_version": 3, "prescription": "micro-wordcount",
+             "engines": ["mapreduce"], "volume": 50, "executor": "process",
+             "warm_pool": warm_pool, "tuning": "optimized"}
+        )
+        assert spec.executor == "process"
+        assert spec.tuning == "optimized"
+        payload = spec.as_dict()
+        assert payload["spec_version"] == SPEC_VERSION == 4
+        assert "warm_pool" not in payload
+        assert BenchmarkSpec.from_dict(payload) == spec
+
+    def test_unversioned_payload_with_warm_pool_loads(self):
+        spec = BenchmarkSpec.from_dict(
+            {"prescription": "micro-wordcount", "engine": "mapreduce",
+             "warm_pool": False}
+        )
+        assert spec.engines == ["mapreduce"]
+
+    def test_v4_payload_with_warm_pool_is_an_unknown_field(self):
+        with pytest.raises(SpecError, match="unknown field.*warm_pool"):
+            BenchmarkSpec.from_dict(
+                {"spec_version": 4, "prescription": "micro-wordcount",
+                 "warm_pool": True}
+            )
+
+
 class TestTuningField:
     """v3 added ``tuning``; v2 payloads (and v1 before them) load as
     the ``normal`` profile — the bare engines they actually ran."""

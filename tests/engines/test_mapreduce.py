@@ -144,6 +144,27 @@ class TestCounters:
         assert counters.get("g", "c") == 1
 
 
+class TestMapPhaseSpan:
+    @pytest.mark.parametrize("conf", [{}, {"combine_batch_records": 4}])
+    def test_records_per_split_are_the_real_split_sizes(self, conf):
+        """The span used to report the cluster model's task weight
+        (input + output) under this name: 200 records printed as
+        ``[70, 70, 70, 70]`` beside ``input_records=200``."""
+        from repro.observability import Tracer
+
+        pairs = [(index, "a b a c") for index in range(200)]
+        tracer = Tracer()
+        with tracer.activate():
+            MapReduceEngine().run(word_count_job(num_map_tasks=4, **conf), pairs)
+        (map_phase,) = [
+            span for span in tracer.roots()[0].children
+            if span.name == "map-phase"
+        ]
+        per_split = map_phase.attrs["records_per_split"]
+        assert per_split == [50, 50, 50, 50]
+        assert sum(per_split) == map_phase.counters["input_records"] == 200
+
+
 class TestJobChain:
     def test_chain_feeds_output_forward(self):
         first = word_count_job()

@@ -23,8 +23,6 @@ from repro.execution.report import (
     markdown_table,
     render_results,
     render_trace,
-    results_json,
-    results_table,
 )
 from repro.execution.runner import RunnerOptions, TestRunner
 from repro.observability import Span
@@ -182,12 +180,14 @@ class TestReporting:
         assert lines[1] == "|---|"
 
     def test_results_table_contains_metrics(self):
-        text = results_table(self._results(), ["duration", "throughput"])
+        text = render_results(
+            self._results(), metrics=["duration", "throughput"]
+        )
         assert "duration" in text
         assert "mapreduce" in text
 
     def test_results_json_roundtrips(self):
-        payload = json.loads(results_json(self._results()))
+        payload = json.loads(render_results(self._results(), style="json"))
         assert payload[0]["engine"] == "mapreduce"
         assert "duration" in payload[0]["metrics"]
 
@@ -229,16 +229,6 @@ class TestRenderFacade:
         assert render_results(results, metrics=["duration"]) == render_results(
             results, style="ascii", metrics=["duration"]
         )
-
-    def test_delegates_match_the_facade(self):
-        results = self._results()
-        assert results_table(results, ["duration"]) == render_results(
-            results, style="ascii", metrics=["duration"]
-        )
-        assert results_table(
-            results, ["duration"], style="markdown"
-        ) == render_results(results, style="markdown", metrics=["duration"])
-        assert results_json(results) == render_results(results, style="json")
 
     def test_omitted_metrics_show_every_metric(self):
         results = self._results()

@@ -20,7 +20,8 @@ from repro.cli import main
 from repro.core.errors import SpecError
 from repro.core.process import BenchmarkingProcess
 from repro.core.spec import BenchmarkSpec
-from repro.execution.config import layout_configuration, layout_options
+from repro.execution.config import layout_options
+from repro.execution.plan import engine_configuration
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -55,7 +56,7 @@ class TestSpec:
 class TestLayoutConfigurations:
     def test_row_needs_no_overrides(self):
         assert layout_options("row") == {}
-        assert layout_configuration("dbms", "row") is None
+        assert engine_configuration("dbms", "row") is None
 
     def test_columnar_covers_both_hot_paths(self):
         options = layout_options("columnar")
@@ -63,10 +64,10 @@ class TestLayoutConfigurations:
         assert options["mapreduce"]["combine_batch_records"] > 0
 
     def test_engines_without_layout_notion_run_bare(self):
-        assert layout_configuration("nosql", "columnar") is None
+        assert engine_configuration("nosql", "columnar") is None
 
     def test_configuration_builds_columnar_engine(self):
-        engine = layout_configuration("dbms", "columnar").build()
+        engine = engine_configuration("dbms", "columnar").build()
         assert engine.execution_layout == "columnar"
 
 

@@ -211,27 +211,45 @@ def _extended_suite() -> MetricSuite:
 
 
 class TestProcessPayloads:
+    """What crosses the process boundary: the pool initializer built by
+    ``_worker_init`` (suite, configuration table) and each task's
+    shipped prescription."""
+
     def test_picklable_prescription_ships_by_value(self):
+        import dataclasses
+
         runner = TestRunner()
-        payload = runner._task_payload(RunTask("micro-wordcount", "mapreduce"))
-        assert isinstance(payload["prescription"], Prescription)
+        builtin = runner.test_generator.repository.get("micro-wordcount")
+        custom = dataclasses.replace(
+            builtin, data=dataclasses.replace(builtin.data, volume=7)
+        )
+        shipped = runner._shipped_task_prescription(
+            RunTask(custom, "mapreduce")
+        )
+        assert isinstance(shipped, Prescription)
+        assert shipped is custom
 
     def test_unpicklable_prescription_ships_by_name(self):
         # Iterative prescriptions hold stopping-condition callables that
         # cannot cross a process boundary.
         runner = TestRunner()
-        payload = runner._task_payload(RunTask("search-pagerank", "mapreduce"))
-        assert payload["prescription"] == "search-pagerank"
+        shipped = runner._shipped_task_prescription(
+            RunTask("search-pagerank", "mapreduce")
+        )
+        assert shipped == "search-pagerank"
 
     def test_payload_resolves_default_configuration(self):
         runner = TestRunner()
-        payload = runner._task_payload(RunTask("micro-wordcount", "mapreduce"))
-        assert payload["configuration"] is runner.configurations["mapreduce"]
+        init, _ = runner._worker_init()
+        assert (
+            init.configurations["mapreduce"]
+            is runner.configurations["mapreduce"]
+        )
 
     def test_picklable_suite_ships_by_value(self):
         runner = TestRunner(suite=_extended_suite())
-        payload = runner._task_payload(RunTask("micro-wordcount", "mapreduce"))
-        assert payload["suite"] is runner.suite
+        init, _ = runner._worker_init()
+        assert init.suite is runner.suite
 
     def test_unpicklable_suite_falls_back_to_standard(self):
         class LocalMetric(Metric):  # local class: cannot pickle instances
@@ -240,9 +258,17 @@ class TestProcessPayloads:
             def compute(self, evidence):
                 return 1.0
 
-        runner = TestRunner(suite=MetricSuite([LocalMetric()]))
-        payload = runner._task_payload(RunTask("micro-wordcount", "mapreduce"))
-        assert payload["suite"] is None
+        options = RunnerOptions(executor="process", max_workers=2)
+        with TestRunner(
+            options=options, suite=MetricSuite([LocalMetric()])
+        ) as runner:
+            init, _ = runner._worker_init()
+            assert init.suite is None
+            results = runner.run_on_engines(PRESCRIPTION, ENGINES[:2], 60)
+        # The workers computed the standard suite instead.
+        for result in results:
+            assert "local" not in result.metrics
+            assert "duration" in result.metrics
 
     def test_custom_suite_survives_the_process_boundary(self):
         """Workers must compute the runner's suite, not silently revert

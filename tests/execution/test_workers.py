@@ -4,8 +4,8 @@ Covers the pool's lifetime contract (reuse across ``run_many`` calls,
 invalidation when the options it was initialized from mutate, shutdown
 on ``close``), the dataset-shipping strategies (shared-bytes export for
 shared keys, fingerprint shipping with worker-side regeneration and
-cache hits), payload-size observability on traced runs, and the cold
-per-task-payload fallback.
+cache hits), payload-size observability on traced runs, and parity
+with the serial runner (the oracle).
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ import dataclasses
 import pytest
 
 from repro.core.prescription import builtin_repository
+from repro.execution.config import SystemConfiguration
 from repro.execution.parallel import compute_chunksize
 from repro.execution.runner import RunnerOptions, RunTask, TestRunner
 from repro.execution.workers import (
     WorkerPool,
+    WorkerPoolError,
     shipped_prescription,
 )
 from repro.observability import Tracer
@@ -87,27 +89,34 @@ class TestPoolLifetime:
         assert runner._worker_pool is None
         assert pool.exports == {}
 
-    def test_warm_pool_disabled_uses_cold_path(self):
-        with _process_runner(warm_pool=False) as runner:
-            outcomes = runner.run_many(SHARED_DATA_TASKS)
-            assert runner._worker_pool is None
-            assert [outcome.test_name for outcome in outcomes] == [
-                "micro-wordcount@mapreduce",
-                "micro-sort@mapreduce",
-            ]
-
-    def test_warm_and_cold_paths_agree_on_deterministic_metrics(self):
+    def test_pool_agrees_with_the_serial_oracle(self):
         deterministic = [
             "throughput", "ops_per_second", "data_rate",
             "network_rate", "energy", "cost",
         ]
-        with _process_runner() as warm:
-            warm_out = warm.run_many(SHARED_DATA_TASKS)
-        with _process_runner(warm_pool=False) as cold:
-            cold_out = cold.run_many(SHARED_DATA_TASKS)
-        for a, b in zip(warm_out, cold_out):
+        with _process_runner() as pooled:
+            pooled_out = pooled.run_many(SHARED_DATA_TASKS)
+        with TestRunner(options=RunnerOptions(executor="serial")) as serial:
+            serial_out = serial.run_many(SHARED_DATA_TASKS)
+        assert [outcome.test_name for outcome in pooled_out] == [
+            "micro-wordcount@mapreduce",
+            "micro-sort@mapreduce",
+        ]
+        for a, b in zip(pooled_out, serial_out):
+            assert a.test_name == b.test_name
             for name in deterministic:
                 assert a.mean(name) == b.mean(name)
+
+    def test_unpicklable_configuration_raises_naming_the_engine(self):
+        unpicklable = SystemConfiguration(
+            "mapreduce", options={"executor": lambda: None}
+        )
+        with TestRunner(
+            configurations={"mapreduce": unpicklable},
+            options=RunnerOptions(executor="process", max_workers=2),
+        ) as runner:
+            with pytest.raises(WorkerPoolError, match="mapreduce"):
+                runner.run_many(SHARED_DATA_TASKS)
 
 
 class TestDatasetShipping:

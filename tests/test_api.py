@@ -1,8 +1,6 @@
-"""Tests for the ``repro.api`` facade and the deprecation shims."""
+"""Tests for the ``repro.api`` facade."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -76,31 +74,6 @@ class TestFacadeSurface:
         assert all(isinstance(o, RunResult) for o in outcomes)
 
 
-class TestDeprecationShims:
-    def _results(self):
-        report = api.run("micro-wordcount", volume=60,
-                         engines=["mapreduce"])
-        return report.results
-
-    def test_results_table_warns_and_still_works(self):
-        from repro.execution.report import render_results, results_table
-
-        results = self._results()
-        with pytest.warns(DeprecationWarning, match="results_table"):
-            legacy = results_table(results, ["duration"])
-        assert legacy == render_results(results, metrics=["duration"])
-
-    def test_results_json_warns_and_still_works(self):
-        from repro.execution.report import render_results, results_json
-
-        results = self._results()
-        with pytest.warns(DeprecationWarning, match="results_json"):
-            legacy = results_json(results)
-        assert json.loads(legacy) == json.loads(
-            render_results(results, style="json")
-        )
-
-
 class TestLoadFacade:
     def test_load_is_a_blessed_name(self):
         assert "load" in api.__all__
@@ -131,6 +104,40 @@ class TestLoadFacade:
         )
         assert report.completed > 0
         assert report.target_name.startswith("workload:micro-wordcount@")
+
+    def test_service_load_carries_every_spec_argument(
+        self, tmp_path, monkeypatch
+    ):
+        """``service=True`` used to rebuild a default spec from the
+        prescription name, dropping engine, volume, params and layout."""
+        from repro.service.jobs import JobLog
+        from repro.service.orchestrator import Orchestrator
+
+        outcomes = []
+        execute = Orchestrator._execute
+
+        def spy(self, spec):
+            executed = execute(self, spec)
+            outcomes.extend(executed)
+            return executed
+
+        monkeypatch.setattr(Orchestrator, "_execute", spy)
+        report = api.load(
+            "database-aggregate-join", service=True, engine="dbms",
+            volume=60, params={"seed": 3}, layout="columnar",
+            rate=10.0, duration=0.3, store_dir=str(tmp_path),
+        )
+        assert report.completed > 0
+        assert report.errors == 0
+        assert outcomes
+        for outcome in outcomes:
+            assert outcome.engine == "dbms"
+            assert outcome.extra["layout"] == "columnar"
+        for job in JobLog(str(tmp_path)).replay().values():
+            assert job.spec.engines == ["dbms"]
+            assert job.spec.volume == 60
+            assert job.spec.params == {"seed": 3}
+            assert job.spec.layout == "columnar"
 
     def test_arrival_options_pass_through(self):
         report = api.load(

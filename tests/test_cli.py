@@ -364,44 +364,6 @@ class TestMiniature:
         assert code == 2
 
 
-class TestFlagAliases:
-    """The historical flag spellings stay as hidden aliases of the
-    shared parent-parser flags."""
-
-    def test_backend_aliases_executor(self):
-        code, output = run_cli(
-            "run", "micro-wordcount", "--volume", "30",
-            "--backend", "thread", "--max-workers", "2",
-        )
-        assert code == 0
-        assert "micro-wordcount@mapreduce" in output
-
-    def test_store_aliases_store_dir(self, tmp_path):
-        code, _ = run_cli(
-            "run", "micro-wordcount", "--volume", "30", "--record",
-            "--store", str(tmp_path / "store"),
-        )
-        assert code == 0
-        code, output = run_cli(
-            "runs", "list", "--store", str(tmp_path / "store")
-        )
-        assert code == 0
-        assert "r0001" in output
-
-    def test_aliases_are_hidden_from_help(self, capsys):
-        import contextlib
-
-        with contextlib.suppress(SystemExit):
-            main(["run", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--store-dir" in help_text
-        assert "--executor" in help_text
-        assert "--workers" in help_text
-        assert "--store " not in help_text
-        assert "--backend" not in help_text
-        assert "--max-workers" not in help_text
-
-
 class TestServiceVerbs:
     """submit / serve / jobs against a tmp store."""
 

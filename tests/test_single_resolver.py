@@ -1,0 +1,95 @@
+"""Tooling: there is one way to turn a BenchmarkSpec into running work.
+
+ROADMAP aim 2 — "a new spec field touches ``spec.py``, the resolver
+and one test" — as a check that runs in tier-1.  Walks ``src/repro``
+with :mod:`ast` and fails when a spec consumer starts translating spec
+fields by hand again instead of calling
+:func:`repro.execution.plan.resolve`.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: The only modules that may construct ``RunnerOptions``.
+RUNNER_OPTIONS_HOMES = {
+    "execution/plan.py", "execution/runner.py", "execution/workers.py",
+}
+
+#: The spec consumers: they resolve a spec (or submit it) and run the plan.
+CONSUMERS = (
+    "core/process.py",
+    "service/orchestrator.py",
+    "tuning/ablate.py",
+    "loadgen/targets.py",
+)
+
+#: What only the resolver builds from spec fields.
+RESOLVER_ONLY = {
+    "RunnerOptions", "SystemConfiguration", "FaultSpec", "RunTask",
+    "get_profile", "spec_fingerprint",
+}
+
+
+def _calls() -> dict[str, list[tuple[str, int]]]:
+    """Called name → [(module path relative to src/repro, line)]."""
+    found: dict[str, list[tuple[str, int]]] = {}
+    for path in sorted(SRC.rglob("*.py")):
+        module = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            function = node.func
+            name = (
+                function.id if isinstance(function, ast.Name)
+                else function.attr if isinstance(function, ast.Attribute)
+                else None
+            )
+            if name is not None:
+                found.setdefault(name, []).append((module, node.lineno))
+    return found
+
+
+CALLS = _calls()
+
+
+def test_the_walk_sees_the_resolver():
+    # Guards the checks below against passing because nothing was parsed.
+    assert "execution/plan.py" in {m for m, _ in CALLS["RunnerOptions"]}
+    assert all((SRC / consumer).exists() for consumer in CONSUMERS)
+
+
+def test_runner_options_are_built_in_the_execution_layer_only():
+    strays = [
+        site for site in CALLS["RunnerOptions"]
+        if site[0] not in RUNNER_OPTIONS_HOMES
+    ]
+    assert not strays, (
+        f"RunnerOptions(...) constructed outside {sorted(RUNNER_OPTIONS_HOMES)}"
+        f": {strays}; resolve the spec with repro.execution.plan.resolve"
+    )
+
+
+def test_one_module_builds_series_keys():
+    modules = {module for module, _ in CALLS["spec_fingerprint"]}
+    assert len(modules) == 1, (
+        f"spec_fingerprint(...) called from {sorted(modules)}: two "
+        "fingerprint builders are two opinions about the series key; "
+        "record through repro.execution.runner.record_outcomes"
+    )
+
+
+def test_spec_consumers_do_not_translate_spec_fields():
+    strays = [
+        (name, module, line)
+        for name in sorted(RESOLVER_ONLY)
+        for module, line in CALLS.get(name, [])
+        if module in CONSUMERS
+    ]
+    assert not strays, (
+        f"spec fields translated by hand in a spec consumer: {strays}; "
+        "that belongs in repro.execution.plan"
+    )

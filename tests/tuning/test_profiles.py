@@ -6,6 +6,7 @@ import pytest
 
 import repro  # noqa: F401 - triggers default registration
 from repro.core.errors import ReproError, SpecError, TuningError
+from repro.execution.plan import engine_configuration
 from repro.tuning.profiles import (
     DATASET_CACHE_KNOB,
     ENGINE_KNOBS,
@@ -37,10 +38,12 @@ class TestNormalProfile:
     def test_normal_configuration_is_none_on_row_layout(self):
         # Load-bearing: a bare engine is what every historical run
         # used, so normal/row must not wrap the engine at all.
-        assert normal("dbms").configuration("row") is None
+        assert engine_configuration("dbms", "row", normal("dbms")) is None
 
     def test_normal_configuration_carries_layout_options(self):
-        configuration = normal("dbms").configuration("columnar")
+        configuration = engine_configuration(
+            "dbms", "columnar", normal("dbms")
+        )
         assert configuration is not None
         assert configuration.options["layout"] == "columnar"
 
@@ -69,7 +72,9 @@ class TestOptimizedProfile:
     def test_profile_knobs_win_over_layout_options(self):
         # optimized dbms pins layout=columnar; asking for row layout
         # must not undo the profile's choice.
-        configuration = optimized("dbms").configuration("row")
+        configuration = engine_configuration(
+            "dbms", "row", optimized("dbms")
+        )
         assert configuration.options["layout"] == "columnar"
 
 

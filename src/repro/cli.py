@@ -19,54 +19,28 @@ so the framework ships a CLI::
     repro-bench serve --spec-file batch.json          # a batch of jobs
     repro-bench jobs list                 # audit the service job log
 
-The store/executor flags (``--store-dir``, ``--record``, ``--executor``,
-``--workers``) are shared parent parsers, so they spell the same on
-``run``, ``compare``, ``gate``, and the job verbs; the historical
-spellings (``--store``, ``--backend``, ``--max-workers``) remain hidden
-aliases.  Every command is also callable in-process via :func:`main`
-(what the tests do).
+Every verb is parse → one :mod:`repro.api` (or store) call → render:
+each subparser registers its handler and :func:`main` calls it.  Shared
+flags are parent parsers scoped to what a verb honours, so a flag a
+verb would ignore does not parse: ``--store-dir`` on every verb that
+touches the run store (the only shared flag ``compare``, ``gate`` and
+the ``runs``/``baseline``/``jobs`` verbs take), ``--executor`` and
+``--workers`` on ``run``, ``submit``, ``serve`` and ``ablate``,
+``--record`` on ``run``, ``submit``, ``serve`` and ``load``,
+``--layout`` on ``run``, ``submit``, ``ablate`` and ``load``.  Every
+command is also callable in-process via :func:`main` (what the tests
+do).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from collections.abc import Sequence
+from pathlib import Path
 
 from repro.core.errors import ReproError
-
-
-def _store_parent() -> argparse.ArgumentParser:
-    """Shared ``--store-dir`` flag."""
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument("--store-dir", default=None, metavar="DIR",
-                        help="run-store directory (default: "
-                             "REPRO_STORE_DIR, else .repro-runs)")
-    return parent
-
-
-def _common_parent(
-    store_parent: argparse.ArgumentParser,
-) -> argparse.ArgumentParser:
-    """Store + execution flags shared by run/compare/gate/submit/serve."""
-    parent = argparse.ArgumentParser(
-        add_help=False, parents=[store_parent]
-    )
-    parent.add_argument("--record", action="store_true",
-                        help="record outcomes into the persistent run "
-                             "store")
-    parent.add_argument("--executor", default="serial",
-                        choices=["serial", "thread", "process"],
-                        help="fan-out backend for independent runs")
-    parent.add_argument("--workers", type=int, default=None,
-                        help="worker count for the pooled executor "
-                             "backends (default: one per CPU)")
-    parent.add_argument("--layout", default="row",
-                        choices=["row", "columnar"],
-                        help="execution layout: row-at-a-time iterators "
-                             "(the correctness oracle) or batch-at-a-time "
-                             "columnar operators")
-    return parent
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,24 +49,80 @@ def _build_parser() -> argparse.ArgumentParser:
         description="A 4V-aware big data benchmarking framework "
         "(reproduction of Han & Lu, 'On Big Data Benchmarking', 2014).",
     )
-    store = _store_parent()
-    common = _common_parent(store)
+    # Shared flags are parent parsers, composed per verb (module docstring).
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--store-dir", default=None, metavar="DIR",
+                       help="run-store directory (default: "
+                            "REPRO_STORE_DIR, else .repro-runs)")
+    record = argparse.ArgumentParser(add_help=False)
+    record.add_argument("--record", action="store_true",
+                        help="record outcomes into the persistent run "
+                             "store")
+    pool = argparse.ArgumentParser(add_help=False)
+    pool.add_argument("--executor", default="serial",
+                      choices=["serial", "thread", "process"],
+                      help="fan-out backend for independent runs")
+    pool.add_argument("--workers", type=int, default=None,
+                      help="worker count for the pooled executor "
+                           "backends (default: one per CPU)")
+    layout = argparse.ArgumentParser(add_help=False)
+    layout.add_argument("--layout", default="row",
+                        choices=["row", "columnar"],
+                        help="execution layout: row-at-a-time iterators "
+                             "(the correctness oracle) or batch-at-a-time "
+                             "columnar operators")
+    param = argparse.ArgumentParser(add_help=False)
+    param.add_argument("--param", action="append", default=[],
+                       metavar="KEY=VALUE",
+                       help="workload parameter override")
+    # The flags `run` and `submit` build their BenchmarkSpec from.
+    spec = argparse.ArgumentParser(
+        add_help=False, parents=[param, store, record, pool, layout]
+    )
+    spec.add_argument("prescription", help="prescription name")
+    spec.add_argument("--engine", action="append", default=[],
+                      help="engine(s) to run on (default: all supported)")
+    spec.add_argument("--volume", type=int, default=None,
+                      help="data volume override")
+    spec.add_argument("--repeats", type=int, default=1)
+    spec.add_argument("--json", action="store_true",
+                      help="emit results as JSON")
+    spec.add_argument("--tuning", default="normal", metavar="PROFILE",
+                      help="tuning profile applied to every engine: "
+                           "normal, optimized, or normal+<knob> "
+                           "(see repro.tuning.profiles)")
+    schedulers = argparse.ArgumentParser(add_help=False)
+    schedulers.add_argument("--schedulers", type=int, default=2,
+                            help="scheduler threads of the in-process "
+                                 "service")
+    client = argparse.ArgumentParser(add_help=False, parents=[schedulers])
+    client.add_argument("--client", default="cli", dest="client_name",
+                        metavar="NAME",
+                        help="client identity for admission quotas")
+    # compare and gate judge the same way.
+    judge = argparse.ArgumentParser(add_help=False, parents=[store])
+    judge.add_argument("--metric", action="append", default=[],
+                       help="metric(s) to judge (default: all shared)")
+    judge.add_argument("--tolerance", type=float, default=None,
+                       help="relative effect-size threshold (default 0.05)")
+    judge.add_argument("--json", action="store_true",
+                       help="emit the report as JSON")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    commands.add_parser("list", help="list prescriptions, engines, "
-                                     "generators, workloads, and formats")
+    def verb(group, name, handler, parents=(), **options):
+        """One subcommand; ``main`` dispatches to its ``handler``."""
+        subparser = group.add_parser(name, parents=list(parents), **options)
+        subparser.set_defaults(handler=handler)
+        return subparser
 
-    run_parser = commands.add_parser(
-        "run", parents=[common],
+    verb(commands, "list", _list,
+         help="list prescriptions, engines, generators, workloads, and "
+              "formats")
+
+    run_parser = verb(
+        commands, "run", _run, [spec],
         help="run a prescription through the five-step process",
     )
-    run_parser.add_argument("prescription", help="prescription name")
-    run_parser.add_argument("--engine", action="append", default=[],
-                            help="engine(s) to run on (default: all "
-                                 "supported)")
-    run_parser.add_argument("--volume", type=int, default=None,
-                            help="data volume override")
-    run_parser.add_argument("--repeats", type=int, default=1)
     run_parser.add_argument("--partitions", type=int, default=1,
                             help="parallel data-generator partitions")
     run_parser.add_argument("--chunk-size", type=int, default=None,
@@ -114,11 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--task-timeout", type=float, default=None,
                             help="wall-clock budget per task attempt, in "
                                  "seconds")
-    run_parser.add_argument("--param", action="append", default=[],
-                            metavar="KEY=VALUE",
-                            help="workload parameter override")
-    run_parser.add_argument("--json", action="store_true",
-                            help="emit results as JSON")
     run_parser.add_argument("--trace", action="store_true",
                             help="record spans and print the ASCII span "
                                  "tree after the run")
@@ -140,49 +165,32 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="synthetic per-execution slowdown through "
                                  "the fault substrate (regression-gate "
                                  "demos and CI)")
-    run_parser.add_argument("--tuning", default="normal", metavar="PROFILE",
-                            help="tuning profile applied to every engine: "
-                                 "normal, optimized, or normal+<knob> "
-                                 "(see repro.tuning.profiles)")
 
-    runs_parser = commands.add_parser(
+    runs_commands = commands.add_parser(
         "runs", help="inspect the persistent run store"
-    )
-    runs_commands = runs_parser.add_subparsers(
-        dest="runs_command", required=True
-    )
-    runs_list = runs_commands.add_parser(
-        "list", parents=[store], help="list recorded runs"
-    )
+    ).add_subparsers(dest="runs_command", required=True)
+    runs_list = verb(runs_commands, "list", _runs_list, [store],
+                     help="list recorded runs")
     runs_list.add_argument("--series", default=None, metavar="KEY",
                            help="only runs of this series (fingerprint "
                                 "hash prefix)")
     runs_list.add_argument("--latest", action="store_true",
                            help="print only the newest record id "
                                 "(script-friendly)")
-    runs_show = runs_commands.add_parser(
-        "show", parents=[store], help="show one recorded run in full"
-    )
+    runs_show = verb(runs_commands, "show", _runs_show, [store],
+                     help="show one recorded run in full")
     runs_show.add_argument("record", help="record id, unique prefix, "
                                           "series key, or 'latest'")
 
-    compare_parser = commands.add_parser(
-        "compare", parents=[common],
+    compare_parser = verb(
+        commands, "compare", _compare, [judge],
         help="statistically compare two recorded runs",
     )
     compare_parser.add_argument("baseline", help="baseline record reference")
     compare_parser.add_argument("candidate", help="candidate record reference")
-    compare_parser.add_argument("--metric", action="append", default=[],
-                                help="metric(s) to compare (default: all "
-                                     "shared)")
-    compare_parser.add_argument("--tolerance", type=float, default=None,
-                                help="relative effect-size threshold "
-                                     "(default 0.05)")
-    compare_parser.add_argument("--json", action="store_true",
-                                help="emit the comparison as JSON")
 
-    gate_parser = commands.add_parser(
-        "gate", parents=[common],
+    gate_parser = verb(
+        commands, "gate", _gate, [judge],
         help="check a candidate run against a baseline "
              "(exit 0 = pass, 1 = regression)",
     )
@@ -191,71 +199,36 @@ def _build_parser() -> argparse.ArgumentParser:
                                   "newest run in the baseline's series)")
     gate_parser.add_argument("--baseline", required=True, metavar="NAME",
                              help="promoted baseline name to gate against")
-    gate_parser.add_argument("--metric", action="append", default=[],
-                             help="metric(s) to gate on (default: all "
-                                  "shared)")
-    gate_parser.add_argument("--tolerance", type=float, default=None,
-                             help="relative effect-size threshold "
-                                  "(default 0.05)")
     gate_parser.add_argument("--fail-on-inconclusive", action="store_true",
                              help="treat inconclusive verdicts as failures")
-    gate_parser.add_argument("--json", action="store_true",
-                             help="emit the gate report as JSON")
 
-    baseline_parser = commands.add_parser(
+    baseline_commands = commands.add_parser(
         "baseline", help="manage named baselines in the run store"
-    )
-    baseline_commands = baseline_parser.add_subparsers(
-        dest="baseline_command", required=True
-    )
-    baseline_promote = baseline_commands.add_parser(
-        "promote", parents=[store],
+    ).add_subparsers(dest="baseline_command", required=True)
+    baseline_promote = verb(
+        baseline_commands, "promote", _baseline_promote, [store],
         help="promote a recorded run to a named baseline",
     )
     baseline_promote.add_argument("record", help="record reference "
                                                  "(id/prefix/'latest')")
     baseline_promote.add_argument("name", help="baseline name")
-    baseline_commands.add_parser(
-        "list", parents=[store], help="list promoted baselines"
-    )
-    baseline_remove = baseline_commands.add_parser(
-        "remove", parents=[store],
+    verb(baseline_commands, "list", _baseline_list, [store],
+         help="list promoted baselines")
+    baseline_remove = verb(
+        baseline_commands, "remove", _baseline_remove, [store],
         help="remove a named baseline (the record stays)",
     )
     baseline_remove.add_argument("name", help="baseline name")
 
-    submit_parser = commands.add_parser(
-        "submit", parents=[common],
+    submit_parser = verb(
+        commands, "submit", _submit, [spec, client],
         help="submit one benchmark job to the service and wait for it",
     )
-    submit_parser.add_argument("prescription", help="prescription name")
-    submit_parser.add_argument("--engine", action="append", default=[],
-                               help="engine(s) to run on (default: all "
-                                    "supported)")
-    submit_parser.add_argument("--volume", type=int, default=None,
-                               help="data volume override")
-    submit_parser.add_argument("--repeats", type=int, default=1)
-    submit_parser.add_argument("--param", action="append", default=[],
-                               metavar="KEY=VALUE",
-                               help="workload parameter override")
     submit_parser.add_argument("--priority", type=int, default=0,
                                help="queue priority (higher drains first)")
-    submit_parser.add_argument("--client", default="cli",
-                               dest="client_name", metavar="NAME",
-                               help="client identity for admission quotas")
-    submit_parser.add_argument("--schedulers", type=int, default=2,
-                               help="scheduler threads for the "
-                                    "in-process service")
-    submit_parser.add_argument("--json", action="store_true",
-                               help="emit results as JSON")
-    submit_parser.add_argument("--tuning", default="normal",
-                               metavar="PROFILE",
-                               help="tuning profile applied to every "
-                                    "engine: normal, optimized, or "
-                                    "normal+<knob>")
 
-    ablate_parser = commands.add_parser(
-        "ablate", parents=[common],
+    ablate_parser = verb(
+        commands, "ablate", _ablate, [param, store, pool, layout, schedulers],
         help="run a workload × engine × tuning-profile ablation matrix "
              "with statistical verdicts",
     )
@@ -276,9 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ablate_parser.add_argument("--seed", type=int, default=0,
                                help="generation + bootstrap seed (same "
                                     "seed, same verdicts)")
-    ablate_parser.add_argument("--param", action="append", default=[],
-                               metavar="KEY=VALUE",
-                               help="workload parameter override")
     ablate_parser.add_argument("--chunk-size", type=int, default=None,
                                help="stream data sets as record batches "
                                     "of this size")
@@ -301,11 +271,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="submit each cell as a queued job to "
                                     "the in-process benchmark service "
                                     "instead of a local runner")
-    ablate_parser.add_argument("--schedulers", type=int, default=2,
-                               help="scheduler threads with --service")
 
-    load_parser = commands.add_parser(
-        "load", parents=[common],
+    load_parser = verb(
+        commands, "load", _load, [param, store, record, layout, schedulers],
         help="drive a workload, the service, or a synthetic model at a "
              "controlled rate and judge the run against an SLO "
              "(exit 0 = SLO met)",
@@ -347,15 +315,9 @@ def _build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument("--volume", type=int, default=None,
                              help="data volume override for a "
                                   "prescribed workload")
-    load_parser.add_argument("--param", action="append", default=[],
-                             metavar="KEY=VALUE",
-                             help="workload parameter override")
     load_parser.add_argument("--service", action="store_true",
                              help="drive the benchmark service (one "
                                   "request = one job submit+wait)")
-    load_parser.add_argument("--schedulers", type=int, default=2,
-                             help="scheduler threads for the in-process "
-                                  "service (with --service)")
     load_parser.add_argument("--mean-service", type=float, default=0.005,
                              help="synthetic target mean service time, "
                                   "seconds")
@@ -391,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument("--json", action="store_true",
                              help="emit the report as JSON")
 
-    serve_parser = commands.add_parser(
-        "serve", parents=[common],
+    serve_parser = verb(
+        commands, "serve", _serve, [store, record, pool, client],
         help="run a batch of job specs through the service "
              "(exit 0 = all done)",
     )
@@ -400,46 +362,37 @@ def _build_parser() -> argparse.ArgumentParser:
                               help="JSON file holding one versioned "
                                    "BenchmarkSpec payload or a list of "
                                    "them")
-    serve_parser.add_argument("--schedulers", type=int, default=2,
-                              help="scheduler threads draining the queue")
-    serve_parser.add_argument("--client", default="cli",
-                              dest="client_name", metavar="NAME",
-                              help="client identity for admission quotas")
     serve_parser.add_argument("--quiet", action="store_true",
                               help="suppress the live job-event lines")
 
-    jobs_parser = commands.add_parser(
+    jobs_commands = commands.add_parser(
         "jobs", help="inspect the service job log"
-    )
-    jobs_commands = jobs_parser.add_subparsers(
-        dest="jobs_command", required=True
-    )
-    jobs_list = jobs_commands.add_parser(
-        "list", parents=[store], help="list logged jobs"
-    )
+    ).add_subparsers(dest="jobs_command", required=True)
+    jobs_list = verb(jobs_commands, "list", _jobs_list, [store],
+                     help="list logged jobs")
     jobs_list.add_argument("--state", default=None,
                            help="only jobs in this lifecycle state")
-    jobs_show = jobs_commands.add_parser(
-        "show", parents=[store], help="show one job's full lifecycle"
-    )
+    jobs_show = verb(jobs_commands, "show", _jobs_show, [store],
+                     help="show one job's full lifecycle")
     jobs_show.add_argument("job", help="job id or unique prefix")
-    jobs_cancel = jobs_commands.add_parser(
-        "cancel", parents=[store],
+    jobs_cancel = verb(
+        jobs_commands, "cancel", _jobs_cancel, [store],
         help="mark a non-terminal logged job cancelled (an orphan from "
              "a dead service process; a live orchestrator is not "
              "notified)",
     )
     jobs_cancel.add_argument("job", help="job id or unique prefix")
 
-    export_parser = commands.add_parser(
-        "export-prescriptions",
+    export_parser = verb(
+        commands, "export-prescriptions", _export,
         help="write the prescription repository to a JSON file (§5.2 "
              "reusable prescriptions)",
     )
     export_parser.add_argument("path", help="output file path")
 
-    generate_parser = commands.add_parser(
-        "generate", help="run one data generator and print a sample"
+    generate_parser = verb(
+        commands, "generate", _generate,
+        help="run one data generator and print a sample",
     )
     generate_parser.add_argument("generator", help="registered generator name")
     generate_parser.add_argument("--volume", type=int, default=100)
@@ -453,13 +406,11 @@ def _build_parser() -> argparse.ArgumentParser:
                                  help="records to print")
     generate_parser.add_argument("--seed", type=int, default=0)
 
-    commands.add_parser(
-        "tables", help="regenerate the paper's Table 1 and Table 2"
-    )
+    verb(commands, "tables", _tables,
+         help="regenerate the paper's Table 1 and Table 2")
 
-    miniature_parser = commands.add_parser(
-        "miniature", help="run a surveyed suite's miniature"
-    )
+    miniature_parser = verb(commands, "miniature", _miniature,
+                            help="run a surveyed suite's miniature")
     miniature_parser.add_argument("suite", help="suite name (see `tables`)")
     miniature_parser.add_argument("--scale", type=float, default=1.0)
 
@@ -483,7 +434,54 @@ def _parse_params(entries: list[str]) -> dict[str, object]:
     return params
 
 
-def _command_list(out) -> int:
+def _given(args, *names: str) -> dict[str, object]:
+    """Keyword arguments for the flags actually passed.
+
+    A flag left at ``None`` is omitted, so the callee's own default
+    (an environment variable, a module constant) applies.
+    """
+    return {
+        name: getattr(args, name)
+        for name in names
+        if getattr(args, name) is not None
+    }
+
+
+def _spec(args, record: bool, **fields):
+    """The BenchmarkSpec `run` and `submit` build from their shared
+    flags; ``fields`` are the flags only the caller has."""
+    from repro.core.spec import BenchmarkSpec
+
+    return BenchmarkSpec(
+        prescription=args.prescription,
+        engines=list(args.engine),
+        volume=args.volume,
+        repeats=args.repeats,
+        params=_parse_params(args.param),
+        executor=args.executor,
+        max_workers=args.workers,
+        record=record,
+        layout=args.layout,
+        tuning=args.tuning,
+        **_given(args, "store_dir"),
+        **fields,
+    )
+
+
+def _open_store(args):
+    from repro.analysis.store import RunStore, resolve_store_dir
+
+    return RunStore(resolve_store_dir(args.store_dir))
+
+
+def _job_log(args):
+    from repro.analysis.store import resolve_store_dir
+    from repro.service.jobs import JobLog
+
+    return JobLog(resolve_store_dir(args.store_dir))
+
+
+def _list(args, out) -> int:
     from repro import BigDataBenchmark
     from repro.datagen.formats import available_formats
 
@@ -501,56 +499,38 @@ def _command_list(out) -> int:
     return 0
 
 
-def _command_run(args, out) -> int:
+def _run(args, out) -> int:
     from repro import api
+    from repro.analysis.store import RunStore, resolve_store_dir
     from repro.core.prescription import builtin_repository
-    from repro.core.spec import BenchmarkSpec
     from repro.execution.report import render_results, render_trace
     from repro.observability import NULL_TRACER, Tracer
 
     repository = None
-    if getattr(args, "repository", None):
-        from pathlib import Path
-
+    if args.repository:
         from repro.core.serialization import repository_from_json
 
         repository = repository_from_json(
             Path(args.repository).read_text()
         )
-    # --chunk-size overrides the REPRO_CHUNK_SIZE default; when the flag
-    # is absent the spec's default_factory reads the environment.
-    spec_overrides = {}
-    if args.chunk_size is not None:
-        spec_overrides["chunk_size"] = args.chunk_size
-    # --store-dir overrides the REPRO_STORE_DIR default; --history needs
-    # the run recorded to have anything to chart.
-    if args.store_dir is not None:
-        spec_overrides["store_dir"] = args.store_dir
-    spec = BenchmarkSpec(
-        prescription=args.prescription,
-        engines=list(args.engine),
-        volume=args.volume,
-        repeats=args.repeats,
+    # --chunk-size / --store-dir override the REPRO_CHUNK_SIZE /
+    # REPRO_STORE_DIR defaults the spec reads when they are absent;
+    # --history needs the run recorded to have anything to chart.
+    spec = _spec(
+        args,
+        record=args.record or args.history,
         data_partitions=args.partitions,
-        params=_parse_params(args.param),
-        executor=args.executor,
-        max_workers=args.workers,
         on_error=args.on_error,
         retries=args.retries,
         retry_backoff=args.retry_backoff,
         task_timeout=args.task_timeout,
-        record=args.record or args.history,
         inject_latency=args.inject_latency,
-        layout=args.layout,
-        tuning=args.tuning,
-        **spec_overrides,
+        **_given(args, "chunk_size"),
     )
     tracing = args.trace or args.trace_out is not None
     tracer = Tracer() if tracing else NULL_TRACER
     report = api.run(spec, repository=repository, tracer=tracer)
     if args.trace_out is not None:
-        from pathlib import Path
-
         Path(args.trace_out).write_text(tracer.to_jsonl() + "\n")
     outcomes = report.results + report.failures
     if args.json:
@@ -569,16 +549,14 @@ def _command_run(args, out) -> int:
         .metric_names
         or ["duration", "throughput"]
     )
+    store_dir = resolve_store_dir(spec.store_dir)
     if args.history:
-        from repro.analysis.store import RunStore, resolve_store_dir
-
-        store = RunStore(resolve_store_dir(spec.store_dir))
         print(
             render_results(
                 outcomes,
                 style="history",
                 metrics=metric_names,
-                store=store,
+                store=RunStore(store_dir),
                 baseline=args.baseline,
             ),
             file=out,
@@ -586,11 +564,8 @@ def _command_run(args, out) -> int:
     else:
         print(render_results(outcomes, metrics=metric_names), file=out)
     if report.record_ids:
-        from repro.analysis.store import resolve_store_dir
-
         print(
-            f"recorded {len(report.record_ids)} run(s) to "
-            f"{resolve_store_dir(spec.store_dir)}: "
+            f"recorded {len(report.record_ids)} run(s) to {store_dir}: "
             + ", ".join(report.record_ids),
             file=out,
         )
@@ -603,7 +578,7 @@ def _command_run(args, out) -> int:
     return 0
 
 
-def _command_generate(args, out) -> int:
+def _generate(args, out) -> int:
     from repro.core import registry
     from repro.core.prescription import load_seed
     from repro.datagen.formats import convert
@@ -629,7 +604,7 @@ def _command_generate(args, out) -> int:
     return 0
 
 
-def _command_tables(out) -> int:
+def _tables(args, out) -> int:
     from repro.execution.report import ascii_table
     from repro.suites import (
         generate_table1,
@@ -669,7 +644,7 @@ def _command_tables(out) -> int:
     return 0 if ok1 and ok2 else 1
 
 
-def _command_miniature(args, out) -> int:
+def _miniature(args, out) -> int:
     from repro.execution.report import ascii_table
     from repro.suites import run_miniature
 
@@ -687,58 +662,56 @@ def _command_miniature(args, out) -> int:
     return 0
 
 
-def _open_store(args):
-    from repro.analysis.store import RunStore, resolve_store_dir
-
-    return RunStore(resolve_store_dir(getattr(args, "store_dir", None)))
-
-
-def _command_runs(args, out) -> int:
+def _runs_show(args, out) -> int:
     from repro.execution.report import ascii_table, format_value
 
-    store = _open_store(args)
-    if args.runs_command == "show":
-        record = store.get(args.record)
-        print(f"record:      {record.record_id}", file=out)
-        print(f"series:      {record.series}", file=out)
-        print(f"created:     {record.created_at}", file=out)
-        print(f"status:      {record.status}", file=out)
-        for section in ("fingerprint", "environment"):
-            payload = getattr(record, section)
-            pairs = ", ".join(
-                f"{key}={format_value(value)}"
-                for key, value in payload.items()
-                if value not in (None, {}, [])
-            )
-            print(f"{section + ':':12s} {pairs}", file=out)
-        if record.ok:
-            from repro.core.results import MetricStats
+    record = _open_store(args).get(args.record)
+    print(f"record:      {record.record_id}", file=out)
+    print(f"series:      {record.series}", file=out)
+    print(f"created:     {record.created_at}", file=out)
+    print(f"status:      {record.status}", file=out)
+    for section in ("fingerprint", "environment"):
+        payload = getattr(record, section)
+        pairs = ", ".join(
+            f"{key}={format_value(value)}"
+            for key, value in payload.items()
+            if value not in (None, {}, [])
+        )
+        print(f"{section + ':':12s} {pairs}", file=out)
+    if record.ok:
+        from repro.core.results import MetricStats
 
-            print(
-                ascii_table(
-                    [
-                        {
-                            "metric": name,
-                            "mean": stats.mean,
-                            "p50": stats.p50,
-                            "p95": stats.p95,
-                            "p99": stats.p99,
-                            "stdev": stats.stdev,
-                            "n": len(stats.samples),
-                        }
-                        for name, stats in (
-                            (name, MetricStats(name, samples))
-                            for name, samples in record.metrics.items()
-                        )
-                    ]
-                ),
-                file=out,
-            )
-        else:
-            error = record.result.get("error_type", "")
-            message = record.result.get("error_message", "")
-            print(f"error:       {error}: {message}", file=out)
-        return 0
+        print(
+            ascii_table(
+                [
+                    {
+                        "metric": name,
+                        "mean": stats.mean,
+                        "p50": stats.p50,
+                        "p95": stats.p95,
+                        "p99": stats.p99,
+                        "stdev": stats.stdev,
+                        "n": len(stats.samples),
+                    }
+                    for name, stats in (
+                        (name, MetricStats(name, samples))
+                        for name, samples in record.metrics.items()
+                    )
+                ]
+            ),
+            file=out,
+        )
+    else:
+        error = record.result.get("error_type", "")
+        message = record.result.get("error_message", "")
+        print(f"error:       {error}: {message}", file=out)
+    return 0
+
+
+def _runs_list(args, out) -> int:
+    from repro.execution.report import ascii_table
+
+    store = _open_store(args)
     records = store.records()
     if args.series:
         records = [r for r in records if r.series.startswith(args.series)]
@@ -801,46 +774,36 @@ def _render_comparison(comparison, out) -> None:
     )
 
 
-def _command_compare(args, out) -> int:
-    import json as json_module
+def _compare(args, out) -> int:
+    from repro import api
 
-    from repro.analysis.compare import DEFAULT_TOLERANCE, compare_records
-
-    store = _open_store(args)
-    comparison = compare_records(
-        store.get(args.baseline),
-        store.get(args.candidate),
+    comparison = api.compare(
+        args.baseline,
+        args.candidate,
+        store_dir=args.store_dir,
         metrics=args.metric or None,
-        tolerance=(
-            args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        ),
+        **_given(args, "tolerance"),
     )
     if args.json:
-        print(json_module.dumps(comparison.as_dict(), indent=2), file=out)
-        return 0
-    _render_comparison(comparison, out)
+        print(json.dumps(comparison.as_dict(), indent=2), file=out)
+    else:
+        _render_comparison(comparison, out)
     return 0
 
 
-def _command_gate(args, out) -> int:
-    import json as json_module
+def _gate(args, out) -> int:
+    from repro import api
 
-    from repro.analysis.compare import DEFAULT_TOLERANCE
-    from repro.analysis.gate import check_regressions
-
-    store = _open_store(args)
-    report = check_regressions(
-        store,
+    report = api.gate(
         args.baseline,
         args.candidate,
+        store_dir=args.store_dir,
         metrics=args.metric or None,
-        tolerance=(
-            args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        ),
         fail_on_inconclusive=args.fail_on_inconclusive,
+        **_given(args, "tolerance"),
     )
     if args.json:
-        print(json_module.dumps(report.as_dict(), indent=2), file=out)
+        print(json.dumps(report.as_dict(), indent=2), file=out)
         return report.exit_code
     if report.comparison is not None:
         _render_comparison(report.comparison, out)
@@ -855,24 +818,33 @@ def _command_gate(args, out) -> int:
     return report.exit_code
 
 
-def _command_baseline(args, out) -> int:
+def _baseline_promote(args, out) -> int:
+    from repro.analysis.baselines import BaselineManager
+
+    baseline = BaselineManager(_open_store(args)).promote(
+        args.record, args.name
+    )
+    print(
+        f"promoted {baseline.record_id} to baseline "
+        f"{baseline.name!r} (series {baseline.series})",
+        file=out,
+    )
+    return 0
+
+
+def _baseline_remove(args, out) -> int:
+    from repro.analysis.baselines import BaselineManager
+
+    BaselineManager(_open_store(args)).remove(args.name)
+    print(f"removed baseline {args.name!r}", file=out)
+    return 0
+
+
+def _baseline_list(args, out) -> int:
     from repro.analysis.baselines import BaselineManager
     from repro.execution.report import ascii_table
 
-    manager = BaselineManager(_open_store(args))
-    if args.baseline_command == "promote":
-        baseline = manager.promote(args.record, args.name)
-        print(
-            f"promoted {baseline.record_id} to baseline "
-            f"{baseline.name!r} (series {baseline.series})",
-            file=out,
-        )
-        return 0
-    if args.baseline_command == "remove":
-        manager.remove(args.name)
-        print(f"removed baseline {args.name!r}", file=out)
-        return 0
-    baselines = manager.all()
+    baselines = BaselineManager(_open_store(args)).all()
     if not baselines:
         print("(no baselines promoted)", file=out)
         return 0
@@ -893,9 +865,7 @@ def _command_baseline(args, out) -> int:
     return 0
 
 
-def _command_export(args, out) -> int:
-    from pathlib import Path
-
+def _export(args, out) -> int:
     from repro.core.prescription import builtin_repository
     from repro.core.serialization import repository_to_json
 
@@ -903,25 +873,6 @@ def _command_export(args, out) -> int:
     Path(args.path).write_text(repository_to_json(repository))
     print(f"wrote {len(repository)} prescriptions to {args.path}", file=out)
     return 0
-
-
-def _submit_spec(args):
-    """A BenchmarkSpec from the shared run/submit flag set."""
-    from repro.core.spec import BenchmarkSpec
-
-    return BenchmarkSpec(
-        prescription=args.prescription,
-        engines=list(args.engine),
-        volume=args.volume,
-        repeats=args.repeats,
-        params=_parse_params(args.param),
-        executor=args.executor,
-        max_workers=args.workers,
-        record=args.record,
-        store_dir=args.store_dir,
-        layout=args.layout,
-        tuning=getattr(args, "tuning", "normal"),
-    )
 
 
 def _print_job_summary(jobs, out) -> None:
@@ -950,16 +901,16 @@ def _print_job_summary(jobs, out) -> None:
     )
 
 
-def _command_submit(args, out) -> int:
+def _submit(args, out) -> int:
     from repro.api import ServiceClient
     from repro.execution.report import render_results
 
-    spec = _submit_spec(args)
     with ServiceClient(
         schedulers=args.schedulers, store_dir=args.store_dir
     ) as service:
         handle = service.submit(
-            spec, client=args.client_name, priority=args.priority
+            _spec(args, record=args.record), client=args.client_name,
+            priority=args.priority,
         )
         # Status chatter must not corrupt machine output: stdout is
         # reserved for the JSON document under --json.
@@ -985,14 +936,11 @@ def _command_submit(args, out) -> int:
     return 0
 
 
-def _command_ablate(args, out) -> int:
+def _ablate(args, out) -> int:
     from repro import api
+    from repro.tuning import render_ablation
 
-    kwargs = {}
-    if args.tolerance is not None:
-        kwargs["tolerance"] = args.tolerance
-    if args.alpha is not None:
-        kwargs["alpha"] = args.alpha
+    metrics = list(args.metric) or None
     report = api.ablate(
         args.workloads,
         args.engines,
@@ -1005,38 +953,21 @@ def _command_ablate(args, out) -> int:
         max_workers=args.workers,
         chunk_size=args.chunk_size,
         include_one_offs=not args.no_one_offs,
-        metrics=list(args.metric) or None,
+        metrics=metrics,
         store_dir=args.store_dir,
         service=args.service,
         schedulers=args.schedulers,
-        **kwargs,
+        **_given(args, "tolerance", "alpha"),
     )
-    from repro.tuning import render_ablation
-
-    print(render_ablation(report, style=args.style,
-                          metrics=list(args.metric) or None), file=out)
+    print(render_ablation(report, style=args.style, metrics=metrics),
+          file=out)
     return 0
 
 
-def _command_load(args, out) -> int:
-    import json as json_module
+def _load(args, out) -> int:
+    from repro import api
 
-    from repro.api import SLOPolicy, load
-
-    arrival_options = {}
-    for option in ("burst_factor", "period", "amplitude"):
-        value = getattr(args, option)
-        if value is not None:
-            arrival_options[option] = value
-    slo = SLOPolicy(
-        min_rate_fraction=args.slo_min_rate,
-        p50_budget=args.slo_p50,
-        p95_budget=args.slo_p95,
-        p99_budget=args.slo_p99,
-        max_shed_fraction=args.slo_max_shed,
-        max_error_fraction=args.slo_max_errors,
-    )
-    report = load(
+    report = api.load(
         args.prescription,
         arrival=args.arrival,
         rate=args.rate,
@@ -1055,14 +986,21 @@ def _command_load(args, out) -> int:
         schedulers=args.schedulers,
         mean_service=args.mean_service,
         service_distribution=args.service_distribution,
-        slo=slo,
+        slo=api.SLOPolicy(
+            min_rate_fraction=args.slo_min_rate,
+            p50_budget=args.slo_p50,
+            p95_budget=args.slo_p95,
+            p99_budget=args.slo_p99,
+            max_shed_fraction=args.slo_max_shed,
+            max_error_fraction=args.slo_max_errors,
+        ),
         record=args.record,
         store_dir=args.store_dir,
-        **arrival_options,
+        **_given(args, "burst_factor", "period", "amplitude"),
     )
     verdict = report.verdict
     if args.json:
-        print(json_module.dumps(report.summary(), indent=2, sort_keys=True),
+        print(json.dumps(report.summary(), indent=2, sort_keys=True),
               file=out)
         return 0 if verdict.passed else 1
     shape = (
@@ -1103,14 +1041,12 @@ def _command_load(args, out) -> int:
     return 0 if verdict.passed else 1
 
 
-def _command_serve(args, out) -> int:
+def _serve(args, out) -> int:
     import dataclasses
-    import json as json_module
-    from pathlib import Path
 
     from repro.api import BenchmarkSpec, ServiceClient
 
-    payloads = json_module.loads(Path(args.spec_file).read_text())
+    payloads = json.loads(Path(args.spec_file).read_text())
     if isinstance(payloads, dict):
         payloads = [payloads]
     specs = [BenchmarkSpec.from_dict(payload) for payload in payloads]
@@ -1151,41 +1087,30 @@ def _command_serve(args, out) -> int:
     return 0 if done == len(jobs) else 1
 
 
-def _job_log(args):
-    from pathlib import Path
+def _jobs_list(args, out) -> int:
+    log = _job_log(args)
+    jobs = list(log.replay().values())
+    if args.state:
+        jobs = [job for job in jobs if job.state == args.state]
+    if not jobs:
+        print(f"(no jobs logged under {log.path})", file=out)
+        return 0
+    _print_job_summary(jobs, out)
+    return 0
 
-    from repro.analysis.store import resolve_store_dir
-    from repro.service.jobs import JobLog
 
-    return JobLog(Path(resolve_store_dir(getattr(args, "store_dir", None))))
+def _jobs_cancel(args, out) -> int:
+    job = _job_log(args).cancel(
+        args.job, reason="cancelled offline via CLI"
+    )
+    print(f"cancelled {job.job_id} (log updated)", file=out)
+    return 0
 
 
-def _command_jobs(args, out) -> int:
+def _jobs_show(args, out) -> int:
     import time as time_module
 
-    log = _job_log(args)
-    if args.jobs_command == "list":
-        jobs = list(log.replay().values())
-        if args.state:
-            jobs = [job for job in jobs if job.state == args.state]
-        if not jobs:
-            print(f"(no jobs logged under {log.path})", file=out)
-            return 0
-        _print_job_summary(jobs, out)
-        return 0
-    job = log.get(args.job)
-    if args.jobs_command == "cancel":
-        if job.terminal:
-            print(
-                f"error: job {job.job_id} is already {job.state}",
-                file=sys.stderr,
-            )
-            return 2
-        job.transition("cancelled")
-        log.append(job, "cancelled",
-                   detail={"reason": "cancelled offline via CLI"})
-        print(f"cancelled {job.job_id} (log updated)", file=out)
-        return 0
+    job = _job_log(args).get(args.job)
     print(f"job:         {job.job_id}", file=out)
     print(f"state:       {job.state}", file=out)
     print(f"client:      {job.client} (priority {job.priority})", file=out)
@@ -1216,40 +1141,10 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _command_list(out)
-        if args.command == "run":
-            return _command_run(args, out)
-        if args.command == "generate":
-            return _command_generate(args, out)
-        if args.command == "tables":
-            return _command_tables(out)
-        if args.command == "miniature":
-            return _command_miniature(args, out)
-        if args.command == "export-prescriptions":
-            return _command_export(args, out)
-        if args.command == "runs":
-            return _command_runs(args, out)
-        if args.command == "compare":
-            return _command_compare(args, out)
-        if args.command == "gate":
-            return _command_gate(args, out)
-        if args.command == "baseline":
-            return _command_baseline(args, out)
-        if args.command == "submit":
-            return _command_submit(args, out)
-        if args.command == "ablate":
-            return _command_ablate(args, out)
-        if args.command == "load":
-            return _command_load(args, out)
-        if args.command == "serve":
-            return _command_serve(args, out)
-        if args.command == "jobs":
-            return _command_jobs(args, out)
+        return args.handler(args, out)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -32,7 +32,7 @@ from repro.core.prescription import (
     load_seed,
 )
 from repro.datagen.base import DataGenerator, DataSet
-from repro.datagen.cache import DatasetCache
+from repro.datagen.cache import CacheKey, DatasetCache
 from repro.datagen.source import DatasetSource, GeneratorSource
 from repro.engines.base import Engine
 from repro.observability import trace_span
@@ -121,12 +121,12 @@ class TestGenerator:
                 f"{generator.data_type.label}, but the prescription needs "
                 f"{requirement.data_type.label}"
             )
-        volume = volume_override if volume_override is not None else requirement.volume
-        num_partitions = (
-            partitions_override
-            if partitions_override is not None
-            else requirement.num_partitions
+        key = self.dataset_key(
+            requirement, volume_override, partitions_override, generator
         )
+        # The key is where override precedence is decided: generate
+        # exactly the volume and partition count it names.
+        volume, num_partitions = key[2:4]
         with trace_span(
             "select-data",
             generator=requirement.generator,
@@ -145,19 +145,42 @@ class TestGenerator:
                 return self._generate_data(
                     generator, requirement, volume, num_partitions
                 )
-            key = DatasetCache.make_key(
-                requirement.generator,
-                generator.seed,
-                volume,
-                num_partitions,
-                requirement.fit_on,
-            )
             return self.dataset_cache.get_or_generate(
                 key,
                 lambda: self._generate_data(
                     generator, requirement, volume, num_partitions
                 ),
             )
+
+    def dataset_key(
+        self,
+        requirement: DataRequirement,
+        volume_override: int | None = None,
+        partitions_override: int | None = None,
+        generator: DataGenerator | None = None,
+    ) -> CacheKey:
+        """The dataset-cache key a data request lives under.
+
+        The one rule for what :meth:`select_data` generates and caches:
+        an override beats the prescription's own volume / partition
+        count, and the seed is the named generator's (``generator``
+        saves building one just to read it).  The process backend ships
+        this key's fingerprint, so a worker's own generation is
+        guaranteed to land under it.
+        """
+        if generator is None:
+            generator = self.generators.create(requirement.generator)
+        return DatasetCache.make_key(
+            requirement.generator,
+            generator.seed,
+            volume_override
+            if volume_override is not None
+            else requirement.volume,
+            partitions_override
+            if partitions_override is not None
+            else requirement.num_partitions,
+            requirement.fit_on,
+        )
 
     def _fit(self, generator: DataGenerator, requirement: DataRequirement) -> None:
         """Fit a veracity-aware generator on its prescribed seed data."""

@@ -169,9 +169,11 @@ class ThreadExecutor(_PoolBackedExecutor):
 class ProcessExecutor(_PoolBackedExecutor):
     """Process-pool backend for CPU-bound fan-out.
 
-    Tasks and results cross a process boundary, so both must be
-    picklable; the runner ships self-contained task payloads (see
-    :mod:`repro.execution.runner`) rather than closures.
+    Tasks and results cross a process boundary, so both — and the
+    mapped function — must be picklable.  Engine-internal fan-out
+    (MapReduce phases, partitioned generation) uses this; the runner's
+    own process transport is the warm
+    :class:`~repro.execution.workers.WorkerPool` instead.
     """
 
     name = "process"

@@ -31,7 +31,8 @@ import hashlib
 import pickle
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Any
 
 from repro.core.errors import ExecutionError
@@ -39,7 +40,6 @@ from repro.core.metrics import MetricSuite
 from repro.core.prescription import Prescription
 from repro.core.results import RunResult, TaskFailure
 from repro.core.test_generator import PrescribedTest, TestGenerator
-from repro.datagen.cache import DatasetCache
 from repro.datagen.handoff import DatasetHandle
 from repro.engines.faults import fault_attempt
 from repro.execution.config import (
@@ -359,17 +359,6 @@ class TestRunner:
     # Fan-out
     # ------------------------------------------------------------------
 
-    def _run_task(self, task: RunTask) -> RunResult:
-        return self.run(
-            task.prescription,
-            task.engine_name,
-            task.volume_override,
-            configuration=task.configuration,
-            data_partitions=task.data_partitions,
-            chunk_size=task.chunk_size,
-            **task.overrides,
-        )
-
     @staticmethod
     def _task_identity(task: RunTask) -> tuple[str, str]:
         """(prescription name, workload name) for keys and failure records."""
@@ -377,14 +366,21 @@ class TestRunner:
             return task.prescription, task.prescription
         return task.prescription.name, task.prescription.workload
 
-    def _attempt_loop(
+    def run_task(
         self,
         task: RunTask,
         policy: RetryPolicy,
         on_error: str,
-        task_span: Span | None = None,
+        *,
+        index: int = 0,
+        trace: bool = False,
+        queue_wait: float = 0.0,
     ) -> RunOutcome:
-        """Run one task under the retry policy; capture or re-raise.
+        """One task to its outcome — the only place a task attempt happens.
+
+        Every transport calls this: the in-process executors (serial,
+        thread) through :meth:`run_many`, process workers through
+        :meth:`~repro.execution.workers.WorkerContext.run`.
 
         Each attempt executes inside a :func:`fault_attempt` scope (so
         injected faults key their seeded decisions on the task and the
@@ -394,61 +390,82 @@ class TestRunner:
         deterministic backoff schedule; once attempts are exhausted the
         ``on_error`` policy decides between re-raising (``abort``) and
         returning a :class:`TaskFailure` (``continue``).
+
+        With ``trace`` on, the task records into a task-local tracer
+        (keeping worker-thread spans out of the shared tracer's
+        thread-local stacks) under a ``task`` span carrying
+        ``queue_wait`` — measured by the transport, whose clock it is —
+        the attempt count and the final status; the finished trees
+        travel back in the outcome payload for ``run_many`` to graft.
         """
         prescription_name, workload_name = self._task_identity(task)
         task_key = f"{prescription_name}@{task.engine_name}"
-        timeout = self.options.task_timeout
-        tracer = current_tracer()
-        error: BaseException | None = None
-        attempts = 0
-        for attempt in range(policy.max_attempts):
-            attempts = attempt + 1
-            try:
+        tracer = Tracer() if trace else NULL_TRACER
 
-                def body(attempt: int = attempt) -> RunResult:
-                    with fault_attempt(task_key, attempt):
-                        return self._run_task(task)
+        def attempt_once(attempt: int) -> RunResult:
+            with fault_attempt(task_key, attempt):
+                return self.run(
+                    task.prescription,
+                    task.engine_name,
+                    task.volume_override,
+                    configuration=task.configuration,
+                    data_partitions=task.data_partitions,
+                    chunk_size=task.chunk_size,
+                    **task.overrides,
+                )
 
-                result = call_with_timeout(body, timeout)
-            except Exception as caught:  # noqa: BLE001 — policy-filtered
-                error = caught
-                tracer.count("task.failed_attempts")
-                if not policy.should_retry(caught, attempts):
+        with tracer.activate(), tracer.span(
+            "task", index=index, engine=task.engine_name
+        ) as span:
+            span.set(queue_wait_seconds=queue_wait)
+            outcome: RunOutcome | None = None
+            error: BaseException | None = None
+            for attempt in range(policy.max_attempts):
+                attempts = attempt + 1
+                try:
+                    # partial, not a closure: a timed-out attempt's helper
+                    # thread may outlive this iteration.
+                    outcome = call_with_timeout(
+                        partial(attempt_once, attempt),
+                        self.options.task_timeout,
+                    )
                     break
-                tracer.count("task.retries")
-                delay = policy.delay(attempts, task_key)
-                if delay > 0:
-                    with tracer.span(
-                        "backoff", attempt=attempts, seconds=delay
-                    ):
-                        time.sleep(delay)
-                continue
-            if policy.max_attempts > 1:
-                result.extra["attempts"] = attempts
-            if task_span:
-                task_span.set(attempts=attempts, status="ok")
-            return result
-        if task_span:
-            task_span.set(
-                attempts=attempts,
-                status="failed",
-                error=type(error).__name__,
-            )
-        if on_error == "abort":
-            raise error
-        return TaskFailure.from_exception(
-            test_name=task_key,
-            workload=workload_name,
-            engine=task.engine_name,
-            error=error,
-            attempts=attempts,
-        )
-
-    def _run_task_guarded(
-        self, task: RunTask, policy: RetryPolicy, on_error: str
-    ) -> RunOutcome:
-        """The untraced per-task path (serial loop or thread worker)."""
-        return self._attempt_loop(task, policy, on_error)
+                except Exception as caught:  # noqa: BLE001 — policy-filtered
+                    error = caught
+                    tracer.count("task.failed_attempts")
+                    if not policy.should_retry(caught, attempts):
+                        break
+                    tracer.count("task.retries")
+                    delay = policy.delay(attempts, task_key)
+                    if delay > 0:
+                        with tracer.span(
+                            "backoff", attempt=attempts, seconds=delay
+                        ):
+                            time.sleep(delay)
+            if outcome is not None:
+                if policy.max_attempts > 1:
+                    outcome.extra["attempts"] = attempts
+                span.set(attempts=attempts, status="ok")
+            else:
+                span.set(
+                    attempts=attempts,
+                    status="failed",
+                    error=type(error).__name__,
+                )
+                if on_error == "abort":
+                    raise error
+                outcome = TaskFailure.from_exception(
+                    test_name=task_key,
+                    workload=workload_name,
+                    engine=task.engine_name,
+                    error=error,
+                    attempts=attempts,
+                )
+        if trace:
+            outcome.extra[TRACE_EXTRA_KEY] = [
+                root.to_dict() for root in tracer.roots()
+            ]
+        return outcome
 
     def run_many(
         self,
@@ -461,9 +478,11 @@ class TestRunner:
     ) -> list[RunOutcome]:
         """Run independent tasks on the configured executor backend.
 
-        Results come back in submission order, so every backend is a
-        drop-in replacement for the serial loop.  The thread backend
-        shares this runner (and its dataset cache); the process backend
+        Validate, pick a transport, graft, record.  Every transport
+        calls :meth:`run_task` once per task and returns the outcomes
+        in submission order, so every backend is a drop-in replacement
+        for the serial loop.  ``serial`` and ``thread`` map over this
+        runner in-process (sharing its dataset cache); ``process``
         streams lightweight descriptors to a warm worker pool that is
         kept alive across calls (see :mod:`repro.execution.workers`),
         shipping data sets as shared-memory/spill-file handles or cache
@@ -477,11 +496,8 @@ class TestRunner:
         :class:`TaskFailure` in the slot of every task that exhausted
         its attempts — on all three backends.
 
-        When tracing is active, every task — on every backend — records
-        its span tree into a task-local tracer and the parent grafts
-        the finished trees here in submission order, each under a
-        ``task`` span carrying queue-wait vs. execute timings plus the
-        attempt count and final status.
+        When tracing is active, the parent grafts every task's finished
+        span tree here in submission order.
         """
         tasks = list(tasks)
         on_error = on_error if on_error is not None else self.options.on_error
@@ -494,81 +510,32 @@ class TestRunner:
             retries, retry_backoff
         )
         tracer = current_tracer()
-        if len(tasks) <= 1 or self.options.executor == "serial":
-            if not tracer.enabled:
-                # No early return: the store-recording epilogue below
-                # must see the serial path's outcomes too.
-                outcomes = [
-                    self._run_task_guarded(task, policy, on_error)
-                    for task in tasks
-                ]
-            else:
-                submitted = time.perf_counter()
-                outcomes = [
-                    self._run_task_traced(
-                        task, index, policy, on_error, submitted=submitted
-                    )
-                    for index, task in enumerate(tasks)
-                ]
-        elif self.options.executor == "process":
-            outcomes = self._run_many_process(tasks, policy, on_error, tracer)
+        if self.options.executor == "process" and len(tasks) > 1:
+            outcomes = self._run_on_worker_pool(
+                tasks, policy, on_error, tracer
+            )
         else:
             submitted = time.perf_counter()
-            if not tracer.enabled:
-                outcomes = self.executor.map(
-                    lambda task: self._run_task_guarded(task, policy, on_error),
-                    tasks,
+
+            def in_process(indexed: tuple[int, RunTask]) -> RunOutcome:
+                index, task = indexed
+                return self.run_task(
+                    task,
+                    policy,
+                    on_error,
+                    index=index,
+                    trace=tracer.enabled,
+                    queue_wait=max(0.0, time.perf_counter() - submitted),
                 )
-            else:
-                outcomes = self.executor.map(
-                    lambda pair: self._run_task_traced(
-                        pair[1], pair[0], policy, on_error, submitted=submitted
-                    ),
-                    list(enumerate(tasks)),
-                )
+
+            # Pooled executors run a batch of one inline, so a single
+            # task never pays for a pool on any backend.
+            outcomes = self.executor.map(in_process, enumerate(tasks))
         if tracer.enabled:
             self._graft_task_traces(tracer, outcomes)
         if self.store is not None:
             record_outcomes(self.store, tasks, outcomes, self.options)
         return outcomes
-
-    def _run_task_traced(
-        self,
-        task: RunTask,
-        index: int,
-        policy: RetryPolicy,
-        on_error: str,
-        submitted: float | None = None,
-        queue_wait: float | None = None,
-    ) -> RunOutcome:
-        """One task under a task-local tracer (any thread, same process).
-
-        The local tracer keeps worker-thread spans out of the shared
-        tracer's thread-local stacks; the finished tree travels back in
-        the outcome payload exactly like a process worker's would, so
-        the merge path is one code path for every backend.  In-process
-        callers pass the ``perf_counter`` submit stamp; the process
-        worker passes a precomputed wall-clock ``queue_wait`` instead.
-        """
-        local = Tracer()
-        if queue_wait is None:
-            queue_wait = (
-                max(0.0, time.perf_counter() - submitted)
-                if submitted is not None
-                else 0.0
-            )
-        with local.activate():
-            with local.span(
-                "task", index=index, engine=task.engine_name
-            ) as span:
-                span.set(queue_wait_seconds=queue_wait)
-                outcome = self._attempt_loop(
-                    task, policy, on_error, task_span=span
-                )
-        outcome.extra[TRACE_EXTRA_KEY] = [
-            root.to_dict() for root in local.roots()
-        ]
-        return outcome
 
     @staticmethod
     def _graft_task_traces(tracer: Tracer, outcomes: list[RunOutcome]) -> None:
@@ -683,47 +650,43 @@ class TestRunner:
             self._worker_pool_key = key
         return self._worker_pool
 
-    def _run_many_process(
+    def _run_on_worker_pool(
         self,
         tasks: list[RunTask],
         policy: RetryPolicy,
         on_error: str,
         tracer: Tracer,
     ) -> list[RunOutcome]:
-        """The process backend: lightweight descriptors to warm workers."""
+        """The process transport: one descriptor per task to warm workers.
+
+        A descriptor is the task itself (prescription in its shipped
+        form) plus what only the transport knows.  The policy ships by
+        value; a ``retryable`` filter that cannot cross the boundary
+        degrades to the default ``(Exception,)`` and nothing else does.
+        """
         pool = self._ensure_worker_pool()
-        shipped_policy = policy if _picklable(policy) else None
-        scalars = (
-            policy.max_attempts - 1,
-            policy.backoff_seconds,
-            policy.jitter,
-            policy.seed,
-        )
+        if not _picklable(policy):
+            policy = replace(policy, retryable=(Exception,))
         # Wall-clock, not perf_counter: the stamp crosses the process
         # boundary and perf_counter epochs are per-process.
         submitted_wall = time.time()
-        handles = self._dataset_handles(tasks, pool)
-        descriptors = []
-        for index, task in enumerate(tasks):
-            descriptors.append(
-                TaskDescriptor(
-                    prescription=self._shipped_task_prescription(task),
-                    engine_name=task.engine_name,
-                    volume_override=task.volume_override,
-                    overrides=dict(task.overrides),
-                    configuration=task.configuration,
-                    data_partitions=task.data_partitions,
-                    chunk_size=task.chunk_size,
-                    handle=handles[index],
-                    on_error=on_error,
-                    retry_policy=shipped_policy,
-                    retry_scalars=scalars,
-                    task_index=index,
-                    submitted_wall=submitted_wall,
-                    trace=tracer.enabled,
-                    pool_batch=pool.batches,
-                )
+        descriptors = [
+            TaskDescriptor(
+                task=replace(
+                    task, prescription=self._shipped_task_prescription(task)
+                ),
+                handle=handle,
+                on_error=on_error,
+                retry_policy=policy,
+                task_index=index,
+                submitted_wall=submitted_wall,
+                trace=tracer.enabled,
+                pool_batch=pool.batches,
             )
+            for index, (task, handle) in enumerate(
+                zip(tasks, self._dataset_handles(tasks, pool))
+            )
+        ]
         if tracer.enabled:
             for descriptor in descriptors:
                 descriptor.payload_bytes = len(pickle.dumps(descriptor))
@@ -748,43 +711,6 @@ class TestRunner:
         except Exception:  # noqa: BLE001 - worker reports the real error
             return task.prescription
 
-    def _dataset_key(self, task: RunTask) -> tuple | None:
-        """The cache key this task's data set lives under, or None.
-
-        Mirrors :meth:`TestGenerator.select_data` exactly — same key
-        tuple, same override precedence — so a shipped fingerprint is
-        guaranteed to match what the worker's own generation would
-        cache.  Streaming tasks (``chunk_size``) bypass the cache and
-        get no key; so does anything that fails to resolve here (the
-        worker will surface the real error with full context).
-        """
-        if task.chunk_size is not None:
-            return None
-        try:
-            requirement = self._resolved_prescription(task).data
-            generator = self.test_generator.generators.create(
-                requirement.generator
-            )
-            volume = (
-                task.volume_override
-                if task.volume_override is not None
-                else requirement.volume
-            )
-            partitions = (
-                task.data_partitions
-                if task.data_partitions is not None
-                else requirement.num_partitions
-            )
-            return DatasetCache.make_key(
-                requirement.generator,
-                generator.seed,
-                volume,
-                partitions,
-                requirement.fit_on,
-            )
-        except Exception:  # noqa: BLE001 - worker reports the real error
-            return None
-
     def _dataset_handles(
         self, tasks: list[RunTask], pool: WorkerPool
     ) -> list[DatasetHandle | None]:
@@ -799,7 +725,22 @@ class TestRunner:
         regenerates (and caches) it locally.
         """
         cache = self.test_generator.dataset_cache
-        keys = [self._dataset_key(task) for task in tasks]
+        keys: list[tuple | None] = []
+        for task in tasks:
+            key = None
+            # Streaming tasks bypass the cache and get no key; so does
+            # anything that fails to resolve here (the worker surfaces
+            # the real error with full context).
+            if task.chunk_size is None:
+                try:
+                    key = self.test_generator.dataset_key(
+                        self._resolved_prescription(task).data,
+                        task.volume_override,
+                        task.data_partitions,
+                    )
+                except Exception:  # noqa: BLE001 - worker reports it
+                    pass
+            keys.append(key)
         shared = Counter(key for key in keys if key is not None)
         handle_by_key: dict[tuple, DatasetHandle] = {}
         for task, key in zip(tasks, keys):

@@ -15,10 +15,12 @@ This module keeps the pool — and everything expensive in it — **warm**:
   configured engines (priming lazy imports), and adopting any dataset
   handles known at pool creation into its local
   :class:`~repro.datagen.cache.DatasetCache`.
-* Tasks then arrive as :class:`TaskDescriptor` objects — a prescription
-  *name* when the worker can resolve it, a dataset *handle* instead of
-  records, and a handful of scalars.  Payload size is observable: when
-  tracing is on, each task span carries ``payload_bytes``.
+* Tasks then arrive as :class:`TaskDescriptor` objects — the ``RunTask``
+  with a prescription *name* when the worker can resolve it, a dataset
+  *handle* instead of records, and a handful of transport scalars —
+  and run through the same :meth:`TestRunner.run_task` every in-process
+  backend uses.  Payload size is observable: when tracing is on, each
+  task span carries ``payload_bytes``.
 * Data sets ship through :mod:`repro.datagen.handoff`: serialized once
   per pool into shared memory (or referenced as an existing spill
   file), re-streamed in place by each worker — or not shipped at all
@@ -99,37 +101,32 @@ class WorkerInit:
 
 @dataclass
 class TaskDescriptor:
-    """One task on the warm path: names, scalars, and a dataset handle.
+    """One task on the warm path: the ``RunTask`` plus transport fields.
 
     Deliberately tiny — the worker already holds the runner, suite, and
     configuration table, and the records travel (at most once) through
-    shared memory, so this is what a task actually *is*: which
-    prescription, which engine, which knobs.
+    shared memory.  ``task`` is the :class:`~repro.execution.runner.RunTask`
+    itself with its prescription in shipped form (a worker-resolvable
+    name when possible), so a new task field crosses the boundary
+    without this module knowing it; everything else here is what only
+    the transport knows.
     """
 
-    prescription: Any  # str (worker-resolvable name) or Prescription
-    engine_name: str
-    volume_override: int | None = None
-    overrides: dict[str, Any] = field(default_factory=dict)
-    #: Only set for task-specific configurations (configuration sweeps);
-    #: None means the worker's installed table decides.
-    configuration: Any = None
-    data_partitions: int | None = None
-    chunk_size: int | None = None
+    task: Any
     #: How the worker obtains the data set (see :mod:`repro.datagen.handoff`);
     #: None when the task streams (``chunk_size``) or the key is unknowable.
-    handle: DatasetHandle | None = None
-    on_error: str = "abort"
-    #: The retry policy by value when picklable (preserves custom
-    #: ``retryable`` filters); else the worker rebuilds from the scalars.
-    retry_policy: Any = None
-    retry_scalars: tuple[int, float, float, int] | None = None
-    task_index: int = 0
-    submitted_wall: float | None = None
-    trace: bool = False
+    handle: DatasetHandle | None
+    on_error: str
+    #: The :class:`~repro.execution.retry.RetryPolicy`, by value.
+    retry_policy: Any
+    task_index: int
+    #: Parent wall clock at submission (``time.time()`` — the one clock
+    #: both sides of the boundary share).
+    submitted_wall: float
+    trace: bool
     #: Ordinal of the ``run_many`` batch this pool is serving (0-based);
     #: values above zero on a task span are the pool-reuse evidence.
-    pool_batch: int = 0
+    pool_batch: int
     #: Pickled size of this descriptor, recorded by the parent when
     #: tracing so span trees surface what actually crossed the pipe.
     payload_bytes: int | None = None
@@ -167,10 +164,10 @@ class WorkerContext:
         from repro.execution.runner import RunnerOptions, TestRunner
 
         self.runner = TestRunner(
+            configurations=dict(init.configurations),
             options=RunnerOptions(executor="serial", **init.options),
             suite=init.suite,
         )
-        self.runner.configurations = dict(init.configurations)
         for engine_name in init.prewarm_engines:
             try:
                 self.runner._build_engine(engine_name)
@@ -206,56 +203,24 @@ class WorkerContext:
 
     def run(self, descriptor: TaskDescriptor) -> Any:
         """Execute one descriptor on the persistent runner."""
-        from repro.core.results import RunResult, TaskFailure  # noqa: F401
-        from repro.execution.retry import RetryPolicy
-        from repro.execution.runner import TRACE_EXTRA_KEY, RunTask
+        from repro.execution.runner import TRACE_EXTRA_KEY
 
         self.adopt(descriptor.handle)
-        runner = self.runner
-        task = RunTask(
-            prescription=descriptor.prescription,
-            engine_name=descriptor.engine_name,
-            volume_override=descriptor.volume_override,
-            overrides=dict(descriptor.overrides),
-            configuration=descriptor.configuration,
-            data_partitions=descriptor.data_partitions,
-            chunk_size=descriptor.chunk_size,
-        )
-        policy = descriptor.retry_policy
-        if policy is None:
-            retries, backoff, jitter, seed = descriptor.retry_scalars or (
-                0, 0.0, 0.1, 0,
-            )
-            policy = RetryPolicy(
-                max_attempts=retries + 1,
-                backoff_seconds=backoff,
-                jitter=jitter,
-                seed=seed,
-            )
-        cache = runner.test_generator.dataset_cache
+        cache = self.runner.test_generator.dataset_cache
         cache_before = cache.stats() if cache is not None else None
-        if descriptor.trace:
-            queue_wait = (
-                max(0.0, time.time() - descriptor.submitted_wall)
-                if descriptor.submitted_wall is not None
-                else 0.0
-            )
-            outcome = runner._run_task_traced(
-                task,
-                descriptor.task_index,
-                policy,
-                descriptor.on_error,
-                queue_wait=queue_wait,
-            )
-            annotate_task_trace(
-                outcome.extra.get(TRACE_EXTRA_KEY),
-                payload_bytes=descriptor.payload_bytes,
-                pool_batch=descriptor.pool_batch,
-            )
-        else:
-            outcome = runner._run_task_guarded(
-                task, policy, descriptor.on_error
-            )
+        outcome = self.runner.run_task(
+            descriptor.task,
+            descriptor.retry_policy,
+            descriptor.on_error,
+            index=descriptor.task_index,
+            trace=descriptor.trace,
+            queue_wait=max(0.0, time.time() - descriptor.submitted_wall),
+        )
+        annotate_task_trace(
+            outcome.extra.get(TRACE_EXTRA_KEY),
+            payload_bytes=descriptor.payload_bytes,
+            pool_batch=descriptor.pool_batch,
+        )
         if cache_before is not None:
             outcome.extra["worker_cache"] = (
                 cache.stats().since(cache_before).as_dict()

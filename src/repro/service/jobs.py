@@ -212,7 +212,40 @@ class JobLog:
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps(line, default=str) + "\n")
 
+    def cancel(self, job_id: str, reason: str) -> Job:
+        """Tombstone a non-terminal logged job, offline.
+
+        For orphans of a dead service process: only the log changes, a
+        live orchestrator is not notified.  ``job_id`` resolves like
+        :meth:`get`; a job already terminal raises.
+        """
+        job = self.get(job_id)
+        if job.terminal:
+            raise ServiceError(f"job {job.job_id} is already {job.state}")
+        job.transition("cancelled")
+        self.append(job, "cancelled", detail={"reason": reason})
+        return job
+
     # -- reading ----------------------------------------------------------
+
+    def last_sequence(self) -> int:
+        """The highest ``jNNNN`` number already logged (0 for a new log).
+
+        What a starting service numbers its jobs after, so sessions
+        sharing one store never reuse an id.  An unparsable line is
+        skipped rather than raised: a torn tail must not stop the
+        service starting (:meth:`events` still reports it to readers).
+        """
+        highest = 0
+        if not self.path.exists():
+            return highest
+        for line in self.path.read_text(encoding="utf-8").splitlines():
+            try:
+                number = int(json.loads(line)["job_id"][1:])
+            except (ValueError, KeyError, TypeError):
+                continue
+            highest = max(highest, number)
+        return highest
 
     def events(self) -> list[dict[str, Any]]:
         """Every logged event, oldest first."""

@@ -78,7 +78,11 @@ class Orchestrator:
             JobLog(resolve_store_dir(store_dir)) if log_jobs else None
         )
         self._jobs: dict[str, Job] = {}
-        self._seq = 0
+        # Number on from what the log already holds: a second session
+        # on the same store must not log a second ``j0001``.
+        self._seq = (
+            self.job_log.last_sequence() if self.job_log is not None else 0
+        )
         self._threads: list[threading.Thread] = []
         self._runners: list[Any] = []
         self._runner_lock = threading.Lock()

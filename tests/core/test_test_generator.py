@@ -46,6 +46,27 @@ class TestSelectData:
         with pytest.raises(TestGenerationError):
             generator.select_data(requirement)
 
+    @pytest.mark.parametrize(
+        "overrides, volume, partitions",
+        [((None, None), 20, 4), ((7, None), 7, 4), ((None, 2), 20, 2),
+         ((7, 1), 7, 1)],
+    )
+    def test_dataset_key_is_where_select_data_caches(
+        self, generator, overrides, volume, partitions
+    ):
+        """One cache-key rule: what ``dataset_key`` names (override
+        beats prescription) is the entry ``select_data`` fills — the
+        process backend ships this key instead of the records."""
+        requirement = DataRequirement(
+            "kv-records", DataType.KEY_VALUE, volume=20, num_partitions=4
+        )
+        key = generator.dataset_key(requirement, *overrides)
+        assert key[:5] == ("kv-records", 0, volume, partitions, None)
+        assert key not in generator.dataset_cache
+        dataset = generator.select_data(requirement, *overrides)
+        assert generator.dataset_cache.peek(key) is dataset
+        assert dataset.num_records == volume
+
 
 class TestGenerate:
     def test_binds_prescription_to_engine(self, generator):

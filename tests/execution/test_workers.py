@@ -11,14 +11,19 @@ with the serial runner (the oracle).
 from __future__ import annotations
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro.core.prescription import builtin_repository
+from repro.engines.faults import FaultSpec
 from repro.execution.config import SystemConfiguration
 from repro.execution.parallel import compute_chunksize
+from repro.execution.retry import RetryPolicy
 from repro.execution.runner import RunnerOptions, RunTask, TestRunner
 from repro.execution.workers import (
+    TaskDescriptor,
+    WorkerContext,
     WorkerPool,
     WorkerPoolError,
     shipped_prescription,
@@ -186,6 +191,98 @@ class TestTracedWarmPool:
                 assert span.counters["task.payload_bytes"] == (
                     span.attrs["payload_bytes"]
                 )
+
+
+class TestDescriptorShape:
+    def test_descriptor_is_the_task_plus_transport_fields(self, monkeypatch):
+        """The whole ``RunTask`` crosses the boundary (prescription in
+        shipped form), so a task field needs no twin on the descriptor."""
+        shipped: list[TaskDescriptor] = []
+
+        def run_batch(pool, descriptors):
+            shipped.extend(descriptors)
+            context = WorkerContext(pool.init)
+            return [
+                context.run(pickle.loads(pickle.dumps(descriptor)))
+                for descriptor in descriptors
+            ]
+
+        monkeypatch.setattr(WorkerPool, "run_batch", run_batch)
+        custom = dataclasses.replace(
+            builtin_repository().get("micro-sort"), name="custom-sort"
+        )
+        tasks = [
+            RunTask("micro-wordcount", "mapreduce", 40, data_partitions=2,
+                    series={"layout": "columnar"}),
+            RunTask(custom, "mapreduce", 40, chunk_size=16),
+        ]
+        with _process_runner() as runner:
+            outcomes = runner.run_many(tasks, on_error="continue", retries=2)
+        assert [outcome.ok for outcome in outcomes] == [True, True]
+        assert [descriptor.task for descriptor in shipped] == tasks
+        assert {field.name for field in dataclasses.fields(TaskDescriptor)} == {
+            "task", "handle", "on_error", "retry_policy", "task_index",
+            "submitted_wall", "trace", "pool_batch", "payload_bytes",
+        }
+        for index, descriptor in enumerate(shipped):
+            assert descriptor.task_index == index
+            assert descriptor.on_error == "continue"
+            assert descriptor.retry_policy == RetryPolicy(max_attempts=3)
+            assert descriptor.trace is False
+            assert descriptor.payload_bytes is None
+        # A materialized task ships a dataset handle, a streaming one none.
+        assert shipped[0].handle is not None and shipped[1].handle is None
+
+
+class TestRetryPolicyShipping:
+    def test_unpicklable_policy_keeps_its_backoff_schedule(self):
+        """Regression: a policy that did not pickle was rebuilt in the
+        worker from four scalars, silently resetting ``backoff_factor``
+        and ``max_backoff_seconds`` — the worker then slept a different
+        schedule than the serial oracle."""
+
+        class LocalError(Exception):  # local class: the policy cannot pickle
+            pass
+
+        policy = RetryPolicy(
+            max_attempts=3, backoff_seconds=0.004, backoff_factor=3.0,
+            max_backoff_seconds=0.01, retryable=(LocalError, Exception),
+        )
+        with pytest.raises(Exception):
+            pickle.dumps(policy)
+        prescription = builtin_repository().get("database-aggregate-join")
+        tasks = [RunTask(prescription, name, 40) for name in ("dbms", "nosql")]
+        schedules = {}
+        for backend in ("serial", "process"):
+            tracer = Tracer()
+            runner = TestRunner(
+                configurations={
+                    name: SystemConfiguration(
+                        name, fault=FaultSpec(fail_attempts=(0, 1))
+                    )
+                    for name in ("dbms", "nosql")
+                },
+                options=RunnerOptions(executor=backend, max_workers=2),
+            )
+            with runner, tracer.activate():
+                outcomes = runner.run_many(tasks, retry_policy=policy)
+            assert [outcome.extra["attempts"] for outcome in outcomes] == [3, 3]
+            schedules[backend] = [
+                [
+                    child.attrs["seconds"]
+                    for child in root.children
+                    if child.name == "backoff"
+                ]
+                for root in tracer.roots()
+            ]
+        assert schedules["serial"] == [
+            [policy.delay(1, key), policy.delay(2, key)]
+            for key in ("database-aggregate-join@dbms",
+                        "database-aggregate-join@nosql")
+        ]
+        # 0.004 * 3.0 = 0.012, clamped to 0.01 before jitter: both the
+        # factor and the clamp are visible in the second delay.
+        assert schedules["process"] == schedules["serial"]
 
 
 class TestShippedPrescription:

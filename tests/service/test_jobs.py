@@ -146,3 +146,23 @@ class TestJobLog:
 
     def test_empty_log_replays_empty(self, tmp_path):
         assert JobLog(tmp_path).replay() == {}
+
+    def test_last_sequence_skips_unparsable_lines(self, tmp_path):
+        log = JobLog(tmp_path)
+        assert log.last_sequence() == 0
+        log.append(make_job("j0003"), "queued")
+        log.append(make_job("j0011"), "queued")
+        with log.path.open("a") as handle:
+            handle.write('{"job_id": "j0099", "event": "que\n')  # torn tail
+            handle.write('["not", "an", "event"]\n')
+        assert log.last_sequence() == 11
+
+    def test_cancel_tombstones_a_non_terminal_job(self, tmp_path):
+        log = JobLog(tmp_path)
+        log.append(make_job("j0001"), "queued")
+        cancelled = log.cancel("j0001", reason="operator")
+        assert cancelled.state == "cancelled"
+        assert log.get("j0001").state == "cancelled"
+        assert log.events()[-1]["detail"] == {"reason": "operator"}
+        with pytest.raises(ServiceError, match="already cancelled"):
+            log.cancel("j0001", reason="again")

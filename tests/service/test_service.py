@@ -291,6 +291,34 @@ class TestEventsAndLog:
             ("queued", "admitted", "running", "done")
         }
 
+    def test_sessions_on_one_store_continue_the_job_sequence(
+        self, tmp_path, capsys
+    ):
+        """Regression: every orchestrator numbered from ``j0001``, so a
+        second session on the same store logged a second ``j0001`` and
+        replay kept only the newer job."""
+        from repro.cli import main
+
+        ids = []
+        for _ in range(2):
+            with ServiceClient(store_dir=str(tmp_path)) as client:
+                handle = client.submit(make_spec(volume=10))
+                handle.result(timeout=60)
+                ids.append(handle.job_id)
+        assert ids == ["j0001", "j0002"]
+        assert list(JobLog(tmp_path).replay()) == ids
+        assert main(["jobs", "list", "--store-dir", str(tmp_path)]) == 0
+        listing = capsys.readouterr().out
+        assert "j0001" in listing and "j0002" in listing
+
+    def test_a_torn_log_line_does_not_stop_the_service(self, tmp_path):
+        with ServiceClient(store_dir=str(tmp_path)) as client:
+            client.submit(make_spec(volume=10)).result(timeout=60)
+        with JobLog(tmp_path).path.open("a") as handle:
+            handle.write('{"job_id": "j00')
+        with ServiceClient(store_dir=str(tmp_path)) as client:
+            assert client.submit(make_spec(volume=10)).job_id == "j0002"
+
 
 class TestServiceClient:
     def test_context_manager_owns_private_orchestrator(self, tmp_path):

@@ -598,3 +598,181 @@ class TestAblate:
         )
         assert code != 0
         assert "unknown workload" in capsys.readouterr().err
+
+
+class _Reached(Exception):
+    """Raised by an API stub once it has recorded its arguments."""
+
+
+def _stub(monkeypatch, target: str) -> dict:
+    """Replace ``target`` with a recorder that stops the verb there."""
+    call: dict = {}
+
+    def stub(*args, **kwargs):
+        call["args"], call["kwargs"] = args, kwargs
+        raise _Reached
+
+    monkeypatch.setattr(target, stub)
+    return call
+
+
+def _stub_service(monkeypatch) -> dict:
+    """Replace the service client with one that records its options and
+    the first submission, and stops the verb there."""
+    seen: dict = {}
+
+    class FakeService:
+        def __init__(self, **options):
+            seen["options"] = options
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def subscribe(self, callback):
+            pass
+
+        def submit(self, spec, **kwargs):
+            seen["spec"], seen["submit"] = spec, kwargs
+            raise _Reached
+
+    monkeypatch.setattr("repro.api.ServiceClient", FakeService)
+    return seen
+
+
+class TestFlagScoping:
+    """Each verb parses exactly the shared flags it honours: a flag it
+    would ignore exits 2 from argparse, one it accepts reaches the API."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "r0001", "r0002", "--executor", "thread"],
+            ["gate", "--baseline", "main", "--layout", "columnar"],
+            ["load", "--workers", "2"],
+            ["serve", "--spec-file", "batch.json", "--layout", "columnar"],
+            ["ablate", "--workloads", "micro", "--record"],
+        ],
+        ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]),
+    )
+    def test_flags_a_verb_would_ignore_do_not_parse(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_compare_flags_reach_api_compare(self, monkeypatch):
+        call = _stub(monkeypatch, "repro.api.compare")
+        with pytest.raises(_Reached):
+            run_cli("compare", "r0001", "r0002", "--store-dir", "S",
+                    "--metric", "duration", "--metric", "throughput",
+                    "--tolerance", "0.2")
+        assert call["args"] == ("r0001", "r0002")
+        assert call["kwargs"] == {
+            "store_dir": "S", "metrics": ["duration", "throughput"],
+            "tolerance": 0.2,
+        }
+
+    def test_gate_flags_reach_api_gate(self, monkeypatch):
+        call = _stub(monkeypatch, "repro.api.gate")
+        with pytest.raises(_Reached):
+            run_cli("gate", "r0009", "--baseline", "main",
+                    "--store-dir", "S", "--metric", "duration",
+                    "--tolerance", "0.3", "--fail-on-inconclusive")
+        assert call["args"] == ("main", "r0009")
+        assert call["kwargs"] == {
+            "store_dir": "S", "metrics": ["duration"], "tolerance": 0.3,
+            "fail_on_inconclusive": True,
+        }
+
+    def test_unset_tolerance_defers_to_the_api_default(self, monkeypatch):
+        call = _stub(monkeypatch, "repro.api.gate")
+        with pytest.raises(_Reached):
+            run_cli("gate", "--baseline", "main")
+        assert call["args"] == ("main", None)
+        assert call["kwargs"] == {
+            "store_dir": None, "metrics": None,
+            "fail_on_inconclusive": False,
+        }
+
+    def test_load_flags_reach_api_load(self, monkeypatch):
+        call = _stub(monkeypatch, "repro.api.load")
+        with pytest.raises(_Reached):
+            run_cli("load", "micro-wordcount", "--store-dir", "S",
+                    "--record", "--layout", "columnar",
+                    "--param", "top_k=3", "--engine", "mapreduce",
+                    "--volume", "50", "--rate", "20", "--duration", "2",
+                    "--arrival", "bursty", "--burst-factor", "4",
+                    "--service", "--schedulers", "3", "--seed", "7")
+        assert call["args"] == ("micro-wordcount",)
+        kwargs = call["kwargs"]
+        assert (kwargs["store_dir"], kwargs["record"]) == ("S", True)
+        assert kwargs["layout"] == "columnar"
+        assert kwargs["params"] == {"top_k": 3}
+        assert (kwargs["engine"], kwargs["volume"]) == ("mapreduce", 50)
+        assert (kwargs["arrival"], kwargs["burst_factor"]) == ("bursty", 4.0)
+        assert (kwargs["rate"], kwargs["duration"]) == (20.0, 2.0)
+        assert (kwargs["service"], kwargs["schedulers"]) == (True, 3)
+        assert kwargs["seed"] == 7
+        # Arrival options left unset defer to the arrival process.
+        assert "period" not in kwargs and "amplitude" not in kwargs
+
+    def test_ablate_flags_reach_api_ablate(self, monkeypatch):
+        call = _stub(monkeypatch, "repro.api.ablate")
+        with pytest.raises(_Reached):
+            run_cli("ablate", "--workloads", "micro", "--engines", "dbms",
+                    "--store-dir", "S", "--executor", "thread",
+                    "--workers", "2", "--layout", "columnar",
+                    "--param", "top_k=3", "--repeats", "2",
+                    "--volume", "40", "--alpha", "0.1",
+                    "--service", "--schedulers", "3")
+        assert call["args"] == ("micro", "dbms")
+        kwargs = call["kwargs"]
+        assert kwargs["store_dir"] == "S"
+        assert (kwargs["executor"], kwargs["max_workers"]) == ("thread", 2)
+        assert kwargs["layout"] == "columnar"
+        assert kwargs["params"] == {"top_k": 3}
+        assert (kwargs["repeats"], kwargs["volume"]) == (2, 40)
+        assert (kwargs["service"], kwargs["schedulers"]) == (True, 3)
+        assert kwargs["alpha"] == 0.1
+        assert "tolerance" not in kwargs
+
+    def test_serve_flags_reach_the_service(self, monkeypatch, tmp_path):
+        from repro.api import BenchmarkSpec
+
+        spec_file = tmp_path / "batch.json"
+        spec_file.write_text(
+            json.dumps(BenchmarkSpec("micro-wordcount", volume=30).as_dict())
+        )
+        seen = _stub_service(monkeypatch)
+        with pytest.raises(_Reached):
+            run_cli("serve", "--spec-file", str(spec_file),
+                    "--store-dir", "S", "--record", "--executor", "thread",
+                    "--workers", "2", "--schedulers", "3",
+                    "--client", "nightly")
+        assert seen["options"] == {"schedulers": 3, "store_dir": "S"}
+        assert seen["submit"] == {"client": "nightly"}
+        spec = seen["spec"]
+        assert (spec.record, spec.executor, spec.max_workers) == (
+            True, "thread", 2
+        )
+        assert (spec.prescription, spec.volume) == ("micro-wordcount", 30)
+
+    def test_run_and_submit_build_the_same_spec(self, monkeypatch):
+        """One spec builder: the flags the two verbs share yield equal
+        specs, whichever verb parsed them."""
+        shared = ["micro-wordcount", "--engine", "mapreduce",
+                  "--volume", "30", "--repeats", "2",
+                  "--param", "top_k=3", "--executor", "thread",
+                  "--workers", "2", "--record", "--store-dir", "S",
+                  "--layout", "columnar", "--tuning", "optimized"]
+        run_call = _stub(monkeypatch, "repro.api.run")
+        with pytest.raises(_Reached):
+            run_cli("run", *shared)
+        seen = _stub_service(monkeypatch)
+        with pytest.raises(_Reached):
+            run_cli("submit", *shared)
+        assert seen["spec"] == run_call["args"][0]
+        assert seen["spec"].store_dir == "S"

@@ -93,3 +93,30 @@ def test_spec_consumers_do_not_translate_spec_fields():
         f"spec fields translated by hand in a spec consumer: {strays}; "
         "that belongs in repro.execution.plan"
     )
+
+
+def test_a_task_attempt_happens_in_one_place():
+    """One task function behind every executor: the fault scope and the
+    timeout bound are each entered from a single call site."""
+    for name in ("fault_attempt", "call_with_timeout"):
+        sites = [
+            site for site in CALLS.get(name, [])
+            if site[0].startswith("execution/")
+        ]
+        assert len(sites) == 1 and sites[0][0] == "execution/runner.py", (
+            f"{name}(...) called from {sites}: every backend runs a task "
+            "through TestRunner.run_task"
+        )
+
+
+def test_the_worker_rebuilds_nothing_the_parent_shipped():
+    strays = [
+        (name, line)
+        for name in ("RunTask", "RetryPolicy")
+        for module, line in CALLS.get(name, [])
+        if module == "execution/workers.py"
+    ]
+    assert not strays, (
+        f"execution/workers.py constructs {strays}: the descriptor carries "
+        "the task and the policy by value"
+    )

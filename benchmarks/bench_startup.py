@@ -1,0 +1,179 @@
+"""Start-up ledger: what the commands that do nothing cost.
+
+Cold wall time of fresh interpreter processes, one row per command:
+
+* ``python -c pass``, ``import numpy``, ``import repro`` (the floor and
+  the two imports every verb used to pay);
+* the seven ``cli-cold`` verbs of the end-to-end benchmark
+  (``benchmarks/e2e``), against a small seeded store;
+* time to first result of ``api.run('micro-wordcount', volume=50)``, so
+  that work moved out of import shows up if it merely moved.
+
+Each command runs :data:`REPEATS` times; the row keeps the minimum and
+the lower quartile.  One more process per command reports how many
+``repro.*`` modules it ended with and whether numpy was loaded.  The
+result is appended to ``BENCH_startup.json`` through
+:func:`_history.append_history`.
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_startup.py -q -s
+    PYTHONPATH=src python benchmarks/bench_startup.py --src OTHER/src --source parent
+
+``--src`` measures another checkout's ``src`` (the parent commit's) with
+this script; ``--source`` labels the row.  The measured ``src`` is
+byte-compiled first, so rows compare warm ``__pycache__`` to warm
+``__pycache__`` whatever ``PYTHONDONTWRITEBYTECODE`` says.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+from _history import append_history
+
+RESULTS_FILE = Path(__file__).parent / "BENCH_startup.json"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+REPEATS = 9
+
+#: Appended to a ``-c`` program: what the process had loaded at its end.
+_FOOTPRINT = (
+    "\nimport json, sys\n"
+    "print(json.dumps({'repro_modules': sum(m == 'repro' or "
+    "m.startswith('repro.') for m in sys.modules), "
+    "'numpy': 'numpy' in sys.modules}), file=sys.stderr)"
+)
+
+#: row name → CLI argv (``{store}`` is a fresh copy of the seeded store).
+CLI_VERBS = {
+    "cli.list": ["list"],
+    "cli.run-small": ["run", "micro-wordcount", "--json"],
+    "cli.run-record": [
+        "run", "database-aggregate-join", "--volume", "2000", "--layout",
+        "columnar", "--record", "--store-dir", "{store}", "--json",
+    ],
+    "cli.runs-list": ["runs", "list", "--store-dir", "{store}"],
+    "cli.compare": ["compare", "r0001", "r0002", "--store-dir", "{store}"],
+    "cli.submit": ["submit", "micro-wordcount", "--store-dir", "{store}"],
+    "cli.jobs-list": ["jobs", "list", "--store-dir", "{store}"],
+}
+
+#: row name → ``python -c`` program.
+PROGRAMS = {
+    "interp": "pass",
+    "import.numpy": "import numpy",
+    "import.repro": "import repro",
+    "first-result": (
+        "from repro import api; api.run('micro-wordcount', volume=50)"
+    ),
+}
+
+
+def _python(src: Path, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for name in ("REPRO_EXECUTOR", "REPRO_CHUNK_SIZE", "REPRO_STORE_DIR"):
+        env.pop(name, None)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+
+
+def _seed_store(src: Path, store: Path) -> None:
+    """Two recorded runs of one series and one logged job."""
+    for verb in ("run", "run", "submit"):
+        _python(
+            src, "-m", "repro.cli", verb, "micro-wordcount", "--volume", "50",
+            "--engine", "mapreduce", "--repeats", "2", "--record",
+            "--store-dir", str(store),
+        )
+
+
+def _cli_argv(name: str, template: Path, scratch: Path) -> list[str]:
+    """The verb's argv, against a fresh copy of the seeded store."""
+    store = scratch / "store"
+    shutil.rmtree(store, ignore_errors=True)
+    shutil.copytree(template, store)
+    return [part.format(store=store) for part in CLI_VERBS[name]]
+
+
+def _measure(src: Path, name: str, template: Path, scratch: Path) -> dict:
+    """One row: cold walls of REPEATS processes plus the footprint probe."""
+    walls = []
+    for _ in range(REPEATS):
+        args = (
+            ["-c", PROGRAMS[name]] if name in PROGRAMS
+            else ["-m", "repro.cli", *_cli_argv(name, template, scratch)]
+        )
+        started = time.perf_counter()
+        _python(src, *args)
+        walls.append(time.perf_counter() - started)
+    program = PROGRAMS.get(name) or (
+        "import os\nfrom repro.cli import main\n"
+        f"main({_cli_argv(name, template, scratch)!r}, "
+        "out=open(os.devnull, 'w'))"
+    )
+    probe = _python(src, "-c", program + _FOOTPRINT)
+    return {
+        "wall_min_s": min(walls),
+        "wall_q1_s": statistics.quantiles(walls, n=4)[0],
+        "samples": len(walls),
+        **json.loads(probe.stderr.strip().splitlines()[-1]),
+    }
+
+
+def measure_startup(src: Path = SRC_DIR) -> dict[str, dict]:
+    with tempfile.TemporaryDirectory(prefix="bench-startup-") as tmp:
+        template, scratch = Path(tmp) / "template", Path(tmp) / "scratch"
+        scratch.mkdir()
+        _python(src, "-m", "compileall", "-q", str(src))
+        _seed_store(src, template)
+        return {
+            name: _measure(src, name, template, scratch)
+            for name in (*PROGRAMS, *CLI_VERBS)
+        }
+
+
+def record_startup(src: Path = SRC_DIR, source: str = "worktree") -> dict:
+    rows = measure_startup(src)
+    print(f"\n{'command':16s} {'min s':>8s} {'q1 s':>8s} {'repro.*':>8s} numpy")
+    for name, row in rows.items():
+        print(
+            f"{name:16s} {row['wall_min_s']:8.3f} {row['wall_q1_s']:8.3f} "
+            f"{row['repro_modules']:8d} {'yes' if row['numpy'] else 'no'}"
+        )
+    append_history(
+        RESULTS_FILE,
+        "startup.cold_wall",
+        {
+            "repeats": REPEATS,
+            "programs": PROGRAMS,
+            "cli_verbs": CLI_VERBS,
+        },
+        {"source": source, "commands": rows},
+    )
+    return rows
+
+
+def test_startup_ledger():
+    rows = record_startup()
+    # The verbs that only read the registry or a JSONL file stay light.
+    for name in ("import.repro", "cli.list", "cli.runs-list", "cli.compare",
+                 "cli.jobs-list"):
+        assert not rows[name]["numpy"], name
+        assert rows[name]["repro_modules"] <= 30, name
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--src", type=Path, default=SRC_DIR)
+    parser.add_argument("--source", default="worktree")
+    options = parser.parse_args()
+    record_startup(options.src.resolve(), options.source)

@@ -36,105 +36,48 @@ or, as a service (async jobs, admission control, job log)::
         print(handle.wait().state, handle.result())
 """
 
+from repro._lazy import lazy_exports
 from repro.bootstrap import register_default_components
 
 register_default_components()
 
-from repro.analysis import (  # noqa: E402
-    BaselineManager,
-    Comparison,
-    GateReport,
-    RunRecord,
-    RunStore,
-    check_regressions,
-    compare_records,
-)
-from repro.core.errors import ReproError  # noqa: E402
-from repro.core.layers import (  # noqa: E402
-    BigDataBenchmark,
-    ExecutionLayer,
-    FunctionLayer,
-    UserInterfaceLayer,
-)
-from repro.core.metrics import MetricKind, MetricSuite, RunEvidence  # noqa: E402
-from repro.core.prescription import (  # noqa: E402
-    DataRequirement,
-    Prescription,
-    PrescriptionRepository,
-    builtin_repository,
-)
-from repro.core.process import BenchmarkingProcess, ProcessReport  # noqa: E402
-from repro.core.results import (  # noqa: E402
-    ResultAnalyzer,
-    RunResult,
-    TaskFailure,
-    split_outcomes,
-)
-from repro.core.spec import SPEC_VERSION, BenchmarkSpec  # noqa: E402
-from repro.core.test_generator import PrescribedTest, TestGenerator  # noqa: E402
-from repro.datagen.base import DataSet, DataType  # noqa: E402
-from repro.observability import Span, Tracer, current_tracer, trace_span  # noqa: E402
-from repro.service import (  # noqa: E402
-    AdmissionError,
-    Job,
-    JobHandle,
-    Orchestrator,
-    ServiceClient,
-)
-from repro import api  # noqa: E402
-from repro.api import ablate, compare, gate, load, run, serve, sweep  # noqa: E402
-
 __version__ = "1.1.0"
 
-__all__ = [
-    "AdmissionError",
-    "BaselineManager",
-    "BenchmarkSpec",
-    "BenchmarkingProcess",
-    "BigDataBenchmark",
-    "Comparison",
-    "GateReport",
-    "RunRecord",
-    "RunStore",
-    "check_regressions",
-    "compare_records",
-    "DataRequirement",
-    "DataSet",
-    "DataType",
-    "ExecutionLayer",
-    "FunctionLayer",
-    "Job",
-    "JobHandle",
-    "MetricKind",
-    "MetricSuite",
-    "Orchestrator",
-    "PrescribedTest",
-    "Prescription",
-    "PrescriptionRepository",
-    "ProcessReport",
-    "ReproError",
-    "ResultAnalyzer",
-    "RunEvidence",
-    "RunResult",
-    "SPEC_VERSION",
-    "ServiceClient",
-    "Span",
-    "TaskFailure",
-    "TestGenerator",
-    "Tracer",
-    "UserInterfaceLayer",
-    "ablate",
-    "api",
-    "builtin_repository",
-    "compare",
-    "current_tracer",
-    "gate",
-    "load",
-    "register_default_components",
-    "run",
-    "serve",
-    "split_outcomes",
-    "sweep",
-    "trace_span",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.baselines": ("BaselineManager",),
+        "repro.analysis.compare": ("Comparison", "compare_records"),
+        "repro.analysis.gate": ("GateReport", "check_regressions"),
+        "repro.analysis.store": ("RunRecord", "RunStore"),
+        "repro.api": (
+            "ablate", "compare", "gate", "load", "run", "serve", "sweep",
+        ),
+        "repro.core.errors": ("ReproError",),
+        "repro.core.layers": (
+            "BigDataBenchmark", "ExecutionLayer", "FunctionLayer",
+            "UserInterfaceLayer",
+        ),
+        "repro.core.metrics": ("MetricKind", "MetricSuite", "RunEvidence"),
+        "repro.core.prescription": (
+            "DataRequirement", "Prescription", "PrescriptionRepository",
+            "builtin_repository",
+        ),
+        "repro.core.process": ("BenchmarkingProcess", "ProcessReport"),
+        "repro.core.results": (
+            "ResultAnalyzer", "RunResult", "TaskFailure", "split_outcomes",
+        ),
+        "repro.core.spec": ("SPEC_VERSION", "BenchmarkSpec"),
+        "repro.core.test_generator": ("PrescribedTest", "TestGenerator"),
+        "repro.datagen.base": ("DataSet", "DataType"),
+        "repro.observability.tracing": (
+            "Span", "Tracer", "current_tracer", "trace_span",
+        ),
+        "repro.service.client": ("JobHandle", "ServiceClient"),
+        "repro.service.jobs": ("Job",),
+        "repro.service.orchestrator": ("Orchestrator",),
+        "repro.service.queue": ("AdmissionError",),
+    },
+    submodules=("api",),
+)
+__all__ += ["__version__", "register_default_components"]

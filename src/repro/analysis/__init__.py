@@ -17,42 +17,20 @@ run → record → comparison → verdict:
   with per-metric direction and tolerance: the CI regression gate.
 """
 
-from repro.analysis.baselines import Baseline, BaselineManager
-from repro.analysis.compare import (
-    Comparison,
-    MetricComparison,
-    VERDICTS,
-    compare_records,
-    compare_samples,
-    compare_series,
-    metric_direction,
-)
-from repro.analysis.gate import GateReport, check_regressions
-from repro.analysis.store import (
-    RunRecord,
-    RunStore,
-    environment_fingerprint,
-    fingerprint_hash,
-    resolve_store_dir,
-    spec_fingerprint,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Baseline",
-    "BaselineManager",
-    "Comparison",
-    "GateReport",
-    "MetricComparison",
-    "RunRecord",
-    "RunStore",
-    "VERDICTS",
-    "check_regressions",
-    "compare_records",
-    "compare_samples",
-    "compare_series",
-    "environment_fingerprint",
-    "fingerprint_hash",
-    "metric_direction",
-    "resolve_store_dir",
-    "spec_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.baselines": ("Baseline", "BaselineManager"),
+        "repro.analysis.compare": (
+            "Comparison", "MetricComparison", "VERDICTS", "compare_records",
+            "compare_samples", "compare_series", "metric_direction",
+        ),
+        "repro.analysis.gate": ("GateReport", "check_regressions"),
+        "repro.analysis.store": (
+            "RunRecord", "RunStore", "environment_fingerprint",
+            "fingerprint_hash", "resolve_store_dir", "spec_fingerprint",
+        ),
+    },
+)

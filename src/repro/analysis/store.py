@@ -24,8 +24,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import platform
-import subprocess
 import threading
 import time
 from dataclasses import dataclass, field
@@ -115,6 +113,8 @@ _ENV_CACHE: dict[str, Any] | None = None
 
 
 def _git_sha() -> str | None:
+    import subprocess
+
     try:
         completed = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],
@@ -137,6 +137,9 @@ def environment_fingerprint(refresh: bool = False) -> dict[str, Any]:
     """
     global _ENV_CACHE
     if _ENV_CACHE is None or refresh:
+        # Imported by the first recording, not by every reader of the store.
+        import platform
+
         _ENV_CACHE = {
             "python": platform.python_version(),
             "platform": platform.platform(),

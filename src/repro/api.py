@@ -26,35 +26,49 @@ points are deprecated in favor of this facade.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.analysis.baselines import BaselineManager
-from repro.analysis.compare import (
-    DEFAULT_TOLERANCE,
-    Comparison,
-    compare_records,
-)
-from repro.analysis.gate import GateReport, check_regressions
+from repro._lazy import lazy_exports
+from repro.analysis.compare import DEFAULT_TOLERANCE, compare_records
 from repro.analysis.store import RunRecord, RunStore, resolve_store_dir
-from repro.core.prescription import PrescriptionRepository
-from repro.core.process import ProcessReport
-from repro.core.spec import SPEC_VERSION, BenchmarkSpec
-from repro.execution.harness import BenchmarkHarness, SweepReport
-from repro.loadgen import (
-    LoadPlan,
-    LoadReport,
-    LoadRunner,
-    SLOPolicy,
-    SLOVerdict,
+
+if TYPE_CHECKING:
+    from repro.analysis.compare import Comparison
+    from repro.analysis.gate import GateReport
+    from repro.core.prescription import PrescriptionRepository
+    from repro.core.process import ProcessReport
+    from repro.core.spec import BenchmarkSpec
+    from repro.execution.harness import SweepReport
+    from repro.loadgen.runner import LoadReport
+    from repro.loadgen.slo import SLOPolicy
+    from repro.observability.tracing import Tracer
+    from repro.service.client import ServiceClient
+    from repro.tuning.ablate import AblationReport
+
+# The names this facade re-exports but does not define; each function
+# below imports what it calls when it is called, so `compare` and `gate`
+# never load the runner, the service or the load generator.
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.baselines": ("BaselineManager",),
+        "repro.analysis.compare": ("Comparison",),
+        "repro.analysis.gate": ("GateReport",),
+        "repro.core.process": ("ProcessReport",),
+        "repro.core.spec": ("SPEC_VERSION", "BenchmarkSpec"),
+        "repro.execution.harness": ("SweepReport",),
+        "repro.loadgen.runner": ("LoadPlan", "LoadReport", "LoadRunner"),
+        "repro.loadgen.slo": ("SLOPolicy", "SLOVerdict"),
+        "repro.service.client": ("JobHandle", "ServiceClient"),
+        "repro.service.jobs": ("Job",),
+        "repro.service.orchestrator": ("Orchestrator",),
+        "repro.service.queue": ("AdmissionError",),
+    },
 )
-from repro.observability import Tracer
-from repro.service import (
-    AdmissionError,
-    Job,
-    JobHandle,
-    Orchestrator,
-    ServiceClient,
-)
+__all__ += [
+    "RunRecord", "RunStore", "ablate", "compare", "gate", "load", "run",
+    "serve", "sweep",
+]
 
 
 def run(
@@ -98,6 +112,7 @@ def sweep(
     """
     from repro.core.errors import SpecError
     from repro.core.test_generator import TestGenerator
+    from repro.execution.harness import BenchmarkHarness
     from repro.execution.runner import TestRunner
 
     if (volumes is None) == (parameter is None or values is None):
@@ -169,6 +184,8 @@ def gate(
     :class:`~repro.analysis.baselines.BaselineManager`); the report's
     ``exit_code`` is 0 on pass, 1 on regression.
     """
+    from repro.analysis.gate import check_regressions
+
     store = RunStore(resolve_store_dir(store_dir))
     return check_regressions(
         store,
@@ -200,13 +217,13 @@ def load(
     schedulers: int = 2,
     mean_service: float = 0.005,
     service_distribution: str = "lognormal",
-    slo: "SLOPolicy | None" = None,
+    slo: SLOPolicy | None = None,
     record: bool = False,
     store_dir: str | None = None,
     repository: PrescriptionRepository | None = None,
     tracer: Tracer | None = None,
     **arrival_options: Any,
-) -> "LoadReport":
+) -> LoadReport:
     """Drive a target at a controlled rate and judge it against an SLO.
 
     The target is a seeded synthetic service-time model by default
@@ -218,9 +235,10 @@ def load(
     store as its own comparable series.  ``slo=None`` judges against
     the stock :class:`~repro.loadgen.SLOPolicy` budgets.
     """
-    from repro.loadgen import (
-        LoadPlan,
-        LoadRunner,
+    from repro.core.spec import BenchmarkSpec
+    from repro.loadgen.runner import LoadPlan, LoadRunner
+    from repro.loadgen.slo import SLOPolicy
+    from repro.loadgen.targets import (
         ServiceTarget,
         SyntheticTarget,
         WorkloadTarget,
@@ -281,7 +299,7 @@ def ablate(
     workloads: Any,
     engines: Any = None,
     **options: Any,
-) -> "AblationReport":
+) -> AblationReport:
     """Run a tuning-ablation matrix with statistical verdicts.
 
     Expands workload × engine × {normal, optimized, per-knob one-off},
@@ -294,7 +312,7 @@ def ablate(
     :func:`repro.tuning.ablate.run_ablation` (``repeats``, ``seed``,
     ``layout``, ``service=True`` for queued submission, ...).
     """
-    from repro.tuning import run_ablation
+    from repro.tuning.ablate import run_ablation
 
     return run_ablation(workloads, engines, **options)
 
@@ -310,34 +328,7 @@ def serve(**options: Any) -> ServiceClient:
         with serve(schedulers=4) as client:
             handle = client.submit("micro-wordcount")
     """
+    from repro.service.client import ServiceClient
+
     return ServiceClient(**options)
 
-
-__all__ = [
-    "AdmissionError",
-    "BaselineManager",
-    "BenchmarkSpec",
-    "Comparison",
-    "GateReport",
-    "Job",
-    "JobHandle",
-    "LoadPlan",
-    "LoadReport",
-    "LoadRunner",
-    "Orchestrator",
-    "ProcessReport",
-    "RunRecord",
-    "RunStore",
-    "SLOPolicy",
-    "SLOVerdict",
-    "SPEC_VERSION",
-    "ServiceClient",
-    "SweepReport",
-    "ablate",
-    "compare",
-    "gate",
-    "load",
-    "run",
-    "serve",
-    "sweep",
-]

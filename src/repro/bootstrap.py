@@ -1,87 +1,80 @@
-"""Default component registration.
+"""The built-in component catalogue: three ``name → "module:attr"`` tables.
 
 Importing :mod:`repro` calls :func:`register_default_components`, which
-fills the framework registries with every built-in data generator,
-workload, and engine — the catalogue the user-interface layer and the
-prescription repository draw from.
+enters the tables into the framework registries as references.  No
+generator, workload or engine module is imported until
+:meth:`~repro.core.registry.Registry.create` asks for that entry.
 """
 
 from __future__ import annotations
 
 from repro.core import registry
 
-_registered = False
+GENERATORS = {
+    "random-text": "repro.datagen.text:RandomTextGenerator",
+    "unigram-text": "repro.datagen.text:UnigramTextGenerator",
+    "lda-text": "repro.datagen.text:default_lda_text_generator",
+    "fitted-table": "repro.datagen.table:FittedTableGenerator",
+    "rmat-graph": "repro.datagen.graph:RmatGraphGenerator",
+    "pa-graph": "repro.datagen.graph:PreferentialAttachmentGenerator",
+    "er-graph": "repro.datagen.graph:ErdosRenyiGenerator",
+    "poisson-stream": "repro.datagen.stream:default_poisson_stream_generator",
+    "kv-records": "repro.datagen.kv:KeyValueGenerator",
+    "mixture-table": "repro.datagen.mixture:GaussianMixtureGenerator",
+    "texture-images": "repro.datagen.media:SyntheticImageGenerator",
+    "resumes": "repro.datagen.resume:ResumeGenerator",
+}
+
+#: In :data:`repro.workloads.ALL_WORKLOADS` order; each key is the class's
+#: ``name``.
+WORKLOADS = {
+    "sort": "repro.workloads.micro:SortWorkload",
+    "cfs": "repro.workloads.cfs:CfsWorkload",
+    "terasort": "repro.workloads.micro:TeraSortWorkload",
+    "wordcount": "repro.workloads.micro:WordCountWorkload",
+    "grep": "repro.workloads.micro:GrepWorkload",
+    "inverted-index": "repro.workloads.search:InvertedIndexWorkload",
+    "pagerank": "repro.workloads.search:PageRankWorkload",
+    "kmeans": "repro.workloads.social:KMeansWorkload",
+    "connected-components": "repro.workloads.social:ConnectedComponentsWorkload",
+    "collaborative-filtering":
+        "repro.workloads.ecommerce:CollaborativeFilteringWorkload",
+    "naive-bayes": "repro.workloads.ecommerce:NaiveBayesWorkload",
+    "relational-query": "repro.workloads.relational:RelationalQueryWorkload",
+    "count-url-links": "repro.workloads.relational:CountUrlLinksWorkload",
+    "ycsb": "repro.workloads.oltp:YcsbWorkload",
+    "windowed-aggregation":
+        "repro.workloads.streaming_workloads:WindowedAggregationWorkload",
+    "rolling-update-rate":
+        "repro.workloads.streaming_workloads:RollingUpdateRateWorkload",
+    "hybrid": "repro.workloads.hybrid:HybridWorkload",
+    "image-classification":
+        "repro.workloads.multimedia:ImageClassificationWorkload",
+    "mlp-classification":
+        "repro.workloads.deeplearning:MlpClassificationWorkload",
+}
+
+ENGINES = {
+    "mapreduce": "repro.engines.mapreduce.runtime:MapReduceEngine",
+    "dfs": "repro.engines.dfs.filesystem:DistributedFileSystem",
+    "dbms": "repro.engines.dbms.engine:DbmsEngine",
+    "nosql": "repro.engines.nosql.store:NoSqlStore",
+    "streaming": "repro.engines.streaming.engine:StreamingEngine",
+}
 
 
 def register_default_components(force: bool = False) -> None:
-    """Idempotently register the built-in generators, workloads, engines."""
-    global _registered
-    if _registered and not force:
-        return
+    """Idempotently register the built-in generators, workloads, engines.
 
-    from repro.datagen.graph import (
-        ErdosRenyiGenerator,
-        PreferentialAttachmentGenerator,
-        RmatGraphGenerator,
-    )
-    from repro.datagen.kv import KeyValueGenerator
-    from repro.datagen.media import SyntheticImageGenerator
-    from repro.datagen.mixture import GaussianMixtureGenerator
-    from repro.datagen.resume import ResumeGenerator
-    from repro.datagen.stream import PoissonArrivals, StreamGenerator
-    from repro.datagen.table import FittedTableGenerator
-    from repro.datagen.text import (
-        LdaTextGenerator,
-        RandomTextGenerator,
-        UnigramTextGenerator,
-    )
-    from repro.engines.dbms import DbmsEngine
-    from repro.engines.dfs import DistributedFileSystem
-    from repro.engines.mapreduce import MapReduceEngine
-    from repro.engines.nosql import NoSqlStore
-    from repro.engines.streaming import StreamingEngine
-    from repro.workloads import ALL_WORKLOADS
-
-    if force:
-        registry.generators.clear()
-        registry.workloads.clear()
-        registry.engines.clear()
-
-    generator_factories = {
-        "random-text": RandomTextGenerator,
-        "unigram-text": UnigramTextGenerator,
-        # A small iteration count keeps interactive runs snappy; raise it
-        # through a custom prescription for higher-fidelity veracity.
-        "lda-text": lambda: LdaTextGenerator(iterations=15),
-        "fitted-table": FittedTableGenerator,
-        "rmat-graph": RmatGraphGenerator,
-        "pa-graph": PreferentialAttachmentGenerator,
-        "er-graph": ErdosRenyiGenerator,
-        "poisson-stream": lambda: StreamGenerator(
-            arrivals=PoissonArrivals(rate=1000.0), update_fraction=0.2
-        ),
-        "kv-records": KeyValueGenerator,
-        "mixture-table": GaussianMixtureGenerator,
-        "texture-images": SyntheticImageGenerator,
-        "resumes": ResumeGenerator,
-    }
-    for name, factory in generator_factories.items():
-        if name not in registry.generators:
-            registry.generators.register(name, factory)
-
-    for workload_class in ALL_WORKLOADS:
-        if workload_class.name not in registry.workloads:
-            registry.workloads.register(workload_class.name, workload_class)
-
-    engine_factories = {
-        "mapreduce": MapReduceEngine,
-        "dfs": DistributedFileSystem,
-        "dbms": DbmsEngine,
-        "nosql": NoSqlStore,
-        "streaming": StreamingEngine,
-    }
-    for name, factory in engine_factories.items():
-        if name not in registry.engines:
-            registry.engines.register(name, factory)
-
-    _registered = True
+    ``force=True`` clears the three registries first.
+    """
+    for target, table in (
+        (registry.generators, GENERATORS),
+        (registry.workloads, WORKLOADS),
+        (registry.engines, ENGINES),
+    ):
+        if force:
+            target.clear()
+        for name, reference in table.items():
+            if name not in target:
+                target.register(name, reference)

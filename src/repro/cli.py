@@ -482,19 +482,20 @@ def _job_log(args):
 
 
 def _list(args, out) -> int:
-    from repro import BigDataBenchmark
+    from repro.core import registry
+    from repro.core.prescription import builtin_repository
     from repro.datagen.formats import available_formats
 
-    framework = BigDataBenchmark()
-    ui = framework.user_interface
+    repository = builtin_repository()
     print("prescriptions:", file=out)
-    for name in ui.available_prescriptions():
-        prescription = framework.prescription(name)
+    for name in repository.names():
+        prescription = repository.get(name)
         print(f"  {name:36s} [{prescription.domain}] "
               f"workload={prescription.workload}", file=out)
-    print("engines:       " + ", ".join(ui.available_engines()), file=out)
-    print("generators:    " + ", ".join(ui.available_generators()), file=out)
-    print("workloads:     " + ", ".join(ui.available_workloads()), file=out)
+    print("engines:       " + ", ".join(registry.engines.names()), file=out)
+    print("generators:    " + ", ".join(registry.generators.names()),
+          file=out)
+    print("workloads:     " + ", ".join(registry.workloads.names()), file=out)
     print("formats:       " + ", ".join(available_formats()), file=out)
     return 0
 

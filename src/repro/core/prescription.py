@@ -122,8 +122,22 @@ class PrescriptionRepository:
 
 
 # ---------------------------------------------------------------------------
-# Seed ("real") data sources for veracity-aware generation.
+# Seed ("real") data sources for veracity-aware generation.  The loaders
+# import the embedded corpus (and with it numpy) when called, not when this
+# module is imported.
 # ---------------------------------------------------------------------------
+
+
+def _load_text_corpus() -> DataSet:
+    from repro.datagen.corpus import load_text_corpus
+
+    return load_text_corpus()
+
+
+def _load_social_graph() -> DataSet:
+    from repro.datagen.corpus import load_social_graph
+
+    return load_social_graph()
 
 
 def _load_orders() -> DataSet:
@@ -132,18 +146,12 @@ def _load_orders() -> DataSet:
     return load_retail_tables()["orders"]
 
 
-def _seed_sources() -> dict[str, Callable[[], DataSet]]:
-    from repro.datagen.corpus import load_social_graph, load_text_corpus
-
-    return {
-        "text-corpus": load_text_corpus,
-        "social-graph": load_social_graph,
-        "retail-orders": _load_orders,
-    }
-
-
 #: name → loader of embedded seed data sets (DESIGN.md §2 substitutions).
-SEED_SOURCES: dict[str, Callable[[], DataSet]] = _seed_sources()
+SEED_SOURCES: dict[str, Callable[[], DataSet]] = {
+    "text-corpus": _load_text_corpus,
+    "social-graph": _load_social_graph,
+    "retail-orders": _load_orders,
+}
 
 
 def load_seed(name: str) -> DataSet:

@@ -4,17 +4,26 @@ The framework wires data generators, workloads, engines, and metrics by
 name, so the user-interface layer can offer choices and prescriptions can
 reference components declaratively (Figure 2).  A :class:`Registry` is a
 typed name → factory map; module-level instances hold the framework-wide
-catalogues.
+catalogues.  A factory is a callable or a ``"module:attr"`` reference to
+one: listing names imports nothing, and a reference is imported the
+first time :meth:`Registry.create` asks for it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from typing import Generic, TypeVar
+from importlib import import_module
+from typing import Any, Generic, TypeVar
 
 from repro.core.errors import RegistryError
 
 T = TypeVar("T")
+
+
+def resolve_reference(reference: str) -> Any:
+    """Import the object a ``"module:attr"`` reference names."""
+    module, _, attribute = reference.partition(":")
+    return getattr(import_module(module), attribute)
 
 
 class Registry(Generic[T]):
@@ -22,10 +31,11 @@ class Registry(Generic[T]):
 
     def __init__(self, kind: str) -> None:
         self.kind = kind
-        self._factories: dict[str, Callable[[], T]] = {}
+        self._factories: dict[str, Callable[[], T] | str] = {}
 
-    def register(self, name: str, factory: Callable[[], T]) -> None:
-        """Register a factory; duplicate names are an error."""
+    def register(self, name: str, factory: Callable[[], T] | str) -> None:
+        """Register a factory (or a ``"module:attr"`` reference to one);
+        duplicate names are an error."""
         if name in self._factories:
             raise RegistryError(
                 f"{self.kind} {name!r} is already registered"
@@ -43,6 +53,14 @@ class Registry(Generic[T]):
             raise RegistryError(
                 f"unknown {self.kind} {name!r}; available: {self.names()}"
             )
+        if isinstance(factory, str):
+            try:
+                factory = self._factories[name] = resolve_reference(factory)
+            except (ImportError, AttributeError) as error:
+                raise RegistryError(
+                    f"{self.kind} {name!r} is registered as {factory!r}, "
+                    f"which cannot be loaded: {error}"
+                ) from error
         return factory()
 
     def names(self) -> list[str]:
@@ -63,8 +81,8 @@ class Registry(Generic[T]):
 
 
 # ---------------------------------------------------------------------------
-# Framework-wide registries.  Factories live with the components; importing
-# repro.workloads / repro.engines populates them (see repro/__init__.py).
+# Framework-wide registries.  The built-in entries are the reference tables
+# of repro/bootstrap.py, registered when the repro package is imported.
 # ---------------------------------------------------------------------------
 
 #: name → DataGenerator factory

@@ -6,152 +6,53 @@ table, text, stream, and graph — plus the semi-structured derivatives
 veracity metrics, and format conversion.
 """
 
-from repro.datagen.base import (
-    DEFAULT_CHUNK_SIZE,
-    DataGenerator,
-    DataSet,
-    DataType,
-    RecordBatch,
-    StructureClass,
-    as_dataset,
-    mix_seed,
-)
-from repro.datagen.cache import CacheStats, DatasetCache
-from repro.datagen.formats import available_formats, convert, convert_batches
-from repro.datagen.source import (
-    DatasetSource,
-    GeneratorSource,
-    as_source,
-    ensure_dataset,
-)
-from repro.datagen.graph import (
-    ErdosRenyiGenerator,
-    PreferentialAttachmentGenerator,
-    RmatGraphGenerator,
-)
-from repro.datagen.media import SyntheticImageGenerator, image_features
-from repro.datagen.resume import ResumeGenerator, cluster_cohesion
-from repro.datagen.sampling import scale_down
-from repro.datagen.stream import (
-    BurstyArrivals,
-    DiurnalArrivals,
-    EmpiricalArrivals,
-    EventKind,
-    PoissonArrivals,
-    StreamEvent,
-    StreamGenerator,
-    UniformArrivals,
-)
-from repro.datagen.table import (
-    Categorical,
-    FittedTableGenerator,
-    ForeignKey,
-    Gaussian,
-    SequentialKey,
-    TableGenerator,
-    TableSchema,
-    TextColumn,
-    UniformFloat,
-    UniformInt,
-    Zipf,
-    retail_star_schema,
-)
-from repro.datagen.text import (
-    LdaModel,
-    LdaTextGenerator,
-    RandomTextGenerator,
-    UnigramTextGenerator,
-    tokenize,
-    word_distribution,
-)
-from repro.datagen.velocity import (
-    PacedStream,
-    ParallelGenerationController,
-    UpdateScheduler,
-    VelocityReport,
-)
-from repro.datagen.veracity import (
-    VeracityReport,
-    chi_square_statistic,
-    graph_veracity,
-    jensen_shannon_divergence,
-    kl_divergence,
-    model_veracity,
-    stream_veracity,
-    table_veracity,
-    text_veracity,
-    topic_structure_veracity,
-    total_variation,
-)
-from repro.datagen.weblog import ReviewGenerator, WebLogGenerator
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BurstyArrivals",
-    "CacheStats",
-    "Categorical",
-    "DEFAULT_CHUNK_SIZE",
-    "DataGenerator",
-    "DataSet",
-    "DataType",
-    "DatasetCache",
-    "DatasetSource",
-    "DiurnalArrivals",
-    "EmpiricalArrivals",
-    "ErdosRenyiGenerator",
-    "EventKind",
-    "FittedTableGenerator",
-    "ForeignKey",
-    "Gaussian",
-    "GeneratorSource",
-    "LdaModel",
-    "LdaTextGenerator",
-    "PacedStream",
-    "ParallelGenerationController",
-    "PoissonArrivals",
-    "PreferentialAttachmentGenerator",
-    "RandomTextGenerator",
-    "RecordBatch",
-    "ResumeGenerator",
-    "ReviewGenerator",
-    "RmatGraphGenerator",
-    "SequentialKey",
-    "StreamEvent",
-    "SyntheticImageGenerator",
-    "StreamGenerator",
-    "StructureClass",
-    "TableGenerator",
-    "TableSchema",
-    "TextColumn",
-    "UniformArrivals",
-    "UniformFloat",
-    "UniformInt",
-    "UnigramTextGenerator",
-    "UpdateScheduler",
-    "VelocityReport",
-    "VeracityReport",
-    "WebLogGenerator",
-    "Zipf",
-    "as_dataset",
-    "as_source",
-    "available_formats",
-    "cluster_cohesion",
-    "convert",
-    "convert_batches",
-    "chi_square_statistic",
-    "ensure_dataset",
-    "graph_veracity",
-    "image_features",
-    "jensen_shannon_divergence",
-    "kl_divergence",
-    "mix_seed",
-    "model_veracity",
-    "retail_star_schema",
-    "scale_down",
-    "stream_veracity",
-    "table_veracity",
-    "text_veracity",
-    "tokenize",
-    "topic_structure_veracity",
-    "total_variation",
-    "word_distribution",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.datagen.base": (
+            "DEFAULT_CHUNK_SIZE", "DataGenerator", "DataSet", "DataType",
+            "RecordBatch", "StructureClass", "as_dataset", "mix_seed",
+        ),
+        "repro.datagen.cache": ("CacheStats", "DatasetCache"),
+        "repro.datagen.formats": (
+            "available_formats", "convert", "convert_batches",
+        ),
+        "repro.datagen.source": (
+            "DatasetSource", "GeneratorSource", "as_source", "ensure_dataset",
+        ),
+        "repro.datagen.graph": (
+            "ErdosRenyiGenerator", "PreferentialAttachmentGenerator",
+            "RmatGraphGenerator",
+        ),
+        "repro.datagen.media": ("SyntheticImageGenerator", "image_features"),
+        "repro.datagen.resume": ("ResumeGenerator", "cluster_cohesion"),
+        "repro.datagen.sampling": ("scale_down",),
+        "repro.datagen.stream": (
+            "BurstyArrivals", "DiurnalArrivals", "EmpiricalArrivals",
+            "EventKind", "PoissonArrivals", "StreamEvent", "StreamGenerator",
+            "UniformArrivals",
+        ),
+        "repro.datagen.table": (
+            "Categorical", "FittedTableGenerator", "ForeignKey", "Gaussian",
+            "SequentialKey", "TableGenerator", "TableSchema", "TextColumn",
+            "UniformFloat", "UniformInt", "Zipf", "retail_star_schema",
+        ),
+        "repro.datagen.text": (
+            "LdaModel", "LdaTextGenerator", "RandomTextGenerator",
+            "UnigramTextGenerator", "tokenize", "word_distribution",
+        ),
+        "repro.datagen.velocity": (
+            "PacedStream", "ParallelGenerationController", "UpdateScheduler",
+            "VelocityReport",
+        ),
+        "repro.datagen.veracity": (
+            "VeracityReport", "chi_square_statistic", "graph_veracity",
+            "jensen_shannon_divergence", "kl_divergence", "model_veracity",
+            "stream_veracity", "table_veracity", "text_veracity",
+            "topic_structure_veracity", "total_variation",
+        ),
+        "repro.datagen.weblog": ("ReviewGenerator", "WebLogGenerator"),
+    },
+)

@@ -11,15 +11,17 @@ that generation can be parallelised (step 3, velocity).  Format conversion
 from __future__ import annotations
 
 import enum
+import sys
 from abc import ABC
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import GenerationError, ModelNotFittedError
 from repro.observability import current_tracer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Default records per batch on the chunked data path.  Chosen so a batch
 #: of typical records stays in the megabyte range: small enough to bound
@@ -167,8 +169,6 @@ class DataSet:
 
 def _record_size(record: Any) -> int:
     """Estimate the serialized size of one record in bytes."""
-    if isinstance(record, np.ndarray):
-        return int(record.nbytes)
     if isinstance(record, str):
         return len(record)
     if isinstance(record, bytes):
@@ -179,6 +179,11 @@ def _record_size(record: Any) -> int:
         return sum(_record_size(key) + _record_size(value) for key, value in record.items())
     if isinstance(record, (tuple, list)):
         return sum(_record_size(item) for item in record)
+    # An ndarray can only exist once numpy is loaded, and is none of the
+    # types above: no import machinery on the per-record path.
+    numpy = sys.modules.get("numpy")
+    if numpy is not None and isinstance(record, numpy.ndarray):
+        return int(record.nbytes)
     return len(str(record))
 
 
@@ -189,6 +194,8 @@ def mix_seed(seed: int, *streams: int) -> int:
     generator seeded with ``s`` always produces the same records, regardless
     of how many other partitions run or in which order.
     """
+    import numpy as np
+
     sequence = np.random.SeedSequence(entropy=seed, spawn_key=tuple(streams))
     return int(sequence.generate_state(1)[0])
 
@@ -405,6 +412,8 @@ class DataGenerator(ABC):
 
     def rng_for_partition(self, partition: int, num_partitions: int) -> np.random.Generator:
         """A deterministic, partition-independent random generator."""
+        import numpy as np
+
         return np.random.default_rng(mix_seed(self.seed, num_partitions, partition))
 
     def _wrap(self, records: list[Any], name: str | None) -> DataSet:

@@ -44,10 +44,18 @@ from repro.datagen.base import (
     RecordBatch,
 )
 
-try:  # pragma: no cover - exercised implicitly on every import
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - platforms without shm
-    _shared_memory = None
+
+def _shared_memory() -> Any:
+    """``multiprocessing.shared_memory``, or None on a platform without it.
+
+    Imported at first use: only the process backend's handoff needs it.
+    """
+    try:
+        from multiprocessing import shared_memory
+    except ImportError:  # pragma: no cover - platforms without shm
+        return None
+    return shared_memory
+
 
 #: Records per pickled chunk in a serialized stream (and in the cache's
 #: spill files, which use this module's writer).
@@ -268,9 +276,10 @@ class SharedMemoryStreamSource(StreamSource):
         self.nbytes = nbytes
 
     def _iter_chunks(self) -> Iterator[list[Any]]:
-        if _shared_memory is None:  # pragma: no cover - platform gap
+        shared_memory = _shared_memory()
+        if shared_memory is None:  # pragma: no cover - platform gap
             raise GenerationError("shared memory is unavailable")
-        segment = _shared_memory.SharedMemory(name=self.shm_name)
+        segment = shared_memory.SharedMemory(name=self.shm_name)
         try:
             view = segment.buf[: self.nbytes]
             raw = _MemoryviewReader(view)
@@ -427,9 +436,10 @@ def export_dataset(
     dataset: DataSet = source
     payload = serialize_dataset(dataset)
     metadata = tuple(sorted(dataset.metadata.items()))
-    if prefer_shm and _shared_memory is not None and payload:
+    shared_memory = _shared_memory() if prefer_shm and payload else None
+    if shared_memory is not None:
         try:
-            segment = _shared_memory.SharedMemory(
+            segment = shared_memory.SharedMemory(
                 create=True, size=len(payload)
             )
         except OSError:

@@ -278,3 +278,10 @@ class StreamGenerator(DataGenerator):
         if span <= 0:
             raise GenerationError("stream timestamps have no extent")
         return (len(events) - 1) / span
+
+
+def default_poisson_stream_generator() -> StreamGenerator:
+    """The registry's ``poisson-stream``: 1000 events/s, one update in five."""
+    return StreamGenerator(
+        arrivals=PoissonArrivals(rate=1000.0), update_fraction=0.2
+    )

@@ -372,6 +372,15 @@ class LdaTextGenerator(DataGenerator):
             yield " ".join(self.model.sample_document(rng))
 
 
+def default_lda_text_generator() -> LdaTextGenerator:
+    """The registry's ``lda-text``.
+
+    A small iteration count keeps interactive runs snappy; raise it
+    through a custom prescription for higher-fidelity veracity.
+    """
+    return LdaTextGenerator(iterations=15)
+
+
 class UnigramTextGenerator(DataGenerator):
     """Baseline: learns only the marginal word frequencies (no topics)."""
 

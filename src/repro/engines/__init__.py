@@ -10,30 +10,18 @@ substitutions):
 * :mod:`repro.engines.streaming` — stream processor.
 """
 
-from repro.engines.base import (
-    CostCounters,
-    Engine,
-    EngineInfo,
-    SimulatedClusterSpec,
-    schedule_lpt,
-)
-from repro.engines.faults import (
-    FaultSpec,
-    FaultyEngine,
-    FaultyWorkload,
-    InjectedFault,
-    with_faults,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CostCounters",
-    "Engine",
-    "EngineInfo",
-    "FaultSpec",
-    "FaultyEngine",
-    "FaultyWorkload",
-    "InjectedFault",
-    "SimulatedClusterSpec",
-    "schedule_lpt",
-    "with_faults",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.engines.base": (
+            "CostCounters", "Engine", "EngineInfo", "SimulatedClusterSpec",
+            "schedule_lpt",
+        ),
+        "repro.engines.faults": (
+            "FaultSpec", "FaultyEngine", "FaultyWorkload", "InjectedFault",
+            "with_faults",
+        ),
+    },
+)

@@ -1,31 +1,17 @@
 """A from-scratch relational engine (the parallel-DBMS substitute)."""
 
-from repro.engines.dbms.catalog import Catalog, TableStats
-from repro.engines.dbms.engine import DbmsEngine, QueryResult
-from repro.engines.dbms.expressions import col, lit
-from repro.engines.dbms.planner import (
-    JoinSpec,
-    Planner,
-    PlannerConfig,
-    Query,
-    QueryBuilder,
-)
-from repro.engines.dbms.plans import Aggregate
-from repro.engines.dbms.storage import HeapTable, SortedIndex
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Aggregate",
-    "Catalog",
-    "DbmsEngine",
-    "HeapTable",
-    "JoinSpec",
-    "Planner",
-    "PlannerConfig",
-    "Query",
-    "QueryBuilder",
-    "QueryResult",
-    "SortedIndex",
-    "TableStats",
-    "col",
-    "lit",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.engines.dbms.catalog": ("Catalog", "TableStats"),
+        "repro.engines.dbms.engine": ("DbmsEngine", "QueryResult"),
+        "repro.engines.dbms.expressions": ("col", "lit"),
+        "repro.engines.dbms.planner": (
+            "JoinSpec", "Planner", "PlannerConfig", "Query", "QueryBuilder",
+        ),
+        "repro.engines.dbms.plans": ("Aggregate",),
+        "repro.engines.dbms.storage": ("HeapTable", "SortedIndex"),
+    },
+)

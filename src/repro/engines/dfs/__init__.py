@@ -1,17 +1,13 @@
 """A simulated distributed file system (the HDFS substitute)."""
 
-from repro.engines.dfs.filesystem import (
-    BlockLocation,
-    DataNode,
-    DfsOpReport,
-    DistributedFileSystem,
-    FileEntry,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BlockLocation",
-    "DataNode",
-    "DfsOpReport",
-    "DistributedFileSystem",
-    "FileEntry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.engines.dfs.filesystem": (
+            "BlockLocation", "DataNode", "DfsOpReport",
+            "DistributedFileSystem", "FileEntry",
+        ),
+    },
+)

@@ -1,33 +1,20 @@
 """A from-scratch MapReduce engine (the Hadoop substitute, DESIGN.md §2)."""
 
-from repro.engines.mapreduce.cluster import ClusterModel, ClusterReport, PhaseTiming
-from repro.engines.mapreduce.counters import CounterGroup
-from repro.engines.mapreduce.job import (
-    JobChain,
-    JobConf,
-    MapReduceJob,
-    default_partitioner,
-    identity_mapper,
-    identity_reducer,
-)
-from repro.engines.mapreduce.runtime import (
-    DEFAULT_COMBINE_BATCH_RECORDS,
-    JobResult,
-    MapReduceEngine,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ClusterModel",
-    "ClusterReport",
-    "CounterGroup",
-    "DEFAULT_COMBINE_BATCH_RECORDS",
-    "JobChain",
-    "JobConf",
-    "JobResult",
-    "MapReduceEngine",
-    "MapReduceJob",
-    "PhaseTiming",
-    "default_partitioner",
-    "identity_mapper",
-    "identity_reducer",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.engines.mapreduce.cluster": (
+            "ClusterModel", "ClusterReport", "PhaseTiming",
+        ),
+        "repro.engines.mapreduce.counters": ("CounterGroup",),
+        "repro.engines.mapreduce.job": (
+            "JobChain", "JobConf", "MapReduceJob", "default_partitioner",
+            "identity_mapper", "identity_reducer",
+        ),
+        "repro.engines.mapreduce.runtime": (
+            "DEFAULT_COMBINE_BATCH_RECORDS", "JobResult", "MapReduceEngine",
+        ),
+    },
+)

@@ -1,41 +1,18 @@
 """A partitioned NoSQL store plus a YCSB-style client (the NoSQL substitute)."""
 
-from repro.engines.nosql.client import (
-    STANDARD_WORKLOADS,
-    OpType,
-    RequestDistribution,
-    YcsbClient,
-    YcsbRunReport,
-    YcsbWorkloadSpec,
-    workload_a,
-    workload_b,
-    workload_c,
-    workload_d,
-    workload_e,
-    workload_f,
-)
-from repro.engines.nosql.store import (
-    ConsistencyLevel,
-    LatencyModel,
-    NoSqlStore,
-    OpResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConsistencyLevel",
-    "LatencyModel",
-    "NoSqlStore",
-    "OpResult",
-    "OpType",
-    "RequestDistribution",
-    "STANDARD_WORKLOADS",
-    "YcsbClient",
-    "YcsbRunReport",
-    "YcsbWorkloadSpec",
-    "workload_a",
-    "workload_b",
-    "workload_c",
-    "workload_d",
-    "workload_e",
-    "workload_f",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.engines.nosql.client": (
+            "STANDARD_WORKLOADS", "OpType", "RequestDistribution",
+            "YcsbClient", "YcsbRunReport", "YcsbWorkloadSpec", "workload_a",
+            "workload_b", "workload_c", "workload_d", "workload_e",
+            "workload_f",
+        ),
+        "repro.engines.nosql.store": (
+            "ConsistencyLevel", "LatencyModel", "NoSqlStore", "OpResult",
+        ),
+    },
+)

@@ -1,25 +1,14 @@
 """A mini stream-processing engine (the real-time analytics substitute)."""
 
-from repro.engines.streaming.engine import (
-    FilterOperator,
-    MapOperator,
-    SlidingWindowAggregate,
-    StreamingEngine,
-    StreamOperator,
-    StreamRunReport,
-    Topology,
-    TumblingWindowAggregate,
-    WindowResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FilterOperator",
-    "MapOperator",
-    "SlidingWindowAggregate",
-    "StreamOperator",
-    "StreamRunReport",
-    "StreamingEngine",
-    "Topology",
-    "TumblingWindowAggregate",
-    "WindowResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.engines.streaming.engine": (
+            "FilterOperator", "MapOperator", "SlidingWindowAggregate",
+            "StreamingEngine", "StreamOperator", "StreamRunReport", "Topology",
+            "TumblingWindowAggregate", "WindowResult",
+        ),
+    },
+)

@@ -22,10 +22,12 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, TypeVar
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro.core.errors import ExecutionError
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -161,6 +163,9 @@ class ThreadExecutor(_PoolBackedExecutor):
     name = "thread"
 
     def _make_pool(self) -> ThreadPoolExecutor:
+        # Imported with the first pool: a serial run never pays for it.
+        from concurrent.futures import ThreadPoolExecutor
+
         return ThreadPoolExecutor(
             max_workers=self.max_workers, thread_name_prefix="repro-exec"
         )
@@ -179,6 +184,8 @@ class ProcessExecutor(_PoolBackedExecutor):
     name = "process"
 
     def _make_pool(self) -> ProcessPoolExecutor:
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=self.max_workers)
 
     def _chunksize(self, num_items: int) -> int:

@@ -43,9 +43,8 @@ import os
 import time
 import weakref
 from collections.abc import Iterable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import ExecutionError
 from repro.datagen.cache import DatasetCache
@@ -56,6 +55,9 @@ from repro.datagen.handoff import (
     fingerprint_handle,
 )
 from repro.execution.parallel import compute_chunksize
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
     "TaskDescriptor",
@@ -331,6 +333,8 @@ class WorkerPool:
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._state["pool"] is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             handles = tuple(
                 export.handle for export in self.exports.values()
             )

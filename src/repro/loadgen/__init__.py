@@ -8,42 +8,22 @@ does — synthetic model, prescribed workload, or the benchmark service),
 together on a virtual or real clock, recording into the run store).
 """
 
-from repro.loadgen.arrivals import (
-    ARRIVAL_KINDS,
-    arrival_process,
-    arrival_schedule,
-)
-from repro.loadgen.runner import (
-    CLOCK_KINDS,
-    LoadPlan,
-    LoadReport,
-    LoadRunner,
-    load_fingerprint,
-)
-from repro.loadgen.slo import SLOCheck, SLOPolicy, SLOVerdict
-from repro.loadgen.targets import (
-    SERVICE_DISTRIBUTIONS,
-    LoadTarget,
-    ServiceTarget,
-    SyntheticTarget,
-    WorkloadTarget,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ARRIVAL_KINDS",
-    "CLOCK_KINDS",
-    "SERVICE_DISTRIBUTIONS",
-    "LoadPlan",
-    "LoadReport",
-    "LoadRunner",
-    "LoadTarget",
-    "SLOCheck",
-    "SLOPolicy",
-    "SLOVerdict",
-    "ServiceTarget",
-    "SyntheticTarget",
-    "WorkloadTarget",
-    "arrival_process",
-    "arrival_schedule",
-    "load_fingerprint",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.loadgen.arrivals": (
+            "ARRIVAL_KINDS", "arrival_process", "arrival_schedule",
+        ),
+        "repro.loadgen.runner": (
+            "CLOCK_KINDS", "LoadPlan", "LoadReport", "LoadRunner",
+            "load_fingerprint",
+        ),
+        "repro.loadgen.slo": ("SLOCheck", "SLOPolicy", "SLOVerdict"),
+        "repro.loadgen.targets": (
+            "SERVICE_DISTRIBUTIONS", "LoadTarget", "ServiceTarget",
+            "SyntheticTarget", "WorkloadTarget",
+        ),
+    },
+)

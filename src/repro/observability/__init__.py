@@ -7,22 +7,14 @@ record into the thread's current :class:`Tracer`.  See
 :mod:`repro.observability.tracing`.
 """
 
-from repro.observability.tracing import (
-    NULL_SPAN,
-    NULL_TRACER,
-    Span,
-    Tracer,
-    current_tracer,
-    summarize_spans,
-    trace_span,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "NULL_SPAN",
-    "NULL_TRACER",
-    "Span",
-    "Tracer",
-    "current_tracer",
-    "summarize_spans",
-    "trace_span",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.observability.tracing": (
+            "NULL_SPAN", "NULL_TRACER", "Span", "Tracer", "current_tracer",
+            "summarize_spans", "trace_span",
+        ),
+    },
+)

@@ -20,30 +20,18 @@ service in front of it:
   ``jobs list|show|cancel``) drive.
 """
 
-from repro.service.client import JobHandle, ServiceClient
-from repro.service.jobs import (
-    JOB_STATES,
-    TERMINAL_STATES,
-    Job,
-    JobLog,
-)
-from repro.service.orchestrator import JobEvent, Orchestrator
-from repro.service.queue import (
-    ADMISSION_REASONS,
-    AdmissionError,
-    AdmissionQueue,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ADMISSION_REASONS",
-    "AdmissionError",
-    "AdmissionQueue",
-    "JOB_STATES",
-    "Job",
-    "JobEvent",
-    "JobHandle",
-    "JobLog",
-    "Orchestrator",
-    "ServiceClient",
-    "TERMINAL_STATES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.client": ("JobHandle", "ServiceClient"),
+        "repro.service.jobs": (
+            "JOB_STATES", "TERMINAL_STATES", "Job", "JobLog",
+        ),
+        "repro.service.orchestrator": ("JobEvent", "Orchestrator"),
+        "repro.service.queue": (
+            "ADMISSION_REASONS", "AdmissionError", "AdmissionQueue",
+        ),
+    },
+)

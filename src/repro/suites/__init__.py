@@ -12,38 +12,21 @@ This package regenerates the paper's evaluation artifacts:
   repository's engines.
 """
 
-from repro.suites.classify import Table1Row, classify_generator, classify_suite
-from repro.suites.miniatures import (
-    MINIATURES,
-    MiniatureReport,
-    run_miniature,
-)
-from repro.suites.registry import SUITES, SuiteModel, suite
-from repro.suites.tables import (
-    PAPER_TABLE1,
-    PAPER_TABLE2,
-    Table2Row,
-    generate_table1,
-    generate_table2,
-    table1_matches_paper,
-    table2_matches_paper,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MINIATURES",
-    "MiniatureReport",
-    "PAPER_TABLE1",
-    "PAPER_TABLE2",
-    "SUITES",
-    "SuiteModel",
-    "Table1Row",
-    "Table2Row",
-    "classify_generator",
-    "classify_suite",
-    "generate_table1",
-    "generate_table2",
-    "run_miniature",
-    "suite",
-    "table1_matches_paper",
-    "table2_matches_paper",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.suites.classify": (
+            "Table1Row", "classify_generator", "classify_suite",
+        ),
+        "repro.suites.miniatures": (
+            "MINIATURES", "MiniatureReport", "run_miniature",
+        ),
+        "repro.suites.registry": ("SUITES", "SuiteModel", "suite"),
+        "repro.suites.tables": (
+            "PAPER_TABLE1", "PAPER_TABLE2", "Table2Row", "generate_table1",
+            "generate_table2", "table1_matches_paper", "table2_matches_paper",
+        ),
+    },
+)

@@ -8,47 +8,21 @@ surface (:mod:`repro.tuning.profiles`) and an ablation driver
 (:mod:`repro.tuning.ablate`) that sweeps workload × engine ×
 {normal, optimized, per-knob one-off} with the statistical machinery of
 :mod:`repro.analysis.compare` judging every pair.
-
-Attribute access is lazy (PEP 562): importing
-``repro.tuning.profiles`` from hot paths (the five-step process, the
-orchestrator) must not drag the ablation driver and the analysis stack
-in with it.
 """
 
-from typing import Any
+from repro._lazy import lazy_exports
 
-_EXPORTS = {
-    "AblationCell": "repro.tuning.ablate",
-    "AblationReport": "repro.tuning.ablate",
-    "AblationVerdict": "repro.tuning.ablate",
-    "render_ablation": "repro.tuning.ablate",
-    "resolve_workloads": "repro.tuning.ablate",
-    "run_ablation": "repro.tuning.ablate",
-    "DATASET_CACHE_KNOB": "repro.tuning.profiles",
-    "ENGINE_KNOBS": "repro.tuning.profiles",
-    "TuningProfile": "repro.tuning.profiles",
-    "available_profiles": "repro.tuning.profiles",
-    "builtin_profiles": "repro.tuning.profiles",
-    "get_profile": "repro.tuning.profiles",
-    "normal": "repro.tuning.profiles",
-    "one_off_profiles": "repro.tuning.profiles",
-    "optimized": "repro.tuning.profiles",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str) -> Any:
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.tuning.ablate": (
+            "AblationCell", "AblationReport", "AblationVerdict",
+            "render_ablation", "resolve_workloads", "run_ablation",
+        ),
+        "repro.tuning.profiles": (
+            "DATASET_CACHE_KNOB", "ENGINE_KNOBS", "TuningProfile",
+            "available_profiles", "builtin_profiles", "get_profile", "normal",
+            "one_off_profiles", "optimized",
+        ),
+    },
+)

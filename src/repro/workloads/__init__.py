@@ -6,94 +6,43 @@ operations, and pattern — then implements ``run_<engine>`` per supported
 substrate.
 """
 
-from repro.workloads.base import (
-    ApplicationDomain,
-    Workload,
-    WorkloadCategory,
-    WorkloadResult,
-)
-from repro.workloads.cfs import CfsWorkload
-from repro.workloads.deeplearning import MlpClassificationWorkload
-from repro.workloads.ecommerce import (
-    CollaborativeFilteringWorkload,
-    NaiveBayesWorkload,
-    label_document,
-)
-from repro.workloads.hybrid import (
-    ArrivalPattern,
-    HybridWorkload,
-    profile_arrival_pattern,
-)
-from repro.workloads.multimedia import ImageClassificationWorkload
-from repro.workloads.micro import (
-    GrepWorkload,
-    SortWorkload,
-    TeraSortWorkload,
-    WordCountWorkload,
-)
-from repro.workloads.oltp import YcsbWorkload
-from repro.workloads.relational import (
-    CountUrlLinksWorkload,
-    RelationalQueryWorkload,
-    derive_products,
-)
-from repro.workloads.search import InvertedIndexWorkload, PageRankWorkload
-from repro.workloads.social import ConnectedComponentsWorkload, KMeansWorkload
-from repro.workloads.streaming_workloads import (
-    RollingUpdateRateWorkload,
-    WindowedAggregationWorkload,
-)
+from repro._lazy import lazy_exports
 
-#: Every built-in workload class, in registry order.
-ALL_WORKLOADS: tuple[type[Workload], ...] = (
-    SortWorkload,
-    CfsWorkload,
-    TeraSortWorkload,
-    WordCountWorkload,
-    GrepWorkload,
-    InvertedIndexWorkload,
-    PageRankWorkload,
-    KMeansWorkload,
-    ConnectedComponentsWorkload,
-    CollaborativeFilteringWorkload,
-    NaiveBayesWorkload,
-    RelationalQueryWorkload,
-    CountUrlLinksWorkload,
-    YcsbWorkload,
-    WindowedAggregationWorkload,
-    RollingUpdateRateWorkload,
-    HybridWorkload,
-    ImageClassificationWorkload,
-    MlpClassificationWorkload,
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.base": (
+            "ApplicationDomain", "Workload", "WorkloadCategory",
+            "WorkloadResult",
+        ),
+        "repro.workloads.cfs": ("CfsWorkload",),
+        "repro.workloads.deeplearning": ("MlpClassificationWorkload",),
+        "repro.workloads.ecommerce": (
+            "CollaborativeFilteringWorkload", "NaiveBayesWorkload",
+            "label_document",
+        ),
+        "repro.workloads.hybrid": (
+            "ArrivalPattern", "HybridWorkload", "profile_arrival_pattern",
+        ),
+        "repro.workloads.multimedia": ("ImageClassificationWorkload",),
+        "repro.workloads.micro": (
+            "GrepWorkload", "SortWorkload", "TeraSortWorkload",
+            "WordCountWorkload",
+        ),
+        "repro.workloads.oltp": ("YcsbWorkload",),
+        "repro.workloads.relational": (
+            "CountUrlLinksWorkload", "RelationalQueryWorkload",
+            "derive_products",
+        ),
+        "repro.workloads.search": (
+            "InvertedIndexWorkload", "PageRankWorkload",
+        ),
+        "repro.workloads.social": (
+            "ConnectedComponentsWorkload", "KMeansWorkload",
+        ),
+        "repro.workloads.streaming_workloads": (
+            "RollingUpdateRateWorkload", "WindowedAggregationWorkload",
+        ),
+        "repro.workloads.builtin": ("ALL_WORKLOADS",),
+    },
 )
-
-__all__ = [
-    "ALL_WORKLOADS",
-    "ApplicationDomain",
-    "CfsWorkload",
-    "ArrivalPattern",
-    "CollaborativeFilteringWorkload",
-    "ConnectedComponentsWorkload",
-    "CountUrlLinksWorkload",
-    "GrepWorkload",
-    "HybridWorkload",
-    "ImageClassificationWorkload",
-    "MlpClassificationWorkload",
-    "InvertedIndexWorkload",
-    "KMeansWorkload",
-    "NaiveBayesWorkload",
-    "PageRankWorkload",
-    "RelationalQueryWorkload",
-    "RollingUpdateRateWorkload",
-    "SortWorkload",
-    "TeraSortWorkload",
-    "WindowedAggregationWorkload",
-    "WordCountWorkload",
-    "Workload",
-    "WorkloadCategory",
-    "WorkloadResult",
-    "YcsbWorkload",
-    "derive_products",
-    "label_document",
-    "profile_arrival_pattern",
-]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from collections.abc import Iterable, Iterator, Sequence
@@ -85,6 +86,63 @@ def batched(iterable: Iterable[T], batch_size: int) -> Iterator[list[T]]:
             batch = []
     if batch:
         yield batch
+
+
+#: From this many characters up one numpy dot product beats the loop
+#: (measured, loop vs dot product: 5 vs 4 us at 32 characters, 46 vs 7
+#: at 342; the dot product costs 3 us however short the string).
+_VECTOR_HASH_FROM = 32
+#: Characters per dot product, i.e. the length of the power table.
+_HASH_BLOCK = 512
+
+
+def stable_hash(text: str, multiplier: int) -> int:
+    """The polynomial string hash ``h = (h * multiplier + ord(c)) mod 2**31``.
+
+    Reproducible across processes and machines, which ``hash(str)`` is
+    not; the MapReduce partitioner (x31) and the NoSQL store (x131)
+    place keys with it.  Reduction mod 2**31 is a ring homomorphism, so
+    the Horner recurrence equals ``sum(ord(c_i) * multiplier**(n-1-i))``;
+    long strings take that sum as a ``uint64`` dot product, whose
+    wrap-around mod 2**64 is harmless because 2**31 divides 2**64.
+    """
+    if len(text) < _VECTOR_HASH_FROM:
+        digest = 0
+        for char in text:
+            digest = (digest * multiplier + ord(char)) & 0x7FFFFFFF
+        return digest
+    import numpy as np
+
+    powers = _hash_powers(multiplier)
+    # UTF-32 is one code point per unit; lone surrogates pass as ord() sees them.
+    codes = np.frombuffer(
+        text.encode("utf-32-le", "surrogatepass"), dtype="<u4"
+    ).astype(np.uint64)
+    digest = 0
+    for start in range(0, len(codes), _HASH_BLOCK):
+        block = codes[start : start + _HASH_BLOCK]
+        block_hash = int(block.dot(powers[_HASH_BLOCK - len(block) :]))
+        if digest:  # the blocks before this one, shifted past it
+            block_hash += digest * pow(multiplier, len(block), 1 << 31)
+        digest = block_hash & 0x7FFFFFFF
+    return digest
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_powers(multiplier: int):
+    """``multiplier**k mod 2**64`` for k = _HASH_BLOCK-1 .. 0, read-only.
+
+    Built at first use (numpy stays off the import path) and never
+    grown, so threads can only ever race to build the same table.
+    """
+    import numpy as np
+
+    powers = np.array(
+        [pow(multiplier, k, 1 << 64) for k in range(_HASH_BLOCK - 1, -1, -1)],
+        dtype=np.uint64,
+    )
+    powers.flags.writeable = False
+    return powers
 
 
 class Stopwatch:

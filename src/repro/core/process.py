@@ -142,7 +142,13 @@ class BenchmarkingProcess:
             "partitions": spec.data_partitions,
         }
         if isinstance(dataset, DataSet):
-            generation_detail["bytes"] = dataset.estimated_bytes()
+            # The dataset cache sized it when select_data put it there.
+            cache = self.test_generator.dataset_cache
+            generation_detail["bytes"] = (
+                cache.size_of(dataset)
+                if cache is not None
+                else dataset.estimated_bytes()
+            )
         else:
             # A streaming source: nothing has been generated yet, and
             # sizing it would consume a full pass — record the shape

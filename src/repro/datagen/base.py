@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import sys
 from abc import ABC
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -82,7 +82,7 @@ class RecordBatch:
 
     def estimated_bytes(self) -> int:
         """A cheap, deterministic estimate of the batch's serialized size."""
-        return sum(_record_size(record) for record in self.records)
+        return sum(map(_record_size, self.records))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -120,10 +120,7 @@ class DataSet:
 
     def estimated_bytes(self) -> int:
         """A cheap, deterministic estimate of the serialized data volume."""
-        total = 0
-        for record in self.records:
-            total += _record_size(record)
-        return total
+        return sum(map(_record_size, self.records))
 
     def head(self, count: int = 5) -> list[Any]:
         """The first ``count`` records, for inspection and reporting."""
@@ -167,11 +164,46 @@ class DataSet:
         )
 
 
+#: Exact record type -> sizer, for record classes defined outside this
+#: module; each adds itself when its module is imported (``StreamEvent``).
+_EXACT_SIZERS: dict[type, Callable[[Any], int]] = {}
+
+
 def _record_size(record: Any) -> int:
-    """Estimate the serialized size of one record in bytes."""
-    if isinstance(record, str):
+    """Estimate the serialized size of one record in bytes.
+
+    Characters of text, 8 bytes per number, containers as the sum of
+    their items, anything else as the length of its ``str()``.  The
+    exact builtin types generators emit are recognised by one ``type()``
+    comparison; subclasses and everything else take the ``isinstance``
+    chain below, which is the definition.
+    """
+    kind = type(record)
+    if kind is str:
         return len(record)
-    if isinstance(record, bytes):
+    if kind is int or kind is float:
+        return 8
+    if kind is tuple or kind is list:
+        # Rows are flat: text and numbers are sized here, without a
+        # call per field.
+        total = 0
+        for item in record:
+            item_kind = type(item)
+            if item_kind is str:
+                total += len(item)
+            elif item_kind is int or item_kind is float:
+                total += 8
+            else:
+                total += _record_size(item)
+        return total
+    if kind is dict:
+        return sum(map(_record_size, record)) + sum(
+            map(_record_size, record.values())
+        )
+    sizer = _EXACT_SIZERS.get(kind)
+    if sizer is not None:
+        return sizer(record)
+    if isinstance(record, (str, bytes)):
         return len(record)
     if isinstance(record, (int, float)):
         return 8
@@ -333,8 +365,7 @@ class DataGenerator(ABC):
                         records=buffer, data_type=self.data_type,
                         index=index, offset=offset,
                     )
-                    tracer.count("batches")
-                    tracer.count_max("peak_batch_bytes", batch.estimated_bytes())
+                    _trace_batch(tracer, batch)
                     yield batch
                     offset += len(buffer)
                     index += 1
@@ -344,8 +375,7 @@ class DataGenerator(ABC):
                 records=buffer, data_type=self.data_type,
                 index=index, offset=offset,
             )
-            tracer.count("batches")
-            tracer.count_max("peak_batch_bytes", batch.estimated_bytes())
+            _trace_batch(tracer, batch)
             yield batch
 
     def generate(self, volume: int, name: str | None = None) -> DataSet:
@@ -423,6 +453,17 @@ class DataGenerator(ABC):
             records=records,
             metadata={"generator": self.name, "seed": self.seed},
         )
+
+
+def _trace_batch(tracer: Any, batch: RecordBatch) -> None:
+    """Count one streamed batch on the current span, if anyone is tracing.
+
+    Sizing a batch walks every record, so the gauge's argument is only
+    evaluated for a tracer that is on.
+    """
+    if tracer.enabled:
+        tracer.count("batches")
+        tracer.count_max("peak_batch_bytes", batch.estimated_bytes())
 
 
 def _generate_partition_payload(payload: tuple) -> list[Any]:

@@ -343,6 +343,19 @@ class DatasetCache:
                         evicted.path.unlink(missing_ok=True)
             self._enforce_budget_locked(keep=None)
 
+    def size_of(self, dataset: DataSet) -> int:
+        """``dataset.estimated_bytes()``, from its entry when it has one.
+
+        :meth:`put` sized the data set it was handed; a caller holding
+        that same object (what :meth:`get_or_generate` returns) reads
+        the number back instead of walking every record again.
+        """
+        with self._lock:
+            for entry in self._entries.values():
+                if entry.dataset is dataset:
+                    return entry.nbytes
+        return dataset.estimated_bytes()
+
     def _enforce_budget_locked(self, keep: CacheKey | None) -> None:
         """Spill (or evict) LRU resident entries until under budget.
 

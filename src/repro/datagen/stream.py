@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.errors import GenerationError
-from repro.datagen.base import DataGenerator, DataSet, DataType
+from repro.datagen.base import _EXACT_SIZERS, DataGenerator, DataSet, DataType
 
 
 class EventKind(enum.Enum):
@@ -47,6 +47,34 @@ class StreamEvent:
     key: int
     value: float
     kind: EventKind = EventKind.INSERT
+
+
+#: What ``repr(StreamEvent(...))`` adds around the four field reprs.
+_EVENT_FRAME = len("StreamEvent(timestamp=, key=, value=, kind=)")
+#: ``len(repr(kind))`` by ``id(kind)``: enum members are singletons that
+#: live as long as the module, and hashing one runs Python code.
+_KIND_REPR_SIZE = {id(kind): len(repr(kind)) for kind in EventKind}
+
+
+def _event_size(event: StreamEvent) -> int:
+    """``len(str(event))``, the size of an event as a record.
+
+    Added up from the field reprs, so sizing a stream does not build one
+    dataclass repr (recursion guard, enum repr) per event.
+    """
+    kind_size = _KIND_REPR_SIZE.get(id(event.kind))
+    if kind_size is None:  # not an EventKind: whatever its repr says
+        kind_size = len(repr(event.kind))
+    return (
+        _EVENT_FRAME
+        + len(repr(event.timestamp))
+        + len(repr(event.key))
+        + len(repr(event.value))
+        + kind_size
+    )
+
+
+_EXACT_SIZERS[StreamEvent] = _event_size
 
 
 class ArrivalProcess(ABC):

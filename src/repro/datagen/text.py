@@ -423,6 +423,10 @@ class UnigramTextGenerator(DataGenerator):
             yield " ".join([words[index] for index in indexes.tolist()])
 
 
+#: Documents whose word indexes :class:`RandomTextGenerator` draws at once.
+_DOCUMENTS_PER_DRAW = 256
+
+
 class RandomTextGenerator(PurelySyntheticMixin, DataGenerator):
     """Purely synthetic text: uniform random words from a fixed word list.
 
@@ -459,9 +463,19 @@ class RandomTextGenerator(PurelySyntheticMixin, DataGenerator):
         count = self.partition_volume(volume, partition, num_partitions)
         rng = self.rng_for_partition(partition, num_partitions)
         words = self.words
-        for _ in range(count):
-            indexes = rng.integers(len(words), size=self.document_length)
-            yield " ".join([words[index] for index in indexes.tolist()])
+        # One draw per block of documents: the same stream as one draw
+        # per document (pinned by tests/datagen/test_seeded_digests.py),
+        # without a numpy call per record; memory stays one block.
+        for start in range(0, count, _DOCUMENTS_PER_DRAW):
+            block = rng.integers(
+                len(words),
+                size=(
+                    min(_DOCUMENTS_PER_DRAW, count - start),
+                    self.document_length,
+                ),
+            )
+            for indexes in block.tolist():
+                yield " ".join([words[index] for index in indexes])
 
 
 def word_distribution(documents: Iterable[str]) -> dict[str, float]:

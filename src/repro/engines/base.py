@@ -12,7 +12,9 @@ in :mod:`repro.engines` therefore implements this small common surface:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Iterable
 from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass
@@ -64,6 +66,21 @@ class CostCounters:
         self.compute_ops = 0
         self.network_bytes = 0
         self.batches = 0
+
+
+def estimate_pair_bytes(pairs: Iterable[tuple[Any, Any]]) -> int:
+    """The serialized size the byte counters charge for ``(key, value)`` pairs.
+
+    ``len(str(key)) + len(str(value))`` per pair, summed in one call per
+    task or operation; an exact ``str`` is its own string form, so it
+    skips the ``str()`` call.
+    """
+    total = 0
+    for key, value in pairs:
+        total += len(key if type(key) is str else str(key)) + len(
+            value if type(value) is str else str(value)
+        )
+    return total
 
 
 @dataclass

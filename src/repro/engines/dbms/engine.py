@@ -124,12 +124,7 @@ class DbmsEngine(Engine):
     ) -> int:
         """Update all rows matching ``predicate``; returns the count."""
         heap = self.catalog.table(table)
-        layout = heap.layout
-        matching = [
-            row_id
-            for row_id, row in enumerate(heap._rows)  # noqa: SLF001 - engine-internal
-            if row is not None and predicate.evaluate(row, layout)
-        ]
+        matching = self.planner.matching_row_ids(heap, predicate)
         for row_id in matching:
             heap.update_row(row_id, updates)
         self.counters.records_written += len(matching)
@@ -138,12 +133,7 @@ class DbmsEngine(Engine):
     def delete(self, table: str, predicate: Expression) -> int:
         """Delete all rows matching ``predicate``; returns the count."""
         heap = self.catalog.table(table)
-        layout = heap.layout
-        matching = [
-            row_id
-            for row_id, row in enumerate(heap._rows)  # noqa: SLF001 - engine-internal
-            if row is not None and predicate.evaluate(row, layout)
-        ]
+        matching = self.planner.matching_row_ids(heap, predicate)
         for row_id in matching:
             heap.delete_row(row_id)
         self.counters.records_written += len(matching)

@@ -42,6 +42,7 @@ from repro.engines.dbms.plans import (
     SeqScan,
     Sort,
 )
+from repro.engines.dbms.storage import HeapTable
 from repro.engines.dbms.vector_plans import (
     BatchAggregate,
     BatchFilter,
@@ -217,22 +218,13 @@ class Planner:
             local, remaining = [], list(conjuncts)
 
         operator: PhysicalOperator | VectorOperator | None = None
-        if self.config.use_indexes:
-            for conjunct in local:
-                if (
-                    isinstance(conjunct, Comparison)
-                    and conjunct.is_equality_on_column
-                    and table.has_index(conjunct.left.name)  # type: ignore[union-attr]
-                ):
-                    scan_type = ColumnarIndexScan if columnar else IndexScan
-                    operator = scan_type(
-                        table,
-                        conjunct.left.name,  # type: ignore[union-attr]
-                        cost,
-                        value=conjunct.right.value,  # type: ignore[union-attr]
-                    )
-                    local = [c for c in local if c is not conjunct]
-                    break
+        conjunct = self._index_conjunct(table, local)
+        if conjunct is not None:
+            scan_type = ColumnarIndexScan if columnar else IndexScan
+            operator = scan_type(
+                table, conjunct.left.name, cost, value=conjunct.right.value
+            )
+            local = [c for c in local if c is not conjunct]
         if operator is None:
             if columnar:
                 # Push the table-local predicate into the scan itself:
@@ -255,6 +247,51 @@ class Planner:
                 else Filter(operator, residual, cost)
             )
         return operator, remaining
+
+    def _index_conjunct(
+        self, table: HeapTable, conjuncts: list[Expression]
+    ) -> Comparison | None:
+        """The conjunct an index on ``table`` can serve, if any.
+
+        The access-path rule, for reads and mutations alike: with
+        ``use_indexes`` on, the first ``col = literal`` conjunct over an
+        indexed column.
+        """
+        if self.config.use_indexes:
+            for conjunct in conjuncts:
+                if (
+                    isinstance(conjunct, Comparison)
+                    and conjunct.is_equality_on_column
+                    and table.has_index(conjunct.left.name)
+                ):
+                    return conjunct
+        return None
+
+    def matching_row_ids(
+        self, table: HeapTable, predicate: Expression
+    ) -> list[int]:
+        """Ascending ids of the live rows ``predicate`` accepts.
+
+        What ``UPDATE`` and ``DELETE`` act on.  Candidates come from an
+        index when :meth:`_index_conjunct` finds one, else from a full
+        scan; the whole predicate is evaluated on every candidate either
+        way, so the access path cannot change the answer.
+        """
+        layout = table.layout
+        conjunct = self._index_conjunct(table, split_conjuncts(predicate))
+        if conjunct is None:
+            candidates = table.items()
+        else:
+            index = table.indexes[conjunct.left.name]
+            candidates = (
+                (row_id, table.fetch(row_id))
+                for row_id in index.lookup(conjunct.right.value)
+            )
+        return [
+            row_id
+            for row_id, row in candidates
+            if predicate.evaluate(row, layout)
+        ]
 
     def _plan_join(
         self,

@@ -67,15 +67,24 @@ class SeqScan(PhysicalOperator):
         return {"op": "SeqScan", "table": self.table.name, "rows": len(self.table)}
 
 
+#: "No point value": every Python value, ``None`` included, is a legal
+#: thing to look up, so the absence of one needs an object of its own.
+NO_VALUE: Any = object()
+
+
 class IndexScan(PhysicalOperator):
-    """Point or range lookup through a secondary index."""
+    """Point or range lookup through a secondary index.
+
+    A ``value`` makes it a point lookup (``value=None`` looks up NULLs);
+    without one it is a range scan over ``low``..``high``, either open.
+    """
 
     def __init__(
         self,
         table: HeapTable,
         column: str,
         cost: CostCounters,
-        value: Any = None,
+        value: Any = NO_VALUE,
         low: Any = None,
         high: Any = None,
     ) -> None:
@@ -96,7 +105,7 @@ class IndexScan(PhysicalOperator):
 
     def rows(self) -> Iterator[Row]:
         index = self.table.indexes[self.column]
-        if self.value is not None:
+        if self.value is not NO_VALUE:
             row_ids = index.lookup(self.value)
         else:
             row_ids = index.range_scan(self.low, self.high)
@@ -109,7 +118,7 @@ class IndexScan(PhysicalOperator):
             "op": "IndexScan",
             "table": self.table.name,
             "column": self.column,
-            "point": self.value is not None,
+            "point": self.value is not NO_VALUE,
         }
 
 

@@ -59,7 +59,7 @@ class SortedIndex:
             del self._entries[position]
 
     def lookup(self, value: Any) -> list[int]:
-        """Row ids whose indexed value equals ``value``."""
+        """Row ids whose indexed value equals ``value``, ascending."""
         rank = _type_rank(value)
         start = bisect.bisect_left(self._entries, (rank, value, -1))
         row_ids: list[int] = []
@@ -84,11 +84,16 @@ class SortedIndex:
 
 
 def _type_rank(value: Any) -> int:
-    """Keep heterogenous index keys sortable (numbers before strings)."""
-    if isinstance(value, bool):
-        return 1
+    """Keep heterogenous index keys sortable: numbers, strings, NULLs.
+
+    Values that compare equal must share a rank, or a lookup would miss
+    rows a scan finds: ``True == 1 == 1.0``, so bools rank with the
+    numbers.  ``None`` orders against nothing and gets a rank of its own.
+    """
     if isinstance(value, (int, float)):
         return 0
+    if value is None:
+        return 2
     return 1
 
 
@@ -199,6 +204,12 @@ class HeapTable:
             if row is not None:
                 yield row
 
+    def items(self) -> Iterator[tuple[int, Row]]:
+        """Yield ``(row_id, row)`` for every live row, ids ascending."""
+        for row_id, row in enumerate(self._rows):
+            if row is not None:
+                yield row_id, row
+
     def fetch(self, row_id: int) -> Row:
         return self._row_or_raise(row_id)
 
@@ -220,11 +231,7 @@ class HeapTable:
             )
         position = self.column_position(column)
         index = SortedIndex(column)
-        index.build(
-            (row[position], row_id)
-            for row_id, row in enumerate(self._rows)
-            if row is not None
-        )
+        index.build((row[position], row_id) for row_id, row in self.items())
         self.indexes[column] = index
         return index
 

@@ -32,6 +32,7 @@ from repro.core.errors import EngineError
 from repro.engines.base import CostCounters
 from repro.engines.dbms.expressions import Expression
 from repro.engines.dbms.plans import (
+    NO_VALUE,
     Aggregate,
     PhysicalOperator,
     _AggState,
@@ -249,7 +250,7 @@ class ColumnarIndexScan(VectorOperator):
         table: HeapTable,
         column: str,
         cost: CostCounters,
-        value: Any = None,
+        value: Any = NO_VALUE,
         low: Any = None,
         high: Any = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
@@ -273,7 +274,7 @@ class ColumnarIndexScan(VectorOperator):
     def batches(self) -> Iterator[ColumnBatch]:
         view = self.table.columnar()
         index = self.table.indexes[self.column]
-        if self.value is not None:
+        if self.value is not NO_VALUE:
             row_ids = index.lookup(self.value)
         else:
             row_ids = index.range_scan(self.low, self.high)
@@ -297,7 +298,7 @@ class ColumnarIndexScan(VectorOperator):
             "op": "ColumnarIndexScan",
             "table": self.table.name,
             "column": self.column,
-            "point": self.value is not None,
+            "point": self.value is not NO_VALUE,
         }
 
 

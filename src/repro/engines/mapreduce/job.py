@@ -11,6 +11,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro._util import stable_hash
 from repro.core.errors import EngineError
 
 #: A mapper takes (key, value) and yields zero or more (key, value) pairs.
@@ -27,10 +28,7 @@ def default_partitioner(key: Any, num_partitions: int) -> int:
     Uses a stable string hash so results are reproducible across runs
     (Python's builtin ``hash`` is salted per process for strings).
     """
-    digest = 0
-    for char in str(key):
-        digest = (digest * 31 + ord(char)) & 0x7FFFFFFF
-    return digest % num_partitions
+    return stable_hash(str(key), 31) % num_partitions
 
 
 def identity_mapper(key: Any, value: Any) -> Iterable[tuple[Any, Any]]:
@@ -93,6 +91,30 @@ class JobConf:
                 f"combine_batch_records must be positive, got "
                 f"{self.combine_batch_records}"
             )
+
+
+def shuffle_partitioner(conf: JobConf) -> Partitioner:
+    """The partitioner one shuffle (or one map task's combiner) routes with.
+
+    A user-supplied partitioner is returned as it is and called once per
+    pair.  The default one is a pure function of ``str(key)``, so it is
+    replaced by a twin that remembers the hash of every string form it
+    has seen: iterative jobs send thousands of pairs over a handful of
+    keys.  The memo belongs to the returned callable and dies with the
+    shuffle; it holds no more keys than the shuffle's own groups do.
+    """
+    if conf.partitioner is not default_partitioner:
+        return conf.partitioner
+    hashes: dict[str, int] = {}
+
+    def partition(key: Any, num_partitions: int) -> int:
+        text = str(key)
+        digest = hashes.get(text)
+        if digest is None:
+            digest = hashes[text] = stable_hash(text, 31)
+        return digest % num_partitions
+
+    return partition
 
 
 @dataclass

@@ -33,10 +33,15 @@ from repro.engines.base import (
     Engine,
     EngineInfo,
     SimulatedClusterSpec,
+    estimate_pair_bytes,
 )
 from repro.engines.mapreduce.cluster import ClusterModel, ClusterReport
 from repro.engines.mapreduce.counters import CounterGroup
-from repro.engines.mapreduce.job import JobChain, MapReduceJob
+from repro.engines.mapreduce.job import (
+    JobChain,
+    MapReduceJob,
+    shuffle_partitioner,
+)
 from repro.observability import current_tracer
 
 Pair = tuple[Any, Any]
@@ -67,9 +72,16 @@ class JobResult:
         return self.cluster_report.simulated_seconds
 
 
-def _estimate_bytes(pair: Pair) -> int:
-    key, value = pair
-    return len(str(key)) + len(str(value))
+def _publish(counters: CounterGroup, group: str, **amounts: int) -> None:
+    """Add a task's locally accumulated counts to ``group``, in order.
+
+    Tasks count in plain local integers and publish once, here.  A zero
+    is skipped: a counter nothing ever incremented stays absent from
+    :meth:`CounterGroup.snapshot`, as when it was bumped per record.
+    """
+    for counter, amount in amounts.items():
+        if amount:
+            counters.increment(group, counter, amount)
 
 
 class MapReduceEngine(Engine):
@@ -139,7 +151,7 @@ class MapReduceEngine(Engine):
 
         with tracer.span("mapreduce-job", job=job.name):
             with tracer.span("map-phase") as span:
-                map_outputs, map_output_sizes, map_task_records = (
+                map_outputs, shuffle_bytes, map_task_records = (
                     self._map_phase(job, pairs, counters, cost)
                 )
                 if span:
@@ -170,8 +182,8 @@ class MapReduceEngine(Engine):
                             counters.get("combine", "max_flush_records"),
                         )
             with tracer.span("shuffle-phase") as span:
-                partitions, shuffle_bytes = self._shuffle_phase(
-                    job, map_outputs, map_output_sizes, counters, cost
+                partitions = self._shuffle_phase(
+                    job, map_outputs, shuffle_bytes, counters, cost
                 )
                 if span:
                     span.set(partitions=len(partitions))
@@ -236,130 +248,142 @@ class MapReduceEngine(Engine):
         pairs: Iterable[Pair],
         counters: CounterGroup,
         cost: CostCounters,
-    ) -> tuple[list[list[Pair]], list[list[int]], list[int]]:
+    ) -> tuple[list[list[Pair]], int, list[int]]:
         """Run map tasks over input splits; returns per-task outputs.
 
         Tasks run on the engine's executor, each with its own counter
         set; merging in submission order keeps the result bit-identical
-        to the serial path.  Byte sizes of the (post-combine) map output
-        are estimated here, once per pair, and reused by the shuffle.
+        to the serial path.  The (post-combine) map output is sized
+        here, once per pair; the shuffle moves exactly those bytes.
         """
         splits = self._input_splits(job, pairs)
         task_results = self.executor.map(
             lambda split: self._run_map_task(job, split), splits
         )
         outputs: list[list[Pair]] = []
-        output_sizes: list[list[int]] = []
+        output_bytes = 0
         task_records: list[int] = []
-        for task_output, task_sizes, task_counters, task_cost, records in (
+        for task_output, task_bytes, task_counters, task_cost, records in (
             task_results
         ):
             counters.merge(task_counters)
             cost.merge(task_cost)
             outputs.append(task_output)
-            output_sizes.append(task_sizes)
+            output_bytes += task_bytes
             task_records.append(records)
-        return outputs, output_sizes, task_records
+        return outputs, output_bytes, task_records
 
     def _run_map_task(
         self, job: MapReduceJob, split: Sequence[Pair]
-    ) -> tuple[list[Pair], list[int], CounterGroup, CostCounters, int]:
-        """One map task over one split, with task-local accounting."""
-        counters = CounterGroup()
-        cost = CostCounters()
+    ) -> tuple[list[Pair], int, CounterGroup, CostCounters, int]:
+        """One map task over one split, with task-local accounting.
+
+        Nothing is counted per record: lists and groups know their
+        lengths, pairs are sized in one call per list, and the task's
+        :class:`CounterGroup` / :class:`CostCounters` are written once,
+        after the last record.  A mapper that raises therefore still
+        leaves nothing behind.
+        """
+        mapper = job.mapper
         batch_records = (
             job.conf.combine_batch_records
             if job.conf.combine_batch_records is not None
             else self.combine_batch_records
         )
-        accumulator: _CombineAccumulator | None = None
-        if job.combiner is not None and batch_records is not None:
-            accumulator = _CombineAccumulator(
-                self, job, batch_records, counters, cost
+        input_bytes = estimate_pair_bytes(split)
+        flushes = max_flush_records = combine_groups = 0
+        if job.combiner is not None and batch_records is None:
+            # Combine once at task end: group the pairs as they are
+            # mapped instead of listing them only to regroup the list.
+            grouped: dict[Any, list[Any]] = defaultdict(list)
+            for key, value in split:
+                for out_pair in mapper(key, value):
+                    if not isinstance(out_pair, tuple) or len(out_pair) != 2:
+                        raise _not_a_pair(job, "mapper", out_pair)
+                    out_key, out_value = out_pair
+                    grouped[out_key].append(out_value)
+            mapped = sum(map(len, grouped.values()))
+            combine_groups = len(grouped)
+            task_output = _combine(job, grouped)
+        else:
+            accumulator = (
+                None
+                if job.combiner is None
+                else _CombineAccumulator(job, batch_records)
             )
-        task_output: list[Pair] = []
-        for key, value in split:
-            counters.increment("map", "input_records")
-            cost.records_read += 1
-            cost.bytes_read += _estimate_bytes((key, value))
-            for out_pair in job.mapper(key, value):
-                if not isinstance(out_pair, tuple) or len(out_pair) != 2:
-                    raise EngineError(
-                        f"mapper of job {job.name!r} must yield (key, value) "
-                        f"pairs, got {out_pair!r}"
-                    )
-                counters.increment("map", "output_records")
-                cost.compute_ops += 1
-                if accumulator is not None:
-                    accumulator.add(out_pair)
-                else:
-                    task_output.append(out_pair)
-        if accumulator is not None:
-            task_output = accumulator.finish()
-        elif job.combiner is not None:
-            task_output = self._combine(job, task_output, counters, cost)
-        task_sizes = [_estimate_bytes(pair) for pair in task_output]
+            task_output = []
+            emit = task_output.append if accumulator is None else accumulator.add
+            for key, value in split:
+                for out_pair in mapper(key, value):
+                    if not isinstance(out_pair, tuple) or len(out_pair) != 2:
+                        raise _not_a_pair(job, "mapper", out_pair)
+                    emit(out_pair)
+            mapped = len(task_output)
+            if accumulator is not None:
+                task_output = accumulator.finish()
+                # Every mapped pair went through exactly one flush.
+                mapped = accumulator.flushed_records
+                flushes = accumulator.flushes
+                max_flush_records = accumulator.max_flush_records
+                combine_groups = accumulator.input_groups
+        combined = len(task_output) if job.combiner is not None else 0
+
+        counters = CounterGroup()
+        _publish(counters, "map", input_records=len(split),
+                 output_records=mapped)
+        if flushes:
+            _publish(counters, "combine", flushes=flushes,
+                     flushed_records=mapped)
+            counters.record_max(
+                "combine", "max_flush_records", max_flush_records
+            )
+        _publish(counters, "combine", input_groups=combine_groups,
+                 output_records=combined)
+        cost = CostCounters(
+            records_read=len(split),
+            bytes_read=input_bytes,
+            compute_ops=mapped + combined,
+            batches=flushes,
+        )
         return (
             task_output,
-            task_sizes,
+            estimate_pair_bytes(task_output),
             counters,
             cost,
             len(split) + len(task_output),
         )
 
-    def _combine(
-        self,
-        job: MapReduceJob,
-        task_output: list[Pair],
-        counters: CounterGroup,
-        cost: CostCounters,
-    ) -> list[Pair]:
-        """Run the combiner on one map task's local output."""
-        assert job.combiner is not None
-        grouped: dict[Any, list[Any]] = defaultdict(list)
-        for key, value in task_output:
-            grouped[key].append(value)
-        combined: list[Pair] = []
-        for key, values in grouped.items():
-            counters.increment("combine", "input_groups")
-            for out_pair in job.combiner(key, values):
-                combined.append(out_pair)
-                counters.increment("combine", "output_records")
-                cost.compute_ops += 1
-        return combined
-
     def _shuffle_phase(
         self,
         job: MapReduceJob,
         map_outputs: list[list[Pair]],
-        map_output_sizes: list[list[int]],
+        shuffle_bytes: int,
         counters: CounterGroup,
         cost: CostCounters,
-    ) -> tuple[list[dict[Any, list[Any]]], int]:
+    ) -> list[dict[Any, list[Any]]]:
         """Partition and group map output; returns per-reducer groups.
 
-        Byte sizes were estimated once per pair by the map tasks, so the
-        shuffle only sums them instead of re-walking every key/value.
+        ``shuffle_bytes`` is the size the map tasks measured for exactly
+        these pairs, so the shuffle charges it without re-walking them.
         """
         num_reducers = job.conf.num_reduce_tasks
+        partitioner = shuffle_partitioner(job.conf)
         partitions: list[dict[Any, list[Any]]] = [
             defaultdict(list) for _ in range(num_reducers)
         ]
-        shuffle_bytes = 0
-        for task_output, task_sizes in zip(map_outputs, map_output_sizes):
-            for (key, value), pair_bytes in zip(task_output, task_sizes):
-                index = job.conf.partitioner(key, num_reducers)
+        for task_output in map_outputs:
+            for key, value in task_output:
+                index = partitioner(key, num_reducers)
                 if not 0 <= index < num_reducers:
                     raise EngineError(
                         f"partitioner returned {index} outside "
                         f"[0, {num_reducers})"
                     )
                 partitions[index][key].append(value)
-                shuffle_bytes += pair_bytes
-                counters.increment("shuffle", "records")
+        _publish(counters, "shuffle", records=sum(map(len, map_outputs)))
         counters.increment("shuffle", "bytes", shuffle_bytes)
         cost.network_bytes += shuffle_bytes
-        return partitions, shuffle_bytes
+        return partitions
 
     def _reduce_phase(
         self,
@@ -390,8 +414,8 @@ class MapReduceEngine(Engine):
         self, job: MapReduceJob, partition: dict[Any, list[Any]]
     ) -> tuple[list[Pair], CounterGroup, CostCounters, int]:
         """One reduce task over one partition, with task-local accounting."""
-        counters = CounterGroup()
-        cost = CostCounters()
+        reducer = job.reducer
+        sort_values = job.conf.sort_values
         output: list[Pair] = []
         keys = list(partition)
         if job.conf.sort_keys:
@@ -399,23 +423,47 @@ class MapReduceEngine(Engine):
         records = 0
         for key in keys:
             values = partition[key]
-            if job.conf.sort_values:
+            if sort_values:
                 values = sorted(values, key=_sort_token)
-            counters.increment("reduce", "input_groups")
-            counters.increment("reduce", "input_records", len(values))
             records += len(values)
-            for out_pair in job.reducer(key, values):
+            for out_pair in reducer(key, values):
                 if not isinstance(out_pair, tuple) or len(out_pair) != 2:
-                    raise EngineError(
-                        f"reducer of job {job.name!r} must yield "
-                        f"(key, value) pairs, got {out_pair!r}"
-                    )
+                    raise _not_a_pair(job, "reducer", out_pair)
                 output.append(out_pair)
-                counters.increment("reduce", "output_records")
-                cost.records_written += 1
-                cost.bytes_written += _estimate_bytes(out_pair)
-                cost.compute_ops += 1
+        counters = CounterGroup()
+        _publish(counters, "reduce", input_groups=len(keys),
+                 input_records=records, output_records=len(output))
+        cost = CostCounters(
+            records_written=len(output),
+            bytes_written=estimate_pair_bytes(output),
+            compute_ops=len(output),
+        )
         return output, counters, cost, records
+
+
+def _not_a_pair(job: MapReduceJob, role: str, emitted: Any) -> EngineError:
+    return EngineError(
+        f"{role} of job {job.name!r} must yield (key, value) pairs, "
+        f"got {emitted!r}"
+    )
+
+
+def _group_by_key(pairs: Iterable[Pair]) -> dict[Any, list[Any]]:
+    """Values per key, keys in first-appearance order."""
+    grouped: dict[Any, list[Any]] = defaultdict(list)
+    for key, value in pairs:
+        grouped[key].append(value)
+    return grouped
+
+
+def _combine(job: MapReduceJob, grouped: dict[Any, list[Any]]) -> list[Pair]:
+    """Run the combiner over one map task's (or one flush's) groups."""
+    combiner = job.combiner
+    assert combiner is not None
+    combined: list[Pair] = []
+    for key, values in grouped.items():
+        combined.extend(combiner(key, values))
+    return combined
 
 
 class _CombineAccumulator:
@@ -435,27 +483,23 @@ class _CombineAccumulator:
     tasks), and each flush bumps ``CostCounters.batches``.
     """
 
-    def __init__(
-        self,
-        engine: MapReduceEngine,
-        job: MapReduceJob,
-        batch_records: int,
-        counters: CounterGroup,
-        cost: CostCounters,
-    ) -> None:
-        self.engine = engine
+    def __init__(self, job: MapReduceJob, batch_records: int) -> None:
         self.job = job
         self.batch_records = batch_records
-        self.counters = counters
-        self.cost = cost
         self.num_partitions = job.conf.num_reduce_tasks
+        self.partitioner = shuffle_partitioner(job.conf)
         self._buffers: list[list[Pair]] = [
             [] for _ in range(self.num_partitions)
         ]
         self._combined: list[Pair] = []
+        #: Read by the map task once, after :meth:`finish`.
+        self.flushes = 0
+        self.flushed_records = 0
+        self.max_flush_records = 0
+        self.input_groups = 0
 
     def add(self, pair: Pair) -> None:
-        index = self.job.conf.partitioner(pair[0], self.num_partitions)
+        index = self.partitioner(pair[0], self.num_partitions)
         if not 0 <= index < self.num_partitions:
             raise EngineError(
                 f"partitioner returned {index} outside "
@@ -476,15 +520,13 @@ class _CombineAccumulator:
     def _flush(self, index: int) -> None:
         buffer = self._buffers[index]
         self._buffers[index] = []
-        self.counters.increment("combine", "flushes")
-        self.counters.increment("combine", "flushed_records", len(buffer))
-        self.counters.record_max(
-            "combine", "max_flush_records", len(buffer)
-        )
-        self.cost.batches += 1
-        self._combined.extend(
-            self.engine._combine(self.job, buffer, self.counters, self.cost)
-        )
+        self.flushes += 1
+        self.flushed_records += len(buffer)
+        if len(buffer) > self.max_flush_records:
+            self.max_flush_records = len(buffer)
+        groups = _group_by_key(buffer)
+        self.input_groups += len(groups)
+        self._combined.extend(_combine(self.job, groups))
 
 
 def _sort_token(value: Any) -> tuple[int, Any]:

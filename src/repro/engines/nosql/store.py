@@ -24,8 +24,9 @@ from typing import Any
 
 import numpy as np
 
+from repro._util import stable_hash
 from repro.core.errors import EngineError
-from repro.engines.base import Engine, EngineInfo
+from repro.engines.base import Engine, EngineInfo, estimate_pair_bytes
 
 Fields = dict[str, Any]
 
@@ -134,10 +135,7 @@ class NoSqlStore(Engine):
     # ------------------------------------------------------------------
 
     def _partition_of(self, key: str) -> int:
-        digest = 0
-        for char in str(key):
-            digest = (digest * 131 + ord(char)) & 0x7FFFFFFF
-        return digest % self.num_partitions
+        return stable_hash(str(key), 131) % self.num_partitions
 
     def _replica_partitions(self, key: str) -> list[int]:
         home = self._partition_of(key)
@@ -166,10 +164,14 @@ class NoSqlStore(Engine):
         self._versions[partition][key] = version
 
     def _write(
-        self, key: str, fields: Fields, consistency: ConsistencyLevel,
-        merge: bool,
+        self, replicas: list[int], key: str, fields: Fields,
+        consistency: ConsistencyLevel, merge: bool,
     ) -> OpResult:
-        replicas = self._replica_partitions(key)
+        """Apply a write to ``replicas``, the key's replica partitions.
+
+        The caller has already hashed the key to look the row up, so it
+        hands the placement over instead of having it computed again.
+        """
         self._write_clock += 1
         version = self._write_clock
         required = consistency.replicas_required(self.replication)
@@ -181,7 +183,7 @@ class NoSqlStore(Engine):
         extra = self.latency.replica_write_seconds * (required - 1)
         latency = self._charge(replicas[0], self.latency.write_seconds, extra)
         self.counters.records_written += 1
-        written = sum(len(str(k)) + len(str(v)) for k, v in fields.items())
+        written = estimate_pair_bytes(fields.items())
         self.counters.bytes_written += written
         self.counters.network_bytes += written * (self.replication - 1)
         return OpResult(ok=True, latency_seconds=latency)
@@ -195,14 +197,15 @@ class NoSqlStore(Engine):
         With consistency below ALL, the remaining replicas receive the
         write asynchronously (see :meth:`anti_entropy`).
         """
-        if key not in self._partitions[self._partition_of(key)]:
+        replicas = self._replica_partitions(key)
+        if key not in self._partitions[replicas[0]]:
             position = bisect.bisect_left(self._sorted_keys, key)
             if (
                 position >= len(self._sorted_keys)
                 or self._sorted_keys[position] != key
             ):
                 bisect.insort(self._sorted_keys, key)
-        return self._write(key, fields, consistency, merge=False)
+        return self._write(replicas, key, fields, consistency, merge=False)
 
     def bulk_load(
         self,
@@ -274,7 +277,7 @@ class NoSqlStore(Engine):
         if key not in self._partitions[replicas[0]]:
             latency = self._charge(replicas[0], self.latency.read_seconds)
             return OpResult(ok=False, latency_seconds=latency)
-        return self._write(key, fields, consistency, merge=True)
+        return self._write(replicas, key, fields, consistency, merge=True)
 
     def anti_entropy(self) -> int:
         """Propagate pending weak writes to their replicas; returns count.
@@ -283,13 +286,13 @@ class NoSqlStore(Engine):
         after it runs, every replica holds the newest version.
         """
         applied = 0
+        applied_bytes = 0
         for partition, key, fields, version in self._pending_sync:
             if self._versions[partition].get(key, 0) < version:
                 self._apply_write(partition, key, fields, version, merge=True)
-                self.counters.network_bytes += sum(
-                    len(str(k)) + len(str(v)) for k, v in fields.items()
-                )
+                applied_bytes += estimate_pair_bytes(fields.items())
                 applied += 1
+        self.counters.network_bytes += applied_bytes
         self._pending_sync.clear()
         return applied
 

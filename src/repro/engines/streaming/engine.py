@@ -89,28 +89,36 @@ class TumblingWindowAggregate(StreamOperator):
         self._windows: dict[int, dict[Any, Any]] = defaultdict(dict)
         self._emitted: list[WindowResult] = []
         self._watermark = float("-inf")
-
-    def _window_of(self, timestamp: float) -> int:
-        return int(timestamp // self.window_seconds)
+        #: The lowest window id that may be open.  A window expires when
+        #: the watermark passes its end, so nothing can have expired
+        #: while this is still the watermark's own window: expiry is
+        #: looked for when the watermark enters a new window (or a late
+        #: event has reopened an old one), not on every event.
+        self._oldest_open = float("inf")
 
     def process(self, event: StreamEvent) -> Iterable[StreamEvent]:
-        window = self._window_of(event.timestamp)
+        timestamp = event.timestamp
+        window = int(timestamp // self.window_seconds)
         per_key = self._windows[window]
         accumulator = per_key.get(event.key)
         if accumulator is None:
             accumulator = self.initial()
         per_key[event.key] = self.reducer(accumulator, event.value)
-        if event.timestamp > self._watermark:
-            self._watermark = event.timestamp
-            self._close_expired()
+        if window < self._oldest_open:
+            self._oldest_open = window
+        if timestamp > self._watermark:
+            self._watermark = timestamp
+            if self._oldest_open < window:
+                self._close_expired(window)
         return ()
 
-    def _close_expired(self) -> None:
-        current = self._window_of(self._watermark)
+    def _close_expired(self, current: int) -> None:
+        """Emit every open window before ``current``, oldest first."""
         for window in sorted(self._windows):
             if window >= current:
                 break
             self._emit_window(window)
+        self._oldest_open = current
 
     def _emit_window(self, window: int) -> None:
         per_key = self._windows.pop(window)
@@ -128,6 +136,7 @@ class TumblingWindowAggregate(StreamOperator):
     def flush(self) -> Iterable[WindowResult]:
         for window in sorted(self._windows):
             self._emit_window(window)
+        self._oldest_open = float("inf")
         emitted = self._emitted
         self._emitted = []
         return emitted
@@ -268,25 +277,30 @@ class StreamingEngine(Engine):
     def run(self, topology: Topology, events: Sequence[StreamEvent]) -> StreamRunReport:
         """Process an event stream through a topology."""
         ordered = sorted(events, key=lambda event: event.timestamp)
+        service_seconds = self.service_seconds_per_event
+        operators = topology.operators
         latencies: list[float] = []
         departure = 0.0
+        compute_ops = 0
         for event in ordered:
             # Single-server queue: service starts when both the event has
             # arrived and the previous event has departed.
             start = max(event.timestamp, departure)
-            departure = start + self.service_seconds_per_event
+            departure = start + service_seconds
             latencies.append(departure - event.timestamp)
-            self.counters.records_read += 1
             current: list[StreamEvent] = [event]
-            for operator in topology.operators:
+            for operator in operators:
+                compute_ops += len(current)
                 next_events: list[StreamEvent] = []
                 for item in current:
                     next_events.extend(operator.process(item))
-                    self.counters.compute_ops += 1
                 current = next_events
         results: list[WindowResult] = []
-        for operator in topology.operators:
+        for operator in operators:
             results.extend(operator.flush())
+        # Counted in locals above, charged to the engine once per run.
+        self.counters.records_read += len(ordered)
+        self.counters.compute_ops += compute_ops
         self.counters.records_written += len(results)
 
         span = (

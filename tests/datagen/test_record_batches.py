@@ -205,3 +205,21 @@ class TestStreamingTraceCounters:
         expected_peak = max(batch.estimated_bytes() for batch in batches)
         assert span.counters["batches"] == len(batches)
         assert span.counters["peak_batch_bytes"] == expected_peak
+
+    def test_an_untraced_stream_sizes_no_batch(self, monkeypatch):
+        """The gauge's argument is not evaluated for a tracer that is off."""
+        from repro.datagen import base
+
+        sized: list[object] = []
+        record_size = base._record_size
+        monkeypatch.setattr(
+            base, "_record_size",
+            lambda record: (sized.append(record), record_size(record))[1],
+        )
+        generator = _fitted("random-text")
+        batches = list(generator.iter_batches(VOLUME, 7))
+        assert sized == []
+        assert sum(len(batch) for batch in batches) == VOLUME
+        with Tracer().activate():
+            list(generator.iter_batches(VOLUME, 7))
+        assert len(sized) == VOLUME

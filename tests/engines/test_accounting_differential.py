@@ -1,0 +1,229 @@
+"""Nothing a run reports, apart from time, moved when its meter got cheaper.
+
+``tests/fixtures/accounting_parent.json`` was captured by
+``_accounting_capture.py`` on the commit before the engines' per-record
+book-keeping was hoisted out of their inner loops: job outputs, ordered
+counter snapshots, cost counters, cluster reports, partition sizes,
+window results and generated bytes of every ``exec-default`` and
+``gen-bound`` spec at a tenth of its volume, plus the corner cases of
+the MapReduce task loops.  The same capture must come out of this tree,
+serial and threaded.  Beside it: the conservation laws the counters obey
+and the guarantee that a failed task attempt leaves nothing behind.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.datagen.stream import StreamEvent
+from repro.engines.faults import FaultInjector, FaultSpec, InjectedFault
+from repro.engines.mapreduce import JobConf, MapReduceEngine, MapReduceJob
+from repro.engines.streaming.engine import (
+    StreamingEngine,
+    Topology,
+    TumblingWindowAggregate,
+)
+
+from _accounting_capture import (
+    EDGE_JOBS,
+    SPECS,
+    capture,
+    _total,
+    _words,
+    capture_edge,
+    ordered_counters,
+)
+
+FIXTURE = json.loads(
+    (Path(__file__).parent.parent / "fixtures" / "accounting_parent.json")
+    .read_text()
+)
+
+
+def test_the_fixture_covers_every_spec_and_corner():
+    assert set(FIXTURE) == set(SPECS) | {f"edge:{name}" for name in EDGE_JOBS}
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("name", list(SPECS))
+def test_a_spec_reports_what_it_reported_before(name, executor):
+    overrides = {} if executor == "serial" else {
+        "executor": "thread", "max_workers": 2,
+    }
+    assert capture(name, **overrides) == FIXTURE[name]
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("name", EDGE_JOBS)
+def test_a_corner_case_job_reports_what_it_reported_before(name, executor):
+    assert capture_edge(name, executor) == FIXTURE[f"edge:{name}"]
+
+
+# ---------------------------------------------------------------------------
+# Conservation
+# ---------------------------------------------------------------------------
+
+
+def _job_observations():
+    for name, observed in FIXTURE.items():
+        if name.startswith("edge:"):
+            yield name, observed
+            continue
+        for call in observed["engines"].get("mapreduce", []):
+            if call["call"] == "job":
+                yield f"{name}/{call['job']}", call
+
+
+def test_map_output_is_shuffle_input_is_reduce_input():
+    checked = 0
+    for name, job in _job_observations():
+        counters = {group: dict(values) for group, values in job["counters"]}
+        emitted = counters.get("combine", counters.get("map", {})).get(
+            "output_records", 0
+        )
+        shuffle = counters["shuffle"]
+        assert shuffle.get("records", 0) == emitted, name
+        assert counters.get("reduce", {}).get("input_records", 0) == emitted, name
+        assert shuffle["bytes"] == job["cost"]["network_bytes"], name
+        assert job["cost"]["records_written"] == job["records"], name
+        checked += 1
+    assert checked > 40  # every iteration of the iterative jobs included
+
+
+def test_every_event_is_folded_into_an_emitted_window():
+    events = [
+        StreamEvent(timestamp=0.013 * index, key=index % 4, value=1.0)
+        for index in range(500)
+    ]
+    counting = TumblingWindowAggregate(
+        0.25, reducer=lambda count, value: count + value
+    )
+    engine = StreamingEngine()
+    report = engine.run(Topology("count").then(counting), events)
+    assert report.events_in == len(events)
+    assert sum(window.value for window in report.results) == len(events)
+    assert engine.counters.records_read == len(events)
+    assert engine.counters.compute_ops == len(events)
+    assert engine.counters.records_written == len(report.results)
+
+
+# ---------------------------------------------------------------------------
+# Window expiry: when the watermark changes window, not on every event
+# ---------------------------------------------------------------------------
+
+
+def _emitted_one_event_at_a_time(timestamps, window=1.0):
+    """``(results taken after each event, results flushed)``."""
+    operator = TumblingWindowAggregate(
+        window, reducer=lambda values, value: values + [value],
+        initial=list,
+    )
+    taken = []
+    for index, timestamp in enumerate(timestamps):
+        operator.process(StreamEvent(timestamp=timestamp, key="k", value=index))
+        taken.append(
+            [(w.window_start, w.value) for w in operator.take_emitted()]
+        )
+    flushed = [(w.window_start, w.value) for w in operator.flush()]
+    return taken, flushed
+
+
+class TestWindowExpiry:
+    def test_a_window_closes_with_the_first_event_past_its_end(self):
+        taken, flushed = _emitted_one_event_at_a_time([0.1, 0.9, 1.0, 1.5, 2.2])
+        assert taken == [[], [], [(0.0, [0, 1])], [], [(1.0, [2, 3])]]
+        assert flushed == [(2.0, [4])]
+
+    def test_a_gap_of_empty_windows_emits_only_the_open_ones(self):
+        taken, flushed = _emitted_one_event_at_a_time([0.5, 7.5, 7.6])
+        assert taken == [[], [(0.0, [0])], []]
+        assert flushed == [(7.0, [1, 2])]
+
+    def test_late_events_reopen_and_reclose_their_window(self):
+        # Watermark 5.2; 3.1 and 3.2 are late.  Each late window closes at
+        # the next event that advances the watermark, even one that stays
+        # in window 5, so the two late events emit window 3 twice.
+        taken, flushed = _emitted_one_event_at_a_time(
+            [5.2, 3.1, 5.3, 3.2, 5.25, 5.4, 6.0]
+        )
+        assert taken == [
+            [], [], [(3.0, [1])], [], [], [(3.0, [3])], [(5.0, [0, 2, 4, 5])],
+        ]
+        assert flushed == [(6.0, [6])]
+
+    def test_late_windows_close_oldest_first_before_the_current_one(self):
+        taken, flushed = _emitted_one_event_at_a_time([9.0, 4.0, 2.0, 10.5])
+        assert taken[-1] == [(2.0, [2]), (4.0, [1]), (9.0, [0])]
+        assert flushed == [(10.0, [3])]
+
+    def test_an_operator_can_be_reused_after_flush(self):
+        operator = TumblingWindowAggregate(1.0, reducer=lambda a, v: a + v)
+        operator.process(StreamEvent(timestamp=3.5, key=1, value=1.0))
+        assert [w.window_start for w in operator.flush()] == [3.0]
+        # Behind the watermark: stays open until the watermark advances.
+        operator.process(StreamEvent(timestamp=1.5, key=1, value=1.0))
+        assert operator.take_emitted() == []
+        operator.process(StreamEvent(timestamp=3.6, key=1, value=1.0))
+        assert [w.window_start for w in operator.take_emitted()] == [1.0]
+        assert [w.window_start for w in operator.flush()] == [3.0]
+
+
+# ---------------------------------------------------------------------------
+# A failed attempt leaves no counts behind
+# ---------------------------------------------------------------------------
+
+
+def _word_count(mapper) -> MapReduceJob:
+    return MapReduceJob(
+        "wordcount", mapper, _total, combiner=_total,
+        conf=JobConf(num_map_tasks=3, num_reduce_tasks=2),
+    )
+
+
+LINES = [(index, f"a b{index % 3} c{index % 5} a") for index in range(30)]
+
+
+@pytest.mark.parametrize("executor", ["serial", "thread"])
+@pytest.mark.parametrize("failing_record", [0, 17, 29])
+def test_a_mapper_that_raises_leaks_nothing_into_the_retry(
+    executor, failing_record
+):
+    injector = FaultInjector(FaultSpec(fail_calls=(failing_record,)))
+
+    def flaky(key, line):
+        injector.inject(f"record {key}")
+        yield from _words(key, line)
+
+    engine = MapReduceEngine(executor=executor, max_workers=2)
+    with pytest.raises(InjectedFault):
+        engine.run(_word_count(flaky), LINES)
+    assert injector.injected_failures == 1
+    assert not any(engine.counters.snapshot().values())
+
+    retried = engine.run(_word_count(flaky), LINES)
+    clean_engine = MapReduceEngine()
+    clean = clean_engine.run(_word_count(_words), LINES)
+    assert retried.output == clean.output
+    assert ordered_counters(retried.counters) == ordered_counters(clean.counters)
+    assert retried.cost == clean.cost
+    assert retried.cluster_report == clean.cluster_report
+    assert engine.counters == clean_engine.counters
+
+
+def test_a_reducer_that_raises_leaks_nothing_either():
+    calls = {"count": 0}
+
+    def flaky_total(key, values):
+        calls["count"] += 1
+        if calls["count"] == 4:
+            raise RuntimeError("reducer down")
+        yield key, sum(values)
+
+    engine = MapReduceEngine()
+    job = MapReduceJob("flaky-reduce", _words, flaky_total)
+    with pytest.raises(RuntimeError):
+        engine.run(job, LINES)
+    assert not any(engine.counters.snapshot().values())

@@ -16,7 +16,11 @@ A record captures everything a later comparison needs:
 * the per-task **trace summary** when the run was traced.
 
 Records never mutate; baselines (see
-:mod:`repro.analysis.baselines`) reference them by id.
+:mod:`repro.analysis.baselines`) reference them by id.  The file is an
+:class:`~repro.core.appendlog.AppendLog`: concurrent writers (threads,
+processes, several :class:`RunStore` objects on one directory) are
+supported and get distinct, ordered ids; a line torn by a crash costs
+only itself.
 """
 
 from __future__ import annotations
@@ -24,12 +28,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.core.appendlog import AppendLog
 from repro.core.errors import AnalysisError
 from repro.core.results import RunResult, TaskFailure
 
@@ -42,9 +46,6 @@ DEFAULT_STORE_DIR = ".repro-runs"
 #: The ``RunResult.extra`` / ``TaskFailure.extra`` key a freshly
 #: recorded outcome's id is echoed under.
 RECORD_ID_EXTRA_KEY = "record_id"
-
-#: Serializes record-id assignment across every store in this process.
-_APPEND_LOCK = threading.Lock()
 
 
 def fingerprint_hash(fingerprint: dict[str, Any]) -> str:
@@ -248,6 +249,7 @@ class RunStore:
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
+        self._log = AppendLog(self.path, AnalysisError, "run store")
 
     @property
     def path(self) -> Path:
@@ -271,50 +273,42 @@ class RunStore:
 
         if trace_summary is None:
             trace_summary = outcome.extra.get(TRACE_SUMMARY_KEY)
-        # Record ids derive from the current file length, so the
-        # read-then-append must be atomic within the process — the
-        # service's scheduler threads record concurrently (the lock is
-        # process-wide: independent RunStore instances share files).
-        with _APPEND_LOCK:
-            record = RunRecord(
-                record_id=f"r{len(self.records()) + 1:04d}",
-                series=fingerprint_hash(fingerprint),
-                created_at=time.strftime(
-                    "%Y-%m-%dT%H:%M:%SZ", time.gmtime()
-                ),
-                fingerprint=dict(fingerprint),
-                environment=environment or environment_fingerprint(),
-                result=outcome.as_dict(),
-                trace_summary=trace_summary,
-            )
-            self.root.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(record.as_dict(), default=str) + "\n"
-                )
+        record = RunRecord(
+            record_id="",
+            series=fingerprint_hash(fingerprint),
+            created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            fingerprint=dict(fingerprint),
+            environment=environment or environment_fingerprint(),
+            result=outcome.as_dict(),
+            trace_summary=trace_summary,
+        )
+
+        def numbered(last: bytes | None) -> str:
+            # Under the log's lock: the id after the last line's is ours.
+            record.record_id = f"r{self._number_of(last) + 1:04d}"
+            return json.dumps(record.as_dict(), default=str)
+
+        self._log.append(numbered)
         outcome.extra[RECORD_ID_EXTRA_KEY] = record.record_id
         return record
+
+    def _number_of(self, line: bytes | None) -> int:
+        """The ``NNNN`` of the record on ``line`` (0 for an empty store)."""
+        if line is None:
+            return 0
+        try:
+            return int(json.loads(line)["record_id"][1:])
+        except (ValueError, KeyError, TypeError):
+            raise AnalysisError(
+                f"corrupt run store {self.path}: the last line is not a "
+                "record, so the next one cannot be numbered"
+            ) from None
 
     # -- reading ----------------------------------------------------------
 
     def records(self) -> list[RunRecord]:
         """Every record, oldest first (file order is append order)."""
-        if not self.path.exists():
-            return []
-        records: list[RunRecord] = []
-        for line_no, line in enumerate(
-            self.path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(RunRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as error:
-                raise AnalysisError(
-                    f"corrupt run store {self.path}: line {line_no}: {error}"
-                ) from None
-        return records
+        return self._log.read(RunRecord.from_dict)
 
     def series(self, key: str) -> list[RunRecord]:
         """All records of one series, oldest first."""

@@ -24,12 +24,12 @@ itself raised before producing a batch.
 from __future__ import annotations
 
 import json
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.core.appendlog import AppendLog
 from repro.core.errors import ServiceError
 from repro.core.spec import BenchmarkSpec
 
@@ -179,6 +179,12 @@ class JobLog:
     file is the source of truth for the offline CLI verbs
     (``jobs list|show|cancel``) — :meth:`replay` folds the lines back
     into :class:`Job` objects, newest state winning.
+
+    The file is an :class:`~repro.core.appendlog.AppendLog`: concurrent
+    writers are supported (every event lands whole, in one order), and
+    an event torn by a crash costs only itself.  Job *ids* are numbered
+    by each :class:`~repro.service.orchestrator.Orchestrator`, so two
+    live services on one store can still mint the same ``jNNNN``.
     """
 
     root: Path
@@ -186,7 +192,7 @@ class JobLog:
 
     def __post_init__(self) -> None:
         self.root = Path(self.root)
-        self._lock = threading.Lock()
+        self._log = AppendLog(self.path, ServiceError, "job log")
 
     @property
     def path(self) -> Path:
@@ -207,10 +213,8 @@ class JobLog:
             line["job"] = job.as_dict()
         if detail:
             line["detail"] = detail
-        with self._lock:
-            self.root.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(line, default=str) + "\n")
+        text = json.dumps(line, default=str)
+        self._log.append(lambda _last: text)
 
     def cancel(self, job_id: str, reason: str) -> Job:
         """Tombstone a non-terminal logged job, offline.
@@ -237,9 +241,7 @@ class JobLog:
         service starting (:meth:`events` still reports it to readers).
         """
         highest = 0
-        if not self.path.exists():
-            return highest
-        for line in self.path.read_text(encoding="utf-8").splitlines():
+        for _, line in self._log.lines():
             try:
                 number = int(json.loads(line)["job_id"][1:])
             except (ValueError, KeyError, TypeError):
@@ -249,22 +251,7 @@ class JobLog:
 
     def events(self) -> list[dict[str, Any]]:
         """Every logged event, oldest first."""
-        if not self.path.exists():
-            return []
-        events: list[dict[str, Any]] = []
-        for line_no, line in enumerate(
-            self.path.read_text(encoding="utf-8").splitlines(), start=1
-        ):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError as error:
-                raise ServiceError(
-                    f"corrupt job log {self.path}: line {line_no}: {error}"
-                ) from None
-        return events
+        return self._log.read()
 
     def replay(self) -> dict[str, Job]:
         """Reconstruct every logged job, submission order preserved.

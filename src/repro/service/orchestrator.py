@@ -290,13 +290,9 @@ class Orchestrator:
     # ------------------------------------------------------------------
 
     def _scheduler_loop(self) -> None:
-        while True:
-            job = self.queue.take(timeout=0.05)
-            if job is None:
-                with self._cond:
-                    if self._closing and self.queue.depth() == 0:
-                        return
-                continue
+        # Blocks until there is a job; None means shutdown() closed the
+        # queue and everything queued before that has been taken.
+        while (job := self.queue.take()) is not None:
             self._run_job(job)
 
     def _enter(

@@ -136,8 +136,10 @@ class AdmissionQueue:
         """Pop the highest-priority queued job, waiting up to ``timeout``.
 
         Returns None on timeout (or immediate emptiness with
-        ``timeout=0``).  Jobs cancelled while queued are skipped — their
-        tombstones are discarded here.
+        ``timeout=0``), and at once when the queue is closed and holds
+        no live job: nothing can arrive any more, so with no timeout
+        None means *closed and drained*.  Jobs cancelled while queued are
+        skipped — their tombstones are discarded here.
         """
         deadline = (
             None if timeout is None else time.monotonic() + timeout
@@ -147,6 +149,8 @@ class AdmissionQueue:
                 job = self._pop_live()
                 if job is not None:
                     return job
+                if self._closed:
+                    return None
                 remaining = (
                     None if deadline is None
                     else deadline - time.monotonic()

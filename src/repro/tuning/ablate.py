@@ -34,7 +34,7 @@ from repro.analysis.compare import (
     Comparison,
     compare_records,
 )
-from repro.core.errors import TuningError
+from repro.core.errors import AnalysisError, TuningError
 from repro.tuning.profiles import (
     ONE_OFF_PREFIX,
     TuningProfile,
@@ -570,16 +570,21 @@ def run_ablation(
     else:
         _run_cells_local(runnable, base, repository, warmup)
 
+    # One read of the store for the whole matrix, after every cell ran.
+    series_of = {record.record_id: record.series for record in store.records()}
     for cell in runnable:
         if cell.outcome is None:
             continue
         record_id = cell.outcome.extra.get(RECORD_ID_EXTRA_KEY)
         if record_id:
+            if record_id not in series_of:
+                raise AnalysisError(
+                    f"ablation cell {cell.prescription}/{cell.engine}/"
+                    f"{cell.profile.name} was recorded as {record_id!r}, "
+                    f"which run store {store.path} does not hold"
+                )
             cell.record_id = record_id
-            try:
-                cell.series = store.get(record_id).series
-            except Exception:
-                cell.series = None
+            cell.series = series_of[record_id]
 
     report = AblationReport(
         cells=cells,

@@ -137,6 +137,15 @@ class TestRunStore:
         with pytest.raises(AnalysisError, match="line 2"):
             store.records()
 
+    def test_a_torn_last_line_does_not_stop_recording(self, tmp_path):
+        store = RunStore(tmp_path)
+        store.record_outcome(make_result(), {"k": 1})
+        with store.path.open("a") as handle:
+            handle.write('{"record_id": "r00')  # a crash mid-write
+        assert [r.record_id for r in store.records()] == ["r0001"]
+        assert store.record_outcome(make_result(), {"k": 1}).record_id == "r0002"
+        assert [r.record_id for r in store.records()] == ["r0001", "r0002"]
+
     def test_constructing_a_store_never_touches_the_filesystem(
         self, tmp_path
     ):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.core.errors import ServiceError
@@ -123,3 +126,27 @@ class TestDraining:
     def test_cancel_unknown_job_returns_none(self):
         queue = AdmissionQueue()
         assert queue.cancel("nope") is None
+
+    def test_close_wakes_a_blocked_take(self):
+        """Regression: ``take`` went back to waiting out its timeout
+        after ``close()`` had notified it."""
+        queue = AdmissionQueue()
+        taken: list[object] = []
+        thread = threading.Thread(
+            target=lambda: taken.append(queue.take(timeout=5))
+        )
+        thread.start()
+        time.sleep(0.05)  # let it block on the empty queue
+        queue.close()
+        thread.join(timeout=0.5)
+        assert not thread.is_alive()
+        assert taken == [None]
+
+    def test_a_closed_queue_still_drains(self):
+        queue = AdmissionQueue()
+        queue.submit(make_job("queued-before-close"))
+        queue.close()
+        assert queue.take(timeout=5).job_id == "queued-before-close"
+        started = time.monotonic()
+        assert queue.take(timeout=5) is None  # closed and drained: at once
+        assert time.monotonic() - started < 0.5

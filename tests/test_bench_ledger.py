@@ -18,7 +18,7 @@ LEDGERS = sorted(
 
 
 def test_the_ledgers_are_found():
-    assert len(LEDGERS) >= 7
+    assert len(LEDGERS) >= 8
 
 
 @pytest.mark.parametrize("ledger", LEDGERS, ids=lambda path: path.name)

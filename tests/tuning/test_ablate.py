@@ -8,7 +8,7 @@ import pytest
 
 import repro  # noqa: F401 - triggers default registration
 from repro.analysis.store import RunStore
-from repro.core.errors import TuningError
+from repro.core.errors import AnalysisError, TuningError
 from repro.tuning import render_ablation, resolve_workloads, run_ablation
 
 
@@ -222,3 +222,31 @@ class TestServicePath:
             store.get(tuned.record_id).fingerprint["tuning"]["profile"]
             == "optimized"
         )
+
+
+class TestStoreReads:
+    """The matrix learns its cells' series from one read of the store."""
+
+    ARGS = dict(repeats=2, volume=60, include_one_offs=False)
+
+    def test_the_store_is_read_once_per_matrix(self, tmp_path, monkeypatch):
+        reads = []
+        records = RunStore.records
+        monkeypatch.setattr(
+            RunStore, "records",
+            lambda store: reads.append(store.path) or records(store),
+        )
+        report = run_ablation(
+            "relational", "dbms", store_dir=str(tmp_path), **self.ARGS
+        )
+        assert len([c for c in report.cells if c.record_id]) == 2
+        assert len(reads) == 1
+
+    def test_a_record_the_store_does_not_hold_is_an_error(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(RunStore, "records", lambda store: [])
+        with pytest.raises(AnalysisError, match="r0001.*does not hold"):
+            run_ablation(
+                "relational", "dbms", store_dir=str(tmp_path), **self.ARGS
+            )

@@ -18,6 +18,15 @@ A second benchmark times every registry generator at one fixed volume
 seed data) — generation rate is a data generator's headline number
 (BDGS), and this is where a change to any generator's hot loop shows.
 
+A third prices the fitted-model cache (DESIGN.md §3.19): how long, and
+how many ``LdaModel.fit`` calls, a cold and a second ``api.run`` of
+``micro-grep``, a four-point volume sweep and a chunked run with repeats
+take, each scenario in a fresh process whose ``PYTHONPATH`` is the
+measured ``src``; the probe uses only calls both sides of a comparison
+have, so the same script measures the parent commit::
+
+    PYTHONPATH=src python benchmarks/bench_datagen_pipeline.py --src OTHER/src --source parent
+
 Each run appends a run-store-schema row per benchmark (see ``_history``)
 to ``BENCH_datagen_pipeline.json`` so the throughput and memory numbers
 accumulate into a perf trajectory across revisions.
@@ -25,6 +34,7 @@ accumulate into a perf trajectory across revisions.
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -56,6 +66,24 @@ FIT_SOURCES = {
 
 RESULTS_FILE = Path(__file__).parent / "BENCH_datagen_pipeline.json"
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+
+#: The fitted-model scenarios: ``micro-grep`` (``lda-text`` fitted on
+#: ``text-corpus``) at the end-to-end benchmark's ``grep-lda`` volume.
+MODEL_CACHE = {
+    "volume": 600,
+    "sweep_volumes": [100, 200, 400, 800],
+    "chunk_size": 128,
+    "chunked_repeats": 3,
+}
+#: Fresh processes per scenario; the row keeps each number's minimum.
+MODEL_CACHE_REPEATS = 3
+#: What the pytest entry point (CI's ledger-smoke step) runs.
+MODEL_CACHE_SMOKE = {
+    "volume": 60,
+    "sweep_volumes": [20, 30, 40, 50],
+    "chunk_size": 16,
+    "chunked_repeats": 3,
+}
 
 #: The child generates in the requested shape and reports elapsed
 #: seconds, peak RSS, record count, and a record digest on stdout.
@@ -231,3 +259,121 @@ def test_generator_rates(benchmark):
         {"volume": RATE_VOLUME, "generators": names},
         {"generators": rates},
     )
+
+
+#: One fitted-model scenario per process, so each starts with nothing
+#: fitted; ``LdaModel.fit`` is counted by wrapping it.
+_MODEL_CHILD = """
+import json
+import sys
+import time
+
+scenario = sys.argv[1]
+sizes = json.loads(sys.argv[2])
+
+from repro import api
+from repro.datagen.text import LdaModel
+
+fits = []
+fit = LdaModel.fit
+
+
+def counted(self, documents):
+    fits.append(1)
+    return fit(self, documents)
+
+
+LdaModel.fit = counted
+
+
+def timed(call):
+    before = len(fits)
+    started = time.perf_counter()
+    call()
+    return {"seconds": time.perf_counter() - started,
+            "fits": len(fits) - before}
+
+
+def run():
+    api.run("micro-grep", volume=sizes["volume"], executor="serial",
+            chunk_size=None)
+
+
+if scenario == "run-twice":
+    rows = {"cold_run": timed(run), "second_run": timed(run)}
+elif scenario == "sweep":
+    rows = {"sweep": timed(lambda: api.sweep(
+        "micro-grep", "mapreduce", volumes=sizes["sweep_volumes"]))}
+else:
+    rows = {"chunked_run": timed(lambda: api.run(
+        "micro-grep", volume=sizes["volume"], executor="serial",
+        chunk_size=sizes["chunk_size"], repeats=sizes["chunked_repeats"]))}
+print(json.dumps(rows))
+"""
+
+
+def measure_model_cache(
+    src: str = SRC_DIR, sizes: dict = MODEL_CACHE,
+    repeats: int = MODEL_CACHE_REPEATS,
+) -> dict[str, dict]:
+    """``{measurement: {"seconds": min, "fits": n}}`` for the ``src`` tree."""
+    env = {"PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
+    rows: dict[str, dict] = {}
+    for scenario in ("run-twice", "sweep", "chunked"):
+        for _ in range(repeats):
+            completed = subprocess.run(
+                [sys.executable, "-c", _MODEL_CHILD, scenario,
+                 json.dumps(sizes)],
+                capture_output=True, text=True, timeout=600, env=env,
+                check=True,
+            )
+            for name, row in json.loads(
+                completed.stdout.strip().splitlines()[-1]
+            ).items():
+                best = rows.setdefault(name, row)
+                # Fits are a count and repeat exactly; seconds do not.
+                assert best["fits"] == row["fits"], name
+                best["seconds"] = min(best["seconds"], row["seconds"])
+    return rows
+
+
+def record_model_cache(
+    src: str = SRC_DIR, source: str = "worktree", sizes: dict = MODEL_CACHE,
+    repeats: int = MODEL_CACHE_REPEATS,
+) -> dict[str, dict]:
+    rows = measure_model_cache(src, sizes, repeats)
+    print_banner("E14", f"fitted-model cache — micro-grep, {source}")
+    print(
+        ascii_table(
+            [
+                {"measurement": name, "seconds": row["seconds"],
+                 "LdaModel.fit calls": row["fits"]}
+                for name, row in rows.items()
+            ]
+        )
+    )
+    append_history(
+        RESULTS_FILE,
+        "datagen_pipeline.model_cache",
+        {"prescription": "micro-grep", **sizes},
+        {"source": source, "repeats": repeats, "scenarios": rows},
+    )
+    return rows
+
+
+def test_model_cache_ledger():
+    rows = record_model_cache(sizes=MODEL_CACHE_SMOKE, repeats=1)
+    # A process trains a model once, whichever path asks for it again.
+    assert {name: row["fits"] for name, row in rows.items()} == {
+        "cold_run": 1, "second_run": 0, "sweep": 1, "chunked_run": 1,
+    }
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(
+        description="Append one fitted-model cache row for the tree under --src."
+    )
+    parser.add_argument("--src", type=Path, default=Path(SRC_DIR))
+    parser.add_argument("--source", default="worktree")
+    options = parser.parse_args()
+    record_model_cache(str(options.src.resolve()), options.source)

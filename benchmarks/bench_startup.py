@@ -22,6 +22,15 @@ result is appended to ``BENCH_startup.json`` through
 this script; ``--source`` labels the row.  The measured ``src`` is
 byte-compiled first, so rows compare warm ``__pycache__`` to warm
 ``__pycache__`` whatever ``PYTHONDONTWRITEBYTECODE`` says.
+
+What that warmth is worth is measured too (``without_bytecode`` in the
+row; a lead for the ROADMAP "Start-up floor" item, nothing is fixed
+here): :data:`BYTECODE_VERBS` are timed again with
+``PYTHONDONTWRITEBYTECODE=1`` against a copy of ``src`` that has no
+``__pycache__`` (``repro_uncompiled``: what a fresh checkout costs in a
+container that exports that variable, as this one does) and with
+``PYTHONPYCACHEPREFIX`` at an empty directory as well
+(``nothing_compiled``: the standard library and numpy recompile too).
 """
 
 from __future__ import annotations
@@ -65,6 +74,9 @@ CLI_VERBS = {
     "cli.jobs-list": ["jobs", "list", "--store-dir", "{store}"],
 }
 
+#: The verbs timed again without a valid bytecode cache.
+BYTECODE_VERBS = ("cli.list", "cli.run-small")
+
 #: row name → ``python -c`` program.
 PROGRAMS = {
     "interp": "pass",
@@ -76,8 +88,10 @@ PROGRAMS = {
 }
 
 
-def _python(src: Path, *args: str) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(src)}
+def _python(
+    src: Path, *args: str, **variables: str
+) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(src), **variables}
     for name in ("REPRO_EXECUTOR", "REPRO_CHUNK_SIZE", "REPRO_STORE_DIR"):
         env.pop(name, None)
     return subprocess.run(
@@ -104,50 +118,92 @@ def _cli_argv(name: str, template: Path, scratch: Path) -> list[str]:
     return [part.format(store=store) for part in CLI_VERBS[name]]
 
 
-def _measure(src: Path, name: str, template: Path, scratch: Path) -> dict:
-    """One row: cold walls of REPEATS processes plus the footprint probe."""
+def _cold_walls(src: Path, make_args, **variables: str) -> dict:
+    """Cold walls of REPEATS processes; ``make_args()`` runs off the clock."""
     walls = []
     for _ in range(REPEATS):
-        args = (
-            ["-c", PROGRAMS[name]] if name in PROGRAMS
-            else ["-m", "repro.cli", *_cli_argv(name, template, scratch)]
-        )
+        args = make_args()
         started = time.perf_counter()
-        _python(src, *args)
+        _python(src, *args, **variables)
         walls.append(time.perf_counter() - started)
+    return {
+        "wall_min_s": min(walls),
+        "wall_q1_s": statistics.quantiles(walls, n=4)[0],
+        "samples": len(walls),
+    }
+
+
+def _measure(src: Path, name: str, template: Path, scratch: Path) -> dict:
+    """One row: cold walls of REPEATS processes plus the footprint probe."""
+    walls = _cold_walls(
+        src,
+        lambda: ["-c", PROGRAMS[name]] if name in PROGRAMS
+        else ["-m", "repro.cli", *_cli_argv(name, template, scratch)],
+    )
     program = PROGRAMS.get(name) or (
         "import os\nfrom repro.cli import main\n"
         f"main({_cli_argv(name, template, scratch)!r}, "
         "out=open(os.devnull, 'w'))"
     )
     probe = _python(src, "-c", program + _FOOTPRINT)
+    return {**walls, **json.loads(probe.stderr.strip().splitlines()[-1])}
+
+
+def _measure_without_bytecode(src: Path, tmp: Path) -> dict[str, dict]:
+    """Cold walls of :data:`BYTECODE_VERBS` when nothing was compiled ahead."""
+    uncompiled, prefix = tmp / "src-uncompiled", tmp / "empty-pycache-prefix"
+    shutil.copytree(
+        src, uncompiled, ignore=shutil.ignore_patterns("__pycache__")
+    )
+    prefix.mkdir()
+    conditions = {
+        "repro_uncompiled": (uncompiled, {"PYTHONDONTWRITEBYTECODE": "1"}),
+        "nothing_compiled": (
+            src,
+            {"PYTHONDONTWRITEBYTECODE": "1",
+             "PYTHONPYCACHEPREFIX": str(prefix)},
+        ),
+    }
     return {
-        "wall_min_s": min(walls),
-        "wall_q1_s": statistics.quantiles(walls, n=4)[0],
-        "samples": len(walls),
-        **json.loads(probe.stderr.strip().splitlines()[-1]),
+        name: {
+            condition: _cold_walls(
+                tree, lambda: ["-m", "repro.cli", *CLI_VERBS[name]],
+                **variables,
+            )
+            for condition, (tree, variables) in conditions.items()
+        }
+        for name in BYTECODE_VERBS
     }
 
 
-def measure_startup(src: Path = SRC_DIR) -> dict[str, dict]:
+def measure_startup(src: Path = SRC_DIR) -> tuple[dict[str, dict], dict]:
+    """``(row per command, BYTECODE_VERBS without bytecode)`` for ``src``."""
     with tempfile.TemporaryDirectory(prefix="bench-startup-") as tmp:
         template, scratch = Path(tmp) / "template", Path(tmp) / "scratch"
         scratch.mkdir()
         _python(src, "-m", "compileall", "-q", str(src))
         _seed_store(src, template)
-        return {
+        rows = {
             name: _measure(src, name, template, scratch)
             for name in (*PROGRAMS, *CLI_VERBS)
         }
+        return rows, _measure_without_bytecode(src, Path(tmp))
 
 
 def record_startup(src: Path = SRC_DIR, source: str = "worktree") -> dict:
-    rows = measure_startup(src)
+    rows, without_bytecode = measure_startup(src)
     print(f"\n{'command':16s} {'min s':>8s} {'q1 s':>8s} {'repro.*':>8s} numpy")
     for name, row in rows.items():
         print(
             f"{name:16s} {row['wall_min_s']:8.3f} {row['wall_q1_s']:8.3f} "
             f"{row['repro_modules']:8d} {'yes' if row['numpy'] else 'no'}"
+        )
+    print(f"\n{'q1 s':16s} {'warm':>8s} {'repro':>8s} {'nothing':>8s}  compiled")
+    for name, row in without_bytecode.items():
+        print(
+            f"{name:16s} {rows[name]['wall_q1_s']:8.3f} "
+            f"{row['repro_uncompiled']['wall_q1_s']:8.3f} "
+            f"{row['nothing_compiled']['wall_q1_s']:8.3f}"
         )
     append_history(
         RESULTS_FILE,
@@ -157,7 +213,11 @@ def record_startup(src: Path = SRC_DIR, source: str = "worktree") -> dict:
             "programs": PROGRAMS,
             "cli_verbs": CLI_VERBS,
         },
-        {"source": source, "commands": rows},
+        {
+            "source": source,
+            "commands": rows,
+            "without_bytecode": without_bytecode,
+        },
     )
     return rows
 

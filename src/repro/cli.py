@@ -581,13 +581,12 @@ def _run(args, out) -> int:
 
 def _generate(args, out) -> int:
     from repro.core import registry
-    from repro.core.prescription import load_seed
     from repro.datagen.formats import convert
+    from repro.datagen.models import PROCESS_MODELS
 
     generator = registry.generators.create(args.generator)
     generator.seed = args.seed
-    if args.fit_on:
-        generator.fit(load_seed(args.fit_on))
+    generator = PROCESS_MODELS.fitted(generator, args.fit_on or None)
     dataset = generator.generate(args.volume)
     print(f"generated {dataset.num_records} records "
           f"({dataset.data_type.label}, ~{dataset.estimated_bytes()} bytes)",

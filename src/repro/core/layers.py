@@ -73,11 +73,9 @@ class FunctionLayer:
         self, generator_name: str, volume: int, fit_on: str | None = None
     ) -> DataSet:
         """Directly drive one registered data generator."""
-        from repro.core.prescription import load_seed
-
-        generator = registry.generators.create(generator_name)
-        if fit_on is not None:
-            generator.fit(load_seed(fit_on))
+        generator = self.test_generator.model_cache.fitted(
+            registry.generators.create(generator_name), fit_on
+        )
         return generator.generate(volume)
 
     def describe_metrics(self) -> list[str]:

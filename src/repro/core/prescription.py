@@ -154,14 +154,28 @@ SEED_SOURCES: dict[str, Callable[[], DataSet]] = {
 }
 
 
+#: name → (the loader that built it, the data set): seed sets are
+#: constants, so each is built once per process.
+_LOADED_SEEDS: dict[str, tuple[Callable[[], DataSet], DataSet]] = {}
+
+
 def load_seed(name: str) -> DataSet:
-    """Load one embedded seed data set by name."""
+    """One embedded seed data set by name.
+
+    Built on first use and shared by every later caller in the process
+    (the fitted-model cache fingerprints it once): treat it as
+    read-only.  A loader replaced in :data:`SEED_SOURCES` is loaded
+    afresh.
+    """
     loader = SEED_SOURCES.get(name)
     if loader is None:
         raise TestGenerationError(
             f"unknown seed data set {name!r}; available: {sorted(SEED_SOURCES)}"
         )
-    return loader()
+    loaded = _LOADED_SEEDS.get(name)
+    if loaded is None or loaded[0] is not loader:
+        loaded = _LOADED_SEEDS[name] = (loader, loader())
+    return loaded[1]
 
 
 # ---------------------------------------------------------------------------

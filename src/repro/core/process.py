@@ -133,14 +133,20 @@ class BenchmarkingProcess:
                 requirement = replace(
                     requirement, num_partitions=spec.data_partitions
                 )
-            dataset = self.test_generator.select_data(
-                requirement, spec.volume, chunk_size=spec.chunk_size
-            )
+            with self.test_generator.model_cache.recording() as model_uses:
+                dataset = self.test_generator.select_data(
+                    requirement, spec.volume, chunk_size=spec.chunk_size
+                )
         generation_detail: dict[str, Any] = {
             "generator": requirement.generator,
             "records": dataset.num_records,
             "partitions": spec.data_partitions,
         }
+        if model_uses:
+            # Figure 3 step 2: whether this run trained the generator's
+            # model or found it fitted (absent when nothing is fitted,
+            # or the data set itself was already cached).
+            generation_detail["model"] = model_uses[-1].as_dict()
         if isinstance(dataset, DataSet):
             # The dataset cache sized it when select_data put it there.
             cache = self.test_generator.dataset_cache
@@ -209,6 +215,11 @@ class BenchmarkingProcess:
                 outcomes = runner.run_many(plan.tasks)
             finally:
                 runner.close()
+        if "model" in generation_detail:
+            # On each outcome too, so ``run --json`` and the run store
+            # can tell a run that paid for the fit from one that did not.
+            for outcome in outcomes:
+                outcome.extra["model"] = dict(generation_detail["model"])
         results, failures = split_outcomes(outcomes)
         report.results.extend(results)
         report.failures.extend(failures)

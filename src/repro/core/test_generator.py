@@ -29,10 +29,10 @@ from repro.core.prescription import (
     Prescription,
     PrescriptionRepository,
     builtin_repository,
-    load_seed,
 )
 from repro.datagen.base import DataGenerator, DataSet
 from repro.datagen.cache import CacheKey, DatasetCache
+from repro.datagen.models import PROCESS_MODELS, ModelCache
 from repro.datagen.source import DatasetSource, GeneratorSource
 from repro.engines.base import Engine
 from repro.observability import trace_span
@@ -77,6 +77,7 @@ class TestGenerator:
         engine_registry: registry.Registry | None = None,
         dataset_cache: DatasetCache | None = None,
         cache_datasets: bool = True,
+        model_cache: ModelCache | None = None,
     ) -> None:
         self.repository = repository or builtin_repository()
         self.generators = generator_registry or registry.generators
@@ -90,6 +91,12 @@ class TestGenerator:
         if dataset_cache is None and cache_datasets:
             dataset_cache = DatasetCache()
         self.dataset_cache = dataset_cache
+        #: Fitted generators, by content address (Figure 3, step 2): the
+        #: process-wide cache unless a test hands in its own, so a model
+        #: is trained once per process however many data sets it makes.
+        self.model_cache = (
+            model_cache if model_cache is not None else PROCESS_MODELS
+        )
 
     # ------------------------------------------------------------------
     # Step 1: data selection
@@ -106,7 +113,9 @@ class TestGenerator:
 
         Identical requests are served from :attr:`dataset_cache` (when
         enabled); generation is deterministic, so the cached data set is
-        record-for-record what a fresh generation would produce.
+        record-for-record what a fresh generation would produce.  The
+        fit comes from :attr:`model_cache` on both paths below, so only
+        the first request for a model in this process trains it.
 
         With ``chunk_size`` set, the returned value is a lazily streaming
         :class:`~repro.datagen.source.GeneratorSource` instead of a
@@ -134,9 +143,8 @@ class TestGenerator:
             partitions=num_partitions,
         ):
             if chunk_size is not None:
-                self._fit(generator, requirement)
                 return GeneratorSource(
-                    generator,
+                    self.model_cache.fitted(generator, requirement.fit_on),
                     volume,
                     chunk_size=chunk_size,
                     num_partitions=num_partitions,
@@ -182,12 +190,6 @@ class TestGenerator:
             requirement.fit_on,
         )
 
-    def _fit(self, generator: DataGenerator, requirement: DataRequirement) -> None:
-        """Fit a veracity-aware generator on its prescribed seed data."""
-        if requirement.fit_on is not None:
-            with trace_span("fit", source=requirement.fit_on):
-                generator.fit(load_seed(requirement.fit_on))
-
     def _generate_data(
         self,
         generator: DataGenerator,
@@ -195,8 +197,8 @@ class TestGenerator:
         volume: int,
         num_partitions: int,
     ) -> DataSet:
-        """The uncached generation path (fit, then generate)."""
-        self._fit(generator, requirement)
+        """The data-set-uncached path (fitted model, then generate)."""
+        generator = self.model_cache.fitted(generator, requirement.fit_on)
         with trace_span(
             "generate", volume=volume, partitions=num_partitions
         ) as span:

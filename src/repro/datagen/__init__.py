@@ -16,6 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "RecordBatch", "StructureClass", "as_dataset", "mix_seed",
         ),
         "repro.datagen.cache": ("CacheStats", "DatasetCache"),
+        "repro.datagen.models": ("ModelCache",),
         "repro.datagen.formats": (
             "available_formats", "convert", "convert_batches",
         ),

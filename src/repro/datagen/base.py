@@ -248,6 +248,15 @@ class DataGenerator(ABC):
     The default :meth:`generate` produces a single partition covering the
     full volume.  Generators that preserve veracity additionally implement
     :meth:`fit` and must be fitted before generating.
+
+    Fitted state is immutable.  Generating never changes the generator
+    (each call draws from its own :meth:`rng_for_partition`), ``fit``
+    binds new objects to the generator's attributes instead of writing
+    into the ones an earlier fit bound, and fitted numpy arrays are
+    read-only.  The fitted-model cache (:mod:`repro.datagen.models`)
+    relies on it: it hands every holder a shallow copy that shares one
+    fitted model, and a holder that fits its copy again on other data
+    changes nobody else's output.
     """
 
     #: The data type this generator produces.
@@ -271,6 +280,8 @@ class DataGenerator(ABC):
         """Learn a data model from a real data set (Figure 3, step 2).
 
         Veracity-unaware generators accept the call but ignore the data.
+        Always trains: the fitted-model cache sits in front of the paths
+        that fit a registered generator on a named seed source, not here.
         """
         self._fitted = True
         return self

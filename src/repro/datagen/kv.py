@@ -16,6 +16,10 @@ from repro.core.errors import GenerationError
 from repro.datagen.base import DataGenerator, DataType, PurelySyntheticMixin
 
 
+#: Records whose field letters :class:`KeyValueGenerator` draws at once.
+_RECORDS_PER_DRAW = 64
+
+
 class KeyValueGenerator(PurelySyntheticMixin, DataGenerator):
     """Generates (key, fields) records with fixed-size string payloads."""
 
@@ -42,20 +46,33 @@ class KeyValueGenerator(PurelySyntheticMixin, DataGenerator):
     def iter_partition(
         self, volume: int, partition: int, num_partitions: int
     ):
-        # Streamed record-by-record: the RNG is consumed in the same
-        # order as the materialized loop, so chunked and materialized
-        # generation are bit-identical.
         count = self.partition_volume(volume, partition, num_partitions)
         start = sum(
             self.partition_volume(volume, p, num_partitions) for p in range(partition)
         )
         rng = self.rng_for_partition(partition, num_partitions)
-        for offset in range(count):
-            key = f"{self.key_prefix}{start + offset:012d}"
-            fields = {}
-            for field_index in range(self.field_count):
-                letters = rng.integers(0, 26, size=self.field_length)
-                fields[f"field{field_index}"] = (
-                    (letters + 97).astype(np.uint8).tobytes().decode("ascii")
+        length = self.field_length
+        fields = [
+            (f"field{index}", slice(index * length, (index + 1) * length))
+            for index in range(self.field_count)
+        ]
+        # One draw per block of records: the same stream as one draw per
+        # field (pinned by tests/datagen/test_seeded_digests.py), so
+        # chunked and materialized generation stay bit-identical, without
+        # a numpy call per field; memory stays one block.
+        for first in range(0, count, _RECORDS_PER_DRAW):
+            letters = rng.integers(
+                0,
+                26,
+                size=(
+                    min(_RECORDS_PER_DRAW, count - first),
+                    self.field_count * length,
+                ),
+            )
+            rows = (letters + 97).astype(np.uint8)
+            for offset, row in enumerate(rows, start + first):
+                payload = row.tobytes().decode("ascii")
+                yield (
+                    f"{self.key_prefix}{offset:012d}",
+                    {name: payload[part] for name, part in fields},
                 )
-            yield (key, fields)

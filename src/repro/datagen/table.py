@@ -310,6 +310,7 @@ class _EmpiricalQuantile(ColumnDistribution):
 
     def __init__(self, values: Sequence[float]) -> None:
         self._sorted = np.sort(np.asarray(values, dtype=np.float64))
+        self._sorted.setflags(write=False)
         self._integral = all(float(v).is_integer() for v in values)
 
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[Any]:

@@ -30,6 +30,7 @@ Two baseline generators are provided for veracity ablations:
 
 from __future__ import annotations
 
+import copy
 import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
@@ -256,9 +257,12 @@ class LdaModel:
         phi = np.ascontiguousarray(np.array(word_topic, dtype=np.float64).T)
         phi += beta
         phi /= phi.sum(axis=1, keepdims=True)
-        self.phi = phi
         word_cdfs = phi.cumsum(axis=1)
         word_cdfs /= word_cdfs[:, -1:]
+        # Fitted state is shared by every holder of this model.
+        phi.setflags(write=False)
+        word_cdfs.setflags(write=False)
+        self.phi = phi
         self._word_cdfs = word_cdfs
         self.vocabulary = vocabulary
         self.mean_document_length = float(
@@ -355,7 +359,9 @@ class LdaTextGenerator(DataGenerator):
     def fit(self, real_data: DataSet) -> "LdaTextGenerator":
         documents = [tokenize(doc) for doc in real_data.records]
         documents = [doc for doc in documents if doc]
-        self.model.fit(documents)
+        # A new model object, never a refit of the one this generator
+        # may share with copies of itself (the fitted-model cache's).
+        self.model = copy.copy(self.model).fit(documents)
         self._fitted = True
         return self
 
@@ -406,6 +412,7 @@ class UnigramTextGenerator(DataGenerator):
         self._words = sorted(counts)
         frequencies = np.array([counts[word] for word in self._words], dtype=np.float64)
         self._probabilities = frequencies / frequencies.sum()
+        self._probabilities.setflags(write=False)
         self._mean_length = float(np.mean(lengths))
         self._fitted = True
         return self

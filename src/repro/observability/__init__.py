@@ -2,8 +2,8 @@
 
 Gives every layer of the Figure-2 architecture a shared measurement
 substrate: the five-step process, test/data generation, the dataset
-cache, the runner's executor backends, and the MapReduce runtime all
-record into the thread's current :class:`Tracer`.  See
+and fitted-model caches, the runner's executor backends, and the
+MapReduce runtime all record into the thread's current :class:`Tracer`.  See
 :mod:`repro.observability.tracing`.
 """
 

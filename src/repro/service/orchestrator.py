@@ -21,7 +21,10 @@ Parity contract: a job's outcomes — metrics, extras, and recorded
 run-store entries — are exactly what ``api.run`` of the same spec
 produces, because both execute the plan
 :func:`~repro.execution.plan.resolve` builds from it; the service owns
-the lifecycle, not the semantics.
+the lifecycle, not the semantics.  One extra is not a result and is the
+exception: ``extra["model"]`` (did this process train the generator's
+model or find it fitted) is stamped by the five-step process from its
+data-generation step, which a job does not have.
 """
 
 from __future__ import annotations

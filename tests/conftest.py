@@ -13,7 +13,15 @@ from repro.datagen.corpus import (
     load_social_graph,
     load_text_corpus,
 )
+from repro.datagen.models import PROCESS_MODELS
 from repro.datagen.text import LdaTextGenerator
+
+
+@pytest.fixture(autouse=True)
+def cold_model_cache():
+    """Every test starts with no fitted model in the process-wide cache,
+    so none can pass (or fail) on a fit an earlier test paid for."""
+    PROCESS_MODELS.clear()
 
 
 @pytest.fixture(scope="session")

@@ -136,17 +136,25 @@ class TestTraceFlags:
 
     def test_step_durations_sum_to_the_run_total(self, tmp_path):
         path = tmp_path / "trace.jsonl"
+        # The first run in a process imports the planner and the runner
+        # between the steps: a fact about imports, not about a run.
+        assert run_cli("run", "micro-wordcount", "--volume", "20")[0] == 0
         code, _ = run_cli(
-            "run", "micro-wordcount", "--volume", "20",
+            "run", "micro-wordcount", "--volume", "2000",
             "--trace-out", str(path),
         )
         assert code == 0
         root = json.loads(path.read_text().strip())
+        # Structure: the root holds the five steps, in order, and nothing
+        # else; they ran one after another inside it.
+        assert [c["name"] for c in root["children"]] == list(self.STEPS)
         steps = sum(
             child["duration_seconds"] for child in root["children"]
         )
         assert 0 < steps <= root["duration_seconds"]
-        # The five steps account for (nearly) the whole run.
+        # The five steps account for (nearly) the whole run: measured
+        # on a run of tens of milliseconds, where the microseconds of
+        # book-keeping between the steps cannot reach a tenth of it.
         assert steps >= 0.9 * root["duration_seconds"]
 
 

@@ -232,7 +232,7 @@ def probe(repeats: int) -> dict[str, Any]:
 def measure_accounting(src: Path = SRC_DIR, repeats: int = REPEATS) -> dict:
     """Run :func:`probe` in a child whose ``repro`` is the one under ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    for name in ("REPRO_EXECUTOR", "REPRO_CHUNK_SIZE", "REPRO_STORE_DIR"):
+    for name in ("REPRO_EXECUTOR", "REPRO_STORE_DIR"):
         env.pop(name, None)
     child = subprocess.run(
         [sys.executable, __file__, "--probe", "--repeats", str(repeats)],

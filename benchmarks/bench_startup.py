@@ -92,7 +92,7 @@ def _python(
     src: Path, *args: str, **variables: str
 ) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(src), **variables}
-    for name in ("REPRO_EXECUTOR", "REPRO_CHUNK_SIZE", "REPRO_STORE_DIR"):
+    for name in ("REPRO_EXECUTOR", "REPRO_STORE_DIR"):
         env.pop(name, None)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True,

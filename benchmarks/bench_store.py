@@ -201,7 +201,7 @@ def measure_store(
 ) -> dict:
     """Run :func:`probe` in a child whose ``repro`` is the one under ``src``."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    for name in ("REPRO_EXECUTOR", "REPRO_CHUNK_SIZE", "REPRO_STORE_DIR"):
+    for name in ("REPRO_EXECUTOR", "REPRO_STORE_DIR"):
         env.pop(name, None)
     subprocess.run(
         [sys.executable, "-m", "compileall", "-q", str(src)],

@@ -4,8 +4,8 @@ Reads the JSON report emitted by ``repro ablate --style json`` and
 enforces the subsystem's headline property: the documented ``optimized``
 DBMS profile must never come out ``regressed`` against ``normal`` on
 any workload in the matrix.  (MapReduce is reported but not gated: its
-combiner knobs honestly regress wall-clock at CI-sized volumes — the
-whole point of the ablation is to show that, not hide it.)
+one optimized knob, ``slots_per_node``, shapes the simulated cluster's
+makespan, not the wall-clock ``duration`` a CI host measures.)
 
 Every gated verdict is also appended to ``BENCH_tuning_ablation.json``
 through the shared :mod:`_history` helper, so the delta/p-value

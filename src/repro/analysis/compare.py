@@ -40,17 +40,11 @@ from repro.core.results import MetricStats, RunResult
 #: The four verdicts a per-metric comparison can emit.
 VERDICTS = ("improved", "regressed", "unchanged", "inconclusive")
 
-#: Metrics where a smaller value is the better one (mirrors the lead-
-#: metric handling in :mod:`repro.core.process`).
+#: Metrics where a smaller value is the better one, by exact name;
+#: :func:`metric_direction` adds the name families (latencies and
+#: their percentiles, shed/error fractions).
 LOWER_IS_BETTER = frozenset(
-    {
-        "duration",
-        "mean_latency",
-        "latency_p95",
-        "latency_p99",
-        "energy",
-        "cost",
-    }
+    {"duration", "energy", "cost", "latency", "queue_depth_max"}
 )
 
 #: Default relative effect-size threshold: deltas below 5% are noise.
@@ -65,8 +59,17 @@ SINGLE_SAMPLE_FACTOR = 3.0
 
 
 def metric_direction(metric: str) -> str:
-    """``"lower"`` or ``"higher"`` — which way is better for a metric."""
-    return "lower" if metric in LOWER_IS_BETTER else "higher"
+    """``"lower"`` or ``"higher"`` — which way is better for a metric.
+
+    The one definition: comparisons, the gate and the five-step
+    process's engine ranking all ask here.
+    """
+    lower = (
+        metric in LOWER_IS_BETTER
+        or metric.endswith(("_latency", "_fraction"))
+        or (metric.startswith("latency_p") and metric[9:].isdigit())
+    )
+    return "lower" if lower else "higher"
 
 
 # ---------------------------------------------------------------------------

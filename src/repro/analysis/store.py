@@ -353,8 +353,13 @@ class RunStore:
         )
 
 
+def env_store_dir() -> str | None:
+    """The directory ``REPRO_STORE_DIR`` names, or None (unset / blank)."""
+    return os.environ.get(STORE_DIR_ENV, "").strip() or None
+
+
 def resolve_store_dir(explicit: str | os.PathLike | None = None) -> str:
     """The store directory: explicit > ``REPRO_STORE_DIR`` > default."""
     if explicit:
         return str(explicit)
-    return os.environ.get(STORE_DIR_ENV, "").strip() or DEFAULT_STORE_DIR
+    return env_store_dir() or DEFAULT_STORE_DIR

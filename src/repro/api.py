@@ -106,9 +106,10 @@ def sweep(
 
     Exactly one axis: pass ``volumes=[...]`` for a volume sweep, or
     ``parameter="name", values=[...]`` for a workload-parameter sweep.
-    ``layout="columnar"`` runs every point through the engine's
-    batch-at-a-time columnar configuration.  Extra keyword arguments
-    are fixed workload overrides applied to every point.
+    ``layout="columnar"`` runs every point of a DBMS sweep through its
+    batch-at-a-time columnar operators (other engines ignore it).
+    Extra keyword arguments are fixed workload overrides applied to
+    every point.
     """
     from repro.core.errors import SpecError
     from repro.core.test_generator import TestGenerator

@@ -40,7 +40,7 @@ import sys
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.core.errors import ReproError
+from repro.core.errors import ReproError, SpecError
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["row", "columnar"],
                         help="execution layout: row-at-a-time iterators "
                              "(the correctness oracle) or batch-at-a-time "
-                             "columnar operators")
+                             "columnar operators on the DBMS (other "
+                             "engines ignore it)")
     param = argparse.ArgumentParser(add_help=False)
     param.add_argument("--param", action="append", default=[],
                        metavar="KEY=VALUE",
@@ -128,8 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--chunk-size", type=int, default=None,
                             help="stream the data set as record batches "
                                  "of this size (bounded memory); default "
-                                 "is the REPRO_CHUNK_SIZE environment "
-                                 "variable, else fully materialized")
+                                 "is fully materialized")
     run_parser.add_argument("--on-error", default="abort",
                             choices=["abort", "continue"],
                             help="failure policy: abort the run on the "
@@ -421,7 +421,7 @@ def _parse_params(entries: list[str]) -> dict[str, object]:
     params: dict[str, object] = {}
     for entry in entries:
         if "=" not in entry:
-            raise SystemExit(f"--param expects KEY=VALUE, got {entry!r}")
+            raise SpecError(f"--param expects KEY=VALUE, got {entry!r}")
         key, _, raw = entry.partition("=")
         value: object = raw
         for caster in (int, float):
@@ -514,9 +514,9 @@ def _run(args, out) -> int:
         repository = repository_from_json(
             Path(args.repository).read_text()
         )
-    # --chunk-size / --store-dir override the REPRO_CHUNK_SIZE /
-    # REPRO_STORE_DIR defaults the spec reads when they are absent;
-    # --history needs the run recorded to have anything to chart.
+    # --store-dir overrides the REPRO_STORE_DIR default the spec reads
+    # when it is absent; --history needs the run recorded to have
+    # anything to chart.
     spec = _spec(
         args,
         record=args.record or args.history,
@@ -526,7 +526,7 @@ def _run(args, out) -> int:
         retry_backoff=args.retry_backoff,
         task_timeout=args.task_timeout,
         inject_latency=args.inject_latency,
-        **_given(args, "chunk_size"),
+        chunk_size=args.chunk_size,
     )
     tracing = args.trace or args.trace_out is not None
     tracer = Tracer() if tracing else NULL_TRACER
@@ -541,10 +541,9 @@ def _run(args, out) -> int:
     for step in report.steps:
         print(f"  {step.step:22s} {step.elapsed_seconds * 1e3:10.2f} ms",
               file=out)
-    cache_stats = report.step("execution").detail.get("dataset_cache")
-    if cache_stats:
-        print(f"dataset cache: {cache_stats['hits']} hits, "
-              f"{cache_stats['misses']} misses", file=out)
+    cache_stats = report.step("execution").detail["dataset_cache"]
+    print(f"dataset cache: {cache_stats['hits']} hits, "
+          f"{cache_stats['misses']} misses", file=out)
     metric_names = (
         (repository or builtin_repository()).get(args.prescription)
         .metric_names

@@ -28,7 +28,6 @@ from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import TestGenerator
 from repro.datagen.base import DataSet
 from repro.datagen.formats import available_formats, convert
-from repro.execution.config import SystemConfiguration, default_configurations
 from repro.execution.report import render_results
 from repro.execution.runner import TestRunner
 from repro.observability import Tracer
@@ -86,12 +85,7 @@ class ExecutionLayer:
     """Configuration, format conversion, running, reporting."""
 
     def __init__(self, test_generator: TestGenerator) -> None:
-        self.configurations: dict[str, SystemConfiguration] = (
-            default_configurations()
-        )
-        self.runner = TestRunner(
-            test_generator=test_generator, configurations=self.configurations
-        )
+        self.runner = TestRunner(test_generator=test_generator)
 
     def convert_format(self, dataset: DataSet, format_name: str):
         return convert(dataset, format_name)

@@ -149,11 +149,8 @@ class BenchmarkingProcess:
             generation_detail["model"] = model_uses[-1].as_dict()
         if isinstance(dataset, DataSet):
             # The dataset cache sized it when select_data put it there.
-            cache = self.test_generator.dataset_cache
             generation_detail["bytes"] = (
-                cache.size_of(dataset)
-                if cache is not None
-                else dataset.estimated_bytes()
+                self.test_generator.dataset_cache.size_of(dataset)
             )
         else:
             # A streaming source: nothing has been generated yet, and
@@ -197,19 +194,15 @@ class BenchmarkingProcess:
         # options (repeats on fresh engines, fanned out over the spec's
         # executor backend).  The runner regenerates each test, but the
         # data set is served from the dataset cache warmed by step 2, so
-        # generation happens once for the whole run.  The empty
-        # configuration table means an engine is built bare unless its
-        # task says otherwise.
+        # generation happens once for the whole run.
         started = time.perf_counter()
         from repro.execution.runner import TestRunner, record_outcomes
 
         runner = TestRunner(
-            test_generator=self.test_generator,
-            configurations={},
-            options=plan.options,
+            test_generator=self.test_generator, options=plan.options
         )
         cache = self.test_generator.dataset_cache
-        cache_before = cache.stats() if cache is not None else None
+        cache_before = cache.stats()
         with tracer.span("execution", executor=spec.executor):
             try:
                 outcomes = runner.run_many(plan.tasks)
@@ -235,12 +228,11 @@ class BenchmarkingProcess:
             execution_detail["failures"] = [
                 failure.as_dict() for failure in failures
             ]
-        if cache is not None:
-            # This run's delta, not process-lifetime totals: earlier
-            # runs through the same framework must not inflate it.
-            execution_detail["dataset_cache"] = (
-                cache.stats().since(cache_before).as_dict()
-            )
+        # This run's delta, not process-lifetime totals: earlier runs
+        # through the same framework must not inflate it.
+        execution_detail["dataset_cache"] = (
+            cache.stats().since(cache_before).as_dict()
+        )
         report.steps.append(
             StepReport(
                 "execution",
@@ -254,13 +246,11 @@ class BenchmarkingProcess:
         with tracer.span("analysis-evaluation"):
             analysis: dict[str, Any] = {}
             if metric_names and report.results:
+                from repro.analysis.compare import metric_direction
+
                 lead = metric_names[0]
-                lower_is_better = lead in (
-                    "duration", "mean_latency", "latency_p99",
-                    "latency_p95", "energy", "cost",
-                )
                 ranking = report.analyzer.ranking(
-                    lead, higher_is_better=not lower_is_better
+                    lead, higher_is_better=metric_direction(lead) == "higher"
                 )
                 analysis["lead_metric"] = lead
                 analysis["ranking"] = [

@@ -8,7 +8,6 @@ eagerly so misconfiguration fails at the Planning step, not mid-run.
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -99,23 +98,18 @@ def _migrate_v3(payload: dict[str, Any]) -> dict[str, Any]:
 register_spec_migration(3, _migrate_v3)
 
 
-def _env_chunk_size() -> int | None:
-    """Default chunk size from ``REPRO_CHUNK_SIZE`` (unset/empty = None).
+def _default_executor() -> str:
+    # Imported here and below: core.spec must pull in neither the
+    # execution nor the analysis package at import time.
+    from repro.execution.parallel import default_backend
 
-    Mirrors the ``REPRO_EXECUTOR`` pattern: the environment sets a
-    session-wide default, an explicit spec field still wins.  A non-int
-    value is rejected here so the failure happens at spec construction,
-    not mid-run.
-    """
-    raw = os.environ.get("REPRO_CHUNK_SIZE", "").strip()
-    if not raw:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise SpecError(
-            f"REPRO_CHUNK_SIZE must be an integer, got {raw!r}"
-        ) from None
+    return default_backend()
+
+
+def _default_store_dir() -> str | None:
+    from repro.analysis.store import env_store_dir
+
+    return env_store_dir()
 
 
 @dataclass
@@ -133,9 +127,8 @@ class BenchmarkSpec:
     #: Record-batch size for the streaming data path.  When set, data
     #: flows from the generator to the workload as RecordBatch chunks of
     #: this many records (bounded memory); None keeps the historical
-    #: materialize-then-run path.  ``REPRO_CHUNK_SIZE`` supplies the
-    #: default, like ``REPRO_EXECUTOR`` does for ``executor``.
-    chunk_size: int | None = field(default_factory=_env_chunk_size)
+    #: materialize-then-run path.
+    chunk_size: int | None = None
     #: Metric names to report; empty means the prescription's defaults.
     metric_names: list[str] = field(default_factory=list)
     repeats: int = 1
@@ -144,9 +137,7 @@ class BenchmarkSpec:
     #: Fan-out backend for independent runs: "serial", "thread",
     #: "process" (the ``REPRO_EXECUTOR`` environment variable overrides
     #: the serial default; see ``repro.execution.parallel``).
-    executor: str = field(
-        default_factory=lambda: os.environ.get("REPRO_EXECUTOR", "serial")
-    )
+    executor: str = field(default_factory=_default_executor)
     #: Worker count for the pooled executor backends; None = one per CPU.
     max_workers: int | None = None
     #: Failure policy: "abort" (fail-fast) or "continue" (capture
@@ -165,19 +156,16 @@ class BenchmarkSpec:
     record: bool = False
     #: Run-store directory; None defers to ``REPRO_STORE_DIR`` (whose
     #: presence alone enables recording), else ``.repro-runs``.
-    store_dir: str | None = field(
-        default_factory=lambda: os.environ.get("REPRO_STORE_DIR", "").strip()
-        or None
-    )
+    store_dir: str | None = field(default_factory=_default_store_dir)
     #: Synthetic per-execution latency in seconds, injected through the
     #: seeded fault substrate (:mod:`repro.engines.faults`).  Simulates
     #: "the code got slower" without changing the spec fingerprint —
     #: the knob the regression-gate CI job uses to prove the gate trips.
     inject_latency: float | None = None
     #: Execution layout: "row" (the historical tuple-at-a-time path) or
-    #: "columnar" (batch-at-a-time vectorized operators on the DBMS and
-    #: per-partition combiner batching on MapReduce).  The default is
-    #: version-safe: old serialized specs simply get "row".
+    #: "columnar" (batch-at-a-time vectorized operators on the DBMS;
+    #: the other engines ignore it).  The default is version-safe: old
+    #: serialized specs simply get "row".
     layout: str = "row"
     #: Tuning profile name applied to every resolved engine: "normal"
     #: (bare engines — the historical behavior and what v2 payloads

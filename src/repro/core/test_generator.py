@@ -76,7 +76,6 @@ class TestGenerator:
         workload_registry: registry.Registry | None = None,
         engine_registry: registry.Registry | None = None,
         dataset_cache: DatasetCache | None = None,
-        cache_datasets: bool = True,
         model_cache: ModelCache | None = None,
     ) -> None:
         self.repository = repository or builtin_repository()
@@ -86,11 +85,10 @@ class TestGenerator:
         #: Deterministic generation means identical (generator, seed,
         #: volume, partitions, fit source) requests produce identical
         #: records, so they share one cached data set across engines,
-        #: repeats, and sweep points.  Pass ``cache_datasets=False`` to
-        #: regenerate on every request instead.
-        if dataset_cache is None and cache_datasets:
-            dataset_cache = DatasetCache()
-        self.dataset_cache = dataset_cache
+        #: repeats, and sweep points.
+        self.dataset_cache = (
+            dataset_cache if dataset_cache is not None else DatasetCache()
+        )
         #: Fitted generators, by content address (Figure 3, step 2): the
         #: process-wide cache unless a test hands in its own, so a model
         #: is trained once per process however many data sets it makes.
@@ -111,8 +109,8 @@ class TestGenerator:
     ) -> DataSet | DatasetSource:
         """Instantiate, fit, and run the generator a prescription names.
 
-        Identical requests are served from :attr:`dataset_cache` (when
-        enabled); generation is deterministic, so the cached data set is
+        Identical requests are served from :attr:`dataset_cache`;
+        generation is deterministic, so the cached data set is
         record-for-record what a fresh generation would produce.  The
         fit comes from :attr:`model_cache` on both paths below, so only
         the first request for a model in this process trains it.
@@ -148,10 +146,6 @@ class TestGenerator:
                     volume,
                     chunk_size=chunk_size,
                     num_partitions=num_partitions,
-                )
-            if self.dataset_cache is None:
-                return self._generate_data(
-                    generator, requirement, volume, num_partitions
                 )
             return self.dataset_cache.get_or_generate(
                 key,

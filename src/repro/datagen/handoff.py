@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import io
 import pickle
-import tempfile
 from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
@@ -312,8 +311,7 @@ class DatasetHandle:
     ``kind`` says how a worker obtains the records:
 
     * ``"shm"`` — re-stream from the named shared-memory segment;
-    * ``"file"`` — re-stream from ``path`` (a cache spill file or a
-      pool export file);
+    * ``"file"`` — re-stream from ``path`` (a cache spill file);
     * ``"fingerprint"`` — nothing shipped: regenerate deterministically
       from the cache key and keep the result in the worker's own cache.
     """
@@ -359,20 +357,14 @@ class ExportedDataset:
     """Parent-side owner of one exported data set's shared bytes.
 
     Created once per (pool, dataset) and reused for every batch the
-    pool serves; :meth:`close` releases the shared-memory segment (or
-    export file).  Cache spill files are referenced, not owned — the
-    cache keeps managing their lifetime.
+    pool serves; :meth:`close` releases the shared-memory segment.
+    Cache spill files are referenced, not owned — the cache keeps
+    managing their lifetime.
     """
 
-    def __init__(
-        self,
-        handle: DatasetHandle,
-        segment: Any = None,
-        owned_path: Path | None = None,
-    ) -> None:
+    def __init__(self, handle: DatasetHandle, segment: Any = None) -> None:
         self.handle = handle
         self._segment = segment
-        self._owned_path = owned_path
         self._closed = False
 
     @property
@@ -390,8 +382,6 @@ class ExportedDataset:
                 self._segment.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
-        if self._owned_path is not None:
-            self._owned_path.unlink(missing_ok=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -406,18 +396,15 @@ def fingerprint_handle(key: tuple, fingerprint: str) -> DatasetHandle:
 
 
 def export_dataset(
-    key: tuple,
-    fingerprint: str,
-    source: Any,
-    prefer_shm: bool = True,
-    export_dir: str | Path | None = None,
+    key: tuple, fingerprint: str, source: Any
 ) -> ExportedDataset:
     """Serialize a data set once into shared bytes and return its handle.
 
     ``source`` is a :class:`DataSet` (serialized into a shared-memory
-    segment, with a temp-file fallback) or a :class:`FileStreamSource`
-    (a cache spill file — already serialized on disk, shipped as a path
-    without writing a single new byte).
+    segment) or a :class:`FileStreamSource` (a cache spill file —
+    already serialized on disk, shipped as a path without writing a
+    single new byte).  When no segment can be created the handle is a
+    ``fingerprint`` one: nothing ships and the worker regenerates.
     """
     if isinstance(source, FileStreamSource):
         return ExportedDataset(
@@ -435,53 +422,29 @@ def export_dataset(
         )
     dataset: DataSet = source
     payload = serialize_dataset(dataset)
-    metadata = tuple(sorted(dataset.metadata.items()))
-    shared_memory = _shared_memory() if prefer_shm and payload else None
+    shared_memory = _shared_memory()
+    segment = None
     if shared_memory is not None:
         try:
             segment = shared_memory.SharedMemory(
                 create=True, size=len(payload)
             )
         except OSError:
-            segment = None
-        if segment is not None:
-            segment.buf[: len(payload)] = payload
-            return ExportedDataset(
-                DatasetHandle(
-                    key=key,
-                    fingerprint=fingerprint,
-                    kind="shm",
-                    shm_name=segment.name,
-                    nbytes=len(payload),
-                    name=dataset.name,
-                    data_type_name=dataset.data_type.name,
-                    metadata=metadata,
-                    num_records=dataset.num_records,
-                ),
-                segment=segment,
-            )
-    directory = Path(export_dir) if export_dir is not None else None
-    if directory is not None:
-        directory.mkdir(parents=True, exist_ok=True)
-    descriptor, raw_path = tempfile.mkstemp(
-        prefix=f"export-{fingerprint[:16]}-",
-        suffix=".pkl",
-        dir=str(directory) if directory is not None else None,
-    )
-    path = Path(raw_path)
-    with open(descriptor, "wb") as handle:
-        handle.write(payload)
+            pass
+    if segment is None:
+        return ExportedDataset(fingerprint_handle(key, fingerprint))
+    segment.buf[: len(payload)] = payload
     return ExportedDataset(
         DatasetHandle(
             key=key,
             fingerprint=fingerprint,
-            kind="file",
-            path=str(path),
+            kind="shm",
+            shm_name=segment.name,
             nbytes=len(payload),
             name=dataset.name,
             data_type_name=dataset.data_type.name,
-            metadata=metadata,
+            metadata=tuple(sorted(dataset.metadata.items())),
             num_records=dataset.num_records,
         ),
-        owned_path=path,
+        segment=segment,
     )

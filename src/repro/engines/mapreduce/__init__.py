@@ -14,7 +14,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "identity_mapper", "identity_reducer",
         ),
         "repro.engines.mapreduce.runtime": (
-            "DEFAULT_COMBINE_BATCH_RECORDS", "JobResult", "MapReduceEngine",
+            "JobResult", "MapReduceEngine",
         ),
     },
 )

@@ -13,24 +13,14 @@ class CounterGroup:
     >>> counters.get("map", "input_records")
     10
 
-    Most counters are additive (task-local counts summed when tasks
-    merge); :meth:`record_max` registers a high-water-mark counter
-    instead, which merges by maximum — e.g. the largest combiner flush
-    any map task saw.
+    Counters are additive: task-local counts are summed when tasks merge.
     """
 
     def __init__(self) -> None:
         self._groups: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
-        self._max_counters: set[tuple[str, str]] = set()
 
     def increment(self, group: str, counter: str, amount: int = 1) -> None:
         self._groups[group][counter] += amount
-
-    def record_max(self, group: str, counter: str, value: int) -> None:
-        """Track a high-water mark; merges take the maximum, not the sum."""
-        self._max_counters.add((group, counter))
-        if value > self._groups[group][counter]:
-            self._groups[group][counter] = value
 
     def get(self, group: str, counter: str) -> int:
         return self._groups.get(group, {}).get(counter, 0)
@@ -44,14 +34,9 @@ class CounterGroup:
         return {name: dict(values) for name, values in self._groups.items()}
 
     def merge(self, other: "CounterGroup") -> "CounterGroup":
-        self._max_counters |= other._max_counters
         for group, values in other._groups.items():
             for counter, amount in values.items():
-                if (group, counter) in self._max_counters:
-                    if amount > self._groups[group][counter]:
-                        self._groups[group][counter] = amount
-                else:
-                    self._groups[group][counter] += amount
+                self._groups[group][counter] += amount
         return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -61,14 +61,6 @@ class JobConf:
     #: ``None``, sized inputs are divided into ``num_map_tasks`` near-
     #: equal splits as before.
     split_records: int | None = None
-    #: Combiner-side batch accumulation.  When set (and the job has a
-    #: combiner), map output is buffered per shuffle partition and the
-    #: combiner runs on each buffer as it reaches this many records,
-    #: instead of once over the whole task output.  Output-identical for
-    #: algebraic combiners (the Hadoop contract: a combiner may run any
-    #: number of times); ``None`` keeps the historical run-once-at-task-
-    #: end behavior.
-    combine_batch_records: int | None = None
 
     def __post_init__(self) -> None:
         if self.num_map_tasks <= 0:
@@ -83,18 +75,10 @@ class JobConf:
             raise EngineError(
                 f"split_records must be positive, got {self.split_records}"
             )
-        if (
-            self.combine_batch_records is not None
-            and self.combine_batch_records <= 0
-        ):
-            raise EngineError(
-                f"combine_batch_records must be positive, got "
-                f"{self.combine_batch_records}"
-            )
 
 
 def shuffle_partitioner(conf: JobConf) -> Partitioner:
-    """The partitioner one shuffle (or one map task's combiner) routes with.
+    """The partitioner one shuffle routes with.
 
     A user-supplied partitioner is returned as it is and called once per
     pair.  The default one is a pure function of ``str(key)``, so it is

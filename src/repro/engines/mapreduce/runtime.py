@@ -50,11 +50,6 @@ Pair = tuple[Any, Any]
 #: the job doesn't set :attr:`~repro.engines.mapreduce.job.JobConf.split_records`.
 DEFAULT_SPLIT_RECORDS = 1024
 
-#: Combiner flush size the ``layout="columnar"`` spec knob configures
-#: (matches the DBMS column-batch size, so one "batch" means the same
-#: order of magnitude across engines).
-DEFAULT_COMBINE_BATCH_RECORDS = 1024
-
 
 @dataclass
 class JobResult:
@@ -92,17 +87,8 @@ class MapReduceEngine(Engine):
         cluster: SimulatedClusterSpec | None = None,
         executor: Any = None,
         max_workers: int | None = None,
-        combine_batch_records: int | None = None,
     ) -> None:
         super().__init__()
-        if combine_batch_records is not None and combine_batch_records <= 0:
-            raise EngineError(
-                f"combine_batch_records must be positive, got "
-                f"{combine_batch_records}"
-            )
-        #: Engine-wide default for combiner-side batch accumulation;
-        #: a job's own ``conf.combine_batch_records`` takes precedence.
-        self.combine_batch_records = combine_batch_records
         self.cluster_model = ClusterModel(cluster)
         # Imported lazily so the engines package never pulls the
         # execution package in at import time (the execution layer
@@ -170,17 +156,6 @@ class MapReduceEngine(Engine):
                               counters.get("map", "input_records"))
                     span.incr("output_records",
                               counters.get("map", "output_records"))
-                    flushes = counters.get("combine", "flushes")
-                    if flushes:
-                        span.incr("combine_flushes", flushes)
-                        span.incr(
-                            "combine_flushed_records",
-                            counters.get("combine", "flushed_records"),
-                        )
-                        span.incr(
-                            "combine_max_flush_records",
-                            counters.get("combine", "max_flush_records"),
-                        )
             with tracer.span("shuffle-phase") as span:
                 partitions = self._shuffle_phase(
                     job, map_outputs, shuffle_bytes, counters, cost
@@ -285,14 +260,9 @@ class MapReduceEngine(Engine):
         leaves nothing behind.
         """
         mapper = job.mapper
-        batch_records = (
-            job.conf.combine_batch_records
-            if job.conf.combine_batch_records is not None
-            else self.combine_batch_records
-        )
         input_bytes = estimate_pair_bytes(split)
-        flushes = max_flush_records = combine_groups = 0
-        if job.combiner is not None and batch_records is None:
+        combine_groups = combined = 0
+        if job.combiner is not None:
             # Combine once at task end: group the pairs as they are
             # mapped instead of listing them only to regroup the list.
             grouped: dict[Any, list[Any]] = defaultdict(list)
@@ -305,45 +275,26 @@ class MapReduceEngine(Engine):
             mapped = sum(map(len, grouped.values()))
             combine_groups = len(grouped)
             task_output = _combine(job, grouped)
+            combined = len(task_output)
         else:
-            accumulator = (
-                None
-                if job.combiner is None
-                else _CombineAccumulator(job, batch_records)
-            )
             task_output = []
-            emit = task_output.append if accumulator is None else accumulator.add
+            emit = task_output.append
             for key, value in split:
                 for out_pair in mapper(key, value):
                     if not isinstance(out_pair, tuple) or len(out_pair) != 2:
                         raise _not_a_pair(job, "mapper", out_pair)
                     emit(out_pair)
             mapped = len(task_output)
-            if accumulator is not None:
-                task_output = accumulator.finish()
-                # Every mapped pair went through exactly one flush.
-                mapped = accumulator.flushed_records
-                flushes = accumulator.flushes
-                max_flush_records = accumulator.max_flush_records
-                combine_groups = accumulator.input_groups
-        combined = len(task_output) if job.combiner is not None else 0
 
         counters = CounterGroup()
         _publish(counters, "map", input_records=len(split),
                  output_records=mapped)
-        if flushes:
-            _publish(counters, "combine", flushes=flushes,
-                     flushed_records=mapped)
-            counters.record_max(
-                "combine", "max_flush_records", max_flush_records
-            )
         _publish(counters, "combine", input_groups=combine_groups,
                  output_records=combined)
         cost = CostCounters(
             records_read=len(split),
             bytes_read=input_bytes,
             compute_ops=mapped + combined,
-            batches=flushes,
         )
         return (
             task_output,
@@ -448,85 +399,14 @@ def _not_a_pair(job: MapReduceJob, role: str, emitted: Any) -> EngineError:
     )
 
 
-def _group_by_key(pairs: Iterable[Pair]) -> dict[Any, list[Any]]:
-    """Values per key, keys in first-appearance order."""
-    grouped: dict[Any, list[Any]] = defaultdict(list)
-    for key, value in pairs:
-        grouped[key].append(value)
-    return grouped
-
-
 def _combine(job: MapReduceJob, grouped: dict[Any, list[Any]]) -> list[Pair]:
-    """Run the combiner over one map task's (or one flush's) groups."""
+    """Run the combiner over one map task's groups."""
     combiner = job.combiner
     assert combiner is not None
     combined: list[Pair] = []
     for key, values in grouped.items():
         combined.extend(combiner(key, values))
     return combined
-
-
-class _CombineAccumulator:
-    """Per-partition batch accumulation for the combiner.
-
-    Map output is buffered by shuffle partition; when a partition's
-    buffer reaches ``batch_records`` pairs the combiner runs over just
-    that buffer (a *flush*), bounding combiner working memory to one
-    batch per partition instead of the whole task output.  Within each
-    partition the first-appearance order of keys is preserved, so for
-    algebraic combiners the job output is identical to the historical
-    combine-once-at-task-end path.
-
-    Flush sizes are observable: ``combine::flushes`` and
-    ``combine::flushed_records`` count them, ``combine::
-    max_flush_records`` keeps the high-water mark (max-merged across
-    tasks), and each flush bumps ``CostCounters.batches``.
-    """
-
-    def __init__(self, job: MapReduceJob, batch_records: int) -> None:
-        self.job = job
-        self.batch_records = batch_records
-        self.num_partitions = job.conf.num_reduce_tasks
-        self.partitioner = shuffle_partitioner(job.conf)
-        self._buffers: list[list[Pair]] = [
-            [] for _ in range(self.num_partitions)
-        ]
-        self._combined: list[Pair] = []
-        #: Read by the map task once, after :meth:`finish`.
-        self.flushes = 0
-        self.flushed_records = 0
-        self.max_flush_records = 0
-        self.input_groups = 0
-
-    def add(self, pair: Pair) -> None:
-        index = self.partitioner(pair[0], self.num_partitions)
-        if not 0 <= index < self.num_partitions:
-            raise EngineError(
-                f"partitioner returned {index} outside "
-                f"[0, {self.num_partitions})"
-            )
-        buffer = self._buffers[index]
-        buffer.append(pair)
-        if len(buffer) >= self.batch_records:
-            self._flush(index)
-
-    def finish(self) -> list[Pair]:
-        """Flush the partial buffers and return the combined task output."""
-        for index in range(self.num_partitions):
-            if self._buffers[index]:
-                self._flush(index)
-        return self._combined
-
-    def _flush(self, index: int) -> None:
-        buffer = self._buffers[index]
-        self._buffers[index] = []
-        self.flushes += 1
-        self.flushed_records += len(buffer)
-        if len(buffer) > self.max_flush_records:
-            self.max_flush_records = len(buffer)
-        groups = _group_by_key(buffer)
-        self.input_groups += len(groups)
-        self._combined.extend(_combine(self.job, groups))
 
 
 def _sort_token(value: Any) -> tuple[int, Any]:

@@ -5,9 +5,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.execution.config": (
-            "SystemConfiguration", "default_configurations", "prepare_input",
-        ),
+        "repro.execution.config": ("SystemConfiguration", "prepare_input"),
         "repro.execution.harness": (
             "BenchmarkHarness", "SweepPoint", "SweepReport",
         ),

@@ -56,13 +56,9 @@ class SystemConfiguration:
             options = dict(self.options)
             executor = options.pop("executor", None)
             max_workers = options.pop("max_workers", None)
-            combine_batch_records = options.pop("combine_batch_records", None)
             cluster = SimulatedClusterSpec(**options) if options else None
             return MapReduceEngine(
-                cluster=cluster,
-                executor=executor,
-                max_workers=max_workers,
-                combine_batch_records=combine_batch_records,
+                cluster=cluster, executor=executor, max_workers=max_workers
             )
         if self.engine_name == "dbms":
             from repro.engines.dbms import DbmsEngine, PlannerConfig
@@ -89,45 +85,14 @@ class SystemConfiguration:
 def layout_options(layout: str) -> dict[str, dict[str, Any]]:
     """Per-engine option overrides realizing an execution layout.
 
-    The columnar layout means two different things on the two hot
-    paths: batch-at-a-time vectorized operators on the DBMS, and
-    per-partition combiner batching on MapReduce.  Engines absent from
-    the mapping have no layout notion and run bare.  The row layout is
-    every engine's default, so it needs no overrides at all.
+    Layout is a DBMS notion: ``columnar`` selects its batch-at-a-time
+    vectorized operators.  Every other engine ignores the layout and
+    runs bare, and the row layout is the DBMS default, so it needs no
+    overrides at all.
     """
     if layout != "columnar":
         return {}
-    from repro.engines.mapreduce import DEFAULT_COMBINE_BATCH_RECORDS
-
-    return {
-        "dbms": {"layout": "columnar"},
-        "mapreduce": {
-            "combine_batch_records": DEFAULT_COMBINE_BATCH_RECORDS
-        },
-    }
-
-
-def default_configurations() -> dict[str, SystemConfiguration]:
-    """One sensible default configuration per built-in engine."""
-    return {
-        "mapreduce": SystemConfiguration(
-            "mapreduce", {"num_nodes": 4, "slots_per_node": 2},
-            label="4-node simulated Hadoop-like cluster",
-        ),
-        "dbms": SystemConfiguration("dbms", label="single-node relational DBMS"),
-        "nosql": SystemConfiguration(
-            "nosql", {"num_partitions": 8, "replication": 2},
-            label="8-partition store, RF=2",
-        ),
-        "streaming": SystemConfiguration(
-            "streaming", {"service_seconds_per_event": 50e-6},
-            label="20k events/s stream processor",
-        ),
-        "dfs": SystemConfiguration(
-            "dfs", {"num_nodes": 4, "replication": 2},
-            label="4-node simulated DFS, RF=2",
-        ),
-    }
+    return {"dbms": {"layout": "columnar"}}
 
 
 def prepare_input(dataset: Any, engine: Engine) -> ConvertedData:

@@ -151,10 +151,8 @@ class BenchmarkHarness:
     ) -> SweepReport:
         """Run one prescription under several engine configurations.
 
-        Each configuration travels with its task instead of being
-        written into the runner's shared configuration table, so a sweep
-        that raises mid-way (or runs concurrently on a shared runner)
-        can never leave ``runner.configurations`` half-restored.
+        Each configuration travels with its task: the runner holds no
+        engine configuration of its own.
         """
         volume_override = overrides.pop("volume_override", None)
         tasks = [

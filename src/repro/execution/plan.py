@@ -13,9 +13,9 @@ and one series key on every path.
 
 The rules (DESIGN "spec → plan"):
 
-1. A spec-driven engine is the **bare registry engine** plus layout
-   options plus tuning-profile knobs plus the latency fault — never the
-   runner's default configuration table.
+1. An engine is the **bare registry engine** plus layout options plus
+   tuning-profile knobs plus the latency fault, carried on the task as
+   its ``configuration``; there is no other way to configure one.
 2. The **series key is a function of the request**: the requested
    ``layout`` and the profile's ``fingerprint()`` travel on each
    :class:`RunTask` as its ``series`` annotation (keywords of
@@ -56,7 +56,7 @@ def engine_configuration(
     """
     options = dict(layout_options(layout).get(engine, {}))
     if profile is not None:
-        options.update(profile.engine_options())
+        options.update(profile.knobs)
     if not options and not inject_latency:
         return None
     return SystemConfiguration(

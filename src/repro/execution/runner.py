@@ -42,11 +42,7 @@ from repro.core.results import RunResult, TaskFailure
 from repro.core.test_generator import PrescribedTest, TestGenerator
 from repro.datagen.handoff import DatasetHandle
 from repro.engines.faults import fault_attempt
-from repro.execution.config import (
-    SystemConfiguration,
-    default_configurations,
-    prepare_input,
-)
+from repro.execution.config import SystemConfiguration, prepare_input
 from repro.execution.parallel import (
     EXECUTOR_BACKENDS,
     ParallelExecutor,
@@ -108,10 +104,6 @@ class RunnerOptions:
     retries: int = 0
     #: Base backoff before the second attempt; grows exponentially.
     retry_backoff: float = 0.0
-    #: Seeded jitter fraction applied to each backoff delay.
-    retry_jitter: float = 0.1
-    #: Seed of the deterministic jitter stream.
-    retry_seed: int = 0
     #: Wall-clock budget per task attempt, in seconds (None = unbounded).
     task_timeout: float | None = None
 
@@ -165,8 +157,6 @@ class RunnerOptions:
             backoff_seconds=(
                 self.retry_backoff if retry_backoff is None else retry_backoff
             ),
-            jitter=self.retry_jitter,
-            seed=self.retry_seed,
         )
 
 
@@ -184,9 +174,8 @@ class RunTask:
     engine_name: str
     volume_override: int | None = None
     overrides: dict[str, Any] = field(default_factory=dict)
-    #: Explicit engine configuration for this task only; None falls back
-    #: to the runner's configuration table.  Passing it per-task keeps
-    #: configuration sweeps free of shared-state mutation.
+    #: How to build this task's engine; None is the bare registry
+    #: engine.  The only way an engine is ever configured.
     configuration: SystemConfiguration | None = None
     #: Parallel data-generator partitions (velocity override).
     data_partitions: int | None = None
@@ -212,20 +201,11 @@ class TestRunner:
     def __init__(
         self,
         test_generator: TestGenerator | None = None,
-        configurations: dict[str, SystemConfiguration] | None = None,
         options: RunnerOptions | None = None,
         suite: MetricSuite | None = None,
         store: Any = None,
     ) -> None:
         self.test_generator = test_generator or TestGenerator()
-        #: Engine name → configuration for tasks that carry none; an
-        #: engine absent from the table is built bare from the registry
-        #: (``{}`` means "every engine bare" — what spec-driven runs use).
-        self.configurations = (
-            configurations
-            if configurations is not None
-            else default_configurations()
-        )
         self.options = options or RunnerOptions()
         self.suite = suite or MetricSuite.standard()
         #: Optional :class:`~repro.analysis.store.RunStore`: when set,
@@ -278,11 +258,6 @@ class TestRunner:
     def _build_engine(
         self, engine_name: str, configuration: SystemConfiguration | None = None
     ):
-        configuration = (
-            configuration
-            if configuration is not None
-            else self.configurations.get(engine_name)
-        )
         if configuration is not None:
             return configuration.build()
         return self.test_generator.engines.create(engine_name)
@@ -580,17 +555,16 @@ class TestRunner:
             for engine_name in engine_names
         ]
         cache = self.test_generator.dataset_cache
-        before = cache.stats() if cache is not None else None
+        before = cache.stats()
         outcomes = self.run_many(
             tasks,
             on_error=on_error,
             retries=retries,
             retry_backoff=retry_backoff,
         )
-        if cache is not None:
-            delta = cache.stats().since(before)
-            for outcome in outcomes:
-                outcome.extra["dataset_cache"] = delta.as_dict()
+        delta = cache.stats().since(before)
+        for outcome in outcomes:
+            outcome.extra["dataset_cache"] = delta.as_dict()
         return outcomes
 
     # ------------------------------------------------------------------
@@ -602,10 +576,9 @@ class TestRunner:
         content digest (the pool-identity half of the invalidation key).
 
         An unpicklable suite degrades to the standard suite in the
-        worker; an unpicklable engine configuration cannot run on this
-        backend at all and raises :class:`WorkerPoolError` naming it.
+        worker.  Engine configurations are not pool state: they travel
+        on each task.
         """
-        suite = self.suite if _picklable(self.suite) else None
         init = WorkerInit(
             options={
                 "repeats": self.options.repeats,
@@ -613,31 +586,17 @@ class TestRunner:
                 "check_format": self.options.check_format,
                 "task_timeout": self.options.task_timeout,
             },
-            suite=suite,
-            configurations=dict(self.configurations),
-            prewarm_engines=tuple(sorted(self.configurations)),
+            suite=self.suite if _picklable(self.suite) else None,
         )
-        try:
-            payload = pickle.dumps(init)
-        except Exception as error:
-            unpicklable = [
-                name
-                for name, configuration in self.configurations.items()
-                if not _picklable(configuration)
-            ]
-            raise WorkerPoolError(
-                "the process backend cannot ship the configuration of "
-                f"engine(s) {unpicklable} to its workers: {error}"
-            ) from error
-        return init, hashlib.sha256(payload).hexdigest()
+        return init, hashlib.sha256(pickle.dumps(init)).hexdigest()
 
     def _ensure_worker_pool(self) -> WorkerPool:
         """The warm pool matching current options (rebuilt when stale).
 
-        The key pairs the initializer digest (options scalars, suite,
-        configurations) with ``max_workers``: mutating any of them
-        between ``run_many`` calls shuts the old pool down and builds a
-        fresh one, exactly like the ``executor`` property's behavior.
+        The key pairs the initializer digest (options scalars, suite)
+        with ``max_workers``: mutating any of them between ``run_many``
+        calls shuts the old pool down and builds a fresh one, exactly
+        like the ``executor`` property's behavior.
         """
         init, digest = self._worker_init()
         key = (digest, self.options.max_workers)
@@ -662,8 +621,23 @@ class TestRunner:
         A descriptor is the task itself (prescription in its shipped
         form) plus what only the transport knows.  The policy ships by
         value; a ``retryable`` filter that cannot cross the boundary
-        degrades to the default ``(Exception,)`` and nothing else does.
+        degrades to the default ``(Exception,)`` and nothing else does:
+        an engine configuration that cannot be pickled cannot run on
+        this backend at all and raises :class:`WorkerPoolError`.
         """
+        unpicklable = sorted(
+            {
+                task.engine_name
+                for task in tasks
+                if task.configuration is not None
+                and not _picklable(task.configuration)
+            }
+        )
+        if unpicklable:
+            raise WorkerPoolError(
+                "the process backend cannot ship the configuration of "
+                f"engine(s) {unpicklable} to its workers"
+            )
         pool = self._ensure_worker_pool()
         if not _picklable(policy):
             policy = replace(policy, retryable=(Exception,))
@@ -745,9 +719,6 @@ class TestRunner:
         handle_by_key: dict[tuple, DatasetHandle] = {}
         for task, key in zip(tasks, keys):
             if key is None or key in handle_by_key:
-                continue
-            if cache is None:
-                handle_by_key[key] = pool.fingerprint_handle_for(key)
                 continue
             source = cache.export_source(key)
             if source is None and shared[key] > 1:

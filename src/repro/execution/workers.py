@@ -11,10 +11,8 @@ This module keeps the pool — and everything expensive in it — **warm**:
 
 * Each worker runs :func:`_initialize_worker` once, building a serial
   :class:`~repro.execution.runner.TestRunner`, resolving the metric
-  suite, installing the engine-configuration table, pre-building the
-  configured engines (priming lazy imports), and adopting any dataset
-  handles known at pool creation into its local
-  :class:`~repro.datagen.cache.DatasetCache`.
+  suite, and adopting any dataset handles known at pool creation into
+  its local :class:`~repro.datagen.cache.DatasetCache`.
 * Tasks then arrive as :class:`TaskDescriptor` objects — the ``RunTask``
   with a prescription *name* when the worker can resolve it, a dataset
   *handle* instead of records, and a handful of transport scalars —
@@ -29,8 +27,8 @@ This module keeps the pool — and everything expensive in it — **warm**:
   task the pool sends it.
 * The pool itself outlives ``run_many``: :class:`WorkerPool` is cached
   on the runner and reused batch after batch (``pool_batch`` on each
-  task span counts the reuse), invalidated only when the options,
-  suite, or configurations it was initialized with change.
+  task span counts the reuse), invalidated only when the options or
+  suite it was initialized with change.
 
 Batches are submitted with a computed :func:`compute_chunksize`, so a
 sweep of many small tasks costs a few pipe round-trips, not one per
@@ -71,8 +69,8 @@ __all__ = [
 
 
 class WorkerPoolError(ExecutionError):
-    """The worker pool cannot be built: an engine configuration in the
-    runner's table cannot be pickled (the message names the engine)."""
+    """A batch cannot go to the worker pool: a task's engine
+    configuration cannot be pickled (the message names the engine)."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,20 +92,15 @@ class WorkerInit:
     #: The runner's metric suite (None → the worker builds the standard
     #: suite, which is also what an unpicklable suite degrades to).
     suite: Any = None
-    #: The runner's engine-configuration table, installed verbatim.
-    configurations: dict[str, Any] = field(default_factory=dict)
-    #: Engines to build once during initialization — warms the lazy
-    #: imports and class caches the first real task would otherwise pay.
-    prewarm_engines: tuple[str, ...] = ()
 
 
 @dataclass
 class TaskDescriptor:
     """One task on the warm path: the ``RunTask`` plus transport fields.
 
-    Deliberately tiny — the worker already holds the runner, suite, and
-    configuration table, and the records travel (at most once) through
-    shared memory.  ``task`` is the :class:`~repro.execution.runner.RunTask`
+    Deliberately tiny — the worker already holds the runner and suite,
+    and the records travel (at most once) through shared memory.
+    ``task`` is the :class:`~repro.execution.runner.RunTask`
     itself with its prescription in shipped form (a worker-resolvable
     name when possible), so a new task field crosses the boundary
     without this module knowing it; everything else here is what only
@@ -166,15 +159,9 @@ class WorkerContext:
         from repro.execution.runner import RunnerOptions, TestRunner
 
         self.runner = TestRunner(
-            configurations=dict(init.configurations),
             options=RunnerOptions(executor="serial", **init.options),
             suite=init.suite,
         )
-        for engine_name in init.prewarm_engines:
-            try:
-                self.runner._build_engine(engine_name)
-            except Exception:  # noqa: BLE001 - prewarm is best-effort
-                pass
         for handle in handles:
             self.adopt(handle)
 
@@ -192,7 +179,6 @@ class WorkerContext:
         if (
             handle is None
             or handle.kind == "fingerprint"
-            or cache is None
             or handle.key in cache
         ):
             return
@@ -209,7 +195,7 @@ class WorkerContext:
 
         self.adopt(descriptor.handle)
         cache = self.runner.test_generator.dataset_cache
-        cache_before = cache.stats() if cache is not None else None
+        cache_before = cache.stats()
         outcome = self.runner.run_task(
             descriptor.task,
             descriptor.retry_policy,
@@ -223,10 +209,9 @@ class WorkerContext:
             payload_bytes=descriptor.payload_bytes,
             pool_batch=descriptor.pool_batch,
         )
-        if cache_before is not None:
-            outcome.extra["worker_cache"] = (
-                cache.stats().since(cache_before).as_dict()
-            )
+        outcome.extra["worker_cache"] = (
+            cache.stats().since(cache_before).as_dict()
+        )
         outcome.extra["worker"] = {
             "pid": os.getpid(),
             "pool_batch": descriptor.pool_batch,

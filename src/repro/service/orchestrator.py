@@ -428,7 +428,6 @@ class Orchestrator:
                     self._runners.remove(cached)
         runner = TestRunner(
             test_generator=TestGenerator(self.repository),
-            configurations={},
             options=options,
         )
         self._local.runner = runner

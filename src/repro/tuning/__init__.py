@@ -20,7 +20,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "render_ablation", "resolve_workloads", "run_ablation",
         ),
         "repro.tuning.profiles": (
-            "DATASET_CACHE_KNOB", "ENGINE_KNOBS", "TuningProfile",
+            "ENGINE_KNOBS", "TuningProfile",
             "available_profiles", "builtin_profiles", "get_profile", "normal",
             "one_off_profiles", "optimized",
         ),

@@ -423,57 +423,35 @@ def _run_cells_local(
     from repro.execution.plan import resolve
     from repro.execution.runner import TestRunner
 
-    # Cells sharing a dataset-cache budget share one runner (the budget
-    # shapes the generator's cache, not the engine); the unbudgeted
-    # majority runs on the default runner.
-    by_budget: dict[int | None, list[AblationCell]] = {}
-    for cell in cells:
-        by_budget.setdefault(cell.profile.dataset_cache_bytes, []).append(cell)
-
-    for budget, group in by_budget.items():
-        generator_kwargs: dict[str, Any] = {"repository": repository}
-        if budget is not None:
-            from repro.datagen.cache import DatasetCache
-
-            generator_kwargs["dataset_cache"] = DatasetCache(
-                max_resident_bytes=budget
-            )
-        # The cell's profile object stands in for the name the spec
-        # carries: custom profiles have no registered name.
-        plans = [
-            resolve(
-                _cell_spec(base, cell),
-                repository,
-                profiles={cell.engine: cell.profile},
-            )
-            for cell in group
-        ]
-        runner = TestRunner(
-            test_generator=TestGenerator(**generator_kwargs),
-            configurations={},
-            options=replace(plans[0].options, warmup_runs=warmup),
-            store=RunStore(plans[0].store_dir),
+    if not cells:
+        return
+    # The cell's profile object stands in for the name the spec
+    # carries: custom profiles have no registered name.
+    plans = [
+        resolve(
+            _cell_spec(base, cell),
+            repository,
+            profiles={cell.engine: cell.profile},
         )
-        with runner:
-            outcomes = runner.run_many(
-                [task for plan in plans for task in plan.tasks]
-            )
-        for cell, outcome in zip(group, outcomes):
-            cell.outcome = outcome
+        for cell in cells
+    ]
+    runner = TestRunner(
+        test_generator=TestGenerator(repository),
+        options=replace(plans[0].options, warmup_runs=warmup),
+        store=RunStore(plans[0].store_dir),
+    )
+    with runner:
+        outcomes = runner.run_many(
+            [task for plan in plans for task in plan.tasks]
+        )
+    for cell, outcome in zip(cells, outcomes):
+        cell.outcome = outcome
 
 
 def _run_cells_service(
     cells: list[AblationCell], base: Any, repository: Any, schedulers: int
 ) -> None:
     from repro.service import ServiceClient
-
-    for cell in cells:
-        if cell.profile.dataset_cache_bytes is not None:
-            raise TuningError(
-                f"profile {cell.profile.name!r} sets a dataset-cache "
-                "budget, which only the local ablation path applies; "
-                "drop service=True or the budget knob"
-            )
 
     with ServiceClient(
         schedulers=schedulers, store_dir=base.store_dir, repository=repository

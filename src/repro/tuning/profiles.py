@@ -25,19 +25,13 @@ dbms     :class:`~repro.engines.dbms.planner.PlannerConfig` fields:
          ``nested_loop_threshold``, ``layout``, ``batch_size``
 mapreduce cluster split/slot shape (``num_nodes``, ``slots_per_node``,
          ``seconds_per_record``, ``network_bytes_per_second``,
-         ``speculative_execution``) plus combiner batching
-         (``combine_batch_records``)
+         ``speculative_execution``)
 nosql    ``num_partitions``, ``replication``
 streaming ``service_seconds_per_event``
 dfs      ``num_nodes``, ``block_size``, ``replication``,
          ``disk_bytes_per_second``, ``network_bytes_per_second``,
          ``seek_seconds``
 ======== ==============================================================
-
-Every engine additionally accepts the harness-level
-:data:`DATASET_CACHE_KNOB` (``dataset_cache_bytes``) — a resident-byte
-budget applied to the test generator's
-:class:`~repro.datagen.cache.DatasetCache`, not the engine constructor.
 """
 
 from __future__ import annotations
@@ -46,11 +40,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import TuningError
-
-#: The harness-level knob: a resident-byte budget for the dataset cache
-#: (applied to the :class:`~repro.datagen.cache.DatasetCache` the test
-#: generator serves data from, never to the engine constructor).
-DATASET_CACHE_KNOB = "dataset_cache_bytes"
 
 #: Engine → the engine-level knob names a profile may set.  Each name
 #: maps one-to-one onto the engine's constructor/config surface, which
@@ -70,7 +59,6 @@ ENGINE_KNOBS: dict[str, tuple[str, ...]] = {
         "seconds_per_record",
         "network_bytes_per_second",
         "speculative_execution",
-        "combine_batch_records",
     ),
     "nosql": ("num_partitions", "replication"),
     "streaming": ("service_seconds_per_event",),
@@ -86,15 +74,15 @@ ENGINE_KNOBS: dict[str, tuple[str, ...]] = {
 
 #: The documented optimized knob set per engine.  Chosen to mirror the
 #: paper's Table 2 techniques on each substrate: vectorized columnar
-#: execution + hash joins on the DBMS, combiner batching + more task
-#: slots on MapReduce, finer partitioning on the NoSQL store, larger
+#: execution + hash joins on the DBMS, more task slots on MapReduce,
+#: finer partitioning on the NoSQL store, larger
 #: blocks (fewer seeks) on the DFS.  Streaming has no honest tuning
 #: knob beyond its service rate, which *is* the benchmark variable —
 #: its optimized profile equals normal and the ablation driver skips
 #: the redundant cell.
 OPTIMIZED_KNOBS: dict[str, dict[str, Any]] = {
     "dbms": {"layout": "columnar", "join_algorithm": "hash", "batch_size": 2048},
-    "mapreduce": {"combine_batch_records": 1024, "slots_per_node": 4},
+    "mapreduce": {"slots_per_node": 4},
     "nosql": {"num_partitions": 16},
     "streaming": {},
     "dfs": {"block_size": 65536},
@@ -124,20 +112,6 @@ class TuningProfile:
     def is_normal(self) -> bool:
         """No knobs set — the bare engine, the historical baseline."""
         return not self.knobs
-
-    def engine_options(self) -> dict[str, Any]:
-        """The knobs that feed the engine constructor/config (harness
-        knobs like the dataset-cache budget excluded)."""
-        return {
-            key: value
-            for key, value in self.knobs.items()
-            if key != DATASET_CACHE_KNOB
-        }
-
-    @property
-    def dataset_cache_bytes(self) -> int | None:
-        """The harness-level dataset-cache byte budget, if set."""
-        return self.knobs.get(DATASET_CACHE_KNOB)
 
     def fingerprint(self) -> dict[str, Any] | None:
         """The payload that forks a run-store series, or None.
@@ -169,28 +143,17 @@ class TuningProfile:
                 f"engine {self.engine!r} has no tuning surface; "
                 f"tunable engines: {sorted(ENGINE_KNOBS)}"
             )
-        unknown = sorted(
-            key
-            for key in self.knobs
-            if key not in allowed and key != DATASET_CACHE_KNOB
-        )
+        unknown = sorted(key for key in self.knobs if key not in allowed)
         if unknown:
             raise TuningError(
                 f"unknown knob(s) {unknown} for engine {self.engine!r}; "
-                f"allowed: {sorted(allowed)} + ['{DATASET_CACHE_KNOB}']"
+                f"allowed: {sorted(allowed)}"
             )
-        budget = self.knobs.get(DATASET_CACHE_KNOB)
-        if budget is not None and (not isinstance(budget, int) or budget <= 0):
-            raise TuningError(
-                f"{DATASET_CACHE_KNOB} must be a positive integer, "
-                f"got {budget!r}"
-            )
-        options = self.engine_options()
-        if options:
+        if self.knobs:
             from repro.execution.config import SystemConfiguration
 
             try:
-                SystemConfiguration(self.engine, dict(options)).build()
+                SystemConfiguration(self.engine, dict(self.knobs)).build()
             except TuningError:
                 raise
             except Exception as error:

@@ -62,6 +62,36 @@ class TestPrimitives:
         assert metric_direction("energy") == "lower"
         assert metric_direction("throughput") == "higher"
 
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            "duration", "energy", "cost",
+            # what the metric suite calls latencies ...
+            "mean_latency", "latency_p50", "latency_p95", "latency_p99",
+            # ... and what LoadReport.as_run_result records.
+            "latency", "shed_fraction", "error_fraction", "queue_depth_max",
+        ],
+    )
+    def test_lower_is_better(self, metric):
+        assert metric_direction(metric) == "lower"
+
+    @pytest.mark.parametrize(
+        "metric",
+        [
+            "throughput", "ops_per_second", "data_rate", "network_rate",
+            "achieved_rate", "offered_rate", "latency_pct", "fraction",
+        ],
+    )
+    def test_higher_is_better(self, metric):
+        assert metric_direction(metric) == "higher"
+
+    def test_every_suite_latency_percentile_is_lower_is_better(self):
+        from repro.core.metrics import LatencyPercentileMetric
+
+        for fraction in (0.01, 0.5, 0.9, 0.999, 1.0):
+            name = LatencyPercentileMetric(fraction).name
+            assert metric_direction(name) == "lower", name
+
 
 class TestVerdicts:
     def test_identical_samples_are_unchanged(self):

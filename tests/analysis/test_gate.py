@@ -141,3 +141,23 @@ class TestGate:
         assert payload["passed"] is False
         assert payload["exit_code"] == 1
         assert payload["comparison"]["overall"] == "regressed"
+
+    def test_a_slower_load_run_fails_the_gate(self, tmp_path):
+        """Regression: a load record's ``latency`` / ``queue_depth_max``
+        were read as higher-is-better, so a service four times slower
+        was judged ``improved`` and passed the gate."""
+        from repro import api
+
+        store_dir = str(tmp_path / "runs")
+        for mean_service in (0.005, 0.02):
+            api.load(
+                rate=100, duration=2, seed=1, mean_service=mean_service,
+                record=True, store_dir=store_dir,
+            )
+        comparison = api.compare("r0001", "r0002", store_dir=store_dir)
+        assert comparison.metrics["latency"].verdict == "regressed"
+        assert comparison.metrics["queue_depth_max"].verdict == "regressed"
+        assert comparison.overall == "regressed"
+        store = RunStore(store_dir)
+        BaselineManager(store).promote("r0001", "main")
+        assert check_regressions(store, "main", "r0002").exit_code == 1

@@ -205,7 +205,8 @@ class TestTuningField:
             "database-aggregate-join", engines=["dbms"], tuning="optimized"
         ).validate(repository)
         BenchmarkSpec(
-            "micro-wordcount", tuning="normal+combine_batch_records"
+            "database-aggregate-join", engines=["dbms"],
+            tuning="normal+batch_size",
         ).validate(repository)
 
     def test_validate_rejects_unknown_profile(self, repository):
@@ -217,8 +218,7 @@ class TestTuningField:
     def test_validate_rejects_one_off_for_wrong_engine(self, repository):
         with pytest.raises(SpecError, match="no optimized knob"):
             BenchmarkSpec(
-                "database-aggregate-join", engines=["dbms"],
-                tuning="normal+combine_batch_records",
+                "micro-wordcount", tuning="normal+batch_size"
             ).validate(repository)
 
 

@@ -202,15 +202,6 @@ class TestGeneratorIntegration:
         assert small.dataset is not large.dataset
         assert generator.dataset_cache.misses == 2
 
-    def test_caching_can_be_disabled(self):
-        generator = TestGenerator(cache_datasets=False)
-        assert generator.dataset_cache is None
-        first = generator.generate("micro-wordcount", "mapreduce", 20)
-        second = generator.generate("micro-wordcount", "mapreduce", 20)
-        assert first.dataset is not second.dataset
-        # Generation stays deterministic with or without the cache.
-        assert first.dataset.records == second.dataset.records
-
 
 class TestRunnerIntegration:
     def test_run_on_engines_generates_once(self):

@@ -255,22 +255,8 @@ def _edge_jobs() -> dict[str, tuple[Any, Any]]:
             MapReduceJob("combined", _words, _total, combiner=_total, **counting),
             lines,
         ),
-        "combiner-batched": (
-            MapReduceJob(
-                "batched", _words, _total, combiner=_total,
-                conf=JobConf(num_map_tasks=3, combine_batch_records=7),
-            ),
-            lines,
-        ),
         "silent-combiner": (
             MapReduceJob("silent-combined", silent, _total, combiner=_total),
-            lines,
-        ),
-        "silent-combiner-batched": (
-            MapReduceJob(
-                "silent-batched", silent, _total, combiner=_total,
-                conf=JobConf(combine_batch_records=7),
-            ),
             lines,
         ),
         "more-tasks-than-records": (

@@ -62,20 +62,6 @@ def test_one_run_sizes_each_record_of_its_data_set_once(monkeypatch):
     assert generation["bytes"] == sum(len(args[0]) for args in sized)
 
 
-def test_a_run_without_a_cache_still_sizes_once(monkeypatch):
-    from repro.core.layers import BigDataBenchmark
-
-    framework = BigDataBenchmark()
-    framework.function_layer.test_generator.dataset_cache = None
-    sized = _count_calls(monkeypatch, datagen_base, "_record_size")
-    report = framework.run("micro-wordcount", volume=120)
-    generation = next(
-        step.detail for step in report.steps if step.step == "data-generation"
-    )
-    assert generation["bytes"] == sum(len(args[0]) for args in sized)
-    assert len(sized) == 120
-
-
 @pytest.fixture
 def keyed_rows():
     return [(f"user{index:04d}", index % 7) for index in range(400)]

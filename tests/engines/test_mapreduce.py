@@ -145,8 +145,7 @@ class TestCounters:
 
 
 class TestMapPhaseSpan:
-    @pytest.mark.parametrize("conf", [{}, {"combine_batch_records": 4}])
-    def test_records_per_split_are_the_real_split_sizes(self, conf):
+    def test_records_per_split_are_the_real_split_sizes(self):
         """The span used to report the cluster model's task weight
         (input + output) under this name: 200 records printed as
         ``[70, 70, 70, 70]`` beside ``input_records=200``."""
@@ -155,7 +154,7 @@ class TestMapPhaseSpan:
         pairs = [(index, "a b a c") for index in range(200)]
         tracer = Tracer()
         with tracer.activate():
-            MapReduceEngine().run(word_count_job(num_map_tasks=4, **conf), pairs)
+            MapReduceEngine().run(word_count_job(num_map_tasks=4), pairs)
         (map_phase,) = [
             span for span in tracer.roots()[0].children
             if span.name == "map-phase"

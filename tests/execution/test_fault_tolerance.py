@@ -47,28 +47,32 @@ DETERMINISTIC_METRICS = {
 }
 
 
-def _faulty_runner(
-    backend: str,
-    spec: FaultSpec,
-    engines: list[str] = ENGINES,
-    **options: object,
-) -> TestRunner:
-    """A runner whose engines all carry the given fault schedule."""
-    runner = TestRunner(
+def _runner(backend: str, **options: object) -> TestRunner:
+    return TestRunner(
         test_generator=TestGenerator(builtin_repository()),
         options=RunnerOptions(
             check_format=False, executor=backend, max_workers=3, **options
         ),
     )
-    runner.configurations = {
-        name: SystemConfiguration(name, fault=spec) for name in engines
-    }
-    return runner
 
 
-def _tasks(engines: list[str] = ENGINES, volume: int = 50) -> list[RunTask]:
+def _tasks(
+    engines: list[str] = ENGINES,
+    volume: int = 50,
+    fault: FaultSpec | None = None,
+) -> list[RunTask]:
+    """One task per engine; with ``fault``, each on an otherwise bare
+    engine carrying that fault schedule."""
     prescription = builtin_repository().get(PRESCRIPTION)
-    return [RunTask(prescription, name, volume, {}) for name in engines]
+    return [
+        RunTask(
+            prescription, name, volume, {},
+            configuration=(
+                SystemConfiguration(name, fault=fault) if fault else None
+            ),
+        )
+        for name in engines
+    ]
 
 
 def _outcome_fingerprint(outcomes) -> list[tuple]:
@@ -195,14 +199,13 @@ class TestFaultToleranceOptions:
             RunnerOptions(**kwargs)
 
     def test_retry_policy_derivation(self):
-        options = RunnerOptions(
-            retries=2, retry_backoff=0.25, retry_jitter=0.05, retry_seed=9
-        )
-        policy = options.retry_policy()
+        policy = RunnerOptions(retries=2, retry_backoff=0.25).retry_policy()
         assert policy.max_attempts == 3
         assert policy.backoff_seconds == 0.25
-        assert policy.jitter == 0.05
-        assert policy.seed == 9
+        # Jitter and its seed are the policy's own defaults; a caller
+        # who wants others hands run_many a whole RetryPolicy.
+        default = RetryPolicy()
+        assert (policy.jitter, policy.seed) == (default.jitter, default.seed)
 
     def test_retry_policy_overrides(self):
         policy = RunnerOptions(retries=2).retry_policy(retries=0)
@@ -257,29 +260,24 @@ class TestExecutorInvalidation:
 
 class TestRetryLoop:
     def test_scheduled_failures_recover_within_budget(self):
-        runner = _faulty_runner(
-            "serial", FaultSpec(fail_attempts=(0, 1)), ["dbms"], retries=3
-        )
-        with runner:
-            (outcome,) = runner.run_many(_tasks(["dbms"]))
+        fault = FaultSpec(fail_attempts=(0, 1))
+        with _runner("serial", retries=3) as runner:
+            (outcome,) = runner.run_many(_tasks(["dbms"], fault=fault))
         assert outcome.ok
         assert outcome.extra["attempts"] == 3
 
     def test_insufficient_budget_aborts_with_the_original_error(self):
-        runner = _faulty_runner(
-            "serial", FaultSpec(fail_attempts=(0, 1)), ["dbms"], retries=1
-        )
-        with runner:
+        fault = FaultSpec(fail_attempts=(0, 1))
+        with _runner("serial", retries=1) as runner:
             with pytest.raises(InjectedFault):
-                runner.run_many(_tasks(["dbms"]))
+                runner.run_many(_tasks(["dbms"], fault=fault))
 
     def test_continue_captures_the_failure_in_order(self):
         spec = FaultSpec(fail_attempts=(0, 1, 2, 3))  # dbms always fails
-        runner = _faulty_runner("serial", spec, ["dbms"], retries=1)
-        runner.configurations["mapreduce"] = SystemConfiguration("mapreduce")
-        with runner:
+        with _runner("serial", retries=1) as runner:
             outcomes = runner.run_many(
-                _tasks(["mapreduce", "dbms"]), on_error="continue"
+                _tasks(["mapreduce"]) + _tasks(["dbms"], fault=spec),
+                on_error="continue",
             )
         ok, failed = outcomes
         assert ok.ok and ok.engine == "mapreduce"
@@ -296,35 +294,27 @@ class TestRetryLoop:
         assert "attempts" not in outcome.extra
 
     def test_run_many_kwargs_override_the_options(self):
-        runner = _faulty_runner(
-            "serial", FaultSpec(fail_attempts=(0,)), ["dbms"], retries=0
-        )
-        with runner:
+        tasks = _tasks(["dbms"], fault=FaultSpec(fail_attempts=(0,)))
+        with _runner("serial", retries=0) as runner:
             with pytest.raises(InjectedFault):
-                runner.run_many(_tasks(["dbms"]))
-            (outcome,) = runner.run_many(_tasks(["dbms"]), retries=1)
+                runner.run_many(tasks)
+            (outcome,) = runner.run_many(tasks, retries=1)
         assert outcome.ok and outcome.extra["attempts"] == 2
 
     def test_timeout_failure_is_captured(self):
         spec = FaultSpec(latency_rate=1.0, latency_seconds=0.5)
-        runner = _faulty_runner(
-            "serial", spec, ["dbms"], task_timeout=0.05
-        )
-        with runner:
+        with _runner("serial", task_timeout=0.05) as runner:
             (outcome,) = runner.run_many(
-                _tasks(["dbms"]), on_error="continue"
+                _tasks(["dbms"], fault=spec), on_error="continue"
             )
         assert not outcome.ok
         assert outcome.error_type == "TaskTimeoutError"
 
     def test_backoff_schedule_is_slept(self):
         spec = FaultSpec(fail_attempts=(0,))
-        runner = _faulty_runner(
-            "serial", spec, ["dbms"], retries=1, retry_backoff=0.1
-        )
-        with runner:
+        with _runner("serial", retries=1, retry_backoff=0.1) as runner:
             started = time.perf_counter()
-            (outcome,) = runner.run_many(_tasks(["dbms"]))
+            (outcome,) = runner.run_many(_tasks(["dbms"], fault=spec))
             elapsed = time.perf_counter() - started
         assert outcome.ok
         assert elapsed >= 0.09  # one backoff (±10% jitter) was slept
@@ -340,10 +330,9 @@ class TestErrorPathParity:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_abort_propagates_the_same_exception_type(self, backend):
-        runner = _faulty_runner(backend, FaultSpec(failure_rate=1.0))
-        with runner:
+        with _runner(backend) as runner:
             with pytest.raises(InjectedFault):
-                runner.run_many(_tasks())
+                runner.run_many(_tasks(fault=FaultSpec(failure_rate=1.0)))
 
     def test_continue_merges_identically_across_backends(self):
         """The acceptance scenario: ~30% of attempts fail, retries=3,
@@ -353,11 +342,11 @@ class TestErrorPathParity:
         spec = FaultSpec(seed=7, failure_rate=0.3)
         fingerprints = {}
         for backend in ("serial", "thread", "process"):
-            runner = _faulty_runner(
-                backend, spec, repeats=2, on_error="continue", retries=3
+            runner = _runner(
+                backend, repeats=2, on_error="continue", retries=3
             )
             with runner:
-                outcomes = runner.run_many(_tasks())
+                outcomes = runner.run_many(_tasks(fault=spec))
             assert [o.engine for o in outcomes] == ENGINES
             fingerprints[backend] = _outcome_fingerprint(outcomes)
         assert fingerprints["serial"] == fingerprints["thread"]
@@ -365,21 +354,18 @@ class TestErrorPathParity:
 
     def test_always_failing_batch_completes_under_continue(self):
         spec = FaultSpec(failure_rate=1.0)
-        runner = _faulty_runner(
-            "thread", spec, on_error="continue", retries=1
-        )
-        with runner:
-            outcomes = runner.run_many(_tasks())
+        with _runner("thread", on_error="continue", retries=1) as runner:
+            outcomes = runner.run_many(_tasks(fault=spec))
         assert [o.ok for o in outcomes] == [False, False, False]
         assert [o.attempts for o in outcomes] == [2, 2, 2]
 
     def test_split_outcomes_partitions_by_type(self):
         spec = FaultSpec(fail_attempts=(0, 1))  # exhausts a 1-retry budget
-        runner = _faulty_runner("serial", spec, ["dbms", "mapreduce"])
-        runner.configurations["mapreduce"] = SystemConfiguration("mapreduce")
-        with runner:
+        with _runner("serial") as runner:
             outcomes = runner.run_many(
-                _tasks(["mapreduce", "dbms"]), on_error="continue", retries=1
+                _tasks(["mapreduce"]) + _tasks(["dbms"], fault=spec),
+                on_error="continue",
+                retries=1,
             )
         results, failures = split_outcomes(outcomes)
         assert [r.engine for r in results] == ["mapreduce"]
@@ -415,11 +401,9 @@ class TestQueueWaitRegression:
 class TestRetryTracing:
     def test_task_span_records_attempts_and_status(self):
         tracer = Tracer()
-        runner = _faulty_runner(
-            "serial", FaultSpec(fail_attempts=(0,)), ["dbms"], retries=1
-        )
-        with runner, tracer.activate():
-            (outcome,) = runner.run_many(_tasks(["dbms"]))
+        fault = FaultSpec(fail_attempts=(0,))
+        with _runner("serial", retries=1) as runner, tracer.activate():
+            (outcome,) = runner.run_many(_tasks(["dbms"], fault=fault))
         (root,) = tracer.roots()
         assert root.name == "task"
         assert root.attrs["attempts"] == 2
@@ -435,12 +419,10 @@ class TestRetryTracing:
 
     def test_failed_task_span_records_the_error(self):
         tracer = Tracer()
-        runner = _faulty_runner(
-            "serial", FaultSpec(failure_rate=1.0), ["dbms"]
-        )
-        with runner, tracer.activate():
+        fault = FaultSpec(failure_rate=1.0)
+        with _runner("serial") as runner, tracer.activate():
             (outcome,) = runner.run_many(
-                _tasks(["dbms"]), on_error="continue"
+                _tasks(["dbms"], fault=fault), on_error="continue"
             )
         (root,) = tracer.roots()
         assert root.attrs["status"] == "failed"
@@ -449,12 +431,10 @@ class TestRetryTracing:
 
     def test_backoff_spans_record_the_schedule(self):
         tracer = Tracer()
-        runner = _faulty_runner(
-            "serial", FaultSpec(fail_attempts=(0,)), ["dbms"],
-            retries=1, retry_backoff=0.02,
-        )
+        fault = FaultSpec(fail_attempts=(0,))
+        runner = _runner("serial", retries=1, retry_backoff=0.02)
         with runner, tracer.activate():
-            runner.run_many(_tasks(["dbms"]))
+            runner.run_many(_tasks(["dbms"], fault=fault))
         (root,) = tracer.roots()
         backoffs = [c for c in root.children if c.name == "backoff"]
         assert len(backoffs) == 1

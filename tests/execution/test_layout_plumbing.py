@@ -58,13 +58,14 @@ class TestLayoutConfigurations:
         assert layout_options("row") == {}
         assert engine_configuration("dbms", "row") is None
 
-    def test_columnar_covers_both_hot_paths(self):
-        options = layout_options("columnar")
-        assert options["dbms"] == {"layout": "columnar"}
-        assert options["mapreduce"]["combine_batch_records"] > 0
+    def test_columnar_is_a_dbms_notion(self):
+        assert layout_options("columnar") == {"dbms": {"layout": "columnar"}}
 
-    def test_engines_without_layout_notion_run_bare(self):
-        assert engine_configuration("nosql", "columnar") is None
+    @pytest.mark.parametrize(
+        "engine", ["mapreduce", "nosql", "streaming", "dfs"]
+    )
+    def test_engines_without_layout_notion_run_bare(self, engine):
+        assert engine_configuration(engine, "columnar") is None
 
     def test_configuration_builds_columnar_engine(self):
         engine = engine_configuration("dbms", "columnar").build()
@@ -167,7 +168,7 @@ class TestService:
     def test_submitted_columnar_job_runs_columnar(self, tmp_path):
         """The orchestrator applies layout options, not just the CLI.
 
-        Regression: ``_execute`` built ``default_configurations()``
+        Regression: ``_execute`` built the runner's engine table
         without merging :func:`layout_options`, so a submitted columnar
         spec silently ran row and recorded into the row series.  A
         service-recorded columnar run must carry the layout in its

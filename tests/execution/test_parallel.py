@@ -238,14 +238,6 @@ class TestProcessPayloads:
         )
         assert shipped == "search-pagerank"
 
-    def test_payload_resolves_default_configuration(self):
-        runner = TestRunner()
-        init, _ = runner._worker_init()
-        assert (
-            init.configurations["mapreduce"]
-            is runner.configurations["mapreduce"]
-        )
-
     def test_picklable_suite_ships_by_value(self):
         runner = TestRunner(suite=_extended_suite())
         init, _ = runner._worker_init()
@@ -359,19 +351,15 @@ class TestConfigurationSweep:
         ),
     }
 
-    def test_sweep_never_mutates_runner_configurations(self):
-        runner = TestRunner()
-        before = dict(runner.configurations)
-        report = BenchmarkHarness(runner).configuration_sweep(
+    def test_sweep_labels_points_in_configuration_order(self):
+        report = BenchmarkHarness().configuration_sweep(
             "micro-wordcount", "mapreduce", self.CONFIGS, volume_override=30
         )
-        assert runner.configurations == before
         assert [point.value for point in report.points] == ["small", "large"]
         assert report.points[0].result.extra["configuration"] == "small"
 
     def test_failing_configuration_leaves_runner_intact(self):
         runner = TestRunner()
-        before = dict(runner.configurations)
         configs = {
             "ok": SystemConfiguration("mapreduce"),
             "broken": SystemConfiguration("spark"),  # no recipe → raises
@@ -380,7 +368,7 @@ class TestConfigurationSweep:
             BenchmarkHarness(runner).configuration_sweep(
                 "micro-wordcount", "mapreduce", configs, volume_override=20
             )
-        assert runner.configurations == before
+        assert runner.run("micro-wordcount", "mapreduce", 20).ok
 
     def test_larger_cluster_is_faster(self):
         report = BenchmarkHarness().configuration_sweep(

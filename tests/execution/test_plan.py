@@ -17,10 +17,9 @@ RELATIONAL = "database-aggregate-join"
 
 
 def _spec(prescription: str = RELATIONAL, **fields) -> BenchmarkSpec:
-    # Explicit executor/chunk size: REPRO_EXECUTOR / REPRO_CHUNK_SIZE
-    # must not leak into fingerprints the tests pin.
+    # Explicit executor: REPRO_EXECUTOR must not leak into fingerprints
+    # the tests pin.
     fields.setdefault("executor", "serial")
-    fields.setdefault("chunk_size", None)
     return BenchmarkSpec(prescription, **fields)
 
 
@@ -31,15 +30,9 @@ class TestEngineConfiguration:
         assert engine_configuration(engine, "row", normal(engine)) is None
 
     def test_profile_knobs_win_over_layout_options(self):
-        profile = TuningProfile(
-            "mapreduce", "small-batches", {"combine_batch_records": 7}
-        )
-        configuration = engine_configuration("mapreduce", "columnar", profile)
-        assert configuration.options["combine_batch_records"] == 7
-
-    def test_harness_knobs_never_reach_the_engine(self):
-        profile = TuningProfile("dbms", "budget", {"dataset_cache_bytes": 1024})
-        assert engine_configuration("dbms", "row", profile) is None
+        profile = TuningProfile("dbms", "rows", {"layout": "row"})
+        configuration = engine_configuration("dbms", "columnar", profile)
+        assert configuration.options["layout"] == "row"
 
     @pytest.mark.parametrize("engine", ["dbms", "mapreduce", "nosql"])
     def test_inject_latency_wraps_every_engine(self, engine):
@@ -153,27 +146,29 @@ class TestResolve:
 
 #: Series keys ``repro run`` wrote at the parent of the resolver change
 #: (927a6a6), captured from ``api.run``: every one must stay
-#: byte-identical.
+#: byte-identical.  The four ``mapreduce`` + ``optimized`` keys forked
+#: once since, when combiner batching left that profile (its knobs are
+#: part of the key, and the old records measured a different engine).
 GOLDEN_SERIES = [
     (RELATIONAL, 120, "row", "normal",
      {"dbms": "3bc9c87265ef", "mapreduce": "3e3b3a014845",
       "nosql": "84dd5a41ab4a"}),
     (RELATIONAL, 120, "row", "optimized",
-     {"dbms": "3e1e2d4f9eac", "mapreduce": "96a07f5f8ccb",
+     {"dbms": "3e1e2d4f9eac", "mapreduce": "7ae183a314aa",
       "nosql": "2ef33441546f"}),
     (RELATIONAL, 120, "columnar", "normal",
      {"dbms": "d52eb4fca5a3", "mapreduce": "e44fbb0fe64e",
       "nosql": "7e2b22461b89"}),
     (RELATIONAL, 120, "columnar", "optimized",
-     {"dbms": "ad802cbbfce4", "mapreduce": "d0035b7e88c6",
+     {"dbms": "ad802cbbfce4", "mapreduce": "e39378251793",
       "nosql": "2059dcacc279"}),
     ("micro-wordcount", 60, "row", "normal", {"mapreduce": "13306a1f7e52"}),
     ("micro-wordcount", 60, "row", "optimized",
-     {"mapreduce": "5d7c4695a7b8"}),
+     {"mapreduce": "32fac6830f5c"}),
     ("micro-wordcount", 60, "columnar", "normal",
      {"mapreduce": "257ce7c5fc60"}),
     ("micro-wordcount", 60, "columnar", "optimized",
-     {"mapreduce": "81f39847c9f9"}),
+     {"mapreduce": "2a9cd8f2e8fe"}),
 ]
 
 

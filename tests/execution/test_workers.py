@@ -116,12 +116,13 @@ class TestPoolLifetime:
         unpicklable = SystemConfiguration(
             "mapreduce", options={"executor": lambda: None}
         )
-        with TestRunner(
-            configurations={"mapreduce": unpicklable},
-            options=RunnerOptions(executor="process", max_workers=2),
-        ) as runner:
+        tasks = [
+            dataclasses.replace(task, configuration=unpicklable)
+            for task in SHARED_DATA_TASKS
+        ]
+        with _process_runner() as runner:
             with pytest.raises(WorkerPoolError, match="mapreduce"):
-                runner.run_many(SHARED_DATA_TASKS)
+                runner.run_many(tasks)
 
 
 class TestDatasetShipping:
@@ -152,6 +153,23 @@ class TestDatasetShipping:
                 cache_delta = outcome.extra["worker_cache"]
                 assert cache_delta["misses"] == 0
                 assert cache_delta["hits"] == 1
+
+    def test_a_shared_key_that_cannot_ship_is_regenerated(self, monkeypatch):
+        """No shared-memory segment: the handle is a fingerprint and the
+        worker generates the data set itself (once, then hits)."""
+        from multiprocessing import shared_memory
+
+        def refuse(*args, **kwargs):
+            raise OSError("no space left on /dev/shm")
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
+        with _process_runner(max_workers=1) as runner:
+            outcomes = runner.run_many(SHARED_DATA_TASKS)
+            (export,) = runner._worker_pool.exports.values()
+            assert export.handle.kind == "fingerprint"
+        deltas = [outcome.extra["worker_cache"] for outcome in outcomes]
+        assert [(d["misses"], d["hits"]) for d in deltas] == [(1, 0), (0, 1)]
+        assert all(outcome.ok for outcome in outcomes)
 
     def test_worker_outcome_reports_pid_and_batch(self):
         with _process_runner() as runner:
@@ -251,18 +269,20 @@ class TestRetryPolicyShipping:
         with pytest.raises(Exception):
             pickle.dumps(policy)
         prescription = builtin_repository().get("database-aggregate-join")
-        tasks = [RunTask(prescription, name, 40) for name in ("dbms", "nosql")]
+        tasks = [
+            RunTask(
+                prescription, name, 40,
+                configuration=SystemConfiguration(
+                    name, fault=FaultSpec(fail_attempts=(0, 1))
+                ),
+            )
+            for name in ("dbms", "nosql")
+        ]
         schedules = {}
         for backend in ("serial", "process"):
             tracer = Tracer()
             runner = TestRunner(
-                configurations={
-                    name: SystemConfiguration(
-                        name, fault=FaultSpec(fail_attempts=(0, 1))
-                    )
-                    for name in ("dbms", "nosql")
-                },
-                options=RunnerOptions(executor=backend, max_workers=2),
+                options=RunnerOptions(executor=backend, max_workers=2)
             )
             with runner, tracer.activate():
                 outcomes = runner.run_many(tasks, retry_policy=policy)

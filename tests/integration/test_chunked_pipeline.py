@@ -129,17 +129,6 @@ class TestCliChunkSize:
         ])
         assert code == 0
 
-    def test_env_default_feeds_spec(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "13")
-        assert BenchmarkSpec("micro-wordcount").chunk_size == 13
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        from repro.core.errors import SpecError
-
-        monkeypatch.setenv("REPRO_CHUNK_SIZE", "lots")
-        with pytest.raises(SpecError):
-            BenchmarkSpec("micro-wordcount")
-
     def test_spec_validates_chunk_size(self):
         from repro.core.errors import SpecError
         from repro.core.prescription import builtin_repository

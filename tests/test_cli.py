@@ -84,9 +84,30 @@ class TestRun:
         code, _ = run_cli("run", "does-not-exist")
         assert code == 2
 
-    def test_bad_param_syntax(self):
-        with pytest.raises(SystemExit):
-            run_cli("run", "micro-sort", "--param", "notkeyvalue")
+    def test_bad_param_syntax(self, capsys):
+        code, _ = run_cli("run", "micro-sort", "--param", "notkeyvalue")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: --param expects KEY=VALUE"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ablate", "--workloads", "micro", "--param", "foo"),
+            ("load", "micro-wordcount", "--param", "foo"),
+        ],
+    )
+    def test_bad_param_syntax_on_every_verb_that_takes_one(
+        self, argv, capsys
+    ):
+        """``--param foo`` used to exit 1 with a bare message; every
+        other user error is ``error: ...`` on stderr and exit 2."""
+        code, _ = run_cli(*argv)
+        assert code == 2
+        assert "error: --param expects KEY=VALUE, got 'foo'" in (
+            capsys.readouterr().err
+        )
 
 
 class TestTraceFlags:

@@ -34,12 +34,20 @@ RESOLVER_ONLY = {
 }
 
 
+#: Module path relative to src/repro → its parsed source.
+TREES = {
+    path.relative_to(SRC).as_posix(): ast.parse(
+        path.read_text(), filename=str(path)
+    )
+    for path in sorted(SRC.rglob("*.py"))
+}
+
+
 def _calls() -> dict[str, list[tuple[str, int]]]:
     """Called name → [(module path relative to src/repro, line)]."""
     found: dict[str, list[tuple[str, int]]] = {}
-    for path in sorted(SRC.rglob("*.py")):
-        module = path.relative_to(SRC).as_posix()
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             function = node.func
@@ -120,3 +128,43 @@ def test_the_worker_rebuilds_nothing_the_parent_shipped():
         f"execution/workers.py constructs {strays}: the descriptor carries "
         "the task and the policy by value"
     )
+
+
+def test_an_engine_is_configured_on_its_task_and_nowhere_else():
+    """No runner-level engine table: nothing under ``src/`` passes a
+    ``configurations=`` keyword or names ``default_configurations``."""
+    strays = []
+    for module, tree in TREES.items():
+        for node in ast.walk(tree):
+            names = [
+                getattr(node, attribute, None)
+                for attribute in ("id", "attr", "name", "arg")
+            ]
+            if isinstance(node, ast.keyword) and node.arg == "configurations":
+                strays.append((module, node.value.lineno, "configurations="))
+            elif "default_configurations" in names:
+                strays.append((module, node.lineno, "default_configurations"))
+    assert not strays, (
+        f"a runner-level engine table is back: {strays}; an engine is "
+        "task.configuration.build() or the bare registry engine "
+        "(repro.execution.plan.engine_configuration decides which)"
+    )
+
+
+def test_metric_direction_is_defined_once():
+    """Step 5 ranks engines by asking ``compare.metric_direction``: the
+    process holds no metric names of its own to fall out of step."""
+    from repro.analysis.compare import metric_direction
+
+    tree = TREES["core/process.py"]
+    named = sorted(
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and metric_direction(node.value) == "lower"
+    )
+    assert not named, f"core/process.py spells out metric names: {named}"
+    assert "metric_direction" in {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+    }

@@ -159,12 +159,11 @@ class TestMatrix:
             (row["workload"], row["engine"], row["knob"])
             for row in small_report.attribution_rows()
         }
-        assert ("database-aggregate-join", "dbms", "layout") in knobs
-        assert (
-            "database-aggregate-join",
-            "mapreduce",
-            "combine_batch_records",
-        ) in knobs
+        # MapReduce's optimized profile is one knob: no one-offs.
+        assert knobs == {
+            ("database-aggregate-join", "dbms", knob)
+            for knob in ("layout", "join_algorithm", "batch_size")
+        }
 
     def test_report_round_trips_to_json(self, small_report):
         payload = json.loads(json.dumps(small_report.as_dict()))

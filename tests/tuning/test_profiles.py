@@ -8,7 +8,6 @@ import repro  # noqa: F401 - triggers default registration
 from repro.core.errors import ReproError, SpecError, TuningError
 from repro.execution.plan import engine_configuration
 from repro.tuning.profiles import (
-    DATASET_CACHE_KNOB,
     ENGINE_KNOBS,
     ONE_OFF_PREFIX,
     TuningProfile,
@@ -32,7 +31,7 @@ class TestNormalProfile:
     def test_normal_is_bare(self, engine):
         profile = normal(engine)
         assert profile.is_normal
-        assert profile.engine_options() == {}
+        assert profile.knobs == {}
         assert profile.fingerprint() is None
 
     def test_normal_configuration_is_none_on_row_layout(self):
@@ -91,24 +90,6 @@ class TestValidation:
         with pytest.raises(TuningError, match="does not build"):
             TuningProfile("dbms", "x", {"layout": "diagonal"}).validate()
 
-    def test_dataset_cache_budget_must_be_positive_int(self):
-        with pytest.raises(TuningError, match="positive integer"):
-            TuningProfile(
-                "dbms", "x", {DATASET_CACHE_KNOB: -1}
-            ).validate()
-        with pytest.raises(TuningError, match="positive integer"):
-            TuningProfile(
-                "dbms", "x", {DATASET_CACHE_KNOB: "lots"}
-            ).validate()
-
-    def test_dataset_cache_budget_is_harness_level(self):
-        profile = TuningProfile(
-            "dbms", "x", {DATASET_CACHE_KNOB: 1 << 20}
-        ).validate()
-        assert profile.engine_options() == {}
-        assert profile.dataset_cache_bytes == 1 << 20
-        assert not profile.is_normal  # it still forks the series
-
 
 class TestRegistry:
     def test_get_profile_resolves_builtins(self):
@@ -116,26 +97,26 @@ class TestRegistry:
         assert get_profile("dbms", "optimized").knobs["layout"] == "columnar"
 
     def test_get_profile_resolves_one_offs(self):
-        profile = get_profile("mapreduce", "normal+combine_batch_records")
-        assert profile.knobs == {"combine_batch_records": 1024}
+        profile = get_profile("dbms", "normal+batch_size")
+        assert profile.knobs == {"batch_size": 2048}
 
     def test_one_off_for_wrong_engine_rejected(self):
         with pytest.raises(TuningError, match="no optimized knob"):
-            get_profile("dbms", "normal+combine_batch_records")
+            get_profile("mapreduce", "normal+batch_size")
 
     def test_unknown_profile_rejected(self):
         with pytest.raises(TuningError, match="unknown tuning profile"):
             get_profile("dbms", "hyperspeed")
 
     def test_one_offs_cover_every_optimized_knob(self):
-        for engine in ("dbms", "mapreduce"):
-            knobs = {
-                profile.name[len(ONE_OFF_PREFIX):]
-                for profile in one_off_profiles(engine)
-            }
-            assert knobs == set(optimized(engine).knobs)
+        knobs = {
+            profile.name[len(ONE_OFF_PREFIX):]
+            for profile in one_off_profiles("dbms")
+        }
+        assert knobs == set(optimized("dbms").knobs)
 
     def test_single_knob_engines_have_no_one_offs(self):
+        assert one_off_profiles("mapreduce") == []
         assert one_off_profiles("nosql") == []
         assert one_off_profiles("dfs") == []
         assert one_off_profiles("streaming") == []

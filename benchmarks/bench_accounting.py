@@ -11,7 +11,9 @@ measured").  One row holds:
   without a fit (text, table, graph, stream, key-value, image);
 * ``hash_ns``: one stable hash at key lengths 1 / 8 / 32 / 342 (the mean
   ``micro-sort`` key), through the MapReduce default partitioner (x31)
-  and the NoSQL store's placement (x131);
+  and the NoSQL store's placement (x131; a store remembers where it put
+  a ``str`` key, so on a tree with that memo this is the price of
+  placing a key *again*, not of the hash);
 * ``counted_record_ns``: wall time per input record of an identity
   map / identity reduce job, i.e. a job that is nothing but accounting;
 * ``duration_s``: the ``duration`` metric each engine *reports* for the
@@ -23,6 +25,22 @@ measured").  One row holds:
   own work is gone.  (The DBMS, the NoSQL store and the DFS take no user
   callables: all of their duration is the engine.)
 
+A second row, ``accounting.batch_doors``, prices the three per-record
+seams of the stream path and the NoSQL store's load door, at the
+``window-poisson`` volume of ``benchmarks/e2e``:
+
+* ``built_events_per_s``: ``poisson-stream`` events generated per second;
+* ``sizing_ns_per_record``: what ``bytes`` costs per event, ``first_walk``
+  (``estimated_bytes()`` of the data set) and ``known`` (what a second
+  ``select_data`` of that content address pays on top of generating,
+  through a new ``TestGenerator`` as every ``api.run`` builds one: the
+  median of back-to-back pairs, not a minimum);
+* ``counted_record_ns``: wall time per event of a filter that passes
+  everything into a tumbling window whose reducer does nothing, i.e. a
+  streaming run that is nothing but the engine;
+* ``nosql_load_ns_per_row``: ``NoSqlStore.bulk_load`` per row, on the
+  rows ``RelationalQueryWorkload.run_nosql`` loads.
+
 Every number is the minimum over at least ``--repeats`` runs (a
 micro-probe keeps sampling for 0.4 s) in one child process whose
 ``PYTHONPATH`` is the measured ``src``; the probe uses only callables
@@ -32,7 +50,7 @@ commit::
     PYTHONPATH=src python -m pytest benchmarks/bench_accounting.py -q -s
     PYTHONPATH=src python benchmarks/bench_accounting.py --src OTHER/src --source parent
 
-The row is appended to ``BENCH_accounting.json`` through
+Both rows are appended to ``BENCH_accounting.json`` through
 :func:`_history.append_history`.
 """
 
@@ -41,6 +59,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -67,6 +86,7 @@ SIZED = {
 KEY_LENGTHS = (1, 8, 32, 342)
 IDENTITY_RECORDS = 20000
 _RELATIONAL = "database-aggregate-join"
+_WINDOW = "realtime-windowed-aggregation"
 #: The ``exec-default`` cells of ``benchmarks/e2e/drivers.py``.
 SPECS: dict[str, dict[str, Any]] = {
     "wordcount-mr": {"prescription": "micro-wordcount", "volume": 5000},
@@ -81,12 +101,15 @@ SPECS: dict[str, dict[str, Any]] = {
         "prescription": "oltp-read-write", "volume": 500,
         "params": {"operation_count": 2000},
     },
-    "window-stream": {
-        "prescription": "realtime-windowed-aggregation", "volume": 10000,
-    },
+    "window-stream": {"prescription": _WINDOW, "volume": 10000},
     "cfs-dfs": {"prescription": "micro-cfs", "volume": 2000},
 }
 
+
+#: The ``window-poisson`` cell of ``gen-bound`` and the NoSQL task of
+#: ``relational-3eng``.
+STREAM_EVENTS = 30000
+LOAD_ROWS = 5000
 
 #: A micro-probe keeps sampling this long: a few calls of a 20 ms
 #: function catch this host in one mood, slow or fast, not at its best.
@@ -213,6 +236,67 @@ def _probe_streaming_share(repeats: int) -> dict[str, float]:
     return {"real_s": real_s, "noop_s": noop_s, "share": noop_s / real_s}
 
 
+def _probe_batch_doors(repeats: int) -> dict[str, Any]:
+    from repro.core import registry
+    from repro.core.prescription import builtin_repository
+    from repro.core.test_generator import TestGenerator
+    from repro.engines.nosql.store import NoSqlStore
+    from repro.engines.streaming.engine import (
+        FilterOperator,
+        StreamingEngine,
+        Topology,
+        TumblingWindowAggregate,
+    )
+
+    generator = registry.generators.create("poisson-stream")
+    dataset = generator.generate(STREAM_EVENTS)
+    events = dataset.records
+    build_s = _best(repeats, lambda: generator.generate(STREAM_EVENTS))
+    first_walk_s = _best(repeats, dataset.estimated_bytes)
+    requirement = builtin_repository().get(_WINDOW).data
+
+    def select() -> None:
+        TestGenerator().select_data(requirement, STREAM_EVENTS)
+
+    select()  # from here on the process has seen this content address
+    # Generating and selecting back to back, so that this host's drift
+    # cancels in each difference; the median pair is the price.
+    over_generating = []
+    for _ in range(max(repeats, 9)):
+        started = time.perf_counter()
+        generator.generate(STREAM_EVENTS)
+        generated = time.perf_counter()
+        select()
+        over_generating.append(
+            (time.perf_counter() - generated) - (generated - started)
+        )
+    known_s = max(0.0, statistics.median(over_generating))
+
+    def stream() -> None:
+        topology = (
+            Topology("nothing")
+            .then(FilterOperator(lambda event: True))
+            .then(TumblingWindowAggregate(0.1, lambda total, value: total))
+        )
+        StreamingEngine().run(topology, events)
+
+    rows = [
+        (f"order:{index:010d}", {"product_id": index % 97, "quantity": index % 9})
+        for index in range(LOAD_ROWS)
+    ]
+    return {
+        "built_events_per_s": len(events) / build_s,
+        "sizing_ns_per_record": {
+            "first_walk": first_walk_s * 1e9 / len(events),
+            "known": known_s * 1e9 / len(events),
+        },
+        "counted_record_ns": _best(repeats, stream) * 1e9 / len(events),
+        "nosql_load_ns_per_row": _best(
+            repeats, lambda: NoSqlStore().bulk_load(rows)
+        ) * 1e9 / len(rows),
+    }
+
+
 def probe(repeats: int) -> dict[str, Any]:
     """Every measurement of one row, taken in this process."""
     import repro  # noqa: F401 (fills the registries)
@@ -226,6 +310,7 @@ def probe(repeats: int) -> dict[str, Any]:
             "mapreduce": _probe_mapreduce_share(repeats),
             "streaming": _probe_streaming_share(repeats),
         },
+        "batch_doors": _probe_batch_doors(repeats),
     }
 
 
@@ -245,6 +330,7 @@ def record_accounting(
     src: Path = SRC_DIR, source: str = "worktree", repeats: int = REPEATS
 ) -> dict:
     rows = measure_accounting(src, repeats)
+    doors = rows.pop("batch_doors")
     for section in ("sizing_ns_per_record", "hash_ns", "duration_s"):
         print(f"\n{section}")
         for name, value in rows[section].items():
@@ -266,7 +352,16 @@ def record_accounting(
         },
         {"source": source, "repeats": repeats, **rows},
     )
-    return rows
+    print("\nbatch_doors")
+    for name, value in doors.items():
+        print(f"  {name:28s} {value}")
+    append_history(
+        RESULTS_FILE,
+        "accounting.batch_doors",
+        {"stream_events": STREAM_EVENTS, "load_rows": LOAD_ROWS},
+        {"source": source, "repeats": repeats, **doors},
+    )
+    return {**rows, "batch_doors": doors}
 
 
 def test_accounting_ledger():
@@ -279,6 +374,12 @@ def test_accounting_ledger():
     # Look-ups of precomputed answers cannot cost more than computing them.
     for share in rows["meter_share"].values():
         assert 0.0 < share["share"] < 1.5
+    doors = rows["batch_doors"]
+    assert doors["built_events_per_s"] > 0 and doors["counted_record_ns"] > 0
+    assert doors["nosql_load_ns_per_row"] > 0
+    # A size the process knows costs less than walking the records again.
+    sizing = doors["sizing_ns_per_record"]
+    assert 0.0 <= sizing["known"] < sizing["first_walk"]
 
 
 if __name__ == "__main__":

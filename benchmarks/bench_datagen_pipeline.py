@@ -27,6 +27,12 @@ have, so the same script measures the parent commit::
 
     PYTHONPATH=src python benchmarks/bench_datagen_pipeline.py --src OTHER/src --source parent
 
+The same command appends a ``generator_rates.poisson-stream`` row: events
+per second of the registry's stream generator at the end-to-end
+benchmark's ``window-poisson`` volume, in one partition and in two, also
+in a fresh process on the measured ``src`` (the all-generators table
+above runs in this process at 1 000 records, where a stream takes 2 ms).
+
 Each run appends a run-store-schema row per benchmark (see ``_history``)
 to ``BENCH_datagen_pipeline.json`` so the throughput and memory numbers
 accumulate into a perf trajectory across revisions.
@@ -84,6 +90,13 @@ MODEL_CACHE_SMOKE = {
     "chunk_size": 16,
     "chunked_repeats": 3,
 }
+
+#: The stream generator's rate row: ``gen-bound``'s ``window-poisson`` and
+#: ``window-poisson-p2`` cells.
+STREAM_RATE = {"generator": "poisson-stream", "volume": 30_000, "partitions": [1, 2]}
+STREAM_RATE_REPEATS = 7
+#: What the pytest entry point runs.
+STREAM_RATE_SMOKE = {**STREAM_RATE, "volume": 3_000}
 
 #: The child generates in the requested shape and reports elapsed
 #: seconds, peak RSS, record count, and a record digest on stdout.
@@ -260,6 +273,67 @@ def test_generator_rates(benchmark):
         {"generators": rates},
     )
 
+    stream = record_stream_rate(sizes=STREAM_RATE_SMOKE, repeats=2)
+    for shape in stream.values():
+        assert shape["records"] == STREAM_RATE_SMOKE["volume"]
+
+
+_STREAM_CHILD = """
+import json
+import sys
+import time
+
+sizes = json.loads(sys.argv[1])
+repeats = int(sys.argv[2])
+
+import repro
+from repro.core import registry
+
+generator = registry.generators.create(sizes["generator"])
+rows = {}
+for partitions in sizes["partitions"]:
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        dataset = generator.generate_parallel(sizes["volume"], partitions)
+        best = min(best, time.perf_counter() - started)
+    rows[f"partitions{partitions}"] = {
+        "seconds": best,
+        "records": dataset.num_records,
+        "records_per_second": dataset.num_records / best,
+    }
+print(json.dumps(rows))
+"""
+
+
+def record_stream_rate(
+    src: str = SRC_DIR, source: str = "worktree", sizes: dict = STREAM_RATE,
+    repeats: int = STREAM_RATE_REPEATS,
+) -> dict[str, dict]:
+    completed = subprocess.run(
+        [sys.executable, "-c", _STREAM_CHILD, json.dumps(sizes), str(repeats)],
+        capture_output=True, text=True, timeout=600, check=True,
+        env={"PYTHONPATH": src, "PATH": os.environ.get("PATH", "")},
+    )
+    rows = json.loads(completed.stdout.strip().splitlines()[-1])
+    print_banner("E14", f"{sizes['generator']} rate, {source}")
+    print(
+        ascii_table(
+            [
+                {"shape": name, "records": row["records"],
+                 "records/s": row["records_per_second"]}
+                for name, row in rows.items()
+            ]
+        )
+    )
+    append_history(
+        RESULTS_FILE,
+        "datagen_pipeline.generator_rates.poisson-stream",
+        dict(sizes),
+        {"source": source, "repeats": repeats, "shapes": rows},
+    )
+    return rows
+
 
 #: One fitted-model scenario per process, so each starts with nothing
 #: fitted; ``LdaModel.fit`` is counted by wrapping it.
@@ -371,9 +445,11 @@ def test_model_cache_ledger():
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(
-        description="Append one fitted-model cache row for the tree under --src."
+        description="Append one fitted-model cache row and one stream-rate "
+        "row for the tree under --src."
     )
     parser.add_argument("--src", type=Path, default=Path(SRC_DIR))
     parser.add_argument("--source", default="worktree")
     options = parser.parse_args()
     record_model_cache(str(options.src.resolve()), options.source)
+    record_stream_rate(str(options.src.resolve()), options.source)

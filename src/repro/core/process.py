@@ -22,6 +22,7 @@ from repro.core.results import (
 from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import PrescribedTest, TestGenerator
 from repro.datagen.base import DataSet
+from repro.datagen.models import ModelUse
 from repro.observability import Tracer, current_tracer
 
 
@@ -133,7 +134,7 @@ class BenchmarkingProcess:
                 requirement = replace(
                     requirement, num_partitions=spec.data_partitions
                 )
-            with self.test_generator.model_cache.recording() as model_uses:
+            with self.test_generator.model_cache.recording() as uses:
                 dataset = self.test_generator.select_data(
                     requirement, spec.volume, chunk_size=spec.chunk_size
                 )
@@ -142,11 +143,18 @@ class BenchmarkingProcess:
             "records": dataset.num_records,
             "partitions": spec.data_partitions,
         }
-        if model_uses:
-            # Figure 3 step 2: whether this run trained the generator's
-            # model or found it fitted (absent when nothing is fitted,
-            # or the data set itself was already cached).
-            generation_detail["model"] = model_uses[-1].as_dict()
+        for use in uses:
+            if isinstance(use, ModelUse):
+                # Figure 3 step 2: whether this run trained the
+                # generator's model or found it fitted (absent when
+                # nothing is fitted, or the data set itself was already
+                # cached).
+                generation_detail["model"] = use.as_dict()
+            else:
+                # Whether this run walked the records for ``bytes`` or
+                # the process knew the size of that content address
+                # (absent when the data set itself was already cached).
+                generation_detail["sizing"] = use.sizing
         if isinstance(dataset, DataSet):
             # The dataset cache sized it when select_data put it there.
             generation_detail["bytes"] = (

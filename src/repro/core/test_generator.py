@@ -191,7 +191,14 @@ class TestGenerator:
         volume: int,
         num_partitions: int,
     ) -> DataSet:
-        """The data-set-uncached path (fitted model, then generate)."""
+        """The data-set-uncached path (fitted model, generate, size).
+
+        The data set leaves carrying its size: measured here the first
+        time this process generates at this content address, read back
+        from :attr:`model_cache` after that.
+        """
+        # Asked before the fit: the address is of the unfitted state.
+        address = self.model_cache.address(generator, requirement.fit_on)
         generator = self.model_cache.fitted(generator, requirement.fit_on)
         with trace_span(
             "generate", volume=volume, partitions=num_partitions
@@ -202,7 +209,10 @@ class TestGenerator:
                 dataset = generator.generate(volume)
             if span:
                 span.set(records=dataset.num_records)
-            return dataset
+        if address is not None:
+            address = (*address, volume, num_partitions)
+        dataset.known_bytes = self.model_cache.dataset_bytes(address, dataset)
+        return dataset
 
     # ------------------------------------------------------------------
     # Steps 2-4: prescription assembly

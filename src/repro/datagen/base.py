@@ -109,6 +109,14 @@ class DataSet:
     data_type: DataType
     records: list[Any]
     metadata: dict[str, Any] = field(default_factory=dict)
+    #: What :meth:`estimated_bytes` returns, when whoever built the
+    #: records knows it without walking them (the size map of
+    #: :mod:`repro.datagen.models`).  Read by the dataset cache, whose
+    #: entries nobody changes; :meth:`estimated_bytes` itself always
+    #: walks, and ``dataclasses.replace`` does not carry it over.
+    known_bytes: int | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def num_records(self) -> int:

@@ -330,7 +330,11 @@ class DatasetCache:
                 old.path.unlink(missing_ok=True)
             self._entries[key] = _Entry(
                 dataset=dataset,
-                nbytes=dataset.estimated_bytes(),
+                nbytes=(
+                    dataset.known_bytes
+                    if dataset.known_bytes is not None
+                    else dataset.estimated_bytes()
+                ),
                 name=dataset.name,
                 data_type=dataset.data_type,
                 metadata=dict(dataset.metadata),
@@ -346,9 +350,10 @@ class DatasetCache:
     def size_of(self, dataset: DataSet) -> int:
         """``dataset.estimated_bytes()``, from its entry when it has one.
 
-        :meth:`put` sized the data set it was handed; a caller holding
-        that same object (what :meth:`get_or_generate` returns) reads
-        the number back instead of walking every record again.
+        :meth:`put` sized the data set it was handed (or took the size
+        it carried, ``known_bytes``); a caller holding that same object
+        (what :meth:`get_or_generate` returns) reads the number back
+        instead of walking every record again.
         """
         with self._lock:
             for entry in self._entries.values():

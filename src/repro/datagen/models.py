@@ -19,9 +19,15 @@ model is shared, never copied.  That is safe under the contract
 :class:`~repro.datagen.base.DataGenerator` states: fitted state is
 immutable, ``fit`` binds new objects instead of writing into old ones.
 
-Only fitted generators are held, never records, and nothing is written
-to disk.  ``generator.fit(dataset)`` called directly does not come here
-and fits every time.
+The same address, extended by the volume and the partition count, names
+one deterministic data set, and the size of that data set
+(``estimated_bytes()``, a walk over every record) is a function of it.
+The cache remembers the integer, so a process measures each data set it
+generates once (:meth:`ModelCache.dataset_bytes`).
+
+Only fitted generators and integers are held, never records, and nothing
+is written to disk.  ``generator.fit(dataset)`` called directly does not
+come here and fits every time.
 """
 
 from __future__ import annotations
@@ -45,6 +51,9 @@ from repro.observability import current_tracer, trace_span
 #: Fitted generators kept per cache; a model is kilobytes, and no run
 #: names more than a handful.
 MAX_MODELS = 16
+#: Data-set sizes kept per cache: an address and an integer each, so a
+#: long sweep fits and a service that runs for days stays bounded.
+MAX_SIZES = 1024
 
 
 def content_digest(value: Any) -> str:
@@ -125,6 +134,16 @@ class ModelUse:
         return asdict(self)
 
 
+@dataclass(frozen=True)
+class SizeUse:
+    """What one request for a generated data set's size did."""
+
+    #: ``"known"`` (this process had measured that content address) or
+    #: ``"measured"`` (the records were walked now).
+    sizing: str
+    nbytes: int
+
+
 class ModelCache:
     """An LRU cache of fitted generators, single-flight per key.
 
@@ -132,6 +151,9 @@ class ModelCache:
     it, distinct keys fit concurrently.  ``hits`` and ``misses`` count
     requests over the cache's life; :meth:`recording` reports the
     requests of one thread inside one block.
+
+    Beside the models it keeps the measured size of each data set they
+    generated, by the same content address (:meth:`dataset_bytes`).
     """
 
     def __init__(self, max_entries: int = MAX_MODELS) -> None:
@@ -139,6 +161,8 @@ class ModelCache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
         self._entries: OrderedDict[tuple, DataGenerator] = OrderedDict()
+        #: (generator address, volume, partitions) → ``estimated_bytes()``.
+        self._sizes: OrderedDict[tuple, int] = OrderedDict()
         self._lock = threading.Lock()
         self._flights: dict[tuple, threading.Lock] = {}
         #: source → (the data set digested, its digest); ``load_seed``
@@ -162,11 +186,8 @@ class ModelCache:
         """
         if source is None:
             return generator
-        try:
-            key = (
-                content_digest(generator), source, self._seed_digest(source)
-            )
-        except (TypeError, RecursionError):
+        key = self.address(generator, source)
+        if key is None:
             self._fit(generator, source)
             return generator
         cached = self._hit(key)
@@ -181,6 +202,49 @@ class ModelCache:
                             self._entries.popitem(last=False)
                     return generator
         return copy.copy(cached)
+
+    def address(
+        self, generator: DataGenerator, source: str | None
+    ) -> tuple | None:
+        """The content address of ``generator`` once fitted on ``source``.
+
+        The generator's class and whole state as it stands (so ask
+        before fitting), the source's name and a digest of its data;
+        ``None`` when the state has no content address.
+        """
+        try:
+            return (
+                content_digest(generator),
+                source,
+                None if source is None else self._seed_digest(source),
+            )
+        except (TypeError, RecursionError):
+            return None
+
+    def dataset_bytes(self, address: tuple | None, dataset: DataSet) -> int:
+        """``dataset.estimated_bytes()``, walked once per address.
+
+        ``address`` names the deterministic generation that produced
+        ``dataset``: :meth:`address` of its generator, then the volume
+        and the partition count.  The first request for an address
+        measures the data set and keeps the integer, later ones read it
+        back; ``None`` (no content address) measures every time.
+        """
+        with self._lock:
+            nbytes = self._sizes.get(address)
+            if nbytes is not None:
+                self._sizes.move_to_end(address)
+        sizing = "known"
+        if nbytes is None:
+            sizing = "measured"
+            nbytes = dataset.estimated_bytes()
+            if address is not None:
+                with self._lock:
+                    self._sizes[address] = nbytes
+                    while len(self._sizes) > MAX_SIZES:
+                        self._sizes.popitem(last=False)
+        self._record(SizeUse(sizing, nbytes))
+        return nbytes
 
     @contextmanager
     def _flight(self, key: tuple) -> Iterator[None]:
@@ -230,7 +294,7 @@ class ModelCache:
     # ------------------------------------------------------------------
 
     @contextmanager
-    def recording(self) -> Iterator[list[ModelUse]]:
+    def recording(self) -> Iterator[list[ModelUse | SizeUse]]:
         """Collect the requests this thread makes inside the block.
 
         Per thread, so a report states what *its* call did even while
@@ -243,7 +307,7 @@ class ModelCache:
         finally:
             self._recorder.uses = outer
 
-    def _record(self, use: ModelUse) -> None:
+    def _record(self, use: ModelUse | SizeUse) -> None:
         uses = getattr(self._recorder, "uses", None)
         if uses is not None:
             uses.append(use)
@@ -252,6 +316,7 @@ class ModelCache:
         """Drop every entry and reset the counters."""
         with self._lock:
             self._entries.clear()
+            self._sizes.clear()
             self._seed_digests.clear()
             self.hits = 0
             self.misses = 0
@@ -261,8 +326,9 @@ class ModelCache:
             return len(self._entries)
 
     def _after_fork(self) -> None:
-        # A forked worker inherits the entries, not the flights: a fit in
-        # progress in the parent has no thread here to finish it.
+        # A forked worker inherits the entries and the sizes, not the
+        # flights: a fit in progress in the parent has no thread here to
+        # finish it.
         self._lock = threading.Lock()
         self._flights = {}
 

@@ -211,6 +211,14 @@ class EmpiricalArrivals(ArrivalProcess):
         return rng.choice(self._gaps, size=count, replace=True)
 
 
+#: ``generate_partition`` draws a code per event and looks the kinds up
+#: here in one indexing operation (an object array, so the members
+#: themselves come back).
+_KINDS_BY_CODE = np.array(
+    [EventKind.UPDATE, EventKind.DELETE, EventKind.INSERT], dtype=object
+)
+
+
 class StreamGenerator(DataGenerator):
     """Generates timestamped event streams with a controllable update mix.
 
@@ -277,24 +285,25 @@ class StreamGenerator(DataGenerator):
             keys = rng.integers(0, self.key_space, size=count)
         values = rng.normal(0.0, 1.0, size=count)
         kind_draws = rng.random(count)
-        events: list[StreamEvent] = []
-        for index in range(count):
-            draw = kind_draws[index]
-            if draw < self.update_fraction:
-                kind = EventKind.UPDATE
-            elif draw < self.update_fraction + self.delete_fraction:
-                kind = EventKind.DELETE
-            else:
-                kind = EventKind.INSERT
-            events.append(
-                StreamEvent(
-                    timestamp=float(timestamps[index]),
-                    key=int(keys[index]),
-                    value=float(values[index]),
-                    kind=kind,
-                )
+        # Whole columns from here on: the kind of every event in two
+        # comparisons, each column converted to Python values once, and
+        # the events built in one pass over the four.
+        kind_codes = np.where(
+            kind_draws < self.update_fraction,
+            0,
+            np.where(
+                kind_draws < self.update_fraction + self.delete_fraction, 1, 2
+            ),
+        )
+        return list(
+            map(
+                StreamEvent,
+                np.asarray(timestamps, dtype=np.float64).tolist(),
+                keys.tolist(),
+                values.tolist(),
+                _KINDS_BY_CODE[kind_codes].tolist(),
             )
-        return events
+        )
 
     def measured_rate(self, events: Sequence[StreamEvent]) -> float:
         """Events per second implied by a generated stream's timestamps."""

@@ -20,12 +20,15 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Any
 
 import numpy as np
 
-from repro._util import stable_hash
+from repro._util import batched, stable_hash
 from repro.core.errors import EngineError
+from repro.datagen.base import DEFAULT_CHUNK_SIZE
 from repro.engines.base import Engine, EngineInfo, estimate_pair_bytes
 
 Fields = dict[str, Any]
@@ -110,6 +113,10 @@ class NoSqlStore(Engine):
         self._versions: list[dict[str, int]] = [
             {} for _ in range(num_partitions)
         ]
+        #: ``str`` key → home partition: a key is hashed once per store,
+        #: however often it is inserted, read, updated and scanned (the
+        #: MapReduce shuffle keeps the same memo per shuffle).
+        self._homes: dict[str, int] = {}
         #: Ordered key index for scans.
         self._sorted_keys: list[str] = []
         #: Per-partition in-flight depth for the queueing model.
@@ -135,7 +142,14 @@ class NoSqlStore(Engine):
     # ------------------------------------------------------------------
 
     def _partition_of(self, key: str) -> int:
-        return stable_hash(str(key), 131) % self.num_partitions
+        if type(key) is not str:
+            # 1, True and 1.0 are one dict key and three strings.
+            return stable_hash(str(key), 131) % self.num_partitions
+        home = self._homes.get(key)
+        if home is None:
+            home = stable_hash(key, 131) % self.num_partitions
+            self._homes[key] = home
+        return home
 
     def _replica_partitions(self, key: str) -> list[int]:
         home = self._partition_of(key)
@@ -211,21 +225,94 @@ class NoSqlStore(Engine):
         self,
         records: Any,
         consistency: ConsistencyLevel = ConsistencyLevel.ALL,
-    ) -> int:
-        """Insert a stream of ``(key, fields)`` records; returns the count.
+    ) -> list[float]:
+        """Insert a stream of ``(key, fields)`` records, a batch at a time.
 
-        ``records`` may be any iterable of pairs or a dataset source
-        (anything with ``batches()``); a source is consumed batch by
-        batch, so loading never materializes the full record list.
+        Equal to :meth:`insert` on each record in turn (state, counters
+        and the latency model's draws included); returns the latency of
+        every insert, in order.  ``records`` may be any iterable of
+        pairs or a dataset source (anything with ``batches()``); either
+        is consumed batch by batch, so loading never materializes the
+        full record list.
         """
         batches = getattr(records, "batches", None)
-        if batches is not None:
-            records = (record for batch in batches() for record in batch)
-        count = 0
-        for key, fields in records:
-            self.insert(key, fields, consistency)
-            count += 1
-        return count
+        latencies: list[float] = []
+        for batch in (
+            batched(records, DEFAULT_CHUNK_SIZE)
+            if batches is None
+            else (batch.records for batch in batches())
+        ):
+            if self._loads_as_one(batch):
+                latencies += self._load_batch(batch)
+            else:
+                latencies += [
+                    self.insert(key, fields, consistency).latency_seconds
+                    for key, fields in batch
+                ]
+        return latencies
+
+    def _loads_as_one(self, batch: list[tuple[Any, Fields]]) -> bool:
+        """Whether :meth:`_load_batch` equals the inserts one by one.
+
+        It does for unreplicated rows (one replica whatever the
+        consistency level, nothing left to propagate) under distinct
+        ``str`` keys, with a jitter draw per insert to vectorize.
+        """
+        if self.replication > 1 or self.latency.jitter_sigma <= 0:
+            return False
+        keys = {key for key, _ in batch if type(key) is str}
+        return len(keys) == len(batch) > 0
+
+    def _load_batch(self, batch: list[tuple[str, Fields]]) -> list[float]:
+        """:meth:`insert` of every record of a batch :meth:`_loads_as_one` passed.
+
+        Each key is hashed once, the jitter is one vector draw, the scan
+        index is merged with one sort, and the clock, the counters and
+        the latency total are written from locals at the end.
+        """
+        partitions = self._partitions
+        versions = self._versions
+        version = self._write_clock
+        homes = []
+        new_keys = []
+        written = 0
+        for key, fields in batch:
+            home = self._partition_of(key)
+            homes.append(home)
+            rows = partitions[home]
+            if key not in rows:
+                new_keys.append(key)
+            rows[key] = dict(fields)
+            version += 1
+            versions[home][key] = version
+            written += estimate_pair_bytes(fields.items())
+        self._write_clock = version
+        if new_keys:
+            self._sorted_keys = sorted(self._sorted_keys + new_keys)
+        self.counters.records_written += len(batch)
+        self.counters.bytes_written += written
+        model = self.latency
+        # What ``LatencyModel.sample`` charges a write on each partition
+        # at the depth it has now, times one log-normal draw per row.
+        base = model.write_seconds + model.replica_write_seconds * (
+            self.replication - 1
+        )
+        queued = np.array(
+            [
+                base * (1.0 + model.contention_factor * depth)
+                for depth in self._partition_load
+            ]
+        )
+        latencies = (
+            queued[homes]
+            * self._rng.lognormal(0.0, model.jitter_sigma, size=len(batch))
+        ).tolist()
+        # Added one at a time, as the inserts would: float sums depend
+        # on their order.
+        self.total_latency_seconds = reduce(
+            add, latencies, self.total_latency_seconds
+        )
+        return latencies
 
     def read(
         self,
@@ -272,10 +359,15 @@ class NoSqlStore(Engine):
         self, key: str, fields: Fields,
         consistency: ConsistencyLevel = ConsistencyLevel.ALL,
     ) -> OpResult:
-        """Merge fields into an existing row."""
+        """Merge fields into an existing row.
+
+        A key that is not there costs, and counts as, the read that
+        found it missing.
+        """
         replicas = self._replica_partitions(key)
         if key not in self._partitions[replicas[0]]:
             latency = self._charge(replicas[0], self.latency.read_seconds)
+            self.counters.records_read += 1
             return OpResult(ok=False, latency_seconds=latency)
         return self._write(replicas, key, fields, consistency, merge=True)
 
@@ -352,3 +444,4 @@ class NoSqlStore(Engine):
     def partition_sizes(self) -> list[int]:
         """Row counts per partition (replicas included) — balance checks."""
         return [len(partition) for partition in self._partitions]
+

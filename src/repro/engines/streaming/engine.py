@@ -15,11 +15,15 @@ from abc import ABC, abstractmethod
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from repro.core.errors import EngineError
 from repro.datagen.stream import StreamEvent
 from repro.engines.base import Engine, EngineInfo
+
+
+_TIMESTAMP = attrgetter("timestamp")
 
 
 @dataclass(frozen=True)
@@ -33,11 +37,39 @@ class WindowResult:
 
 
 class StreamOperator(ABC):
-    """Base class of streaming operators (event in → events out)."""
+    """Base class of streaming operators (event in → events out).
+
+    The operators of one topology share no state, and an operator sees
+    its events in event order: the engine may hand it a whole run at
+    once (:meth:`process_many`) before the next operator sees any.
+    """
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # An inherited batch door describes the parent's ``process``: a
+        # subclass that redefines ``process`` alone gets the loop over
+        # its own.
+        if "process" in vars(cls) and "process_many" not in vars(cls):
+            cls.process_many = StreamOperator.process_many
 
     @abstractmethod
     def process(self, event: StreamEvent) -> Iterable[StreamEvent]:
         """Transform one event into zero or more events."""
+
+    def process_many(self, events: Sequence[StreamEvent]) -> list[StreamEvent]:
+        """Transform a run of events, in order, into the events they become.
+
+        The batch door the engine calls.  Equal, state included, to
+        feeding each event to :meth:`process` in turn, which is what
+        this default does; the built-in operators override it with one
+        loop over the run.
+        """
+        out: list[StreamEvent] = []
+        extend = out.extend
+        process = self.process
+        for event in events:
+            extend(process(event))
+        return out
 
     def flush(self) -> Iterable[WindowResult]:
         """Emit any pending results at end of stream."""
@@ -53,6 +85,9 @@ class MapOperator(StreamOperator):
     def process(self, event: StreamEvent) -> Iterable[StreamEvent]:
         yield self.function(event)
 
+    def process_many(self, events: Sequence[StreamEvent]) -> list[StreamEvent]:
+        return list(map(self.function, events))
+
 
 class FilterOperator(StreamOperator):
     """Drop events failing a predicate."""
@@ -63,6 +98,9 @@ class FilterOperator(StreamOperator):
     def process(self, event: StreamEvent) -> Iterable[StreamEvent]:
         if self.predicate(event):
             yield event
+
+    def process_many(self, events: Sequence[StreamEvent]) -> list[StreamEvent]:
+        return list(filter(self.predicate, events))
 
 
 class TumblingWindowAggregate(StreamOperator):
@@ -97,20 +135,39 @@ class TumblingWindowAggregate(StreamOperator):
         self._oldest_open = float("inf")
 
     def process(self, event: StreamEvent) -> Iterable[StreamEvent]:
-        timestamp = event.timestamp
-        window = int(timestamp // self.window_seconds)
-        per_key = self._windows[window]
-        accumulator = per_key.get(event.key)
-        if accumulator is None:
-            accumulator = self.initial()
-        per_key[event.key] = self.reducer(accumulator, event.value)
-        if window < self._oldest_open:
-            self._oldest_open = window
-        if timestamp > self._watermark:
-            self._watermark = timestamp
-            if self._oldest_open < window:
-                self._close_expired(window)
+        self._fold((event,))
         return ()
+
+    def process_many(self, events: Sequence[StreamEvent]) -> list[StreamEvent]:
+        self._fold(events)
+        return []
+
+    def _fold(self, events: Iterable[StreamEvent]) -> None:
+        """Fold events into their windows, closing those the watermark passes."""
+        size = self.window_seconds
+        windows = self._windows
+        reducer = self.reducer
+        initial = self.initial
+        watermark = self._watermark
+        oldest_open = self._oldest_open
+        for event in events:
+            timestamp = event.timestamp
+            window = int(timestamp // size)
+            per_key = windows[window]
+            key = event.key
+            accumulator = per_key.get(key)
+            if accumulator is None:
+                accumulator = initial()
+            per_key[key] = reducer(accumulator, event.value)
+            if window < oldest_open:
+                oldest_open = window
+            if timestamp > watermark:
+                watermark = timestamp
+                if oldest_open < window:
+                    self._close_expired(window)
+                    oldest_open = window
+        self._watermark = watermark
+        self._oldest_open = oldest_open
 
     def _close_expired(self, current: int) -> None:
         """Emit every open window before ``current``, oldest first."""
@@ -173,21 +230,36 @@ class SlidingWindowAggregate(StreamOperator):
         self._windows: dict[int, dict[Any, Any]] = defaultdict(dict)
 
     def process(self, event: StreamEvent) -> Iterable[StreamEvent]:
-        # Windows start at multiples of the slide; the event belongs to
-        # every window with start <= t < start + size.
-        last_start = int(event.timestamp // self.slide_seconds)
-        spans = int(self.window_seconds // self.slide_seconds)
-        for offset in range(spans):
-            start_index = last_start - offset
-            start = start_index * self.slide_seconds
-            if start < 0 or event.timestamp >= start + self.window_seconds:
-                continue
-            per_key = self._windows[start_index]
-            accumulator = per_key.get(event.key)
-            if accumulator is None:
-                accumulator = self.initial()
-            per_key[event.key] = self.reducer(accumulator, event.value)
+        self._fold((event,))
         return ()
+
+    def process_many(self, events: Sequence[StreamEvent]) -> list[StreamEvent]:
+        self._fold(events)
+        return []
+
+    def _fold(self, events: Iterable[StreamEvent]) -> None:
+        # Windows start at multiples of the slide; an event belongs to
+        # every window with start <= t < start + size.
+        size = self.window_seconds
+        slide = self.slide_seconds
+        windows = self._windows
+        reducer = self.reducer
+        initial = self.initial
+        offsets = range(int(size // slide))
+        for event in events:
+            timestamp = event.timestamp
+            last_start = int(timestamp // slide)
+            for offset in offsets:
+                start_index = last_start - offset
+                start = start_index * slide
+                if start < 0 or timestamp >= start + size:
+                    continue
+                per_key = windows[start_index]
+                key = event.key
+                accumulator = per_key.get(key)
+                if accumulator is None:
+                    accumulator = initial()
+                per_key[key] = reducer(accumulator, event.value)
 
     def flush(self) -> Iterable[WindowResult]:
         results: list[WindowResult] = []
@@ -275,26 +347,29 @@ class StreamingEngine(Engine):
         )
 
     def run(self, topology: Topology, events: Sequence[StreamEvent]) -> StreamRunReport:
-        """Process an event stream through a topology."""
-        ordered = sorted(events, key=lambda event: event.timestamp)
+        """Process an event stream through a topology.
+
+        Operator-major: each operator takes the whole ordered run
+        through :meth:`StreamOperator.process_many` before the next one
+        sees what it let through.
+        """
+        ordered = sorted(events, key=_TIMESTAMP)
         service_seconds = self.service_seconds_per_event
         operators = topology.operators
         latencies: list[float] = []
+        record_latency = latencies.append
         departure = 0.0
-        compute_ops = 0
-        for event in ordered:
+        for timestamp in map(_TIMESTAMP, ordered):
             # Single-server queue: service starts when both the event has
             # arrived and the previous event has departed.
-            start = max(event.timestamp, departure)
+            start = departure if departure > timestamp else timestamp
             departure = start + service_seconds
-            latencies.append(departure - event.timestamp)
-            current: list[StreamEvent] = [event]
-            for operator in operators:
-                compute_ops += len(current)
-                next_events: list[StreamEvent] = []
-                for item in current:
-                    next_events.extend(operator.process(item))
-                current = next_events
+            record_latency(departure - timestamp)
+        compute_ops = 0
+        current: Sequence[StreamEvent] = ordered
+        for operator in operators:
+            compute_ops += len(current)
+            current = operator.process_many(current)
         results: list[WindowResult] = []
         for operator in operators:
             results.extend(operator.flush())

@@ -101,8 +101,7 @@ class YcsbWorkload(Workload):
     ) -> WorkloadResult:
         spec = _spec_for(workload_mix)
         keys = [key for key, _ in dataset.records]
-        for key, fields in dataset.records:
-            engine.insert(key, fields)
+        engine.bulk_load(dataset.records)
         sampler = _MixSampler(spec, len(keys), seed)
         latencies: list[float] = []
         simulated = 0.0

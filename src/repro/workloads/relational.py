@@ -197,15 +197,16 @@ class RelationalQueryWorkload(Workload):
 
         latencies: list[float] = []
         if len(engine) == 0:
-            for index, row in enumerate(dataset.records):
-                op = engine.insert(
+            latencies = engine.bulk_load(
+                (
                     f"order:{index:010d}",
                     {
                         "product_id": row[product_position],
                         "quantity": row[quantity_position],
                     },
                 )
-                latencies.append(op.latency_seconds)
+                for index, row in enumerate(dataset.records)
+            )
 
         totals: dict[str, float] = {}
         start_key = ""

@@ -62,6 +62,26 @@ def test_one_run_sizes_each_record_of_its_data_set_once(monkeypatch):
     assert generation["bytes"] == sum(len(args[0]) for args in sized)
 
 
+@pytest.mark.parametrize(
+    "prescription",
+    ["micro-wordcount", "database-aggregate-join", "realtime-windowed-aggregation"],
+)
+def test_a_second_run_of_one_spec_sizes_nothing(monkeypatch, prescription):
+    """One pass per *first* run: the size is a product of the content
+    address, and the process has seen that address."""
+    sized = _count_calls(monkeypatch, datagen_base, "_record_size")
+    first = api.run(prescription, volume=200)
+    assert len(sized) == first.step("data-generation").detail["records"]
+    sized.clear()
+    second = api.run(prescription, volume=200)
+    assert len(sized) == 0
+    details = [
+        report.step("data-generation").detail for report in (first, second)
+    ]
+    assert [detail["sizing"] for detail in details] == ["measured", "known"]
+    assert details[0]["bytes"] == details[1]["bytes"] > 0
+
+
 @pytest.fixture
 def keyed_rows():
     return [(f"user{index:04d}", index % 7) for index in range(400)]

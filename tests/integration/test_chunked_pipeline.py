@@ -98,8 +98,8 @@ class TestEngineStreamingIngestion:
         from repro.engines.nosql import NoSqlStore
 
         store = NoSqlStore()
-        count = store.bulk_load(self._source("kv-records", 30, chunk_size=7))
-        assert count == 30
+        latencies = store.bulk_load(self._source("kv-records", 30, chunk_size=7))
+        assert len(latencies) == 30
         assert len(store) == 30
 
     def test_cfs_workload_over_stream(self):

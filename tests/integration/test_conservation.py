@@ -86,6 +86,36 @@ class TestNoSql:
         assert observed["thread"] == observed["serial"]
         assert observed["process"] == observed["serial"]
 
+    @pytest.mark.parametrize("load", ["insert", "bulk_load"])
+    def test_an_operation_on_a_missing_key_is_still_one_operation(self, load):
+        # A failed update charges a read's latency, so it is a read.
+        store = NoSqlStore(num_partitions=4)
+        rows = [(f"key{index}", {"field": index}) for index in range(6)]
+        if load == "bulk_load":
+            assert len(store.bulk_load(rows)) == len(rows)
+        else:
+            for key, fields in rows:
+                store.insert(key, fields)
+        issued = len(rows)
+
+        def accounted() -> int:
+            return store.counters.records_read + store.counters.records_written
+
+        assert accounted() == issued
+        for operation, counter in [
+            (lambda: store.read("absent"), "records_read"),
+            (lambda: store.update("absent", {"field": 0}), "records_read"),
+            (lambda: store.delete("absent"), "records_written"),
+            (lambda: store.update("key1", {"field": 0}), "records_written"),
+        ]:
+            before = getattr(store.counters, counter)
+            result = operation()
+            issued += 1
+            assert getattr(store.counters, counter) == before + 1
+            assert accounted() == issued
+            assert result.latency_seconds > 0
+        assert len(store) == len(rows)
+
     def test_anti_entropy_adds_exactly_the_bytes_it_applies(self):
         store = NoSqlStore(num_partitions=4, replication=3)
         rows = {f"key{index}": {"field": "x" * (index + 1)} for index in range(9)}

@@ -63,3 +63,48 @@ def test_the_model_cache_series_counts_fits_beside_seconds():
             "cold_run": 1, "second_run": 0, "sweep": 1, "chunked_run": 1,
         },
     }
+
+
+def _pair(ledger_name: str, benchmark: str) -> dict[str, dict]:
+    """``{"parent": measurements, "change": measurements}`` of the first
+    two rows of a series opened as a ``--src OTHER/src`` pair."""
+    (ledger,) = [path for path in LEDGERS if path.name == ledger_name]
+    rows = [
+        row for row in json.loads(ledger.read_text())
+        if row["fingerprint"]["benchmark"] == benchmark
+    ]
+    assert len(rows) >= 2 and len({row["series"] for row in rows[:2]}) == 1
+    pair = {
+        row["measurements"]["source"].split()[0].rstrip(":"): row["measurements"]
+        for row in rows[:2]
+    }
+    assert set(pair) == {"parent", "change"}
+    return pair
+
+
+def test_the_batch_door_series_is_a_parent_and_a_change_row():
+    """The series ISSUE 21 opened.  Timings on a host that drifts, so only
+    what the change is *for* is asserted: a size the process knows costs
+    next to nothing, where the parent walked the records again."""
+    pair = _pair("BENCH_accounting.json", "accounting.batch_doors")
+    for measurements in pair.values():
+        assert measurements["built_events_per_s"] > 0
+        assert measurements["counted_record_ns"] > 0
+        assert measurements["nosql_load_ns_per_row"] > 0
+    parent, change = (
+        pair[side]["sizing_ns_per_record"] for side in ("parent", "change")
+    )
+    assert parent["known"] > 0.5 * parent["first_walk"]
+    assert change["known"] < 0.1 * change["first_walk"]
+
+
+def test_the_stream_rate_series_is_a_parent_and_a_change_row():
+    pair = _pair(
+        "BENCH_datagen_pipeline.json",
+        "datagen_pipeline.generator_rates.poisson-stream",
+    )
+    for measurements in pair.values():
+        assert set(measurements["shapes"]) == {"partitions1", "partitions2"}
+        for shape in measurements["shapes"].values():
+            assert shape["records"] == 30_000
+            assert shape["records_per_second"] > 0

@@ -22,6 +22,7 @@ import pytest
 
 from repro import api
 from repro.analysis.baselines import BaselineManager
+from repro.analysis.store import spec_fingerprint
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -71,11 +72,22 @@ def _heavy(loaded: set[str]) -> list[str]:
 
 @pytest.fixture(scope="module")
 def store(tmp_path_factory) -> str:
-    """Two recorded runs of one series, a baseline, and one logged job."""
+    """Two records of one series, a baseline, and one logged job.
+
+    One outcome recorded twice, so ``gate`` compares equal samples and
+    its verdict (and exit code) is ``unchanged`` by construction, not by
+    how two timed runs happened to fall.
+    """
     path = str(tmp_path_factory.mktemp("footprint-store"))
+    report = api.run("micro-wordcount", volume=40, repeats=2,
+                     engines=["mapreduce"])
+    result = report.results[0]
+    fingerprint = spec_fingerprint(
+        report.spec.prescription, result.engine, workload=result.workload,
+        volume=report.spec.volume, repeats=report.spec.repeats,
+    )
     for _ in range(2):
-        api.run("micro-wordcount", volume=40, repeats=2,
-                engines=["mapreduce"], record=True, store_dir=path)
+        api.RunStore(path).record_outcome(result, fingerprint)
     BaselineManager(api.RunStore(path)).promote("r0001", "main")
     with api.serve(schedulers=1, store_dir=path) as service:
         service.submit(api.BenchmarkSpec("micro-wordcount", volume=40)).result()

@@ -8,11 +8,18 @@ measured, a ``series`` hash grouping comparable rows, the shared
 ``environment`` fingerprint, and a ``measurements`` payload.  The
 file stays a human-readable JSON array (the historical format), so
 existing trajectories keep accumulating in place.
+
+The scripts that compare two checkouts (``--src OTHER/src --source
+parent``) measure in child processes; :func:`child_env` and
+:func:`run_child` are the one way such a child is set up.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from typing import Any
@@ -48,3 +55,28 @@ def append_history(
     history.append(row)
     path.write_text(json.dumps(history, indent=2) + "\n")
     return row
+
+
+def child_env(src: Path | str, **variables: str) -> dict[str, str]:
+    """The environment of a child whose ``repro`` is the one under ``src``.
+
+    This process's own, with ``PYTHONPATH`` pointing at the measured
+    tree and without the ``REPRO_*`` settings (executor, store
+    directory) that would make two checkouts measure different things.
+    """
+    env = {
+        name: value
+        for name, value in os.environ.items()
+        if not name.startswith("REPRO_")
+    }
+    return {**env, "PYTHONPATH": str(src), **variables}
+
+
+def run_child(
+    src: Path | str, argv: list[str], timeout: float = 600, **variables: str
+) -> subprocess.CompletedProcess:
+    """``python *argv`` against ``src``; raises when the child fails."""
+    return subprocess.run(
+        [sys.executable, *argv], env=child_env(src, **variables),
+        capture_output=True, text=True, timeout=timeout, check=True,
+    )

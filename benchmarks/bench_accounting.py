@@ -58,15 +58,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Any
 
-from _history import append_history
+from _history import append_history, run_child
 
 RESULTS_FILE = Path(__file__).parent / "BENCH_accounting.json"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -316,12 +314,8 @@ def probe(repeats: int) -> dict[str, Any]:
 
 def measure_accounting(src: Path = SRC_DIR, repeats: int = REPEATS) -> dict:
     """Run :func:`probe` in a child whose ``repro`` is the one under ``src``."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    for name in ("REPRO_EXECUTOR", "REPRO_STORE_DIR"):
-        env.pop(name, None)
-    child = subprocess.run(
-        [sys.executable, __file__, "--probe", "--repeats", str(repeats)],
-        env=env, capture_output=True, text=True, timeout=1200, check=True,
+    child = run_child(
+        src, [__file__, "--probe", "--repeats", str(repeats)], timeout=1200
     )
     return json.loads(child.stdout)
 

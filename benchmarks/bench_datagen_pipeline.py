@@ -42,13 +42,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import subprocess
-import sys
 import time
 from pathlib import Path
 
-from _history import append_history
+from _history import append_history, run_child
 from conftest import print_banner
 
 import repro  # noqa: F401 — fills the registries
@@ -142,13 +139,8 @@ print(json.dumps({{
 def _run_shape(tmp_path: Path, mode: str, chunk_size: int = 0) -> dict:
     script = tmp_path / "pipeline_shape.py"
     script.write_text(_CHILD.format(generator=GENERATOR))
-    completed = subprocess.run(
-        [sys.executable, str(script), mode, str(VOLUME), str(chunk_size)],
-        capture_output=True,
-        text=True,
-        timeout=600,
-        env={"PYTHONPATH": SRC_DIR, "PATH": os.environ.get("PATH", "")},
-        check=True,
+    completed = run_child(
+        SRC_DIR, [str(script), mode, str(VOLUME), str(chunk_size)]
     )
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
@@ -310,10 +302,8 @@ def record_stream_rate(
     src: str = SRC_DIR, source: str = "worktree", sizes: dict = STREAM_RATE,
     repeats: int = STREAM_RATE_REPEATS,
 ) -> dict[str, dict]:
-    completed = subprocess.run(
-        [sys.executable, "-c", _STREAM_CHILD, json.dumps(sizes), str(repeats)],
-        capture_output=True, text=True, timeout=600, check=True,
-        env={"PYTHONPATH": src, "PATH": os.environ.get("PATH", "")},
+    completed = run_child(
+        src, ["-c", _STREAM_CHILD, json.dumps(sizes), str(repeats)]
     )
     rows = json.loads(completed.stdout.strip().splitlines()[-1])
     print_banner("E14", f"{sizes['generator']} rate, {source}")
@@ -391,15 +381,11 @@ def measure_model_cache(
     repeats: int = MODEL_CACHE_REPEATS,
 ) -> dict[str, dict]:
     """``{measurement: {"seconds": min, "fits": n}}`` for the ``src`` tree."""
-    env = {"PYTHONPATH": src, "PATH": os.environ.get("PATH", "")}
     rows: dict[str, dict] = {}
     for scenario in ("run-twice", "sweep", "chunked"):
         for _ in range(repeats):
-            completed = subprocess.run(
-                [sys.executable, "-c", _MODEL_CHILD, scenario,
-                 json.dumps(sizes)],
-                capture_output=True, text=True, timeout=600, env=env,
-                check=True,
+            completed = run_child(
+                src, ["-c", _MODEL_CHILD, scenario, json.dumps(sizes)]
             )
             for name, row in json.loads(
                 completed.stdout.strip().splitlines()[-1]

@@ -13,7 +13,6 @@ from repro.core.prescription import load_seed
 from repro.datagen import (
     FittedTableGenerator,
     LdaTextGenerator,
-    ParallelGenerationController,
     RmatGraphGenerator,
     StreamGenerator,
     convert,
@@ -30,13 +29,12 @@ def test_text_pipeline(benchmark):
 
     def pipeline():
         generator = LdaTextGenerator(iterations=8, seed=1).fit(seed)
-        controller = ParallelGenerationController(generator, num_partitions=4)
-        dataset, velocity = controller.run(80)
+        dataset = generator.generate_parallel(80, num_partitions=4)
         converted = convert(dataset, "text-lines")
         veracity = text_veracity(seed.records, dataset.records)
-        return dataset, velocity, converted, veracity
+        return dataset, converted, veracity
 
-    dataset, velocity, converted, veracity = benchmark.pedantic(
+    dataset, converted, veracity = benchmark.pedantic(
         pipeline, rounds=2, iterations=1
     )
     print_banner("E5", "text generation pipeline (LDA)")
@@ -44,8 +42,7 @@ def test_text_pipeline(benchmark):
         ascii_table(
             [{
                 "records": dataset.num_records,
-                "partitions": velocity.num_partitions,
-                "simulated rate (doc/s)": velocity.simulated_rate,
+                "partitions": 4,
                 "format": converted.format_name,
                 "veracity JS": veracity.score,
                 "faithful": veracity.is_faithful,

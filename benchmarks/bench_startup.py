@@ -37,16 +37,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import statistics
-import subprocess
-import sys
 import tempfile
 import time
 from pathlib import Path
 
-from _history import append_history
+from _history import append_history, run_child
 
 RESULTS_FILE = Path(__file__).parent / "BENCH_startup.json"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -88,25 +85,14 @@ PROGRAMS = {
 }
 
 
-def _python(
-    src: Path, *args: str, **variables: str
-) -> subprocess.CompletedProcess:
-    env = {**os.environ, "PYTHONPATH": str(src), **variables}
-    for name in ("REPRO_EXECUTOR", "REPRO_STORE_DIR"):
-        env.pop(name, None)
-    return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True,
-        timeout=300, check=True,
-    )
-
-
 def _seed_store(src: Path, store: Path) -> None:
     """Two recorded runs of one series and one logged job."""
     for verb in ("run", "run", "submit"):
-        _python(
-            src, "-m", "repro.cli", verb, "micro-wordcount", "--volume", "50",
-            "--engine", "mapreduce", "--repeats", "2", "--record",
-            "--store-dir", str(store),
+        run_child(
+            src,
+            ["-m", "repro.cli", verb, "micro-wordcount", "--volume", "50",
+             "--engine", "mapreduce", "--repeats", "2", "--record",
+             "--store-dir", str(store)],
         )
 
 
@@ -124,7 +110,7 @@ def _cold_walls(src: Path, make_args, **variables: str) -> dict:
     for _ in range(REPEATS):
         args = make_args()
         started = time.perf_counter()
-        _python(src, *args, **variables)
+        run_child(src, args, **variables)
         walls.append(time.perf_counter() - started)
     return {
         "wall_min_s": min(walls),
@@ -145,7 +131,7 @@ def _measure(src: Path, name: str, template: Path, scratch: Path) -> dict:
         f"main({_cli_argv(name, template, scratch)!r}, "
         "out=open(os.devnull, 'w'))"
     )
-    probe = _python(src, "-c", program + _FOOTPRINT)
+    probe = run_child(src, ["-c", program + _FOOTPRINT])
     return {**walls, **json.loads(probe.stderr.strip().splitlines()[-1])}
 
 
@@ -181,7 +167,7 @@ def measure_startup(src: Path = SRC_DIR) -> tuple[dict[str, dict], dict]:
     with tempfile.TemporaryDirectory(prefix="bench-startup-") as tmp:
         template, scratch = Path(tmp) / "template", Path(tmp) / "scratch"
         scratch.mkdir()
-        _python(src, "-m", "compileall", "-q", str(src))
+        run_child(src, ["-m", "compileall", "-q", str(src)])
         _seed_store(src, template)
         rows = {
             name: _measure(src, name, template, scratch)

@@ -35,7 +35,6 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing
-import os
 import statistics
 import subprocess
 import sys
@@ -44,7 +43,7 @@ import time
 from pathlib import Path
 from typing import Any, Callable
 
-from _history import append_history
+from _history import append_history, run_child
 
 RESULTS_FILE = Path(__file__).parent / "BENCH_store.json"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -200,17 +199,12 @@ def measure_store(
     appends: int = APPENDS_FROM_EMPTY,
 ) -> dict:
     """Run :func:`probe` in a child whose ``repro`` is the one under ``src``."""
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    for name in ("REPRO_EXECUTOR", "REPRO_STORE_DIR"):
-        env.pop(name, None)
-    subprocess.run(
-        [sys.executable, "-m", "compileall", "-q", str(src)],
-        env=env, capture_output=True, check=True, timeout=300,
-    )
-    child = subprocess.run(
-        [sys.executable, __file__, "--probe", "--repeats", str(repeats),
+    run_child(src, ["-m", "compileall", "-q", str(src)], timeout=300)
+    child = run_child(
+        src,
+        [__file__, "--probe", "--repeats", str(repeats),
          "--appends", str(appends), "--sizes", *map(str, sizes)],
-        env=env, capture_output=True, text=True, timeout=3600, check=True,
+        timeout=3600,
     )
     return json.loads(child.stdout)
 

@@ -3,8 +3,9 @@
 1. run YCSB workload mixes A/B/E against the partitioned NoSQL store and
    compare against the DBMS serving the same operations (the YCSB paper's
    NoSQL-vs-relational comparison, Section 4.2);
-2. demonstrate the *data updating frequency* facet of velocity by
-   planning and applying update streams at controlled frequencies;
+2. demonstrate the *data updating frequency* facet of velocity:
+   streams generated at a requested update frequency, observed by the
+   ``rolling-update-rate`` workload;
 3. run the Section 5.2 "truly hybrid workload": serving traffic with an
    arrival pattern profiled from web logs, interleaved with analytics
    scans, and show the interference.
@@ -14,14 +15,21 @@ Run:  python examples/cloud_serving.py
 
 from __future__ import annotations
 
+from repro import api
 from repro._util import percentile
-from repro.datagen import UpdateScheduler
+from repro.datagen import PoissonArrivals, StreamGenerator
 from repro.datagen.corpus import load_retail_tables
 from repro.datagen.kv import KeyValueGenerator
 from repro.datagen.weblog import WebLogGenerator
 from repro.engines.dbms import DbmsEngine
 from repro.engines.nosql import NoSqlStore
-from repro.workloads import HybridWorkload, YcsbWorkload, profile_arrival_pattern
+from repro.engines.streaming import StreamingEngine
+from repro.workloads import (
+    HybridWorkload,
+    RollingUpdateRateWorkload,
+    YcsbWorkload,
+    profile_arrival_pattern,
+)
 
 
 def main() -> None:
@@ -44,14 +52,18 @@ def main() -> None:
 
     # -- 2. controlled update frequency --------------------------------------
     print("\nControlled data-updating frequency (the Table 1 gap):")
+    shipped = api.run("realtime-update-rate", volume=6000).results[0]
+    print(f"  repro run realtime-update-rate (1000 events/s, one update "
+          f"in five) -> observed {shipped.extra['update_rate']:5.0f} "
+          f"updates/s")
     for frequency in (100.0, 1000.0):
-        scheduler = UpdateScheduler(updates_per_second=frequency, seed=6)
-        events = scheduler.plan(duration_seconds=3.0, key_space=400)
-        state: dict[int, float] = {}
-        counts = UpdateScheduler.apply(state, events)
-        print(f"  requested {frequency:7.0f} ops/s -> planned "
-              f"{len(events) / 3.0:7.0f} ops/s "
-              f"(mix: {counts})")
+        stream = StreamGenerator(
+            arrivals=PoissonArrivals(2 * frequency), update_fraction=0.5,
+            delete_fraction=0.1, key_space=400, seed=6,
+        ).generate(int(2 * frequency * 3.0))
+        observed = RollingUpdateRateWorkload().run(StreamingEngine(), stream)
+        print(f"  requested {frequency:7.0f} updates/s -> observed "
+              f"{observed.extra['update_rate']:7.0f} updates/s")
 
     # -- 3. hybrid workload with profiled arrivals ---------------------------
     tables = load_retail_tables()

@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.core.prescription import load_seed
 from repro.datagen import (
     LdaTextGenerator,
-    ParallelGenerationController,
     RmatGraphGenerator,
     graph_veracity,
     text_veracity,
@@ -32,11 +31,9 @@ def main() -> None:
     corpus_seed = load_seed("text-corpus")
     text_generator = LdaTextGenerator(num_topics=4, iterations=15, seed=42)
     text_generator.fit(corpus_seed)
-    controller = ParallelGenerationController(text_generator, num_partitions=4)
-    documents, velocity = controller.run(400)
-    print(f"Generated {documents.num_records} documents on "
-          f"{velocity.num_partitions} parallel generators "
-          f"(simulated rate {velocity.simulated_rate:,.0f} docs/s)")
+    documents = text_generator.generate_parallel(400, num_partitions=4)
+    print(f"Generated {documents.num_records} documents in 4 "
+          f"independently seeded partitions")
 
     graph_seed = load_seed("social-graph")
     graph_generator = RmatGraphGenerator(seed=42).fit(graph_seed)

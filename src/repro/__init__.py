@@ -4,8 +4,8 @@ A complete, executable big-data-benchmarking framework:
 
 * **4V data generators** (volume / velocity / variety / veracity):
   LDA text, MUDD-style tables, R-MAT graphs, event streams, web logs and
-  reviews, plus veracity metrics, velocity controllers, scale-down
-  sampling, and format conversion (:mod:`repro.datagen`);
+  reviews, plus veracity metrics, scale-down sampling, and format
+  conversion (:mod:`repro.datagen`);
 * **abstract test generation**: operations, workload patterns,
   prescriptions, and the five-step test generator (:mod:`repro.core`);
 * **execution substrates**: from-scratch MapReduce, relational DBMS,

@@ -4,52 +4,10 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from collections.abc import Iterable, Iterator, Sequence
 from typing import TypeVar
 
 T = TypeVar("T")
-
-#: Bytes per unit, for human-readable volume parsing/formatting.
-_SIZE_UNITS = {
-    "b": 1,
-    "kb": 10**3,
-    "mb": 10**6,
-    "gb": 10**9,
-    "tb": 10**12,
-    "pb": 10**15,
-}
-
-
-def parse_size(text: str | int | float) -> int:
-    """Parse a human-readable size such as ``"10MB"`` or ``"1.5 GB"`` to bytes.
-
-    Plain numbers are interpreted as bytes.  Parsing is case-insensitive and
-    tolerates whitespace between the number and the unit.
-
-    >>> parse_size("10MB")
-    10000000
-    >>> parse_size(1024)
-    1024
-    """
-    if isinstance(text, (int, float)):
-        return int(text)
-    cleaned = text.strip().lower().replace(" ", "")
-    for unit in sorted(_SIZE_UNITS, key=len, reverse=True):
-        if cleaned.endswith(unit):
-            number = cleaned[: -len(unit)]
-            return int(float(number) * _SIZE_UNITS[unit])
-    return int(float(cleaned))
-
-
-def format_size(num_bytes: float) -> str:
-    """Format a byte count as a human-readable string (``"1.5 GB"``)."""
-    value = float(num_bytes)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(value) < 1000.0:
-            return f"{value:.1f} {unit}"
-        value /= 1000.0
-    return f"{value:.1f} PB"
 
 
 def chunked(items: Sequence[T], num_chunks: int) -> list[Sequence[T]]:
@@ -145,39 +103,6 @@ def _hash_powers(multiplier: int):
     return powers
 
 
-class Stopwatch:
-    """A simple monotonic stopwatch used by runners and rate controllers."""
-
-    def __init__(self) -> None:
-        self._start: float | None = None
-        self._elapsed = 0.0
-
-    def start(self) -> "Stopwatch":
-        self._start = time.perf_counter()
-        return self
-
-    def stop(self) -> float:
-        """Stop and return the total elapsed seconds."""
-        if self._start is None:
-            raise RuntimeError("stopwatch was never started")
-        self._elapsed += time.perf_counter() - self._start
-        self._start = None
-        return self._elapsed
-
-    @property
-    def elapsed(self) -> float:
-        """Elapsed seconds so far (running or stopped)."""
-        if self._start is not None:
-            return self._elapsed + (time.perf_counter() - self._start)
-        return self._elapsed
-
-    def __enter__(self) -> "Stopwatch":
-        return self.start()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.stop()
-
-
 def percentile(sorted_samples: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile of an already-sorted sample list.
 
@@ -196,10 +121,3 @@ def percentile(sorted_samples: Sequence[float], fraction: float) -> float:
         return float(sorted_samples[lower])
     weight = position - lower
     return float(sorted_samples[lower] * (1 - weight) + sorted_samples[upper] * weight)
-
-
-def mean(samples: Sequence[float]) -> float:
-    """Arithmetic mean; raises on empty input rather than returning NaN."""
-    if not samples:
-        raise ValueError("cannot take the mean of an empty sample")
-    return sum(samples) / len(samples)

@@ -25,8 +25,7 @@ GENERATORS = {
     "resumes": "repro.datagen.resume:ResumeGenerator",
 }
 
-#: In :data:`repro.workloads.ALL_WORKLOADS` order; each key is the class's
-#: ``name``.
+#: Each key is the class's ``name``.
 WORKLOADS = {
     "sort": "repro.workloads.micro:SortWorkload",
     "cfs": "repro.workloads.cfs:CfsWorkload",

@@ -37,7 +37,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
+from itertools import islice
 from pathlib import Path
 
 from repro.core.errors import ReproError, SpecError
@@ -583,6 +584,8 @@ def _generate(args, out) -> int:
     from repro.datagen.formats import convert
     from repro.datagen.models import PROCESS_MODELS
 
+    if args.sample < 0:
+        raise SpecError(f"--sample must be non-negative, got {args.sample}")
     generator = registry.generators.create(args.generator)
     generator.seed = args.seed
     generator = PROCESS_MODELS.fitted(generator, args.fit_on or None)
@@ -591,11 +594,10 @@ def _generate(args, out) -> int:
           f"({dataset.data_type.label}, ~{dataset.estimated_bytes()} bytes)",
           file=out)
     if args.format_name:
-        converted = convert(dataset, args.format_name)
-        payload = converted.payload
-        sample = payload[: args.sample] if hasattr(payload, "__getitem__") \
-            else list(payload)[: args.sample]
-        for line in sample:
+        payload = convert(dataset, args.format_name).payload
+        if isinstance(payload, Mapping):
+            payload = payload.items()
+        for line in islice(payload, args.sample):
             print(f"  {line}", file=out)
     else:
         for record in dataset.head(args.sample):

@@ -354,6 +354,18 @@ def builtin_repository() -> PrescriptionRepository:
             params={"workload_mix": "A", "operation_count": 1000},
         )
     )
+    hybrid_operations = operations("read", "update", "insert", "delete", "scan")
+    repository.add(
+        Prescription(
+            name="oltp-hybrid",
+            domain="cloud OLTP",
+            data=kv,
+            operations=hybrid_operations,
+            pattern=MultiOperationPattern(hybrid_operations),
+            workload="hybrid",
+            metric_names=_ONLINE_METRICS,
+        )
+    )
     repository.add(
         Prescription(
             name="multimedia-image-classification",
@@ -389,6 +401,19 @@ def builtin_repository() -> PrescriptionRepository:
             workload="windowed-aggregation",
             metric_names=_ONLINE_METRICS + ["duration"],
             params={"window_seconds": 0.1},
+        )
+    )
+    repository.add(
+        Prescription(
+            name="realtime-update-rate",
+            domain="streaming",
+            data=stream,
+            operations=operations("select", "window", "aggregate"),
+            pattern=MultiOperationPattern(
+                operations("select", "window", "aggregate")
+            ),
+            workload="rolling-update-rate",
+            metric_names=_ONLINE_METRICS + ["duration"],
         )
     )
     return repository

@@ -2,8 +2,8 @@
 
 The sub-modules cover the representative data sources of Section 2.1 —
 table, text, stream, and graph — plus the semi-structured derivatives
-(web logs, reviews), the velocity controllers, scale-down sampling, the
-veracity metrics, and format conversion.
+(web logs, reviews), scale-down sampling, the veracity metrics, and
+format conversion.
 """
 
 from repro._lazy import lazy_exports
@@ -43,10 +43,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.datagen.text": (
             "LdaModel", "LdaTextGenerator", "RandomTextGenerator",
             "UnigramTextGenerator", "tokenize", "word_distribution",
-        ),
-        "repro.datagen.velocity": (
-            "PacedStream", "ParallelGenerationController", "UpdateScheduler",
-            "VelocityReport",
         ),
         "repro.datagen.veracity": (
             "VeracityReport", "chi_square_statistic", "graph_veracity",

@@ -332,16 +332,6 @@ class DataGenerator(ABC):
             )
         yield from self.generate_partition(volume, partition, num_partitions)
 
-    @property
-    def streams_records(self) -> bool:
-        """Whether this generator yields records without materializing.
-
-        True when :meth:`iter_partition` is overridden — the generator's
-        peak memory is then one record (plus the consumer's chunk), not
-        one partition.
-        """
-        return type(self).iter_partition is not DataGenerator.iter_partition
-
     def iter_batches(
         self,
         volume: int,
@@ -406,47 +396,21 @@ class DataGenerator(ABC):
         return self._wrap(records, name)
 
     def generate_parallel(
-        self,
-        volume: int,
-        num_partitions: int,
-        name: str | None = None,
-        executor: Any = None,
+        self, volume: int, num_partitions: int, name: str | None = None
     ) -> DataSet:
         """Generate ``volume`` records split deterministically into partitions.
 
         The result is identical in distribution to :meth:`generate`; the
-        point of partitioning is that each partition is independent, so a
-        velocity controller can run partitions concurrently or on multiple
-        machines (Section 3.2, step 3).
-
-        ``executor`` makes that concurrency real: a backend name or
-        :class:`~repro.execution.parallel.ParallelExecutor` fans the
-        partitions out (each seeded independently via
-        :meth:`rng_for_partition`) and merges them in partition order —
-        bit-identical to the serial loop, on every backend.  The process
-        backend requires the generator itself to be picklable; each
-        worker receives the generator once per partition and samples
-        only its own partition's seeded stream.
+        point of partitioning is that each partition is independent
+        (seeded through :meth:`rng_for_partition`), so a controller can
+        call :meth:`generate_partition` concurrently or on several
+        machines (Section 3.2, step 3) and merge in partition order.
         """
         self._require_fitted()
         if num_partitions <= 0:
             raise GenerationError(
                 f"num_partitions must be positive, got {num_partitions}"
             )
-        if executor is not None and num_partitions > 1:
-            from repro.execution.parallel import resolve_executor
-
-            partitions = resolve_executor(executor).map(
-                _generate_partition_payload,
-                [
-                    (self, volume, partition, num_partitions)
-                    for partition in range(num_partitions)
-                ],
-            )
-            records = [
-                record for partition in partitions for record in partition
-            ]
-            return self._wrap(records, name)
         records = []
         for partition in range(num_partitions):
             records.extend(
@@ -483,12 +447,6 @@ def _trace_batch(tracer: Any, batch: RecordBatch) -> None:
     if tracer.enabled:
         tracer.count("batches")
         tracer.count_max("peak_batch_bytes", batch.estimated_bytes())
-
-
-def _generate_partition_payload(payload: tuple) -> list[Any]:
-    """Module-level partition task (picklable for the process backend)."""
-    generator, volume, partition, num_partitions = payload
-    return generator.generate_partition(volume, partition, num_partitions)
 
 
 class PurelySyntheticMixin:

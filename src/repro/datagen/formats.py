@@ -20,6 +20,7 @@ complete.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import json
 from collections.abc import Callable, Iterator
@@ -283,6 +284,8 @@ def _jsonable(value: Any) -> Any:
         return value
     if isinstance(value, (tuple, list)):
         return [_jsonable(item) for item in value]
+    if isinstance(value, enum.Enum):
+        return _jsonable(value.value)
     if hasattr(value, "__dict__"):
         return {k: _jsonable(v) for k, v in vars(value).items()}
     return str(value)

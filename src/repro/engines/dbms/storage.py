@@ -213,9 +213,6 @@ class HeapTable:
     def fetch(self, row_id: int) -> Row:
         return self._row_or_raise(row_id)
 
-    def fetch_many(self, row_ids: Iterable[int]) -> list[Row]:
-        return [self._row_or_raise(row_id) for row_id in row_ids]
-
     def __len__(self) -> int:
         return self._live_count
 

@@ -5,9 +5,8 @@ benchmarking frameworks that stay meaningful when individual systems
 misbehave.  Proving that requires misbehavior on demand: this module
 wraps an engine (or a workload) so that executions fail, or stall, on a
 *seeded, reproducible* schedule — raise-on-attempt, probabilistic
-raises, and latency spikes — letting the retry and degradation paths of
-:mod:`repro.execution.runner` be exercised end to end on every executor
-backend.
+raises, and latency spikes — letting the test runner's retry and
+degradation paths be exercised end to end on every executor backend.
 
 Determinism is the design center.  Every injection decision is a pure
 function of ``(spec.seed, task key, attempt, call)``:

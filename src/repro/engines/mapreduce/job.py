@@ -57,9 +57,8 @@ class JobConf:
     #: Records per input split.  When set, input splits are cut lazily at
     #: this size as the input stream arrives (the HDFS-block analogue),
     #: so the runtime never materializes the input; ``num_map_tasks``
-    #: then only caps executor concurrency, not the split count.  When
-    #: ``None``, sized inputs are divided into ``num_map_tasks`` near-
-    #: equal splits as before.
+    #: then does not set the split count.  When ``None``, sized inputs
+    #: are divided into ``num_map_tasks`` near-equal splits.
     split_records: int | None = None
 
     def __post_init__(self) -> None:

@@ -11,11 +11,9 @@ additionally reports the makespan a simulated N-node cluster would
 achieve for the same task bag.
 
 Map tasks (one per input split) and reduce tasks (one per partition) are
-independent, so both phases fan out over a pluggable executor (see
-:mod:`repro.execution.parallel`).  Each task accumulates into its own
-counter set; the engine merges task-local counters in submission order,
-so parallel runs are bit-identical to the serial path — same output
-pairs in the same order, same counters, same costs.
+independent and run in the order they are cut.  Each task accumulates
+into its own counter set, published once when the task ends; the engine
+merges the task-local counters in that order.
 """
 
 from __future__ import annotations
@@ -82,23 +80,9 @@ def _publish(counters: CounterGroup, group: str, **amounts: int) -> None:
 class MapReduceEngine(Engine):
     """A from-scratch MapReduce runtime with a simulated cluster model."""
 
-    def __init__(
-        self,
-        cluster: SimulatedClusterSpec | None = None,
-        executor: Any = None,
-        max_workers: int | None = None,
-    ) -> None:
+    def __init__(self, cluster: SimulatedClusterSpec | None = None) -> None:
         super().__init__()
         self.cluster_model = ClusterModel(cluster)
-        # Imported lazily so the engines package never pulls the
-        # execution package in at import time (the execution layer
-        # already imports engine bases).
-        from repro.execution.parallel import resolve_executor
-
-        #: Runs map tasks and reduce tasks; "serial" (default) or
-        #: "thread" — user functions are closures, so the process
-        #: backend only works for module-level mappers/reducers.
-        self.executor = resolve_executor(executor, max_workers)
 
     @property
     def info(self) -> EngineInfo:
@@ -226,21 +210,18 @@ class MapReduceEngine(Engine):
     ) -> tuple[list[list[Pair]], int, list[int]]:
         """Run map tasks over input splits; returns per-task outputs.
 
-        Tasks run on the engine's executor, each with its own counter
-        set; merging in submission order keeps the result bit-identical
-        to the serial path.  The (post-combine) map output is sized
-        here, once per pair; the shuffle moves exactly those bytes.
+        Splits are cut lazily, so a streamed input is held one split at
+        a time.  Each task has its own counter set, merged here in split
+        order.  The (post-combine) map output is sized by its task, once
+        per pair; the shuffle moves exactly those bytes.
         """
-        splits = self._input_splits(job, pairs)
-        task_results = self.executor.map(
-            lambda split: self._run_map_task(job, split), splits
-        )
         outputs: list[list[Pair]] = []
         output_bytes = 0
         task_records: list[int] = []
-        for task_output, task_bytes, task_counters, task_cost, records in (
-            task_results
-        ):
+        for split in self._input_splits(job, pairs):
+            task_output, task_bytes, task_counters, task_cost, records = (
+                self._run_map_task(job, split)
+            )
             counters.merge(task_counters)
             cost.merge(task_cost)
             outputs.append(task_output)
@@ -345,16 +326,15 @@ class MapReduceEngine(Engine):
     ) -> tuple[list[Pair], list[int]]:
         """Sort (optionally) and reduce each partition.
 
-        Reduce tasks (one per partition) run on the engine's executor;
-        outputs are concatenated and counters merged in partition order,
-        exactly as the serial loop would.
+        One reduce task per partition; outputs are concatenated and
+        counters merged in partition order.
         """
-        task_results = self.executor.map(
-            lambda partition: self._run_reduce_task(job, partition), partitions
-        )
         output: list[Pair] = []
         task_records: list[int] = []
-        for task_output, task_counters, task_cost, records in task_results:
+        for partition in partitions:
+            task_output, task_counters, task_cost, records = (
+                self._run_reduce_task(job, partition)
+            )
             counters.merge(task_counters)
             cost.merge(task_cost)
             output.extend(task_output)

@@ -10,9 +10,8 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "BenchmarkHarness", "SweepPoint", "SweepReport",
         ),
         "repro.execution.parallel": (
-            "EXECUTOR_BACKENDS", "ParallelExecutor", "ProcessExecutor",
-            "SerialExecutor", "ThreadExecutor", "compute_chunksize",
-            "resolve_executor",
+            "EXECUTOR_BACKENDS", "ParallelExecutor", "SerialExecutor",
+            "ThreadExecutor", "compute_chunksize", "resolve_executor",
         ),
         "repro.execution.report": (
             "RESULT_STYLES", "ascii_table", "markdown_table", "render_results",

@@ -53,13 +53,10 @@ class SystemConfiguration:
         if self.engine_name == "mapreduce":
             from repro.engines.mapreduce import MapReduceEngine
 
-            options = dict(self.options)
-            executor = options.pop("executor", None)
-            max_workers = options.pop("max_workers", None)
-            cluster = SimulatedClusterSpec(**options) if options else None
-            return MapReduceEngine(
-                cluster=cluster, executor=executor, max_workers=max_workers
+            cluster = (
+                SimulatedClusterSpec(**self.options) if self.options else None
             )
+            return MapReduceEngine(cluster=cluster)
         if self.engine_name == "dbms":
             from repro.engines.dbms import DbmsEngine, PlannerConfig
 

@@ -1,15 +1,15 @@
-"""Pluggable parallel execution backends (Execution Layer, Figure 2).
+"""In-process fan-out backends (Execution Layer, Figure 2).
 
 The paper's execution layer fans prescribed tests out across systems and
-scale points, and its data-generation process (Figure 3) explicitly calls
-for parallelisable generation.  This module supplies the one fan-out
-substrate the whole stack shares: a :class:`ParallelExecutor` with three
-interchangeable backends —
+scale points.  Who fans out: the runner (:mod:`repro.execution.runner`),
+over one of three backends —
 
 * ``serial`` — plain in-order iteration (the reference semantics),
 * ``thread`` — a shared :class:`~concurrent.futures.ThreadPoolExecutor`,
-* ``process`` — a :class:`~concurrent.futures.ProcessPoolExecutor` for
-  CPU-bound fan-out (tasks and results must be picklable).
+* ``process`` — the warm :class:`~repro.execution.workers.WorkerPool`,
+  which is its own transport: the runner hands it every batch of more
+  than one task, so the executor this module resolves for ``process``
+  only ever sees a batch of one and runs it inline.
 
 Every backend returns results **in submission order**, so callers merge
 deterministically regardless of which task finishes first; a run fanned
@@ -22,18 +22,18 @@ from __future__ import annotations
 import os
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING, Any, TypeVar
+from typing import TYPE_CHECKING, TypeVar
 
 from repro.core.errors import ExecutionError
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+    from concurrent.futures import ThreadPoolExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 #: The backend names accepted throughout the stack (RunnerOptions,
-#: BenchmarkSpec, the CLI ``--executor`` flag, engine configurations).
+#: BenchmarkSpec, the CLI ``--executor`` flag).
 EXECUTOR_BACKENDS = ("serial", "thread", "process")
 
 #: Environment variable overriding the default backend everywhere a
@@ -80,9 +80,9 @@ class ParallelExecutor(ABC):
 
     Implementations may run tasks concurrently, but the result list is
     always ordered like the input, so downstream merging (sweep points,
-    per-engine results, map/reduce task outputs) stays deterministic no
-    matter which task finishes first.  Exceptions raised by a task
-    propagate to the caller, as they would in a serial loop.
+    per-engine results) stays deterministic no matter which task
+    finishes first.  Exceptions raised by a task propagate to the
+    caller, as they would in a serial loop.
     """
 
     name: str = "executor"
@@ -113,8 +113,16 @@ class SerialExecutor(ParallelExecutor):
         return [fn(item) for item in items]
 
 
-class _PoolBackedExecutor(ParallelExecutor):
-    """Shared plumbing for the pool-backed backends (lazy pool creation)."""
+class ThreadExecutor(ParallelExecutor):
+    """Thread-pool backend: shared memory, no pickling requirements.
+
+    Best when tasks release the GIL (NumPy-heavy generation) or when the
+    win comes from overlapping independent phases; always safe because
+    the framework merges task-local state in submission order.  The pool
+    is built with the first batch of more than one task.
+    """
+
+    name = "thread"
 
     def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is not None and max_workers <= 0:
@@ -122,26 +130,21 @@ class _PoolBackedExecutor(ParallelExecutor):
                 f"max_workers must be positive, got {max_workers}"
             )
         self.max_workers = max_workers or default_max_workers()
-        self._pool: Any = None
-
-    def _make_pool(self) -> Any:
-        raise NotImplementedError
+        self._pool: ThreadPoolExecutor | None = None
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         items = list(items)
         if len(items) <= 1:
-            # One task gains nothing from a pool (and, for the process
-            # backend, would pay pickling for no concurrency).
+            # One task gains nothing from a pool.
             return [fn(item) for item in items]
         if self._pool is None:
-            self._pool = self._make_pool()
-        return list(
-            self._pool.map(fn, items, chunksize=self._chunksize(len(items)))
-        )
+            # Imported with the first pool: a serial run never pays for it.
+            from concurrent.futures import ThreadPoolExecutor
 
-    def _chunksize(self, num_items: int) -> int:
-        """Tasks per pool submission; backends override to batch."""
-        return 1
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.max_workers, thread_name_prefix="repro-exec"
+            )
+        return list(self._pool.map(fn, items))
 
     def shutdown(self) -> None:
         if self._pool is not None:
@@ -152,90 +155,22 @@ class _PoolBackedExecutor(ParallelExecutor):
         return f"{type(self).__name__}(max_workers={self.max_workers})"
 
 
-class ThreadExecutor(_PoolBackedExecutor):
-    """Thread-pool backend: shared memory, no pickling requirements.
-
-    Best when tasks release the GIL (NumPy-heavy generation) or when the
-    win comes from overlapping independent phases; always safe because
-    the framework merges task-local state in submission order.
-    """
-
-    name = "thread"
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        # Imported with the first pool: a serial run never pays for it.
-        from concurrent.futures import ThreadPoolExecutor
-
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-exec"
-        )
-
-
-class ProcessExecutor(_PoolBackedExecutor):
-    """Process-pool backend for CPU-bound fan-out.
-
-    Tasks and results cross a process boundary, so both — and the
-    mapped function — must be picklable.  Engine-internal fan-out
-    (MapReduce phases, partitioned generation) uses this; the runner's
-    own process transport is the warm
-    :class:`~repro.execution.workers.WorkerPool` instead.
-    """
-
-    name = "process"
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        from concurrent.futures import ProcessPoolExecutor
-
-        return ProcessPoolExecutor(max_workers=self.max_workers)
-
-    def _chunksize(self, num_items: int) -> int:
-        # One pipe round-trip per task would dominate cheap tasks;
-        # batch submissions so IPC amortizes across the batch.
-        return compute_chunksize(num_items, self.max_workers)
-
-
-_BACKEND_CLASSES: dict[str, type[ParallelExecutor]] = {
-    "serial": SerialExecutor,
-    "thread": ThreadExecutor,
-    "process": ProcessExecutor,
-}
-
-
 def resolve_executor(
-    spec: "ParallelExecutor | str | None", max_workers: int | None = None
+    backend: str | None, max_workers: int | None = None
 ) -> ParallelExecutor:
-    """Turn a backend name (or an existing executor) into an executor.
+    """The in-process executor for a backend name.
 
     ``None`` resolves to the serial backend, keeping callers that never
-    asked for parallelism on the exact reference semantics.
-
-    An already-constructed executor is returned as-is — but passing
-    ``max_workers`` alongside one is a contradiction (the pool size was
-    fixed at construction), so a conflicting count raises instead of
-    being silently ignored.
+    asked for parallelism on the exact reference semantics.  So does
+    ``process``: its batches travel through
+    :class:`~repro.execution.workers.WorkerPool`, and the batch of one
+    the runner keeps in-process runs inline.
     """
-    if spec is None:
-        return SerialExecutor()
-    if isinstance(spec, ParallelExecutor):
-        configured = getattr(spec, "max_workers", None)
-        if (
-            max_workers is not None
-            and configured is not None
-            and configured != max_workers
-        ):
-            raise ExecutionError(
-                f"max_workers={max_workers} conflicts with the provided "
-                f"{type(spec).__name__} (max_workers={configured}); pass a "
-                "backend name to build a pool of that size, or construct "
-                "the executor with the desired worker count"
-            )
-        return spec
-    backend = _BACKEND_CLASSES.get(spec)
-    if backend is None:
+    if backend is not None and backend not in EXECUTOR_BACKENDS:
         raise ExecutionError(
-            f"unknown executor backend {spec!r}; "
+            f"unknown executor backend {backend!r}; "
             f"available: {', '.join(EXECUTOR_BACKENDS)}"
         )
-    if backend is SerialExecutor:
-        return SerialExecutor()
-    return backend(max_workers)
+    if backend == "thread":
+        return ThreadExecutor(max_workers)
+    return SerialExecutor()

@@ -141,22 +141,10 @@ class RunnerOptions:
                 f"task_timeout must be positive, got {self.task_timeout}"
             )
 
-    def retry_policy(
-        self,
-        retries: int | None = None,
-        retry_backoff: float | None = None,
-    ) -> RetryPolicy:
-        """The options' retry policy, with optional per-call overrides."""
-        effective_retries = self.retries if retries is None else retries
-        if effective_retries < 0:
-            raise ExecutionError(
-                f"retries must be non-negative, got {effective_retries}"
-            )
+    def retry_policy(self) -> RetryPolicy:
+        """The retry policy these options describe."""
         return RetryPolicy(
-            max_attempts=effective_retries + 1,
-            backoff_seconds=(
-                self.retry_backoff if retry_backoff is None else retry_backoff
-            ),
+            max_attempts=self.retries + 1, backoff_seconds=self.retry_backoff
         )
 
 
@@ -442,15 +430,7 @@ class TestRunner:
             ]
         return outcome
 
-    def run_many(
-        self,
-        tasks: list[RunTask],
-        *,
-        on_error: str | None = None,
-        retries: int | None = None,
-        retry_backoff: float | None = None,
-        retry_policy: RetryPolicy | None = None,
-    ) -> list[RunOutcome]:
+    def run_many(self, tasks: list[RunTask]) -> list[RunOutcome]:
         """Run independent tasks on the configured executor backend.
 
         Validate, pick a transport, graft, record.  Every transport
@@ -463,27 +443,18 @@ class TestRunner:
         shipping data sets as shared-memory/spill-file handles or cache
         fingerprints instead of pickled rows.
 
-        The keyword-only arguments override the options' failure policy
-        for this call: ``on_error`` selects abort/continue semantics,
-        ``retries``/``retry_backoff`` adjust the derived retry policy,
-        and ``retry_policy`` replaces it outright.  Under
-        ``on_error="continue"`` the returned list holds a
-        :class:`TaskFailure` in the slot of every task that exhausted
-        its attempts — on all three backends.
+        The failure policy is the options': ``on_error`` selects
+        abort/continue semantics, ``retries``/``retry_backoff`` give the
+        retry policy.  Under ``on_error="continue"`` the returned list
+        holds a :class:`TaskFailure` in the slot of every task that
+        exhausted its attempts — on all three backends.
 
         When tracing is active, the parent grafts every task's finished
         span tree here in submission order.
         """
         tasks = list(tasks)
-        on_error = on_error if on_error is not None else self.options.on_error
-        if on_error not in ON_ERROR_POLICIES:
-            raise ExecutionError(
-                f"unknown on_error policy {on_error!r}; "
-                f"available: {', '.join(ON_ERROR_POLICIES)}"
-            )
-        policy = retry_policy or self.options.retry_policy(
-            retries, retry_backoff
-        )
+        on_error = self.options.on_error
+        policy = self.options.retry_policy()
         tracer = current_tracer()
         if self.options.executor == "process" and len(tasks) > 1:
             outcomes = self._run_on_worker_pool(
@@ -534,10 +505,6 @@ class TestRunner:
         prescription: Prescription | str,
         engine_names: list[str],
         volume_override: int | None = None,
-        *,
-        on_error: str | None = None,
-        retries: int | None = None,
-        retry_backoff: float | None = None,
         **overrides: Any,
     ) -> list[RunOutcome]:
         """The same prescription across several engines (system view).
@@ -545,10 +512,10 @@ class TestRunner:
         The deterministic data set is generated once and shared by every
         engine through the dataset cache; the hit/miss delta *of this
         call* (not process-lifetime totals) is attached to each
-        outcome's ``extra["dataset_cache"]``.  ``on_error="continue"``
-        keeps one misbehaving engine from discarding the comparison:
-        its slot holds a :class:`TaskFailure` while the other engines'
-        results survive.
+        outcome's ``extra["dataset_cache"]``.  Options with
+        ``on_error="continue"`` keep one misbehaving engine from
+        discarding the comparison: its slot holds a :class:`TaskFailure`
+        while the other engines' results survive.
         """
         tasks = [
             RunTask(prescription, engine_name, volume_override, dict(overrides))
@@ -556,12 +523,7 @@ class TestRunner:
         ]
         cache = self.test_generator.dataset_cache
         before = cache.stats()
-        outcomes = self.run_many(
-            tasks,
-            on_error=on_error,
-            retries=retries,
-            retry_backoff=retry_backoff,
-        )
+        outcomes = self.run_many(tasks)
         delta = cache.stats().since(before)
         for outcome in outcomes:
             outcome.extra["dataset_cache"] = delta.as_dict()
@@ -620,10 +582,8 @@ class TestRunner:
 
         A descriptor is the task itself (prescription in its shipped
         form) plus what only the transport knows.  The policy ships by
-        value; a ``retryable`` filter that cannot cross the boundary
-        degrades to the default ``(Exception,)`` and nothing else does:
-        an engine configuration that cannot be pickled cannot run on
-        this backend at all and raises :class:`WorkerPoolError`.
+        value.  An engine configuration that cannot be pickled cannot
+        run on this backend at all and raises :class:`WorkerPoolError`.
         """
         unpicklable = sorted(
             {
@@ -639,8 +599,6 @@ class TestRunner:
                 f"engine(s) {unpicklable} to its workers"
             )
         pool = self._ensure_worker_pool()
-        if not _picklable(policy):
-            policy = replace(policy, retryable=(Exception,))
         # Wall-clock, not perf_counter: the stamp crosses the process
         # boundary and perf_counter epochs are per-process.
         submitted_wall = time.time()

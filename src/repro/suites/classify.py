@@ -93,7 +93,7 @@ def classify_generator(generator) -> Table1Row:
         scalable_volume=True,
         fixed_size_inputs=False,
         parallel_generation=True,  # every generator partitions
-        update_frequency_control=True,  # UpdateScheduler exists for all
+        update_frequency_control=True,  # StreamGenerator's update mix × rate
         generation_independent_of_apps=not generator.veracity_aware,
         partial_real_data_models=False,
         full_real_data_models=generator.veracity_aware,

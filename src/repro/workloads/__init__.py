@@ -43,6 +43,5 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.workloads.streaming_workloads": (
             "RollingUpdateRateWorkload", "WindowedAggregationWorkload",
         ),
-        "repro.workloads.builtin": ("ALL_WORKLOADS",),
     },
 )

@@ -8,6 +8,8 @@ the velocity discussion of Section 2.1 demands.
 
 from __future__ import annotations
 
+from collections import Counter
+from statistics import median
 from typing import Any
 
 from repro.core.operations import operations
@@ -75,7 +77,9 @@ class RollingUpdateRateWorkload(Workload):
 
     Filters the stream to updates, then counts them per sliding window —
     the observable side of the *data updating frequency* facet of
-    velocity.
+    velocity.  ``extra["update_rate"]`` is the median window's count
+    over the window length, in updates per second (the median, because
+    the windows at the end of a finite stream are only partly filled).
     """
 
     name = "rolling-update-rate"
@@ -103,6 +107,9 @@ class RollingUpdateRateWorkload(Workload):
             )
         )
         report = engine.run(topology, dataset.records)
+        updates_per_window: Counter[float] = Counter()
+        for result in report.results:
+            updates_per_window[result.window_start] += result.value
         return WorkloadResult(
             workload=self.name,
             engine=engine.name,
@@ -115,5 +122,10 @@ class RollingUpdateRateWorkload(Workload):
             extra={
                 "keeps_up": report.keeps_up,
                 "arrival_rate": report.arrival_rate,
+                "update_rate": (
+                    median(updates_per_window.values()) / window_seconds
+                    if updates_per_window
+                    else 0.0
+                ),
             },
         )

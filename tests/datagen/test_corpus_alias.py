@@ -1,12 +1,7 @@
-"""Tests for the embedded seed corpora and the alias sampler."""
+"""Tests for the embedded seed corpora."""
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
-from repro.core.errors import GenerationError
-from repro.datagen.alias import AliasSampler, naive_sample
 from repro.datagen.corpus import (
     TOPIC_VOCABULARIES,
     load_retail_tables,
@@ -90,35 +85,3 @@ class TestRetailTables:
         counts = Counter(row[1] for row in tables["orders"].records)
         # Zipf skew: the hottest customer has far more than the average.
         assert counts.most_common(1)[0][1] > 3 * (400 / len(counts))
-
-
-class TestAliasSampler:
-    def test_distribution_matches_weights(self):
-        sampler = AliasSampler([0.7, 0.2, 0.1])
-        draws = sampler.sample(np.random.default_rng(1), 20000)
-        frequencies = np.bincount(draws, minlength=3) / 20000
-        assert frequencies[0] == pytest.approx(0.7, abs=0.02)
-        assert frequencies[2] == pytest.approx(0.1, abs=0.02)
-
-    def test_single_outcome(self):
-        sampler = AliasSampler([1.0])
-        assert set(sampler.sample(np.random.default_rng(2), 100)) == {0}
-
-    def test_matches_naive_sampler_distribution(self):
-        weights = np.array([0.5, 0.3, 0.15, 0.05])
-        alias_draws = AliasSampler(weights).sample(
-            np.random.default_rng(3), 10000
-        )
-        cumulative = np.cumsum(weights / weights.sum())
-        naive_draws = naive_sample(np.random.default_rng(4), cumulative, 10000)
-        alias_frequency = np.bincount(alias_draws, minlength=4) / 10000
-        naive_frequency = np.bincount(naive_draws, minlength=4) / 10000
-        assert np.allclose(alias_frequency, naive_frequency, atol=0.03)
-
-    def test_validation(self):
-        with pytest.raises(GenerationError):
-            AliasSampler([])
-        with pytest.raises(GenerationError):
-            AliasSampler([-0.5, 1.5])
-        with pytest.raises(GenerationError):
-            AliasSampler([0.0, 0.0])

@@ -9,6 +9,7 @@ import pytest
 from repro.core.errors import FormatConversionError
 from repro.datagen.base import DataType, as_dataset
 from repro.datagen.formats import available_formats, convert
+from repro.datagen.stream import EventKind, StreamEvent
 
 
 @pytest.fixture()
@@ -91,6 +92,15 @@ class TestJsonl:
         dataset = as_dataset(["hello"], DataType.TEXT)
         assert json.loads(convert(dataset, "jsonl").payload[0]) == {
             "value": "hello"
+        }
+
+    def test_an_enum_member_is_its_value(self):
+        event = StreamEvent(0.5, 7, 1.25, EventKind.UPDATE)
+        dataset = as_dataset([event], DataType.STREAM)
+        assert json.loads(convert(dataset, "jsonl").payload[0]) == {
+            "value": {
+                "timestamp": 0.5, "key": 7, "value": 1.25, "kind": "update",
+            }
         }
 
 

@@ -2,13 +2,15 @@
 
 Covers the shared chunk-stream format (byte-compatible with the cache's
 disk spills), shared-memory and file-backed re-streaming sources, handle
-round-trips, export lifetime, and executor-parallel generation being
+round-trips, export lifetime, and partitions generated on a pool being
 bit-identical to the serial partition loop.
 """
 
 from __future__ import annotations
 
 import io
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
 import pytest
 
@@ -174,16 +176,21 @@ class TestHandles:
 class TestParallelGeneration:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_executor_fanout_is_bit_identical(self, backend):
+        """The seam a controller fans out over: partitions are seeded
+        independently, so generating them on any pool and merging in
+        partition order is ``generate_parallel``."""
+        generator = RandomTextGenerator(seed=11)
+        pool = (
+            ThreadPoolExecutor(max_workers=2)
+            if backend == "thread"
+            else ProcessPoolExecutor(
+                max_workers=2, mp_context=multiprocessing.get_context("spawn")
+            )
+        )
+        with pool:
+            partitions = list(
+                pool.map(generator.generate_partition, [60] * 4, range(4), [4] * 4)
+            )
         serial = RandomTextGenerator(seed=11).generate_parallel(60, 4)
-        fanned = RandomTextGenerator(seed=11).generate_parallel(
-            60, 4, executor=backend
-        )
-        assert fanned.records == serial.records
-        assert fanned.num_records == 60
-
-    def test_single_partition_skips_fanout(self):
-        serial = RandomTextGenerator(seed=11).generate_parallel(20, 1)
-        fanned = RandomTextGenerator(seed=11).generate_parallel(
-            20, 1, executor="thread"
-        )
-        assert fanned.records == serial.records
+        assert [r for records in partitions for r in records] == serial.records
+        assert serial.num_records == 60

@@ -7,7 +7,7 @@ counter snapshots, cost counters, cluster reports, partition sizes,
 window results and generated bytes of every ``exec-default`` and
 ``gen-bound`` spec at a tenth of its volume, plus the corner cases of
 the MapReduce task loops.  The same capture must come out of this tree,
-serial and threaded.  Beside it: the conservation laws the counters obey
+on the runner's serial and thread backends.  Beside it: the conservation laws the counters obey
 and the guarantee that a failed task attempt leaves nothing behind.
 """
 
@@ -56,10 +56,9 @@ def test_a_spec_reports_what_it_reported_before(name, executor):
     assert capture(name, **overrides) == FIXTURE[name]
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
 @pytest.mark.parametrize("name", EDGE_JOBS)
-def test_a_corner_case_job_reports_what_it_reported_before(name, executor):
-    assert capture_edge(name, executor) == FIXTURE[f"edge:{name}"]
+def test_a_corner_case_job_reports_what_it_reported_before(name):
+    assert capture_edge(name) == FIXTURE[f"edge:{name}"]
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +185,15 @@ def _word_count(mapper) -> MapReduceJob:
 LINES = [(index, f"a b{index % 3} c{index % 5} a") for index in range(30)]
 
 
-@pytest.mark.parametrize("executor", ["serial", "thread"])
 @pytest.mark.parametrize("failing_record", [0, 17, 29])
-def test_a_mapper_that_raises_leaks_nothing_into_the_retry(
-    executor, failing_record
-):
+def test_a_mapper_that_raises_leaks_nothing_into_the_retry(failing_record):
     injector = FaultInjector(FaultSpec(fail_calls=(failing_record,)))
 
     def flaky(key, line):
         injector.inject(f"record {key}")
         yield from _words(key, line)
 
-    engine = MapReduceEngine(executor=executor, max_workers=2)
+    engine = MapReduceEngine()
     with pytest.raises(InjectedFault):
         engine.run(_word_count(flaky), LINES)
     assert injector.injected_failures == 1

@@ -9,6 +9,7 @@ result tables, and the five-step process report.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -202,19 +203,9 @@ class TestFaultToleranceOptions:
         policy = RunnerOptions(retries=2, retry_backoff=0.25).retry_policy()
         assert policy.max_attempts == 3
         assert policy.backoff_seconds == 0.25
-        # Jitter and its seed are the policy's own defaults; a caller
-        # who wants others hands run_many a whole RetryPolicy.
+        # Jitter and its seed are the policy's own defaults.
         default = RetryPolicy()
         assert (policy.jitter, policy.seed) == (default.jitter, default.seed)
-
-    def test_retry_policy_overrides(self):
-        policy = RunnerOptions(retries=2).retry_policy(retries=0)
-        assert policy.max_attempts == 1
-
-    def test_run_many_rejects_unknown_on_error(self):
-        with TestRunner() as runner:
-            with pytest.raises(ExecutionError):
-                runner.run_many(_tasks(["dbms"]), on_error="panic")
 
     @pytest.mark.parametrize("kwargs", [
         {"on_error": "panic"},
@@ -274,10 +265,9 @@ class TestRetryLoop:
 
     def test_continue_captures_the_failure_in_order(self):
         spec = FaultSpec(fail_attempts=(0, 1, 2, 3))  # dbms always fails
-        with _runner("serial", retries=1) as runner:
+        with _runner("serial", retries=1, on_error="continue") as runner:
             outcomes = runner.run_many(
-                _tasks(["mapreduce"]) + _tasks(["dbms"], fault=spec),
-                on_error="continue",
+                _tasks(["mapreduce"]) + _tasks(["dbms"], fault=spec)
             )
         ok, failed = outcomes
         assert ok.ok and ok.engine == "mapreduce"
@@ -293,20 +283,21 @@ class TestRetryLoop:
             (outcome,) = runner.run_many(_tasks(["dbms"]))
         assert "attempts" not in outcome.extra
 
-    def test_run_many_kwargs_override_the_options(self):
+    def test_replaced_options_apply_to_the_next_batch(self):
         tasks = _tasks(["dbms"], fault=FaultSpec(fail_attempts=(0,)))
         with _runner("serial", retries=0) as runner:
             with pytest.raises(InjectedFault):
                 runner.run_many(tasks)
-            (outcome,) = runner.run_many(tasks, retries=1)
+            runner.options = dataclasses.replace(runner.options, retries=1)
+            (outcome,) = runner.run_many(tasks)
         assert outcome.ok and outcome.extra["attempts"] == 2
 
     def test_timeout_failure_is_captured(self):
         spec = FaultSpec(latency_rate=1.0, latency_seconds=0.5)
-        with _runner("serial", task_timeout=0.05) as runner:
-            (outcome,) = runner.run_many(
-                _tasks(["dbms"], fault=spec), on_error="continue"
-            )
+        with _runner(
+            "serial", task_timeout=0.05, on_error="continue"
+        ) as runner:
+            (outcome,) = runner.run_many(_tasks(["dbms"], fault=spec))
         assert not outcome.ok
         assert outcome.error_type == "TaskTimeoutError"
 
@@ -361,11 +352,9 @@ class TestErrorPathParity:
 
     def test_split_outcomes_partitions_by_type(self):
         spec = FaultSpec(fail_attempts=(0, 1))  # exhausts a 1-retry budget
-        with _runner("serial") as runner:
+        with _runner("serial", on_error="continue", retries=1) as runner:
             outcomes = runner.run_many(
-                _tasks(["mapreduce"]) + _tasks(["dbms"], fault=spec),
-                on_error="continue",
-                retries=1,
+                _tasks(["mapreduce"]) + _tasks(["dbms"], fault=spec)
             )
         results, failures = split_outcomes(outcomes)
         assert [r.engine for r in results] == ["mapreduce"]
@@ -420,10 +409,8 @@ class TestRetryTracing:
     def test_failed_task_span_records_the_error(self):
         tracer = Tracer()
         fault = FaultSpec(failure_rate=1.0)
-        with _runner("serial") as runner, tracer.activate():
-            (outcome,) = runner.run_many(
-                _tasks(["dbms"], fault=fault), on_error="continue"
-            )
+        with _runner("serial", on_error="continue") as runner, tracer.activate():
+            (outcome,) = runner.run_many(_tasks(["dbms"], fault=fault))
         (root,) = tracer.roots()
         assert root.attrs["status"] == "failed"
         assert root.attrs["error"] == "InjectedFault"

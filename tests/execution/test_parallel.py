@@ -13,12 +13,10 @@ import pytest
 from repro.core.errors import ExecutionError
 from repro.core.metrics import Metric, MetricKind, MetricSuite
 from repro.core.prescription import Prescription
-from repro.engines.mapreduce import JobConf, MapReduceEngine, MapReduceJob
 from repro.execution.config import SystemConfiguration
 from repro.execution.harness import BenchmarkHarness
 from repro.execution.parallel import (
     EXECUTOR_BACKENDS,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     resolve_executor,
@@ -63,48 +61,16 @@ class TestResolveExecutor:
     def test_named_backends(self):
         assert isinstance(resolve_executor("serial"), SerialExecutor)
         assert isinstance(resolve_executor("thread"), ThreadExecutor)
-        assert isinstance(resolve_executor("process"), ProcessExecutor)
+        # WorkerPool is the process transport; what stays in-process
+        # on that backend is a batch of one, run inline.
+        assert isinstance(resolve_executor("process"), SerialExecutor)
 
     def test_none_means_serial(self):
         assert isinstance(resolve_executor(None), SerialExecutor)
 
-    def test_instance_passes_through(self):
-        executor = SerialExecutor()
-        assert resolve_executor(executor) is executor
-
-    def test_instance_with_matching_max_workers_passes_through(self):
-        executor = ThreadExecutor(max_workers=3)
-        assert resolve_executor(executor, max_workers=3) is executor
-
-    def test_instance_with_conflicting_max_workers_rejected(self):
-        executor = ThreadExecutor(max_workers=3)
-        with pytest.raises(ExecutionError, match="conflicts"):
-            resolve_executor(executor, max_workers=5)
-
-    def test_serial_instance_ignores_max_workers(self):
-        # Serial has no pool, so there is nothing to conflict with.
-        executor = SerialExecutor()
-        assert resolve_executor(executor, max_workers=5) is executor
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExecutionError):
             resolve_executor("spark-cluster")
-
-
-class TestChunkedSubmission:
-    def test_process_backend_computes_chunksize(self):
-        executor = ProcessExecutor(max_workers=2)
-        assert executor._chunksize(80) == 10
-        assert executor._chunksize(2) == 1
-
-    def test_thread_backend_keeps_chunksize_one(self):
-        assert ThreadExecutor(max_workers=2)._chunksize(80) == 1
-
-    def test_chunked_process_map_preserves_order(self):
-        with ProcessExecutor(max_workers=2) as executor:
-            assert executor._chunksize(40) > 1
-            results = executor.map(_square, list(range(40)))
-        assert results == [x * x for x in range(40)]
 
 
 class TestExecutorOrdering:
@@ -115,6 +81,8 @@ class TestExecutorOrdering:
         assert results == [x * x for x in range(25)]
 
     def test_process_results_in_submission_order(self):
+        # Inline on this backend: batches of more than one task are
+        # WorkerPool's (tests/execution/test_workers.py).
         with resolve_executor("process", max_workers=2) as executor:
             results = executor.map(_square, list(range(8)))
         assert results == [x * x for x in range(8)]
@@ -376,49 +344,3 @@ class TestConfigurationSweep:
         )
         series = dict(report.series("throughput"))
         assert series["large"] > series["small"]
-
-
-def _wordcount_job(num_map_tasks: int = 4, num_reduce_tasks: int = 3):
-    def mapper(key, value):
-        yield value, 1
-
-    def reducer(word, counts):
-        yield word, sum(counts)
-
-    return MapReduceJob(
-        "wordcount",
-        mapper,
-        reducer,
-        conf=JobConf(
-            num_map_tasks=num_map_tasks, num_reduce_tasks=num_reduce_tasks
-        ),
-    )
-
-
-class TestMapReduceExecutorParity:
-    PAIRS = [(index, f"word{index % 7}") for index in range(50)]
-
-    def test_thread_backend_bit_identical_to_serial(self):
-        serial = MapReduceEngine(executor="serial").run(
-            _wordcount_job(), self.PAIRS
-        )
-        threaded = MapReduceEngine(executor="thread", max_workers=2).run(
-            _wordcount_job(), self.PAIRS
-        )
-        assert threaded.output == serial.output
-        assert threaded.counters.snapshot() == serial.counters.snapshot()
-        assert threaded.cost == serial.cost
-        assert threaded.simulated_seconds == serial.simulated_seconds
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_more_map_tasks_than_pairs(self, backend):
-        engine = MapReduceEngine(executor=backend, max_workers=2)
-        result = engine.run(_wordcount_job(num_map_tasks=8), [(0, "a"), (1, "b")])
-        assert sorted(result.output) == [("a", 1), ("b", 1)]
-        assert result.counters.get("map", "input_records") == 2
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_empty_input(self, backend):
-        engine = MapReduceEngine(executor=backend)
-        result = engine.run(_wordcount_job(), [])
-        assert result.output == []

@@ -234,8 +234,8 @@ class TestDescriptorShape:
                     series={"layout": "columnar"}),
             RunTask(custom, "mapreduce", 40, chunk_size=16),
         ]
-        with _process_runner() as runner:
-            outcomes = runner.run_many(tasks, on_error="continue", retries=2)
+        with _process_runner(on_error="continue", retries=2) as runner:
+            outcomes = runner.run_many(tasks)
         assert [outcome.ok for outcome in outcomes] == [True, True]
         assert [descriptor.task for descriptor in shipped] == tasks
         assert {field.name for field in dataclasses.fields(TaskDescriptor)} == {
@@ -253,21 +253,11 @@ class TestDescriptorShape:
 
 
 class TestRetryPolicyShipping:
-    def test_unpicklable_policy_keeps_its_backoff_schedule(self):
-        """Regression: a policy that did not pickle was rebuilt in the
-        worker from four scalars, silently resetting ``backoff_factor``
-        and ``max_backoff_seconds`` — the worker then slept a different
-        schedule than the serial oracle."""
-
-        class LocalError(Exception):  # local class: the policy cannot pickle
-            pass
-
-        policy = RetryPolicy(
-            max_attempts=3, backoff_seconds=0.004, backoff_factor=3.0,
-            max_backoff_seconds=0.01, retryable=(LocalError, Exception),
-        )
-        with pytest.raises(Exception):
-            pickle.dumps(policy)
+    def test_the_worker_sleeps_the_serial_backoff_schedule(self):
+        """The policy ships by value: a worker's retry loop sleeps the
+        delays the serial oracle sleeps for the same task."""
+        options = {"retries": 2, "retry_backoff": 0.004}
+        policy = RunnerOptions(**options).retry_policy()
         prescription = builtin_repository().get("database-aggregate-join")
         tasks = [
             RunTask(
@@ -282,10 +272,10 @@ class TestRetryPolicyShipping:
         for backend in ("serial", "process"):
             tracer = Tracer()
             runner = TestRunner(
-                options=RunnerOptions(executor=backend, max_workers=2)
+                options=RunnerOptions(executor=backend, max_workers=2, **options)
             )
             with runner, tracer.activate():
-                outcomes = runner.run_many(tasks, retry_policy=policy)
+                outcomes = runner.run_many(tasks)
             assert [outcome.extra["attempts"] for outcome in outcomes] == [3, 3]
             schedules[backend] = [
                 [
@@ -300,8 +290,6 @@ class TestRetryPolicyShipping:
             for key in ("database-aggregate-join@dbms",
                         "database-aggregate-join@nosql")
         ]
-        # 0.004 * 3.0 = 0.012, clamped to 0.01 before jitter: both the
-        # factor and the clamp are visible in the second delay.
         assert schedules["process"] == schedules["serial"]
 
 
@@ -336,13 +324,12 @@ class TestComputeChunksize:
 
 class TestFailurePolicyOnWarmPool:
     def test_unknown_prescription_captured_under_continue(self):
-        with _process_runner() as runner:
+        with _process_runner(on_error="continue") as runner:
             outcomes = runner.run_many(
                 [
                     RunTask("micro-wordcount", "mapreduce"),
                     RunTask("no-such-prescription", "mapreduce"),
-                ],
-                on_error="continue",
+                ]
             )
             assert type(outcomes[0]).__name__ == "RunResult"
             failure = outcomes[1]

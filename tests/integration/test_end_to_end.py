@@ -23,8 +23,8 @@ class TestEveryBuiltinPrescriptionRuns:
             "search-index", "search-pagerank",
             "social-kmeans", "social-connected-components",
             "ecommerce-recommend", "ecommerce-classify",
-            "database-aggregate-join", "oltp-read-write",
-            "realtime-windowed-aggregation",
+            "database-aggregate-join", "oltp-read-write", "oltp-hybrid",
+            "realtime-windowed-aggregation", "realtime-update-rate",
             "multimedia-image-classification", "learning-mlp",
         ],
     )
@@ -42,8 +42,8 @@ class TestEveryBuiltinPrescriptionRuns:
             "search-index", "search-pagerank",
             "social-kmeans", "social-connected-components",
             "ecommerce-recommend", "ecommerce-classify",
-            "database-aggregate-join", "oltp-read-write",
-            "realtime-windowed-aggregation",
+            "database-aggregate-join", "oltp-read-write", "oltp-hybrid",
+            "realtime-windowed-aggregation", "realtime-update-rate",
             "multimedia-image-classification", "learning-mlp",
         }
         assert listed == tested

@@ -7,7 +7,18 @@ import json
 
 import pytest
 
+from repro import bootstrap
 from repro.cli import main
+from repro.core.prescription import builtin_repository
+from repro.datagen.formats import available_formats
+
+#: Generator → the seed data set its builtin prescriptions fit it on.
+_REPOSITORY = builtin_repository()
+FIT_SOURCES = {
+    prescription.data.generator: prescription.data.fit_on
+    for prescription in map(_REPOSITORY.get, _REPOSITORY.names())
+    if prescription.data.fit_on
+}
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -213,6 +224,29 @@ class TestGenerate:
     def test_unknown_generator(self):
         code, _ = run_cli("generate", "quantum-data")
         assert code == 2
+
+    @pytest.mark.parametrize("format_name", available_formats())
+    @pytest.mark.parametrize("generator", sorted(bootstrap.GENERATORS))
+    def test_every_generator_in_every_format_prints_or_refuses(
+        self, generator, format_name, capsys
+    ):
+        """Exit 0, or ``error: …`` on stderr with exit 2; an exception
+        that escapes ``main`` (a traceback) fails the test."""
+        argv = ["generate", generator, "--volume", "12", "--sample", "2",
+                "--format", format_name]
+        if generator in FIT_SOURCES:
+            argv += ["--fit-on", FIT_SOURCES[generator]]
+        code, output = run_cli(*argv)
+        if code == 0:
+            assert output.startswith("generated ")
+        else:
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: ")
+
+    def test_a_negative_sample_is_refused(self, capsys):
+        code, _ = run_cli("generate", "kv-records", "--sample", "-1")
+        assert code == 2
+        assert "--sample" in capsys.readouterr().err
 
 
 class TestTables:

@@ -53,16 +53,19 @@ def _dataclasses() -> dict[str, type]:
 
 def _callables() -> dict[str, Any]:
     from repro.core.test_generator import TestGenerator
+    from repro.datagen.base import DataGenerator
     from repro.datagen.cache import DatasetCache
     from repro.datagen.handoff import export_dataset
     from repro.engines.mapreduce.runtime import MapReduceEngine
-    from repro.execution.runner import TestRunner
+    from repro.execution.runner import RunnerOptions, TestRunner
     from repro.service.orchestrator import Orchestrator
 
     return {
         "TestRunner.__init__": TestRunner.__init__,
         "TestRunner.run_many": TestRunner.run_many,
         "TestRunner.run_on_engines": TestRunner.run_on_engines,
+        "RunnerOptions.retry_policy": RunnerOptions.retry_policy,
+        "DataGenerator.generate_parallel": DataGenerator.generate_parallel,
         "TestGenerator.__init__": TestGenerator.__init__,
         "DatasetCache.__init__": DatasetCache.__init__,
         "export_dataset": export_dataset,

@@ -151,6 +151,28 @@ def test_an_engine_is_configured_on_its_task_and_nowhere_else():
     )
 
 
+def test_engines_and_generators_import_nothing_from_the_execution_layer():
+    """Who fans out is the runner: no engine and no generator resolves
+    an executor of its own (DESIGN.md §3.16)."""
+    strays = [
+        (module, node.lineno)
+        for module, tree in TREES.items()
+        if module.startswith(("engines/", "datagen/"))
+        for node in ast.walk(tree)
+        if (
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").startswith("repro.execution")
+        )
+        or (
+            isinstance(node, ast.Import)
+            and any(a.name.startswith("repro.execution") for a in node.names)
+        )
+    ]
+    assert not strays, (
+        f"repro.execution imported below the execution layer: {strays}"
+    )
+
+
 def test_metric_direction_is_defined_once():
     """Step 5 ranks engines by asking ``compare.metric_direction``: the
     process holds no metric names of its own to fall out of step."""

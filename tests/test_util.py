@@ -2,60 +2,9 @@
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro._util import (
-    Stopwatch,
-    batched,
-    chunked,
-    format_size,
-    mean,
-    parse_size,
-    percentile,
-)
-
-
-class TestParseSize:
-    def test_plain_numbers_are_bytes(self):
-        assert parse_size(1024) == 1024
-        assert parse_size("123") == 123
-        assert parse_size(1.5) == 1
-
-    def test_units(self):
-        assert parse_size("10KB") == 10_000
-        assert parse_size("10MB") == 10_000_000
-        assert parse_size("2GB") == 2_000_000_000
-        assert parse_size("1TB") == 10**12
-        assert parse_size("1PB") == 10**15
-
-    def test_case_and_whitespace_insensitive(self):
-        assert parse_size(" 1.5 gb ") == 1_500_000_000
-        assert parse_size("3mb") == 3_000_000
-
-    def test_bare_b_unit(self):
-        assert parse_size("512b") == 512
-
-    def test_invalid_raises(self):
-        with pytest.raises(ValueError):
-            parse_size("lots")
-
-
-class TestFormatSize:
-    def test_scales(self):
-        assert format_size(500) == "500.0 B"
-        assert format_size(1500) == "1.5 KB"
-        assert format_size(2_500_000) == "2.5 MB"
-        assert format_size(3_200_000_000) == "3.2 GB"
-
-    def test_petabytes(self):
-        assert format_size(2e15) == "2.0 PB"
-
-    def test_roundtrip_order_of_magnitude(self):
-        for value in (1, 10_000, 123_456_789):
-            parsed = parse_size(format_size(value).replace(" ", ""))
-            assert parsed == pytest.approx(value, rel=0.1)
+from repro._util import batched, chunked, percentile
 
 
 class TestChunked:
@@ -99,38 +48,6 @@ class TestBatched:
             list(batched([1], 0))
 
 
-class TestStopwatch:
-    def test_measures_elapsed(self):
-        watch = Stopwatch().start()
-        time.sleep(0.01)
-        elapsed = watch.stop()
-        assert elapsed >= 0.01
-
-    def test_context_manager(self):
-        with Stopwatch() as watch:
-            time.sleep(0.005)
-        assert watch.elapsed >= 0.005
-
-    def test_elapsed_while_running(self):
-        watch = Stopwatch().start()
-        time.sleep(0.005)
-        assert watch.elapsed >= 0.005
-        watch.stop()
-
-    def test_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            Stopwatch().stop()
-
-    def test_accumulates_across_restarts(self):
-        watch = Stopwatch().start()
-        time.sleep(0.004)
-        first = watch.stop()
-        watch.start()
-        time.sleep(0.004)
-        total = watch.stop()
-        assert total > first
-
-
 class TestPercentileAndMean:
     def test_percentile_endpoints(self):
         samples = [1.0, 2.0, 3.0, 4.0]
@@ -148,8 +65,3 @@ class TestPercentileAndMean:
             percentile([], 0.5)
         with pytest.raises(ValueError):
             percentile([1.0], 1.5)
-
-    def test_mean(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
-        with pytest.raises(ValueError):
-            mean([])

@@ -8,8 +8,12 @@ from repro.core.errors import ExecutionError
 from repro.datagen.base import DataType, as_dataset
 from repro.engines.mapreduce import MapReduceEngine
 from repro.engines.nosql import NoSqlStore
-from repro.workloads import ALL_WORKLOADS, SortWorkload
+from repro.bootstrap import WORKLOADS
+from repro.core.registry import resolve_reference
+from repro.workloads import SortWorkload
 from repro.workloads.base import WorkloadResult
+
+ALL_WORKLOADS = [resolve_reference(reference) for reference in WORKLOADS.values()]
 
 
 class TestDispatcher:

@@ -41,6 +41,17 @@ seams of the stream path and the NoSQL store's load door, at the
 * ``nosql_load_ns_per_row``: ``NoSqlStore.bulk_load`` per row, on the
   rows ``RelationalQueryWorkload.run_nosql`` loads.
 
+A third row, ``accounting.pair_meter``, prices the engines' pair meter
+(``engines.base.estimate_pair_bytes``, DESIGN.md §3.17) by itself:
+
+* ``ns_per_pair``: one call over 5 000 pairs, for the six shapes the
+  ``exec-default`` cells emit (rank contributions, scalars, centroids,
+  word counts, five-field rows, ``micro-sort``'s 342-character keys);
+* ``share``: for the two iterative MapReduce cells, the seconds of the
+  reported ``duration`` spent inside the function (a ``perf_counter``
+  pair around it, no profiler: cProfile does not tax the C loop inside
+  ``str()`` or ``marshal``), of the fastest of ``--repeats`` runs.
+
 Every number is the minimum over at least ``--repeats`` runs (a
 micro-probe keeps sampling for 0.4 s) in one child process whose
 ``PYTHONPATH`` is the measured ``src``; the probe uses only callables
@@ -50,7 +61,7 @@ commit::
     PYTHONPATH=src python -m pytest benchmarks/bench_accounting.py -q -s
     PYTHONPATH=src python benchmarks/bench_accounting.py --src OTHER/src --source parent
 
-Both rows are appended to ``BENCH_accounting.json`` through
+The rows are appended to ``BENCH_accounting.json`` through
 :func:`_history.append_history`.
 """
 
@@ -108,6 +119,11 @@ SPECS: dict[str, dict[str, Any]] = {
 #: ``relational-3eng``.
 STREAM_EVENTS = 30000
 LOAD_ROWS = 5000
+
+#: Pairs per ``estimate_pair_bytes`` call in ``accounting.pair_meter``.
+METERED_PAIRS = 5000
+#: The iterative cells, whose every iteration emits new floats.
+METERED_SPECS = ("pagerank-mr", "kmeans-mr")
 
 #: A micro-probe keeps sampling this long: a few calls of a 20 ms
 #: function catch this host in one mood, slow or fast, not at its best.
@@ -295,6 +311,66 @@ def _probe_batch_doors(repeats: int) -> dict[str, Any]:
     }
 
 
+def _pair_shapes() -> dict[str, list[tuple[Any, Any]]]:
+    count = range(METERED_PAIRS)
+    return {
+        "int.tagged-float": [(i, ("mass", i * 0.37 + 0.001)) for i in count],
+        "int.float": [(i, i / 7 + 0.5) for i in count],
+        "int.three-floats": [(i % 8, (i * 0.11, i / 3, -i * 1.7)) for i in count],
+        "str.int": [(f"w{i % 997}", 1) for i in count],
+        "int.five-field-row": [
+            (i, {"customer_id": i % 211, "product_id": i % 97,
+                 "quantity": i % 9, "price": i * 0.25, "status": "shipped"})
+            for i in count
+        ],
+        "str342.int": [
+            ("".join(chr(97 + (i * 7 + at) % 26) for at in range(342)), i)
+            for i in count
+        ],
+    }
+
+
+def _probe_pair_meter(repeats: int) -> dict[str, Any]:
+    from repro import api
+    from repro.engines import base
+    from repro.engines.mapreduce import runtime
+
+    sizer = base.estimate_pair_bytes
+    ns_per_pair = {
+        shape: _best(repeats, lambda: sizer(pairs)) * 1e9 / len(pairs)
+        for shape, pairs in _pair_shapes().items()
+    }
+    inside = [0.0, 0]
+
+    def timed(pairs):
+        started = time.perf_counter()
+        try:
+            return sizer(pairs)
+        finally:
+            inside[0] += time.perf_counter() - started
+            inside[1] += 1
+
+    share = {}
+    runtime.estimate_pair_bytes = timed
+    try:
+        for name in METERED_SPECS:
+            fields = dict(SPECS[name])
+            prescription = fields.pop("prescription")
+            runs = []
+            for _ in range(repeats):
+                inside[:] = [0.0, 0]
+                (result,) = api.run(prescription, **fields).results
+                runs.append((result.mean("duration"), *inside))
+            duration, metered, calls = min(runs)
+            share[name] = {
+                "duration_s": duration, "metered_s": metered, "calls": calls,
+                "share": metered / duration,
+            }
+    finally:
+        runtime.estimate_pair_bytes = sizer
+    return {"ns_per_pair": ns_per_pair, "share": share}
+
+
 def probe(repeats: int) -> dict[str, Any]:
     """Every measurement of one row, taken in this process."""
     import repro  # noqa: F401 (fills the registries)
@@ -309,6 +385,7 @@ def probe(repeats: int) -> dict[str, Any]:
             "streaming": _probe_streaming_share(repeats),
         },
         "batch_doors": _probe_batch_doors(repeats),
+        "pair_meter": _probe_pair_meter(repeats),
     }
 
 
@@ -325,6 +402,7 @@ def record_accounting(
 ) -> dict:
     rows = measure_accounting(src, repeats)
     doors = rows.pop("batch_doors")
+    pair_meter = rows.pop("pair_meter")
     for section in ("sizing_ns_per_record", "hash_ns", "duration_s"):
         print(f"\n{section}")
         for name, value in rows[section].items():
@@ -355,7 +433,24 @@ def record_accounting(
         {"stream_events": STREAM_EVENTS, "load_rows": LOAD_ROWS},
         {"source": source, "repeats": repeats, **doors},
     )
-    return {**rows, "batch_doors": doors}
+    print("\npair_meter (ns per pair)")
+    for shape, value in pair_meter["ns_per_pair"].items():
+        print(f"  {shape:28s} {value:12.1f}")
+    for name, cell in pair_meter["share"].items():
+        print(
+            f"  {name:28s} {cell['share']:.2f} ({cell['metered_s']:.4f} of "
+            f"{cell['duration_s']:.4f} s in {cell['calls']} calls)"
+        )
+    append_history(
+        RESULTS_FILE,
+        "accounting.pair_meter",
+        {
+            "pairs": METERED_PAIRS,
+            "specs": {name: SPECS[name] for name in METERED_SPECS},
+        },
+        {"source": source, "repeats": repeats, **pair_meter},
+    )
+    return {**rows, "batch_doors": doors, "pair_meter": pair_meter}
 
 
 def test_accounting_ledger():
@@ -374,6 +469,12 @@ def test_accounting_ledger():
     # A size the process knows costs less than walking the records again.
     sizing = doors["sizing_ns_per_record"]
     assert 0.0 <= sizing["known"] < sizing["first_walk"]
+    pair_meter = rows["pair_meter"]
+    assert len(pair_meter["ns_per_pair"]) == 6
+    assert all(value > 0 for value in pair_meter["ns_per_pair"].values())
+    # The meter costs less than the work it describes.
+    for cell in pair_meter["share"].values():
+        assert cell["calls"] > 0 and 0.0 < cell["share"] < 0.5
 
 
 if __name__ == "__main__":

@@ -16,7 +16,11 @@ run store and the job log are this benchmark's data about itself
   store, released together (whether the ids came out distinct is
   ``multiprocess_distinct_ids``);
 * ``idle_shutdown_s``: ``Orchestrator.shutdown()`` of a started
-  two-scheduler service that has nothing to do.
+  two-scheduler service that has nothing to do;
+* ``serialize_result_s``: one ``RunResult.as_dict()`` of a 3-repeat
+  result, ``fresh`` (nobody has summarized it yet: what
+  ``record_outcome`` pays) and ``again`` (the next reader of the same
+  result: the report table, ``--json``).
 
 Timings are the minimum and the median over ``--repeats`` runs, all taken
 in one child process whose ``PYTHONPATH`` is the measured ``src``; the
@@ -183,6 +187,29 @@ def _probe_idle_shutdown(repeats: int) -> dict[str, float]:
     return {"min": min(walls), "median": statistics.median(walls)}
 
 
+def _probe_serialize(repeats: int) -> dict[str, dict[str, float]]:
+    from repro import api
+    from repro.core.results import RunResult
+
+    spec = api.BenchmarkSpec(
+        "micro-wordcount", engines=["mapreduce"], volume=50, repeats=3
+    )
+    payload = api.run(spec).results[0].as_dict()
+    copies = 200
+    rows: dict[str, list[float]] = {"fresh": [], "again": []}
+    for _ in range(max(repeats, 5)):
+        results = [RunResult.from_dict(payload) for _ in range(copies)]
+        for reader in ("fresh", "again"):
+            started = time.perf_counter()
+            for result in results:
+                result.as_dict()
+            rows[reader].append((time.perf_counter() - started) / copies)
+    return {
+        reader: {"min": min(walls), "median": statistics.median(walls)}
+        for reader, walls in rows.items()
+    }
+
+
 def probe(repeats: int, sizes, appends: int) -> dict[str, Any]:
     """Every measurement of one row, taken in this process."""
     outcome = _outcome()
@@ -191,6 +218,7 @@ def probe(repeats: int, sizes, appends: int) -> dict[str, Any]:
         "append_from_empty_s": _probe_from_empty(repeats, appends, outcome),
         **_probe_multiprocess(repeats, outcome),
         "idle_shutdown_s": _probe_idle_shutdown(repeats),
+        "serialize_result_s": _probe_serialize(repeats),
     }
 
 
@@ -231,6 +259,11 @@ def record_store(
     )
     print(f"idle shutdown  {rows['idle_shutdown_s']['median'] * 1e3:.2f} ms "
           "(median)")
+    print(
+        "RunResult.as_dict()  "
+        f"{rows['serialize_result_s']['fresh']['min'] * 1e6:.0f} us fresh, "
+        f"{rows['serialize_result_s']['again']['min'] * 1e6:.0f} us again"
+    )
     append_history(
         RESULTS_FILE,
         "store.append_and_read",

@@ -89,6 +89,12 @@ def spec_fingerprint(
     profile's payload (see
     :meth:`repro.tuning.profiles.TuningProfile.fingerprint`) forks the
     series so tuned runs never pollute baseline history.
+
+    ``accounting`` joins only for an engine that declares an
+    :attr:`~repro.engines.base.Engine.accounting_version`: its byte
+    counters are sized by ``estimate_pair_bytes``, whose definition is
+    versioned, so bytes of two definitions never share a series, while
+    the key of every engine that meters no pair stays what it was.
     """
     params = dict(params or {})
     fingerprint = {
@@ -107,7 +113,22 @@ def spec_fingerprint(
         fingerprint["layout"] = layout
     if tuning:
         fingerprint["tuning"] = tuning
+    accounting = _accounting_version(engine)
+    if accounting is not None:
+        fingerprint["accounting"] = accounting
     return fingerprint
+
+
+def _accounting_version(engine: str) -> int | None:
+    """What the registered engine class declares.  None for an engine
+    whose counters meter no pair, for a name the registry does not know,
+    and for one registered as a factory that is not the engine class
+    (``register_instance``)."""
+    from repro.core.registry import engines
+
+    if engine not in engines:
+        return None
+    return getattr(engines.resolve(engine), "accounting_version", None)
 
 
 _ENV_CACHE: dict[str, Any] | None = None

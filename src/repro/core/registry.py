@@ -48,6 +48,11 @@ class Registry(Generic[T]):
 
     def create(self, name: str) -> T:
         """Instantiate the named component."""
+        return self.resolve(name)()
+
+    def resolve(self, name: str) -> Callable[[], T]:
+        """The named component's factory (a class, usually), imported if
+        it was registered as a reference."""
         factory = self._factories.get(name)
         if factory is None:
             raise RegistryError(
@@ -61,7 +66,7 @@ class Registry(Generic[T]):
                     f"{self.kind} {name!r} is registered as {factory!r}, "
                     f"which cannot be loaded: {error}"
                 ) from error
-        return factory()
+        return factory
 
     def names(self) -> list[str]:
         return sorted(self._factories)

@@ -23,12 +23,29 @@ from repro.core.errors import MetricError
 from repro.core.metrics import MetricSuite
 
 
+def _interpolate(ordered: list[float], q: float) -> float:
+    """The q-th percentile of a non-empty sorted list."""
+    if len(ordered) == 1:
+        return ordered[0]
+    rank = (len(ordered) - 1) * q / 100.0
+    lower = math.floor(rank)
+    upper = math.ceil(rank)
+    if lower == upper:
+        return ordered[lower]
+    fraction = rank - lower
+    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
+
+
 @dataclass
 class MetricStats:
     """Across-repeat statistics of one metric."""
 
     name: str
     samples: list[float]
+    #: ``(the samples it was computed from, their stdev)``.
+    _stdev: tuple[list[float], float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def mean(self) -> float:
@@ -44,9 +61,21 @@ class MetricStats:
 
     @property
     def stdev(self) -> float:
+        """Sample standard deviation (0.0 below two samples).
+
+        ``statistics.stdev`` is exact (it sums ``Fraction`` s) and costs
+        several times the other six summaries of a short series together,
+        so it is computed once for the samples as they are, not once
+        per reader (the store, the report table, ``--json``).
+        """
         if len(self.samples) < 2:
             return 0.0
-        return statistics.stdev(self.samples)
+        known = self._stdev
+        if known is None or known[0] != self.samples:
+            known = self._stdev = (
+                list(self.samples), statistics.stdev(self.samples)
+            )
+        return known[1]
 
     def percentile(self, q: float) -> float:
         """The q-th percentile by linear interpolation between ranks.
@@ -61,16 +90,7 @@ class MetricStats:
             raise MetricError(f"percentile must be in [0, 100], got {q}")
         if not self.samples:
             raise MetricError(f"metric {self.name!r} has no samples")
-        ordered = sorted(self.samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (len(ordered) - 1) * q / 100.0
-        lower = math.floor(rank)
-        upper = math.ceil(rank)
-        if lower == upper:
-            return ordered[lower]
-        fraction = rank - lower
-        return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
+        return _interpolate(sorted(self.samples), q)
 
     @property
     def p50(self) -> float:
@@ -86,14 +106,15 @@ class MetricStats:
 
     def as_dict(self) -> dict[str, Any]:
         """Full serialization, samples included (round-trippable)."""
+        ordered = sorted(self.samples)
         return {
             "mean": self.mean,
             "min": self.minimum,
             "max": self.maximum,
             "stdev": self.stdev,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
+            "p50": _interpolate(ordered, 50),
+            "p95": _interpolate(ordered, 95),
+            "p99": _interpolate(ordered, 99),
             "samples": list(self.samples),
         }
 

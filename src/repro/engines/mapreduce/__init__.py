@@ -10,7 +10,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.engines.mapreduce.counters": ("CounterGroup",),
         "repro.engines.mapreduce.job": (
-            "JobChain", "JobConf", "MapReduceJob", "default_partitioner",
+            "JobConf", "MapReduceJob", "default_partitioner",
             "identity_mapper", "identity_reducer",
         ),
         "repro.engines.mapreduce.runtime": (

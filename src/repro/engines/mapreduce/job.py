@@ -109,23 +109,3 @@ class MapReduceJob:
     reducer: Reducer = identity_reducer
     combiner: Reducer | None = None
     conf: JobConf = field(default_factory=JobConf)
-
-    def then(self, next_job: "MapReduceJob") -> "JobChain":
-        """Chain another job after this one (its input = this job's output)."""
-        return JobChain([self, next_job])
-
-
-@dataclass
-class JobChain:
-    """A linear pipeline of MapReduce jobs (e.g. iterative PageRank steps)."""
-
-    jobs: list[MapReduceJob]
-
-    def then(self, next_job: MapReduceJob) -> "JobChain":
-        return JobChain([*self.jobs, next_job])
-
-    def __iter__(self):
-        return iter(self.jobs)
-
-    def __len__(self) -> int:
-        return len(self.jobs)

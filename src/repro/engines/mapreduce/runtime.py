@@ -27,6 +27,7 @@ from typing import Any
 from repro._util import batched, chunked
 from repro.core.errors import EngineError
 from repro.engines.base import (
+    ACCOUNTING_VERSION,
     CostCounters,
     Engine,
     EngineInfo,
@@ -35,11 +36,7 @@ from repro.engines.base import (
 )
 from repro.engines.mapreduce.cluster import ClusterModel, ClusterReport
 from repro.engines.mapreduce.counters import CounterGroup
-from repro.engines.mapreduce.job import (
-    JobChain,
-    MapReduceJob,
-    shuffle_partitioner,
-)
+from repro.engines.mapreduce.job import MapReduceJob, shuffle_partitioner
 from repro.observability import current_tracer
 
 Pair = tuple[Any, Any]
@@ -79,6 +76,8 @@ def _publish(counters: CounterGroup, group: str, **amounts: int) -> None:
 
 class MapReduceEngine(Engine):
     """A from-scratch MapReduce runtime with a simulated cluster model."""
+
+    accounting_version = ACCOUNTING_VERSION
 
     def __init__(self, cluster: SimulatedClusterSpec | None = None) -> None:
         super().__init__()
@@ -170,16 +169,6 @@ class MapReduceEngine(Engine):
             cluster_report=cluster_report,
             cost=cost,
         )
-
-    def run_chain(self, chain: JobChain, pairs: Iterable[Pair]) -> list[JobResult]:
-        """Execute a job pipeline; each job consumes the previous output."""
-        results: list[JobResult] = []
-        current: Sequence[Pair] = pairs
-        for job in chain:
-            result = self.run(job, current)
-            results.append(result)
-            current = result.output
-        return results
 
     # ------------------------------------------------------------------
     # Phases

@@ -29,7 +29,12 @@ import numpy as np
 from repro._util import batched, stable_hash
 from repro.core.errors import EngineError
 from repro.datagen.base import DEFAULT_CHUNK_SIZE
-from repro.engines.base import Engine, EngineInfo, estimate_pair_bytes
+from repro.engines.base import (
+    ACCOUNTING_VERSION,
+    Engine,
+    EngineInfo,
+    estimate_pair_bytes,
+)
 
 Fields = dict[str, Any]
 
@@ -85,6 +90,8 @@ class OpResult:
 
 class NoSqlStore(Engine):
     """An in-memory partitioned KV store with a latency model."""
+
+    accounting_version = ACCOUNTING_VERSION
 
     def __init__(
         self,

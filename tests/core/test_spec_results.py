@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 import repro  # noqa: F401 - triggers default registration
@@ -254,6 +256,52 @@ class TestRunResult:
         stats = MetricStats("m", [1.0, 3.0])
         assert stats.stdev == pytest.approx(1.4142, rel=1e-3)
         assert MetricStats("m", [1.0]).stdev == 0.0
+
+    @pytest.mark.parametrize(
+        "samples",
+        [[0.25], [3], [0.0123, 0.0119, 0.0131], [5.0, 1.0, 4.0, 1.0],
+         [1e-9, 1e9], list(range(101))],
+        ids=len,
+    )
+    def test_as_dict_is_the_seven_summaries_read_one_by_one(self, samples):
+        stats = MetricStats("m", list(samples))
+        expected = {
+            "mean": statistics.fmean(samples),
+            "min": min(samples),
+            "max": max(samples),
+            "stdev": statistics.stdev(samples) if len(samples) > 1 else 0.0,
+            "p50": stats.percentile(50),
+            "p95": stats.percentile(95),
+            "p99": stats.percentile(99),
+            "samples": list(samples),
+        }
+        for _ in range(2):  # the second read is the remembered stdev
+            serialized = stats.as_dict()
+            assert serialized == expected
+            assert [type(v) for v in serialized.values()] == [
+                type(v) for v in expected.values()
+            ]
+
+    def test_stdev_follows_the_samples(self):
+        stats = MetricStats("m", [1.0, 3.0])
+        assert stats.stdev == statistics.stdev([1.0, 3.0])
+        stats.samples.append(8.0)
+        assert stats.stdev == statistics.stdev([1.0, 3.0, 8.0])
+        stats.samples[0] = 2.0
+        assert stats.as_dict()["stdev"] == statistics.stdev([2.0, 3.0, 8.0])
+        assert stats == MetricStats("m", [2.0, 3.0, 8.0])
+        assert "stdev" not in repr(stats)
+
+    def test_stdev_is_computed_once_per_metric(self, monkeypatch):
+        calls = []
+        exact = statistics.stdev
+        monkeypatch.setattr(
+            statistics, "stdev", lambda data: calls.append(1) or exact(data)
+        )
+        stats = MetricStats("m", [1.0, 3.0, 2.0])
+        assert stats.as_dict() == stats.as_dict()
+        assert stats.stdev == exact([1.0, 3.0, 2.0])
+        assert len(calls) == 1
 
 
 class TestResultAnalyzer:

@@ -3,13 +3,18 @@
 The accounting differential test runs every ``exec-default`` and
 ``gen-bound`` spec of ``benchmarks/e2e/drivers.py`` at a tenth of its
 volume with recording shims around the engines' public entry points and
-compares what they saw with ``tests/fixtures/accounting_parent.json``,
-the same capture taken on the commit *before* the per-record
-book-keeping was hoisted out of the engines' inner loops.  Regenerate
-the fixture from a checkout of that commit::
+compares what they saw with ``tests/fixtures/accounting_v2.json``, this
+script's output on the commit that introduced accounting version 2
+(``engines.base.ACCOUNTING_VERSION``)::
 
-    PYTHONPATH=<that checkout>/src python tests/engines/_accounting_capture.py \
-        > tests/fixtures/accounting_parent.json
+    PYTHONPATH=src python tests/engines/_accounting_capture.py \
+        > tests/fixtures/accounting_v2.json
+
+``tests/fixtures/accounting_parent.json`` is the same capture under
+version 1, taken on the commit *before* the per-record book-keeping was
+hoisted out of the engines' inner loops; it is never regenerated, and
+the test holds the two fixtures equal in every leaf but the pair-metered
+bytes.  A fixture is rewritten only together with a version fork.
 
 Only this file's own code and public callables that exist on both sides
 are used, so the same script measures parent and change.

@@ -1,14 +1,17 @@
-"""Nothing a run reports, apart from time, moved when its meter got cheaper.
+"""Nothing a run reports, apart from time, moves unless a version says so.
 
-``tests/fixtures/accounting_parent.json`` was captured by
-``_accounting_capture.py`` on the commit before the engines' per-record
-book-keeping was hoisted out of their inner loops: job outputs, ordered
-counter snapshots, cost counters, cluster reports, partition sizes,
-window results and generated bytes of every ``exec-default`` and
-``gen-bound`` spec at a tenth of its volume, plus the corner cases of
-the MapReduce task loops.  The same capture must come out of this tree,
-on the runner's serial and thread backends.  Beside it: the conservation laws the counters obey
-and the guarantee that a failed task attempt leaves nothing behind.
+``tests/fixtures/accounting_v2.json`` is ``_accounting_capture.py``'s
+output under accounting version 2: job outputs, ordered counter
+snapshots, cost counters, cluster reports, partition sizes, window
+results and generated bytes of every ``exec-default`` and ``gen-bound``
+spec at a tenth of its volume, plus the corner cases of the MapReduce
+task loops.  The same capture must come out of this tree, on the
+runner's serial and thread backends.  ``accounting_parent.json`` is the
+version-1 capture, taken before the engines' per-record book-keeping
+was hoisted out of their inner loops: leaf by leaf, the two fixtures
+differ in the pair-metered bytes and in nothing else.  Beside it: the
+conservation laws the counters obey and the guarantee that a failed
+task attempt leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -37,14 +40,15 @@ from _accounting_capture import (
     ordered_counters,
 )
 
-FIXTURE = json.loads(
-    (Path(__file__).parent.parent / "fixtures" / "accounting_parent.json")
-    .read_text()
-)
+FIXTURES = Path(__file__).parent.parent / "fixtures"
+FIXTURE = json.loads((FIXTURES / "accounting_v2.json").read_text())
+#: The same capture under accounting version 1; never regenerated.
+PARENT_FIXTURE = json.loads((FIXTURES / "accounting_parent.json").read_text())
 
 
 def test_the_fixture_covers_every_spec_and_corner():
-    assert set(FIXTURE) == set(SPECS) | {f"edge:{name}" for name in EDGE_JOBS}
+    expected = set(SPECS) | {f"edge:{name}" for name in EDGE_JOBS}
+    assert set(FIXTURE) == set(PARENT_FIXTURE) == expected
 
 
 @pytest.mark.parametrize("executor", ["serial", "thread"])
@@ -59,6 +63,97 @@ def test_a_spec_reports_what_it_reported_before(name, executor):
 @pytest.mark.parametrize("name", EDGE_JOBS)
 def test_a_corner_case_job_reports_what_it_reported_before(name):
     assert capture_edge(name) == FIXTURE[f"edge:{name}"]
+
+
+# ---------------------------------------------------------------------------
+# Version 1 -> version 2: only pair-metered bytes moved
+# ---------------------------------------------------------------------------
+
+
+def _by_name(observed):
+    """Counter snapshots and cluster phases keyed by name (their order
+    kept as a leaf of its own), so a path says which leaf it is."""
+    if isinstance(observed, list):
+        return [_by_name(item) for item in observed]
+    if not isinstance(observed, dict):
+        return observed
+    named = {key: _by_name(value) for key, value in observed.items()}
+    if "counters" in observed:
+        named["counters"] = {
+            "order": [[g, [n for n, _ in vs]] for g, vs in observed["counters"]],
+            **{group: dict(values) for group, values in observed["counters"]},
+        }
+    if "phases" in observed:
+        named["phases"] = {
+            "order": [phase["name"] for phase in observed["phases"]],
+            **{phase["name"]: phase for phase in observed["phases"]},
+        }
+    return named
+
+
+def _moved(parent, change, path=()):
+    """Paths of the leaves at which two captures differ."""
+    if isinstance(parent, dict) and isinstance(change, dict):
+        if parent.keys() != change.keys():
+            yield path
+            return
+        for key in parent:
+            yield from _moved(parent[key], change[key], (*path, key))
+    elif isinstance(parent, list) and isinstance(change, list):
+        if len(parent) != len(change):
+            yield path
+            return
+        for index, pair in enumerate(zip(parent, change)):
+            yield from _moved(*pair, (*path, index))
+    elif parent != change or type(parent) is not type(change):
+        yield path
+
+
+#: Where ``estimate_pair_bytes`` reaches, as path suffixes; the engine a
+#: suffix is allowed under.  Shuffle seconds are shuffle bytes over the
+#: cluster's bandwidth, and a MapReduce ``simulated_seconds`` sums them.
+PAIR_METERED = {
+    ("cost", "bytes_read"): {"mapreduce"},
+    ("cost", "bytes_written"): {"mapreduce", "nosql"},
+    ("cost", "network_bytes"): {"mapreduce"},
+    ("engine_counters", "bytes_read"): {"mapreduce"},
+    ("engine_counters", "bytes_written"): {"mapreduce", "nosql"},
+    ("engine_counters", "network_bytes"): {"mapreduce"},
+    ("counters", "shuffle", "bytes"): {"mapreduce"},
+    ("cluster", "phases", "shuffle", "seconds"): {"mapreduce"},
+    ("cluster", "phases", "shuffle", "task_costs", 0): {"mapreduce"},
+    ("simulated_seconds",): {"mapreduce"},
+}
+
+
+def _pair_metered_leaf(path):
+    """``(engine, suffix)`` when ``path`` is a leaf version 2 may move."""
+    name, *rest = path
+    if name.startswith("edge:"):
+        engine = "mapreduce"
+    elif rest[0] == "engines":
+        engine, rest = rest[1], rest[3:]  # engines / <engine> / <call index>
+    else:
+        return None
+    suffix = tuple(rest)
+    return (engine, suffix) if engine in PAIR_METERED.get(suffix, ()) else None
+
+
+def test_version_2_moved_the_pair_metered_bytes_and_nothing_else():
+    moved = list(_moved(_by_name(PARENT_FIXTURE), _by_name(FIXTURE)))
+    leaves = [_pair_metered_leaf(path) for path in moved]
+    assert [path for path, leaf in zip(moved, leaves) if leaf is None] == []
+    # Not vacuous: every kind of leaf the definition reaches did move.
+    assert set(leaves) == {
+        (engine, suffix)
+        for suffix, engines in PAIR_METERED.items() for engine in engines
+    }
+    # ... in every spec that ran a pair-metered engine, and in no other.
+    assert {path[0] for path in moved} == {
+        name for name, observed in FIXTURE.items()
+        if name.startswith("edge:")
+        or {"mapreduce", "nosql"} & set(observed["engines"])
+    } - {"edge:empty-input"}  # no pair at all
 
 
 # ---------------------------------------------------------------------------

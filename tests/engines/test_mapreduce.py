@@ -9,7 +9,6 @@ from repro.core.errors import EngineError
 from repro.engines.base import SimulatedClusterSpec, schedule_lpt
 from repro.engines.mapreduce import (
     CounterGroup,
-    JobChain,
     JobConf,
     MapReduceEngine,
     MapReduceJob,
@@ -162,25 +161,6 @@ class TestMapPhaseSpan:
         per_split = map_phase.attrs["records_per_split"]
         assert per_split == [50, 50, 50, 50]
         assert sum(per_split) == map_phase.counters["input_records"] == 200
-
-
-class TestJobChain:
-    def test_chain_feeds_output_forward(self):
-        first = word_count_job()
-
-        def filter_map(word, count):
-            if count >= 2:
-                yield word, count
-
-        second = MapReduceJob("filter", filter_map)
-        chain = first.then(second)
-        results = MapReduceEngine().run_chain(chain, PAIRS)
-        assert len(results) == 2
-        assert dict(results[-1].output) == {"a": 3, "b": 2, "c": 3}
-
-    def test_chain_extension(self):
-        chain = JobChain([word_count_job()]).then(word_count_job())
-        assert len(chain) == 2
 
 
 class TestClusterModel:

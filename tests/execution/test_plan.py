@@ -7,6 +7,7 @@ import copy
 import pytest
 
 from repro import api
+from repro.analysis.store import fingerprint_hash
 from repro.core.prescription import builtin_repository
 from repro.core.spec import BenchmarkSpec
 from repro.engines.faults import FaultSpec, FaultyEngine
@@ -149,27 +150,47 @@ class TestResolve:
 #: byte-identical.  The four ``mapreduce`` + ``optimized`` keys forked
 #: once since, when combiner batching left that profile (its knobs are
 #: part of the key, and the old records measured a different engine).
+#: Every ``mapreduce`` and ``nosql`` key forked once more with accounting
+#: version 2 (their byte counters changed definition), by exactly the
+#: ``accounting`` entry: :data:`ACCOUNTING_V1_SERIES` has old and new.
 GOLDEN_SERIES = [
     (RELATIONAL, 120, "row", "normal",
-     {"dbms": "3bc9c87265ef", "mapreduce": "3e3b3a014845",
-      "nosql": "84dd5a41ab4a"}),
+     {"dbms": "3bc9c87265ef", "mapreduce": "90a49ed4ada7",
+      "nosql": "1840e2e14536"}),
     (RELATIONAL, 120, "row", "optimized",
-     {"dbms": "3e1e2d4f9eac", "mapreduce": "7ae183a314aa",
-      "nosql": "2ef33441546f"}),
+     {"dbms": "3e1e2d4f9eac", "mapreduce": "ee8978750f99",
+      "nosql": "4ad9185f7fcf"}),
     (RELATIONAL, 120, "columnar", "normal",
-     {"dbms": "d52eb4fca5a3", "mapreduce": "e44fbb0fe64e",
-      "nosql": "7e2b22461b89"}),
+     {"dbms": "d52eb4fca5a3", "mapreduce": "ed9ca4a3fd4e",
+      "nosql": "d6d2298ea2bb"}),
     (RELATIONAL, 120, "columnar", "optimized",
-     {"dbms": "ad802cbbfce4", "mapreduce": "e39378251793",
-      "nosql": "2059dcacc279"}),
-    ("micro-wordcount", 60, "row", "normal", {"mapreduce": "13306a1f7e52"}),
+     {"dbms": "ad802cbbfce4", "mapreduce": "d4fbeff4eb9f",
+      "nosql": "fbf7335aa90d"}),
+    ("micro-wordcount", 60, "row", "normal", {"mapreduce": "8cc7f5082f05"}),
     ("micro-wordcount", 60, "row", "optimized",
-     {"mapreduce": "32fac6830f5c"}),
+     {"mapreduce": "1062de954f27"}),
     ("micro-wordcount", 60, "columnar", "normal",
-     {"mapreduce": "257ce7c5fc60"}),
+     {"mapreduce": "b9b90685287c"}),
     ("micro-wordcount", 60, "columnar", "optimized",
-     {"mapreduce": "2a9cd8f2e8fe"}),
+     {"mapreduce": "221c1fc60887"}),
 ]
+
+
+#: new key -> the key the same spec had under accounting version 1.
+ACCOUNTING_V1_SERIES = {
+    "90a49ed4ada7": "3e3b3a014845",
+    "1840e2e14536": "84dd5a41ab4a",
+    "ee8978750f99": "7ae183a314aa",
+    "4ad9185f7fcf": "2ef33441546f",
+    "ed9ca4a3fd4e": "e44fbb0fe64e",
+    "d6d2298ea2bb": "7e2b22461b89",
+    "d4fbeff4eb9f": "e39378251793",
+    "fbf7335aa90d": "2059dcacc279",
+    "8cc7f5082f05": "13306a1f7e52",
+    "1062de954f27": "32fac6830f5c",
+    "b9b90685287c": "257ce7c5fc60",
+    "221c1fc60887": "2a9cd8f2e8fe",
+}
 
 
 class TestGoldenSeries:
@@ -187,3 +208,15 @@ class TestGoldenSeries:
         records = api.RunStore(str(tmp_path)).records()
         assert [record.record_id for record in records] == report.record_ids
         assert {record.engine: record.series for record in records} == expected
+        for record in records:
+            # The fork is the one entry, and only where pairs are metered.
+            unversioned = {
+                key: value for key, value in record.fingerprint.items()
+                if key != "accounting"
+            }
+            assert fingerprint_hash(unversioned) == ACCOUNTING_V1_SERIES.get(
+                record.series, record.series
+            )
+            assert ("accounting" in record.fingerprint) == (
+                record.engine in ("mapreduce", "nosql")
+            )

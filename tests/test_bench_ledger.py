@@ -98,6 +98,28 @@ def test_the_batch_door_series_is_a_parent_and_a_change_row():
     assert change["known"] < 0.1 * change["first_walk"]
 
 
+def test_the_pair_meter_series_is_a_parent_and_a_change_row():
+    """The series ISSUE 23 opened (accounting version 2).  The shares are
+    ratios of two timings taken in one run, so they hold on a host that
+    drifts: the pair meter was about half of the two iterative MapReduce
+    cells and is now a small part of them."""
+    pair = _pair("BENCH_accounting.json", "accounting.pair_meter")
+    for measurements in pair.values():
+        assert len(measurements["ns_per_pair"]) == 6
+        assert all(value > 0 for value in measurements["ns_per_pair"].values())
+        assert set(measurements["share"]) == {"pagerank-mr", "kmeans-mr"}
+    parent, change = (pair[side]["share"] for side in ("parent", "change"))
+    for cell in ("pagerank-mr", "kmeans-mr"):
+        assert parent[cell]["calls"] == change[cell]["calls"] > 0
+        assert parent[cell]["share"] > 0.3
+        assert change[cell]["share"] < 0.15
+    # Numbers got cheaper to size; only long strings got dearer (the
+    # wire form copies their UTF-8 bytes, ``len(str)`` did not).
+    for shape, parent_ns in pair["parent"]["ns_per_pair"].items():
+        change_ns = pair["change"]["ns_per_pair"][shape]
+        assert (change_ns < parent_ns) == (shape != "str342.int"), shape
+
+
 def test_the_stream_rate_series_is_a_parent_and_a_change_row():
     pair = _pair(
         "BENCH_datagen_pipeline.json",

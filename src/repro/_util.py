@@ -86,6 +86,36 @@ def stable_hash(text: str, multiplier: int) -> int:
     return digest
 
 
+#: From this many strings up one matrix product beats hashing them one
+#: by one (measured, 16 strings: 12 vs 12 us at 4 characters, 17 vs 41
+#: at 16; the product costs 9 us however few the strings).
+_VECTOR_BATCH_FROM = 16
+
+
+def stable_hashes(texts: Sequence[str], multiplier: int) -> list[int]:
+    """``[stable_hash(text, multiplier) for text in texts]``, a batch at a time.
+
+    The strings are right-aligned in a matrix of code points, padded on
+    the left with zeros (a leading zero leaves the Horner recurrence at
+    zero), and hashed by one ``uint64`` product with the power table.  A
+    short batch, or one holding a string longer than the table, is
+    hashed string by string.
+    """
+    width = max(map(len, texts), default=0)
+    if len(texts) < _VECTOR_BATCH_FROM or width > _HASH_BLOCK:
+        return [stable_hash(text, multiplier) for text in texts]
+    import numpy as np
+
+    aligned = "".join(text.rjust(width, "\0") for text in texts)
+    codes = np.frombuffer(
+        aligned.encode("utf-32-le", "surrogatepass"), dtype="<u4"
+    ).reshape(len(texts), width)
+    digests = codes.astype(np.uint64) @ _hash_powers(multiplier)[
+        _HASH_BLOCK - width :
+    ]
+    return (digests & np.uint64(0x7FFFFFFF)).tolist()
+
+
 @functools.lru_cache(maxsize=None)
 def _hash_powers(multiplier: int):
     """``multiplier**k mod 2**64`` for k = _HASH_BLOCK-1 .. 0, read-only.

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import operator
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from repro.core.errors import EngineError
 
 Layout = dict[str, int]
 Row = tuple
-#: Named column vectors, as the batch evaluator consumes them.
-Columns = dict[str, Sequence[Any]]
+#: Named column vectors, as the batch evaluator consumes them: any
+#: mapping, so a batch can gather a column when an expression asks for it.
+Columns = Mapping[str, Sequence[Any]]
 
 
 class Expression(ABC):

@@ -5,9 +5,10 @@ row-major store all mutations go through; :meth:`HeapTable.columnar`
 derives a cached :class:`ColumnarTable` — a column-major snapshot with
 typed arrays where a column is homogeneous — that the vectorized
 operators in :mod:`repro.engines.dbms.vector_plans` scan batch-at-a-
-time.  The snapshot is invalidated by a table version counter, so the
-columnar view is always consistent with the heap without paying the
-rebuild on every query.
+time.  The snapshot pins the live rows when it is taken and transposes
+a column the first time a plan reads it; a table version counter
+replaces it after any mutation, so a view never mixes two states of
+the heap and a query pays only for the columns it reads.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import array as _array
 import bisect
 from collections.abc import Iterable, Iterator, Sequence
+from operator import itemgetter
 from typing import Any
 
 from repro.core.errors import EngineError
@@ -157,12 +159,31 @@ class HeapTable:
         return row_id
 
     def insert_many(self, rows: Iterable[Sequence[Any]]) -> int:
-        """Bulk insert; returns the number of rows inserted."""
-        count = 0
-        for row in rows:
-            self.insert(row)
-            count += 1
-        return count
+        """Bulk insert; returns the number of rows inserted.
+
+        Equal to :meth:`insert` on each row in turn, a wrong-width row
+        included: the rows before it stay inserted, it raises, and
+        nothing after it is inserted.
+        """
+        tuples = list(map(tuple, rows))
+        width = len(self.schema)
+        if not set(map(len, tuples)) <= {width}:
+            first_bad = next(
+                position
+                for position, row in enumerate(tuples)
+                if len(row) != width
+            )
+            self.insert_many(tuples[:first_bad])
+            self.insert(tuples[first_bad])  # raises
+        first_id = len(self._rows)
+        self._rows.extend(tuples)
+        self._live_count += len(tuples)
+        self._version += len(tuples)
+        for column, index in self.indexes.items():
+            position = self._layout[column]
+            for row_id, row in enumerate(tuples, first_id):
+                index.insert(row[position], row_id)
+        return len(tuples)
 
     def delete_row(self, row_id: int) -> None:
         row = self._row_or_raise(row_id)
@@ -273,6 +294,13 @@ class HeapTable:
 class ColumnarTable:
     """A column-major snapshot of a heap table.
 
+    The snapshot is the list of live row tuples as they were when the
+    view was taken: tuples are immutable and the heap replaces, never
+    edits, a row it updates, so every column of one view shows the same
+    state of the table whenever it is first read.  A column is
+    transposed out of those rows, and packed, on that first read; a
+    plan that reads two columns of five pays for two.
+
     Each column is a typed ``array.array`` when every value shares one
     numeric type (``'q'`` for ints, ``'d'`` for floats — bools are
     deliberately left in plain lists so ``True`` survives round-trips
@@ -286,51 +314,61 @@ class ColumnarTable:
         self,
         name: str,
         schema: Sequence[str],
-        columns: dict[str, Sequence[Any]],
+        rows: Sequence[Row],
         row_ids: Sequence[int],
     ) -> None:
         self.name = name
         self.schema = tuple(schema)
-        self.columns = columns
-        self.row_ids = list(row_ids)
-        self.num_rows = len(self.row_ids)
-        self._position_of = {
-            row_id: position for position, row_id in enumerate(self.row_ids)
-        }
+        self.row_ids = row_ids
+        self.num_rows = len(rows)
+        self._rows = rows
+        #: The columns some plan has read so far, transposed and packed.
+        self.columns: dict[str, Sequence[Any]] = {}
+        self._position_of: dict[int, int] | None = None
 
     @classmethod
     def from_heap(cls, table: HeapTable) -> "ColumnarTable":
-        """Transpose a heap table's live rows into typed column arrays."""
+        """Snapshot a heap table's live rows."""
+        rows = table._rows
+        if len(table) == len(rows):
+            return cls(table.name, table.schema, rows.copy(), range(len(rows)))
         row_ids = [
-            row_id
-            for row_id, row in enumerate(table._rows)
-            if row is not None
+            row_id for row_id, row in enumerate(rows) if row is not None
         ]
-        live = [table._rows[row_id] for row_id in row_ids]
-        columns: dict[str, Sequence[Any]] = {}
-        if live:
-            transposed = list(zip(*live))
-        else:
-            transposed = [() for _ in table.schema]
-        for column, values in zip(table.schema, transposed):
-            columns[column] = _pack_column(list(values))
-        return cls(table.name, table.schema, columns, row_ids)
+        return cls(
+            table.name,
+            table.schema,
+            [rows[row_id] for row_id in row_ids],
+            row_ids,
+        )
 
     def column(self, name: str) -> Sequence[Any]:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise EngineError(
-                f"table {self.name!r} has no column {name!r}; "
-                f"columns: {self.schema}"
-            ) from None
+        column = self.columns.get(name)
+        if column is None:
+            try:
+                slot = self.schema.index(name)
+            except ValueError:
+                raise EngineError(
+                    f"table {self.name!r} has no column {name!r}; "
+                    f"columns: {self.schema}"
+                ) from None
+            column = self.columns[name] = _pack_column(
+                list(map(itemgetter(slot), self._rows))
+            )
+        return column
 
     def positions_for(self, row_ids: Iterable[int]) -> list[int]:
         """Columnar positions of heap row ids (index lookups → gathers)."""
+        position_of = self._position_of
+        if position_of is None:
+            position_of = self._position_of = {
+                row_id: position
+                for position, row_id in enumerate(self.row_ids)
+            }
         return [
-            self._position_of[row_id]
+            position_of[row_id]
             for row_id in row_ids
-            if row_id in self._position_of
+            if row_id in position_of
         ]
 
     def __len__(self) -> int:
@@ -346,13 +384,12 @@ def _pack_column(values: list[Any]) -> Sequence[Any]:
     every value (including ``True``/``None``/strings) reads back
     bit-identical to the heap row.
     """
-    if not values:
-        return values
-    if all(type(value) is int for value in values):
+    types = set(map(type, values))
+    if types == {int}:
         try:
             return _array.array("q", values)
         except OverflowError:
             return values
-    if all(type(value) is float for value in values):
+    if types == {float}:
         return _array.array("d", values)
     return values

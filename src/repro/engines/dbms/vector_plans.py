@@ -6,8 +6,16 @@ time through the iterator tree; these operators pull a
 parallel column vectors — so per-row interpreter overhead (generator
 resumption, per-row counter bumps, per-row expression-tree recursion) is
 paid once per batch instead of once per row.  Predicates and projections
-evaluate through :meth:`Expression.evaluate_batch`; filters carry a
-selection vector of surviving positions rather than copying rows.
+evaluate through :meth:`Expression.evaluate_batch`.
+
+Materialisation is late.  A batch that dropped, reordered or joined rows
+does not copy them: it records *where* its rows are — positions into the
+vectors below it — and a column is gathered when an operator above
+reads it, once.  The fused scan, the filter, the index scan, the hash
+join and ``LIMIT`` all hand positions on; only the operators that must
+see values (an expression, a join key, a group key, an aggregated
+column, the final transposition into result rows) read columns, and
+only the ones they name.
 
 Cost parity is deliberate: every operator charges the same
 ``records_read``/``compute_ops`` totals as its row twin, so the
@@ -24,8 +32,9 @@ falls back to a row-only algorithm (e.g. merge join) mid-plan.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import defaultdict
-from collections.abc import Iterator, Sequence
+from collections import Counter, defaultdict
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from itertools import chain, compress, repeat
 from typing import Any
 
 from repro.core.errors import EngineError
@@ -35,10 +44,9 @@ from repro.engines.dbms.plans import (
     NO_VALUE,
     Aggregate,
     PhysicalOperator,
-    _AggState,
     _join_schema,
 )
-from repro.engines.dbms.storage import HeapTable
+from repro.engines.dbms.storage import ColumnarTable, HeapTable
 
 Row = tuple
 
@@ -47,14 +55,34 @@ Row = tuple
 DEFAULT_BATCH_SIZE = 1024
 
 
-class ColumnBatch:
-    """A batch of rows stored column-major.
+#: Which rows of a vector a batch holds: all of them in order (``None``),
+#: a contiguous run (a ``range``), or an explicit list of positions.
+Positions = Sequence[int] | None
+#: One column of a batch, not gathered yet: ``read(key)`` is a vector
+#: below the batch (a table column, a column of the batch it was taken
+#: from), ``positions`` the rows of that vector the batch holds.
+Source = tuple[Callable[[Any], Sequence[Any]], Any, Positions]
 
-    ``columns`` is parallel to ``schema``; each entry is any sequence
-    (typed array slice, tuple, or list) of ``num_rows`` values.
+
+def _gather(vector: Sequence[Any], positions: Positions) -> Sequence[Any]:
+    if positions is None:
+        return vector
+    if type(positions) is range:
+        return vector[positions.start : positions.stop]
+    return [vector[position] for position in positions]
+
+
+class ColumnBatch:
+    """A batch of rows stored column-major, gathered column by column.
+
+    Built from ``columns`` — one sequence (typed array slice, tuple, or
+    list) of ``num_rows`` values per schema entry — or, with
+    :meth:`deferred`, from one :data:`Source` per entry.  A deferred
+    column is gathered the first time :meth:`column` is asked for it
+    and kept, so a column nothing reads costs a tuple.
     """
 
-    __slots__ = ("schema", "columns", "num_rows")
+    __slots__ = ("schema", "num_rows", "_columns", "_sources")
 
     def __init__(
         self,
@@ -63,8 +91,17 @@ class ColumnBatch:
         num_rows: int,
     ) -> None:
         self.schema = schema
-        self.columns = columns
         self.num_rows = num_rows
+        self._columns: list[Sequence[Any] | None] = list(columns)
+        self._sources: Sequence[Source] = ()
+
+    @classmethod
+    def deferred(
+        cls, schema: tuple[str, ...], sources: Sequence[Source], num_rows: int
+    ) -> "ColumnBatch":
+        batch = cls(schema, [None] * len(schema), num_rows)
+        batch._sources = sources
+        return batch
 
     @classmethod
     def from_rows(cls, schema: tuple[str, ...], rows: list[Row]) -> "ColumnBatch":
@@ -74,37 +111,86 @@ class ColumnBatch:
             columns = [() for _ in schema]
         return cls(schema, columns, len(rows))
 
-    def column_map(self) -> dict[str, Sequence[Any]]:
-        """Named column vectors (what ``evaluate_batch`` consumes)."""
-        return dict(zip(self.schema, self.columns))
+    @classmethod
+    def concatenated(
+        cls, schema: tuple[str, ...], batches: Sequence["ColumnBatch"]
+    ) -> "ColumnBatch":
+        """The rows of ``batches`` in order; a column is joined up when read."""
+        if len(batches) == 1:
+            return batches[0]
 
-    def take(self, positions: list[int]) -> "ColumnBatch":
-        """Gather the given positions into a new batch (selection vector)."""
-        return ColumnBatch(
+        def read(slot: int) -> list[Any]:
+            return list(
+                chain.from_iterable(batch.column(slot) for batch in batches)
+            )
+
+        return cls.deferred(
+            schema,
+            [(read, slot, None) for slot in range(len(schema))],
+            sum(batch.num_rows for batch in batches),
+        )
+
+    def column(self, slot: int) -> Sequence[Any]:
+        """The values of the ``slot``-th schema entry, one per row."""
+        column = self._columns[slot]
+        if column is None:
+            read, key, positions = self._sources[slot]
+            column = self._columns[slot] = _gather(read(key), positions)
+        return column
+
+    def column_map(self) -> Mapping[str, Sequence[Any]]:
+        """Named column vectors (what ``evaluate_batch`` consumes).
+
+        Read on demand: looking a name up gathers that column, so an
+        expression costs the columns it references.
+        """
+        return _ColumnMap(self)
+
+    def take(self, positions: Sequence[int]) -> "ColumnBatch":
+        """The rows at ``positions``, as positions into this batch's columns."""
+        return ColumnBatch.deferred(
             self.schema,
             [
-                [column[position] for position in positions]
-                for column in self.columns
+                (self.column, slot, positions)
+                for slot in range(len(self.schema))
             ],
             len(positions),
         )
 
     def head(self, count: int) -> "ColumnBatch":
-        """The first ``count`` rows (cheap slices, no per-value gather)."""
-        return ColumnBatch(
-            self.schema,
-            [column[:count] for column in self.columns],
-            min(count, self.num_rows),
-        )
+        """The first ``count`` rows (slices, no per-value gather)."""
+        return self.take(range(min(count, self.num_rows)))
 
     def to_rows(self) -> list[Row]:
         """Transpose back to row tuples (batch boundary / row consumers)."""
         if not self.num_rows:
             return []
-        return list(zip(*self.columns))
+        return list(zip(*map(self.column, range(len(self.schema)))))
 
     def __len__(self) -> int:
         return self.num_rows
+
+
+class _ColumnMap(Mapping):
+    """A batch's columns under their names, each gathered when looked up."""
+
+    __slots__ = ("_batch",)
+
+    def __init__(self, batch: ColumnBatch) -> None:
+        self._batch = batch
+
+    def __getitem__(self, name: str) -> Sequence[Any]:
+        try:
+            slot = self._batch.schema.index(name)
+        except ValueError:
+            raise KeyError(name) from None
+        return self._batch.column(slot)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._batch.schema)
+
+    def __len__(self) -> int:
+        return len(self._batch.schema)
 
 
 class VectorOperator(ABC):
@@ -141,18 +227,30 @@ class VectorOperator(ABC):
         return {column: index for index, column in enumerate(self.schema)}
 
 
+def _table_batch(view: ColumnarTable, positions: Sequence[int]) -> ColumnBatch:
+    """The rows of a columnar view at ``positions``, no column read yet."""
+    read = view.column
+    return ColumnBatch.deferred(
+        view.schema,
+        [(read, name, positions) for name in view.schema],
+        len(positions),
+    )
+
+
 class ColumnarScan(VectorOperator):
     """Full scan of a table's columnar view, one batch per slice.
 
-    With a pushed-down ``predicate``, the scan evaluates it over only
-    the column vectors the predicate references and materializes the
-    remaining columns just for the surviving positions — a batch whose
-    rows are all filtered out never touches the untouched columns at
-    all.  Cost parity with the unfused ``ColumnarScan`` → ``BatchFilter``
-    pair is preserved exactly: ``records_read`` bumps once per scanned
-    row and ``compute_ops`` once per predicate evaluation, so the
-    architecture metrics cannot tell the plans apart; the win shows up
-    in wall-clock ``duration`` (and one fewer operator in ``batches``).
+    A batch names the slice of every table column and reads none.  With
+    a pushed-down ``predicate``, the scan evaluates it over the column
+    vectors the predicate references and hands on the surviving
+    positions — a column no operator above reads is never transposed
+    out of the table, and one that is read is gathered for the
+    survivors only.  Cost parity with the unfused ``ColumnarScan`` →
+    ``BatchFilter`` pair is preserved exactly: ``records_read`` bumps
+    once per scanned row and ``compute_ops`` once per predicate
+    evaluation, so the architecture metrics cannot tell the plans
+    apart; the win shows up in wall-clock ``duration`` (and one fewer
+    operator in ``batches``).
     """
 
     def __init__(
@@ -174,61 +272,25 @@ class ColumnarScan(VectorOperator):
         return self.table.schema
 
     def batches(self) -> Iterator[ColumnBatch]:
-        if self.predicate is not None:
-            yield from self._filtered_batches()
-            return
         view = self.table.columnar()
-        columns = [view.column(name) for name in view.schema]
         total = view.num_rows
         for start in range(0, total, self.batch_size):
-            stop = min(start + self.batch_size, total)
-            count = stop - start
-            self.cost.records_read += count
-            self.cost.batches += 1
-            yield ColumnBatch(
-                view.schema,
-                [column[start:stop] for column in columns],
-                count,
+            positions: Sequence[int] = range(
+                start, min(start + self.batch_size, total)
             )
-
-    def _filtered_batches(self) -> Iterator[ColumnBatch]:
-        view = self.table.columnar()
-        schema = view.schema
-        needed = self.predicate.columns() & set(schema)
-        columns = {name: view.column(name) for name in schema}
-        total = view.num_rows
-        for start in range(0, total, self.batch_size):
-            stop = min(start + self.batch_size, total)
-            count = stop - start
+            count = len(positions)
             self.cost.records_read += count
-            self.cost.compute_ops += count
-            # Only the predicate's columns are sliced for evaluation.
-            predicate_map = {
-                name: columns[name][start:stop] for name in needed
-            }
-            mask = self.predicate.evaluate_batch(predicate_map, count)
-            selection = [
-                position for position, keep in enumerate(mask) if keep
-            ]
-            if not selection:
-                continue
+            batch = _table_batch(view, positions)
+            if self.predicate is not None:
+                self.cost.compute_ops += count
+                mask = self.predicate.evaluate_batch(batch.column_map(), count)
+                positions = list(compress(positions, mask))
+                if not positions:
+                    continue
+                if len(positions) < count:
+                    batch = _table_batch(view, positions)
             self.cost.batches += 1
-            if len(selection) == count:
-                yield ColumnBatch(
-                    schema,
-                    [columns[name][start:stop] for name in schema],
-                    count,
-                )
-            else:
-                yield ColumnBatch(
-                    schema,
-                    [
-                        [columns[name][start + position]
-                         for position in selection]
-                        for name in schema
-                    ],
-                    len(selection),
-                )
+            yield batch
 
     def explain(self) -> dict[str, Any]:
         explained: dict[str, Any] = {
@@ -279,19 +341,11 @@ class ColumnarIndexScan(VectorOperator):
         else:
             row_ids = index.range_scan(self.low, self.high)
         positions = view.positions_for(row_ids)
-        columns = [view.column(name) for name in view.schema]
         for start in range(0, len(positions), self.batch_size):
             chunk = positions[start : start + self.batch_size]
             self.cost.records_read += len(chunk)
             self.cost.batches += 1
-            yield ColumnBatch(
-                view.schema,
-                [
-                    [column[position] for position in chunk]
-                    for column in columns
-                ],
-                len(chunk),
-            )
+            yield _table_batch(view, chunk)
 
     def explain(self) -> dict[str, Any]:
         return {
@@ -303,7 +357,7 @@ class ColumnarIndexScan(VectorOperator):
 
 
 class BatchFilter(VectorOperator):
-    """Predicate filter via a selection vector over each input batch."""
+    """Predicate filter: hands on the positions of the rows that pass."""
 
     def __init__(
         self,
@@ -325,9 +379,7 @@ class BatchFilter(VectorOperator):
             mask = self.predicate.evaluate_batch(
                 batch.column_map(), batch.num_rows
             )
-            selection = [
-                position for position, keep in enumerate(mask) if keep
-            ]
+            selection = list(compress(range(batch.num_rows), mask))
             if not selection:
                 continue
             self.cost.batches += 1
@@ -386,8 +438,12 @@ class BatchProject(VectorOperator):
 class BatchHashJoin(VectorOperator):
     """Equi-join: build a hash table on the inner side, probe per batch.
 
-    Output row order matches :class:`~repro.engines.dbms.plans.HashJoin`
-    exactly — outer order, inner matches in build-insertion order.
+    The table maps a key to the positions of its inner rows; probing an
+    outer key vector yields two position lists, and an output batch is
+    those two lists over the outer batch and the inner input — no row
+    is assembled here.  Output row order matches
+    :class:`~repro.engines.dbms.plans.HashJoin` exactly — outer order,
+    inner matches in build-insertion order.
     """
 
     def __init__(
@@ -410,27 +466,50 @@ class BatchHashJoin(VectorOperator):
         return self._schema
 
     def batches(self) -> Iterator[ColumnBatch]:
-        inner_position = self.inner.layout[self.inner_column]
-        build: dict[Any, list[Row]] = defaultdict(list)
+        inner_batches = []
         for batch in self.inner.batches():
             self.cost.compute_ops += batch.num_rows
-            keys = batch.columns[inner_position]
-            for key, row in zip(keys, batch.to_rows()):
-                build[key].append(row)
-        outer_position = self.outer.layout[self.outer_column]
+            inner_batches.append(batch)
+        inner = ColumnBatch.concatenated(self.inner.schema, inner_batches)
+        build: dict[Any, list[int]] = defaultdict(list)
+        inner_keys = inner.column(self.inner.layout[self.inner_column])
+        for position, key in enumerate(inner_keys):
+            build[key].append(position)
+        inner_slots = range(len(inner.schema))
+        outer_slot = self.outer.layout[self.outer_column]
+        outer_slots = range(len(self.outer.schema))
         lookup = build.get
         for batch in self.outer.batches():
             self.cost.compute_ops += batch.num_rows
-            keys = batch.columns[outer_position]
-            joined: list[Row] = []
-            for key, outer_row in zip(keys, batch.to_rows()):
-                matches = lookup(key)
-                if matches:
-                    for inner_row in matches:
-                        joined.append(outer_row + inner_row)
-            if joined:
-                self.cost.batches += 1
-                yield ColumnBatch.from_rows(self._schema, joined)
+            # Per outer row, the inner positions under its key (or None).
+            found = list(map(lookup, batch.column(outer_slot)))
+            matches = list(filter(None, found))
+            if not matches:
+                continue
+            inner_positions = list(chain.from_iterable(matches))
+            outer_positions: Positions = None
+            if len(inner_positions) > len(matches):
+                # Some key matched several inner rows: its outer row
+                # repeats once per match, matches in build order.
+                outer_positions = list(
+                    chain.from_iterable(
+                        map(
+                            repeat,
+                            compress(range(batch.num_rows), found),
+                            map(len, matches),
+                        )
+                    )
+                )
+            elif len(matches) < batch.num_rows:
+                outer_positions = list(compress(range(batch.num_rows), found))
+            # else every outer row matched once: its columns as they are.
+            self.cost.batches += 1
+            yield ColumnBatch.deferred(
+                self._schema,
+                [(batch.column, slot, outer_positions) for slot in outer_slots]
+                + [(inner.column, slot, inner_positions) for slot in inner_slots],
+                len(inner_positions),
+            )
 
     def explain(self) -> dict[str, Any]:
         return {
@@ -441,8 +520,61 @@ class BatchHashJoin(VectorOperator):
         }
 
 
+class _ColumnFold:
+    """One aggregate over every group: a value per group id, folded a
+    column at a time.
+
+    The column twin of :class:`~repro.engines.dbms.plans._AggState`: to
+    each group it applies the same updates with the same values in the
+    same row order, so a float ``sum`` is the one the row path adds up
+    and a comparison that raises there raises here.  ``count`` keeps
+    nothing and reads no column: the operator counts each group's rows
+    once for all its aggregates.
+    """
+
+    def __init__(self, function: str, slot: int | None) -> None:
+        self.function = function
+        self.slot = slot
+        self.values: list[Any] = []
+
+    def update(self, batch: ColumnBatch, ids: list[int], groups: int) -> None:
+        """Fold one batch in; row ``i`` is in group ``ids[i] < groups``."""
+        function = self.function
+        if function == "count":
+            return
+        values = self.values
+        adds = function in ("sum", "avg")
+        values.extend([0.0 if adds else None] * (groups - len(values)))
+        column = batch.column(self.slot)
+        if adds:
+            for group, value in zip(ids, column):
+                if value is not None:
+                    values[group] += value
+        elif function == "min":
+            for group, value in zip(ids, column):
+                lowest = values[group]
+                if lowest is None or value < lowest:
+                    values[group] = value
+        else:
+            for group, value in zip(ids, column):
+                highest = values[group]
+                if highest is None or value > highest:
+                    values[group] = value
+
+    def result(self, group: int, count: int) -> Any:
+        if self.function == "count":
+            return count
+        if self.function == "avg":
+            return self.values[group] / count
+        return self.values[group]
+
+
 class BatchAggregate(VectorOperator):
-    """GROUP BY over column keys, preserving first-seen group order."""
+    """GROUP BY over column keys, preserving first-seen group order.
+
+    A batch's rows get their group ids in one pass over the key columns;
+    each aggregate then folds its own value column against those ids.
+    """
 
     def __init__(
         self,
@@ -463,36 +595,36 @@ class BatchAggregate(VectorOperator):
         return tuple(self.group_by) + tuple(agg.alias for agg in self.aggregates)
 
     def batches(self) -> Iterator[ColumnBatch]:
-        groups: dict[tuple, list[_AggState]] = {}
-        order: list[tuple] = []
+        layout = self.child.layout
+        key_slots = [layout[column] for column in self.group_by]
+        folds = [
+            _ColumnFold(
+                agg.function,
+                layout[agg.column] if agg.column is not None else None,
+            )
+            for agg in self.aggregates
+        ]
+        #: Group key → group id, in first-seen order.
+        group_ids: dict[tuple, int] = {}
+        counts: list[int] = []
         for batch in self.child.batches():
             self.cost.compute_ops += batch.num_rows
-            column_map = batch.column_map()
-            if self.group_by:
-                keys = list(
-                    zip(*(column_map[column] for column in self.group_by))
-                )
+            if key_slots:
+                keys = list(zip(*map(batch.column, key_slots)))
             else:
                 keys = [()] * batch.num_rows
-            value_columns = [
-                column_map[agg.column] if agg.column is not None else None
-                for agg in self.aggregates
-            ]
-            for position, key in enumerate(keys):
-                states = groups.get(key)
-                if states is None:
-                    states = [
-                        _AggState(agg.function) for agg in self.aggregates
-                    ]
-                    groups[key] = states
-                    order.append(key)
-                for state, values in zip(states, value_columns):
-                    state.update(
-                        values[position] if values is not None else 1
-                    )
+            for key in dict.fromkeys(keys):
+                if key not in group_ids:
+                    group_ids[key] = len(group_ids)
+                    counts.append(0)
+            ids = list(map(group_ids.__getitem__, keys))
+            for group, seen in Counter(ids).items():
+                counts[group] += seen
+            for fold in folds:
+                fold.update(batch, ids, len(counts))
         results = [
-            key + tuple(state.result() for state in groups[key])
-            for key in order
+            key + tuple(fold.result(group, counts[group]) for fold in folds)
+            for key, group in group_ids.items()
         ]
         if results:
             self.cost.batches += 1

@@ -21,12 +21,13 @@ import bisect
 import enum
 from dataclasses import dataclass, field
 from functools import reduce
+from itertools import chain
 from operator import add
 from typing import Any
 
 import numpy as np
 
-from repro._util import batched, stable_hash
+from repro._util import batched, stable_hash, stable_hashes
 from repro.core.errors import EngineError
 from repro.datagen.base import DEFAULT_CHUNK_SIZE
 from repro.engines.base import (
@@ -273,18 +274,30 @@ class NoSqlStore(Engine):
     def _load_batch(self, batch: list[tuple[str, Fields]]) -> list[float]:
         """:meth:`insert` of every record of a batch :meth:`_loads_as_one` passed.
 
-        Each key is hashed once, the jitter is one vector draw, the scan
-        index is merged with one sort, and the clock, the counters and
-        the latency total are written from locals at the end.
+        The keys are hashed and the rows sized as one batch each (sizes
+        add up over pairs, however a caller cuts them), the jitter is
+        one vector draw, the scan index is merged with one sort, and the
+        clock, the counters and the latency total are written from
+        locals at the end.
         """
         partitions = self._partitions
         versions = self._versions
         version = self._write_clock
+        home_of = self._homes
+        unseen = [key for key, _ in batch if key not in home_of]
+        home_of.update(
+            zip(
+                unseen,
+                (
+                    digest % self.num_partitions
+                    for digest in stable_hashes(unseen, 131)
+                ),
+            )
+        )
         homes = []
         new_keys = []
-        written = 0
         for key, fields in batch:
-            home = self._partition_of(key)
+            home = home_of[key]
             homes.append(home)
             rows = partitions[home]
             if key not in rows:
@@ -292,7 +305,9 @@ class NoSqlStore(Engine):
             rows[key] = dict(fields)
             version += 1
             versions[home][key] = version
-            written += estimate_pair_bytes(fields.items())
+        written = estimate_pair_bytes(
+            chain.from_iterable(fields.items() for _, fields in batch)
+        )
         self._write_clock = version
         if new_keys:
             self._sorted_keys = sorted(self._sorted_keys + new_keys)

@@ -25,7 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import _util
-from repro._util import stable_hash
+from repro._util import stable_hash, stable_hashes
 from repro.datagen.base import _record_size
 from repro.datagen.stream import EventKind, StreamEvent
 from repro.engines import base as engines_base
@@ -100,6 +100,31 @@ class TestStableHash:
         assert stable_hash(key, 131) % partitions == (
             reference_partition_of(key, partitions)
         )
+
+    @pytest.mark.parametrize("multiplier", [31, 131])
+    def test_a_batch_hashes_as_its_strings_do(self, multiplier):
+        """One matrix product per batch equals the hash of each string:
+        empty strings, NULs the padding could be taken for, non-BMP code
+        points, lone surrogates, every length around both thresholds."""
+        alphabet = "k\x00\U0001f600\ud800\u00e9z"
+        ragged = [
+            "".join(alphabet[(length + index) % len(alphabet)]
+                    for index in range(length))
+            for length in range(601)
+        ]
+        batches = [
+            [],
+            [""] * 20,
+            ["\x00" * 5, "\x00k"] * 10,
+            ragged[:513],  # as wide as the power table
+            ragged,  # one string too long for it: hashed one by one
+            ragged[:15],  # a short batch: hashed one by one
+            [f"order:{index:010d}" for index in range(1024)],
+        ]
+        for batch in batches:
+            assert stable_hashes(batch, multiplier) == [
+                stable_hash(text, multiplier) for text in batch
+            ]
 
     @given(keys, st.integers(1, 97))
     def test_any_key_partitions_by_its_string_form(self, key, partitions):

@@ -397,14 +397,21 @@ class TestBulkLoad:
         assert scalar.bit_generator.state == vector.bit_generator.state
 
     def test_a_key_is_hashed_once_per_store(self, monkeypatch):
+        """Through either door: a batch of keys or one key at a time."""
         hashed = []
 
         def counting_hash(text, multiplier):
             hashed.append(text)
             return stable_hash(text, multiplier)
 
+        def counting_hashes(texts, multiplier):
+            hashed.extend(texts)
+            return stable_hashes(texts, multiplier)
+
         stable_hash = store_module.stable_hash
+        stable_hashes = store_module.stable_hashes
         monkeypatch.setattr(store_module, "stable_hash", counting_hash)
+        monkeypatch.setattr(store_module, "stable_hashes", counting_hashes)
         store = NoSqlStore()
         rows = [(f"user{index}", {"field0": index}) for index in range(20)]
         store.bulk_load(rows)

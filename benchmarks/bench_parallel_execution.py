@@ -21,6 +21,7 @@ asserted.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -107,11 +108,14 @@ def test_executor_backends_cross_engine(benchmark):
     for backend in BACKENDS:
         assert measurements[backend]["means"] == serial_means, backend
 
-    # Contract 2: one generation feeds all engines (serial and thread
-    # share the parent cache; process workers regenerate independently).
+    # Contract 2: one generation feeds all engines.  Serial and thread
+    # share the parent cache; under process the parent generates the
+    # shared data set once and hands it to the workers it creates, whose
+    # lookups are hits in their own caches.
     for backend in ("serial", "thread"):
         assert measurements[backend]["cache"]["misses"] == 1
         assert measurements[backend]["cache"]["hits"] == len(ENGINES) - 1
+    assert measurements["process"]["cache"]["misses"] == 1
 
     append_history(
         RESULTS_FILE,
@@ -155,8 +159,9 @@ def test_warm_pool_steady_state(benchmark):
     one-time spawn cost is reported separately as ``warmup_seconds``.
 
     On a single core the workers cannot overlap, so the entire reported
-    speedup is overhead actually removed — generation skipped via
-    shipped handles, pool reuse, batched submission — not parallelism.
+    speedup is overhead actually removed — generation skipped because
+    the workers started with the parent's data set, pool reuse, batched
+    submission — not parallelism.
     """
 
     def drive():
@@ -172,23 +177,30 @@ def test_warm_pool_steady_state(benchmark):
 
         options = RunnerOptions(executor="process", max_workers=len(ENGINES))
         runner = TestRunner(options=options)
+        harness = BenchmarkHarness(runner)
+        worker_lookups = Counter()
+
+        def compare():
+            analyzer = harness.compare_engines(PRESCRIPTION, ENGINES, WARM_VOLUME)
+            for result in analyzer.results:
+                delta = result.extra["worker_cache"]
+                worker_lookups.update(hits=delta["hits"], misses=delta["misses"])
+            return analyzer
+
         try:
-            harness = BenchmarkHarness(runner)
             started = time.perf_counter()
-            harness.compare_engines(PRESCRIPTION, ENGINES, WARM_VOLUME)
+            compare()
             warmup_seconds = time.perf_counter() - started
             warm_seconds = []
             for _ in range(5):
                 started = time.perf_counter()
-                analyzer = harness.compare_engines(
-                    PRESCRIPTION, ENGINES, WARM_VOLUME
-                )
+                analyzer = compare()
                 warm_seconds.append(time.perf_counter() - started)
             process_means = _deterministic_means(analyzer.results)
-            pool = runner._worker_pool
             pool_stats = {
-                "batches": pool.batches,
-                "exports": len(pool.exports),
+                "batches": runner._worker_pool.batches,
+                "worker_hits": worker_lookups["hits"],
+                "worker_misses": worker_lookups["misses"],
             }
         finally:
             runner.close()
@@ -224,7 +236,8 @@ def test_warm_pool_steady_state(benchmark):
     print(
         f"one-time pool warmup: {data['warmup_seconds'] * 1000:.1f} ms, "
         f"batches served: {data['pool']['batches']}, "
-        f"datasets exported: {data['pool']['exports']}"
+        f"worker cache: {data['pool']['worker_hits']} hits, "
+        f"{data['pool']['worker_misses']} misses"
     )
 
     # Contract 1: the warm pool reproduces serial metrics exactly.

@@ -4,10 +4,33 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable, Iterator, Sequence
+import threading
+from collections.abc import Hashable, Iterable, Iterator, Sequence
+from contextlib import contextmanager
 from typing import TypeVar
 
 T = TypeVar("T")
+
+
+@contextmanager
+def single_flight(
+    guard: threading.Lock, flights: dict[Hashable, threading.Lock], key: Hashable
+) -> Iterator[None]:
+    """Hold ``key``'s lock from ``flights``: one producer per key at a time.
+
+    ``guard`` protects the ``flights`` table itself.  The key's lock is
+    retired even when the block raises, or every later caller of that
+    key would wait on a dead flight.  Callers re-check their cache
+    inside the block: whoever held the flight before may have filled it.
+    """
+    with guard:
+        flight = flights.setdefault(key, threading.Lock())
+    with flight:
+        try:
+            yield
+        finally:
+            with guard:
+                flights.pop(key, None)
 
 
 def chunked(items: Sequence[T], num_chunks: int) -> list[Sequence[T]]:

@@ -9,7 +9,7 @@ auditable; :class:`BenchmarkingProcess.execute` drives a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.prescription import PrescriptionRepository, builtin_repository
@@ -129,8 +129,6 @@ class BenchmarkingProcess:
         with tracer.span("data-generation"):
             requirement = prescription.data
             if spec.data_partitions > 1:
-                from dataclasses import replace
-
                 requirement = replace(
                     requirement, num_partitions=spec.data_partitions
                 )
@@ -201,8 +199,9 @@ class BenchmarkingProcess:
         # Step 4: Execution — the plan's tasks on the plan's runner
         # options (repeats on fresh engines, fanned out over the spec's
         # executor backend).  The runner regenerates each test, but the
-        # data set is served from the dataset cache warmed by step 2, so
-        # generation happens once for the whole run.
+        # data set is served from the dataset cache warmed by step 2 (a
+        # process pool's workers start with it), so generation happens
+        # once for the whole run.
         started = time.perf_counter()
         from repro.execution.runner import TestRunner, record_outcomes
 
@@ -237,10 +236,21 @@ class BenchmarkingProcess:
                 failure.as_dict() for failure in failures
             ]
         # This run's delta, not process-lifetime totals: earlier runs
-        # through the same framework must not inflate it.
-        execution_detail["dataset_cache"] = (
-            cache.stats().since(cache_before).as_dict()
-        )
+        # through the same framework must not inflate it.  A process
+        # run looks up in its workers' caches: their deltas count too,
+        # beside the parent's gauge.
+        cache_delta = cache.stats().since(cache_before)
+        workers = [
+            outcome.extra["worker_cache"]
+            for outcome in outcomes
+            if "worker_cache" in outcome.extra
+        ]
+        execution_detail["dataset_cache"] = replace(
+            cache_delta,
+            hits=cache_delta.hits + sum(worker["hits"] for worker in workers),
+            misses=cache_delta.misses
+            + sum(worker["misses"] for worker in workers),
+        ).as_dict()
         report.steps.append(
             StepReport(
                 "execution",

@@ -166,9 +166,9 @@ class TestGenerator:
         The one rule for what :meth:`select_data` generates and caches:
         an override beats the prescription's own volume / partition
         count, and the seed is the named generator's (``generator``
-        saves building one just to read it).  The process backend ships
-        this key's fingerprint, so a worker's own generation is
-        guaranteed to land under it.
+        saves building one just to read it).  The process backend hands
+        new workers the parent's data sets under this key, and a
+        worker's own generation lands under the same one.
         """
         if generator is None:
             generator = self.generators.create(requirement.generator)

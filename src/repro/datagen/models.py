@@ -44,6 +44,7 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from repro._util import single_flight
 from repro.core.prescription import load_seed
 from repro.datagen.base import DataGenerator, DataSet
 from repro.observability import current_tracer, trace_span
@@ -156,10 +157,7 @@ class ModelCache:
     generated, by the same content address (:meth:`dataset_bytes`).
     """
 
-    def __init__(self, max_entries: int = MAX_MODELS) -> None:
-        if max_entries <= 0:
-            raise ValueError(f"max_entries must be positive, got {max_entries}")
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._entries: OrderedDict[tuple, DataGenerator] = OrderedDict()
         #: (generator address, volume, partitions) → ``estimated_bytes()``.
         self._sizes: OrderedDict[tuple, int] = OrderedDict()
@@ -192,13 +190,13 @@ class ModelCache:
             return generator
         cached = self._hit(key)
         if cached is None:
-            with self._flight(key):
+            with single_flight(self._lock, self._flights, key):
                 cached = self._hit(key)
                 if cached is None:
                     self._fit(generator, source)
                     with self._lock:
                         self._entries[key] = copy.copy(generator)
-                        while len(self._entries) > self.max_entries:
+                        while len(self._entries) > MAX_MODELS:
                             self._entries.popitem(last=False)
                     return generator
         return copy.copy(cached)
@@ -245,20 +243,6 @@ class ModelCache:
                         self._sizes.popitem(last=False)
         self._record(SizeUse(sizing, nbytes))
         return nbytes
-
-    @contextmanager
-    def _flight(self, key: tuple) -> Iterator[None]:
-        """Hold the key's lock: one fit per key at a time."""
-        with self._lock:
-            flight = self._flights.setdefault(key, threading.Lock())
-        with flight:
-            try:
-                yield
-            finally:
-                # Retired even when the fit raises, or every later
-                # request for this key would wait on a dead flight.
-                with self._lock:
-                    self._flights.pop(key, None)
 
     def _seed_digest(self, source: str) -> str:
         dataset = load_seed(source)

@@ -27,10 +27,10 @@ submission-order slot and lets the rest of the batch complete.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import pickle
 import time
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any
@@ -40,7 +40,6 @@ from repro.core.metrics import MetricSuite
 from repro.core.prescription import Prescription
 from repro.core.results import RunResult, TaskFailure
 from repro.core.test_generator import PrescribedTest, TestGenerator
-from repro.datagen.handoff import DatasetHandle
 from repro.engines.faults import fault_attempt
 from repro.execution.config import SystemConfiguration, prepare_input
 from repro.execution.parallel import (
@@ -439,9 +438,8 @@ class TestRunner:
         for the serial loop.  ``serial`` and ``thread`` map over this
         runner in-process (sharing its dataset cache); ``process``
         streams lightweight descriptors to a warm worker pool that is
-        kept alive across calls (see :mod:`repro.execution.workers`),
-        shipping data sets as shared-memory/spill-file handles or cache
-        fingerprints instead of pickled rows.
+        kept alive across calls (see :mod:`repro.execution.workers`) and
+        that received this runner's data sets when it was created.
 
         The failure policy is the options': ``on_error`` selects
         abort/continue semantics, ``retries``/``retry_backoff`` give the
@@ -607,7 +605,6 @@ class TestRunner:
                 task=replace(
                     task, prescription=self._shipped_task_prescription(task)
                 ),
-                handle=handle,
                 on_error=on_error,
                 retry_policy=policy,
                 task_index=index,
@@ -615,15 +612,14 @@ class TestRunner:
                 trace=tracer.enabled,
                 pool_batch=pool.batches,
             )
-            for index, (task, handle) in enumerate(
-                zip(tasks, self._dataset_handles(tasks, pool))
-            )
+            for index, task in enumerate(tasks)
         ]
         if tracer.enabled:
             for descriptor in descriptors:
                 descriptor.payload_bytes = len(pickle.dumps(descriptor))
             tracer.count("pool_reuse", pool.batches)
-        return pool.run_batch(descriptors)
+        datasets = {} if pool.started else self._pool_datasets(tasks)
+        return pool.run_batch(descriptors, datasets)
 
     def _resolved_prescription(self, task: RunTask) -> Prescription:
         prescription = task.prescription
@@ -643,68 +639,38 @@ class TestRunner:
         except Exception:  # noqa: BLE001 - worker reports the real error
             return task.prescription
 
-    def _dataset_handles(
-        self, tasks: list[RunTask], pool: WorkerPool
-    ) -> list[DatasetHandle | None]:
-        """One handle per task (deduplicated per dataset key).
+    def _pool_datasets(self, tasks: list[RunTask]) -> dict[tuple, Any]:
+        """The data sets a new pool's workers start with, by cache key.
 
-        Data already resident or spilled in the parent cache ships as
-        bytes — serialized once per pool into shared memory, or
-        referenced as the existing spill file.  A key missing from the
-        cache that two or more tasks share is generated here first, so
-        the batch pays one generation instead of one per worker; a key
-        only one task needs ships as a bare fingerprint and that worker
-        regenerates (and caches) it locally.
+        Every task key this runner's cache holds, read without touching
+        its counters.  A key two or more tasks share is generated here
+        first, so the batch pays one generation instead of one per
+        worker.  A streaming task, or one that does not resolve here,
+        has no key: its worker regenerates, or reports the error.
         """
-        cache = self.test_generator.dataset_cache
-        keys: list[tuple | None] = []
+        requests: dict[tuple, list[tuple]] = {}
         for task in tasks:
-            key = None
-            # Streaming tasks bypass the cache and get no key; so does
-            # anything that fails to resolve here (the worker surfaces
-            # the real error with full context).
             if task.chunk_size is None:
-                try:
-                    key = self.test_generator.dataset_key(
+                with contextlib.suppress(Exception):
+                    request = (
                         self._resolved_prescription(task).data,
                         task.volume_override,
                         task.data_partitions,
                     )
-                except Exception:  # noqa: BLE001 - worker reports it
-                    pass
-            keys.append(key)
-        shared = Counter(key for key in keys if key is not None)
-        handle_by_key: dict[tuple, DatasetHandle] = {}
-        for task, key in zip(tasks, keys):
-            if key is None or key in handle_by_key:
-                continue
-            source = cache.export_source(key)
-            if source is None and shared[key] > 1:
-                try:
-                    # Generate silently: task traces must keep one root
-                    # per task, and each worker's own select-data span
-                    # already accounts for this data set (as a hit).
-                    with NULL_TRACER.activate():
-                        self.test_generator.select_data(
-                            self._resolved_prescription(task).data,
-                            task.volume_override,
-                            task.data_partitions,
-                        )
-                except Exception:  # noqa: BLE001 - worker reports it
-                    pass
-                else:
-                    source = cache.export_source(key)
-            handle = None
-            if source is not None:
-                try:
-                    handle = pool.handle_for(key, source)
-                except Exception:  # noqa: BLE001 - unpicklable records
-                    handle = None
-            handle_by_key[key] = handle or pool.fingerprint_handle_for(key)
-        return [
-            handle_by_key.get(key) if key is not None else None
-            for key in keys
-        ]
+                    key = self.test_generator.dataset_key(*request)
+                    requests.setdefault(key, []).append(request)
+        cache = self.test_generator.dataset_cache
+        datasets = {}
+        for key, same in requests.items():
+            if len(same) > 1 and cache.peek(key) is None:
+                # Silently: task traces keep one root per task, and each
+                # worker's select-data span accounts for it (as a hit).
+                with contextlib.suppress(Exception), NULL_TRACER.activate():
+                    self.test_generator.select_data(*same[0])
+            dataset = cache.peek(key)
+            if dataset is not None:
+                datasets[key] = dataset
+        return datasets
 
 
 def _picklable(value: Any) -> bool:

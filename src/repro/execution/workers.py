@@ -11,19 +11,19 @@ This module keeps the pool — and everything expensive in it — **warm**:
 
 * Each worker runs :func:`_initialize_worker` once, building a serial
   :class:`~repro.execution.runner.TestRunner`, resolving the metric
-  suite, and adopting any dataset handles known at pool creation into
-  its local :class:`~repro.datagen.cache.DatasetCache`.
+  suite, and putting the data sets the parent held when the pool was
+  created into its local :class:`~repro.datagen.cache.DatasetCache`.
+  They travel as the initializer's arguments: a forked worker inherits
+  them in memory, any other start method pickles them once per worker.
 * Tasks then arrive as :class:`TaskDescriptor` objects — the ``RunTask``
-  with a prescription *name* when the worker can resolve it, a dataset
-  *handle* instead of records, and a handful of transport scalars —
-  and run through the same :meth:`TestRunner.run_task` every in-process
-  backend uses.  Payload size is observable: when tracing is on, each
-  task span carries ``payload_bytes``.
-* Data sets ship through :mod:`repro.datagen.handoff`: serialized once
-  per pool into shared memory (or referenced as an existing spill
-  file), re-streamed in place by each worker — or not shipped at all
-  (a ``fingerprint`` handle), in which case the worker regenerates the
-  identical records deterministically and caches them for every later
+  with a prescription *name* when the worker can resolve it, and a
+  handful of transport scalars — and run through the same
+  :meth:`TestRunner.run_task` every in-process backend uses.  Payload
+  size is observable: when tracing is on, each task span carries
+  ``payload_bytes``.
+* A data set the worker was not handed at creation is regenerated
+  there under the key the worker computes itself — generation is
+  deterministic and content-addressed — and cached for every later
   task the pool sends it.
 * The pool itself outlives ``run_many``: :class:`WorkerPool` is cached
   on the runner and reused batch after batch (``pool_batch`` on each
@@ -40,22 +40,17 @@ from __future__ import annotations
 import os
 import time
 import weakref
-from collections.abc import Iterable
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import ExecutionError
-from repro.datagen.cache import DatasetCache
-from repro.datagen.handoff import (
-    DatasetHandle,
-    ExportedDataset,
-    export_dataset,
-    fingerprint_handle,
-)
 from repro.execution.parallel import compute_chunksize
 
 if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
+
+    from repro.datagen.base import DataSet
 
 __all__ = [
     "TaskDescriptor",
@@ -84,8 +79,7 @@ class WorkerInit:
 
     ``options`` holds the scalar :class:`RunnerOptions` kwargs for the
     worker's serial runner (repeats, warmups, format checking, task
-    timeout); retry/on-error policy travels per task instead, so
-    per-call overrides never force a pool rebuild.
+    timeout); the retry and on-error policy travel per task instead.
     """
 
     options: dict[str, Any] = field(default_factory=dict)
@@ -99,7 +93,7 @@ class TaskDescriptor:
     """One task on the warm path: the ``RunTask`` plus transport fields.
 
     Deliberately tiny — the worker already holds the runner and suite,
-    and the records travel (at most once) through shared memory.
+    and the records never travel with a task.
     ``task`` is the :class:`~repro.execution.runner.RunTask`
     itself with its prescription in shipped form (a worker-resolvable
     name when possible), so a new task field crosses the boundary
@@ -108,9 +102,6 @@ class TaskDescriptor:
     """
 
     task: Any
-    #: How the worker obtains the data set (see :mod:`repro.datagen.handoff`);
-    #: None when the task streams (``chunk_size``) or the key is unknowable.
-    handle: DatasetHandle | None
     on_error: str
     #: The :class:`~repro.execution.retry.RetryPolicy`, by value.
     retry_policy: Any
@@ -135,13 +126,13 @@ _CONTEXT: "WorkerContext | None" = None
 
 
 def _initialize_worker(
-    init: WorkerInit, handles: tuple[DatasetHandle, ...] = ()
+    init: WorkerInit, datasets: Mapping[tuple, DataSet]
 ) -> None:
     """Pool initializer: build the worker's context exactly once."""
     global _CONTEXT
     import repro  # noqa: F401 — fills the registries in the worker
 
-    _CONTEXT = WorkerContext(init, handles)
+    _CONTEXT = WorkerContext(init, datasets)
 
 
 def _run_descriptor(descriptor: TaskDescriptor) -> Any:
@@ -154,7 +145,7 @@ class WorkerContext:
     """Per-worker state: a serial runner that persists across tasks."""
 
     def __init__(
-        self, init: WorkerInit, handles: Iterable[DatasetHandle] = ()
+        self, init: WorkerInit, datasets: Mapping[tuple, DataSet]
     ) -> None:
         from repro.execution.runner import RunnerOptions, TestRunner
 
@@ -162,38 +153,16 @@ class WorkerContext:
             options=RunnerOptions(executor="serial", **init.options),
             suite=init.suite,
         )
-        for handle in handles:
-            self.adopt(handle)
-
-    # ------------------------------------------------------------------
-
-    def adopt(self, handle: DatasetHandle | None) -> None:
-        """Make a shipped data set available as a local cache hit.
-
-        Byte-carrying handles are re-streamed (shared memory read in
-        place, spill files from disk) and stored under their cache key;
-        ``fingerprint`` handles adopt nothing — the first task to need
-        the data regenerates it into the cache deterministically.
-        """
+        # Each data set carries its size (``known_bytes``): nothing is
+        # walked, and the first task to ask is a hit.
         cache = self.runner.test_generator.dataset_cache
-        if (
-            handle is None
-            or handle.kind == "fingerprint"
-            or handle.key in cache
-        ):
-            return
-        try:
-            cache.put(handle.key, handle.open().materialize())
-        except Exception:  # noqa: BLE001 - degrade to regeneration
-            # A vanished spill file or unmapped segment is not fatal:
-            # the task falls back to deterministic regeneration.
-            pass
+        for key, dataset in datasets.items():
+            cache.put(key, dataset)
 
     def run(self, descriptor: TaskDescriptor) -> Any:
         """Execute one descriptor on the persistent runner."""
         from repro.execution.runner import TRACE_EXTRA_KEY
 
-        self.adopt(descriptor.handle)
         cache = self.runner.test_generator.dataset_cache
         cache_before = cache.stats()
         outcome = self.runner.run_task(
@@ -253,21 +222,16 @@ def _release_pool_state(state: dict[str, Any]) -> None:
     if pool is not None:
         pool.shutdown(wait=True)
         state["pool"] = None
-    exports = state.get("exports", {})
-    for export in exports.values():
-        export.close()
-    exports.clear()
 
 
 class WorkerPool:
-    """A reusable warm process pool plus its exported data sets.
+    """A reusable warm process pool.
 
     Owned by a :class:`~repro.execution.runner.TestRunner` and kept
     alive across ``run_many`` / sweep calls; the underlying
-    :class:`ProcessPoolExecutor` is created lazily on the first batch so
-    dataset handles exported for that batch ride along in the worker
-    initializer.  Shutdown (explicit or via garbage collection) releases
-    the workers and every shared-memory segment the pool exported.
+    :class:`ProcessPoolExecutor` is created lazily by the first batch,
+    whose data sets ride along in the worker initializer.  Shutdown
+    (explicit or via garbage collection) releases the workers.
     """
 
     def __init__(self, init: WorkerInit, max_workers: int) -> None:
@@ -275,69 +239,54 @@ class WorkerPool:
         self.max_workers = max_workers
         #: ``run_many`` batches served — the pool-reuse counter.
         self.batches = 0
-        self._state: dict[str, Any] = {"pool": None, "exports": {}}
+        self._state: dict[str, Any] = {"pool": None}
         self._finalizer = weakref.finalize(
             self, _release_pool_state, self._state
         )
 
-    # ------------------------------------------------------------------
-
     @property
-    def exports(self) -> dict[str, ExportedDataset]:
-        return self._state["exports"]
+    def started(self) -> bool:
+        """Whether the workers exist (a batch has created them)."""
+        return self._state["pool"] is not None
 
-    def handle_for(self, key: tuple, source: Any) -> DatasetHandle:
-        """The (memoized) handle shipping ``source`` to this pool's workers.
+    def run_batch(
+        self,
+        descriptors: list[TaskDescriptor],
+        datasets: Mapping[tuple, DataSet],
+    ) -> list[Any]:
+        """Run one batch on the warm workers, results in submission order.
 
-        The first request serializes the data set into shared bytes;
-        every later batch reuses the same export, so a data set crosses
-        the boundary at most once per pool lifetime.
+        ``datasets`` (cache key → data set) is put into every worker's
+        cache when this batch creates the pool, and ignored otherwise.
         """
-        fingerprint = DatasetCache.fingerprint(key)
-        export = self.exports.get(fingerprint)
-        if export is None:
-            export = export_dataset(key, fingerprint, source)
-            self.exports[fingerprint] = export
-        return export.handle
-
-    @staticmethod
-    def fingerprint_handle_for(key: tuple) -> DatasetHandle:
-        """A byte-free handle: workers regenerate deterministically."""
-        return fingerprint_handle(key, DatasetCache.fingerprint(key))
-
-    # ------------------------------------------------------------------
-
-    def run_batch(self, descriptors: list[TaskDescriptor]) -> list[Any]:
-        """Run one batch on the warm workers, results in submission order."""
-        pool = self._ensure_pool()
+        pool = self._ensure_pool(datasets)
         self.batches += 1
         chunksize = compute_chunksize(len(descriptors), self.max_workers)
         return list(
             pool.map(_run_descriptor, descriptors, chunksize=chunksize)
         )
 
-    def _ensure_pool(self) -> ProcessPoolExecutor:
+    def _ensure_pool(
+        self, datasets: Mapping[tuple, DataSet]
+    ) -> ProcessPoolExecutor:
         if self._state["pool"] is None:
             from concurrent.futures import ProcessPoolExecutor
 
-            handles = tuple(
-                export.handle for export in self.exports.values()
-            )
             self._state["pool"] = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_initialize_worker,
-                initargs=(self.init, handles),
+                initargs=(self.init, datasets),
             )
         return self._state["pool"]
 
     def shutdown(self) -> None:
-        """Release workers and exported segments (idempotent)."""
+        """Release the workers (idempotent)."""
         self._finalizer()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"WorkerPool(max_workers={self.max_workers}, "
-            f"batches={self.batches}, exports={len(self.exports)})"
+            f"batches={self.batches})"
         )
 
 

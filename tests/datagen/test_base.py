@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
 import pytest
 
 from repro.core.errors import GenerationError, ModelNotFittedError
@@ -128,3 +131,26 @@ class TestGeneratorBase:
         dataset = RandomTextGenerator(seed=3).generate(2)
         assert dataset.metadata["generator"] == "RandomTextGenerator"
         assert dataset.metadata["seed"] == 3
+
+
+class TestParallelGeneration:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_executor_fanout_is_bit_identical(self, backend):
+        """The seam a controller fans out over: partitions are seeded
+        independently, so generating them on any pool and merging in
+        partition order is ``generate_parallel``."""
+        generator = RandomTextGenerator(seed=11)
+        pool = (
+            ThreadPoolExecutor(max_workers=2)
+            if backend == "thread"
+            else ProcessPoolExecutor(
+                max_workers=2, mp_context=multiprocessing.get_context("spawn")
+            )
+        )
+        with pool:
+            partitions = list(
+                pool.map(generator.generate_partition, [60] * 4, range(4), [4] * 4)
+            )
+        serial = RandomTextGenerator(seed=11).generate_parallel(60, 4)
+        assert [r for records in partitions for r in records] == serial.records
+        assert serial.num_records == 60

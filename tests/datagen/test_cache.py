@@ -7,6 +7,7 @@ import threading
 import pytest
 
 from repro.core.test_generator import TestGenerator
+from repro.datagen import cache as cache_module
 from repro.datagen.base import DataSet, DataType
 from repro.datagen.cache import CacheStats, DatasetCache
 from repro.execution.runner import TestRunner
@@ -125,18 +126,15 @@ class TestGetOrGenerate:
             ))
         assert cache.stats() == CacheStats(hits=0, misses=0, entries=0)
 
-    def test_lru_eviction(self):
-        cache = DatasetCache(max_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MAX_DATASETS", 2)
+        cache = DatasetCache()
         keys = [DatasetCache.make_key("g", seed, 10) for seed in range(3)]
         for key in keys:
             cache.get_or_generate(key, _dataset)
         assert len(cache) == 2
         assert keys[0] not in cache  # least recently used was dropped
         assert keys[1] in cache and keys[2] in cache
-
-    def test_invalid_max_entries(self):
-        with pytest.raises(ValueError):
-            DatasetCache(max_entries=0)
 
     def test_clear_resets_counters(self):
         cache = DatasetCache()
@@ -238,93 +236,3 @@ class TestRunnerIntegration:
         assert stats.misses == 1
         assert stats.hits == 1
 
-
-class TestSpillToDisk:
-    """Budgeted caches spill LRU entries to disk and re-stream them."""
-
-    def _cache(self, tmp_path, budget):
-        return DatasetCache(
-            max_entries=32, max_resident_bytes=budget, spill_dir=tmp_path
-        )
-
-    def _put(self, cache, name, records=50):
-        key = DatasetCache.make_key(name, 0, records)
-        cache.get_or_generate(key, lambda: _dataset(name, records))
-        return key
-
-    def test_over_budget_entries_spill(self, tmp_path):
-        one = _dataset("a", 50)
-        cache = self._cache(tmp_path, one.estimated_bytes() + 1)
-        self._put(cache, "a")
-        self._put(cache, "b")
-        stats = cache.stats()
-        assert stats.spills == 1
-        assert stats.spilled_entries == 1
-        assert stats.resident_bytes <= one.estimated_bytes() + 1
-        assert list(tmp_path.glob("spill-*.pkl"))
-
-    def test_spilled_entry_restores_on_hit(self, tmp_path):
-        one = _dataset("a", 50)
-        cache = self._cache(tmp_path, one.estimated_bytes() + 1)
-        key_a = self._put(cache, "a")
-        self._put(cache, "b")
-        restored = cache.get_or_generate(key_a, lambda: _dataset("x", 1))
-        # Served from the spill file, not the factory.
-        assert restored.records == _dataset("a", 50).records
-        assert cache.stats().spill_hits == 1
-
-    def test_get_source_restreams_without_loading(self, tmp_path):
-        from repro.datagen.cache import SpilledDatasetSource
-
-        one = _dataset("a", 50)
-        cache = self._cache(tmp_path, one.estimated_bytes() + 1)
-        key_a = self._put(cache, "a")
-        self._put(cache, "b")
-        source = cache.get_source(key_a)
-        assert isinstance(source, SpilledDatasetSource)
-        assert source.num_records == 50
-        streamed = [record for batch in source.batches(7) for record in batch]
-        assert streamed == _dataset("a", 50).records
-        # Re-streaming does not restore residency.
-        assert cache.stats().spilled_entries == 1
-
-    def test_get_source_returns_resident_dataset(self, tmp_path):
-        cache = self._cache(tmp_path, None)
-        key = self._put(cache, "a")
-        assert isinstance(cache.get_source(key), DataSet)
-
-    def test_unbudgeted_cache_never_spills(self, tmp_path):
-        cache = DatasetCache(spill_dir=tmp_path)
-        self._put(cache, "a")
-        self._put(cache, "b")
-        assert cache.stats().spills == 0
-        assert not list(tmp_path.glob("spill-*.pkl"))
-
-    def test_clear_removes_spill_files(self, tmp_path):
-        one = _dataset("a", 50)
-        cache = self._cache(tmp_path, one.estimated_bytes() + 1)
-        self._put(cache, "a")
-        self._put(cache, "b")
-        assert list(tmp_path.glob("spill-*.pkl"))
-        cache.clear()
-        assert not list(tmp_path.glob("spill-*.pkl"))
-        assert cache.stats().spills == 0
-
-    def test_stats_hide_spill_fields_until_used(self):
-        stats = DatasetCache().stats()
-        assert "spills" not in stats.as_dict()
-
-    def test_budget_without_spill_dir_evicts(self, tmp_path):
-        one = _dataset("a", 50)
-        cache = DatasetCache(max_resident_bytes=one.estimated_bytes() + 1)
-        key_a = self._put(cache, "a")
-        self._put(cache, "b")
-        stats = cache.stats()
-        assert stats.spills == 0
-        assert stats.entries == 1
-        # The evicted entry regenerates on demand.
-        calls = []
-        cache.get_or_generate(
-            key_a, lambda: calls.append(1) or _dataset("a", 50)
-        )
-        assert calls == [1]

@@ -21,6 +21,7 @@ from repro.core.prescription import builtin_repository, load_seed
 from repro.core.registry import Registry
 from repro.core.test_generator import TestGenerator
 from repro.datagen.base import DataGenerator, DataType, as_dataset
+from repro.datagen import models
 from repro.datagen.corpus import load_text_corpus
 from repro.datagen.models import (
     PROCESS_MODELS,
@@ -409,8 +410,11 @@ class TestSharedFittedState:
 
 
 class TestBound:
-    def test_the_least_recently_used_entry_is_evicted(self, fit_count):
-        cache = ModelCache(max_entries=2)
+    def test_the_least_recently_used_entry_is_evicted(
+        self, fit_count, monkeypatch
+    ):
+        monkeypatch.setattr(models, "MAX_MODELS", 2)
+        cache = ModelCache()
         for seed in (0, 1):
             cache.fitted(_lda(seed=seed), "text-corpus")
         cache.fitted(_lda(seed=0), "text-corpus")  # 1 is now the oldest
@@ -420,10 +424,6 @@ class TestBound:
         assert fit_count() == 3
         cache.fitted(_lda(seed=1), "text-corpus")
         assert fit_count() == 4
-
-    def test_the_bound_must_be_positive(self):
-        with pytest.raises(ValueError, match="max_entries"):
-            ModelCache(max_entries=0)
 
     def test_clear_forgets_entries_and_counters(self):
         cache = ModelCache()

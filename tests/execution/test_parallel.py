@@ -13,6 +13,8 @@ import pytest
 from repro.core.errors import ExecutionError
 from repro.core.metrics import Metric, MetricKind, MetricSuite
 from repro.core.prescription import Prescription
+from repro.core.process import BenchmarkingProcess
+from repro.core.spec import BenchmarkSpec
 from repro.execution.config import SystemConfiguration
 from repro.execution.harness import BenchmarkHarness
 from repro.execution.parallel import (
@@ -147,6 +149,22 @@ class TestBackendParity:
             stats = result.extra["dataset_cache"]
             assert stats["misses"] == 1
             assert stats["hits"] == len(ENGINES) - 1
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_execution_step_counts_every_lookup(self, backend):
+        """Step 4 reports the cache lookups of the run, wherever they
+        happened: a process run's happen in its workers' caches."""
+        spec = BenchmarkSpec(
+            prescription=PRESCRIPTION,
+            engines=ENGINES,
+            volume=60,
+            executor=backend,
+            max_workers=2,
+        )
+        report = BenchmarkingProcess().execute(spec)
+        stats = report.step("execution").detail["dataset_cache"]
+        # Step 2 generated the data set: every task is a hit.
+        assert (stats["hits"], stats["misses"]) == (len(ENGINES), 0)
 
     def test_volume_sweep_thread_matches_serial(self):
         volumes = [20, 40, 60]

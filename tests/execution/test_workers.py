@@ -2,16 +2,19 @@
 
 Covers the pool's lifetime contract (reuse across ``run_many`` calls,
 invalidation when the options it was initialized from mutate, shutdown
-on ``close``), the dataset-shipping strategies (shared-bytes export for
-shared keys, fingerprint shipping with worker-side regeneration and
-cache hits), payload-size observability on traced runs, and parity
-with the serial runner (the oracle).
+on ``close``), how workers get their data sets (the parent's, handed
+over when the pool is created; regenerated by each worker otherwise),
+payload-size observability on traced runs, and parity with the serial
+runner (the oracle) under the default and the ``spawn`` start method.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import multiprocessing
 import pickle
+from collections import Counter
 
 import pytest
 
@@ -31,19 +34,23 @@ from repro.execution.workers import (
 from repro.observability import Tracer
 
 #: Two prescriptions that resolve to the *same* dataset-cache key (both
-#: sample the random-text generator at the same seed and volume), so a
-#: batch over them exercises the shared-key export path.
+#: sample the random-text generator at the same seed and volume), so the
+#: parent generates it before the pool is created.
 SHARED_DATA_TASKS = [
     RunTask("micro-wordcount", "mapreduce"),
     RunTask("micro-sort", "mapreduce"),
 ]
 
-#: Two prescriptions with *distinct* dataset keys, neither generated in
-#: the parent — each is a single-consumer key, so both ship as bare
-#: fingerprints and the workers regenerate deterministically.
-DISTINCT_DATA_TASKS = [
-    RunTask("micro-wordcount", "mapreduce"),
-    RunTask("database-aggregate-join", "mapreduce"),
+#: Four tasks over one key that no earlier batch used.
+NEW_KEY_TASKS = [
+    RunTask("database-aggregate-join", engine, 40)
+    for engine in ("dbms", "mapreduce", "nosql", "mapreduce")
+]
+
+#: Metrics whose means every backend must reproduce exactly.
+DETERMINISTIC = [
+    "throughput", "ops_per_second", "data_rate",
+    "network_rate", "energy", "cost",
 ]
 
 
@@ -89,16 +96,12 @@ class TestPoolLifetime:
         runner = _process_runner()
         runner.run_many(SHARED_DATA_TASKS)
         pool = runner._worker_pool
-        assert pool.exports  # the shared key shipped as bytes
+        assert pool.started
         runner.close()
         assert runner._worker_pool is None
-        assert pool.exports == {}
+        assert not pool.started
 
     def test_pool_agrees_with_the_serial_oracle(self):
-        deterministic = [
-            "throughput", "ops_per_second", "data_rate",
-            "network_rate", "energy", "cost",
-        ]
         with _process_runner() as pooled:
             pooled_out = pooled.run_many(SHARED_DATA_TASKS)
         with TestRunner(options=RunnerOptions(executor="serial")) as serial:
@@ -109,7 +112,7 @@ class TestPoolLifetime:
         ]
         for a, b in zip(pooled_out, serial_out):
             assert a.test_name == b.test_name
-            for name in deterministic:
+            for name in DETERMINISTIC:
                 assert a.mean(name) == b.mean(name)
 
     def test_unpicklable_configuration_raises_naming_the_engine(self):
@@ -126,50 +129,61 @@ class TestPoolLifetime:
 
 
 class TestDatasetShipping:
-    def test_shared_key_exports_bytes_once_workers_hit(self):
+    def test_a_key_the_parent_holds_is_a_worker_hit(self):
         with _process_runner() as runner:
+            runner.test_generator.generate("micro-wordcount", "mapreduce")
+            cache = runner.test_generator.dataset_cache
+            before = cache.stats()
             outcomes = runner.run_many(SHARED_DATA_TASKS)
-            pool = runner._worker_pool
-            # One dataset behind both tasks -> one export for the batch.
-            assert len(pool.exports) == 1
-            for outcome in outcomes:
-                cache_delta = outcome.extra["worker_cache"]
-                assert cache_delta["misses"] == 0
-                assert cache_delta["hits"] == 1
+            parent = cache.stats().since(before)
+        assert (parent.hits, parent.misses) == (0, 0)
+        for outcome in outcomes:
+            delta = outcome.extra["worker_cache"]
+            assert (delta["hits"], delta["misses"]) == (1, 0)
 
-    def test_fingerprint_ship_regenerates_then_hits_locally(self):
-        with _process_runner(max_workers=1) as runner:
-            first = runner.run_many(DISTINCT_DATA_TASKS)
-            pool = runner._worker_pool
-            # Single-consumer keys ship as fingerprints: no bytes exported.
-            assert pool.exports == {}
-            for outcome in first:
-                assert outcome.extra["worker_cache"]["misses"] == 1
-            # Same tasks again: the (single) worker's cache now holds
-            # both data sets, so the second batch is all hits.
-            second = runner.run_many(DISTINCT_DATA_TASKS)
-            assert runner._worker_pool is pool
-            for outcome in second:
-                cache_delta = outcome.extra["worker_cache"]
-                assert cache_delta["misses"] == 0
-                assert cache_delta["hits"] == 1
-
-    def test_a_shared_key_that_cannot_ship_is_regenerated(self, monkeypatch):
-        """No shared-memory segment: the handle is a fingerprint and the
-        worker generates the data set itself (once, then hits)."""
-        from multiprocessing import shared_memory
-
-        def refuse(*args, **kwargs):
-            raise OSError("no space left on /dev/shm")
-
-        monkeypatch.setattr(shared_memory, "SharedMemory", refuse)
-        with _process_runner(max_workers=1) as runner:
-            outcomes = runner.run_many(SHARED_DATA_TASKS)
-            (export,) = runner._worker_pool.exports.values()
-            assert export.handle.kind == "fingerprint"
-        deltas = [outcome.extra["worker_cache"] for outcome in outcomes]
-        assert [(d["misses"], d["hits"]) for d in deltas] == [(1, 0), (0, 1)]
+    def test_a_reused_pool_regenerates_once_per_worker(self):
+        with _process_runner() as runner:
+            runner.run_many(SHARED_DATA_TASKS)
+            cache = runner.test_generator.dataset_cache
+            before = cache.stats()
+            outcomes = runner.run_many(NEW_KEY_TASKS)
+            parent = cache.stats().since(before)
+        # Nothing crosses to a running pool: the parent generates nothing
+        # and each worker regenerates the data set once, then hits.
+        assert (parent.hits, parent.misses) == (0, 0)
+        misses = Counter()
+        hits = 0
+        for outcome in outcomes:
+            delta = outcome.extra["worker_cache"]
+            misses[outcome.extra["worker"]["pid"]] += delta["misses"]
+            hits += delta["hits"]
+        assert set(misses.values()) == {1}
+        assert hits == len(NEW_KEY_TASKS) - len(misses)
         assert all(outcome.ok for outcome in outcomes)
+
+    def test_a_spawned_pool_agrees_with_the_serial_oracle(self, monkeypatch):
+        """Under ``spawn`` the initializer's data sets are pickled once
+        per worker instead of inherited: slower, equally correct."""
+        import concurrent.futures
+
+        monkeypatch.setattr(
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            functools.partial(
+                concurrent.futures.ProcessPoolExecutor,
+                mp_context=multiprocessing.get_context("spawn"),
+            ),
+        )
+        with _process_runner() as pooled:
+            pooled_out = pooled.run_many(SHARED_DATA_TASKS)
+        with TestRunner(options=RunnerOptions(executor="serial")) as serial:
+            serial_out = serial.run_many(SHARED_DATA_TASKS)
+        for a, b in zip(pooled_out, serial_out):
+            assert a.test_name == b.test_name
+            for name in DETERMINISTIC:
+                assert a.mean(name) == b.mean(name)
+            delta = a.extra["worker_cache"]
+            assert (delta["hits"], delta["misses"]) == (1, 0)
 
     def test_worker_outcome_reports_pid_and_batch(self):
         with _process_runner() as runner:
@@ -217,9 +231,9 @@ class TestDescriptorShape:
         shipped form), so a task field needs no twin on the descriptor."""
         shipped: list[TaskDescriptor] = []
 
-        def run_batch(pool, descriptors):
+        def run_batch(pool, descriptors, datasets):
             shipped.extend(descriptors)
-            context = WorkerContext(pool.init)
+            context = WorkerContext(pool.init, datasets)
             return [
                 context.run(pickle.loads(pickle.dumps(descriptor)))
                 for descriptor in descriptors
@@ -239,7 +253,7 @@ class TestDescriptorShape:
         assert [outcome.ok for outcome in outcomes] == [True, True]
         assert [descriptor.task for descriptor in shipped] == tasks
         assert {field.name for field in dataclasses.fields(TaskDescriptor)} == {
-            "task", "handle", "on_error", "retry_policy", "task_index",
+            "task", "on_error", "retry_policy", "task_index",
             "submitted_wall", "trace", "pool_batch", "payload_bytes",
         }
         for index, descriptor in enumerate(shipped):
@@ -248,8 +262,6 @@ class TestDescriptorShape:
             assert descriptor.retry_policy == RetryPolicy(max_attempts=3)
             assert descriptor.trace is False
             assert descriptor.payload_bytes is None
-        # A materialized task ships a dataset handle, a streaming one none.
-        assert shipped[0].handle is not None and shipped[1].handle is None
 
 
 class TestRetryPolicyShipping:

@@ -55,7 +55,6 @@ def _callables() -> dict[str, Any]:
     from repro.core.test_generator import TestGenerator
     from repro.datagen.base import DataGenerator
     from repro.datagen.cache import DatasetCache
-    from repro.datagen.handoff import export_dataset
     from repro.engines.mapreduce.runtime import MapReduceEngine
     from repro.execution.runner import RunnerOptions, TestRunner
     from repro.service.orchestrator import Orchestrator
@@ -68,7 +67,6 @@ def _callables() -> dict[str, Any]:
         "DataGenerator.generate_parallel": DataGenerator.generate_parallel,
         "TestGenerator.__init__": TestGenerator.__init__,
         "DatasetCache.__init__": DatasetCache.__init__,
-        "export_dataset": export_dataset,
         "MapReduceEngine.__init__": MapReduceEngine.__init__,
         "Orchestrator.__init__": Orchestrator.__init__,
     }

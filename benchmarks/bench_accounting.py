@@ -14,6 +14,11 @@ measured").  One row holds:
   and the NoSQL store's placement (x131; a store remembers where it put
   a ``str`` key, so on a tree with that memo this is the price of
   placing a key *again*, not of the hash);
+* ``shuffle_ns_per_pair``: the MapReduce shuffle (partition and group,
+  two reduce tasks, the default partitioner) per pair, over four map
+  outputs of 3 000 pairs whose keys are 3 000 ``random-text`` lines
+  (``micro-sort``'s keys) or 20 repeated words (an iterative job's few
+  keys);
 * ``counted_record_ns``: wall time per input record of an identity
   map / identity reduce job, i.e. a job that is nothing but accounting;
 * ``duration_s``: the ``duration`` metric each engine *reports* for the
@@ -94,6 +99,10 @@ SIZED = {
 }
 KEY_LENGTHS = (1, 8, 32, 342)
 IDENTITY_RECORDS = 20000
+#: Pairs per shuffle in ``shuffle_ns_per_pair``, and the distinct words
+#: of its few-keys shape.
+SHUFFLE_PAIRS = 3000
+SHUFFLE_WORDS = 20
 _RELATIONAL = "database-aggregate-join"
 _WINDOW = "realtime-windowed-aggregation"
 #: The ``exec-default`` cells of ``benchmarks/e2e/drivers.py``.
@@ -170,6 +179,38 @@ def _probe_hashes(repeats: int) -> dict[str, float]:
         ):
             seconds = _best(repeats, lambda: [place(key) for key in keys])
             rows[f"{label}.len{length}"] = seconds * 1e9 / len(keys)
+    return rows
+
+
+def _probe_shuffle(repeats: int) -> dict[str, float]:
+    from repro._util import chunked
+    from repro.core import registry
+    from repro.engines.base import CostCounters
+    from repro.engines.mapreduce.counters import CounterGroup
+    from repro.engines.mapreduce.job import MapReduceJob, identity_mapper
+    from repro.engines.mapreduce.runtime import MapReduceEngine
+
+    lines = registry.generators.create("random-text").generate(SHUFFLE_PAIRS)
+    shapes = {
+        "random-text-lines": [(line, 1) for line in lines.records],
+        "repeated-words": [
+            (f"word{index % SHUFFLE_WORDS}", index)
+            for index in range(SHUFFLE_PAIRS)
+        ],
+    }
+    # The default JobConf: two reduce tasks through the default partitioner.
+    job = MapReduceJob("shuffle", identity_mapper)
+    engine = MapReduceEngine()
+    rows = {}
+    for shape, pairs in shapes.items():
+        map_outputs = [list(split) for split in chunked(pairs, 4)]
+        seconds = _best(
+            repeats,
+            lambda: engine._shuffle_phase(
+                job, map_outputs, 0, CounterGroup(), CostCounters()
+            ),
+        )
+        rows[shape] = seconds * 1e9 / len(pairs)
     return rows
 
 
@@ -378,6 +419,7 @@ def probe(repeats: int) -> dict[str, Any]:
     return {
         "sizing_ns_per_record": _probe_sizing(repeats),
         "hash_ns": _probe_hashes(repeats),
+        "shuffle_ns_per_pair": _probe_shuffle(repeats),
         "counted_record_ns": _probe_identity_job(repeats),
         "duration_s": _probe_durations(repeats),
         "meter_share": {
@@ -403,7 +445,9 @@ def record_accounting(
     rows = measure_accounting(src, repeats)
     doors = rows.pop("batch_doors")
     pair_meter = rows.pop("pair_meter")
-    for section in ("sizing_ns_per_record", "hash_ns", "duration_s"):
+    for section in (
+        "sizing_ns_per_record", "hash_ns", "shuffle_ns_per_pair", "duration_s",
+    ):
         print(f"\n{section}")
         for name, value in rows[section].items():
             print(f"  {name:28s} {value:12.4f}")
@@ -460,6 +504,10 @@ def test_accounting_ledger():
         "window-stream.streaming", "cfs-dfs.dfs",
     }
     assert all(value > 0 for value in rows["sizing_ns_per_record"].values())
+    assert set(rows["shuffle_ns_per_pair"]) == {
+        "random-text-lines", "repeated-words",
+    }
+    assert all(value > 0 for value in rows["shuffle_ns_per_pair"].values())
     # Look-ups of precomputed answers cannot cost more than computing them.
     for share in rows["meter_share"].values():
         assert 0.0 < share["share"] < 1.5

@@ -22,6 +22,7 @@ import time
 from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Any
 
 from repro._util import batched, chunked
@@ -36,7 +37,11 @@ from repro.engines.base import (
 )
 from repro.engines.mapreduce.cluster import ClusterModel, ClusterReport
 from repro.engines.mapreduce.counters import CounterGroup
-from repro.engines.mapreduce.job import MapReduceJob, shuffle_partitioner
+from repro.engines.mapreduce.job import (
+    MapReduceJob,
+    default_partitioner,
+    default_routes,
+)
 from repro.observability import current_tracer
 
 Pair = tuple[Any, Any]
@@ -128,6 +133,8 @@ class MapReduceEngine(Engine):
                     # (post-combine) output; the split is the input part.
                     span.set(
                         splits=len(map_outputs),
+                        door=job.combiner is not None
+                        and job.group_split is not None,
                         records_per_split=[
                             weight - len(task_output)
                             for weight, task_output in zip(
@@ -235,13 +242,23 @@ class MapReduceEngine(Engine):
         if job.combiner is not None:
             # Combine once at task end: group the pairs as they are
             # mapped instead of listing them only to regroup the list.
-            grouped: dict[Any, list[Any]] = defaultdict(list)
-            for key, value in split:
-                for out_pair in mapper(key, value):
-                    if not isinstance(out_pair, tuple) or len(out_pair) != 2:
-                        raise _not_a_pair(job, "mapper", out_pair)
-                    out_key, out_value = out_pair
-                    grouped[out_key].append(out_value)
+            if job.group_split is not None:
+                grouped = job.group_split(split)
+                if not isinstance(grouped, dict) or not all(
+                    map(isinstance, grouped.values(), repeat(list))
+                ):
+                    raise EngineError(
+                        f"group_split of job {job.name!r} must return a "
+                        "dict of lists"
+                    )
+            else:
+                grouped = defaultdict(list)
+                for key, value in split:
+                    for out_pair in mapper(key, value):
+                        if not isinstance(out_pair, tuple) or len(out_pair) != 2:
+                            raise _not_a_pair(job, "mapper", out_pair)
+                        out_key, out_value = out_pair
+                        grouped[out_key].append(out_value)
             mapped = sum(map(len, grouped.values()))
             combine_groups = len(grouped)
             task_output = _combine(job, grouped)
@@ -286,14 +303,27 @@ class MapReduceEngine(Engine):
 
         ``shuffle_bytes`` is the size the map tasks measured for exactly
         these pairs, so the shuffle charges it without re-walking them.
+        The default partitioner routes through a table built once per
+        shuffle (:func:`~repro.engines.mapreduce.job.default_routes`); a
+        user partitioner is called once per pair and range-checked.
         """
         num_reducers = job.conf.num_reduce_tasks
-        partitioner = shuffle_partitioner(job.conf)
         partitions: list[dict[Any, list[Any]]] = [
             defaultdict(list) for _ in range(num_reducers)
         ]
-        for task_output in map_outputs:
-            for key, value in task_output:
+        pairs = chain.from_iterable(map_outputs)
+        partitioner = job.conf.partitioner
+        if partitioner is default_partitioner:
+            texts = [str(key) for task_output in map_outputs
+                     for key, _ in task_output]
+            targets = {
+                text: partitions[index]
+                for text, index in default_routes(texts, num_reducers).items()
+            }
+            for (key, value), text in zip(pairs, texts):
+                targets[text][key].append(value)
+        else:
+            for key, value in pairs:
                 index = partitioner(key, num_reducers)
                 if not 0 <= index < num_reducers:
                     raise EngineError(

@@ -9,7 +9,8 @@ range partitioner that makes multi-reducer output globally ordered.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from typing import Any
 
 from repro.core.operations import operations
@@ -150,6 +151,28 @@ class TeraSortWorkload(Workload):
         return _result_from_jobs(self.name, engine, [result], dataset.num_records)
 
 
+#: Lines per ``Counter`` update in :func:`_count_words`: joining a whole
+#: split of 1 250 lines kept all of its words alive at once (4.4 against
+#: 0.5 MB at peak) and was slower (7.0 against 6.1 ms).
+_COUNT_LINES = 64
+
+
+def _count_words(split: Sequence[tuple[Any, str]]) -> dict[str, list[int]]:
+    """Word count's batch door: ``wc_map``'s pairs over ``split``, grouped.
+
+    ``str.split()`` cuts at any run of whitespace, so the words of lines
+    joined by a space are the words of each line in turn, and a
+    ``Counter`` keeps first-emission order.
+    """
+    counts: Counter[str] = Counter()
+    for start in range(0, len(split), _COUNT_LINES):
+        counts.update(
+            " ".join([line for _, line in split[start : start + _COUNT_LINES]])
+            .split()
+        )
+    return {word: [1] * count for word, count in counts.items()}
+
+
 class WordCountWorkload(Workload):
     """Count word occurrences across all documents (with a combiner)."""
 
@@ -184,6 +207,7 @@ class WordCountWorkload(Workload):
                 num_map_tasks=num_map_tasks,
                 num_reduce_tasks=num_reduce_tasks,
             ),
+            group_split=_count_words if use_combiner else None,
         )
         result = engine.run(job, _text_pairs(dataset))
         return _result_from_jobs(self.name, engine, [result], dataset.num_records)

@@ -30,11 +30,7 @@ from repro.datagen.base import _record_size
 from repro.datagen.stream import EventKind, StreamEvent
 from repro.engines import base as engines_base
 from repro.engines.base import estimate_pair_bytes
-from repro.engines.mapreduce.job import (
-    JobConf,
-    default_partitioner,
-    shuffle_partitioner,
-)
+from repro.engines.mapreduce.job import default_partitioner, default_routes
 from repro.engines.nosql.store import NoSqlStore
 
 from _accounting_reference import (
@@ -130,30 +126,22 @@ class TestStableHash:
     def test_any_key_partitions_by_its_string_form(self, key, partitions):
         expected = reference_default_partitioner(key, partitions)
         assert default_partitioner(key, partitions) == expected
-        assert shuffle_partitioner(JobConf())(key, partitions) == expected
+        assert default_routes([str(key)], partitions) == {str(key): expected}
         store = NoSqlStore(num_partitions=partitions)
         assert store._partition_of(key) == (
             reference_partition_of(key, partitions)
         )
 
     @given(st.lists(keys, max_size=30), st.integers(1, 11))
-    def test_one_shuffle_memo_never_confuses_equal_keys(self, seen, partitions):
+    def test_one_route_table_never_confuses_equal_keys(self, seen, partitions):
         # 1 == True == 1.0 as dict keys, but not as strings.
-        partition = shuffle_partitioner(JobConf())
-        for key in [1, True, 1.0, "1", *seen, *seen]:
-            assert partition(key, partitions) == (
+        shuffled = [1, True, 1.0, "1", *seen, *seen]
+        routes = default_routes(map(str, shuffled), partitions)
+        assert len(routes) == len({str(key) for key in shuffled})
+        for key in shuffled:
+            assert routes[str(key)] == (
                 reference_default_partitioner(key, partitions)
             )
-
-    def test_a_user_partitioner_is_returned_as_it_is(self):
-        def by_length(key, partitions):
-            return len(key) % partitions
-
-        assert shuffle_partitioner(JobConf(partitioner=by_length)) is by_length
-
-    def test_the_memo_belongs_to_one_shuffle(self):
-        conf = JobConf()
-        assert shuffle_partitioner(conf) is not shuffle_partitioner(conf)
 
     def test_threads_building_the_power_table_agree(self):
         """More threads than cores race to build and use the table."""

@@ -1,23 +1,31 @@
 """The batch doors against the per-record loops they replaced.
 
-Three seams took one record at a time: the stream generator built one
+Five seams took one record at a time: the stream generator built one
 event per iteration, the streaming engine pushed one event through every
-operator, the NoSQL workloads loaded one row per ``insert``.  Each now
-has a door for a whole run, and what comes out is reported (events,
-window results, latencies, counters, the latency model's draws), so
-every door is held to *equality* with its loop (``_accounting_reference``
-keeps the loops), never to a tolerance.
+operator, the NoSQL workloads loaded one row per ``insert``, word
+count's map task emitted one word at a time, and the MapReduce shuffle
+hashed one key at a time.  Each now has a door for a whole run, and what
+comes out is reported (events, window results, latencies, counters, the
+latency model's draws, job output and partitions), so every door is held
+to *equality* with its loop (``_accounting_reference`` keeps the loops,
+or the engine keeps them as the path a job without a door takes), never
+to a tolerance.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
+from collections import defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
+from repro._util import stable_hashes
+from repro.core.errors import EngineError
 from repro.datagen.base import DataType, as_dataset
 from repro.datagen.stream import (
     EventKind,
@@ -26,6 +34,17 @@ from repro.datagen.stream import (
     StreamGenerator,
     UniformArrivals,
 )
+from repro.engines.base import CostCounters
+from repro.engines.mapreduce import job as job_module
+from repro.engines.mapreduce.counters import CounterGroup
+from repro.engines.mapreduce.job import (
+    JobConf,
+    MapReduceJob,
+    default_partitioner,
+    identity_mapper,
+    identity_reducer,
+)
+from repro.engines.mapreduce.runtime import JobResult, MapReduceEngine
 from repro.engines.nosql import store as store_module
 from repro.engines.nosql.store import ConsistencyLevel, LatencyModel, NoSqlStore
 from repro.engines.streaming.engine import (
@@ -37,6 +56,9 @@ from repro.engines.streaming.engine import (
     Topology,
     TumblingWindowAggregate,
 )
+from repro.observability import Tracer
+from repro.workloads import micro
+from repro.workloads.micro import WordCountWorkload
 
 from _accounting_reference import (
     reference_generate_partition,
@@ -200,6 +222,227 @@ class TestStreamingRun:
             )
             assert (report.results, report.latencies) == (results, latencies)
             assert engine.counters.compute_ops == compute_ops
+
+
+# -- the MapReduce map task and shuffle ----------------------------------------
+
+
+def _word_count_job() -> MapReduceJob:
+    """The job ``WordCountWorkload`` runs, caught on its way to the engine."""
+    caught: list[MapReduceJob] = []
+
+    class Catching(MapReduceEngine):
+        def run(self, job, pairs):
+            caught.append(job)
+            return super().run(job, pairs)
+
+    WordCountWorkload().run_mapreduce(
+        Catching(), as_dataset(["a"], DataType.TEXT)
+    )
+    (job,) = caught
+    return job
+
+
+#: Every kind of whitespace ``str.split()`` cuts at, so lines may be
+#: empty, whitespace only, or words run into each other.
+line_tokens = st.sampled_from(
+    ["a", "b", "ab", "é", "w1", " ", "\t", "\n", "　", "\x1c", "\x85"]
+)
+lines = st.lists(line_tokens, max_size=8).map("".join)
+
+
+def _same_job_run(one: JobResult, other: JobResult) -> None:
+    assert one.output == other.output
+    assert one.counters.snapshot() == other.counters.snapshot()
+    assert one.cost == other.cost
+    assert one.simulated_seconds == other.simulated_seconds
+
+
+def _reported(report) -> list[dict]:
+    """A run's results as recorded, less the one wall-clock metric."""
+    results = [result.as_dict() for result in report.results]
+    for result in results:
+        del result["metrics"]["duration"]
+    return results
+
+
+class TestGroupSplit:
+    @given(st.lists(lines, max_size=40), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_the_door_equals_the_mapper_loop(self, texts, map_tasks):
+        job = _word_count_job()
+        job.conf = JobConf(num_map_tasks=map_tasks)
+        pairs = list(enumerate(texts))
+        grouped: dict = {}
+        for key, value in pairs:
+            for word, one in job.mapper(key, value):
+                grouped.setdefault(word, []).append(one)
+        # Keys in first-emission order, not only equal as dicts.
+        assert list(job.group_split(pairs).items()) == list(grouped.items())
+        _same_job_run(
+            MapReduceEngine().run(job, pairs),
+            MapReduceEngine().run(
+                dataclasses.replace(job, group_split=None), pairs
+            ),
+        )
+
+    def test_a_split_longer_than_one_count(self):
+        texts = [f"w{index % 7} x{index % 50}\tw{index}" for index in range(300)]
+        job = _word_count_job()
+        job.conf = JobConf(num_map_tasks=1)
+        pairs = list(enumerate(texts))
+        _same_job_run(
+            MapReduceEngine().run(job, pairs),
+            MapReduceEngine().run(
+                dataclasses.replace(job, group_split=None), pairs
+            ),
+        )
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"chunk_size": 1024}, {"layout": "columnar"}],
+        ids=["default", "chunked", "columnar"],
+    )
+    def test_a_run_reports_what_the_mapper_loop_reports(
+        self, monkeypatch, options
+    ):
+        with_door = api.run("micro-wordcount", volume=2500, **options)
+        monkeypatch.setattr(micro, "_count_words", None)
+        without = api.run("micro-wordcount", volume=2500, **options)
+        assert _reported(with_door) == _reported(without)
+
+    def test_a_door_needs_a_combiner(self):
+        with pytest.raises(EngineError, match="combiner"):
+            MapReduceJob("wc", identity_mapper, group_split=lambda split: {})
+
+    @pytest.mark.parametrize(
+        "returned", [[("a", [1])], {"a": (1,)}, {"a": [1], "b": 1}],
+        ids=["not-a-dict", "tuple-value", "int-value"],
+    )
+    def test_the_door_must_return_a_dict_of_lists(self, returned):
+        job = MapReduceJob(
+            "wc", identity_mapper, identity_reducer,
+            combiner=identity_reducer, group_split=lambda split: returned,
+        )
+        with pytest.raises(EngineError, match="dict of lists"):
+            MapReduceEngine().run(job, [(0, "a")])
+
+    @pytest.mark.parametrize(
+        "prescription, door", [("micro-wordcount", True), ("micro-sort", False)]
+    )
+    def test_the_map_phase_says_whether_the_door_ran(self, prescription, door):
+        tracer = Tracer()
+        with tracer.activate():
+            api.run(prescription, volume=300, repeats=2)
+        phases = [
+            span for root in tracer.roots() for span in root.walk()
+            if span.name == "map-phase"
+        ]
+        assert len(phases) == 2
+        assert [span.attrs["door"] for span in phases] == [door, door]
+
+
+#: Keys that are equal as dict keys and differ as strings, keys whose
+#: string form is past the power table (512), and short text.
+route_keys = st.one_of(
+    st.sampled_from([1, 1.0, True, "1", None, "None", (1, 2), 0, False, 2.5]),
+    st.text("abé", max_size=3),
+    st.builds(
+        lambda unit, repeats: unit * repeats,
+        st.text("xyz", min_size=1, max_size=3),
+        st.integers(180, 300),
+    ),
+)
+
+
+def _routed_pair_by_pair(map_outputs, num_partitions: int) -> list[list]:
+    """What the shuffle did before the route table, as comparable lists."""
+    partitions = [defaultdict(list) for _ in range(num_partitions)]
+    for task_output in map_outputs:
+        for key, value in task_output:
+            partitions[default_partitioner(key, num_partitions)][key].append(value)
+    return _contents(partitions)
+
+
+def _contents(partitions) -> list[list]:
+    # The key's type too: 1 == 1.0 == True, and the first one seen stays.
+    return [
+        [(type(key), key, values) for key, values in partition.items()]
+        for partition in partitions
+    ]
+
+
+def _shuffled(map_outputs, num_partitions: int, partitioner=default_partitioner):
+    job = MapReduceJob(
+        "route", identity_mapper,
+        conf=JobConf(num_reduce_tasks=num_partitions, partitioner=partitioner),
+    )
+    return MapReduceEngine()._shuffle_phase(
+        job, map_outputs, 0, CounterGroup(), CostCounters()
+    )
+
+
+class TestShuffleRoute:
+    @given(
+        st.lists(
+            st.lists(st.tuples(route_keys, st.integers(0, 9)), max_size=30),
+            max_size=4,
+        ),
+        st.integers(1, 7),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_the_route_equals_the_partitioner_pair_by_pair(
+        self, map_outputs, partitions
+    ):
+        assert _contents(_shuffled(map_outputs, partitions)) == (
+            _routed_pair_by_pair(map_outputs, partitions)
+        )
+
+    @pytest.mark.parametrize("distinct", [3, 15, 16, 128, 129, 300])
+    def test_one_block_and_more(self, distinct):
+        keys = [
+            f"w{index}" * (1 + 200 * (index % 37 == 5)) if index % 3 else index
+            for index in range(distinct)
+        ]
+        map_outputs = [
+            [(keys[(index * 7) % distinct], index) for index in range(500)],
+            [(1.0, 1), (True, 2), ("1", 3), (None, 4), ((1, 2), 5)],
+            [(keys[index % distinct], -index) for index in range(200)],
+        ]
+        for partitions in (2, 5):
+            assert _contents(_shuffled(map_outputs, partitions)) == (
+                _routed_pair_by_pair(map_outputs, partitions)
+            )
+
+    def test_each_distinct_string_form_is_hashed_once(self, monkeypatch):
+        hashed: list[str] = []
+
+        def counting_hashes(texts, multiplier):
+            hashed.extend(texts)
+            return stable_hashes(texts, multiplier)
+
+        monkeypatch.setattr(job_module, "stable_hashes", counting_hashes)
+        words = [f"w{index % 300}" for index in range(3000)]
+        _shuffled([[(word, 1) for word in words], [(1, 0), (True, 0)]], 3)
+        assert hashed == [*dict.fromkeys(words), "1", "True"]
+
+    def test_a_user_partitioner_is_called_once_per_pair(self):
+        calls = []
+
+        def by_length(key, partitions):
+            calls.append(key)
+            return len(key) % partitions
+
+        map_outputs = [[("a", 1), ("bb", 2)], [("a", 3), ("ccc", 4)]]
+        partitions = _shuffled(map_outputs, 2, by_length)
+        assert calls == ["a", "bb", "a", "ccc"]
+        assert _contents(partitions) == [
+            [(str, "bb", [2])], [(str, "a", [1, 3]), (str, "ccc", [4])],
+        ]
+
+    def test_an_index_out_of_range_raises(self):
+        with pytest.raises(EngineError, match="outside"):
+            _shuffled([[("a", 1)]], 2, lambda key, partitions: partitions)
 
 
 # -- the stream generator ------------------------------------------------------

@@ -120,6 +120,33 @@ def test_the_pair_meter_series_is_a_parent_and_a_change_row():
         assert (change_ns < parent_ns) == (shape != "str342.int"), shape
 
 
+def test_the_mapreduce_in_bulk_rows_are_a_parent_and_a_change_row():
+    """The ``accounting.meter_cost`` rows that carry ``shuffle_ns_per_pair``
+    (``bench_accounting.py``): word count's batch door and the shuffle's
+    route table.  Long distinct keys went from one hash per pair to one
+    matrix product per 128 keys, so that shape drops by far more than
+    the host drifts; the two cells the change is for report less time."""
+    (ledger,) = [
+        path for path in LEDGERS if path.name == "BENCH_accounting.json"
+    ]
+    rows = [
+        row["measurements"] for row in json.loads(ledger.read_text())
+        if "shuffle_ns_per_pair" in row["measurements"]
+    ]
+    sides = {row["source"].split()[0].rstrip(":"): row for row in rows}
+    assert len(rows) == 2 and set(sides) == {"parent", "change"}
+    for measurements in rows:
+        assert set(measurements["shuffle_ns_per_pair"]) == {
+            "random-text-lines", "repeated-words",
+        }
+    parent, change = sides["parent"], sides["change"]
+    assert change["shuffle_ns_per_pair"]["random-text-lines"] < (
+        0.5 * parent["shuffle_ns_per_pair"]["random-text-lines"]
+    )
+    for cell in ("wordcount-mr.mapreduce", "sort-mr.mapreduce"):
+        assert change["duration_s"][cell] < parent["duration_s"][cell], cell
+
+
 def test_the_bytecode_cache_rows_are_a_parent_and_a_change_row():
     """The start-up rows that price ``repro_cached`` (``bench_startup.py``).
     On the parent the cache does not exist and the condition compiles

@@ -156,6 +156,29 @@ def _hash_powers(multiplier: int):
     return powers
 
 
+def choice_cdf(p: Sequence[float]) -> list[float]:
+    """The CDF ``Generator.choice(len(p), p=p)`` inverts, as Python floats.
+
+    ``choice`` draws one ``rng.random()`` and returns
+    ``cdf.searchsorted(uniform, side="right")`` with ``cdf = p.cumsum();
+    cdf /= cdf[-1]``, so ``bisect_right(choice_cdf(p), rng.random())`` is
+    the index it returns, from the same position in the stream, without
+    its per-call validation and array overhead (measured on a 5-entry
+    mix: 7.9 us per ``choice``, 0.5 us per ``rng.random()`` and bisect,
+    20 us for this function).  The CDF is built in numpy as ``choice``
+    builds it: summed in Python it can land an ulp away and pick another
+    index at a boundary.  ``p`` is refused once, here, by ``choice``
+    itself (NaN, a negative entry, or a sum off 1 by more than its
+    tolerance: ``ValueError``).
+    """
+    import numpy as np
+
+    np.random.default_rng(0).choice(len(p), p=p)
+    cdf = np.array(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
 def percentile(sorted_samples: Sequence[float], fraction: float) -> float:
     """Linear-interpolation percentile of an already-sorted sample list.
 

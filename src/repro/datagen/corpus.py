@@ -26,6 +26,7 @@ from bisect import bisect_right
 
 import numpy as np
 
+from repro._util import choice_cdf
 from repro.datagen.base import DataSet, DataType
 
 # ---------------------------------------------------------------------------
@@ -82,16 +83,13 @@ def load_text_corpus(num_documents: int = 240, words_per_document: int = 80) -> 
     """
     rng = np.random.default_rng(_CORPUS_SEED)
     topics = list(TOPIC_VOCABULARIES)
-    # One topic-mixture CDF per dominant topic, built the way
-    # ``rng.choice(p=mixture)`` builds it, so ``bisect_right`` on one
-    # ``rng.random()`` picks the topic that call picked.
+    # One topic-mixture CDF per dominant topic: ``bisect_right`` on one
+    # ``rng.random()`` picks the topic ``choice`` with ``p=mixture`` picked.
     mixture_cdfs: list[list[float]] = []
     for dominant in range(len(topics)):
         mixture = np.full(len(topics), 0.1 / (len(topics) - 1))
         mixture[dominant] = 0.9
-        cdf = mixture.cumsum()
-        cdf /= cdf[-1]
-        mixture_cdfs.append(cdf.tolist())
+        mixture_cdfs.append(choice_cdf(mixture))
     documents: list[str] = []
     for doc_index in range(num_documents):
         mixture_cdf = mixture_cdfs[doc_index % len(topics)]

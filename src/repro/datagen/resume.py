@@ -15,10 +15,12 @@ generated resume combines:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any
 
 import numpy as np
 
+from repro._util import choice_cdf
 from repro.core.errors import GenerationError
 from repro.datagen.base import DataGenerator, DataType
 from repro.datagen.corpus import FIRST_NAMES
@@ -43,6 +45,8 @@ SKILL_CLUSTERS: dict[str, tuple[str, ...]] = {
 }
 
 EDUCATION_LEVELS: tuple[str, ...] = ("bsc", "msc", "phd")
+#: How often each education level is drawn.
+EDUCATION_WEIGHTS: tuple[float, ...] = (0.5, 0.35, 0.15)
 
 
 class ResumeGenerator(DataGenerator):
@@ -103,6 +107,7 @@ class ResumeGenerator(DataGenerator):
         if count == 0:
             return
         rng = self.rng_for_partition(partition, num_partitions)
+        education_cdf = choice_cdf(EDUCATION_WEIGHTS)
         start = sum(
             self.partition_volume(volume, p, num_partitions)
             for p in range(partition)
@@ -128,7 +133,7 @@ class ResumeGenerator(DataGenerator):
                 "name": f"{FIRST_NAMES[person_id % len(FIRST_NAMES)]}"
                         f"_{person_id}",
                 "education": EDUCATION_LEVELS[
-                    int(rng.choice(3, p=[0.5, 0.35, 0.15]))
+                    bisect_right(education_cdf, rng.random())
                 ],
                 "experience_years": int(rng.integers(0, 25)),
                 "skills": skills,

@@ -132,7 +132,9 @@ def _choose(weights: list[float], uniform: float) -> int:
     ``choice`` builds ``cdf = p.cumsum(); cdf /= cdf[-1]`` and returns
     ``cdf.searchsorted(uniform, side="right")``, i.e. how many entries
     are ``<= uniform``; this is the same arithmetic on Python floats.
-    Like ``choice`` it refuses weights that do not normalise.
+    Like ``choice`` it refuses weights that do not normalise.  Fixed
+    weights build their CDF once with :func:`repro._util.choice_cdf`;
+    these change with every call, so the CDF is built here, per draw.
     """
     total = _ndarray_sum(weights)
     if not total > 0.0:  # zero, negative or NaN

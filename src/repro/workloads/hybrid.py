@@ -17,12 +17,14 @@ This module implements both halves:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
+from repro._util import choice_cdf
 from repro.core.errors import ExecutionError
 from repro.core.operations import operations
 from repro.core.patterns import MultiOperationPattern
@@ -136,7 +138,7 @@ class HybridWorkload(Workload):
         )
         mix = pattern.mix_probabilities()
         names = sorted(mix)
-        probabilities = np.array([mix[name] for name in names])
+        cdf = choice_cdf([mix[name] for name in names])
         rng = np.random.default_rng(seed)
         if replay_sequence and not pattern.sequence:
             raise ExecutionError(
@@ -163,7 +165,7 @@ class HybridWorkload(Workload):
                 serving_step += 1
                 per_class.setdefault(name, [])
             else:
-                name = names[int(rng.choice(len(names), p=probabilities))]
+                name = names[bisect_right(cdf, rng.random())]
             if name == "read":
                 latency = engine.read(keys[int(rng.integers(len(keys)))]).latency_seconds
             elif name == "update":

@@ -11,10 +11,12 @@ latencies) and against :class:`~repro.engines.dbms.engine.DbmsEngine`
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from typing import Any
 
 import numpy as np
 
+from repro._util import choice_cdf
 from repro.core.errors import ExecutionError
 from repro.core.operations import operations
 from repro.core.patterns import MultiOperationPattern
@@ -60,11 +62,11 @@ class _MixSampler:
         mix = spec.operation_mix()
         self._op_types = [op for op, _ in mix]
         weights = np.array([weight for _, weight in mix])
-        self._probabilities = weights / weights.sum()
+        self._cdf = choice_cdf(weights / weights.sum())
 
     def next_op(self) -> OpType:
-        index = int(self.rng.choice(len(self._op_types), p=self._probabilities))
-        return self._op_types[index]
+        # What ``choice`` over the mix returned: its one uniform, inverted.
+        return self._op_types[bisect_right(self._cdf, self.rng.random())]
 
     def next_key_index(self) -> int:
         if self.spec.request_distribution is RequestDistribution.UNIFORM:
@@ -176,18 +178,23 @@ class YcsbWorkload(Workload):
         latencies: list[float] = []
         inserted = 0
         for _ in range(operation_count):
+            # Draw before the clock starts, in the order the store's run
+            # draws (op, key, scan length): a latency times the query or
+            # update, not the workload's own sampling.
             op_type = sampler.next_op()
+            if op_type is not OpType.INSERT:
+                key = keys[sampler.next_key_index()]
+            if op_type is OpType.SCAN:
+                scan_length = sampler.scan_length()
             started = time.perf_counter()
             if op_type is OpType.READ:
                 engine.execute(
-                    engine.query("usertable").where(
-                        col("key") == lit(keys[sampler.next_key_index()])
-                    )
+                    engine.query("usertable").where(col("key") == lit(key))
                 )
             elif op_type is OpType.UPDATE:
                 engine.update(
                     "usertable",
-                    col("key") == lit(keys[sampler.next_key_index()]),
+                    col("key") == lit(key),
                     {field_names[0]: "updated" * 14},
                 )
             elif op_type is OpType.INSERT:
@@ -197,15 +204,13 @@ class YcsbWorkload(Workload):
                 inserted += 1
                 engine.insert("usertable", [row])
             elif op_type is OpType.SCAN:
-                start_key = keys[sampler.next_key_index()]
                 engine.execute(
                     engine.query("usertable")
-                    .where(col("key") >= lit(start_key))
+                    .where(col("key") >= lit(key))
                     .order_by("key")
-                    .limit(sampler.scan_length())
+                    .limit(scan_length)
                 )
             else:  # READ_MODIFY_WRITE
-                key = keys[sampler.next_key_index()]
                 engine.execute(
                     engine.query("usertable").where(col("key") == lit(key))
                 )

@@ -9,6 +9,8 @@ iterative MapReduce job chains.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import itemgetter, pow as power, sub
 from typing import Any
 
 from repro.core.errors import ExecutionError
@@ -31,8 +33,29 @@ from repro.workloads.base import (
 Point = tuple[float, ...]
 
 
+#: The exponent of every squared difference.  An unbounded ``repeat``
+#: keeps no state, so the mapper's threads can share it.
+_SQUARE = repeat(2)
+
+
 def _distance_squared(a: Point, b: Point) -> float:
-    return sum((x - y) ** 2 for x, y in zip(a, b))
+    """``sum((x - y) ** 2 for x, y in zip(a, b))`` in fewer interpreter steps.
+
+    The same ``** 2`` (``operator.pow`` makes the ``float_pow`` call the
+    operator makes) and the same left-to-right ``sum`` from ``int`` 0, so
+    every seeded centroid is bit for bit what the generator expression
+    gave.  ``x * x``, ``math.dist``, ``math.fsum`` or numpy would not be:
+    a multiply need not round like ``pow``, and neither of the last two
+    adds left to right (DESIGN.md §3.4).
+    """
+    return sum(map(power, map(sub, a, b), _SQUARE))
+
+
+def _nearest(point: Point, centroids: list[Point]) -> int:
+    """The index of the first centroid nearest ``point``, as
+    ``min(range(len(centroids)), key=…)`` picks it, ties and NaN included."""
+    distances = [_distance_squared(point, centroid) for centroid in centroids]
+    return distances.index(min(distances))
 
 
 class KMeansWorkload(Workload):
@@ -78,16 +101,12 @@ class KMeansWorkload(Workload):
             frozen = list(centroids)
 
             def assign_map(point_id: int, point: Point):
-                best = min(
-                    range(len(frozen)),
-                    key=lambda index: _distance_squared(point, frozen[index]),
-                )
-                yield best, point
+                yield _nearest(point, frozen), point
 
             def centroid_reduce(cluster: int, members: list[Point]):
                 dimensions = len(members[0])
                 mean = tuple(
-                    sum(point[d] for point in members) / len(members)
+                    sum(map(itemgetter(d), members)) / len(members)
                     for d in range(dimensions)
                 )
                 yield cluster, mean
@@ -112,13 +131,7 @@ class KMeansWorkload(Workload):
             wall += result.wall_seconds
             iterations += 1
 
-        assignments = [
-            min(
-                range(num_clusters),
-                key=lambda index: _distance_squared(point, centroids[index]),
-            )
-            for point in points
-        ]
+        assignments = [_nearest(point, centroids) for point in points]
         return WorkloadResult(
             workload=self.name,
             engine=engine.name,

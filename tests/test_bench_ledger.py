@@ -125,14 +125,15 @@ def test_the_mapreduce_in_bulk_rows_are_a_parent_and_a_change_row():
     (``bench_accounting.py``): word count's batch door and the shuffle's
     route table.  Long distinct keys went from one hash per pair to one
     matrix product per 128 keys, so that shape drops by far more than
-    the host drifts; the two cells the change is for report less time."""
+    the host drifts; the two cells the change is for report less time.
+    Those are the first two rows that carry the probe."""
     (ledger,) = [
         path for path in LEDGERS if path.name == "BENCH_accounting.json"
     ]
     rows = [
         row["measurements"] for row in json.loads(ledger.read_text())
         if "shuffle_ns_per_pair" in row["measurements"]
-    ]
+    ][:2]
     sides = {row["source"].split()[0].rstrip(":"): row for row in rows}
     assert len(rows) == 2 and set(sides) == {"parent", "change"}
     for measurements in rows:
@@ -145,6 +146,45 @@ def test_the_mapreduce_in_bulk_rows_are_a_parent_and_a_change_row():
     )
     for cell in ("wordcount-mr.mapreduce", "sort-mr.mapreduce"):
         assert change["duration_s"][cell] < parent["duration_s"][cell], cell
+
+
+def test_the_workload_kernel_rows_are_a_parent_and_a_change_row():
+    """The ``bench_accounting.py`` rows of the workload kernels (the YCSB
+    mix's one uniform per operation, k-means' one-pass nearest centroid).
+    The two cells whose own Python was rewritten report less time; the
+    pair meter does the same work in a k-means job with less user code
+    around it, so its share of ``kmeans-mr`` rises.  The shares are
+    ratios of two timings taken in one run, so they hold on a host that
+    drifts."""
+    (ledger,) = [
+        path for path in LEDGERS if path.name == "BENCH_accounting.json"
+    ]
+    rows: dict[tuple[str, str], dict] = {}
+    for row in json.loads(ledger.read_text()):
+        measurements = row["measurements"]
+        if "workload kernels" in measurements["source"]:
+            side = measurements["source"].split()[0].rstrip(":")
+            rows[side, row["fingerprint"]["benchmark"]] = measurements
+    assert set(rows) == {
+        (side, benchmark)
+        for side in ("parent", "change")
+        for benchmark in (
+            "accounting.meter_cost", "accounting.batch_doors",
+            "accounting.pair_meter",
+        )
+    }
+    parent, change = (
+        rows[side, "accounting.meter_cost"]["duration_s"]
+        for side in ("parent", "change")
+    )
+    for cell in ("kmeans-mr.mapreduce", "ycsb-2eng.nosql"):
+        assert change[cell] < parent[cell], cell
+    parent, change = (
+        rows[side, "accounting.pair_meter"]["share"]["kmeans-mr"]
+        for side in ("parent", "change")
+    )
+    assert parent["calls"] == change["calls"] > 0
+    assert change["share"] > parent["share"]
 
 
 def test_the_bytecode_cache_rows_are_a_parent_and_a_change_row():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 
 from repro.core.errors import ExecutionError
@@ -9,7 +12,13 @@ from repro.datagen.kv import KeyValueGenerator
 from repro.datagen.stream import PoissonArrivals, StreamGenerator
 from repro.datagen.weblog import WebLogGenerator
 from repro.engines.dbms import DbmsEngine
-from repro.engines.nosql import NoSqlStore
+from repro.engines.nosql import (
+    STANDARD_WORKLOADS,
+    NoSqlStore,
+    OpType,
+    RequestDistribution,
+    YcsbWorkloadSpec,
+)
 from repro.engines.streaming import StreamingEngine
 from repro.workloads import (
     ArrivalPattern,
@@ -19,6 +28,7 @@ from repro.workloads import (
     YcsbWorkload,
     profile_arrival_pattern,
 )
+from repro.workloads import oltp
 
 
 @pytest.fixture()
@@ -68,6 +78,109 @@ class TestYcsbWorkload:
 
     def test_supports_both_engines(self):
         assert YcsbWorkload().supported_engines() == ("dbms", "nosql")
+
+
+#: A mix with a zero-weight operation between two drawn ones, uniform keys.
+_GAPPED = YcsbWorkloadSpec(
+    "gapped", read_proportion=0.3, update_proportion=0.0,
+    insert_proportion=0.2, scan_proportion=0.25,
+    read_modify_write_proportion=0.25,
+    request_distribution=RequestDistribution.UNIFORM, max_scan_length=7,
+)
+
+
+class TestMixSampler:
+    """``next_op`` draws what ``rng.choice`` over the mix drew, from the
+    same place in the stream, so every later key and scan length is the
+    same too."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [STANDARD_WORKLOADS[name]() for name in "ABCDEF"] + [_GAPPED],
+        ids=lambda spec: spec.name,
+    )
+    def test_equals_a_choice_oracle(self, spec):
+        sampler = oltp._MixSampler(spec, 1000, seed=21)
+        oracle = oltp._MixSampler(spec, 1000, seed=21)
+        mix = spec.operation_mix()
+        weights = np.array([weight for _, weight in mix])
+        probabilities = weights / weights.sum()
+        drawn = set()
+        for _ in range(10_000):
+            op_type = sampler.next_op()
+            index = int(oracle.rng.choice(len(mix), p=probabilities))
+            assert op_type is mix[index][0]
+            assert sampler.next_key_index() == oracle.next_key_index()
+            if op_type is OpType.SCAN:
+                assert sampler.scan_length() == oracle.scan_length()
+            drawn.add(op_type)
+        assert drawn == {op for op, weight in mix if weight > 0}
+        assert sampler.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+
+class TestYcsbDbmsLatency:
+    """A DBMS operation's latency times the query or update only: the
+    workload draws op, key and scan length before the clock starts, in
+    the order the store's run draws them."""
+
+    @staticmethod
+    def _recording(draws, events):
+        class Recording(oltp._MixSampler):
+            def next_op(self):
+                op_type = super().next_op()
+                draws.append([op_type])
+                events.append("draw")
+                return op_type
+
+            def next_key_index(self):
+                index = super().next_key_index()
+                draws[-1].append(index)
+                events.append("draw")
+                return index
+
+            def scan_length(self):
+                length = super().scan_length()
+                draws[-1].append(length)
+                events.append("draw")
+                return length
+
+        return Recording
+
+    @pytest.mark.parametrize("mix", ["A", "D", "E", "F", "gapped"])
+    def test_draws_precede_the_clock_in_the_stores_order(
+        self, kv_data, monkeypatch, mix
+    ):
+        workload_mix = _GAPPED if mix == "gapped" else mix
+        sequences = {}
+        for engine in (DbmsEngine(), NoSqlStore(seed=2)):
+            draws, events = [], []
+            monkeypatch.setattr(
+                oltp, "_MixSampler", self._recording(draws, events)
+            )
+            monkeypatch.setattr(oltp, "time", SimpleNamespace(
+                perf_counter=lambda: events.append("clock") or 0.0
+            ))
+            YcsbWorkload().run(
+                engine, kv_data, workload_mix=workload_mix,
+                operation_count=300, seed=8,
+            )
+            sequences[engine.name] = [tuple(draw) for draw in draws]
+            if engine.name == "dbms":
+                clocks = [at for at, event in enumerate(events) if event == "clock"]
+                assert len(clocks) == 2 * 300
+                # Every start is followed by its stop: nothing drawn between.
+                assert clocks[1::2] == [at + 1 for at in clocks[0::2]]
+        assert sequences["dbms"] == sequences["nosql"]
+        replay = oltp._MixSampler(oltp._spec_for(workload_mix), len(kv_data.records), 8)
+        expected = []
+        for _ in range(300):
+            draw = [replay.next_op()]
+            if draw[0] is not OpType.INSERT:
+                draw.append(replay.next_key_index())
+            if draw[0] is OpType.SCAN:
+                draw.append(replay.scan_length())
+            expected.append(tuple(draw))
+        assert sequences["dbms"] == expected
 
 
 class TestWindowedAggregation:

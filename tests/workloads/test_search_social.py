@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datagen.base import DataType, as_dataset
 from repro.datagen.graph import RmatGraphGenerator
 from repro.datagen.mixture import GaussianMixtureGenerator
 from repro.datagen.text import tokenize
 from repro.engines.mapreduce import MapReduceEngine
+from repro.workloads import social
 from repro.workloads import (
     ConnectedComponentsWorkload,
     InvertedIndexWorkload,
@@ -135,6 +138,162 @@ class TestKMeans:
         data = GaussianMixtureGenerator(seed=5).generate(2)
         with pytest.raises(ExecutionError):
             KMeansWorkload().run(MapReduceEngine(), data, num_clusters=5)
+
+
+def _old_distance_squared(a, b):
+    return sum((x - y) ** 2 for x, y in zip(a, b))
+
+
+def _old_nearest(point, centroids):
+    return min(
+        range(len(centroids)),
+        key=lambda index: _old_distance_squared(point, centroids[index]),
+    )
+
+
+def _old_kmeans(engine, dataset, num_clusters=4, tolerance=1e-3, max_iterations=20):
+    """``KMeansWorkload.run_mapreduce`` before its kernels were rewritten:
+    ``(output, extra, cost)``."""
+    import math
+
+    from repro.engines.base import CostCounters
+    from repro.engines.mapreduce import JobConf, MapReduceJob
+
+    points = KMeansWorkload._extract_points(dataset)
+    stride = len(points) // num_clusters
+    centroids = [points[i * stride] for i in range(num_clusters)]
+    total_cost = CostCounters()
+    iterations = 0
+    movement = float("inf")
+    while iterations < max_iterations and movement > tolerance:
+        frozen = list(centroids)
+
+        def assign_map(point_id, point):
+            best = min(
+                range(len(frozen)),
+                key=lambda index: _old_distance_squared(point, frozen[index]),
+            )
+            yield best, point
+
+        def centroid_reduce(cluster, members):
+            dimensions = len(members[0])
+            mean = tuple(
+                sum(point[d] for point in members) / len(members)
+                for d in range(dimensions)
+            )
+            yield cluster, mean
+
+        job = MapReduceJob(
+            f"kmeans-iter-{iterations}", assign_map, centroid_reduce,
+            conf=JobConf(sort_keys=False),
+        )
+        result = engine.run(job, list(enumerate(points)))
+        updated = dict(result.output)
+        movement = 0.0
+        for index in range(num_clusters):
+            if index in updated:
+                movement += math.sqrt(
+                    _old_distance_squared(centroids[index], updated[index])
+                )
+                centroids[index] = updated[index]
+        total_cost.merge(result.cost)
+        iterations += 1
+    assignments = [_old_nearest(point, centroids) for point in points]
+    return (
+        {"centroids": centroids, "assignments": assignments},
+        {"iterations": iterations, "movement": movement},
+        total_cost,
+    )
+
+
+def _outcome(function, *args):
+    """``repr`` of what ``function`` returns (NaN equals NaN, ``-0.0`` is
+    not ``0.0``, ``1`` is not ``1.0``), or the type of what it raises."""
+    try:
+        return repr(function(*args))
+    except Exception as error:  # the old code's overflow is an outcome too
+        return type(error).__name__
+
+
+_coordinates = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e6, 1e6),
+    st.integers(-10**6, 10**6),
+    st.sampled_from([0.0, -0.0, 1, 2.5]),
+)
+
+
+class TestKMeansKernels:
+    """The k-means kernels equal the code they replaced, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_distance_and_nearest_equal_the_old_expressions(self, data):
+        dimensions = data.draw(st.integers(1, 8))
+        vector = st.tuples(*[_coordinates] * dimensions)
+        point = data.draw(vector)
+        centroids = data.draw(st.lists(vector, min_size=1, max_size=6))
+        # Ties: repeat some centroids, and sometimes the point itself.
+        centroids += data.draw(
+            st.lists(st.sampled_from(centroids + [point]), max_size=3)
+        )
+        for centroid in centroids:
+            assert _outcome(social._distance_squared, point, centroid) == (
+                _outcome(_old_distance_squared, point, centroid)
+            )
+        assert _outcome(social._nearest, point, centroids) == (
+            _outcome(_old_nearest, point, centroids)
+        )
+
+    def test_ties_and_nan_pick_what_min_picked(self):
+        nan = float("nan")
+        cases = [
+            ((0.0,), [(1.0,), (-1.0,), (1.0,)]),  # a tie: the first
+            ((0.0,), [(nan,), (1.0,)]),  # NaN first: min keeps it
+            ((0.0,), [(2.0,), (nan,), (1.0,)]),  # NaN later: skipped
+            ((1, 2), [(1, 2), (1.0, 2.0)]),  # int 0 and float 0.0 tie
+        ]
+        for point, centroids in cases:
+            assert social._nearest(point, centroids) == (
+                _old_nearest(point, centroids)
+            )
+
+    @pytest.mark.parametrize("num_clusters", [2, 4, 7])
+    def test_a_serial_run_equals_the_old_functions(self, num_clusters):
+        data = GaussianMixtureGenerator(seed=num_clusters).generate(600)
+        result = KMeansWorkload().run(
+            MapReduceEngine(), data, num_clusters=num_clusters
+        )
+        output, extra, cost = _old_kmeans(
+            MapReduceEngine(), data, num_clusters=num_clusters
+        )
+        assert repr(result.output) == repr(output)
+        assert repr(result.extra) == repr(extra)
+        assert result.cost == cost
+
+    def test_runs_on_threads_equal_the_old_functions(self):
+        """``kmeans-mr-thread`` runs the mapper on two threads at once;
+        the module's one ``repeat(2)`` is shared between them.  More
+        threads than cores, switching as often as the interpreter allows."""
+        import sys
+
+        from repro.execution.parallel import ThreadExecutor
+
+        data = GaussianMixtureGenerator(seed=11).generate(300)
+        expected = _old_kmeans(MapReduceEngine(), data)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadExecutor(max_workers=6) as executor:
+                results = executor.map(
+                    lambda _: KMeansWorkload().run(MapReduceEngine(), data),
+                    range(6),
+                )
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert repr((result.output, result.extra)) == repr(expected[:2])
+            assert result.cost == expected[2]
 
 
 class TestConnectedComponents:

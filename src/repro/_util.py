@@ -2,14 +2,100 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import gc
 import math
+import os
 import threading
-from collections.abc import Hashable, Iterable, Iterator, Sequence
+import types
+from collections import deque
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from typing import TypeVar
+from itertools import repeat
+from typing import Any, TypeVar
 
 T = TypeVar("T")
+
+#: Makes "is the collector on? then turn it off" one step for
+#: :func:`collector_paused`, so one call at a time owns the pause.
+_COLLECTOR_LOCK = threading.Lock()
+
+
+def _renew_collector_lock() -> None:
+    # A child forked while another thread held the lock would wait on it
+    # forever: a process worker starts with a free one.
+    global _COLLECTOR_LOCK
+    _COLLECTOR_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_renew_collector_lock)
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Hold CPython's cyclic garbage collector off for the block.
+
+    A run allocates its records by the ten thousand and frees them by
+    reference count; the collector would walk them again and again
+    while they are live, and find no cycle to break.
+    The call that finds the collector enabled disables it and is the
+    one that re-enables it on the way out, raise or return.  A call
+    nested in it, or overlapping it from another thread, finds the
+    collector off and leaves it alone, and so does a call whose caller
+    disabled it first.  Cyclic garbage made meanwhile waits for the
+    first collection after the pause; nothing collects on exit.
+    """
+    with _COLLECTOR_LOCK:
+        owner = gc.isenabled()
+        if owner:
+            gc.disable()
+    try:
+        yield
+    finally:
+        if owner:
+            with _COLLECTOR_LOCK:
+                gc.enable()
+
+
+@functools.lru_cache(maxsize=None)
+def _field_setters(cls: type) -> tuple[Callable[[Any, Any], None], ...]:
+    """The slot setters of a slotted dataclass, in field order."""
+    if not dataclasses.is_dataclass(cls) or hasattr(cls, "__post_init__"):
+        raise TypeError(f"{cls.__qualname__} is not a plain dataclass")
+    setters = []
+    for field in dataclasses.fields(cls):
+        slot = vars(cls).get(field.name)
+        if not isinstance(slot, types.MemberDescriptorType):
+            raise TypeError(f"{cls.__qualname__} is not slotted")
+        setters.append(slot.__set__)
+    return tuple(setters)
+
+
+def build_by_column(cls: type[T], *columns: Sequence[Any]) -> list[T]:
+    """``list(map(cls, *columns))`` for a slotted dataclass, a field at a time.
+
+    One bare instance per row from ``object.__new__``, then each field
+    written over the whole list through its slot's member descriptor,
+    which is the write a frozen dataclass's ``__init__`` makes with
+    ``object.__setattr__`` minus the call per instance.  The instances
+    equal the constructor's in ``repr``, ``==``, ``hash`` and pickling.
+    There is one column per field, all of one length, and no
+    ``__post_init__`` to skip.
+    """
+    setters = _field_setters(cls)
+    if len(columns) != len(setters):
+        raise TypeError(
+            f"{cls.__qualname__} has {len(setters)} fields, got "
+            f"{len(columns)} columns"
+        )
+    count = len(columns[0])
+    if any(len(column) != count for column in columns):
+        raise ValueError("columns differ in length")
+    records = list(map(object.__new__, repeat(cls, count)))
+    for setter, column in zip(setters, columns):
+        deque(map(setter, records, column), maxlen=0)
+    return records
 
 
 @contextmanager

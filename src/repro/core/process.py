@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any
 
+from repro._util import collector_paused
 from repro.core.prescription import PrescriptionRepository, builtin_repository
 from repro.core.results import (
     ResultAnalyzer,
@@ -92,9 +93,12 @@ class BenchmarkingProcess:
         thread), the whole run records under a ``benchmark-run`` root
         span with one child span per Figure-1 step; the executor
         backends and engines nest their own spans beneath those.
+
+        The cyclic garbage collector is paused for the run
+        (:func:`repro._util.collector_paused`, DESIGN §3.21).
         """
         tracer = tracer if tracer is not None else current_tracer()
-        with tracer.activate():
+        with collector_paused(), tracer.activate():
             with tracer.span("benchmark-run", prescription=spec.prescription):
                 return self._execute_steps(spec, tracer)
 

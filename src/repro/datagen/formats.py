@@ -24,7 +24,7 @@ import enum
 import itertools
 import json
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any
 
 from repro.core.errors import FormatConversionError
@@ -286,6 +286,12 @@ def _jsonable(value: Any) -> Any:
         return [_jsonable(item) for item in value]
     if isinstance(value, enum.Enum):
         return _jsonable(value.value)
+    if is_dataclass(value) and not isinstance(value, type):
+        # Through the fields: a slotted record has no ``__dict__``.
+        return {
+            item.name: _jsonable(getattr(value, item.name))
+            for item in fields(value)
+        }
     if hasattr(value, "__dict__"):
         return {k: _jsonable(v) for k, v in vars(value).items()}
     return str(value)

@@ -41,7 +41,7 @@ import time
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Any
 
 from repro._util import single_flight
@@ -106,9 +106,18 @@ def _feed(update: Callable[[bytes], None], value: Any) -> None:
         else:
             update(f"array:{value.dtype.str}{value.shape}".encode())
             update(value.tobytes())
-    elif hasattr(value, "__dict__") and not callable(value):
+    elif (
+        hasattr(value, "__dict__") or is_dataclass(value)
+    ) and not callable(value):
+        # A slotted dataclass (a stream event) has no ``__dict__``: its
+        # fields are what ``vars`` gave before it was slotted.
+        attributes = (
+            vars(value)
+            if hasattr(value, "__dict__")
+            else {item.name: getattr(value, item.name) for item in fields(value)}
+        )
         update(f"object:{_class_path(kind)}(".encode())
-        for name, item in sorted(vars(value).items()):
+        for name, item in sorted(attributes.items()):
             _feed(update, name)
             _feed(update, item)
         update(b")")

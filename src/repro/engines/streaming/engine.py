@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any
 
+from repro._util import build_by_column
 from repro.core.errors import EngineError
 from repro.datagen.stream import StreamEvent
 from repro.engines.base import Engine, EngineInfo
@@ -26,14 +27,29 @@ from repro.engines.base import Engine, EngineInfo
 _TIMESTAMP = attrgetter("timestamp")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowResult:
-    """One aggregate emitted by a window operator."""
+    """One aggregate emitted by a window operator (slotted, built by column)."""
 
     window_start: float
     window_end: float
     key: Any
     value: Any
+
+
+def _window_results(
+    start: float, end: float, per_key: dict[Any, Any]
+) -> list[WindowResult]:
+    """One window's results, keys in ``str`` order."""
+    keys = sorted(per_key, key=str)
+    count = len(keys)
+    return build_by_column(
+        WindowResult,
+        [start] * count,
+        [end] * count,
+        keys,
+        list(map(per_key.__getitem__, keys)),
+    )
 
 
 class StreamOperator(ABC):
@@ -143,24 +159,35 @@ class TumblingWindowAggregate(StreamOperator):
         return []
 
     def _fold(self, events: Iterable[StreamEvent]) -> None:
-        """Fold events into their windows, closing those the watermark passes."""
+        """Fold events into their windows, closing those the watermark passes.
+
+        A window's key table is fetched when an event's window differs
+        from the previous event's, so once per run of same-window
+        events.  The table held stays the live one: the only call that
+        drops tables here, ``_close_expired(window)``, drops those
+        before the held window.
+        """
         size = self.window_seconds
         windows = self._windows
         reducer = self.reducer
         initial = self.initial
         watermark = self._watermark
         oldest_open = self._oldest_open
+        current = None
+        per_key: dict[Any, Any] = {}
         for event in events:
             timestamp = event.timestamp
             window = int(timestamp // size)
-            per_key = windows[window]
+            if window != current:
+                current = window
+                per_key = windows[window]
+                if window < oldest_open:
+                    oldest_open = window
             key = event.key
             accumulator = per_key.get(key)
             if accumulator is None:
                 accumulator = initial()
             per_key[key] = reducer(accumulator, event.value)
-            if window < oldest_open:
-                oldest_open = window
             if timestamp > watermark:
                 watermark = timestamp
                 if oldest_open < window:
@@ -178,17 +205,12 @@ class TumblingWindowAggregate(StreamOperator):
         self._oldest_open = current
 
     def _emit_window(self, window: int) -> None:
-        per_key = self._windows.pop(window)
         start = window * self.window_seconds
-        for key in sorted(per_key, key=str):
-            self._emitted.append(
-                WindowResult(
-                    window_start=start,
-                    window_end=start + self.window_seconds,
-                    key=key,
-                    value=per_key[key],
-                )
+        self._emitted.extend(
+            _window_results(
+                start, start + self.window_seconds, self._windows.pop(window)
             )
+        )
 
     def flush(self) -> Iterable[WindowResult]:
         for window in sorted(self._windows):
@@ -265,16 +287,13 @@ class SlidingWindowAggregate(StreamOperator):
         results: list[WindowResult] = []
         for start_index in sorted(self._windows):
             start = start_index * self.slide_seconds
-            per_key = self._windows[start_index]
-            for key in sorted(per_key, key=str):
-                results.append(
-                    WindowResult(
-                        window_start=start,
-                        window_end=start + self.window_seconds,
-                        key=key,
-                        value=per_key[key],
-                    )
+            results.extend(
+                _window_results(
+                    start,
+                    start + self.window_seconds,
+                    self._windows[start_index],
                 )
+            )
         self._windows.clear()
         return results
 
@@ -300,14 +319,23 @@ class StreamRunReport:
     results: list[WindowResult]
     #: Per-event queueing latency (departure − arrival), simulated.
     latencies: list[float]
-    arrival_rate: float
+    #: Events per second over the stream's time extent; None when the
+    #: stream has no extent (fewer than two distinct timestamps).
+    arrival_rate: float | None
     service_rate: float
     #: Events still queued when the source ended (backlog).
     final_backlog_seconds: float
 
     @property
     def keeps_up(self) -> bool:
-        """Whether processing kept up with the arrival speed."""
+        """Whether processing kept up with the arrival speed.
+
+        A stream without extent keeps up when it is at most one event;
+        two or more arriving at one instant are a burst no finite
+        service rate keeps up with.
+        """
+        if self.arrival_rate is None:
+            return self.events_in < 2
         return self.service_rate >= self.arrival_rate
 
     @property
@@ -381,7 +409,7 @@ class StreamingEngine(Engine):
         span = (
             ordered[-1].timestamp - ordered[0].timestamp if len(ordered) > 1 else 0.0
         )
-        arrival_rate = (len(ordered) - 1) / span if span > 0 else float("inf")
+        arrival_rate = (len(ordered) - 1) / span if span > 0 else None
         backlog = max(0.0, departure - (ordered[-1].timestamp if ordered else 0.0))
         return StreamRunReport(
             topology=topology.name,

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any
 
+from repro._util import collector_paused
 from repro.core.errors import ExecutionError
 from repro.core.metrics import MetricSuite
 from repro.core.prescription import Prescription
@@ -449,36 +450,41 @@ class TestRunner:
 
         When tracing is active, the parent grafts every task's finished
         span tree here in submission order.
+
+        The cyclic garbage collector is paused for the batch
+        (:func:`repro._util.collector_paused`, DESIGN §3.21); a process
+        worker pauses its own per task.
         """
         tasks = list(tasks)
         on_error = self.options.on_error
         policy = self.options.retry_policy()
         tracer = current_tracer()
-        if self.options.executor == "process" and len(tasks) > 1:
-            outcomes = self._run_on_worker_pool(
-                tasks, policy, on_error, tracer
-            )
-        else:
-            submitted = time.perf_counter()
-
-            def in_process(indexed: tuple[int, RunTask]) -> RunOutcome:
-                index, task = indexed
-                return self.run_task(
-                    task,
-                    policy,
-                    on_error,
-                    index=index,
-                    trace=tracer.enabled,
-                    queue_wait=max(0.0, time.perf_counter() - submitted),
+        with collector_paused():
+            if self.options.executor == "process" and len(tasks) > 1:
+                outcomes = self._run_on_worker_pool(
+                    tasks, policy, on_error, tracer
                 )
+            else:
+                submitted = time.perf_counter()
 
-            # Pooled executors run a batch of one inline, so a single
-            # task never pays for a pool on any backend.
-            outcomes = self.executor.map(in_process, enumerate(tasks))
-        if tracer.enabled:
-            self._graft_task_traces(tracer, outcomes)
-        if self.store is not None:
-            record_outcomes(self.store, tasks, outcomes, self.options)
+                def in_process(indexed: tuple[int, RunTask]) -> RunOutcome:
+                    index, task = indexed
+                    return self.run_task(
+                        task,
+                        policy,
+                        on_error,
+                        index=index,
+                        trace=tracer.enabled,
+                        queue_wait=max(0.0, time.perf_counter() - submitted),
+                    )
+
+                # Pooled executors run a batch of one inline, so a single
+                # task never pays for a pool on any backend.
+                outcomes = self.executor.map(in_process, enumerate(tasks))
+            if tracer.enabled:
+                self._graft_task_traces(tracer, outcomes)
+            if self.store is not None:
+                record_outcomes(self.store, tasks, outcomes, self.options)
         return outcomes
 
     @staticmethod

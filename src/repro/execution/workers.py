@@ -37,6 +37,7 @@ task.
 
 from __future__ import annotations
 
+import gc
 import os
 import time
 import weakref
@@ -44,6 +45,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro._util import collector_paused
 from repro.core.errors import ExecutionError
 from repro.execution.parallel import compute_chunksize
 
@@ -128,10 +130,16 @@ _CONTEXT: "WorkerContext | None" = None
 def _initialize_worker(
     init: WorkerInit, datasets: Mapping[tuple, DataSet]
 ) -> None:
-    """Pool initializer: build the worker's context exactly once."""
+    """Pool initializer: build the worker's context exactly once.
+
+    A worker forked inside a parent's ``run_many`` inherits its paused
+    collector; it starts with the collector on, as a spawned one does,
+    and pauses it per task (DESIGN §3.21).
+    """
     global _CONTEXT
     import repro  # noqa: F401 — fills the registries in the worker
 
+    gc.enable()
     _CONTEXT = WorkerContext(init, datasets)
 
 
@@ -165,14 +173,15 @@ class WorkerContext:
 
         cache = self.runner.test_generator.dataset_cache
         cache_before = cache.stats()
-        outcome = self.runner.run_task(
-            descriptor.task,
-            descriptor.retry_policy,
-            descriptor.on_error,
-            index=descriptor.task_index,
-            trace=descriptor.trace,
-            queue_wait=max(0.0, time.time() - descriptor.submitted_wall),
-        )
+        with collector_paused():
+            outcome = self.runner.run_task(
+                descriptor.task,
+                descriptor.retry_policy,
+                descriptor.on_error,
+                index=descriptor.task_index,
+                trace=descriptor.trace,
+                queue_wait=max(0.0, time.time() - descriptor.submitted_wall),
+            )
         annotate_task_trace(
             outcome.extra.get(TRACE_EXTRA_KEY),
             payload_bytes=descriptor.payload_bytes,

@@ -1,10 +1,11 @@
 """Pinned digests of seeded generator output.
 
 Captured on the commit before the kv / text / corpus generation loops were
-rewritten for speed; they changed how records are *assembled* from the
-draws, never which draws are made.  A digest moving means seeded output
-changed, which forks every dataset cache key and result series: that
-needs a versioned generator, not a new pin.
+rewritten for speed, and (``poisson-stream``) before stream events were
+slotted and built by column; they changed how records are *assembled*
+from the draws, never which draws are made.  A digest moving means
+seeded output changed, which forks every dataset cache key and result
+series: that needs a versioned generator, not a new pin.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import pytest
 import repro  # noqa: F401 — fills the registries
 from repro.core import registry
 from repro.datagen.corpus import load_text_corpus
+from repro.datagen.formats import convert
+from repro.datagen.models import content_digest
+from repro.datagen.stream import EventKind, StreamEvent
 
 
 def _digest(records) -> str:
@@ -42,10 +46,25 @@ def _generated(name: str, volume: int) -> list:
          "a156cbbdd871711bb1c6ef7674a40e6e50a1cbefe8360728f4d403c5ac8081c6"),
         ("unigram-text", 300,
          "2e8086d047eec6248bf1a52031acc465a03acc1b570c11ba3ab46f81cd3af436"),
+        ("poisson-stream", 2000,
+         "6d5904cf7e6dbecd374cd739e250a301044839efd9396aaa57dfa4c594006403"),
     ],
 )
 def test_generator_output_is_pinned(name, volume, expected):
     assert _digest(_generated(name, volume)) == expected
+
+
+def test_stream_events_keep_their_json_form_and_content_address():
+    """A slotted event has no ``__dict__``; both read it by its fields."""
+    lines = convert(
+        registry.generators.create("poisson-stream").generate(50), "jsonl"
+    ).payload
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "0c8f1cae14049080457569bce8996d485f5b16fb45720d5698259b67e62fbb20"
+    )
+    assert content_digest(StreamEvent(0.5, 7, 1.25, EventKind.UPDATE)) == (
+        "e1c21d39201857ae633a8b048f04691f385a2114a8d2373e24db676145a3adca"
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,8 @@ The bodies are kept verbatim from ``engines/mapreduce/job.py``
 ``datagen/base.py`` (``_record_size``), ``datagen/stream.py``
 (``StreamGenerator.generate_partition``, the loop that built one event at
 a time) and ``engines/streaming/engine.py`` (``StreamingEngine.run``, one
-event through every operator), so the fast paths in ``src/`` can be held
+event through every operator; ``TumblingWindowAggregate._fold``, one key
+table lookup per event), so the fast paths in ``src/`` can be held
 to equal values on every input, not to a tolerance: partition
 assignments, byte counters, ``detail["bytes"]``, the generated events and
 the window results are part of what a seeded run reports.  Nothing in
@@ -17,11 +18,13 @@ the window results are part of what a seeded run reports.  Nothing in
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from typing import Any
 
 import numpy as np
 
 from repro.datagen.stream import EventKind, StreamEvent, StreamGenerator
+from repro.engines.streaming.engine import TumblingWindowAggregate, WindowResult
 
 
 def reference_default_partitioner(key: Any, num_partitions: int) -> int:
@@ -102,6 +105,51 @@ def reference_generate_partition(
             )
         )
     return events
+
+
+class ReferenceTumblingWindow(TumblingWindowAggregate):
+    """The tumbling window as it stood before its fold fetched a window's
+    key table once per run of same-window events and built its results
+    by column: one table lookup and one constructor call per item."""
+
+    def _fold(self, events: Iterable[StreamEvent]) -> None:
+        size = self.window_seconds
+        windows = self._windows
+        reducer = self.reducer
+        initial = self.initial
+        watermark = self._watermark
+        oldest_open = self._oldest_open
+        for event in events:
+            timestamp = event.timestamp
+            window = int(timestamp // size)
+            per_key = windows[window]
+            key = event.key
+            accumulator = per_key.get(key)
+            if accumulator is None:
+                accumulator = initial()
+            per_key[key] = reducer(accumulator, event.value)
+            if window < oldest_open:
+                oldest_open = window
+            if timestamp > watermark:
+                watermark = timestamp
+                if oldest_open < window:
+                    self._close_expired(window)
+                    oldest_open = window
+        self._watermark = watermark
+        self._oldest_open = oldest_open
+
+    def _emit_window(self, window: int) -> None:
+        per_key = self._windows.pop(window)
+        start = window * self.window_seconds
+        for key in sorted(per_key, key=str):
+            self._emitted.append(
+                WindowResult(
+                    window_start=start,
+                    window_end=start + self.window_seconds,
+                    key=key,
+                    value=per_key[key],
+                )
+            )
 
 
 def reference_stream_run(

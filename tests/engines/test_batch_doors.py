@@ -61,6 +61,7 @@ from repro.workloads import micro
 from repro.workloads.micro import WordCountWorkload
 
 from _accounting_reference import (
+    ReferenceTumblingWindow,
     reference_generate_partition,
     reference_stream_run,
 )
@@ -182,6 +183,33 @@ class TestProcessMany:
         operator = Clamped(1.0, _sum)
         assert operator.process_many(events) == []
         assert [result.value for result in operator.flush()] == [2.0]
+
+
+class TestTumblingFold:
+    """The fold that fetches a window's key table once per run of
+    same-window events, against the one that fetched it per event."""
+
+    @given(
+        runs,
+        st.booleans(),
+        st.lists(st.integers(0, 40), max_size=4),
+        st.sampled_from([0.25, 0.5, 1.0]),
+    )
+    def test_the_fold_equals_the_per_event_oracle(
+        self, events, in_order, cuts, size
+    ):
+        if in_order:
+            events = sorted(events, key=lambda event: event.timestamp)
+        folded = TumblingWindowAggregate(size, _sum)
+        oracle = ReferenceTumblingWindow(size, _sum)
+        bounds = [0, *sorted(cuts), len(events)]
+        for low, high in zip(bounds, bounds[1:]):
+            assert folded.process_many(events[low:high]) == []
+            oracle.process_many(events[low:high])
+            assert _state(folded) == _state(oracle)
+        assert repr(folded.take_emitted()) == repr(oracle.take_emitted())
+        assert repr(folded.flush()) == repr(oracle.flush())
+        assert _state(folded) == _state(oracle)
 
 
 CHAINS = {

@@ -161,6 +161,24 @@ class TestQueueingModel:
         assert report.events_in == 0
         assert report.results == []
 
+    @pytest.mark.parametrize(
+        ("timestamps", "keeps_up"),
+        [([], True), ([0.4], True), ([0.4, 0.4], False), ([0.4] * 5, False)],
+    )
+    def test_a_stream_without_extent_has_no_arrival_rate(
+        self, timestamps, keeps_up
+    ):
+        report = StreamingEngine().run(Topology("t"), make_events(timestamps))
+        assert report.arrival_rate is None
+        assert report.keeps_up is keeps_up
+
+    def test_two_distinct_timestamps_give_a_rate(self):
+        report = StreamingEngine().run(
+            Topology("t"), make_events([0.4, 0.4, 0.5])
+        )
+        assert report.arrival_rate == pytest.approx(20.0)
+        assert report.keeps_up
+
     def test_invalid_service_time(self):
         with pytest.raises(EngineError):
             StreamingEngine(service_seconds_per_event=0.0)

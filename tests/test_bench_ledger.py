@@ -212,6 +212,32 @@ def test_the_bytecode_cache_rows_are_a_parent_and_a_change_row():
             assert abs(cached - settled) < abs(cached - other), (side, verb)
 
 
+def test_the_slotted_stream_record_rows_are_a_parent_and_a_change_row():
+    """The ``generator_rates.poisson-stream`` rows of slotted events built
+    by column.  Each side is the fastest of seven generations in a fresh
+    process; one constructor call per event became four column writes,
+    a gain far outside what this host drifts between two such rows."""
+    (ledger,) = [
+        path for path in LEDGERS if path.name == "BENCH_datagen_pipeline.json"
+    ]
+    sides = {
+        row["measurements"]["source"].split()[0].rstrip(":"): row
+        for row in json.loads(ledger.read_text())
+        if "slotted stream records" in row["measurements"].get("source", "")
+    }
+    assert set(sides) == {"parent", "change"}
+    assert len({row["series"] for row in sides.values()}) == 1
+    rates = {
+        side: {
+            shape: measured["records_per_second"]
+            for shape, measured in row["measurements"]["shapes"].items()
+        }
+        for side, row in sides.items()
+    }
+    for shape in ("partitions1", "partitions2"):
+        assert rates["change"][shape] > 1.4 * rates["parent"][shape], shape
+
+
 def test_the_stream_rate_series_is_a_parent_and_a_change_row():
     pair = _pair(
         "BENCH_datagen_pipeline.json",

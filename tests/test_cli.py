@@ -78,6 +78,23 @@ class TestRun:
         payload = json.loads(output)
         assert payload[0]["engine"] == "mapreduce"
 
+    @pytest.mark.parametrize("volume", ["1", "2", "50"])
+    def test_a_short_stream_writes_strict_json(self, volume, tmp_path):
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        code, output = run_cli(
+            "run", "realtime-windowed-aggregation", "--volume", volume,
+            "--record", "--store-dir", str(tmp_path), "--json",
+        )
+        assert code == 0
+        extra = json.loads(output, parse_constant=refuse)[0]["extra"]
+        if volume == "1":
+            assert extra["arrival_rate"] is None
+            assert extra["keeps_up"] is True
+        for line in (tmp_path / "runs.jsonl").read_text().splitlines():
+            json.loads(line, parse_constant=refuse)
+
     def test_fault_tolerance_flags_accepted(self):
         code, output = run_cli(
             "run", "micro-wordcount", "--volume", "30",

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 import re
 from bisect import bisect_right
 from types import SimpleNamespace
@@ -9,7 +12,69 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro._util import batched, choice_cdf, chunked, percentile
+from repro._util import (
+    batched,
+    build_by_column,
+    choice_cdf,
+    chunked,
+    percentile,
+)
+from repro.datagen.stream import EventKind, StreamEvent
+from repro.engines.streaming.engine import WindowResult
+
+_EVENT_COLUMNS = (
+    [0.5, 0.25, 1e-300, 3.0],
+    [7, -1, 0, 2**70],
+    [1.25, float("inf"), -0.0, 2.5],
+    [EventKind.UPDATE, EventKind.INSERT, EventKind.DELETE, EventKind.INSERT],
+)
+_RESULT_COLUMNS = (
+    [0.0, 0.0, 0.1],
+    [0.1, 0.1, 0.2],
+    ["a", 3, ("k", 1)],
+    [2, 5.5, None],
+)
+
+
+class TestBuildByColumn:
+    @pytest.mark.parametrize(
+        ("cls", "columns"),
+        [(StreamEvent, _EVENT_COLUMNS), (WindowResult, _RESULT_COLUMNS)],
+    )
+    def test_records_equal_the_constructors_in_every_form(self, cls, columns):
+        built = build_by_column(cls, *columns)
+        constructed = list(map(cls, *columns))
+        assert built == constructed
+        for left, right in zip(built, constructed):
+            assert type(left) is cls
+            assert repr(left) == repr(right)
+            # Within one process: an event's hash includes an enum's.
+            assert hash(left) == hash(right)
+            assert dataclasses.asdict(left) == dataclasses.asdict(right)
+            assert dataclasses.replace(left) == right
+            assert pickle.loads(pickle.dumps(left)) == right
+            assert copy.deepcopy(left) == right
+            assert not hasattr(left, "__dict__")
+            field = dataclasses.fields(cls)[0].name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(left, field, 1.0)
+
+    def test_no_rows_is_no_records(self):
+        assert build_by_column(StreamEvent, [], [], [], []) == []
+
+    def test_a_dataclass_with_a_dict_is_refused(self):
+        @dataclasses.dataclass(frozen=True)
+        class Unslotted:
+            value: int
+
+        with pytest.raises(TypeError, match="not slotted"):
+            build_by_column(Unslotted, [1])
+
+    def test_columns_must_match_the_fields(self):
+        with pytest.raises(TypeError, match="4 fields"):
+            build_by_column(StreamEvent, [0.5], [1], [1.0])
+        with pytest.raises(ValueError, match="length"):
+            build_by_column(StreamEvent, [0.5], [1], [1.0, 2.0], [None])
 
 
 class TestChunked:

@@ -31,7 +31,9 @@ The same command appends a ``generator_rates.poisson-stream`` row: events
 per second of the registry's stream generator at the end-to-end
 benchmark's ``window-poisson`` volume, in one partition and in two, also
 in a fresh process on the measured ``src`` (the all-generators table
-above runs in this process at 1 000 records, where a stream takes 2 ms).
+above runs in this process at 1 000 records, where a stream takes 2 ms),
+and a ``generator_rates.e2e-volumes`` row: ``generate()`` of every other
+generator an ``exec-default`` cell reaches, at that cell's volume.
 
 Each run appends a run-store-schema row per benchmark (see ``_history``)
 to ``BENCH_datagen_pipeline.json`` so the throughput and memory numbers
@@ -94,6 +96,21 @@ STREAM_RATE = {"generator": "poisson-stream", "volume": 30_000, "partitions": [1
 STREAM_RATE_REPEATS = 7
 #: What the pytest entry point runs.
 STREAM_RATE_SMOKE = {**STREAM_RATE, "volume": 3_000}
+
+#: Generator -> the volume an ``exec-default`` cell asks it for
+#: (``relational-dbms``, ``wordcount-mr``, ``pagerank-mr``, ``kmeans-mr``,
+#: ``ycsb-2eng``), fitted on the seed data its prescription names.
+E2E_RATES = {
+    "fitted-table": 10_000,
+    "random-text": 5_000,
+    "rmat-graph": 1_024,
+    "mixture-table": 2_000,
+    "kv-records": 500,
+}
+E2E_FIT_ON = {"fitted-table": "retail-orders", "rmat-graph": "social-graph"}
+E2E_RATE_REPEATS = 9
+#: What the pytest entry point runs.
+E2E_RATES_SMOKE = {name: volume // 20 for name, volume in E2E_RATES.items()}
 
 #: The child generates in the requested shape and reports elapsed
 #: seconds, peak RSS, record count, and a record digest on stdout.
@@ -269,6 +286,10 @@ def test_generator_rates(benchmark):
     for shape in stream.values():
         assert shape["records"] == STREAM_RATE_SMOKE["volume"]
 
+    e2e = record_e2e_rates(volumes=E2E_RATES_SMOKE, repeats=2)
+    assert set(e2e) == set(E2E_RATES_SMOKE)
+    assert all(row["records"] > 0 for row in e2e.values())
+
 
 _STREAM_CHILD = """
 import json
@@ -321,6 +342,73 @@ def record_stream_rate(
         "datagen_pipeline.generator_rates.poisson-stream",
         dict(sizes),
         {"source": source, "repeats": repeats, "shapes": rows},
+    )
+    return rows
+
+
+#: Generators take turns, each timed ``repeats`` times; a row keeps each
+#: generator's fastest call.
+_E2E_CHILD = """
+import json
+import sys
+import time
+
+volumes = json.loads(sys.argv[1])
+fit_on = json.loads(sys.argv[2])
+repeats = int(sys.argv[3])
+
+import repro
+from repro.core import registry
+from repro.core.prescription import load_seed
+
+generators = {}
+for name in volumes:
+    generators[name] = registry.generators.create(name)
+    if name in fit_on:
+        generators[name].fit(load_seed(fit_on[name]))
+rows = {
+    name: {"volume": volume, "records": 0, "seconds": float("inf")}
+    for name, volume in volumes.items()
+}
+for _ in range(repeats):
+    for name, generator in generators.items():
+        started = time.perf_counter()
+        dataset = generator.generate(volumes[name])
+        seconds = time.perf_counter() - started
+        rows[name]["seconds"] = min(rows[name]["seconds"], seconds)
+        rows[name]["records"] = dataset.num_records
+print(json.dumps(rows))
+"""
+
+
+def record_e2e_rates(
+    src: str = SRC_DIR, source: str = "worktree", volumes: dict = E2E_RATES,
+    repeats: int = E2E_RATE_REPEATS,
+) -> dict[str, dict]:
+    completed = run_child(
+        src,
+        ["-c", _E2E_CHILD, json.dumps(volumes), json.dumps(E2E_FIT_ON),
+         str(repeats)],
+    )
+    rows = json.loads(completed.stdout.strip().splitlines()[-1])
+    for row in rows.values():
+        row["records_per_second"] = row["records"] / row["seconds"]
+    print_banner("E14", f"generate() at the e2e volumes, {source}")
+    print(
+        ascii_table(
+            [
+                {"generator": name, "volume": row["volume"],
+                 "records": row["records"], "ms": row["seconds"] * 1e3,
+                 "records/s": row["records_per_second"]}
+                for name, row in rows.items()
+            ]
+        )
+    )
+    append_history(
+        RESULTS_FILE,
+        "datagen_pipeline.generator_rates.e2e-volumes",
+        {"volumes": dict(volumes), "fit_on": dict(E2E_FIT_ON)},
+        {"source": source, "repeats": repeats, "generators": rows},
     )
     return rows
 
@@ -431,11 +519,12 @@ def test_model_cache_ledger():
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(
-        description="Append one fitted-model cache row and one stream-rate "
-        "row for the tree under --src."
+        description="Append one fitted-model cache row, one stream-rate row "
+        "and one e2e-volume generator-rate row for the tree under --src."
     )
     parser.add_argument("--src", type=Path, default=Path(SRC_DIR))
     parser.add_argument("--source", default="worktree")
     options = parser.parse_args()
     record_model_cache(str(options.src.resolve()), options.source)
     record_stream_rate(str(options.src.resolve()), options.source)
+    record_e2e_rates(str(options.src.resolve()), options.source)

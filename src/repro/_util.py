@@ -12,7 +12,7 @@ import types
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import islice, repeat
 from typing import Any, TypeVar
 
 T = TypeVar("T")
@@ -145,13 +145,8 @@ def batched(iterable: Iterable[T], batch_size: int) -> Iterator[list[T]]:
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    batch: list[T] = []
-    for item in iterable:
-        batch.append(item)
-        if len(batch) == batch_size:
-            yield batch
-            batch = []
-    if batch:
+    items = iter(iterable)
+    while batch := list(islice(items, batch_size)):
         yield batch
 
 

@@ -15,6 +15,7 @@ import sys
 from abc import ABC
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import TYPE_CHECKING, Any
 
 from repro.core.errors import GenerationError, ModelNotFittedError
@@ -363,29 +364,21 @@ class DataGenerator(ABC):
                 f"num_partitions must be positive, got {num_partitions}"
             )
         tracer = current_tracer()
+        records = chain.from_iterable(
+            self.iter_partition(volume, partition, num_partitions)
+            for partition in range(num_partitions)
+        )
         index = 0
         offset = 0
-        buffer: list[Any] = []
-        for partition in range(num_partitions):
-            for record in self.iter_partition(volume, partition, num_partitions):
-                buffer.append(record)
-                if len(buffer) == chunk_size:
-                    batch = RecordBatch(
-                        records=buffer, data_type=self.data_type,
-                        index=index, offset=offset,
-                    )
-                    _trace_batch(tracer, batch)
-                    yield batch
-                    offset += len(buffer)
-                    index += 1
-                    buffer = []
-        if buffer:
+        while chunk := list(islice(records, chunk_size)):
             batch = RecordBatch(
-                records=buffer, data_type=self.data_type,
+                records=chunk, data_type=self.data_type,
                 index=index, offset=offset,
             )
             _trace_batch(tracer, batch)
             yield batch
+            offset += len(chunk)
+            index += 1
 
     def generate(self, volume: int, name: str | None = None) -> DataSet:
         """Generate a complete synthetic data set of the requested volume."""
@@ -407,6 +400,8 @@ class DataGenerator(ABC):
         machines (Section 3.2, step 3) and merge in partition order.
         """
         self._require_fitted()
+        if volume < 0:
+            raise GenerationError(f"volume must be non-negative, got {volume}")
         if num_partitions <= 0:
             raise GenerationError(
                 f"num_partitions must be positive, got {num_partitions}"

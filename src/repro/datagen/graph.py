@@ -162,21 +162,18 @@ class RmatGraphGenerator(DataGenerator):
         if volume == 0:
             return []
         levels = max(1, math.ceil(math.log2(volume)))
-        size = 2**levels
         total_edges = int(round(self.edges_per_vertex * volume))
         count = self.partition_volume(total_edges, partition, num_partitions)
         rng = self.rng_for_partition(partition, num_partitions)
         probabilities = np.array([self.a, self.b, self.c, self.d])
         probabilities = probabilities / probabilities.sum()
-        edges: list[Edge] = []
         quadrants = rng.choice(4, size=(count, levels), p=probabilities)
-        for row in quadrants:
-            src = dst = 0
-            for quadrant in row:
-                src = (src << 1) | (int(quadrant) >> 1)
-                dst = (dst << 1) | (int(quadrant) & 1)
-            edges.append((src % size, dst % size))
-        return edges
+        # Level j's quadrant gives bit levels-1-j of each endpoint: its row
+        # bit to the source, its column bit to the destination.
+        shifts = np.arange(levels - 1, -1, -1, dtype=np.int64)
+        sources = ((quadrants >> 1) << shifts).sum(axis=1)
+        targets = ((quadrants & 1) << shifts).sum(axis=1)
+        return list(zip(sources.tolist(), targets.tolist()))
 
 
 class PreferentialAttachmentGenerator(DataGenerator):

@@ -67,10 +67,7 @@ class GaussianMixtureGenerator(PurelySyntheticMixin, DataGenerator):
         components = rng.integers(0, self.num_components, size=count)
         noise = rng.normal(0.0, self.cluster_std, size=(count, self.dimensions))
         points = self.centres[components] + noise
-        return [
-            tuple(float(value) for value in points[index]) + (int(components[index]),)
-            for index in range(count)
-        ]
+        return list(zip(*points.T.tolist(), components.tolist()))
 
     def _wrap(self, records: list, name: str | None) -> DataSet:
         dataset = super()._wrap(records, name)

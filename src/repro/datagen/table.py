@@ -70,7 +70,7 @@ class UniformInt(ColumnDistribution):
             )
 
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[int]:
-        return [int(v) for v in rng.integers(self.low, self.high, size=count)]
+        return rng.integers(self.low, self.high, size=count).tolist()
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class UniformFloat(ColumnDistribution):
     high: float
 
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[float]:
-        return [float(v) for v in rng.uniform(self.low, self.high, size=count)]
+        return rng.uniform(self.low, self.high, size=count).tolist()
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class Gaussian(ColumnDistribution):
             raise GenerationError(f"Gaussian std must be non-negative, got {self.std}")
 
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[float]:
-        return [float(v) for v in rng.normal(self.mean, self.std, size=count)]
+        return rng.normal(self.mean, self.std, size=count).tolist()
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ class Zipf(ColumnDistribution):
 
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[int]:
         raw = rng.zipf(self.exponent, size=count)
-        return [int(min(v - 1, self.size - 1)) for v in raw]
+        return np.minimum(raw - 1, self.size - 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,7 @@ class Categorical(ColumnDistribution):
             probabilities = np.asarray(self.weights, dtype=np.float64)
             probabilities = probabilities / probabilities.sum()
             indexes = rng.choice(len(self.values), size=count, p=probabilities)
-        return [self.values[int(i)] for i in indexes]
+        return list(map(self.values.__getitem__, indexes.tolist()))
 
 
 @dataclass(frozen=True)
@@ -169,8 +169,8 @@ class ForeignKey(ColumnDistribution):
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[int]:
         if self.skew > 1.0:
             raw = rng.zipf(self.skew, size=count)
-            return [int(min(v - 1, self.ref_size - 1)) for v in raw]
-        return [int(v) for v in rng.integers(0, self.ref_size, size=count)]
+            return np.minimum(raw - 1, self.ref_size - 1).tolist()
+        return rng.integers(0, self.ref_size, size=count).tolist()
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ class TextColumn(ColumnDistribution):
 
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[str]:
         indexes = rng.integers(self.cardinality, size=count)
-        return [f"{self.prefix}_{int(i)}" for i in indexes]
+        return [f"{self.prefix}_{i}" for i in indexes.tolist()]
 
 
 @dataclass
@@ -227,7 +227,7 @@ class TableGenerator(PurelySyntheticMixin, DataGenerator):
             distribution.sample(rng, count, start_row)
             for distribution in self.schema.columns.values()
         ]
-        return [tuple(values) for values in zip(*column_values)] if count else []
+        return list(zip(*column_values))
 
     def _wrap(self, records: list[Any], name: str | None) -> DataSet:
         dataset = super()._wrap(records, name or self.schema.name)
@@ -288,7 +288,7 @@ class FittedTableGenerator(DataGenerator):
         column_values = [
             distribution.sample(rng, count, 0) for distribution in self._columns
         ]
-        return [tuple(values) for values in zip(*column_values)] if count else []
+        return list(zip(*column_values))
 
     def _wrap(self, records: list[Any], name: str | None) -> DataSet:
         dataset = super()._wrap(records, name)
@@ -316,9 +316,9 @@ class _EmpiricalQuantile(ColumnDistribution):
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[Any]:
         quantiles = rng.uniform(0.0, 1.0, size=count)
         sampled = np.quantile(self._sorted, quantiles, method="linear")
-        if self._integral:
-            return [int(round(float(v))) for v in sampled]
-        return [float(v) for v in sampled]
+        if self._integral:  # exact at any magnitude, unlike an int64 cast
+            return list(map(float.__trunc__, np.rint(sampled).tolist()))
+        return sampled.tolist()
 
 
 def retail_star_schema(

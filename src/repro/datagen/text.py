@@ -465,26 +465,22 @@ class RandomTextGenerator(PurelySyntheticMixin, DataGenerator):
                 f"document_length must be positive, got {document_length}"
             )
         self.document_length = document_length
+        # A block of word indexes gathers its strings in one numpy call.
+        self._word_array = np.array(self.words, dtype=object)
+        self._word_array.setflags(write=False)
 
     def iter_partition(
         self, volume: int, partition: int, num_partitions: int
     ):
         count = self.partition_volume(volume, partition, num_partitions)
         rng = self.rng_for_partition(partition, num_partitions)
-        words = self.words
         # One draw per block of documents: the same stream as one draw
         # per document (pinned by tests/datagen/test_seeded_digests.py),
         # without a numpy call per record; memory stays one block.
         for start in range(0, count, _DOCUMENTS_PER_DRAW):
-            block = rng.integers(
-                len(words),
-                size=(
-                    min(_DOCUMENTS_PER_DRAW, count - start),
-                    self.document_length,
-                ),
-            )
-            for indexes in block.tolist():
-                yield " ".join([words[index] for index in indexes])
+            rows = min(_DOCUMENTS_PER_DRAW, count - start)
+            block = rng.integers(len(self.words), size=(rows, self.document_length))
+            yield from map(" ".join, self._word_array[block].tolist())
 
 
 def word_distribution(documents: Iterable[str]) -> dict[str, float]:

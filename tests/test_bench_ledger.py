@@ -238,6 +238,29 @@ def test_the_slotted_stream_record_rows_are_a_parent_and_a_change_row():
         assert rates["change"][shape] > 1.4 * rates["parent"][shape], shape
 
 
+def test_the_whole_array_rows_are_a_parent_and_a_change_row():
+    """The ``generator_rates.e2e-volumes`` rows of generators that build
+    records from whole arrays (``bench_datagen_pipeline.py``).  Each side
+    is every generator's fastest ``generate()`` at its end-to-end volume,
+    the generators taking turns in one fresh process.  The four rewritten
+    ones take less time; ``kv-records`` was not touched and its cost is
+    the draw itself, so it stays within what the host drifts."""
+    pair = _pair(
+        "BENCH_datagen_pipeline.json",
+        "datagen_pipeline.generator_rates.e2e-volumes",
+    )
+    parent, change = (pair[side]["generators"] for side in ("parent", "change"))
+    assert set(parent) == set(change) == {
+        "fitted-table", "random-text", "rmat-graph", "mixture-table", "kv-records",
+    }
+    for name in parent:
+        assert parent[name]["records"] == change[name]["records"] > 0, name
+    for name in ("fitted-table", "random-text", "rmat-graph", "mixture-table"):
+        assert change[name]["seconds"] < 0.8 * parent[name]["seconds"], name
+    kv = change["kv-records"]["seconds"] / parent["kv-records"]["seconds"]
+    assert 0.75 < kv < 1.33
+
+
 def test_the_stream_rate_series_is_a_parent_and_a_change_row():
     pair = _pair(
         "BENCH_datagen_pipeline.json",

@@ -428,40 +428,3 @@ def compare_records(
             seed=seed,
         )
     return comparison
-
-
-def compare_series(
-    baseline_records: list[RunRecord],
-    candidate_records: list[RunRecord],
-    **kwargs: Any,
-) -> Comparison:
-    """Compare two series by pooling each side's samples per metric.
-
-    Pooling repeats across runs of the same fingerprint raises the
-    sample count (and with it the statistical power) without changing
-    what is being measured.
-    """
-    if not baseline_records or not candidate_records:
-        raise AnalysisError("cannot compare empty record series")
-
-    def pooled(records: list[RunRecord]) -> dict[str, list[float]]:
-        out: dict[str, list[float]] = {}
-        for record in records:
-            for name, samples in record.metrics.items():
-                out.setdefault(name, []).extend(samples)
-        return out
-
-    comparison = compare_records(
-        pooled(baseline_records), pooled(candidate_records), **kwargs
-    )
-    comparison.baseline = (
-        f"{baseline_records[0].record_id}..{baseline_records[-1].record_id}"
-        if len(baseline_records) > 1
-        else baseline_records[0].record_id
-    )
-    comparison.candidate = (
-        f"{candidate_records[0].record_id}..{candidate_records[-1].record_id}"
-        if len(candidate_records) > 1
-        else candidate_records[0].record_id
-    )
-    return comparison

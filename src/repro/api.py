@@ -311,7 +311,7 @@ def ablate(
     :class:`~repro.tuning.ablate.AblationReport`; render it with
     :func:`repro.tuning.render_ablation`.  Keyword ``options`` mirror
     :func:`repro.tuning.ablate.run_ablation` (``repeats``, ``seed``,
-    ``layout``, ``service=True`` for queued submission, ...).
+    ``layout``, ``warmup``, ...).
     """
     from repro.tuning.ablate import run_ablation
 

@@ -229,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="queue priority (higher drains first)")
 
     ablate_parser = verb(
-        commands, "ablate", _ablate, [param, store, pool, layout, schedulers],
+        commands, "ablate", _ablate, [param, store, pool, layout],
         help="run a workload × engine × tuning-profile ablation matrix "
              "with statistical verdicts",
     )
@@ -268,10 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ablate_parser.add_argument("--style", default="ascii",
                                choices=["ascii", "markdown", "json"],
                                help="report rendering style")
-    ablate_parser.add_argument("--service", action="store_true",
-                               help="submit each cell as a queued job to "
-                                    "the in-process benchmark service "
-                                    "instead of a local runner")
 
     load_parser = verb(
         commands, "load", _load, [param, store, record, layout, schedulers],
@@ -956,8 +952,6 @@ def _ablate(args, out) -> int:
         include_one_offs=not args.no_one_offs,
         metrics=metrics,
         store_dir=args.store_dir,
-        service=args.service,
-        schedulers=args.schedulers,
         **_given(args, "tolerance", "alpha"),
     )
     print(render_ablation(report, style=args.style, metrics=metrics),
@@ -999,47 +993,13 @@ def _load(args, out) -> int:
         store_dir=args.store_dir,
         **_given(args, "burst_factor", "period", "amplitude"),
     )
-    verdict = report.verdict
+    passed = report.verdict.passed
     if args.json:
         print(json.dumps(report.summary(), indent=2, sort_keys=True),
               file=out)
-        return 0 if verdict.passed else 1
-    shape = (
-        f"{report.plan.sessions} sessions (closed loop)"
-        if report.plan.mode == "closed"
-        else f"{report.plan.arrival} @ {report.plan.rate:g} req/s"
-    )
-    print(
-        f"load: {shape} for {report.plan.duration:g}s against "
-        f"{report.target_name} [{report.clock} clock, "
-        f"concurrency {report.concurrency}, seed {report.plan.seed}]",
-        file=out,
-    )
-    print(
-        f"  offered {report.offered} ({report.offered_rate:.4g}/s)  "
-        f"completed {report.completed} ({report.achieved_rate:.4g}/s)  "
-        f"shed {report.shed} ({report.shed_fraction:.1%})  "
-        f"errors {report.errors} ({report.error_fraction:.1%})",
-        file=out,
-    )
-    if report.latencies:
-        stats = report.latency_stats()
-        print(
-            f"  latency p50 {stats.p50 * 1e3:.3g}ms  "
-            f"p95 {stats.p95 * 1e3:.3g}ms  "
-            f"p99 {stats.p99 * 1e3:.3g}ms  "
-            f"max {stats.maximum * 1e3:.3g}ms  "
-            f"queue depth max {report.queue_depth_max}",
-            file=out,
-        )
     else:
-        print("  no completed requests (no latency samples)", file=out)
-    print(f"SLO: {'PASS' if verdict.passed else 'FAIL'}", file=out)
-    for check in verdict.checks:
-        print(f"  {check.describe()}", file=out)
-    if report.record_id is not None:
-        print(f"recorded {report.record_id}", file=out)
-    return 0 if verdict.passed else 1
+        print(report.render(), file=out)
+    return 0 if passed else 1
 
 
 def _serve(args, out) -> int:

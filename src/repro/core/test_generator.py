@@ -49,7 +49,7 @@ class PrescribedTest:
     prescription: Prescription
     engine: Engine
     workload: Any  # repro.workloads.base.Workload (kept loose to avoid cycle)
-    #: Materialized records, or a lazily streaming source when the test
+    #: The records in memory, or a lazily streaming source when the test
     #: was generated with a chunk size (the workload dispatcher handles
     #: both shapes identically).
     dataset: DataSet | DatasetSource

@@ -20,8 +20,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "schedule_lpt",
         ),
         "repro.engines.faults": (
-            "FaultSpec", "FaultyEngine", "FaultyWorkload", "InjectedFault",
-            "with_faults",
+            "FaultSpec", "FaultyEngine", "InjectedFault",
         ),
     },
 )

@@ -505,27 +505,6 @@ class Limit(PhysicalOperator):
         return {"op": "Limit", "count": self.count, "child": self.child.explain()}
 
 
-class Materialize(PhysicalOperator):
-    """Wrap already-computed rows as an operator (for derived inputs)."""
-
-    def __init__(
-        self, schema: tuple[str, ...], rows: list[Row], cost: CostCounters
-    ) -> None:
-        super().__init__(cost)
-        self._schema = schema
-        self._rows = rows
-
-    @property
-    def schema(self) -> tuple[str, ...]:
-        return self._schema
-
-    def rows(self) -> Iterator[Row]:
-        yield from self._rows
-
-    def explain(self) -> dict[str, Any]:
-        return {"op": "Materialize", "rows": len(self._rows)}
-
-
 def _join_schema(
     outer: tuple[str, ...], inner: tuple[str, ...]
 ) -> tuple[str, ...]:

@@ -3,10 +3,10 @@
 BigOP (Zhu et al., 2014) and the state-of-the-art survey both call for
 benchmarking frameworks that stay meaningful when individual systems
 misbehave.  Proving that requires misbehavior on demand: this module
-wraps an engine (or a workload) so that executions fail, or stall, on a
-*seeded, reproducible* schedule — raise-on-attempt, probabilistic
-raises, and latency spikes — letting the test runner's retry and
-degradation paths be exercised end to end on every executor backend.
+wraps an engine so that executions fail, or stall, on a *seeded,
+reproducible* schedule — raise-on-attempt, probabilistic raises, and
+latency spikes — letting the test runner's retry and degradation paths
+be exercised end to end on every executor backend.
 
 Determinism is the design center.  Every injection decision is a pure
 function of ``(spec.seed, task key, attempt, call)``:
@@ -221,10 +221,6 @@ class FaultyEngine(Engine):
     def info(self) -> EngineInfo:
         return self._inner.info
 
-    @property
-    def fault_spec(self) -> FaultSpec:
-        return self._injector.spec
-
     def inject_fault(self, detail: str = "") -> float:
         return self._injector.inject(detail or f"engine {self._inner.name!r}")
 
@@ -248,39 +244,3 @@ class FaultyEngine(Engine):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"FaultyEngine({self._inner!r}, {self._injector.spec!r})"
-
-
-class FaultyWorkload:
-    """A workload decorator injecting faults around ``run``.
-
-    Wraps any :class:`repro.workloads.base.Workload` instance; dispatch
-    metadata (name, supported engines, description) delegates to the
-    wrapped workload, so the wrapper is a drop-in replacement anywhere a
-    workload is accepted.
-    """
-
-    def __init__(self, inner: Any, spec: FaultSpec) -> None:
-        self._inner = inner
-        self._injector = FaultInjector(spec, default_key=inner.name)
-
-    def run(self, engine: Any, dataset: Any, **params: Any) -> Any:
-        self._injector.inject(f"workload {self._inner.name!r}")
-        return self._inner.run(engine, dataset, **params)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._inner, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"FaultyWorkload({self._inner!r}, {self._injector.spec!r})"
-
-
-def with_faults(target: Any, spec: FaultSpec) -> Any:
-    """Wrap an engine or a workload with a fault injector."""
-    if isinstance(target, Engine):
-        return FaultyEngine(target, spec)
-    if hasattr(target, "run") and hasattr(target, "name"):
-        return FaultyWorkload(target, spec)
-    raise TypeError(
-        f"cannot inject faults into {type(target).__name__!r}; "
-        "expected an Engine or a Workload"
-    )

@@ -1,9 +1,8 @@
 """Sweep and comparison harnesses built on the runner.
 
 These drive the repeated-measurement patterns the benchmark files need:
-volume sweeps (scalability shapes), cross-engine comparisons (the
-functional-view experiment), and configuration sweeps (planner and
-cluster ablations).
+volume sweeps (scalability shapes), parameter sweeps, and cross-engine
+comparisons (the functional-view experiment).
 
 Sweep points are independent runs, so every harness operation fans out
 over the runner's configured executor backend (see
@@ -19,7 +18,6 @@ from typing import Any
 
 from repro.core.prescription import Prescription
 from repro.core.results import ResultAnalyzer, RunResult
-from repro.execution.config import SystemConfiguration
 from repro.execution.plan import engine_configuration
 from repro.execution.runner import RunTask, TestRunner
 
@@ -141,33 +139,3 @@ class BenchmarkHarness:
             prescription, engine_names, volume_override, **overrides
         )
         return ResultAnalyzer(results)
-
-    def configuration_sweep(
-        self,
-        prescription: Prescription | str,
-        engine_name: str,
-        configurations: dict[str, SystemConfiguration],
-        **overrides: Any,
-    ) -> SweepReport:
-        """Run one prescription under several engine configurations.
-
-        Each configuration travels with its task: the runner holds no
-        engine configuration of its own.
-        """
-        volume_override = overrides.pop("volume_override", None)
-        tasks = [
-            RunTask(
-                prescription,
-                engine_name,
-                volume_override,
-                dict(overrides),
-                configuration=configuration,
-            )
-            for configuration in configurations.values()
-        ]
-        results = self.runner.run_many(tasks)
-        report = SweepReport(parameter="configuration")
-        for label, result in zip(configurations, results):
-            result.extra["configuration"] = label
-            report.points.append(SweepPoint("configuration", label, result))
-        return report

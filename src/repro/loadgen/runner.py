@@ -207,6 +207,42 @@ class LoadReport:
             extra=extra,
         )
 
+    def render(self) -> str:
+        """The human-readable report (the ``load`` verb's text output)."""
+        shape = (
+            f"{self.plan.sessions} sessions (closed loop)"
+            if self.plan.mode == "closed"
+            else f"{self.plan.arrival} @ {self.plan.rate:g} req/s"
+        )
+        lines = [
+            f"load: {shape} for {self.plan.duration:g}s against "
+            f"{self.target_name} [{self.clock} clock, "
+            f"concurrency {self.concurrency}, seed {self.plan.seed}]",
+            f"  offered {self.offered} ({self.offered_rate:.4g}/s)  "
+            f"completed {self.completed} ({self.achieved_rate:.4g}/s)  "
+            f"shed {self.shed} ({self.shed_fraction:.1%})  "
+            f"errors {self.errors} ({self.error_fraction:.1%})",
+        ]
+        if self.latencies:
+            stats = self.latency_stats()
+            lines.append(
+                f"  latency p50 {stats.p50 * 1e3:.3g}ms  "
+                f"p95 {stats.p95 * 1e3:.3g}ms  "
+                f"p99 {stats.p99 * 1e3:.3g}ms  "
+                f"max {stats.maximum * 1e3:.3g}ms  "
+                f"queue depth max {self.queue_depth_max}"
+            )
+        else:
+            lines.append("  no completed requests (no latency samples)")
+        if self.verdict is not None:
+            lines.append(f"SLO: {'PASS' if self.verdict.passed else 'FAIL'}")
+            lines.extend(
+                f"  {check.describe()}" for check in self.verdict.checks
+            )
+        if self.record_id is not None:
+            lines.append(f"recorded {self.record_id}")
+        return "\n".join(lines)
+
     def summary(self) -> dict[str, Any]:
         """A flat JSON-friendly digest (CLI ``--json``, benchmarks)."""
         payload: dict[str, Any] = {
@@ -266,6 +302,72 @@ def load_fingerprint(
         "queue_capacity": queue_capacity,
         **plan.as_dict(),
     }
+
+
+class _VirtualQueue:
+    """A FIFO queue in front of ``concurrency`` servers on the virtual
+    clock: the bookkeeping the open and closed loops share.
+
+    Each loop keeps its own request source and door; this keeps the free
+    servers, the start times still waiting (for the depth a request
+    finds), and the measurement window, all written into ``report``.
+    """
+
+    def __init__(
+        self,
+        runner: LoadRunner,
+        report: LoadReport,
+        rng: np.random.Generator,
+    ) -> None:
+        self._serve = runner._serve
+        self._rng = rng
+        self._report = report
+        # When each server frees up: a heap (all-equal is already one).
+        self._free = [0.0] * runner.concurrency
+        # FIFO + earliest-free-server makes start times nondecreasing,
+        # so the waiting set is a deque drained from the front.
+        self._waiting_starts: deque[float] = deque()
+        self._last_completion = 0.0
+
+    def arrive(self, at: float) -> int:
+        """Offer one request at ``at``; returns the queue depth it finds."""
+        self._report.offered += 1
+        waiting = self._waiting_starts
+        while waiting and waiting[0] <= at:
+            waiting.popleft()
+        depth = len(waiting)
+        self._report.queue_depth_samples.append(depth)
+        return depth
+
+    def busy(self, at: float) -> bool:
+        """Whether every server is still working at ``at``."""
+        return self._free[0] > at
+
+    def serve(self, at: float, request_index: int) -> float | None:
+        """Serve a request that arrived at ``at``: its completion time,
+        or None when the target shed it or it failed."""
+        service, disposition = self._serve(request_index, self._rng)
+        report = self._report
+        if disposition == "shed":
+            report.shed += 1
+            return None
+        if disposition == "error":
+            report.errors += 1
+            return None
+        free_at = heapq.heappop(self._free)
+        start = max(at, free_at)
+        completion = start + service
+        heapq.heappush(self._free, completion)
+        self._waiting_starts.append(start)
+        report.completed += 1
+        report.latencies.append(completion - at)
+        self._last_completion = max(self._last_completion, completion)
+        return completion
+
+    def close(self, duration: float) -> None:
+        """The window: first arrival to last completion, at least
+        ``duration``."""
+        self._report.elapsed_seconds = max(duration, self._last_completion)
 
 
 class LoadRunner:
@@ -396,50 +498,27 @@ class LoadRunner:
             plan.seed,
             **plan.arrival_options,
         )
-        rng = self._service_rng(plan)
-        free = [0.0] * self.concurrency
-        heapq.heapify(free)
-        # FIFO + earliest-free-server makes start times nondecreasing,
-        # so the waiting set is a deque drained from the front.
-        waiting_starts: deque[float] = deque()
-        last_completion = 0.0
+        queue = _VirtualQueue(self, report, self._service_rng(plan))
         for index, arrived in enumerate(arrivals):
-            report.offered += 1
-            while waiting_starts and waiting_starts[0] <= arrived:
-                waiting_starts.popleft()
-            depth = len(waiting_starts)
-            report.queue_depth_samples.append(depth)
+            depth = queue.arrive(arrived)
             # Shed only when every waiting slot is taken AND no server
             # is idle: queue_capacity=0 still serves what a free server
             # can take immediately.
-            if depth >= self.queue_capacity and free[0] > arrived:
+            if depth >= self.queue_capacity and queue.busy(arrived):
                 report.shed += 1
                 continue
-            service, disposition = self._serve(index, rng)
-            if disposition == "shed":
-                report.shed += 1
-                continue
-            if disposition == "error":
-                report.errors += 1
-                continue
-            free_at = heapq.heappop(free)
-            start = max(arrived, free_at)
-            completion = start + service
-            heapq.heappush(free, completion)
-            waiting_starts.append(start)
-            report.completed += 1
-            report.latencies.append(completion - arrived)
-            last_completion = max(last_completion, completion)
-        report.elapsed_seconds = max(plan.duration, last_completion)
+            queue.serve(arrived, index)
+        queue.close(plan.duration)
 
     def _run_closed(self, plan: LoadPlan, report: LoadReport) -> None:
         """Closed loop: N sessions, think → issue → wait → think …
 
         Runs as a virtual-clock simulation regardless of the configured
         clock — a closed population self-paces, so there is nothing a
-        wall clock would add except nondeterminism.
+        wall clock would add except nondeterminism.  Nothing is shed at
+        the door: a session waits for its answer before it issues again.
         """
-        service_rng = self._service_rng(plan)
+        queue = _VirtualQueue(self, report, self._service_rng(plan))
         think_rng = np.random.default_rng(
             mix_seed(plan.seed, _THINK_STREAM)
         )
@@ -449,44 +528,24 @@ class LoadRunner:
                 return 0.0
             return float(think_rng.exponential(plan.think_time))
 
-        free = [0.0] * self.concurrency
-        heapq.heapify(free)
-        waiting_starts: deque[float] = deque()
         # (next issue time, session id) — session id breaks ties
         # deterministically.
         sessions = [(think(), index) for index in range(plan.sessions)]
         heapq.heapify(sessions)
-        last_completion = 0.0
         index = 0
         while sessions:
             issued_at, session = heapq.heappop(sessions)
             if issued_at >= plan.duration:
                 continue
-            report.offered += 1
-            while waiting_starts and waiting_starts[0] <= issued_at:
-                waiting_starts.popleft()
-            report.queue_depth_samples.append(len(waiting_starts))
-            service, disposition = self._serve(index, service_rng)
+            queue.arrive(issued_at)
+            completion = queue.serve(issued_at, index)
             index += 1
-            if disposition != "ok":
-                if disposition == "shed":
-                    report.shed += 1
-                else:
-                    report.errors += 1
-                heapq.heappush(
-                    sessions, (issued_at + max(think(), 1e-6), session)
-                )
-                continue
-            free_at = heapq.heappop(free)
-            start = max(issued_at, free_at)
-            completion = start + service
-            heapq.heappush(free, completion)
-            waiting_starts.append(start)
-            report.completed += 1
-            report.latencies.append(completion - issued_at)
-            last_completion = max(last_completion, completion)
-            heapq.heappush(sessions, (completion + think(), session))
-        report.elapsed_seconds = max(plan.duration, last_completion)
+            if completion is None:
+                next_issue = issued_at + max(think(), 1e-6)
+            else:
+                next_issue = completion + think()
+            heapq.heappush(sessions, (next_issue, session))
+        queue.close(plan.duration)
 
     # ------------------------------------------------------------------
     # Real clock: paced dispatch onto a worker pool

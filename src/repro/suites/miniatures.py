@@ -24,7 +24,7 @@ from repro.datagen.text import LdaTextGenerator, RandomTextGenerator
 from repro.datagen.weblog import WebLogGenerator
 from repro.engines.dbms import DbmsEngine, col, lit
 from repro.engines.mapreduce import MapReduceEngine
-from repro.engines.nosql import NoSqlStore, YcsbClient, STANDARD_WORKLOADS
+from repro.engines.nosql import NoSqlStore
 from repro.workloads import (
     ConnectedComponentsWorkload,
     CollaborativeFilteringWorkload,
@@ -199,16 +199,12 @@ def pigmix_miniature(scale: float = 1.0) -> MiniatureReport:
 def ycsb_miniature(scale: float = 1.0) -> MiniatureReport:
     """YCSB: core workloads A/B/C against the NoSQL store."""
     report = MiniatureReport("YCSB", notes="cloud serving workloads")
+    records = _kv_data(scale)
     for mix in ("A", "B", "C"):
-        store = NoSqlStore(num_partitions=8, replication=2, seed=31)
-        client = YcsbClient(store, STANDARD_WORKLOADS[mix](), seed=32)
-        client.load(_scaled(150, scale))
-        run = client.run(_scaled(400, scale))
-        report.runs[f"workload-{mix}"] = {
-            "throughput_ops_per_second": run.throughput_ops_per_second,
-            "duration_seconds": run.simulated_seconds,
-            "failures": run.failures,
-        }
+        report.runs[f"workload-{mix}"] = YcsbWorkload().run(
+            NoSqlStore(num_partitions=8, replication=2, seed=31), records,
+            workload_mix=mix, operation_count=_scaled(400, scale), seed=32,
+        )
     return report
 
 

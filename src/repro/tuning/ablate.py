@@ -15,11 +15,6 @@ its run-store record id and series key), a verdict table (improved /
 regressed / unchanged / inconclusive per tuned profile), and a
 per-knob attribution table built from the one-off profiles — each row
 isolating one knob's contribution to the optimized delta.
-
-With ``service=True`` the matrix is submitted cell-by-cell to the
-benchmark service (:mod:`repro.service`) as queued
-:class:`~repro.core.spec.BenchmarkSpec` jobs instead of running on a
-local runner; outcomes, record ids, and verdicts come out identical.
 """
 
 from __future__ import annotations
@@ -401,7 +396,7 @@ def _build_cells(
 
 
 # ---------------------------------------------------------------------------
-# Execution backends
+# Execution
 # ---------------------------------------------------------------------------
 
 
@@ -415,7 +410,7 @@ def _cell_spec(base: Any, cell: AblationCell) -> Any:
     )
 
 
-def _run_cells_local(
+def _run_cells(
     cells: list[AblationCell], base: Any, repository: Any, warmup: int
 ) -> None:
     from repro.analysis.store import RunStore
@@ -448,24 +443,6 @@ def _run_cells_local(
         cell.outcome = outcome
 
 
-def _run_cells_service(
-    cells: list[AblationCell], base: Any, repository: Any, schedulers: int
-) -> None:
-    from repro.service import ServiceClient
-
-    with ServiceClient(
-        schedulers=schedulers, store_dir=base.store_dir, repository=repository
-    ) as client:
-        handles = [
-            client.submit(_cell_spec(base, cell), client="ablate")
-            for cell in cells
-        ]
-        for cell, handle in zip(cells, handles):
-            job = handle.wait()
-            outcomes = job.outcomes or []
-            cell.outcome = outcomes[0] if outcomes else None
-
-
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -491,8 +468,6 @@ def run_ablation(
     alpha: float = DEFAULT_ALPHA,
     store_dir: str | None = None,
     repository: Any = None,
-    service: bool = False,
-    schedulers: int = 2,
 ) -> AblationReport:
     """Run a tuning-ablation matrix and judge every tuned cell.
 
@@ -543,10 +518,7 @@ def run_ablation(
         record=True,
         store_dir=resolved_dir,
     )
-    if service:
-        _run_cells_service(runnable, base, repository, schedulers)
-    else:
-        _run_cells_local(runnable, base, repository, warmup)
+    _run_cells(runnable, base, repository, warmup)
 
     # One read of the store for the whole matrix, after every cell ran.
     series_of = {record.record_id: record.series for record in store.records()}

@@ -29,7 +29,11 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "GrepWorkload", "SortWorkload", "TeraSortWorkload",
             "WordCountWorkload",
         ),
-        "repro.workloads.oltp": ("YcsbWorkload",),
+        "repro.workloads.oltp": (
+            "STANDARD_WORKLOADS", "OpType", "RequestDistribution",
+            "YcsbWorkload", "YcsbWorkloadSpec", "workload_a", "workload_b",
+            "workload_c", "workload_d", "workload_e", "workload_f",
+        ),
         "repro.workloads.relational": (
             "CountUrlLinksWorkload", "RelationalQueryWorkload",
             "derive_products",

@@ -5,30 +5,28 @@ relational database with the same serving workloads; this module keeps
 that shape: the identical operation mix runs against
 :class:`~repro.engines.nosql.store.NoSqlStore` (simulated service-time
 latencies) and against :class:`~repro.engines.dbms.engine.DbmsEngine`
-(measured execution latencies).
+(measured execution latencies).  The workloads themselves are YCSB's
+core abstractions (Cooper et al. 2010): an operation mix plus a
+request-key distribution, with the standard workloads A–F as presets.
 """
 
 from __future__ import annotations
 
+import enum
 import time
 from bisect import bisect_right
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from repro._util import choice_cdf
-from repro.core.errors import ExecutionError
+from repro.core.errors import EngineError, ExecutionError
 from repro.core.operations import operations
 from repro.core.patterns import MultiOperationPattern
 from repro.datagen.base import DataSet, DataType
 from repro.engines.base import CostCounters
 from repro.engines.dbms import DbmsEngine, col, lit
-from repro.engines.nosql import (
-    STANDARD_WORKLOADS,
-    OpType,
-    RequestDistribution,
-    YcsbWorkloadSpec,
-)
 from repro.engines.nosql.store import NoSqlStore
 from repro.workloads.base import (
     ApplicationDomain,
@@ -36,6 +34,107 @@ from repro.workloads.base import (
     WorkloadCategory,
     WorkloadResult,
 )
+
+
+class RequestDistribution(enum.Enum):
+    """How request keys are chosen over the loaded key space."""
+
+    UNIFORM = "uniform"
+    ZIPFIAN = "zipfian"
+    LATEST = "latest"
+
+
+class OpType(enum.Enum):
+    READ = "read"
+    UPDATE = "update"
+    INSERT = "insert"
+    SCAN = "scan"
+    READ_MODIFY_WRITE = "read-modify-write"
+
+
+@dataclass
+class YcsbWorkloadSpec:
+    """An operation mix over a loaded record set (one YCSB workload)."""
+
+    name: str
+    read_proportion: float = 0.0
+    update_proportion: float = 0.0
+    insert_proportion: float = 0.0
+    scan_proportion: float = 0.0
+    read_modify_write_proportion: float = 0.0
+    request_distribution: RequestDistribution = RequestDistribution.ZIPFIAN
+    max_scan_length: int = 100
+
+    def __post_init__(self) -> None:
+        total = (
+            self.read_proportion
+            + self.update_proportion
+            + self.insert_proportion
+            + self.scan_proportion
+            + self.read_modify_write_proportion
+        )
+        if not 0.999 <= total <= 1.001:
+            raise EngineError(
+                f"workload {self.name!r} proportions sum to {total}, expected 1.0"
+            )
+
+    def operation_mix(self) -> list[tuple[OpType, float]]:
+        return [
+            (OpType.READ, self.read_proportion),
+            (OpType.UPDATE, self.update_proportion),
+            (OpType.INSERT, self.insert_proportion),
+            (OpType.SCAN, self.scan_proportion),
+            (OpType.READ_MODIFY_WRITE, self.read_modify_write_proportion),
+        ]
+
+
+def workload_a() -> YcsbWorkloadSpec:
+    """Update heavy: 50% read / 50% update, zipfian."""
+    return YcsbWorkloadSpec("A", read_proportion=0.5, update_proportion=0.5)
+
+
+def workload_b() -> YcsbWorkloadSpec:
+    """Read mostly: 95% read / 5% update, zipfian."""
+    return YcsbWorkloadSpec("B", read_proportion=0.95, update_proportion=0.05)
+
+
+def workload_c() -> YcsbWorkloadSpec:
+    """Read only, zipfian."""
+    return YcsbWorkloadSpec("C", read_proportion=1.0)
+
+
+def workload_d() -> YcsbWorkloadSpec:
+    """Read latest: 95% read / 5% insert, latest distribution."""
+    return YcsbWorkloadSpec(
+        "D",
+        read_proportion=0.95,
+        insert_proportion=0.05,
+        request_distribution=RequestDistribution.LATEST,
+    )
+
+
+def workload_e() -> YcsbWorkloadSpec:
+    """Short ranges: 95% scan / 5% insert, zipfian."""
+    return YcsbWorkloadSpec(
+        "E", scan_proportion=0.95, insert_proportion=0.05, max_scan_length=100
+    )
+
+
+def workload_f() -> YcsbWorkloadSpec:
+    """Read-modify-write: 50% read / 50% RMW, zipfian."""
+    return YcsbWorkloadSpec(
+        "F", read_proportion=0.5, read_modify_write_proportion=0.5
+    )
+
+
+STANDARD_WORKLOADS = {
+    "A": workload_a,
+    "B": workload_b,
+    "C": workload_c,
+    "D": workload_d,
+    "E": workload_e,
+    "F": workload_f,
+}
 
 
 def _spec_for(workload_mix: str | YcsbWorkloadSpec) -> YcsbWorkloadSpec:

@@ -10,12 +10,10 @@ from repro.analysis.compare import (
     bootstrap_mean_delta_ci,
     compare_records,
     compare_samples,
-    compare_series,
     mann_whitney_u,
     metric_direction,
     min_achievable_p,
 )
-from repro.analysis.store import RunStore, spec_fingerprint
 from repro.core.errors import AnalysisError
 from repro.core.results import MetricStats, RunResult
 
@@ -207,31 +205,6 @@ class TestComparisonRollup:
         metric = payload["metrics"]["duration"]
         assert metric["verdict"] == "regressed"
         assert metric["ci_low"] > 0
-
-
-class TestCompareSeries:
-    def test_pooling_raises_power(self, tmp_path):
-        store = RunStore(tmp_path)
-        fingerprint = spec_fingerprint("p", "e", volume=10)
-
-        def record(samples):
-            result = RunResult(
-                "t", "w", "e", len(samples),
-                metrics={"duration": MetricStats("duration", samples)},
-            )
-            return store.record_outcome(result, fingerprint)
-
-        old = [record([1.0, 1.02]), record([0.98, 1.01])]
-        new = [record([1.5, 1.52]), record([1.49, 1.51])]
-        comparison = compare_series(old, new)
-        assert comparison.metrics["duration"].baseline_n == 4
-        assert comparison.metrics["duration"].verdict == "regressed"
-        assert comparison.baseline == "r0001..r0002"
-        assert comparison.candidate == "r0003..r0004"
-
-    def test_empty_series_raise(self):
-        with pytest.raises(AnalysisError, match="empty record series"):
-            compare_series([], [])
 
 
 class TestAblationEdgeCases:

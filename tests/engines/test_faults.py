@@ -6,14 +6,13 @@ import pytest
 
 from repro.core import registry
 from repro.core.errors import EngineError
+from repro.engines.base import CostCounters
 from repro.engines.faults import (
     FaultSpec,
     FaultyEngine,
-    FaultyWorkload,
     InjectedFault,
     current_fault_attempt,
     fault_attempt,
-    with_faults,
 )
 
 
@@ -113,26 +112,11 @@ class TestFaultyEngine:
         assert issubclass(InjectedFault, EngineError)
 
 
-class TestFaultyWorkloadAndDispatcher:
-    def test_with_faults_wraps_engine(self):
-        wrapped = with_faults(registry.engines.create("dbms"), FaultSpec())
-        assert isinstance(wrapped, FaultyEngine)
-
-    def test_with_faults_wraps_workload(self):
-        workload = registry.workloads.create("wordcount")
-        wrapped = with_faults(workload, FaultSpec())
-        assert isinstance(wrapped, FaultyWorkload)
-        assert wrapped.name == workload.name
-        assert wrapped.supported_engines() == workload.supported_engines()
-
-    def test_with_faults_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            with_faults(object(), FaultSpec())
-
-    def test_faulty_workload_raises_before_running(self):
-        workload = with_faults(
-            registry.workloads.create("wordcount"),
-            FaultSpec(fail_calls=(0,)),
-        )
+class TestDispatcherSeam:
+    def test_faulty_engine_raises_before_running(self):
+        inner = registry.engines.create("mapreduce")
+        engine = FaultyEngine(inner, FaultSpec(fail_calls=(0,)))
+        text = registry.generators.create("random-text").generate(5)
         with pytest.raises(InjectedFault):
-            workload.run(registry.engines.create("mapreduce"), None)
+            registry.workloads.create("wordcount").run(engine, text)
+        assert inner.counters.snapshot() == CostCounters().snapshot()

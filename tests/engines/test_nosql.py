@@ -1,19 +1,15 @@
-"""Tests for the NoSQL store and the YCSB client."""
+"""Tests for the NoSQL store and the YCSB workload specs."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core.errors import EngineError
-from repro.engines.nosql import (
-    LatencyModel,
-    NoSqlStore,
-    OpType,
-    RequestDistribution,
+from repro.engines.nosql import LatencyModel, NoSqlStore
+from repro.workloads.oltp import (
     STANDARD_WORKLOADS,
-    YcsbClient,
+    RequestDistribution,
     YcsbWorkloadSpec,
-    workload_a,
 )
 
 
@@ -123,66 +119,3 @@ class TestWorkloadSpecs:
             STANDARD_WORKLOADS["D"]().request_distribution
             is RequestDistribution.LATEST
         )
-
-
-class TestYcsbClient:
-    def test_load_then_run(self, store):
-        client = YcsbClient(store, workload_a(), seed=3)
-        client.load(100)
-        report = client.run(300)
-        assert report.operations == 300
-        assert report.failures == 0
-        assert report.throughput_ops_per_second > 0
-
-    def test_run_without_load_rejected(self, store):
-        client = YcsbClient(store, workload_a(), seed=4)
-        with pytest.raises(EngineError):
-            client.run(10)
-
-    def test_latency_percentiles_ordered(self, store):
-        client = YcsbClient(store, workload_a(), seed=5)
-        client.load(50)
-        report = client.run(400)
-        p50 = report.latency_percentile(OpType.READ, 0.50)
-        p99 = report.latency_percentile(OpType.READ, 0.99)
-        assert p50 <= p99
-        assert report.mean_latency(OpType.READ) > 0
-
-    def test_scan_workload_runs(self, store):
-        client = YcsbClient(store, STANDARD_WORKLOADS["E"](), seed=6)
-        client.load(50)
-        report = client.run(100)
-        assert report.latencies[OpType.SCAN]
-
-    def test_rmw_workload_runs(self, store):
-        client = YcsbClient(store, STANDARD_WORKLOADS["F"](), seed=7)
-        client.load(50)
-        report = client.run(100)
-        assert report.latencies[OpType.READ_MODIFY_WRITE]
-
-    def test_zipfian_skews_requests(self):
-        quiet = LatencyModel(jitter_sigma=0.0)
-        store = NoSqlStore(num_partitions=4, latency=quiet, seed=8)
-        spec = YcsbWorkloadSpec("C", read_proportion=1.0)
-        client = YcsbClient(store, spec, seed=9)
-        client.load(100)
-        # Track reads by patching the store's read.
-        counts: dict[str, int] = {}
-        original_read = store.read
-
-        def counting_read(key, field_names=None):
-            counts[key] = counts.get(key, 0) + 1
-            return original_read(key, field_names)
-
-        store.read = counting_read  # type: ignore[method-assign]
-        client.run(500)
-        hottest = max(counts.values())
-        assert hottest > 500 / 100 * 5  # far above the uniform share
-
-    def test_invalid_counts(self, store):
-        client = YcsbClient(store, workload_a(), seed=10)
-        with pytest.raises(EngineError):
-            client.load(0)
-        client.load(10)
-        with pytest.raises(EngineError):
-            client.run(0)

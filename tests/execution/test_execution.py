@@ -20,7 +20,7 @@ from repro.execution.report import (
     render_results,
     render_trace,
 )
-from repro.execution.runner import RunnerOptions, TestRunner
+from repro.execution.runner import RunnerOptions, RunTask, TestRunner
 from repro.observability import Span
 
 
@@ -127,18 +127,18 @@ class TestHarness:
 
     def test_configuration_sweep_restores_originals(self):
         harness = BenchmarkHarness()
-        report = harness.configuration_sweep(
-            "database-aggregate-join",
-            "dbms",
-            {
-                "hash": SystemConfiguration("dbms", {"join_algorithm": "hash"}),
-                "nested": SystemConfiguration(
-                    "dbms", {"join_algorithm": "nested_loop"}
-                ),
-            },
-            volume_override=50,
+        configurations = [
+            SystemConfiguration("dbms", {"join_algorithm": algorithm})
+            for algorithm in ("hash", "nested_loop")
+        ]
+        results = harness.runner.run_many(
+            [
+                RunTask("database-aggregate-join", "dbms", 50,
+                        configuration=configuration)
+                for configuration in configurations
+            ]
         )
-        assert len(report.points) == 2
+        assert all(result.ok for result in results)
         # A swept configuration stays on its task: the next engine the
         # runner builds is the bare one again.
         bare = harness.runner._build_engine("dbms").planner.config

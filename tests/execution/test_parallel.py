@@ -328,6 +328,9 @@ class TestTracedBackends:
 
 
 class TestConfigurationSweep:
+    """A sweep over engine configurations is one task per configuration:
+    each configuration travels with its task, the runner holds none."""
+
     CONFIGS = {
         "small": SystemConfiguration(
             "mapreduce", {"num_nodes": 2, "slots_per_node": 1}
@@ -337,12 +340,18 @@ class TestConfigurationSweep:
         ),
     }
 
+    @staticmethod
+    def _sweep(configs, volume, runner=None):
+        tasks = [
+            RunTask("micro-wordcount", "mapreduce", volume, configuration=config)
+            for config in configs.values()
+        ]
+        return dict(zip(configs, (runner or TestRunner()).run_many(tasks)))
+
     def test_sweep_labels_points_in_configuration_order(self):
-        report = BenchmarkHarness().configuration_sweep(
-            "micro-wordcount", "mapreduce", self.CONFIGS, volume_override=30
-        )
-        assert [point.value for point in report.points] == ["small", "large"]
-        assert report.points[0].result.extra["configuration"] == "small"
+        points = self._sweep(self.CONFIGS, 30)
+        assert list(points) == ["small", "large"]
+        assert all(result.ok for result in points.values())
 
     def test_failing_configuration_leaves_runner_intact(self):
         runner = TestRunner()
@@ -351,14 +360,11 @@ class TestConfigurationSweep:
             "broken": SystemConfiguration("spark"),  # no recipe → raises
         }
         with pytest.raises(ExecutionError):
-            BenchmarkHarness(runner).configuration_sweep(
-                "micro-wordcount", "mapreduce", configs, volume_override=20
-            )
+            self._sweep(configs, 20, runner)
         assert runner.run("micro-wordcount", "mapreduce", 20).ok
 
     def test_larger_cluster_is_faster(self):
-        report = BenchmarkHarness().configuration_sweep(
-            "micro-wordcount", "mapreduce", self.CONFIGS, volume_override=120
+        points = self._sweep(self.CONFIGS, 120)
+        assert points["large"].mean("throughput") > points["small"].mean(
+            "throughput"
         )
-        series = dict(report.series("throughput"))
-        assert series["large"] > series["small"]

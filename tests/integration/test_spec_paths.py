@@ -106,8 +106,7 @@ def test_direct_and_service_agree(tmp_path, name):
         assert direct[engine] == service[engine], engine
 
 
-@pytest.mark.parametrize("service", [False, True], ids=["local", "service"])
-def test_ablation_cells_match_the_direct_run(tmp_path, service):
+def test_ablation_cells_match_the_direct_run(tmp_path):
     fields = SPECS["relational-optimized"]
     direct = _direct(fields, str(tmp_path / "direct"))
     report = run_ablation(
@@ -118,7 +117,6 @@ def test_ablation_cells_match_the_direct_run(tmp_path, service):
         seed=fields["params"]["seed"],
         include_one_offs=False,
         store_dir=str(tmp_path / "ablate"),
-        service=service,
     )
     store = api.RunStore(str(tmp_path / "ablate"))
     for engine, expected in direct.items():

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.engines.nosql import NoSqlStore
 from repro.suites import (
     MINIATURES,
     PAPER_TABLE1,
@@ -23,7 +26,9 @@ from repro.suites.classify import (
     classify_veracity,
     classify_volume,
 )
+from repro.suites import miniatures
 from repro.suites.registry import GeneratorCapability
+from repro.workloads import YcsbWorkload
 
 
 def capability(**overrides) -> GeneratorCapability:
@@ -191,8 +196,26 @@ class TestMiniatures:
     def test_ycsb_reports_throughput(self):
         report = run_miniature("YCSB", scale=0.3)
         for run in report.runs.values():
-            assert run["throughput_ops_per_second"] > 0
-            assert run["failures"] == 0
+            assert run.records_out / run.simulated_seconds > 0
+
+    @pytest.mark.parametrize(
+        ("suite", "prefix"), [("YCSB", ""), ("CloudSuite", "ycsb-")]
+    )
+    def test_ycsb_runs_are_the_oltp_workload(self, suite, prefix):
+        """The miniature runs the one YCSB driver: each mix equals
+        ``YcsbWorkload`` on the same store and data, but for wall time."""
+        report = run_miniature(suite, scale=0.3)
+        records = miniatures._kv_data(0.3)
+        for mix in "ABC":
+            direct = YcsbWorkload().run(
+                NoSqlStore(num_partitions=8, replication=2, seed=31), records,
+                workload_mix=mix, operation_count=miniatures._scaled(400, 0.3),
+                seed=32,
+            )
+            run = report.runs[f"{prefix}workload-{mix}"]
+            assert replace(run, duration_seconds=0.0) == replace(
+                direct, duration_seconds=0.0
+            )
 
     def test_bigdatabench_covers_all_domains(self):
         report = run_miniature("BigDataBench", scale=0.3)

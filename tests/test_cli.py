@@ -734,6 +734,7 @@ class TestFlagScoping:
             ["load", "--workers", "2"],
             ["serve", "--spec-file", "batch.json", "--layout", "columnar"],
             ["ablate", "--workloads", "micro", "--record"],
+            ["ablate", "--workloads", "micro", "--schedulers", "2"],
         ],
         ids=lambda argv: " ".join(argv[:1] + argv[-2:-1]),
     )
@@ -806,8 +807,7 @@ class TestFlagScoping:
                     "--store-dir", "S", "--executor", "thread",
                     "--workers", "2", "--layout", "columnar",
                     "--param", "top_k=3", "--repeats", "2",
-                    "--volume", "40", "--alpha", "0.1",
-                    "--service", "--schedulers", "3")
+                    "--volume", "40", "--alpha", "0.1")
         assert call["args"] == ("micro", "dbms")
         kwargs = call["kwargs"]
         assert kwargs["store_dir"] == "S"
@@ -815,7 +815,7 @@ class TestFlagScoping:
         assert kwargs["layout"] == "columnar"
         assert kwargs["params"] == {"top_k": 3}
         assert (kwargs["repeats"], kwargs["volume"]) == (2, 40)
-        assert (kwargs["service"], kwargs["schedulers"]) == (True, 3)
+        assert "service" not in kwargs and "schedulers" not in kwargs
         assert kwargs["alpha"] == 0.1
         assert "tolerance" not in kwargs
 

@@ -241,28 +241,6 @@ class TestRendering:
             render_ablation(small_report, "yaml")
 
 
-class TestServicePath:
-    def test_cells_run_as_queued_jobs(self, tmp_path):
-        report = run_ablation(
-            "relational",
-            "dbms",
-            repeats=2,
-            volume=60,
-            include_one_offs=False,
-            store_dir=str(tmp_path),
-            service=True,
-        )
-        executed = [c for c in report.cells if c.supported]
-        assert len(executed) == 2  # normal + optimized
-        assert all(cell.record_id for cell in executed)
-        store = RunStore(str(tmp_path))
-        tuned = next(c for c in executed if not c.profile.is_normal)
-        assert (
-            store.get(tuned.record_id).fingerprint["tuning"]["profile"]
-            == "optimized"
-        )
-
-
 class TestStoreReads:
     """The matrix learns its cells' series from one read of the store."""
 

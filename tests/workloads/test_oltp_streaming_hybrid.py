@@ -12,13 +12,7 @@ from repro.datagen.kv import KeyValueGenerator
 from repro.datagen.stream import PoissonArrivals, StreamGenerator
 from repro.datagen.weblog import WebLogGenerator
 from repro.engines.dbms import DbmsEngine
-from repro.engines.nosql import (
-    STANDARD_WORKLOADS,
-    NoSqlStore,
-    OpType,
-    RequestDistribution,
-    YcsbWorkloadSpec,
-)
+from repro.engines.nosql import LatencyModel, NoSqlStore
 from repro.engines.streaming import StreamingEngine
 from repro.workloads import (
     ArrivalPattern,
@@ -29,6 +23,12 @@ from repro.workloads import (
     profile_arrival_pattern,
 )
 from repro.workloads import oltp
+from repro.workloads.oltp import (
+    STANDARD_WORKLOADS,
+    OpType,
+    RequestDistribution,
+    YcsbWorkloadSpec,
+)
 
 
 @pytest.fixture()
@@ -78,6 +78,25 @@ class TestYcsbWorkload:
 
     def test_supports_both_engines(self):
         assert YcsbWorkload().supported_engines() == ("dbms", "nosql")
+
+    def test_zipfian_skews_requests(self, kv_data):
+        store = NoSqlStore(
+            num_partitions=4, latency=LatencyModel(jitter_sigma=0.0), seed=8
+        )
+        counts: dict[str, int] = {}
+        original_read = store.read
+
+        def counting_read(key, field_names=None):
+            counts[key] = counts.get(key, 0) + 1
+            return original_read(key, field_names)
+
+        store.read = counting_read  # type: ignore[method-assign]
+        YcsbWorkload().run(
+            store, kv_data, workload_mix="C", operation_count=500, seed=9
+        )
+        assert sum(counts.values()) == 500
+        # Far above the uniform share of the 80 loaded keys.
+        assert max(counts.values()) > 500 / 80 * 5
 
 
 #: A mix with a zero-weight operation between two drawn ones, uniform keys.

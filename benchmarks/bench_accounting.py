@@ -23,6 +23,10 @@ measured").  One row holds:
   map / identity reduce job, i.e. a job that is nothing but accounting;
 * ``duration_s``: the ``duration`` metric each engine *reports* for the
   nine ``exec-default`` specs of ``benchmarks/e2e`` at their volumes;
+* ``cfs``: ``CfsWorkload.run_dfs`` by itself over the ``random-text``
+  data set of each CFS cell (``cfs-dfs``, ``cfs-text``), collector off as
+  in a run: the fastest call's seconds, and the files, bytes, DFS
+  counters and simulated seconds it reported;
 * ``meter_share``: for the engines that run user functions (MapReduce,
   streaming), the share of the reported duration that is left when the
   user functions are replaced by look-ups of their precomputed answers:
@@ -134,6 +138,10 @@ METERED_PAIRS = 5000
 #: The iterative cells, whose every iteration emits new floats.
 METERED_SPECS = ("pagerank-mr", "kmeans-mr")
 
+#: The two CFS cells of ``benchmarks/e2e`` (``cfs-dfs`` in ``exec-default``,
+#: ``cfs-text`` in ``gen-bound``): ``random-text`` documents.
+CFS_CELLS = {"cfs-dfs": 2000, "cfs-text": 10000}
+
 #: A micro-probe keeps sampling this long: a few calls of a 20 ms
 #: function catch this host in one mood, slow or fast, not at its best.
 MIN_PROBE_SECONDS = 0.4
@@ -237,6 +245,43 @@ def _probe_durations(repeats: int) -> dict[str, float]:
                 rows[key] = min(
                     rows.get(key, float("inf")), result.mean("duration")
                 )
+    return rows
+
+
+def _probe_cfs(repeats: int) -> dict[str, dict[str, Any]]:
+    """``CfsWorkload.run_dfs`` over each CFS cell's data set on a fresh
+    DFS, the collector off as it is inside a run: the fastest call, and
+    what the workload and the DFS reported (equal on any two trees that
+    write the same bytes)."""
+    import gc
+
+    from repro.core import registry
+    from repro.engines.dfs import DistributedFileSystem
+    from repro.workloads.cfs import CfsWorkload
+
+    rows: dict[str, dict[str, Any]] = {}
+    for name, volume in CFS_CELLS.items():
+        dataset = registry.generators.create("random-text").generate(volume)
+        runs = []
+
+        def run() -> None:
+            engine = DistributedFileSystem()
+            runs.append((CfsWorkload().run_dfs(engine, dataset), engine))
+
+        gc.disable()
+        try:
+            seconds = _best(repeats, run)
+        finally:
+            gc.enable()
+        result, engine = runs[-1]
+        rows[name] = {
+            "seconds": seconds,
+            "files": result.output["files"],
+            "bytes": result.output["bytes"],
+            "bytes_written": engine.counters.bytes_written,
+            "network_bytes": engine.counters.network_bytes,
+            "simulated_seconds": result.simulated_seconds,
+        }
     return rows
 
 
@@ -422,6 +467,7 @@ def probe(repeats: int) -> dict[str, Any]:
         "shuffle_ns_per_pair": _probe_shuffle(repeats),
         "counted_record_ns": _probe_identity_job(repeats),
         "duration_s": _probe_durations(repeats),
+        "cfs": _probe_cfs(repeats),
         "meter_share": {
             "mapreduce": _probe_mapreduce_share(repeats),
             "streaming": _probe_streaming_share(repeats),
@@ -451,6 +497,9 @@ def record_accounting(
         print(f"\n{section}")
         for name, value in rows[section].items():
             print(f"  {name:28s} {value:12.4f}")
+    print("\ncfs")
+    for name, cell in rows["cfs"].items():
+        print(f"  {name:28s} {cell['seconds']:12.4f} s, {cell['bytes']} bytes")
     print(f"\ncounted_record_ns {rows['counted_record_ns']:.1f}")
     for engine, share in rows["meter_share"].items():
         print(
@@ -517,6 +566,8 @@ def test_accounting_ledger():
     # A size the process knows costs less than walking the records again.
     sizing = doors["sizing_ns_per_record"]
     assert 0.0 <= sizing["known"] < sizing["first_walk"]
+    assert set(rows["cfs"]) == set(CFS_CELLS)
+    assert all(cell["bytes"] > 0 for cell in rows["cfs"].values())
     pair_meter = rows["pair_meter"]
     assert len(pair_meter["ns_per_pair"]) == 6
     assert all(value > 0 for value in pair_meter["ns_per_pair"].values())

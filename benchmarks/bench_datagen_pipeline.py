@@ -32,8 +32,12 @@ per second of the registry's stream generator at the end-to-end
 benchmark's ``window-poisson`` volume, in one partition and in two, also
 in a fresh process on the measured ``src`` (the all-generators table
 above runs in this process at 1 000 records, where a stream takes 2 ms),
-and a ``generator_rates.e2e-volumes`` row: ``generate()`` of every other
-generator an ``exec-default`` cell reaches, at that cell's volume.
+a ``generator_rates.e2e-volumes`` row: ``generate()`` of every other
+generator an ``exec-default`` cell reaches, at that cell's volume, and a
+``generator_rates.lda-text`` row: ``generate()`` of a fitted ``lda-text``
+at ``gen-bound``'s ``grep-lda`` volume, the fit outside the timing.  Both
+carry a digest of the records, so two trees' rows show they generated
+the same ones.
 
 Each run appends a run-store-schema row per benchmark (see ``_history``)
 to ``BENCH_datagen_pipeline.json`` so the throughput and memory numbers
@@ -111,6 +115,13 @@ E2E_FIT_ON = {"fitted-table": "retail-orders", "rmat-graph": "social-graph"}
 E2E_RATE_REPEATS = 9
 #: What the pytest entry point runs.
 E2E_RATES_SMOKE = {name: volume // 20 for name, volume in E2E_RATES.items()}
+
+#: ``gen-bound``'s ``grep-lda`` cell: ``lda-text`` at its volume.  The fit
+#: is outside the timing, as it is in every round of the cell but the
+#: first (the fitted-model cache).
+LDA_RATE = {"lda-text": 600}
+LDA_FIT_ON = {"lda-text": "text-corpus"}
+LDA_RATE_REPEATS = 15
 
 #: The child generates in the requested shape and reports elapsed
 #: seconds, peak RSS, record count, and a record digest on stdout.
@@ -290,6 +301,9 @@ def test_generator_rates(benchmark):
     assert set(e2e) == set(E2E_RATES_SMOKE)
     assert all(row["records"] > 0 for row in e2e.values())
 
+    lda = record_lda_rate(repeats=2)
+    assert lda["records"] == LDA_RATE["lda-text"]
+
 
 _STREAM_CHILD = """
 import json
@@ -347,8 +361,9 @@ def record_stream_rate(
 
 
 #: Generators take turns, each timed ``repeats`` times; a row keeps each
-#: generator's fastest call.
+#: generator's fastest call and a digest of its records.
 _E2E_CHILD = """
+import hashlib
 import json
 import sys
 import time
@@ -377,22 +392,34 @@ for _ in range(repeats):
         seconds = time.perf_counter() - started
         rows[name]["seconds"] = min(rows[name]["seconds"], seconds)
         rows[name]["records"] = dataset.num_records
+        digest = hashlib.sha256()
+        for record in dataset.records:
+            digest.update(repr(record).encode())
+            digest.update(b"\\n")
+        rows[name]["digest"] = digest.hexdigest()
 print(json.dumps(rows))
 """
+
+
+def _generator_rates(
+    src: str, volumes: dict, fit_on: dict, repeats: int
+) -> dict[str, dict]:
+    completed = run_child(
+        src,
+        ["-c", _E2E_CHILD, json.dumps(volumes), json.dumps(fit_on),
+         str(repeats)],
+    )
+    rows = json.loads(completed.stdout.strip().splitlines()[-1])
+    for row in rows.values():
+        row["records_per_second"] = row["records"] / row["seconds"]
+    return rows
 
 
 def record_e2e_rates(
     src: str = SRC_DIR, source: str = "worktree", volumes: dict = E2E_RATES,
     repeats: int = E2E_RATE_REPEATS,
 ) -> dict[str, dict]:
-    completed = run_child(
-        src,
-        ["-c", _E2E_CHILD, json.dumps(volumes), json.dumps(E2E_FIT_ON),
-         str(repeats)],
-    )
-    rows = json.loads(completed.stdout.strip().splitlines()[-1])
-    for row in rows.values():
-        row["records_per_second"] = row["records"] / row["seconds"]
+    rows = _generator_rates(src, volumes, E2E_FIT_ON, repeats)
     print_banner("E14", f"generate() at the e2e volumes, {source}")
     print(
         ascii_table(
@@ -411,6 +438,29 @@ def record_e2e_rates(
         {"source": source, "repeats": repeats, "generators": rows},
     )
     return rows
+
+
+def record_lda_rate(
+    src: str = SRC_DIR, source: str = "worktree", repeats: int = LDA_RATE_REPEATS,
+) -> dict:
+    """``generate()`` of a fitted ``lda-text`` at the ``grep-lda`` volume:
+    the fastest of ``repeats`` calls, in a fresh process on ``src``."""
+    (row,) = _generator_rates(src, LDA_RATE, LDA_FIT_ON, repeats).values()
+    print_banner("E14", f"lda-text generate() at the grep-lda volume, {source}")
+    print(
+        ascii_table(
+            [{"volume": row["volume"], "records": row["records"],
+              "ms": row["seconds"] * 1e3,
+              "records/s": row["records_per_second"]}]
+        )
+    )
+    append_history(
+        RESULTS_FILE,
+        "datagen_pipeline.generator_rates.lda-text",
+        {"volumes": dict(LDA_RATE), "fit_on": dict(LDA_FIT_ON)},
+        {"source": source, "repeats": repeats, "generators": {"lda-text": row}},
+    )
+    return row
 
 
 #: One fitted-model scenario per process, so each starts with nothing
@@ -519,8 +569,9 @@ def test_model_cache_ledger():
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(
-        description="Append one fitted-model cache row, one stream-rate row "
-        "and one e2e-volume generator-rate row for the tree under --src."
+        description="Append one fitted-model cache row, one stream-rate row, "
+        "one e2e-volume generator-rate row and one lda-text rate row for the "
+        "tree under --src."
     )
     parser.add_argument("--src", type=Path, default=Path(SRC_DIR))
     parser.add_argument("--source", default="worktree")
@@ -528,3 +579,4 @@ if __name__ == "__main__":
     record_model_cache(str(options.src.resolve()), options.source)
     record_stream_rate(str(options.src.resolve()), options.source)
     record_e2e_rates(str(options.src.resolve()), options.source)
+    record_lda_rate(str(options.src.resolve()), options.source)

@@ -43,8 +43,11 @@ def collector_paused() -> Iterator[None]:
     one that re-enables it on the way out, raise or return.  A call
     nested in it, or overlapping it from another thread, finds the
     collector off and leaves it alone, and so does a call whose caller
-    disabled it first.  Cyclic garbage made meanwhile waits for the
-    first collection after the pause; nothing collects on exit.
+    disabled it first.  Whatever the block frees before it ends (a
+    run's data set) is never walked.  What it made and still holds, and
+    any cyclic garbage it left, the owner collects on the way out when
+    it is more than the collector's first threshold, i.e. when the
+    caller's next allocation would collect it.
     """
     with _COLLECTOR_LOCK:
         owner = gc.isenabled()
@@ -56,6 +59,9 @@ def collector_paused() -> Iterator[None]:
         if owner:
             with _COLLECTOR_LOCK:
                 gc.enable()
+            threshold = gc.get_threshold()[0]
+            if threshold and gc.get_count()[0] > threshold:
+                gc.collect(0)
 
 
 @functools.lru_cache(maxsize=None)

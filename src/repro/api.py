@@ -85,10 +85,15 @@ def run(
     :class:`~repro.core.process.ProcessReport` audit trail.  For async
     submission, quotas, and job lifecycles, use :class:`ServiceClient`.
     """
+    from repro._util import collector_paused
     from repro.core.layers import BigDataBenchmark
 
-    framework = BigDataBenchmark(repository=repository)
-    return framework.run(spec, tracer=tracer, **options)
+    # The pause outlives the framework: its data set is freed by
+    # reference count before the collector resumes (DESIGN §3.21).
+    with collector_paused():
+        return BigDataBenchmark(repository=repository).run(
+            spec, tracer=tracer, **options
+        )
 
 
 def sweep(
@@ -111,6 +116,7 @@ def sweep(
     Extra keyword arguments are fixed workload overrides applied to
     every point.
     """
+    from repro._util import collector_paused
     from repro.core.errors import SpecError
     from repro.core.test_generator import TestGenerator
     from repro.execution.harness import BenchmarkHarness
@@ -121,21 +127,25 @@ def sweep(
             "sweep needs exactly one axis: volumes=[...], or "
             "parameter=... with values=[...]"
         )
-    runner = TestRunner(
-        test_generator=TestGenerator(repository) if repository else None
-    )
-    harness = BenchmarkHarness(runner)
-    try:
-        if volumes is not None:
-            return harness.volume_sweep(
-                prescription, engine, volumes, layout=layout, **overrides
-            )
-        return harness.param_sweep(
-            prescription, engine, parameter, values, layout=layout,
-            **overrides,
-        )
-    finally:
-        runner.close()
+    # The pause outlives the runner: the data sets its cache holds are
+    # freed by reference count before the collector resumes (DESIGN
+    # §3.21).
+    with collector_paused():
+        with TestRunner(
+            test_generator=TestGenerator(repository) if repository else None
+        ) as runner:
+            harness = BenchmarkHarness(runner)
+            if volumes is not None:
+                report = harness.volume_sweep(
+                    prescription, engine, volumes, layout=layout, **overrides
+                )
+            else:
+                report = harness.param_sweep(
+                    prescription, engine, parameter, values, layout=layout,
+                    **overrides,
+                )
+        del runner, harness
+    return report
 
 
 def compare(
@@ -313,9 +323,12 @@ def ablate(
     :func:`repro.tuning.ablate.run_ablation` (``repeats``, ``seed``,
     ``layout``, ``warmup``, ...).
     """
+    from repro._util import collector_paused
     from repro.tuning.ablate import run_ablation
 
-    return run_ablation(workloads, engines, **options)
+    # The pause outlives the matrix's runner, as in :func:`run`.
+    with collector_paused():
+        return run_ablation(workloads, engines, **options)
 
 
 def serve(**options: Any) -> ServiceClient:

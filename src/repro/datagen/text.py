@@ -15,7 +15,7 @@ in ``fit`` on plain Python floats, normalised by a sum taken in
 ``ndarray.sum``'s order (:func:`_ndarray_sum`) and with ``phi`` normalised
 on a C-contiguous array (the transposed view sums in another order and
 lands 1 ulp away); in ``sample_document`` by one ``searchsorted`` per
-topic on CDFs computed once per fitted model.  The original loops are the
+topic the document drew, on CDFs computed once per fitted model.  The original loops are the
 test oracle (``tests/datagen/_lda_reference.py``); records, fingerprints
 and cache keys are byte-identical, so nothing forks.
 
@@ -261,11 +261,22 @@ class LdaModel:
         phi /= phi.sum(axis=1, keepdims=True)
         word_cdfs = phi.cumsum(axis=1)
         word_cdfs /= word_cdfs[:, -1:]
+        # What every sampled document reads, derived once per fit and
+        # only here (the unfitted state is the model's content address):
+        # the Dirichlet prior, the topics whose phi row is NaN (emptied
+        # under beta=0) and the words by id.
+        prior = np.full(num_topics, max(alpha, 1e-6))
+        words = np.array(vocabulary.words, dtype=object)
         # Fitted state is shared by every holder of this model.
-        phi.setflags(write=False)
-        word_cdfs.setflags(write=False)
+        for array in (phi, word_cdfs, prior, words):
+            array.setflags(write=False)
         self.phi = phi
         self._word_cdfs = word_cdfs
+        self._topic_prior = prior
+        self._unreachable_topics = frozenset(
+            np.flatnonzero(word_cdfs[:, -1] != 1.0).tolist()
+        )
+        self._words = words
         self.vocabulary = vocabulary
         self.mean_document_length = float(
             np.mean([len(tokens) for tokens in doc_tokens])
@@ -284,19 +295,36 @@ class LdaModel:
             raise GenerationError("LDA model is not fitted")
         if length is None:
             length = max(1, int(rng.poisson(self.mean_document_length)))
-        theta = rng.dirichlet(np.full(self.num_topics, max(self.alpha, 1e-6)))
-        topics = rng.choice(self.num_topics, size=length, p=theta)
-        if not (self._word_cdfs[topics, -1] == 1.0).all():
-            # A drawn topic's phi row is NaN (emptied under beta=0).
+        theta = rng.dirichlet(self._topic_prior)
+        weights = theta.tolist()
+        if min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= 1e-9:
+            # ``rng.choice(K, size=length, p=theta)`` on a theta it
+            # certainly accepts (its tolerance is 1.5e-8), as it draws.
+            cdf = theta.cumsum()
+            cdf /= cdf[-1]
+            topics = cdf.searchsorted(rng.random(length), side="right")
+        else:
+            # NaN, a negative entry or a bad sum: choice's own refusal.
+            topics = rng.choice(self.num_topics, size=length, p=theta)
+        drawn = set(topics.tolist())
+        if not self._unreachable_topics.isdisjoint(drawn):
             raise ValueError(_DEGENERATE_WEIGHTS)
         # One uniform per word, as one ``rng.choice(V, p=phi[topic])`` per
-        # word drew them, inverted against that topic's precomputed CDF.
+        # word drew them, inverted against that topic's precomputed CDF:
+        # one search per topic the document drew.
         uniforms = rng.random(length)
-        word_ids = np.empty(length, dtype=np.int64)
-        for topic, cdf in enumerate(self._word_cdfs):
-            of_topic = topics == topic
-            word_ids[of_topic] = cdf.searchsorted(uniforms[of_topic], side="right")
-        return list(map(self.vocabulary.word_of, word_ids.tolist()))
+        if len(drawn) == 1:
+            word_ids = self._word_cdfs[drawn.pop()].searchsorted(
+                uniforms, side="right"
+            )
+        else:
+            word_ids = np.empty(length, dtype=np.int64)
+            for topic in drawn:
+                of_topic = topics == topic
+                word_ids[of_topic] = self._word_cdfs[topic].searchsorted(
+                    uniforms[of_topic], side="right"
+                )
+        return self._words[word_ids].tolist()
 
     def infer_document_mixture(
         self, tokens: Sequence[str], iterations: int = 30

@@ -28,6 +28,7 @@ from typing import Any
 
 import numpy as np
 
+from repro._util import collector_paused
 from repro.core.errors import LoadGenError
 
 #: Service-time models :class:`SyntheticTarget` understands.
@@ -167,7 +168,10 @@ class WorkloadTarget(LoadTarget):
                 "WorkloadTarget.execute before setup(); the runner calls "
                 "setup() — are you driving the target by hand?"
             )
-        self._test.run(**self.params)
+        # Paused per request, as the runner pauses per batch (DESIGN
+        # §3.21).
+        with collector_paused():
+            self._test.run(**self.params)
 
 
 class ServiceTarget(LoadTarget):

@@ -7,6 +7,8 @@ replaced, not to a statistical tolerance.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -91,6 +93,130 @@ class TestAgainstReference:
         assert parallel == expected
 
 
+#: Document-topic priors from "every document draws one topic" to "every
+#: document draws them all" (K = 4, lengths up to 120).
+ALPHAS = [1e-3, 0.1, 1.0, 50.0]
+
+
+@pytest.fixture(scope="module")
+def models_by_alpha(documents):
+    return {
+        alpha: _fit_pair(documents, num_topics=4, alpha=alpha, iterations=2, seed=7)
+        for alpha in ALPHAS
+    }
+
+
+def _topics_drawn(model, rng, length):
+    """How many distinct topics the next document from ``rng`` draws
+    (the oracle's own topic draw, on a copy of the generator)."""
+    probe = copy.deepcopy(rng)
+    if length is None:
+        length = max(1, int(probe.poisson(model.mean_document_length)))
+    theta = probe.dirichlet(np.full(model.num_topics, max(model.alpha, 1e-6)))
+    return len(set(probe.choice(model.num_topics, size=length, p=theta).tolist()))
+
+
+class _RiggedTheta(np.random.Generator):
+    """A generator whose Dirichlet draw is replaced by a fixed theta."""
+
+    def __init__(self, seed, theta):
+        super().__init__(np.random.PCG64(seed))
+        self.theta = np.array(theta, dtype=np.float64)
+
+    def dirichlet(self, alpha, size=None):
+        return self.theta.copy()
+
+
+class TestOneSearchPerDrawnTopic:
+    """``sample_document`` inverts theta's CDF itself and searches each
+    topic's word CDF once, for the topics the document drew; every case
+    is held to the ``rng.choice`` oracle, draws consumed included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**63),
+        alpha=st.sampled_from(ALPHAS),
+        lengths=st.lists(
+            st.one_of(st.none(), st.integers(0, 120)), min_size=1, max_size=6
+        ),
+    )
+    def test_documents_and_draws_equal_the_oracle(
+        self, models_by_alpha, seed, alpha, lengths
+    ):
+        fast, reference = models_by_alpha[alpha]
+        fast_rng = np.random.default_rng(seed)
+        reference_rng = np.random.default_rng(seed)
+        for length in lengths:
+            assert fast.sample_document(fast_rng, length) == (
+                reference_sample_document(reference, reference_rng, length)
+            )
+        assert fast_rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_the_shortest_documents(self, models_by_alpha, length):
+        fast, reference = models_by_alpha[0.1]
+        fast_rng = np.random.default_rng(length)
+        reference_rng = np.random.default_rng(length)
+        for _ in range(30):
+            document = fast.sample_document(fast_rng, length)
+            assert len(document) == length
+            assert document == reference_sample_document(
+                reference, reference_rng, length
+            )
+        assert fast_rng.random() == reference_rng.random()
+
+    def test_one_two_and_all_topics_drawn(self, models_by_alpha):
+        drawn_counts = set()
+        for alpha, (fast, reference) in models_by_alpha.items():
+            fast_rng = np.random.default_rng(11)
+            reference_rng = np.random.default_rng(11)
+            for _ in range(100):
+                drawn_counts.add(_topics_drawn(reference, reference_rng, None))
+                assert fast.sample_document(fast_rng) == (
+                    reference_sample_document(reference, reference_rng)
+                )
+            assert fast_rng.random() == reference_rng.random(), alpha
+        assert {1, 2, 4} <= drawn_counts
+
+    @pytest.mark.parametrize(
+        ("theta", "refusal"),
+        [
+            ([0.5, float("nan"), 0.25, 0.25], "NaN"),
+            ([0.75, -0.25, 0.25, 0.25], "non-negative"),
+            ([0.5, 0.25, 0.25, 0.25], "sum to 1"),
+            ([0.25 + 3e-8, 0.25, 0.25, 0.25], "sum to 1"),
+        ],
+    )
+    def test_a_theta_choice_refuses_is_refused_as_choice_does(
+        self, models_by_alpha, theta, refusal
+    ):
+        fast, reference = models_by_alpha[0.1]
+        fast_rng = _RiggedTheta(3, theta)
+        reference_rng = _RiggedTheta(3, theta)
+        with pytest.raises(ValueError, match=refusal) as fast_error:
+            fast.sample_document(fast_rng, 10)
+        with pytest.raises(ValueError) as reference_error:
+            reference_sample_document(reference, reference_rng, 10)
+        assert str(fast_error.value) == str(reference_error.value)
+        assert fast_rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("excess", [2e-9, 1e-8])
+    def test_a_theta_within_choices_tolerance_only_is_sampled_by_choice(
+        self, models_by_alpha, excess
+    ):
+        # Off 1 by more than the inline path's own margin (1e-9) but
+        # within choice's 1.5e-8: choice accepts it, and draws as ever.
+        theta = [0.25 + excess, 0.25, 0.25, 0.25]
+        fast, reference = models_by_alpha[0.1]
+        fast_rng = _RiggedTheta(4, theta)
+        reference_rng = _RiggedTheta(4, theta)
+        for _ in range(5):
+            assert fast.sample_document(fast_rng, 40) == (
+                reference_sample_document(reference, reference_rng, 40)
+            )
+        assert fast_rng.random() == reference_rng.random()
+
+
 class TestSummationOrder:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -125,6 +251,29 @@ class TestDegenerateModels:
             reference_fit(LdaModel(**options), self.CORPUS)
         with pytest.raises(ValueError):
             LdaModel(**options).fit(self.CORPUS)
+
+    def test_an_emptied_topic_raises_only_when_drawn(self):
+        # Sixteen topics, two of them ever assigned: most documents at
+        # alpha=0.05 draw only emptied topics, some only live ones.
+        options = dict(num_topics=16, alpha=0.05, beta=0.0, iterations=0)
+        fast = LdaModel(**options).fit(self.CORPUS)
+        reference = reference_fit(LdaModel(**options), self.CORPUS)
+        outcomes = set()
+        for seed in range(60):
+            try:
+                expected = reference_sample_document(
+                    reference, np.random.default_rng(seed), length=3
+                )
+            except ValueError:
+                with pytest.raises(ValueError, match="do not normalise"):
+                    fast.sample_document(np.random.default_rng(seed), length=3)
+                outcomes.add("raised")
+            else:
+                assert fast.sample_document(
+                    np.random.default_rng(seed), length=3
+                ) == expected
+                outcomes.add("sampled")
+        assert outcomes == {"raised", "sampled"}
 
     def test_emptied_topic_refuses_to_sample(self):
         # No sweeps and beta=0: topics nobody was assigned to keep a 0/0

@@ -1,8 +1,9 @@
 """Pinned digests of seeded generator output.
 
 Captured on the commit before the kv / text / corpus generation loops were
-rewritten for speed, and (``poisson-stream``) before stream events were
-slotted and built by column; they changed how records are *assembled*
+rewritten for speed, (``poisson-stream``) before stream events were
+slotted and built by column, and (``lda-text``) before the LDA sampler
+searched once per drawn topic; they changed how records are *assembled*
 from the draws, never which draws are made.  A digest moving means
 seeded output changed, which forks every dataset cache key and result
 series: that needs a versioned generator, not a new pin.
@@ -48,6 +49,8 @@ def _generated(name: str, volume: int) -> list:
          "2e8086d047eec6248bf1a52031acc465a03acc1b570c11ba3ab46f81cd3af436"),
         ("poisson-stream", 2000,
          "6d5904cf7e6dbecd374cd739e250a301044839efd9396aaa57dfa4c594006403"),
+        ("lda-text", 300,
+         "220a1dcb73e99a36266c1e31d261bb5dd018f15a31f1a0c6eab0e396fa6370d3"),
     ],
 )
 def test_generator_output_is_pinned(name, volume, expected):

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
+from repro import api
 from repro.core.errors import EngineError, ExecutionError
 from repro.datagen.text import RandomTextGenerator
 from repro.engines.dfs import DistributedFileSystem
 from repro.workloads import CfsWorkload
+from repro.workloads.cfs import _DOCUMENTS_PER_CHUNK, _encoded_lines
 
 
 @pytest.fixture()
@@ -190,3 +194,93 @@ class TestCfsWorkload:
     def test_invalid_file_count(self, text_data):
         with pytest.raises(ExecutionError):
             CfsWorkload().run(DistributedFileSystem(), text_data, files=0)
+
+
+def _per_document_lines(documents, hasher):
+    """The encoder as it stood before it worked by the block: one
+    ``encode`` and one digest update per document (the oracle)."""
+    first = True
+    for document in documents:
+        piece = document.encode() if first else b"\n" + document.encode()
+        first = False
+        hasher.update(piece)
+        yield piece
+
+
+def _documents(count: int, shape: str) -> list[str]:
+    if shape == "random-text":
+        return RandomTextGenerator(document_length=7, seed=count).generate(
+            count
+        ).records
+    if shape == "empty":
+        return [""] * count
+    # Multi-byte UTF-8 (two-, three- and four-byte sequences), some of
+    # the documents empty.
+    words = ["naïve", "日本語", "𝄞 clef", "", "plain"]
+    return [words[index % len(words)] * (index % 3) for index in range(count)]
+
+
+COUNTS = sorted(
+    {0, 1, 255, 256, 257}
+    | {_DOCUMENTS_PER_CHUNK - 1, _DOCUMENTS_PER_CHUNK, _DOCUMENTS_PER_CHUNK + 1}
+)
+
+
+class TestBlockedEncoder:
+    """``_encoded_lines`` joins, encodes and hashes a block of documents
+    at a time; every byte, digest and stored block equals the
+    per-document encoder's."""
+
+    @pytest.mark.parametrize("shape", ["random-text", "empty", "utf-8"])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_same_bytes_and_digest(self, count, shape):
+        documents = _documents(count, shape)
+        blocked, per_document = hashlib.sha256(), hashlib.sha256()
+        data = b"".join(_encoded_lines(iter(documents), blocked))
+        assert data == b"".join(_per_document_lines(documents, per_document))
+        assert data == "\n".join(documents).encode()
+        assert blocked.hexdigest() == per_document.hexdigest()
+
+    @pytest.mark.parametrize("shape", ["random-text", "utf-8"])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_same_stored_blocks_and_counters(self, count, shape):
+        documents = _documents(count, shape)
+        stored = []
+        for encoder in (_encoded_lines, _per_document_lines):
+            dfs = DistributedFileSystem(block_size=64)
+            report = dfs.write_stream(
+                "/f", encoder(iter(documents), hashlib.sha256())
+            )
+            entry = dfs._namespace["/f"]  # noqa: SLF001 - white-box check
+            stored.append(
+                (
+                    [dfs.nodes[dfs._block_locations[block][0]].blocks[block]
+                     for block in entry.block_ids],
+                    {block: dfs._block_locations[block]
+                     for block in entry.block_ids},
+                    report.bytes_moved,
+                    report.simulated_seconds,
+                    dfs.counters.bytes_written,
+                    dfs.counters.network_bytes,
+                )
+            )
+        assert stored[0] == stored[1]
+
+    def test_a_chunked_run_equals_the_materialized_run(self):
+        """Every reported number but the wall-clock ``duration``: the
+        DFS's latencies, rates and counters are simulated."""
+
+        def observed(**spec):
+            report = api.run("micro-cfs", volume=700, **spec)
+            (result,) = report.results
+            metrics = {
+                name: stats.samples
+                for name, stats in result.metrics.items()
+                if name != "duration"
+            }
+            return report.step("data-generation").detail, metrics, result.extra
+
+        chunked_detail, *chunked = observed(chunk_size=50)
+        detail, *materialized = observed()
+        assert chunked_detail["streamed"] and "streamed" not in detail
+        assert chunked == materialized

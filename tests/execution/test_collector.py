@@ -1,10 +1,13 @@
 """The collector contract: a run pauses the cyclic GC and always resumes it.
 
-``BenchmarkingProcess.execute`` and ``TestRunner.run_many`` hold the
-collector off (``_util.collector_paused``); whichever call found it on
-turns it back on, whether the run returns or raises.  Nothing here times
-anything: each test asserts what ``gc.isenabled()`` reads during and
-after one public call.
+``api.run``, ``api.sweep``, ``api.ablate``, ``BenchmarkingProcess.execute``,
+``TestRunner.run_many`` and each request of a load against a workload
+hold the collector off (``_util.collector_paused``); whichever call found
+it on turns it back on, whether the run returns or raises, and the three
+``api`` calls only after their framework or runner, and with it the data
+set, is gone.  Nothing here times anything: each test asserts what
+``gc.isenabled()`` reads during and after one public call, or what the
+collector's generations hold after it.
 """
 
 from __future__ import annotations
@@ -12,16 +15,20 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import threading
+import weakref
 
 import pytest
 
 from repro import _util, api
 from repro.core.errors import TestGenerationError
 from repro.core.spec import BenchmarkSpec
-from repro.core.test_generator import TestGenerator
+from repro.core.test_generator import PrescribedTest, TestGenerator
+from repro.datagen.stream import StreamEvent
 from repro.execution.runner import RunnerOptions, RunTask, TestRunner
 
 _SPEC = BenchmarkSpec("micro-wordcount", volume=40)
+#: A prescription whose records the collector tracks (slotted events).
+_WINDOW = "realtime-windowed-aggregation"
 
 
 @pytest.fixture(autouse=True)
@@ -113,6 +120,104 @@ class TestRunsPauseAndResume:
     def test_load_that_raises(self):
         with pytest.raises(TestGenerationError):
             api.load("does-not-exist", rate=20, duration=0.2, clock="virtual")
+        assert gc.isenabled()
+
+
+class TestThePauseOutlivesTheRun:
+    """The three ``api`` calls release what they built before the pause
+    ends: the data set dies by reference count, never walked."""
+
+    CALLS = {
+        "run": lambda tmp_path: api.run(_WINDOW, volume=300),
+        "sweep": lambda tmp_path: api.sweep(
+            _WINDOW, "streaming", volumes=[200, 300]
+        ),
+        "ablate": lambda tmp_path: api.ablate(
+            ["relational"], ["dbms"], repeats=1, volume=60,
+            include_one_offs=False, store_dir=str(tmp_path),
+        ),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_the_data_set_dies_with_the_collector_off(
+        self, call, monkeypatch, tmp_path
+    ):
+        deaths: list[tuple[str, bool]] = []
+        original = TestGenerator.select_data
+
+        def watched(self, *args, **kwargs):
+            dataset = original(self, *args, **kwargs)
+            for name, owner in (("data set", dataset), ("generator", self)):
+                weakref.finalize(
+                    owner, lambda name=name: deaths.append((name, gc.isenabled()))
+                )
+            return dataset
+
+        monkeypatch.setattr(TestGenerator, "select_data", watched)
+        self.CALLS[call](tmp_path)
+        assert gc.isenabled()
+        assert {name for name, _ in deaths} == {"data set", "generator"}
+        assert not any(enabled for _, enabled in deaths), deaths
+
+    def test_no_record_of_the_data_set_outlives_the_call(self):
+        def events_tracked() -> int:
+            return sum(isinstance(obj, StreamEvent) for obj in gc.get_objects())
+
+        api.run(_WINDOW, volume=3000)  # first-use imports and caches
+        before = events_tracked()
+        report = api.run(_WINDOW, volume=3000)
+        assert report.results[0].ok
+        # What the caller's collections can meet is the report's: none
+        # of the 3 000 events is left for any of them to walk.
+        assert events_tracked() <= before
+
+    def test_cyclic_garbage_of_a_run_is_still_collected(self, monkeypatch):
+        refs: list[weakref.ref] = []
+        original = TestGenerator.select_data
+
+        class Node:
+            pass
+
+        def cyclic(self, *args, **kwargs):
+            node = Node()
+            node.self = node
+            refs.append(weakref.ref(node))
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TestGenerator, "select_data", cyclic)
+        api.run(_WINDOW, volume=300)
+        # Left for the young collection after the run, as the
+        # collector's next automatic pass makes it.
+        gc.collect(0)
+        assert refs and all(ref() is None for ref in refs)
+
+
+class TestLoadAgainstAWorkload:
+    def test_each_request_runs_with_the_collector_off(self, monkeypatch):
+        readings: list[bool] = []
+        original = PrescribedTest.run
+
+        def probe(self, **overrides):
+            readings.append(gc.isenabled())
+            return original(self, **overrides)
+
+        monkeypatch.setattr(PrescribedTest, "run", probe)
+        report = api.load(
+            "micro-wordcount", rate=20, duration=0.2, clock="virtual", volume=30,
+        )
+        assert report.offered and len(readings) == report.offered
+        assert not any(readings)
+        assert gc.isenabled()
+
+    def test_a_request_that_raises(self, monkeypatch):
+        def fail(self, **overrides):
+            raise RuntimeError("injected request failure")
+
+        monkeypatch.setattr(PrescribedTest, "run", fail)
+        report = api.load(
+            "micro-wordcount", rate=20, duration=0.2, clock="virtual", volume=30,
+        )
+        assert report.offered
         assert gc.isenabled()
 
 

@@ -271,3 +271,44 @@ def test_the_stream_rate_series_is_a_parent_and_a_change_row():
         for shape in measurements["shapes"].values():
             assert shape["records"] == 30_000
             assert shape["records_per_second"] > 0
+
+
+def test_the_lda_sampler_rows_are_a_parent_and_a_change_row():
+    """The ``generator_rates.lda-text`` rows (``bench_datagen_pipeline.py``):
+    ``generate()`` of a fitted ``lda-text`` at the ``grep-lda`` volume, the
+    fastest of fifteen calls in a fresh process per side.  The same
+    documents, and one search per drawn topic instead of ``rng.choice``
+    and a search per topic: far more than this host drifts."""
+    pair = _pair(
+        "BENCH_datagen_pipeline.json", "datagen_pipeline.generator_rates.lda-text"
+    )
+    parent, change = (
+        pair[side]["generators"]["lda-text"] for side in ("parent", "change")
+    )
+    assert parent["records"] == change["records"] == 600
+    assert parent["digest"] == change["digest"]
+    assert change["seconds"] < 0.75 * parent["seconds"]
+
+
+def test_the_blocked_cfs_rows_are_a_parent_and_a_change_row():
+    """The ``accounting.meter_cost`` rows that carry ``cfs``
+    (``bench_accounting.py``): ``CfsWorkload.run_dfs`` over each CFS cell's
+    data set, the fastest of at least seven calls per side.  The same
+    bytes reach the DFS, cut into the same blocks; encoding and hashing
+    a block of documents at a time takes less time in both cells."""
+    (ledger,) = [
+        path for path in LEDGERS if path.name == "BENCH_accounting.json"
+    ]
+    rows = [
+        row["measurements"] for row in json.loads(ledger.read_text())
+        if "cfs" in row["measurements"]
+    ][:2]
+    sides = {row["source"].split()[0].rstrip(":"): row["cfs"] for row in rows}
+    assert len(rows) == 2 and set(sides) == {"parent", "change"}
+    parent, change = sides["parent"], sides["change"]
+    assert set(parent) == set(change) == {"cfs-dfs", "cfs-text"}
+    for cell in parent:
+        seconds = parent[cell].pop("seconds"), change[cell].pop("seconds")
+        assert parent[cell] == change[cell], cell
+        assert parent[cell]["bytes"] > 0
+        assert seconds[1] < seconds[0], cell

@@ -10,10 +10,12 @@ Cold wall time of fresh interpreter processes, one row per command:
   that work moved out of import shows up if it merely moved.
 
 Each command runs :data:`REPEATS` times; the row keeps the minimum and
-the lower quartile.  One more process per command reports how many
-``repro.*`` modules it ended with and whether numpy was loaded.  The
-result is appended to ``BENCH_startup.json`` through
-:func:`_history.append_history`.
+the lower quartile of the wall time, and the lower quartile of the
+child's CPU time (user + system, from ``RUSAGE_CHILDREN``): a process
+whose BLAS threads spin pays CPU beyond its wall.  One more process per
+command reports how many ``repro.*`` modules it ended with and whether
+numpy was loaded.  The result is appended to ``BENCH_startup.json``
+through :func:`_history.append_history`.
 
     PYTHONPATH=src python -m pytest benchmarks/bench_startup.py -q -s
     PYTHONPATH=src python benchmarks/bench_startup.py --src OTHER/src --source parent
@@ -24,18 +26,20 @@ byte-compiled first, so rows compare warm ``__pycache__`` to warm
 ``__pycache__`` whatever ``PYTHONDONTWRITEBYTECODE`` says.
 
 What that warmth is worth is measured too (``without_bytecode`` in the
-row): :data:`BYTECODE_VERBS` are timed again with
+row): :data:`BYTECODE_VERBS` are timed again under four conditions
+that take turns process by process, so a drift of the host's speed
+falls on all four alike.  The last three run with
 ``PYTHONDONTWRITEBYTECODE=1`` against a copy of ``src`` that has no
-``__pycache__``.  Each condition has a cache home (``XDG_CACHE_HOME``)
-of its own:
+``__pycache__``, each with a cache home (``XDG_CACHE_HOME``) of its own:
 
+* ``compiled``: the byte-compiled ``src`` as above, the yardstick;
 * ``repro_uncompiled``: a cache home that is a regular file, so
   ``repro._bytecode`` can keep nothing and every process compiles
   ``repro`` (what a fresh checkout cost where that variable is set,
   before that module);
 * ``repro_cached``: an empty cache home per verb; ``wall_first_s`` is
   the process that fills it, ``wall_q1_s`` the steady state, to be read
-  against the verb's compiled row above;
+  against ``compiled``;
 * ``nothing_compiled``: as ``repro_uncompiled``, with
   ``PYTHONPYCACHEPREFIX`` at an empty directory as well, so the standard
   library and numpy recompile too.
@@ -45,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import shutil
 import statistics
 import tempfile
@@ -80,7 +85,7 @@ CLI_VERBS = {
 }
 
 #: The verbs timed again without a valid bytecode cache.
-BYTECODE_VERBS = ("cli.list", "cli.run-small")
+BYTECODE_VERBS = ("cli.list", "cli.run-small", "cli.run-record")
 
 #: row name → ``python -c`` program.
 PROGRAMS = {
@@ -112,29 +117,38 @@ def _cli_argv(name: str, template: Path, scratch: Path) -> list[str]:
     return [part.format(store=store) for part in CLI_VERBS[name]]
 
 
-def _cold_walls(src: Path, make_args, **variables: str) -> dict:
-    """Cold walls of REPEATS processes; ``make_args()`` runs off the clock."""
-    walls = []
-    for _ in range(REPEATS):
-        args = make_args()
-        started = time.perf_counter()
-        run_child(src, args, **variables)
-        walls.append(time.perf_counter() - started)
+def _timed_child(src: Path, args: list[str], **variables: str) -> tuple[float, float]:
+    """Wall and CPU seconds (user + system) of one child process."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    started = time.perf_counter()
+    run_child(src, args, **variables)
+    wall = time.perf_counter() - started
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return wall, cpu
+
+
+def _summary(samples: list[tuple[float, float]]) -> dict:
+    walls, cpus = zip(*samples)
     return {
         "wall_first_s": walls[0],
         "wall_min_s": min(walls),
         "wall_q1_s": statistics.quantiles(walls, n=4)[0],
+        "cpu_q1_s": statistics.quantiles(cpus, n=4)[0],
         "samples": len(walls),
     }
 
 
 def _measure(src: Path, name: str, template: Path, scratch: Path) -> dict:
-    """One row: cold walls of REPEATS processes plus the footprint probe."""
-    walls = _cold_walls(
-        src,
-        lambda: ["-c", PROGRAMS[name]] if name in PROGRAMS
-        else ["-m", "repro.cli", *_cli_argv(name, template, scratch)],
-    )
+    """One row: cold runs of REPEATS processes plus the footprint probe."""
+    walls = _summary([
+        _timed_child(
+            src,
+            ["-c", PROGRAMS[name]] if name in PROGRAMS
+            else ["-m", "repro.cli", *_cli_argv(name, template, scratch)],
+        )
+        for _ in range(REPEATS)
+    ])
     program = PROGRAMS.get(name) or (
         "import os\nfrom repro.cli import main\n"
         f"main({_cli_argv(name, template, scratch)!r}, "
@@ -144,8 +158,11 @@ def _measure(src: Path, name: str, template: Path, scratch: Path) -> dict:
     return {**walls, **json.loads(probe.stderr.strip().splitlines()[-1])}
 
 
-def _measure_without_bytecode(src: Path, tmp: Path) -> dict[str, dict]:
-    """Cold walls of :data:`BYTECODE_VERBS` when nothing was compiled ahead."""
+def _measure_without_bytecode(
+    src: Path, tmp: Path, template: Path, scratch: Path
+) -> dict[str, dict]:
+    """Cold runs of :data:`BYTECODE_VERBS` with and without compiled
+    bytecode, the conditions taking turns process by process."""
     uncompiled, prefix = tmp / "src-uncompiled", tmp / "empty-pycache-prefix"
     shutil.copytree(
         src, uncompiled, ignore=shutil.ignore_patterns("__pycache__")
@@ -159,6 +176,7 @@ def _measure_without_bytecode(src: Path, tmp: Path) -> dict[str, dict]:
 
     def conditions(name: str) -> dict[str, tuple[Path, dict[str, str]]]:
         return {
+            "compiled": (src, {}),
             "repro_uncompiled": (uncompiled, kept_nowhere),
             "repro_cached": (
                 uncompiled,
@@ -170,16 +188,20 @@ def _measure_without_bytecode(src: Path, tmp: Path) -> dict[str, dict]:
             ),
         }
 
-    return {
-        name: {
-            condition: _cold_walls(
-                tree, lambda: ["-m", "repro.cli", *CLI_VERBS[name]],
-                **variables,
-            )
-            for condition, (tree, variables) in conditions(name).items()
+    rows = {}
+    for name in BYTECODE_VERBS:
+        trees = conditions(name)
+        samples: dict[str, list] = {condition: [] for condition in trees}
+        for _ in range(REPEATS):
+            for condition, (tree, variables) in trees.items():
+                argv = _cli_argv(name, template, scratch)
+                samples[condition].append(
+                    _timed_child(tree, ["-m", "repro.cli", *argv], **variables)
+                )
+        rows[name] = {
+            condition: _summary(runs) for condition, runs in samples.items()
         }
-        for name in BYTECODE_VERBS
-    }
+    return rows
 
 
 def measure_startup(src: Path = SRC_DIR) -> tuple[dict[str, dict], dict]:
@@ -193,16 +215,20 @@ def measure_startup(src: Path = SRC_DIR) -> tuple[dict[str, dict], dict]:
             name: _measure(src, name, template, scratch)
             for name in (*PROGRAMS, *CLI_VERBS)
         }
-        return rows, _measure_without_bytecode(src, Path(tmp))
+        return rows, _measure_without_bytecode(src, Path(tmp), template, scratch)
 
 
 def record_startup(src: Path = SRC_DIR, source: str = "worktree") -> dict:
     rows, without_bytecode = measure_startup(src)
-    print(f"\n{'command':16s} {'min s':>8s} {'q1 s':>8s} {'repro.*':>8s} numpy")
+    print(
+        f"\n{'command':16s} {'min s':>8s} {'q1 s':>8s} {'cpu q1 s':>8s} "
+        f"{'repro.*':>8s} numpy"
+    )
     for name, row in rows.items():
         print(
             f"{name:16s} {row['wall_min_s']:8.3f} {row['wall_q1_s']:8.3f} "
-            f"{row['repro_modules']:8d} {'yes' if row['numpy'] else 'no'}"
+            f"{row['cpu_q1_s']:8.3f} {row['repro_modules']:8d} "
+            f"{'yes' if row['numpy'] else 'no'}"
         )
     print(
         f"\n{'q1 s':16s} {'warm':>8s} {'repro':>8s} {'cache 1st':>9s} "
@@ -210,7 +236,7 @@ def record_startup(src: Path = SRC_DIR, source: str = "worktree") -> dict:
     )
     for name, row in without_bytecode.items():
         print(
-            f"{name:16s} {rows[name]['wall_q1_s']:8.3f} "
+            f"{name:16s} {row['compiled']['wall_q1_s']:8.3f} "
             f"{row['repro_uncompiled']['wall_q1_s']:8.3f} "
             f"{row['repro_cached']['wall_first_s']:9.3f} "
             f"{row['repro_cached']['wall_q1_s']:8.3f} "

@@ -29,13 +29,16 @@ the ``runs``/``baseline``/``jobs`` verbs take), ``--executor`` and
 ``--record`` on ``run``, ``submit``, ``serve`` and ``load``,
 ``--layout`` on ``run``, ``submit``, ``ablate`` and ``load``.  Every
 command is also callable in-process via :func:`main` (what the tests
-do).
+do).  A process pays only for the verb it runs: :func:`main` builds
+that verb's subparser alone (the ``_VERBS`` table), and the process
+entry :func:`process_main` gives numpy's BLAS one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Mapping, Sequence
 from itertools import islice
@@ -44,13 +47,8 @@ from pathlib import Path
 from repro.core.errors import ReproError, SpecError
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-bench",
-        description="A 4V-aware big data benchmarking framework "
-        "(reproduction of Han & Lu, 'On Big Data Benchmarking', 2014).",
-    )
-    # Shared flags are parent parsers, composed per verb (module docstring).
+def _shared_flags() -> argparse.Namespace:
+    """The parent parsers that carry the shared flags (module docstring)."""
     store = argparse.ArgumentParser(add_help=False)
     store.add_argument("--store-dir", default=None, metavar="DIR",
                        help="run-store directory (default: "
@@ -109,20 +107,28 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="relative effect-size threshold (default 0.05)")
     judge.add_argument("--json", action="store_true",
                        help="emit the report as JSON")
-    commands = parser.add_subparsers(dest="command", required=True)
+    return argparse.Namespace(
+        store=store, record=record, pool=pool, layout=layout, param=param,
+        spec=spec, schedulers=schedulers, client=client, judge=judge,
+    )
 
-    def verb(group, name, handler, parents=(), **options):
-        """One subcommand; ``main`` dispatches to its ``handler``."""
-        subparser = group.add_parser(name, parents=list(parents), **options)
-        subparser.set_defaults(handler=handler)
-        return subparser
 
-    verb(commands, "list", _list,
-         help="list prescriptions, engines, generators, workloads, and "
-              "formats")
+def _verb(group, name, handler, parents=(), **options):
+    """One subcommand; ``main`` dispatches to its ``handler``."""
+    subparser = group.add_parser(name, parents=list(parents), **options)
+    subparser.set_defaults(handler=handler)
+    return subparser
 
-    run_parser = verb(
-        commands, "run", _run, [spec],
+
+def _add_list(commands, shared) -> None:
+    _verb(commands, "list", _list,
+          help="list prescriptions, engines, generators, workloads, and "
+               "formats")
+
+
+def _add_run(commands, shared) -> None:
+    run_parser = _verb(
+        commands, "run", _run, [shared.spec],
         help="run a prescription through the five-step process",
     )
     run_parser.add_argument("--partitions", type=int, default=1,
@@ -167,31 +173,37 @@ def _build_parser() -> argparse.ArgumentParser:
                                  "the fault substrate (regression-gate "
                                  "demos and CI)")
 
+
+def _add_runs(commands, shared) -> None:
     runs_commands = commands.add_parser(
         "runs", help="inspect the persistent run store"
     ).add_subparsers(dest="runs_command", required=True)
-    runs_list = verb(runs_commands, "list", _runs_list, [store],
-                     help="list recorded runs")
+    runs_list = _verb(runs_commands, "list", _runs_list, [shared.store],
+                      help="list recorded runs")
     runs_list.add_argument("--series", default=None, metavar="KEY",
                            help="only runs of this series (fingerprint "
                                 "hash prefix)")
     runs_list.add_argument("--latest", action="store_true",
                            help="print only the newest record id "
                                 "(script-friendly)")
-    runs_show = verb(runs_commands, "show", _runs_show, [store],
-                     help="show one recorded run in full")
+    runs_show = _verb(runs_commands, "show", _runs_show, [shared.store],
+                      help="show one recorded run in full")
     runs_show.add_argument("record", help="record id, unique prefix, "
                                           "series key, or 'latest'")
 
-    compare_parser = verb(
-        commands, "compare", _compare, [judge],
+
+def _add_compare(commands, shared) -> None:
+    compare_parser = _verb(
+        commands, "compare", _compare, [shared.judge],
         help="statistically compare two recorded runs",
     )
     compare_parser.add_argument("baseline", help="baseline record reference")
     compare_parser.add_argument("candidate", help="candidate record reference")
 
-    gate_parser = verb(
-        commands, "gate", _gate, [judge],
+
+def _add_gate(commands, shared) -> None:
+    gate_parser = _verb(
+        commands, "gate", _gate, [shared.judge],
         help="check a candidate run against a baseline "
              "(exit 0 = pass, 1 = regression)",
     )
@@ -203,33 +215,40 @@ def _build_parser() -> argparse.ArgumentParser:
     gate_parser.add_argument("--fail-on-inconclusive", action="store_true",
                              help="treat inconclusive verdicts as failures")
 
+
+def _add_baseline(commands, shared) -> None:
     baseline_commands = commands.add_parser(
         "baseline", help="manage named baselines in the run store"
     ).add_subparsers(dest="baseline_command", required=True)
-    baseline_promote = verb(
-        baseline_commands, "promote", _baseline_promote, [store],
+    baseline_promote = _verb(
+        baseline_commands, "promote", _baseline_promote, [shared.store],
         help="promote a recorded run to a named baseline",
     )
     baseline_promote.add_argument("record", help="record reference "
                                                  "(id/prefix/'latest')")
     baseline_promote.add_argument("name", help="baseline name")
-    verb(baseline_commands, "list", _baseline_list, [store],
-         help="list promoted baselines")
-    baseline_remove = verb(
-        baseline_commands, "remove", _baseline_remove, [store],
+    _verb(baseline_commands, "list", _baseline_list, [shared.store],
+          help="list promoted baselines")
+    baseline_remove = _verb(
+        baseline_commands, "remove", _baseline_remove, [shared.store],
         help="remove a named baseline (the record stays)",
     )
     baseline_remove.add_argument("name", help="baseline name")
 
-    submit_parser = verb(
-        commands, "submit", _submit, [spec, client],
+
+def _add_submit(commands, shared) -> None:
+    submit_parser = _verb(
+        commands, "submit", _submit, [shared.spec, shared.client],
         help="submit one benchmark job to the service and wait for it",
     )
     submit_parser.add_argument("--priority", type=int, default=0,
                                help="queue priority (higher drains first)")
 
-    ablate_parser = verb(
-        commands, "ablate", _ablate, [param, store, pool, layout],
+
+def _add_ablate(commands, shared) -> None:
+    ablate_parser = _verb(
+        commands, "ablate", _ablate,
+        [shared.param, shared.store, shared.pool, shared.layout],
         help="run a workload × engine × tuning-profile ablation matrix "
              "with statistical verdicts",
     )
@@ -269,8 +288,12 @@ def _build_parser() -> argparse.ArgumentParser:
                                choices=["ascii", "markdown", "json"],
                                help="report rendering style")
 
-    load_parser = verb(
-        commands, "load", _load, [param, store, record, layout, schedulers],
+
+def _add_load(commands, shared) -> None:
+    load_parser = _verb(
+        commands, "load", _load,
+        [shared.param, shared.store, shared.record, shared.layout,
+         shared.schedulers],
         help="drive a workload, the service, or a synthetic model at a "
              "controlled rate and judge the run against an SLO "
              "(exit 0 = SLO met)",
@@ -350,8 +373,11 @@ def _build_parser() -> argparse.ArgumentParser:
     load_parser.add_argument("--json", action="store_true",
                              help="emit the report as JSON")
 
-    serve_parser = verb(
-        commands, "serve", _serve, [store, record, pool, client],
+
+def _add_serve(commands, shared) -> None:
+    serve_parser = _verb(
+        commands, "serve", _serve,
+        [shared.store, shared.record, shared.pool, shared.client],
         help="run a batch of job specs through the service "
              "(exit 0 = all done)",
     )
@@ -362,32 +388,38 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--quiet", action="store_true",
                               help="suppress the live job-event lines")
 
+
+def _add_jobs(commands, shared) -> None:
     jobs_commands = commands.add_parser(
         "jobs", help="inspect the service job log"
     ).add_subparsers(dest="jobs_command", required=True)
-    jobs_list = verb(jobs_commands, "list", _jobs_list, [store],
-                     help="list logged jobs")
+    jobs_list = _verb(jobs_commands, "list", _jobs_list, [shared.store],
+                      help="list logged jobs")
     jobs_list.add_argument("--state", default=None,
                            help="only jobs in this lifecycle state")
-    jobs_show = verb(jobs_commands, "show", _jobs_show, [store],
-                     help="show one job's full lifecycle")
+    jobs_show = _verb(jobs_commands, "show", _jobs_show, [shared.store],
+                      help="show one job's full lifecycle")
     jobs_show.add_argument("job", help="job id or unique prefix")
-    jobs_cancel = verb(
-        jobs_commands, "cancel", _jobs_cancel, [store],
+    jobs_cancel = _verb(
+        jobs_commands, "cancel", _jobs_cancel, [shared.store],
         help="mark a non-terminal logged job cancelled (an orphan from "
              "a dead service process; a live orchestrator is not "
              "notified)",
     )
     jobs_cancel.add_argument("job", help="job id or unique prefix")
 
-    export_parser = verb(
+
+def _add_export(commands, shared) -> None:
+    export_parser = _verb(
         commands, "export-prescriptions", _export,
         help="write the prescription repository to a JSON file (§5.2 "
              "reusable prescriptions)",
     )
     export_parser.add_argument("path", help="output file path")
 
-    generate_parser = verb(
+
+def _add_generate(commands, shared) -> None:
+    generate_parser = _verb(
         commands, "generate", _generate,
         help="run one data generator and print a sample",
     )
@@ -403,14 +435,60 @@ def _build_parser() -> argparse.ArgumentParser:
                                  help="records to print")
     generate_parser.add_argument("--seed", type=int, default=0)
 
-    verb(commands, "tables", _tables,
-         help="regenerate the paper's Table 1 and Table 2")
 
-    miniature_parser = verb(commands, "miniature", _miniature,
-                            help="run a surveyed suite's miniature")
+def _add_tables(commands, shared) -> None:
+    _verb(commands, "tables", _tables,
+          help="regenerate the paper's Table 1 and Table 2")
+
+
+def _add_miniature(commands, shared) -> None:
+    miniature_parser = _verb(commands, "miniature", _miniature,
+                             help="run a surveyed suite's miniature")
     miniature_parser.add_argument("suite", help="suite name (see `tables`)")
     miniature_parser.add_argument("--scale", type=float, default=1.0)
 
+
+#: verb → the function that adds its subparser, in ``--help`` order.
+_VERBS = {
+    "list": _add_list,
+    "run": _add_run,
+    "runs": _add_runs,
+    "compare": _add_compare,
+    "gate": _add_gate,
+    "baseline": _add_baseline,
+    "submit": _add_submit,
+    "ablate": _add_ablate,
+    "load": _add_load,
+    "serve": _add_serve,
+    "jobs": _add_jobs,
+    "export-prescriptions": _add_export,
+    "generate": _add_generate,
+    "tables": _add_tables,
+    "miniature": _add_miniature,
+}
+
+
+def _build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every verb, or only ``verb``'s subparser.
+
+    A one-verb parser parses that verb's argv exactly as the full one
+    does; its usage line still lists every verb, so a top-level error
+    (an unrecognised argument) reads the same.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro-bench",
+        description="A 4V-aware big data benchmarking framework "
+        "(reproduction of Han & Lu, 'On Big Data Benchmarking', 2014).",
+    )
+    commands = parser.add_subparsers(
+        dest="command", required=True,
+        # Only when one verb is built: a metavar also renames the
+        # argument in the full parser's "required" error.
+        metavar=None if verb is None else "{" + ",".join(_VERBS) + "}",
+    )
+    shared = _shared_flags()
+    for add in (_VERBS.values() if verb is None else [_VERBS[verb]]):
+        add(commands, shared)
     return parser
 
 
@@ -1098,9 +1176,16 @@ def _jobs_show(args, out) -> int:
 
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Builds the parser of the verb ``argv`` starts with, or of every
+    verb when it starts with none (``--help``, a typo).  It leaves the
+    process environment alone: in-process callers own theirs.
+    """
     out = out or sys.stdout
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = _build_parser(verb).parse_args(argv)
     try:
         return args.handler(args, out)
     except ReproError as error:
@@ -1108,5 +1193,25 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
         return 2
 
 
+#: What OpenBLAS reads for its thread count, in its order of precedence.
+_BLAS_THREAD_VARIABLES = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS",
+)
+
+
+def process_main() -> int:
+    """The process entry of ``repro-bench`` and ``python -m repro.cli``.
+
+    Unless the user chose a BLAS thread count, the process gets one
+    BLAS thread before anything imports numpy: OpenBLAS would otherwise
+    start one per CPU, and they spin at numpy's import, while no matrix
+    here is big enough for OpenBLAS to split.  Workers and service jobs
+    started by the process inherit the setting.  Then :func:`main`.
+    """
+    if not any(name in os.environ for name in _BLAS_THREAD_VARIABLES):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    return main()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(process_main())

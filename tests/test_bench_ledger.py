@@ -191,14 +191,15 @@ def test_the_bytecode_cache_rows_are_a_parent_and_a_change_row():
     """The start-up rows that price ``repro_cached`` (``bench_startup.py``).
     On the parent the cache does not exist and the condition compiles
     every process; on the change its steady state sits nearer the
-    verb's warm ``__pycache__`` row than compiling every process."""
+    verb's warm ``__pycache__`` row than compiling every process.
+    Those are the first two rows that carry the condition."""
     (ledger,) = [path for path in LEDGERS if path.name == "BENCH_startup.json"]
-    rows = {
-        row["measurements"]["source"]: row["measurements"]
-        for row in json.loads(ledger.read_text())
+    probed = [
+        row["measurements"] for row in json.loads(ledger.read_text())
         if "repro_cached"
         in row["measurements"].get("without_bytecode", {}).get("cli.list", {})
-    }
+    ][:2]
+    rows = {measurements["source"]: measurements for measurements in probed}
     assert set(rows) == {"parent", "change"}
     for side, measurements in rows.items():
         for verb, conditions in measurements["without_bytecode"].items():
@@ -210,6 +211,35 @@ def test_the_bytecode_cache_rows_are_a_parent_and_a_change_row():
                 (uncompiled, warm) if side == "parent" else (warm, uncompiled)
             )
             assert abs(cached - settled) < abs(cached - other), (side, verb)
+
+
+def test_the_blas_thread_rows_are_a_parent_and_a_change_row():
+    """The start-up rows that carry ``cpu_q1_s`` (``bench_startup.py``):
+    a CLI process starts one BLAS thread.  On the parent OpenBLAS
+    started one per CPU, and they spun at numpy's import, so the verbs
+    that import numpy paid CPU beyond their wall; the verbs that do not
+    load the same modules as before.  Those are the first two rows that
+    carry the probe; CPU seconds are a child's own, whatever the host's
+    speed did between the two rows, and the gap is far wider."""
+    (ledger,) = [path for path in LEDGERS if path.name == "BENCH_startup.json"]
+    rows = [
+        row for row in json.loads(ledger.read_text())
+        if "cpu_q1_s" in row["measurements"]["commands"]["cli.list"]
+    ][:2]
+    sides = {
+        row["measurements"]["source"].split()[0].rstrip(":"):
+        row["measurements"]["commands"]
+        for row in rows
+    }
+    assert len(rows) == 2 and set(sides) == {"parent", "change"}
+    assert len({row["series"] for row in rows}) == 1
+    parent, change = sides["parent"], sides["change"]
+    for verb in ("cli.run-small", "cli.run-record", "cli.submit"):
+        assert parent[verb]["numpy"] and change[verb]["numpy"], verb
+        assert change[verb]["cpu_q1_s"] < 0.85 * parent[verb]["cpu_q1_s"], verb
+    for verb in ("cli.list", "cli.runs-list", "cli.compare", "cli.jobs-list"):
+        assert not parent[verb]["numpy"] and not change[verb]["numpy"], verb
+        assert change[verb]["repro_modules"] == parent[verb]["repro_modules"], verb
 
 
 def test_the_slotted_stream_record_rows_are_a_parent_and_a_change_row():

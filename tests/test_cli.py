@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro import bootstrap
+from repro import bootstrap, cli
 from repro.cli import main
 from repro.core.prescription import builtin_repository
 from repro.datagen.formats import available_formats
+
+from tests import _cli_text_capture
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Generator → the seed data set its builtin prescriptions fit it on.
 _REPOSITORY = builtin_repository()
@@ -856,3 +865,129 @@ class TestFlagScoping:
             run_cli("submit", *shared)
         assert seen["spec"] == run_call["args"][0]
         assert seen["spec"].store_dir == "S"
+
+
+#: cli-cold's seven commands (``benchmarks/e2e``) and one more argv per
+#: verb, each setting flags the verb's parents and its own parser add.
+_REPRESENTATIVE_ARGV = [
+    ["list"],
+    ["run", "micro-wordcount", "--json"],
+    ["run", "database-aggregate-join", "--volume", "2000", "--layout",
+     "columnar", "--record", "--store-dir", "S", "--json"],
+    ["runs", "list", "--store-dir", "S"],
+    ["compare", "r0001", "r0002", "--store-dir", "S"],
+    ["submit", "micro-wordcount", "--store-dir", "S"],
+    ["jobs", "list", "--store-dir", "S"],
+    ["run", "micro-sort", "--engine", "dbms", "--engine", "nosql",
+     "--param", "a=1", "--executor", "thread", "--workers", "2",
+     "--chunk-size", "64", "--on-error", "continue", "--trace"],
+    ["runs", "show", "latest", "--store-dir", "S"],
+    ["gate", "r0003", "--baseline", "main", "--metric", "duration",
+     "--json", "--fail-on-inconclusive"],
+    ["baseline", "promote", "latest", "main"],
+    ["baseline", "list"],
+    ["baseline", "remove", "main"],
+    ["submit", "micro-wordcount", "--priority", "3", "--client", "c",
+     "--schedulers", "1", "--tuning", "optimized"],
+    ["ablate", "--workloads", "micro", "--engines", "dbms", "--style",
+     "json", "--no-one-offs", "--alpha", "0.1"],
+    ["load", "micro-grep", "--arrival", "diurnal", "--period", "2",
+     "--sessions", "3", "--slo-p95", "0.5", "--record"],
+    ["serve", "--spec-file", "batch.json", "--quiet", "--workers", "2"],
+    ["jobs", "show", "j0001"],
+    ["jobs", "cancel", "j0001", "--store-dir", "S"],
+    ["export-prescriptions", "prescriptions.json"],
+    ["generate", "lda-text", "--fit-on", "text-corpus", "--format",
+     "text-lines", "--sample", "2"],
+    ["tables"],
+    ["miniature", "HiBench", "--scale", "0.5"],
+]
+
+
+def _parse(parser, argv: list[str]) -> tuple:
+    """``("parsed", namespace)`` or ``(exit code, stdout, stderr)``."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            return "parsed", vars(parser.parse_args(argv))
+        except SystemExit as exit_:
+            return exit_.code, stdout.getvalue(), stderr.getvalue()
+
+
+class TestOneVerbParser:
+    """``main`` builds only the subparser of the verb argv starts with;
+    whatever argv holds after it, the parse is the full parser's."""
+
+    def test_the_table_holds_every_verb_in_help_order(self):
+        paths = _cli_text_capture.verb_paths(cli._build_parser())
+        assert [path[0] for path, _ in paths if len(path) == 1] == list(
+            cli._VERBS
+        )
+        assert {path[0] for path, group in paths if group} == {
+            "runs", "baseline", "jobs",
+        }
+
+    @pytest.mark.parametrize(
+        "argv", [argv for argv in _cli_text_capture.cases() if argv
+                 and argv[0] in cli._VERBS],
+        ids=" ".join,
+    )
+    def test_help_usage_and_errors_are_the_full_parsers(self, argv):
+        full = _parse(cli._build_parser(), argv)
+        assert full[0] in (0, 2)
+        assert _parse(cli._build_parser(argv[0]), argv) == full
+
+    @pytest.mark.parametrize("argv", _REPRESENTATIVE_ARGV, ids=" ".join)
+    def test_the_namespace_is_the_full_parsers(self, argv):
+        full = _parse(cli._build_parser(), argv)
+        assert full[0] == "parsed"
+        assert _parse(cli._build_parser(argv[0]), argv) == full
+
+    @pytest.mark.parametrize(
+        "argv, built",
+        [
+            (["list"], "list"),
+            (["runs", "list", "--no-such-flag"], "runs"),
+            (["--help"], None),
+            ([], None),
+            (["no-such-verb"], None),
+            (["--", "list"], None),
+        ],
+        ids=str,
+    )
+    def test_main_builds_the_verb_argv_starts_with(
+        self, argv, built, monkeypatch
+    ):
+        seen = []
+        build = cli._build_parser
+
+        def spy(verb=None):
+            seen.append(verb)
+            return build(verb)
+
+        monkeypatch.setattr(cli, "_build_parser", spy)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                main(argv, out=io.StringIO())
+            except SystemExit:
+                pass
+        assert seen == [built]
+
+    def test_what_the_cli_prints_is_the_parents(self):
+        """Every verb's ``--help`` and errors, the top-level help and an
+        unknown verb, as the commit before this parser printed them."""
+        expected = json.loads(
+            (FIXTURES / "cli_text_parent.json").read_text()
+        )
+        python = "%d.%d" % sys.version_info[:2]
+        if python != expected["python"]:
+            pytest.skip(f"captured on Python {expected['python']}; "
+                        f"argparse formats help differently on {python}")
+        completed = subprocess.run(
+            [sys.executable, str(Path(__file__).parent / "_cli_text_capture.py")],
+            env={**os.environ, "COLUMNS": "80",
+                 "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert json.loads(completed.stdout) == expected

@@ -7,6 +7,11 @@ engine, a generator, a workload, the service or the load generator.
 Each case runs in a fresh interpreter and inspects ``sys.modules`` when
 the verb returns; an :mod:`ast` walk keeps numpy out of the module level
 of the layers those verbs do import (DESIGN.md, "Import layering").
+
+A CLI process also starts one BLAS thread, not one per CPU: its entry
+sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless the user
+chose a count, and ``import repro`` and ``main()`` leave the
+environment alone.
 """
 
 from __future__ import annotations
@@ -173,3 +178,164 @@ def test_the_light_layers_do_not_import_numpy_at_module_level():
         f"module-level `import numpy` in {strays}: import it in the "
         "function that uses it (DESIGN.md, Import layering)"
     )
+
+
+# --- One BLAS thread per CLI process (DESIGN.md §3.16) ---------------------
+
+#: What OpenBLAS reads for its thread count (``repro.cli``).
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+#: Appended to a program: its exit state, as JSON on the last stderr line.
+_REPORT = (
+    "\nimport json, os, sys\n"
+    "print(json.dumps({'threads': len(os.listdir('/proc/self/task')), "
+    "'numpy': 'numpy' in sys.modules, "
+    "'pin': os.environ.get('OPENBLAS_NUM_THREADS')}), file=sys.stderr)"
+)
+
+#: ``run micro-wordcount --json`` through each door of a CLI process.
+_ENTRIES = {
+    "console script": (
+        "import sys\nsys.argv = ['repro-bench', 'run', 'micro-wordcount', '--json']\n"
+        "from repro.cli import process_main\nassert process_main() == 0"
+    ),
+    "python -m repro.cli": (
+        "import runpy, sys\nsys.argv = ['repro-bench', 'run', 'micro-wordcount', '--json']\n"
+        "try:\n    runpy.run_module('repro.cli', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exit_:\n    assert exit_.code == 0, exit_.code"
+    ),
+}
+
+linux_only = pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir(),
+    reason="counts threads through Linux /proc/self/task",
+)
+
+
+def _cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _child_env(**variables: str) -> dict[str, str]:
+    """This environment without BLAS or ``REPRO_*`` variables, plus
+    ``variables``."""
+    env = {
+        name: value for name, value in os.environ.items()
+        if name not in BLAS_THREAD_VARIABLES and not name.startswith("REPRO_")
+    }
+    return {**env, "PYTHONPATH": str(SRC), **variables}
+
+
+def _exit_state(program: str, **variables: str) -> dict:
+    """Threads, numpy and ``OPENBLAS_NUM_THREADS`` of a fresh interpreter
+    when ``program`` ends."""
+    completed = subprocess.run(
+        [sys.executable, "-c", program + _REPORT], env=_child_env(**variables),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stderr.strip().splitlines()[-1])
+
+
+def test_the_console_script_is_the_process_entry():
+    pyproject = (SRC.parent / "pyproject.toml").read_text()
+    assert 'repro-bench = "repro.cli:process_main"' in pyproject
+
+
+@linux_only
+class TestOneBlasThread:
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    def test_a_cli_process_ends_with_one_thread(self, entry):
+        state = _exit_state(_ENTRIES[entry])
+        assert state == {"threads": 1, "numpy": True, "pin": "1"}
+
+    def test_without_the_entry_openblas_starts_a_thread_per_cpu(self):
+        """The control: ``main`` alone does not pin, and OpenBLAS then
+        starts more than one thread wherever there is more than one CPU."""
+        program = _ENTRIES["console script"].replace("process_main", "main")
+        state = _exit_state(program)
+        assert state["numpy"] and state["pin"] is None
+        assert (state["threads"] > 1) == (_cpus() > 1)
+
+    @pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
+    def test_the_users_thread_count_wins(self, variable):
+        if _cpus() < 2:
+            pytest.skip("two BLAS threads need two CPUs")
+        state = _exit_state(_ENTRIES["console script"], **{variable: "2"})
+        assert state["threads"] == 2
+        assert state["pin"] == ("2" if variable == "OPENBLAS_NUM_THREADS" else None)
+
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    def test_numpy_is_not_loaded_when_the_entry_pins(self, entry):
+        """``os.putenv`` is an audit event: the hook sees the pin land
+        and what ``sys.modules`` held at that moment."""
+        program = (
+            "import sys\nseen = []\n"
+            "def hook(event, args):\n"
+            "    if event == 'os.putenv' and args[0] in "
+            "(b'OPENBLAS_NUM_THREADS', 'OPENBLAS_NUM_THREADS'):\n"
+            "        seen.append('numpy' in sys.modules)\n"
+            "sys.addaudithook(hook)\n"
+            + _ENTRIES[entry]
+            + "\nassert seen == [False], seen"
+        )
+        assert _exit_state(program)["numpy"]
+
+    def test_import_repro_and_main_leave_the_environment_alone(self):
+        program = (
+            "import os\nbefore = dict(os.environ)\nimport repro\n"
+            "from repro.cli import main\n"
+            "code = main(['run', 'micro-wordcount', '--json'], "
+            "out=open(os.devnull, 'w'))\n"
+            "assert code == 0, code\n"
+            "assert dict(os.environ) == before"
+        )
+        state = _exit_state(program)
+        assert state["numpy"] and state["pin"] is None
+
+
+#: ``learning-mlp`` (the one workload that calls BLAS), observed whole.
+_MLP = """
+import dataclasses, json, os
+from repro import api
+from repro.core import registry
+from repro.core.prescription import builtin_repository
+
+prescription = builtin_repository().get("learning-mlp")
+dataset = registry.generators.create(prescription.data.generator).generate(
+    prescription.data.volume
+)
+result = registry.workloads.create(prescription.workload).run(
+    registry.engines.create("mapreduce"), dataset
+)
+report = api.run("learning-mlp")
+print(json.dumps({
+    "output": result.output,
+    "cost": dataclasses.asdict(result.cost),
+    "simulated_seconds": result.simulated_seconds,
+    "records": [result.records_in, result.records_out],
+    "extra": [run.extra for run in report.results],
+    "energy": [run.metric("energy").samples for run in report.results],
+    "threads": len(os.listdir("/proc/self/task")),
+}))
+"""
+
+
+@linux_only
+def test_the_only_blas_traffic_is_unchanged_by_the_pin():
+    """One BLAS thread or two, the MLP trains to the same numbers: its
+    16-unit products are far below what OpenBLAS splits over threads."""
+    runs = {}
+    for threads in ("1", "2"):
+        completed = subprocess.run(
+            [sys.executable, "-c", _MLP],
+            env=_child_env(OPENBLAS_NUM_THREADS=threads),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        runs[threads] = json.loads(completed.stdout.strip().splitlines()[-1])
+    assert runs["1"].pop("threads") == 1
+    assert runs["2"].pop("threads") == min(2, _cpus())
+    assert runs["1"] == runs["2"]
+    assert runs["1"]["output"]["accuracy"] > 0.5
+    assert runs["1"]["cost"]

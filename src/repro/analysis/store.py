@@ -352,7 +352,10 @@ class RunStore:
         prefix, or a series key / unique series prefix (resolving to the
         newest record of that series).
         """
-        records = self.records()
+        return self._resolve(ref, self.records())
+
+    def _resolve(self, ref: str, records: list[RunRecord]) -> RunRecord:
+        """:meth:`get` over ``records``, this store's records as read."""
         if not records:
             raise AnalysisError(f"run store {self.path} has no records")
         if ref == "latest":

@@ -163,13 +163,16 @@ def compare(
     prefix, series key, or ``"latest"``) or already-loaded records.
     """
     store = RunStore(resolve_store_dir(store_dir))
-    baseline_record = (
-        baseline if isinstance(baseline, RunRecord) else store.get(baseline)
+    references = (baseline, candidate)
+    # One read of the store resolves both references.
+    records = (
+        []
+        if all(isinstance(ref, RunRecord) for ref in references)
+        else store.records()
     )
-    candidate_record = (
-        candidate
-        if isinstance(candidate, RunRecord)
-        else store.get(candidate)
+    baseline_record, candidate_record = (
+        ref if isinstance(ref, RunRecord) else store._resolve(ref, records)
+        for ref in references
     )
     return compare_records(
         baseline_record,

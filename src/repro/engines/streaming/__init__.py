@@ -8,7 +8,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.engines.streaming.engine": (
             "FilterOperator", "MapOperator", "SlidingWindowAggregate",
             "StreamingEngine", "StreamOperator", "StreamRunReport", "Topology",
-            "TumblingWindowAggregate", "WindowResult",
+            "TumblingWindowAggregate", "WindowResult", "count",
         ),
     },
 )

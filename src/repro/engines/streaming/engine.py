@@ -11,6 +11,7 @@ must expose.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Sequence
@@ -25,6 +26,38 @@ from repro.engines.base import Engine, EngineInfo
 
 
 _TIMESTAMP = attrgetter("timestamp")
+_KEY = attrgetter("key")
+#: Events the counting door reads at once, grown to one whole window
+#: when a window holds more: its numpy temporaries stay a few tens of KB
+#: however long the run.
+_COUNT_SLICE = 2048
+#: Window ids this large or larger are not all exact as float64s.
+_EXACT_IDS = 2.0**53
+#: The most entries of the counting door's key table (the run's key
+#: range) and of a slice's cell table (windows x distinct keys); a run
+#: that needs more is folded.
+_COUNT_TABLE = 1 << 15
+_FLOAT = {float}
+_INT = {int}
+
+
+def count(accumulator: Any, value: Any) -> Any:
+    """The counting reducer: one more per event, whatever its value.
+
+    A :class:`TumblingWindowAggregate` with this reducer and the default
+    ``initial`` folds a sorted run in bulk (its counting door).
+    """
+    return accumulator + 1
+
+
+def _zero() -> float:
+    """The default initial accumulator of the window operators."""
+    return 0.0
+
+
+def _check_window(name: str, seconds: float) -> None:
+    if not (seconds > 0 and math.isfinite(seconds)):
+        raise EngineError(f"{name} must be positive and finite, got {seconds}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,6 +82,109 @@ def _window_results(
         [end] * count,
         keys,
         list(map(per_key.__getitem__, keys)),
+    )
+
+
+def _read_counted(
+    np: Any, part: Sequence[StreamEvent], previous: float, size: float
+) -> tuple[list[float], list[int], Any, Any] | None:
+    """A slice's timestamps, keys, keys as an int64 array and window ids,
+    if the counting door may fold it with the watermark at ``previous``.
+
+    Below 2**53 a window id is the exact floor of time / size, so sorted
+    times have sorted ids; that is checked too, not assumed."""
+    stamps = list(map(_TIMESTAMP, part))
+    keys = list(map(_KEY, part))
+    if {*map(type, stamps)} != _FLOAT or {*map(type, keys)} != _INT:
+        return None
+    try:
+        key_array = np.fromiter(keys, np.int64, len(keys))
+    except OverflowError:
+        return None
+    times = np.fromiter(stamps, np.float64, len(stamps))
+    ids = np.floor_divide(times, size)
+    # NaN fails every comparison; an infinite time has a NaN id.
+    if not (
+        times[0] >= previous
+        and -_EXACT_IDS < ids[0]
+        and ids[-1] < _EXACT_IDS
+        and (times[1:] >= times[:-1]).all()
+        and (ids[1:] >= ids[:-1]).all()
+    ):
+        return None
+    return stamps, keys, key_array, ids
+
+
+def _str_order(np: Any, low: int, high: int) -> tuple[Any, Any]:
+    """The ints of ``range(low, high)`` in ``str`` order (an object array)
+    and, indexed by ``value - low``, each one's place in that order."""
+    ordered = sorted(range(low, high), key=str)
+    place = np.empty(high - low, dtype=np.intp)
+    place[np.array(ordered) - low] = np.arange(high - low)
+    return np.array(ordered, dtype=object), place
+
+
+def _count_cells(
+    np: Any, places: Any, cuts: Any, ordered: Any
+) -> tuple[list[int], Any, Any] | None:
+    """The (window, key) cells of a slice of whole windows in the order
+    the fold emits them, window by window and keys in ``str`` order:
+    cells per window, their keys and their counts.
+
+    ``places`` are the events' keys as places in ``ordered``, the run's
+    key range in ``str`` order.  Each key of the slice gets its rank
+    among the slice's keys, each event one code ordered as (window,
+    rank), and one ``bincount`` counts every cell: tables, not a sort,
+    because numpy's sort kernels cost a process about 1 MB the first
+    time they run.  None when the cell table would have more than
+    :data:`_COUNT_TABLE` entries.
+    """
+    present = np.zeros(len(ordered), dtype=bool)
+    present[places] = True
+    used = np.flatnonzero(present)
+    width = len(used)
+    windows = len(cuts) + 1
+    if windows * width > _COUNT_TABLE:
+        return None
+    rank = np.empty(len(ordered), dtype=np.intp)
+    rank[used] = np.arange(width)
+    codes = np.zeros(len(places), dtype=np.intp)
+    codes[cuts] = width
+    np.cumsum(codes, out=codes)
+    codes += rank[places]
+    tally = np.bincount(codes, minlength=windows * width).reshape(windows, width)
+    cell_windows, cell_ranks = np.nonzero(tally)
+    return (
+        np.bincount(cell_windows, minlength=windows).tolist(),
+        ordered[used][cell_ranks],
+        tally[cell_windows, cell_ranks],
+    )
+
+
+def _closed_results(
+    np: Any,
+    size: float,
+    window_ids: list[int],
+    per_window: list[int],
+    cell_keys: Any,
+    counts: Any,
+) -> list[WindowResult]:
+    """The results of the windows in ``window_ids``, the first cells of
+    ``cell_keys`` and ``counts``, built by column: each window's bounds
+    are the fold's, one float object each, shared by its results."""
+    starts: list[Any] = []
+    ends: list[Any] = []
+    for window, cell_count in zip(window_ids, per_window):
+        start = window * size
+        starts += [start] * cell_count
+        ends += [start + size] * cell_count
+    shut = len(starts)
+    return build_by_column(
+        WindowResult,
+        starts,
+        ends,
+        cell_keys[:shut].tolist(),
+        counts[:shut].astype(np.float64).tolist(),
     )
 
 
@@ -131,12 +267,9 @@ class TumblingWindowAggregate(StreamOperator):
         self,
         window_seconds: float,
         reducer: Callable[[Any, float], Any],
-        initial: Callable[[], Any] = lambda: 0.0,
+        initial: Callable[[], Any] = _zero,
     ) -> None:
-        if window_seconds <= 0:
-            raise EngineError(
-                f"window_seconds must be positive, got {window_seconds}"
-            )
+        _check_window("window_seconds", window_seconds)
         self.window_seconds = window_seconds
         self.reducer = reducer
         self.initial = initial
@@ -155,8 +288,105 @@ class TumblingWindowAggregate(StreamOperator):
         return ()
 
     def process_many(self, events: Sequence[StreamEvent]) -> list[StreamEvent]:
-        self._fold(events)
+        if not (
+            self.reducer is count
+            and self.initial is _zero
+            and self._count_run(events)
+        ):
+            self._fold(events)
         return []
+
+    def _count_run(self, events: Sequence[StreamEvent]) -> bool:
+        """The counting door: fold a run in bulk when that equals ``_fold``.
+
+        It does when no window is open, the timestamps are finite
+        ``float``s, non-decreasing and not below the watermark, the
+        window ids are below 2**53 and the keys are ``int``s that fit an
+        int64 (distinct ints have distinct ``str`` forms).  The fold then
+        closes each window as the run leaves it, emits its keys in
+        ``str`` order with the value ``0.0 + 1 + ... + 1``, and leaves
+        the last window open with its keys in first-seen order; so does
+        this, a slice of whole windows at a time.  Nothing changes until
+        every slice has passed: False means the run was not folded.
+        """
+        size = self.window_seconds
+        if (
+            self._windows
+            or type(size) not in (int, float)
+            or not isinstance(events, (list, tuple))
+            or not events
+        ):
+            return False
+        import numpy as np
+
+        total = len(events)
+        # The run's key range so far in ``str`` order: one sort, not one
+        # a slice, and one int object per key for the run, as the fold.
+        ranked: tuple[int, ...] = ()
+        ordered = place = None
+        closed: list[list[WindowResult]] = []
+        low = 0
+        with np.errstate(all="ignore"):
+            while True:
+                high = min(total, low + _COUNT_SLICE)
+                while True:
+                    # A slice starts inside the one read before it, so
+                    # its first event was already checked against the
+                    # one before; only the run's first needs the watermark.
+                    read = _read_counted(
+                        np, events[low:high], self._watermark, size
+                    )
+                    if read is None:
+                        return False
+                    stamps, keys, key_array, ids = read
+                    cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+                    if high == total or len(cuts):
+                        break
+                    high = min(total, 2 * high - low)  # one window fills it
+                last = high == total
+                if not last:
+                    # The slice ends where its last window starts: that
+                    # window may go on past it.
+                    end = int(cuts[-1])
+                    cuts = cuts[:-1]
+                    key_array = key_array[:end]
+                key_low = int(key_array.min())
+                key_high = int(key_array.max()) + 1
+                if ranked:
+                    key_low = min(key_low, ranked[0])
+                    key_high = max(key_high, ranked[1])
+                if (key_low, key_high) != ranked:
+                    if key_high - key_low > _COUNT_TABLE:
+                        return False
+                    ranked = (key_low, key_high)
+                    ordered, place = _str_order(np, key_low, key_high)
+                cells = _count_cells(np, place[key_array - key_low], cuts, ordered)
+                if cells is None:
+                    return False
+                per_window, cell_keys, counts = cells
+                window_ids = list(map(int, ids[[0, *cuts]].tolist()))
+                if last:
+                    opened = window_ids.pop()
+                    per_window.pop()
+                closed.append(
+                    _closed_results(np, size, window_ids, per_window, cell_keys, counts)
+                )
+                if last:
+                    break
+                low += end
+        shut = len(closed[-1])
+        counted = dict(zip(cell_keys[shut:].tolist(), counts[shut:].tolist()))
+        first = int(cuts[-1]) if len(cuts) else 0
+        table = {key: float(counted[key]) for key in dict.fromkeys(keys[first:])}
+        # The fold's watermark is the first event that reached the latest
+        # time; equal times share a window, so this slice.
+        if stamps[-1] > self._watermark:
+            self._watermark = stamps[stamps.index(stamps[-1])]
+        for results in closed:
+            self._emitted += results
+        self._windows[opened] = table
+        self._oldest_open = opened
+        return True
 
     def _fold(self, events: Iterable[StreamEvent]) -> None:
         """Fold events into their windows, closing those the watermark passes.
@@ -239,10 +469,10 @@ class SlidingWindowAggregate(StreamOperator):
         window_seconds: float,
         slide_seconds: float,
         reducer: Callable[[Any, float], Any],
-        initial: Callable[[], Any] = lambda: 0.0,
+        initial: Callable[[], Any] = _zero,
     ) -> None:
-        if window_seconds <= 0 or slide_seconds <= 0:
-            raise EngineError("window and slide must be positive")
+        _check_window("window_seconds", window_seconds)
+        _check_window("slide_seconds", slide_seconds)
         if slide_seconds > window_seconds:
             raise EngineError("slide must not exceed the window size")
         self.window_seconds = window_seconds

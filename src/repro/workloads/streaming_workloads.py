@@ -23,6 +23,7 @@ from repro.engines.streaming import (
     StreamingEngine,
     Topology,
     TumblingWindowAggregate,
+    count,
 )
 from repro.workloads.base import (
     ApplicationDomain,
@@ -50,7 +51,7 @@ class WindowedAggregationWorkload(Workload):
         **params: Any,
     ) -> WorkloadResult:
         topology = Topology(self.name).then(
-            TumblingWindowAggregate(window_seconds, lambda acc, value: acc + 1)
+            TumblingWindowAggregate(window_seconds, count)
         )
         report = engine.run(topology, dataset.records)
         return WorkloadResult(

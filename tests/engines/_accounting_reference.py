@@ -8,7 +8,8 @@ The bodies are kept verbatim from ``engines/mapreduce/job.py``
 (``StreamGenerator.generate_partition``, the loop that built one event at
 a time) and ``engines/streaming/engine.py`` (``StreamingEngine.run``, one
 event through every operator; ``TumblingWindowAggregate._fold``, one key
-table lookup per event), so the fast paths in ``src/`` can be held
+table lookup per event, which is also the oracle of the counting door),
+so the fast paths in ``src/`` can be held
 to equal values on every input, not to a tolerance: partition
 assignments, byte counters, ``detail["bytes"]``, the generated events and
 the window results are part of what a seeded run reports.  Nothing in
@@ -110,7 +111,13 @@ def reference_generate_partition(
 class ReferenceTumblingWindow(TumblingWindowAggregate):
     """The tumbling window as it stood before its fold fetched a window's
     key table once per run of same-window events and built its results
-    by column: one table lookup and one constructor call per item."""
+    by column: one table lookup and one constructor call per item.  A
+    run goes through that fold whatever the reducer, so the counting
+    door is held to it too."""
+
+    def process_many(self, events: Iterable[StreamEvent]) -> list[StreamEvent]:
+        self._fold(events)
+        return []
 
     def _fold(self, events: Iterable[StreamEvent]) -> None:
         size = self.window_seconds

@@ -16,7 +16,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
+import math
 from collections import defaultdict
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,6 +51,7 @@ from repro.engines.mapreduce.job import (
 from repro.engines.mapreduce.runtime import JobResult, MapReduceEngine
 from repro.engines.nosql import store as store_module
 from repro.engines.nosql.store import ConsistencyLevel, LatencyModel, NoSqlStore
+from repro.engines.streaming import engine as streaming_engine
 from repro.engines.streaming.engine import (
     FilterOperator,
     MapOperator,
@@ -55,6 +60,7 @@ from repro.engines.streaming.engine import (
     StreamOperator,
     Topology,
     TumblingWindowAggregate,
+    count,
 )
 from repro.observability import Tracer
 from repro.workloads import micro
@@ -65,6 +71,7 @@ from _accounting_reference import (
     reference_generate_partition,
     reference_stream_run,
 )
+from _window_capture import capture as capture_windows
 
 # -- the streaming operators ---------------------------------------------------
 
@@ -210,6 +217,224 @@ class TestTumblingFold:
         assert repr(folded.take_emitted()) == repr(oracle.take_emitted())
         assert repr(folded.flush()) == repr(oracle.flush())
         assert _state(folded) == _state(oracle)
+
+
+#: Times on and off window boundaries, negative ones and repeats.
+counted_times = st.one_of(
+    st.floats(min_value=-3.0, max_value=3.0, allow_nan=False),
+    st.sampled_from([-1.5, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 2.75]),
+)
+#: Mostly int keys (the door's); now and then keys the fold tells apart
+#: by ``str`` but not by ``==`` (``True``/``1``, ``1.0``) or the other
+#: way round (``1``/``"1"``), an int past int64, and a numpy int.
+counted_keys = st.one_of(
+    st.integers(-2, 12),
+    st.integers(-2, 12),
+    st.sampled_from([True, False, "1", 1.0, 2**70, np.int64(3), "a"]),
+)
+counted_events = st.builds(
+    StreamEvent,
+    timestamp=counted_times,
+    key=st.integers(0, 12),
+    value=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
+)
+#: What a call may meet: an event the fold cannot place (a NaN or
+#: infinite time, a float32 time) or a key other than an int.
+odd_events = st.one_of(
+    st.builds(
+        StreamEvent,
+        timestamp=st.sampled_from(
+            [math.nan, math.inf, -math.inf, np.float32(0.3), 1, True]
+        ),
+        key=st.integers(0, 3),
+        value=st.just(1.0),
+    ),
+    st.builds(
+        StreamEvent, timestamp=counted_times, key=counted_keys, value=st.just(1.0)
+    ),
+)
+counted_runs = st.tuples(
+    st.lists(counted_events, max_size=40),
+    st.one_of(
+        st.just([]),
+        st.just([]),
+        st.lists(st.tuples(st.integers(0, 40), odd_events), min_size=1, max_size=2),
+    ),
+    st.sampled_from([True, True, True, False]),
+).map(lambda drawn: _spliced(*drawn))
+
+
+def _spliced(events, odd, in_order):
+    if in_order:
+        events = sorted(events, key=lambda event: event.timestamp)
+    for position, event in odd:
+        events.insert(position, event)
+    return events
+
+
+def _outcome(call) -> tuple:
+    """What a call returned, or the exception it raised."""
+    try:
+        return ("returned", call())
+    except Exception as error:  # the fold's own: ValueError, OverflowError
+        return (type(error), str(error))
+
+
+def _exact_state(operator: StreamOperator) -> str:
+    """``_state`` told apart by type and sign too (``True``/``1``,
+    ``-0.0``/``0.0``, ``2``/``2.0``), and dicts by key order."""
+    return repr(_state(operator))
+
+
+class TestCountingFold:
+    """The counting door (``count``, the default ``initial``) against the
+    per-event fold, call by call, with the window's other doors between."""
+
+    @given(
+        st.lists(
+            st.tuples(counted_runs, st.sampled_from(["", "take", "flush"])),
+            min_size=1,
+            max_size=4,
+        ),
+        st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+        st.sampled_from([2048, 1, 2, 3, 5]),
+        st.sampled_from([1 << 15, 6, 24]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_the_door_equals_the_per_event_fold(
+        self, calls, size, slice_events, table_entries
+    ):
+        """Small slices and tables too: runs cut into many slices, a
+        window that fills a slice, and a refusal after slices passed."""
+        counted = TumblingWindowAggregate(size, count)
+        oracle = ReferenceTumblingWindow(size, count)
+        for events, then in calls:
+            with (
+                mock.patch.object(streaming_engine, "_COUNT_SLICE", slice_events),
+                mock.patch.object(streaming_engine, "_COUNT_TABLE", table_entries),
+            ):
+                outcome = _outcome(lambda: counted.process_many(events))
+            assert outcome == _outcome(lambda: oracle.process_many(events))
+            assert _exact_state(counted) == _exact_state(oracle)
+            if then == "take":
+                assert repr(counted.take_emitted()) == repr(oracle.take_emitted())
+            elif then == "flush":
+                assert repr(counted.flush()) == repr(oracle.flush())
+            assert _exact_state(counted) == _exact_state(oracle)
+        assert repr(counted.flush()) == repr(oracle.flush())
+        assert _exact_state(counted) == _exact_state(oracle)
+
+    @staticmethod
+    def _stream(partitions: int) -> list[StreamEvent]:
+        return sorted(
+            StreamGenerator(update_fraction=0.2, seed=7)
+            .generate_parallel(10_000, partitions)
+            .records,
+            key=lambda event: event.timestamp,
+        )
+
+    @pytest.mark.parametrize(
+        "size", [0.05, 0.1, 0.7, 5.0, 1000.0], ids=lambda size: f"w{size}"
+    )
+    @pytest.mark.parametrize("partitions", [1, 2])
+    def test_generated_streams_past_one_slice(self, size, partitions):
+        """Windows that straddle a slice's end, and (at 5 and 1000 s) one
+        window longer than a slice, all through the door."""
+        events = self._stream(partitions)
+        counted = TumblingWindowAggregate(size, count)
+        oracle = ReferenceTumblingWindow(size, count)
+        counted._fold = None  # the door, or a TypeError
+        counted.process_many(events)
+        del counted._fold
+        oracle.process_many(events)
+        assert _exact_state(counted) == _exact_state(oracle)
+        assert repr(counted.flush()) == repr(oracle.flush())
+
+    @pytest.mark.parametrize("size", [1e-6, 0.001], ids=lambda size: f"w{size}")
+    def test_sparse_windows_go_through_the_fold(self, size):
+        """About one event a window: a slice's cell table (windows x
+        keys) would pass ``_COUNT_TABLE`` entries, so the door refuses."""
+        events = self._stream(1)
+        counted = TumblingWindowAggregate(size, count)
+        assert not counted._count_run(events)
+        oracle = ReferenceTumblingWindow(size, count)
+        counted.process_many(events)
+        oracle.process_many(events)
+        assert _exact_state(counted) == _exact_state(oracle)
+        assert repr(counted.flush()) == repr(oracle.flush())
+
+    def test_a_workload_run_takes_the_door(self, monkeypatch):
+        def no_fold(self, events):
+            raise AssertionError("the counting run went through the fold")
+
+        monkeypatch.setattr(TumblingWindowAggregate, "_fold", no_fold)
+        report = api.run("realtime-windowed-aggregation", volume=5000)
+        assert report.results[0].ok
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            [StreamEvent(0.1, 1, 1.0), StreamEvent(0.05, 1, 1.0)],
+            [StreamEvent(0.1, 1, 1.0), StreamEvent(0.2, True, 1.0)],
+            [StreamEvent(0.1, 1, 1.0), StreamEvent(0.2, "1", 1.0)],
+            [StreamEvent(0.1, 2**70, 1.0)],
+            [StreamEvent(0.1, np.int64(1), 1.0)],
+            [StreamEvent(np.float32(0.1), 1, 1.0)],
+            [StreamEvent(1, 1, 1.0)],
+            [StreamEvent(math.inf, 1, 1.0)],
+        ],
+        ids=[
+            "unsorted", "bool-key", "str-key", "past-int64", "numpy-key",
+            "float32-time", "int-time", "infinite-time",
+        ],
+    )
+    def test_a_run_the_door_refuses_changes_nothing(self, events):
+        operator = TumblingWindowAggregate(0.5, count)
+        before = _exact_state(operator)
+        assert not operator._count_run(events)
+        assert _exact_state(operator) == before
+
+    def test_a_late_refusal_changes_nothing(self):
+        """A NaN in the last slice: the earlier slices were counted, and
+        still nothing is left behind."""
+        events = [StreamEvent(index * 1e-3, index % 7, 1.0) for index in range(9000)]
+        events.append(StreamEvent(math.nan, 1, 1.0))
+        counted = TumblingWindowAggregate(0.1, count)
+        counted.process_many(events[:10])
+        counted.flush()
+        before = _exact_state(counted)
+        assert not counted._count_run(events)
+        assert _exact_state(counted) == before
+        oracle = ReferenceTumblingWindow(0.1, count)
+        oracle.process_many(events[:10])
+        oracle.flush()
+        for operator in (counted, oracle):
+            with pytest.raises(ValueError, match="NaN"):
+                operator.process_many(events)
+        assert _exact_state(counted) == _exact_state(oracle)
+
+    def test_the_watermark_is_the_first_event_at_the_latest_time(self):
+        """``-0.0 == 0.0``: the fold keeps the one that got there first."""
+        events = [StreamEvent(-1.0, 1, 1.0), StreamEvent(-0.0, 2, 1.0),
+                  StreamEvent(0.0, 3, 1.0)]
+        counted = TumblingWindowAggregate(0.5, count)
+        oracle = ReferenceTumblingWindow(0.5, count)
+        assert counted._count_run(events)
+        oracle.process_many(events)
+        assert repr(counted._watermark) == repr(oracle._watermark) == "-0.0"
+        assert _exact_state(counted) == _exact_state(oracle)
+
+    def test_an_open_window_goes_through_the_fold(self):
+        operator = TumblingWindowAggregate(0.5, count)
+        operator.process_many([StreamEvent(0.1, 1, 1.0)])
+        assert not operator._count_run([StreamEvent(0.2, 1, 1.0)])
+
+    def test_the_stream_cells_report_what_the_parent_reported(self):
+        """Window results, latencies, counters and ``extra`` of the three
+        end-to-end stream cells, digest for digest (CI also ``cmp``s the
+        script's output)."""
+        fixture = Path(__file__).parent.parent / "fixtures" / "windows_parent.json"
+        assert capture_windows() == json.loads(fixture.read_text())
 
 
 CHAINS = {

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.errors import EngineError
@@ -64,6 +66,11 @@ class TestTumblingWindows:
         with pytest.raises(EngineError):
             TumblingWindowAggregate(0.0, lambda acc, v: acc)
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_window_is_refused_at_construction(self, size):
+        with pytest.raises(EngineError, match="must be positive and finite"):
+            TumblingWindowAggregate(size, lambda acc, v: acc)
+
     def test_every_event_lands_in_exactly_one_window(self):
         events = make_events([i * 0.113 for i in range(100)])
         window = TumblingWindowAggregate(0.25, lambda acc, v: acc + 1)
@@ -93,6 +100,22 @@ class TestSlidingWindows:
             SlidingWindowAggregate(1.0, 2.0, lambda acc, v: acc)
         with pytest.raises(EngineError):
             SlidingWindowAggregate(0.0, 0.0, lambda acc, v: acc)
+
+    @pytest.mark.parametrize(
+        "window, slide, name",
+        [
+            (math.nan, 0.5, "window_seconds"),
+            (math.inf, 0.5, "window_seconds"),
+            (1.0, math.nan, "slide_seconds"),
+            (1.0, -math.inf, "slide_seconds"),
+        ],
+    )
+    def test_a_non_finite_size_is_refused_at_construction(
+        self, window, slide, name
+    ):
+        """A NaN slide used to pass and fail at the first event."""
+        with pytest.raises(EngineError, match=f"{name} must be positive and finite"):
+            SlidingWindowAggregate(window, slide, lambda acc, v: acc)
 
 
 class TestOperators:

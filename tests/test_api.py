@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro import api
-from repro.core.errors import SpecError
+from repro.core.errors import AnalysisError, SpecError
 from repro.core.results import RunResult
 
 
@@ -63,6 +63,40 @@ class TestFacadeSurface:
         BaselineManager(RunStore(tmp_path)).promote("r0001", "main")
         report = api.gate("main", "r0002", store_dir=store_dir)
         assert report.exit_code in (0, 1)
+
+    def test_compare_reads_the_store_once(self, tmp_path, monkeypatch):
+        """Both references resolve from one pass over ``runs.jsonl``
+        (each ``RunStore.get`` used to read the whole file)."""
+        from repro.analysis.store import RunStore
+        from repro.core.appendlog import AppendLog
+
+        store_dir = str(tmp_path)
+        for _ in range(3):
+            api.run("micro-wordcount", volume=40, engines=["mapreduce"],
+                    record=True, store_dir=store_dir)
+        recorded = RunStore(tmp_path).records()
+        passes = []
+        lines = AppendLog.lines
+
+        def counted(log):
+            passes.append(log.path)
+            return lines(log)
+
+        monkeypatch.setattr(AppendLog, "lines", counted)
+        for baseline, candidate, expected, reads in [
+            ("r0001", "latest", ("r0001", "r0003"), 1),
+            ("r0002", recorded[2].series, ("r0002", "r0003"), 1),
+            (recorded[0], "r0002", ("r0001", "r0002"), 1),
+            (recorded[0], recorded[1], ("r0001", "r0002"), 0),
+        ]:
+            passes.clear()
+            comparison = api.compare(baseline, candidate, store_dir=store_dir)
+            assert (comparison.baseline, comparison.candidate) == expected
+            assert len(passes) == reads
+        passes.clear()
+        with pytest.raises(AnalysisError, match="ambiguous"):
+            api.compare("r0001", "r000", store_dir=store_dir)
+        assert len(passes) == 1
 
     def test_serve_returns_a_service_client(self, tmp_path):
         with api.serve(store_dir=str(tmp_path)) as client:

@@ -342,3 +342,25 @@ def test_the_blocked_cfs_rows_are_a_parent_and_a_change_row():
         assert parent[cell] == change[cell], cell
         assert parent[cell]["bytes"] > 0
         assert seconds[1] < seconds[0], cell
+
+
+def test_the_counting_door_rows_are_a_parent_and_a_change_row():
+    """The ``accounting.batch_doors`` rows that carry ``window_count_ns``
+    (``bench_accounting.py``): ``WindowedAggregationWorkload.run_streaming``
+    per event over the ``window-poisson`` stream, the fastest of at least
+    seven calls per side.  The same workload call; on the change its
+    window counts a run in bulk.  ``counted_record_ns`` runs the fold on
+    both sides, so it says how far the host drifted between the rows:
+    a pair is kept only when that moved by less than 5 %."""
+    (ledger,) = [
+        path for path in LEDGERS if path.name == "BENCH_accounting.json"
+    ]
+    rows = [
+        row["measurements"] for row in json.loads(ledger.read_text())
+        if "window_count_ns" in row["measurements"]
+    ][:2]
+    sides = {row["source"].split()[0].rstrip(":"): row for row in rows}
+    assert len(rows) == 2 and set(sides) == {"parent", "change"}
+    parent, change = sides["parent"], sides["change"]
+    assert 0.95 < change["counted_record_ns"] / parent["counted_record_ns"] < 1.05
+    assert change["window_count_ns"] <= 0.75 * parent["window_count_ns"]

@@ -129,6 +129,28 @@ class TestRun:
         )
 
     @pytest.mark.parametrize(
+        "prescription, param",
+        [
+            ("realtime-windowed-aggregation", "window_seconds=nan"),
+            ("realtime-windowed-aggregation", "window_seconds=inf"),
+            ("realtime-windowed-aggregation", "window_seconds=-1"),
+            ("realtime-update-rate", "window_seconds=inf"),
+            ("realtime-update-rate", "slide_seconds=nan"),
+        ],
+    )
+    def test_a_window_that_is_not_a_positive_finite_size(
+        self, prescription, param, capsys
+    ):
+        """``nan`` used to end in a traceback and exit 1, ``inf`` in
+        windows whose bounds are NaN."""
+        code, _ = run_cli("run", prescription, "--volume", "20", "--param", param)
+        assert code == 2
+        name, value = param.split("=")
+        assert capsys.readouterr().err == (
+            f"error: {name} must be positive and finite, got {value}\n"
+        )
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("ablate", "--workloads", "micro", "--param", "foo"),

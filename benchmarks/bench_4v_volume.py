@@ -77,13 +77,11 @@ def test_volume_scaling(benchmark, name, factory):
 
 def test_workload_time_scales_with_volume(benchmark, framework):
     """Downstream view: execution time also tracks data volume."""
-    from repro.execution.harness import BenchmarkHarness
-
-    harness = BenchmarkHarness()
+    from repro import api
 
     def sweep():
-        return harness.volume_sweep(
-            "micro-wordcount", "mapreduce", [100, 200, 400]
+        return api.sweep(
+            "micro-wordcount", "mapreduce", volumes=[100, 200, 400]
         )
 
     report = benchmark.pedantic(sweep, rounds=1, iterations=1)

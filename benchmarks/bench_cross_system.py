@@ -17,19 +17,19 @@ from __future__ import annotations
 
 from conftest import print_banner
 
-from repro.execution.harness import BenchmarkHarness
+from repro.core.results import ResultAnalyzer
 from repro.execution.report import ascii_table
 from repro.execution.runner import RunnerOptions, TestRunner
 
 
 def test_relational_query_dbms_vs_mapreduce(benchmark):
-    harness = BenchmarkHarness(
-        TestRunner(options=RunnerOptions(repeats=3, warmup_runs=1))
-    )
+    runner = TestRunner(options=RunnerOptions(repeats=3, warmup_runs=1))
 
     def compare():
-        return harness.compare_engines(
-            "database-aggregate-join", ["dbms", "mapreduce"], 400
+        return ResultAnalyzer(
+            runner.run_on_engines(
+                "database-aggregate-join", ["dbms", "mapreduce"], 400
+            )
         )
 
     analyzer = benchmark.pedantic(compare, rounds=1, iterations=1)
@@ -100,12 +100,14 @@ def test_relational_query_row_vs_columnar(benchmark):
 
 
 def test_ycsb_mix_nosql_vs_dbms(benchmark):
-    harness = BenchmarkHarness(TestRunner(options=RunnerOptions(repeats=2)))
+    runner = TestRunner(options=RunnerOptions(repeats=2))
 
     def compare():
-        return harness.compare_engines(
-            "oltp-read-write", ["nosql", "dbms"], 300,
-            operation_count=400,
+        return ResultAnalyzer(
+            runner.run_on_engines(
+                "oltp-read-write", ["nosql", "dbms"], 300,
+                operation_count=400,
+            )
         )
 
     analyzer = benchmark.pedantic(compare, rounds=1, iterations=1)

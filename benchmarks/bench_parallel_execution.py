@@ -28,7 +28,7 @@ import pytest
 from _history import append_history
 from conftest import print_banner
 
-from repro.execution.harness import BenchmarkHarness
+from repro.core.results import ResultAnalyzer
 from repro.execution.report import ascii_table
 from repro.execution.runner import RunnerOptions, TestRunner
 
@@ -63,9 +63,10 @@ def _deterministic_means(results) -> dict[str, float]:
 def _timed_compare(backend: str):
     options = RunnerOptions(executor=backend, max_workers=len(ENGINES))
     with TestRunner(options=options) as runner:
-        harness = BenchmarkHarness(runner)
         started = time.perf_counter()
-        analyzer = harness.compare_engines(PRESCRIPTION, ENGINES, VOLUME)
+        analyzer = ResultAnalyzer(
+            runner.run_on_engines(PRESCRIPTION, ENGINES, VOLUME)
+        )
         elapsed = time.perf_counter() - started
         cache_stats = runner.test_generator.dataset_cache.stats().as_dict()
     return elapsed, analyzer.results, cache_stats
@@ -169,19 +170,20 @@ def test_warm_pool_steady_state(benchmark):
         for _ in range(5):
             started = time.perf_counter()
             with TestRunner(options=RunnerOptions(executor="serial")) as runner:
-                analyzer = BenchmarkHarness(runner).compare_engines(
-                    PRESCRIPTION, ENGINES, WARM_VOLUME
+                analyzer = ResultAnalyzer(
+                    runner.run_on_engines(PRESCRIPTION, ENGINES, WARM_VOLUME)
                 )
             cold_seconds.append(time.perf_counter() - started)
         serial_means = _deterministic_means(analyzer.results)
 
         options = RunnerOptions(executor="process", max_workers=len(ENGINES))
         runner = TestRunner(options=options)
-        harness = BenchmarkHarness(runner)
         worker_lookups = Counter()
 
         def compare():
-            analyzer = harness.compare_engines(PRESCRIPTION, ENGINES, WARM_VOLUME)
+            analyzer = ResultAnalyzer(
+                runner.run_on_engines(PRESCRIPTION, ENGINES, WARM_VOLUME)
+            )
             for result in analyzer.results:
                 delta = result.extra["worker_cache"]
                 worker_lookups.update(hits=delta["hits"], misses=delta["misses"])

@@ -114,37 +114,55 @@ def sweep(
     ``layout="columnar"`` runs every point of a DBMS sweep through its
     batch-at-a-time columnar operators (other engines ignore it).
     Extra keyword arguments are fixed workload overrides applied to
-    every point.
+    every point.  Each point is a validated one-engine
+    :class:`BenchmarkSpec` resolved like :func:`run`'s; all points run
+    in one batch on one runner with the plan's options.
     """
     from repro._util import collector_paused
     from repro.core.errors import SpecError
+    from repro.core.prescription import builtin_repository
+    from repro.core.spec import BenchmarkSpec
     from repro.core.test_generator import TestGenerator
-    from repro.execution.harness import BenchmarkHarness
+    from repro.execution.harness import SweepPoint, SweepReport
+    from repro.execution.plan import resolve
     from repro.execution.runner import TestRunner
 
-    if (volumes is None) == (parameter is None or values is None):
+    by_volume = volumes is not None
+    if (parameter is None, values is None) != (by_volume, by_volume):
         raise SpecError(
             "sweep needs exactly one axis: volumes=[...], or "
             "parameter=... with values=[...]"
         )
+    axis = "volume" if by_volume else parameter
+    points = list(volumes if by_volume else values)
+    repository = repository or builtin_repository()
+    plans = []
+    for value in points:
+        spec = BenchmarkSpec(
+            prescription,
+            engines=[engine],
+            volume=value if by_volume else None,
+            params=dict(overrides) if by_volume else {**overrides, axis: value},
+            layout=layout,
+        )
+        spec.validate(repository)
+        plans.append(resolve(spec, repository))
+    report = SweepReport(axis)
+    if not plans:
+        return report
     # The pause outlives the runner: the data sets its cache holds are
     # freed by reference count before the collector resumes (DESIGN
     # §3.21).
     with collector_paused():
-        with TestRunner(
-            test_generator=TestGenerator(repository) if repository else None
-        ) as runner:
-            harness = BenchmarkHarness(runner)
-            if volumes is not None:
-                report = harness.volume_sweep(
-                    prescription, engine, volumes, layout=layout, **overrides
-                )
-            else:
-                report = harness.param_sweep(
-                    prescription, engine, parameter, values, layout=layout,
-                    **overrides,
-                )
-        del runner, harness
+        with TestRunner(TestGenerator(repository), plans[0].options) as runner:
+            outcomes = runner.run_many(
+                [task for plan in plans for task in plan.tasks]
+            )
+        del runner
+    report.points = [
+        SweepPoint(axis, value, outcome)
+        for value, outcome in zip(points, outcomes)
+    ]
     return report
 
 

@@ -158,9 +158,11 @@ class BenchmarkingProcess:
                 # (absent when the data set itself was already cached).
                 generation_detail["sizing"] = use.sizing
         if isinstance(dataset, DataSet):
-            # The dataset cache sized it when select_data put it there.
+            # A generated data set carries its size (known_bytes).
             generation_detail["bytes"] = (
-                self.test_generator.dataset_cache.size_of(dataset)
+                dataset.known_bytes
+                if dataset.known_bytes is not None
+                else dataset.estimated_bytes()
             )
         else:
             # A streaming source: nothing has been generated yet, and

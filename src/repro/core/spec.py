@@ -98,6 +98,17 @@ def _migrate_v3(payload: dict[str, Any]) -> dict[str, Any]:
 register_spec_migration(3, _migrate_v3)
 
 
+#: What a workload param may not be called: the named arguments on the
+#: call path from ``TestRunner.run`` down to ``Workload.run``, which
+#: receive the params as keywords (a param named like one of them is a
+#: ``TypeError`` mid-run).  ``tests/core/test_spec_results.py`` derives
+#: the set from those signatures.
+_CALL_PATH_ARGUMENTS = frozenset({
+    "chunk_size", "configuration", "data_partitions", "dataset", "engine",
+    "engine_name", "prescription", "self", "test", "volume_override",
+})
+
+
 def _default_executor() -> str:
     # Imported here and below: core.spec must pull in neither the
     # execution nor the analysis package at import time.
@@ -249,6 +260,12 @@ class BenchmarkSpec:
             )
         if self.volume is not None and self.volume < 0:
             raise SpecError(f"volume must be non-negative, got {self.volume}")
+        reserved = sorted(_CALL_PATH_ARGUMENTS.intersection(self.params))
+        if reserved:
+            raise SpecError(
+                f"param(s) {reserved} are argument names of the run path; "
+                "a workload parameter cannot take them"
+            )
         if self.data_partitions <= 0:
             raise SpecError(
                 f"data_partitions must be positive, got {self.data_partitions}"

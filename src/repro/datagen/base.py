@@ -112,9 +112,10 @@ class DataSet:
     metadata: dict[str, Any] = field(default_factory=dict)
     #: What :meth:`estimated_bytes` returns, when whoever built the
     #: records knows it without walking them (the size map of
-    #: :mod:`repro.datagen.models`).  Read by the dataset cache, whose
-    #: entries nobody changes; :meth:`estimated_bytes` itself always
-    #: walks, and ``dataclasses.replace`` does not carry it over.
+    #: :mod:`repro.datagen.models`).  Read by step 2's ``bytes``: cached
+    #: data sets are shared and nobody changes their records.
+    #: :meth:`estimated_bytes` itself always walks, and
+    #: ``dataclasses.replace`` does not carry it over.
     known_bytes: int | None = field(
         default=None, init=False, repr=False, compare=False
     )

@@ -79,14 +79,6 @@ class CacheStats:
         }
 
 
-@dataclass(frozen=True)
-class _Entry:
-    """One cache slot: the data set and its size, taken once at put."""
-
-    dataset: DataSet
-    nbytes: int
-
-
 class DatasetCache:
     """An LRU cache of generated :class:`DataSet` objects.
 
@@ -97,7 +89,7 @@ class DatasetCache:
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[CacheKey, _Entry] = OrderedDict()
+        self._entries: OrderedDict[CacheKey, DataSet] = OrderedDict()
         self._lock = threading.Lock()
         self._key_locks: dict[CacheKey, threading.Lock] = {}
         self.hits = 0
@@ -164,50 +156,30 @@ class DatasetCache:
     def _lookup(self, key: CacheKey) -> DataSet | None:
         """A hit, or None on miss."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            dataset = self._entries.get(key)
+            if dataset is None:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
         current_tracer().count("cache.hits")
-        return entry.dataset
+        return dataset
 
     def put(
         self, key: CacheKey, dataset: DataSet, _count_miss: bool = False
     ) -> None:
         """Insert (or refresh) an entry, evicting the least recently used."""
-        nbytes = (
-            dataset.known_bytes
-            if dataset.known_bytes is not None
-            else dataset.estimated_bytes()
-        )
         with self._lock:
             if _count_miss:
                 self.misses += 1
             self._entries.pop(key, None)
-            self._entries[key] = _Entry(dataset, nbytes)
+            self._entries[key] = dataset
             while len(self._entries) > MAX_DATASETS:
                 self._entries.popitem(last=False)
-
-    def size_of(self, dataset: DataSet) -> int:
-        """``dataset.estimated_bytes()``, from its entry when it has one.
-
-        :meth:`put` sized the data set it was handed (or took the size
-        it carried, ``known_bytes``); a caller holding that same object
-        (what :meth:`get_or_generate` returns) reads the number back
-        instead of walking every record again.
-        """
-        with self._lock:
-            for entry in self._entries.values():
-                if entry.dataset is dataset:
-                    return entry.nbytes
-        return dataset.estimated_bytes()
 
     def peek(self, key: CacheKey) -> DataSet | None:
         """The cached entry, without touching counters or LRU order."""
         with self._lock:
-            entry = self._entries.get(key)
-            return entry.dataset if entry is not None else None
+            return self._entries.get(key)
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""

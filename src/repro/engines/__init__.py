@@ -17,7 +17,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "repro.engines.base": (
             "CostCounters", "Engine", "EngineInfo", "SimulatedClusterSpec",
-            "schedule_lpt",
         ),
         "repro.engines.faults": (
             "FaultSpec", "FaultyEngine", "InjectedFault",

@@ -59,15 +59,6 @@ class CostCounters:
             "batches": self.batches,
         }
 
-    def reset(self) -> None:
-        self.records_read = 0
-        self.records_written = 0
-        self.bytes_read = 0
-        self.bytes_written = 0
-        self.compute_ops = 0
-        self.network_bytes = 0
-        self.batches = 0
-
 
 #: The definition :func:`estimate_pair_bytes` implements.  Byte counters
 #: are reported values (DESIGN.md section 3.17): changing what a pair
@@ -165,9 +156,6 @@ class Engine(ABC):
     def name(self) -> str:
         return self.info.name
 
-    def reset_counters(self) -> None:
-        self.counters.reset()
-
 
 @dataclass
 class SimulatedClusterSpec:
@@ -238,7 +226,9 @@ def schedule_heterogeneous(
     finishing later than ``straggler_threshold`` × the median completion
     gets a backup copy launched on the fastest slot at the median
     completion time; the earlier copy wins — the MapReduce backup-task
-    mechanism as a closed-form approximation.
+    mechanism as a closed-form approximation.  With every speed 1.0 and
+    no speculation this is the classic longest-processing-time-first
+    makespan of a homogeneous cluster, to the float.
     """
     if not slot_speeds:
         raise ValueError("need at least one slot")
@@ -268,19 +258,3 @@ def schedule_heterogeneous(
         effective.append(completion)
     return max(effective)
 
-
-def schedule_lpt(task_costs: list[float], num_slots: int) -> float:
-    """Longest-processing-time-first makespan for independent tasks.
-
-    The classic greedy schedule used to model how a cluster runs a bag of
-    map or reduce tasks on a fixed number of slots.
-    """
-    if num_slots <= 0:
-        raise ValueError(f"num_slots must be positive, got {num_slots}")
-    if not task_costs:
-        return 0.0
-    slots = [0.0] * min(num_slots, len(task_costs))
-    for cost in sorted(task_costs, reverse=True):
-        lightest = min(range(len(slots)), key=slots.__getitem__)
-        slots[lightest] += cost
-    return max(slots)

@@ -45,9 +45,6 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         return name in self._tables
 
-    def table_names(self) -> list[str]:
-        return sorted(self._tables)
-
     def stats(self, name: str) -> TableStats:
         table = self.table(name)
         return TableStats(

@@ -47,9 +47,6 @@ class QueryResult:
             ) from None
         return [row[position] for row in self.rows]
 
-    def as_dicts(self) -> list[dict[str, Any]]:
-        return [dict(zip(self.schema, row)) for row in self.rows]
-
 
 class DbmsEngine(Engine):
     """An in-memory relational database with a rule-based planner."""

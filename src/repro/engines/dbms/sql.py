@@ -135,10 +135,6 @@ class _Tokens:
         if token != symbol:
             raise SqlSyntaxError(f"expected {symbol!r}, got {token!r}")
 
-    def at_keyword(self, keyword: str) -> bool:
-        token = self.peek()
-        return token is not None and token.lower() == keyword
-
     def done(self) -> bool:
         return self.index >= len(self.tokens)
 

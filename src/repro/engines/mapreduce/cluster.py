@@ -11,11 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engines.base import (
-    SimulatedClusterSpec,
-    schedule_heterogeneous,
-    schedule_lpt,
-)
+from repro.engines.base import SimulatedClusterSpec, schedule_heterogeneous
 
 
 @dataclass
@@ -100,8 +96,6 @@ class ClusterModel:
     def _schedule(self, task_costs: list[float]) -> float:
         """Phase makespan under the spec's homogeneity/speculation model."""
         spec = self.spec
-        if spec.node_speed_factors is None and not spec.speculative_execution:
-            return schedule_lpt(task_costs, spec.total_slots)
         return schedule_heterogeneous(
             task_costs,
             spec.slot_speeds(),

@@ -574,10 +574,6 @@ class StreamRunReport:
             return 0.0
         return sum(self.latencies) / len(self.latencies)
 
-    @property
-    def max_latency(self) -> float:
-        return max(self.latencies) if self.latencies else 0.0
-
 
 class StreamingEngine(Engine):
     """Runs topologies over event streams with a queueing-time model."""

@@ -6,9 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.execution.config": ("SystemConfiguration", "prepare_input"),
-        "repro.execution.harness": (
-            "BenchmarkHarness", "SweepPoint", "SweepReport",
-        ),
+        "repro.execution.harness": ("SweepPoint", "SweepReport"),
         "repro.execution.parallel": (
             "EXECUTOR_BACKENDS", "ParallelExecutor", "SerialExecutor",
             "ThreadExecutor", "compute_chunksize", "resolve_executor",

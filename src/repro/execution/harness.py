@@ -1,14 +1,10 @@
-"""Sweep and comparison harnesses built on the runner.
+"""What a sweep returns: its points, in sweep order.
 
-These drive the repeated-measurement patterns the benchmark files need:
-volume sweeps (scalability shapes), parameter sweeps, and cross-engine
-comparisons (the functional-view experiment).
-
-Sweep points are independent runs, so every harness operation fans out
-over the runner's configured executor backend (see
-:mod:`repro.execution.parallel`) and merges results in submission order
-— a sweep on the thread or process backend reports points in exactly
-the order the serial loop would.
+:func:`repro.api.sweep` builds one :class:`~repro.core.spec.BenchmarkSpec`
+per point, resolves each through :func:`repro.execution.plan.resolve`
+and runs every task in one :meth:`~repro.execution.runner.TestRunner.run_many`
+batch, so the points come back in submission order on every executor
+backend.
 """
 
 from __future__ import annotations
@@ -16,10 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.prescription import Prescription
-from repro.core.results import ResultAnalyzer, RunResult
-from repro.execution.plan import engine_configuration
-from repro.execution.runner import RunTask, TestRunner
+from repro.core.results import RunResult
 
 
 @dataclass
@@ -55,87 +48,3 @@ class SweepReport:
                     row[name] = point.result.mean(name)
             rows.append(row)
         return rows
-
-
-class BenchmarkHarness:
-    """High-level sweep/compare operations for benchmark files."""
-
-    def __init__(self, runner: TestRunner | None = None) -> None:
-        self.runner = runner or TestRunner()
-
-    def volume_sweep(
-        self,
-        prescription: Prescription | str,
-        engine_name: str,
-        volumes: list[int],
-        *,
-        layout: str = "row",
-        **overrides: Any,
-    ) -> SweepReport:
-        """Run one prescription at several data volumes.
-
-        ``layout="columnar"`` runs every point through the engine's
-        columnar configuration (see
-        :func:`~repro.execution.plan.engine_configuration`) and, on a
-        runner with a store attached, records it in the columnar series.
-        """
-        configuration = engine_configuration(engine_name, layout)
-        tasks = [
-            RunTask(
-                prescription,
-                engine_name,
-                volume,
-                dict(overrides),
-                configuration=configuration,
-                series={"layout": layout},
-            )
-            for volume in volumes
-        ]
-        results = self.runner.run_many(tasks)
-        report = SweepReport(parameter="volume")
-        for volume, result in zip(volumes, results):
-            report.points.append(SweepPoint("volume", volume, result))
-        return report
-
-    def param_sweep(
-        self,
-        prescription: Prescription | str,
-        engine_name: str,
-        parameter: str,
-        values: list[Any],
-        *,
-        layout: str = "row",
-        **fixed_overrides: Any,
-    ) -> SweepReport:
-        """Run one prescription sweeping a workload parameter."""
-        volume_override = fixed_overrides.pop("volume_override", None)
-        configuration = engine_configuration(engine_name, layout)
-        tasks = [
-            RunTask(
-                prescription,
-                engine_name,
-                volume_override,
-                {**fixed_overrides, parameter: value},
-                configuration=configuration,
-                series={"layout": layout},
-            )
-            for value in values
-        ]
-        results = self.runner.run_many(tasks)
-        report = SweepReport(parameter=parameter)
-        for value, result in zip(values, results):
-            report.points.append(SweepPoint(parameter, value, result))
-        return report
-
-    def compare_engines(
-        self,
-        prescription: Prescription | str,
-        engine_names: list[str],
-        volume_override: int | None = None,
-        **overrides: Any,
-    ) -> ResultAnalyzer:
-        """The same abstract test on several systems (functional view)."""
-        results = self.runner.run_on_engines(
-            prescription, engine_names, volume_override, **overrides
-        )
-        return ResultAnalyzer(results)

@@ -5,11 +5,13 @@ A :class:`~repro.core.spec.BenchmarkSpec` says *what* to benchmark;
 :func:`resolve` decides, once and for every consumer, *how* that runs:
 which engines, under which :class:`RunnerOptions`, built from which
 :class:`~repro.execution.config.SystemConfiguration`, recorded under
-which series annotation.  The five-step process, the service
-orchestrator, both ablation back ends and the load targets all call
-:func:`resolve` / :func:`engine_configuration` and nothing else, so one
-spec means one engine configuration, one set of deterministic metrics
-and one series key on every path.
+which series annotation.  Every door builds a spec and takes its tasks
+from :func:`resolve`: the five-step process, the service orchestrator,
+the ablation, ``api.sweep``, ``TestRunner.run_on_engines`` and the
+workload load target.  ``RunTask(`` and :func:`engine_configuration`
+are called in this module only, so one spec means one engine
+configuration, one set of deterministic metrics and one series key on
+every path.
 
 The rules (DESIGN "spec → plan"):
 

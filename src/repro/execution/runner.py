@@ -38,8 +38,9 @@ from typing import Any
 from repro._util import collector_paused
 from repro.core.errors import ExecutionError
 from repro.core.metrics import MetricSuite
-from repro.core.prescription import Prescription
+from repro.core.prescription import Prescription, PrescriptionRepository
 from repro.core.results import RunResult, TaskFailure
+from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import PrescribedTest, TestGenerator
 from repro.engines.faults import fault_attempt
 from repro.execution.config import SystemConfiguration, prepare_input
@@ -520,11 +521,27 @@ class TestRunner:
         ``on_error="continue"`` keep one misbehaving engine from
         discarding the comparison: its slot holds a :class:`TaskFailure`
         while the other engines' results survive.
+
+        The tasks are :func:`~repro.execution.plan.resolve`'s for the
+        spec naming these engines, volume and overrides, so each engine
+        is built and keyed exactly as :func:`repro.api.run` builds it.
         """
-        tasks = [
-            RunTask(prescription, engine_name, volume_override, dict(overrides))
-            for engine_name in engine_names
-        ]
+        from repro.execution.plan import resolve  # plan imports this module
+
+        repository = self.test_generator.repository
+        if not isinstance(prescription, str):
+            # A prescription object need not be in any repository.
+            repository = PrescriptionRepository()
+            repository.add(prescription)
+            prescription = prescription.name
+        spec = BenchmarkSpec(
+            prescription,
+            engines=list(engine_names),
+            volume=volume_override,
+            params=dict(overrides),
+        )
+        # An empty engine list is no engines, not "every supported one".
+        tasks = resolve(spec, repository).tasks if engine_names else ()
         cache = self.test_generator.dataset_cache
         before = cache.stats()
         outcomes = self.run_many(tasks)

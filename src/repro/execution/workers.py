@@ -161,8 +161,7 @@ class WorkerContext:
             options=RunnerOptions(executor="serial", **init.options),
             suite=init.suite,
         )
-        # Each data set carries its size (``known_bytes``): nothing is
-        # walked, and the first task to ask is a hit.
+        # The first task to ask is a hit.
         cache = self.runner.test_generator.dataset_cache
         for key, dataset in datasets.items():
             cache.put(key, dataset)

@@ -20,6 +20,8 @@ contract rests on.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.core.errors import LoadGenError
@@ -48,8 +50,11 @@ def arrival_process(kind: str, rate: float, **options) -> ArrivalProcess:
     ``switch_probability``; ``diurnal`` accepts ``period`` and
     ``amplitude``.
     """
-    if rate <= 0:
-        raise LoadGenError(f"rate must be positive, got {rate}")
+    if not 0 < rate < math.inf:
+        raise LoadGenError(f"rate must be positive and finite, got {rate}")
+    for name, value in options.items():
+        if not math.isfinite(float(value)):
+            raise LoadGenError(f"{name} must be finite, got {value}")
     if kind == "constant":
         return UniformArrivals(rate)
     if kind == "poisson":
@@ -101,8 +106,10 @@ def arrival_schedule(
     sub-seed, keeping determinism) in the rare case the estimate falls
     short of ``duration``.
     """
-    if duration <= 0:
-        raise LoadGenError(f"duration must be positive, got {duration}")
+    if not 0 < duration < math.inf:
+        raise LoadGenError(
+            f"duration must be positive and finite, got {duration}"
+        )
     process = arrival_process(kind, rate, **options)
     count = max(16, int(rate * duration * 1.5) + 16)
     for attempt in range(16):

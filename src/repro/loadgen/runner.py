@@ -30,6 +30,7 @@ other benchmark.
 from __future__ import annotations
 
 import heapq
+import math
 import threading
 import time
 from collections import deque
@@ -85,19 +86,23 @@ class LoadPlan:
                 f"unknown arrival kind {self.arrival!r}; available: "
                 f"{', '.join(ARRIVAL_KINDS)}"
             )
-        if self.rate <= 0:
-            raise LoadGenError(f"rate must be positive, got {self.rate}")
-        if self.duration <= 0:
+        # Chained comparisons: NaN and infinity fail them too.
+        if not 0 < self.rate < math.inf:
             raise LoadGenError(
-                f"duration must be positive, got {self.duration}"
+                f"rate must be positive and finite, got {self.rate}"
+            )
+        if not 0 < self.duration < math.inf:
+            raise LoadGenError(
+                f"duration must be positive and finite, got {self.duration}"
             )
         if self.sessions < 0:
             raise LoadGenError(
                 f"sessions must be non-negative, got {self.sessions}"
             )
-        if self.think_time < 0:
+        if not 0 <= self.think_time < math.inf:
             raise LoadGenError(
-                f"think_time must be non-negative, got {self.think_time}"
+                "think_time must be non-negative and finite, got "
+                f"{self.think_time}"
             )
 
     def as_dict(self) -> dict[str, Any]:

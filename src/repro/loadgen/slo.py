@@ -16,6 +16,7 @@ seed → same verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -101,9 +102,9 @@ class SLOPolicy:
                 )
         for name in ("p50_budget", "p95_budget", "p99_budget"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not 0 < value < math.inf:
                 raise LoadGenError(
-                    f"{name} must be positive, got {value}"
+                    f"{name} must be positive and finite, got {value}"
                 )
 
     def as_dict(self) -> dict[str, Any]:

@@ -23,6 +23,7 @@ counts as a request error.
 
 from __future__ import annotations
 
+import math
 from abc import ABC
 from typing import Any
 
@@ -72,17 +73,17 @@ class SyntheticTarget(LoadTarget):
         distribution: str = "lognormal",
         sigma: float = 0.5,
     ) -> None:
-        if mean_service <= 0:
+        if not 0 < mean_service < math.inf:
             raise LoadGenError(
-                f"mean_service must be positive, got {mean_service}"
+                f"mean_service must be positive and finite, got {mean_service}"
             )
         if distribution not in SERVICE_DISTRIBUTIONS:
             raise LoadGenError(
                 f"unknown service distribution {distribution!r}; "
                 f"available: {', '.join(SERVICE_DISTRIBUTIONS)}"
             )
-        if sigma <= 0:
-            raise LoadGenError(f"sigma must be positive, got {sigma}")
+        if not 0 < sigma < math.inf:
+            raise LoadGenError(f"sigma must be positive and finite, got {sigma}")
         self.mean_service = mean_service
         self.distribution = distribution
         self.sigma = sigma
@@ -130,34 +131,29 @@ class WorkloadTarget(LoadTarget):
         self._test = None
 
     def setup(self) -> None:
+        from repro.core.spec import BenchmarkSpec
         from repro.core.test_generator import TestGenerator
+        from repro.execution.plan import resolve
 
         generator = TestGenerator(self.repository)
-        prescription = generator.repository.get(self.prescription)
-        engine_name = self.engine
-        if engine_name is None:
-            workload = generator.workloads.create(prescription.workload)
-            supported = [
-                name
-                for name in workload.supported_engines()
-                if name in generator.engines
-            ]
-            if not supported:
-                raise LoadGenError(
-                    f"no registered engine supports workload "
-                    f"{prescription.workload!r}"
-                )
-            engine_name = supported[0]
-        from repro.execution.plan import engine_configuration
-
-        self._test = generator.generate(
-            prescription,
-            engine_name,
-            volume_override=self.volume,
-            configuration=engine_configuration(engine_name, self.layout),
+        spec = BenchmarkSpec(
+            self.prescription,
+            engines=[self.engine] if self.engine else [],
+            volume=self.volume,
+            params=dict(self.params),
+            layout=self.layout,
         )
-        self.engine = engine_name
-        self.name = f"workload:{self.prescription}@{engine_name}"
+        spec.validate(generator.repository)
+        # The first resolved engine, built as api.run builds it.
+        task = resolve(spec, generator.repository).tasks[0]
+        self._test = generator.generate(
+            task.prescription,
+            task.engine_name,
+            volume_override=task.volume_override,
+            configuration=task.configuration,
+        )
+        self.engine = task.engine_name
+        self.name = f"workload:{self.prescription}@{task.engine_name}"
 
     def teardown(self) -> None:
         self._test = None

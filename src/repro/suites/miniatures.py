@@ -50,10 +50,6 @@ class MiniatureReport:
     runs: dict[str, Any] = field(default_factory=dict)
     notes: str = ""
 
-    @property
-    def workload_names(self) -> list[str]:
-        return sorted(self.runs)
-
     def summary(self) -> dict[str, float]:
         """workload → duration seconds (uniform high-level view)."""
         summary = {}

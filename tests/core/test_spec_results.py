@@ -10,6 +10,7 @@ import repro  # noqa: F401 - triggers default registration
 from repro.core.errors import MetricError, SpecError
 from repro.core.prescription import builtin_repository
 from repro.core.results import MetricStats, ResultAnalyzer, RunResult
+from repro.core import spec as spec_module
 from repro.core.spec import (
     SPEC_VERSION,
     BenchmarkSpec,
@@ -51,6 +52,45 @@ class TestBenchmarkSpec:
     def test_unsupported_engine(self, repository):
         with pytest.raises(SpecError):
             BenchmarkSpec("micro-sort", engines=["dbms"]).validate(repository)
+
+    @pytest.mark.parametrize(
+        "name", sorted(spec_module._CALL_PATH_ARGUMENTS),
+    )
+    def test_a_param_named_like_a_run_argument(self, repository, name):
+        spec = BenchmarkSpec("micro-wordcount", params={name: 1, "top_n": 3})
+        with pytest.raises(SpecError, match=rf"\['{name}'\]"):
+            spec.validate(repository)
+
+    def test_the_refused_params_are_the_run_path_arguments(self):
+        """Derived from the signatures a param travels through as a
+        keyword, so renaming an argument there cannot reopen the hole."""
+        import inspect
+
+        from repro.core.test_generator import PrescribedTest
+        from repro.execution.runner import TestRunner
+        from repro.workloads.base import Workload
+
+        named = set()
+        for function in (
+            TestRunner.run, TestRunner.run_once, PrescribedTest.run,
+            Workload.run,
+        ):
+            named |= {
+                parameter.name
+                for parameter in inspect.signature(function).parameters.values()
+                if parameter.kind is not parameter.VAR_KEYWORD
+            }
+        assert spec_module._CALL_PATH_ARGUMENTS == named
+
+    def test_the_service_refuses_such_a_job_before_queueing(self, tmp_path):
+        from repro.service.orchestrator import Orchestrator
+
+        with Orchestrator(store_dir=str(tmp_path), log_jobs=False) as service:
+            with pytest.raises(SpecError, match="argument names"):
+                service.submit(
+                    BenchmarkSpec("micro-wordcount", params={"dataset": 1})
+                )
+            assert service.jobs() == []
 
     def test_resolved_engines_default_to_supported(self, repository):
         spec = BenchmarkSpec("database-aggregate-join")

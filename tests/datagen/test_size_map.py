@@ -26,8 +26,7 @@ from repro.core.registry import Registry
 from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import TestGenerator
 from repro.datagen import models
-from repro.datagen.base import DataSet, DataType
-from repro.datagen.cache import DatasetCache
+from repro.datagen.base import DataSet
 from repro.datagen.corpus import load_text_corpus
 from repro.datagen.models import PROCESS_MODELS, ModelCache, ModelUse, SizeUse
 from repro.datagen.stream import StreamGenerator
@@ -221,17 +220,18 @@ class TestWhatIsKept:
     def test_every_test_starts_with_an_empty_process_map(self):
         assert len(PROCESS_MODELS._sizes) == 0  # conftest clears it
 
-    def test_the_dataset_cache_takes_the_size_a_data_set_carries(self, walks):
-        dataset = DataSet("d", DataType.TEXT, ["ab", "cde"])
-        cache = DatasetCache()
-        cache.put(("walked",), dataset)
-        assert (cache.size_of(dataset), walks()) == (5, 1)
-        dataset.known_bytes = 5
-        cache.put(("carried",), dataset)
-        assert walks() == 1
+    def test_step_two_reports_the_size_a_data_set_carries(self, walks):
+        framework = BenchmarkingProcess()
+        spec = BenchmarkSpec("micro-wordcount", engines=["mapreduce"], volume=40)
+        first = framework.execute(spec).step("data-generation").detail
+        assert walks() == 1  # measured once, into known_bytes
+        cached = framework.execute(spec).step("data-generation").detail
+        assert walks() == 1  # the cached data set carries its size
+        dataset = framework.test_generator.select_data(WORDCOUNT, 40)
+        assert first["bytes"] == cached["bytes"] == dataset.estimated_bytes()
         # The number belongs to these records: a copy with others has none.
         assert dataclasses.replace(dataset, records=["x"]).known_bytes is None
-        assert dataset.estimated_bytes() == 5 and walks() == 2  # always a walk
+        assert walks() == 2  # estimated_bytes() itself always walks
 
 
 class TestSharing:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engines.base import (
     SimulatedClusterSpec,
@@ -10,11 +12,23 @@ from repro.engines.base import (
 )
 from repro.engines.mapreduce import ClusterModel
 
+from _reference_scheduler import schedule_lpt
+
+#: Task costs as the cluster model makes them (records × seconds per
+#: record): zero, tiny, whole microseconds, and arbitrary floats.
+costs = st.lists(
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=5e-324, max_value=1e-9),
+        st.integers(min_value=0, max_value=10**7).map(lambda us: us * 1e-6),
+        st.floats(min_value=0.0, max_value=1e6),
+    ),
+    max_size=40,
+)
+
 
 class TestScheduleHeterogeneous:
     def test_homogeneous_matches_lpt_shape(self):
-        from repro.engines.base import schedule_lpt
-
         costs = [3.0, 2.0, 2.0, 1.0]
         heterogeneous = schedule_heterogeneous(costs, [1.0, 1.0])
         # Earliest-completion-time with equal speeds is at least as good
@@ -60,6 +74,39 @@ class TestScheduleHeterogeneous:
 
     def test_empty_tasks(self):
         assert schedule_heterogeneous([], [1.0]) == 0.0
+
+
+class TestOneScheduler:
+    """Unit speeds, no speculation: the one scheduler is the LPT
+    scheduler it replaced, to the float."""
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(costs, st.integers(min_value=1, max_value=12))
+    @example([], 4)
+    @example([0.0, 0.0, 0.0], 12)
+    @example([1e-6, 2e-6, 3e-6], 8)
+    @example([5e-324, 0.0, 1e-300], 2)
+    def test_unit_speeds_equal_lpt(self, costs, slots):
+        makespan = schedule_heterogeneous(costs, [1.0] * slots)
+        expected = schedule_lpt(costs, slots)
+        assert makespan == expected
+        assert repr(makespan) == repr(expected)
+
+    def test_the_cluster_model_schedules_through_it(self, monkeypatch):
+        from repro.engines.mapreduce import cluster
+
+        calls = []
+
+        def counted(task_costs, slot_speeds, **options):
+            calls.append((list(task_costs), list(slot_speeds), options))
+            return schedule_heterogeneous(task_costs, slot_speeds, **options)
+
+        monkeypatch.setattr(cluster, "schedule_heterogeneous", counted)
+        spec = SimulatedClusterSpec(num_nodes=2, slots_per_node=3)
+        report = ClusterModel(spec).simulate_job([10, 20, 30], 1000, [5, 5])
+        assert [speeds for _, speeds, _ in calls] == [[1.0] * 6] * 2
+        map_phase = report.phases[0]
+        assert map_phase.seconds == schedule_lpt(map_phase.task_costs, 6)
 
 
 class TestSpecValidation:

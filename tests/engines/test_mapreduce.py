@@ -6,7 +6,7 @@ import pytest
 
 from repro._util import chunked
 from repro.core.errors import EngineError
-from repro.engines.base import SimulatedClusterSpec, schedule_lpt
+from repro.engines.base import SimulatedClusterSpec, schedule_heterogeneous
 from repro.engines.mapreduce import (
     CounterGroup,
     JobConf,
@@ -188,6 +188,11 @@ class TestClusterModel:
         result = engine.run(word_count_job(), PAIRS)
         shuffle = result.cluster_report.phases[1]
         assert shuffle.seconds == 0.0
+
+
+def schedule_lpt(task_costs: list[float], num_slots: int) -> float:
+    """The homogeneous cluster's makespan: unit speeds, no speculation."""
+    return schedule_heterogeneous(task_costs, [1.0] * num_slots)
 
 
 class TestSchedulingPrimitives:

@@ -20,7 +20,7 @@ import weakref
 import pytest
 
 from repro import _util, api
-from repro.core.errors import TestGenerationError
+from repro.core.errors import SpecError
 from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import PrescribedTest, TestGenerator
 from repro.datagen.stream import StreamEvent
@@ -118,7 +118,8 @@ class TestRunsPauseAndResume:
         assert gc.isenabled()
 
     def test_load_that_raises(self):
-        with pytest.raises(TestGenerationError):
+        # The workload target validates its spec, as ``run`` does.
+        with pytest.raises(SpecError):
             api.load("does-not-exist", rate=20, duration=0.2, clock="virtual")
         assert gc.isenabled()
 

@@ -1,4 +1,4 @@
-"""Tests for the execution layer: config, runner, harness, report."""
+"""Tests for the execution layer: config, runner, sweeps, report."""
 
 from __future__ import annotations
 
@@ -7,11 +7,11 @@ import json
 import pytest
 
 import repro  # noqa: F401 - triggers default registration
+from repro import api
 from repro.core.errors import ExecutionError
-from repro.core.results import RunResult
+from repro.core.results import ResultAnalyzer, RunResult
 from repro.engines.dbms import PlannerConfig
 from repro.execution.config import SystemConfiguration, prepare_input
-from repro.execution.harness import BenchmarkHarness
 from repro.execution.report import (
     RESULT_STYLES,
     ascii_table,
@@ -92,16 +92,15 @@ class TestRunnerBehaviour:
 
 
 class TestHarness:
-    def test_volume_sweep_series(self):
+    """The sweep and comparison patterns: ``api.sweep`` and
+    ``TestRunner.run_on_engines``."""
+
+    def test_volume_sweep_series(self, monkeypatch):
         # Serial on purpose: the duration-grows assertion compares
         # wall-clock measurements, which pooled backends perturb with
         # per-worker warm-up and CPU contention.
-        harness = BenchmarkHarness(
-            TestRunner(options=RunnerOptions(executor="serial"))
-        )
-        report = harness.volume_sweep(
-            "micro-wordcount", "mapreduce", [10, 40]
-        )
+        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
+        report = api.sweep("micro-wordcount", "mapreduce", volumes=[10, 40])
         series = report.series("duration")
         assert len(series) == 2
         assert series[0][0] == 10
@@ -109,16 +108,17 @@ class TestHarness:
         assert series[1][1] > series[0][1]
 
     def test_param_sweep(self):
-        harness = BenchmarkHarness()
-        report = harness.param_sweep(
-            "oltp-read-write", "nosql", "operation_count", [50, 100]
+        report = api.sweep(
+            "oltp-read-write", "nosql",
+            parameter="operation_count", values=[50, 100],
         )
         assert [point.value for point in report.points] == [50, 100]
 
     def test_compare_engines_returns_analyzer(self):
-        harness = BenchmarkHarness()
-        analyzer = harness.compare_engines(
-            "database-aggregate-join", ["dbms", "mapreduce"], 50
+        analyzer = ResultAnalyzer(
+            TestRunner().run_on_engines(
+                "database-aggregate-join", ["dbms", "mapreduce"], 50
+            )
         )
         factors = analyzer.speedup(
             "duration", baseline_engine="mapreduce", higher_is_better=False
@@ -126,12 +126,12 @@ class TestHarness:
         assert set(factors) == {"dbms", "mapreduce"}
 
     def test_configuration_sweep_restores_originals(self):
-        harness = BenchmarkHarness()
+        runner = TestRunner()
         configurations = [
             SystemConfiguration("dbms", {"join_algorithm": algorithm})
             for algorithm in ("hash", "nested_loop")
         ]
-        results = harness.runner.run_many(
+        results = runner.run_many(
             [
                 RunTask("database-aggregate-join", "dbms", 50,
                         configuration=configuration)
@@ -141,12 +141,11 @@ class TestHarness:
         assert all(result.ok for result in results)
         # A swept configuration stays on its task: the next engine the
         # runner builds is the bare one again.
-        bare = harness.runner._build_engine("dbms").planner.config
+        bare = runner._build_engine("dbms").planner.config
         assert bare == PlannerConfig()
 
     def test_sweep_rows(self):
-        harness = BenchmarkHarness()
-        report = harness.volume_sweep("micro-wordcount", "mapreduce", [10])
+        report = api.sweep("micro-wordcount", "mapreduce", volumes=[10])
         rows = report.rows(["duration"])
         assert rows[0]["volume"] == 10
         assert "duration" in rows[0]

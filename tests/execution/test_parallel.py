@@ -16,7 +16,6 @@ from repro.core.prescription import Prescription
 from repro.core.process import BenchmarkingProcess
 from repro.core.spec import BenchmarkSpec
 from repro.execution.config import SystemConfiguration
-from repro.execution.harness import BenchmarkHarness
 from repro.execution.parallel import (
     EXECUTOR_BACKENDS,
     SerialExecutor,
@@ -166,17 +165,16 @@ class TestBackendParity:
         # Step 2 generated the data set: every task is a hit.
         assert (stats["hits"], stats["misses"]) == (len(ENGINES), 0)
 
-    def test_volume_sweep_thread_matches_serial(self):
+    def test_volume_sweep_thread_matches_serial(self, monkeypatch):
+        from repro import api
+
         volumes = [20, 40, 60]
-        serial = BenchmarkHarness(
-            TestRunner(options=RunnerOptions(executor="serial"))
-        ).volume_sweep("micro-wordcount", "mapreduce", volumes)
-        with TestRunner(
-            options=RunnerOptions(executor="thread", max_workers=2)
-        ) as runner:
-            threaded = BenchmarkHarness(runner).volume_sweep(
-                "micro-wordcount", "mapreduce", volumes
-            )
+        # A sweep runs on its plan's options, whose executor is the
+        # spec default: REPRO_EXECUTOR picks it.
+        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
+        serial = api.sweep("micro-wordcount", "mapreduce", volumes=volumes)
+        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
+        threaded = api.sweep("micro-wordcount", "mapreduce", volumes=volumes)
         assert [point.value for point in threaded.points] == volumes
         assert threaded.series("throughput") == serial.series("throughput")
 

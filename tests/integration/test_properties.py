@@ -15,7 +15,7 @@ from repro.datagen.veracity import (
     kl_divergence,
     total_variation,
 )
-from repro.engines.base import schedule_lpt
+from repro.engines.base import schedule_heterogeneous
 from repro.engines.mapreduce import JobConf, MapReduceEngine, MapReduceJob
 from repro.engines.nosql import NoSqlStore
 
@@ -97,7 +97,7 @@ class TestSchedulingProperties:
     @given(st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=40),
            st.integers(min_value=1, max_value=16))
     def test_lpt_bounds(self, costs, slots):
-        makespan = schedule_lpt(costs, slots)
+        makespan = schedule_heterogeneous(costs, [1.0] * slots)
         total = sum(costs)
         longest = max(costs) if costs else 0.0
         # Lower bounds: perfect split and the longest single task.

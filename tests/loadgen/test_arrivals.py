@@ -26,6 +26,23 @@ class TestArrivalProcessFactory:
         with pytest.raises(LoadGenError, match="rate must be positive"):
             arrival_process("poisson", 0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rate_and_duration_rejected(self, value):
+        with pytest.raises(LoadGenError, match="rate must be positive"):
+            arrival_process("poisson", value)
+        with pytest.raises(LoadGenError, match="duration must be positive"):
+            arrival_schedule("poisson", 10.0, value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "kind, option",
+        [("bursty", "burst_factor"), ("bursty", "switch_probability"),
+         ("diurnal", "period"), ("diurnal", "amplitude")],
+    )
+    def test_non_finite_options_rejected(self, kind, option, value):
+        with pytest.raises(LoadGenError, match=f"{option} must be finite"):
+            arrival_process(kind, 10.0, **{option: value})
+
     def test_bursty_factor_validated(self):
         with pytest.raises(LoadGenError, match="burst_factor"):
             arrival_process("bursty", 10.0, burst_factor=1.0)

@@ -268,6 +268,24 @@ class TestPlanValidation:
             with pytest.raises(LoadGenError):
                 runner.run(plan)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"rate": float("nan")},
+            {"rate": float("inf")},
+            {"duration": float("nan")},
+            {"duration": float("inf")},
+            {"sessions": 2, "duration": float("inf")},
+            {"sessions": 2, "think_time": float("nan")},
+            {"sessions": 2, "think_time": float("inf")},
+        ],
+    )
+    def test_non_finite_plans_rejected(self, fields):
+        # Validated directly: run() would hang on the closed-loop cases
+        # if the check regressed.
+        with pytest.raises(LoadGenError, match="finite"):
+            LoadPlan(**fields).validate()
+
     def test_invalid_runner_configuration(self):
         with pytest.raises(LoadGenError):
             LoadRunner(SyntheticTarget(), concurrency=0)
@@ -286,6 +304,65 @@ class TestTargets:
         assert report.error_fraction == 0.0
         assert report.target_name.startswith("workload:micro-wordcount@")
 
+    @pytest.mark.parametrize(
+        "prescription, engine, layout",
+        [
+            ("database-aggregate-join", "dbms", "columnar"),
+            ("database-aggregate-join", "dbms", "row"),
+            ("database-aggregate-join", None, "row"),
+            ("micro-wordcount", "mapreduce", "columnar"),
+        ],
+    )
+    def test_workload_target_binds_the_engine_api_run_builds(
+        self, monkeypatch, prescription, engine, layout
+    ):
+        from repro import api
+        from repro.loadgen import WorkloadTarget
+        from repro.workloads.base import Workload
+
+        def built(engine):
+            return (
+                type(engine),
+                getattr(engine, "execution_layout", None),
+                getattr(getattr(engine, "planner", None), "config", None),
+                getattr(getattr(engine, "cluster_model", None), "spec", None),
+            )
+
+        engines = []
+        original = Workload.run
+
+        def recorded(self, engine, dataset, **params):
+            engines.append(built(engine))
+            return original(self, engine, dataset, **params)
+
+        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
+        monkeypatch.setattr(Workload, "run", recorded)
+        api.run(
+            prescription, engines=[engine] if engine else [], volume=40,
+            layout=layout,
+        )
+        monkeypatch.setattr(Workload, "run", original)
+        target = WorkloadTarget(
+            prescription, engine=engine, volume=40, layout=layout
+        )
+        target.setup()
+        try:
+            # No engine named: the first engine api.run resolves.
+            assert built(target._test.engine) == engines[0]
+        finally:
+            target.teardown()
+
+    def test_workload_target_refuses_a_bad_request(self):
+        from repro.core.errors import SpecError
+        from repro.loadgen import WorkloadTarget
+
+        for target in (
+            WorkloadTarget("micro-wordcount", engine="dbms"),
+            WorkloadTarget("micro-wordcount", params={"engine": "x"}),
+        ):
+            with pytest.raises(SpecError):
+                target.setup()
+
     def test_service_target_drives_the_orchestrator(self, tmp_path):
         from repro.loadgen import ServiceTarget
 
@@ -302,6 +379,11 @@ class TestTargets:
     def test_synthetic_target_validation(self):
         with pytest.raises(LoadGenError):
             SyntheticTarget(mean_service=0.0)
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(LoadGenError, match="finite"):
+                SyntheticTarget(mean_service=value)
+            with pytest.raises(LoadGenError, match="finite"):
+                SyntheticTarget(sigma=value)
         with pytest.raises(LoadGenError):
             SyntheticTarget(distribution="bimodal")
 

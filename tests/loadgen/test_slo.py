@@ -63,6 +63,16 @@ class TestSLOPolicy:
         with pytest.raises(LoadGenError):
             SLOPolicy(p99_budget=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        ["p50_budget", "p95_budget", "p99_budget", "min_rate_fraction",
+         "max_shed_fraction", "max_error_fraction"],
+    )
+    def test_non_finite_budgets_rejected(self, name, value):
+        with pytest.raises(LoadGenError):
+            SLOPolicy(**{name: value})
+
     def test_as_dict_round_trips_fields(self):
         policy = SLOPolicy(p99_budget=0.25, max_shed_fraction=0.1)
         payload = policy.as_dict()

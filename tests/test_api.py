@@ -48,6 +48,26 @@ class TestFacadeSurface:
             api.sweep("micro-wordcount", "mapreduce",
                       volumes=[40], parameter="seed", values=[1])
 
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            {"volumes": [20], "parameter": "num_reduce_tasks"},
+            {"volumes": [20], "values": [1, 2]},
+            {"parameter": "num_reduce_tasks"},
+            {"values": [1, 2]},
+        ],
+    )
+    def test_sweep_refuses_a_second_or_half_axis(self, axes):
+        with pytest.raises(SpecError, match="exactly one axis"):
+            api.sweep("micro-wordcount", "mapreduce", **axes)
+
+    def test_sweep_points_are_validated_specs(self):
+        with pytest.raises(SpecError, match="does not support"):
+            api.sweep("micro-wordcount", "dbms", volumes=[20])
+        with pytest.raises(SpecError, match="argument names"):
+            api.sweep("micro-wordcount", "mapreduce", volumes=[20],
+                      chunk_size=5)
+
     def test_compare_and_gate_round_trip(self, tmp_path):
         store_dir = str(tmp_path)
         for _ in range(2):
@@ -205,3 +225,75 @@ class TestAblateFacade:
         assert verdict.verdict in (
             "improved", "regressed", "unchanged", "inconclusive",
         )
+
+
+def _evidence(result) -> tuple:
+    """What a workload run reports beside wall-clock time."""
+    return (
+        result.records_in,
+        result.records_out,
+        result.cost.snapshot(),
+        result.simulated_seconds,
+    )
+
+
+#: Metrics that do not depend on wall-clock time, per engine.
+DETERMINISTIC_METRICS = {
+    "mapreduce": [
+        "throughput", "ops_per_second", "data_rate",
+        "network_rate", "energy", "cost",
+    ],
+    "nosql": ["throughput", "mean_latency", "latency_p95", "latency_p99"],
+    "dbms": [],
+}
+
+
+class TestSweepPointsAreRuns:
+    """A sweep point is ``api.run`` of its one-engine spec."""
+
+    @pytest.mark.parametrize(
+        "prescription, engine, axis, layout",
+        [
+            ("micro-wordcount", "mapreduce", {"volumes": [40, 80]}, "row"),
+            ("micro-wordcount", "mapreduce",
+             {"parameter": "num_reduce_tasks", "values": [1, 3]}, "row"),
+            ("oltp-read-write", "nosql",
+             {"parameter": "operation_count", "values": [50, 100]}, "row"),
+            ("database-aggregate-join", "dbms", {"volumes": [60]}, "columnar"),
+        ],
+    )
+    def test_each_point_equals_the_run_of_its_spec(
+        self, monkeypatch, prescription, engine, axis, layout
+    ):
+        from repro.workloads.base import Workload
+
+        ran = []
+        original = Workload.run
+
+        def recorded(self, engine, dataset, **params):
+            result = original(self, engine, dataset, **params)
+            ran.append(_evidence(result))
+            return result
+
+        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
+        monkeypatch.setattr(Workload, "run", recorded)
+        report = api.sweep(prescription, engine, layout=layout, **axis)
+        swept = list(ran)
+        ran.clear()
+        runs = []
+        for point in report.points:
+            by_volume = report.parameter == "volume"
+            spec = api.BenchmarkSpec(
+                prescription,
+                engines=[engine],
+                volume=point.value if by_volume else None,
+                params={} if by_volume else {report.parameter: point.value},
+                layout=layout,
+            )
+            [result] = api.run(spec).results
+            runs.append(result)
+        assert swept == ran
+        for point, result in zip(report.points, runs):
+            assert point.result.extra.get("layout") == result.extra.get("layout")
+            for name in DETERMINISTIC_METRICS[engine]:
+                assert point.result.mean(name) == result.mean(name), name

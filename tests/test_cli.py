@@ -129,6 +129,28 @@ class TestRun:
         )
 
     @pytest.mark.parametrize(
+        "verb", ["run", "submit"],
+    )
+    @pytest.mark.parametrize(
+        "param", ["chunk_size=5", "engine=dbms", "volume_override=3", "self=1"],
+    )
+    def test_a_param_named_like_a_run_argument(
+        self, verb, param, capsys, tmp_path
+    ):
+        """It used to end in a ``TypeError`` mid-run (exit 1), or in a
+        queued job that failed later."""
+        code, output = run_cli(
+            verb, "micro-wordcount", "--volume", "20", "--param", param,
+            "--store-dir", str(tmp_path),
+        )
+        assert (code, output) == (2, "")
+        name = param.split("=")[0]
+        assert capsys.readouterr().err == (
+            f"error: param(s) ['{name}'] are argument names of the run "
+            "path; a workload parameter cannot take them\n"
+        )
+
+    @pytest.mark.parametrize(
         "prescription, param",
         [
             ("realtime-windowed-aggregation", "window_seconds=nan"),
@@ -583,6 +605,28 @@ class TestServiceVerbs:
 
 
 class TestLoad:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rate", "nan"],
+            ["--rate", "inf"],
+            ["--duration", "nan"],
+            ["--duration", "inf"],
+            ["--sessions", "2", "--duration", "1", "--think-time", "nan"],
+            ["--sessions", "2", "--duration", "inf"],
+            ["--mean-service", "nan"],
+            ["--slo-p50", "nan"],
+            ["--arrival", "bursty", "--burst-factor", "nan"],
+        ],
+    )
+    def test_non_finite_parameters_are_refused(self, argv, capsys):
+        """Each used to end in a traceback, a hang, a NaN latency that
+        passed the SLO, or an SLO no run could meet."""
+        code, output = run_cli("load", *argv)
+        assert (code, output) == (2, "")
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "finite" in line
+
     def test_synthetic_run_passes_default_slo(self):
         code, output = run_cli(
             "load", "--rate", "100", "--duration", "2", "--seed", "3",

@@ -21,6 +21,7 @@ RUNNER_OPTIONS_HOMES = {
 
 #: The spec consumers: they resolve a spec (or submit it) and run the plan.
 CONSUMERS = (
+    "api.py",
     "core/process.py",
     "service/orchestrator.py",
     "tuning/ablate.py",
@@ -30,7 +31,7 @@ CONSUMERS = (
 #: What only the resolver builds from spec fields.
 RESOLVER_ONLY = {
     "RunnerOptions", "SystemConfiguration", "FaultSpec", "RunTask",
-    "get_profile", "spec_fingerprint",
+    "engine_configuration", "get_profile", "spec_fingerprint",
 }
 
 
@@ -101,6 +102,18 @@ def test_spec_consumers_do_not_translate_spec_fields():
         f"spec fields translated by hand in a spec consumer: {strays}; "
         "that belongs in repro.execution.plan"
     )
+
+
+def test_tasks_and_engine_configurations_come_from_the_resolver_only():
+    """Every door (a spec run, a sweep, a cross-engine comparison, a
+    load target) takes its tasks from ``resolve``."""
+    for name in ("RunTask", "engine_configuration"):
+        modules = {module for module, _ in CALLS.get(name, [])}
+        assert modules == {"execution/plan.py"}, (
+            f"{name}(...) called from {sorted(modules)}: build a "
+            "BenchmarkSpec and take the tasks of "
+            "repro.execution.plan.resolve"
+        )
 
 
 def test_a_task_attempt_happens_in_one_place():

@@ -96,19 +96,25 @@ class RecordBatch:
 class DataSet:
     """An in-memory data set flowing through the benchmark framework.
 
-    ``records`` is a list whose element type depends on ``data_type``:
+    ``records`` is a sequence, not necessarily a list, whose element
+    type depends on ``data_type``:
 
     * TEXT — ``str`` documents,
     * TABLE — ``tuple`` rows (with a ``schema`` entry in ``metadata``),
     * GRAPH — ``(src, dst)`` edge tuples,
-    * STREAM — :class:`repro.datagen.stream.StreamEvent`,
+    * STREAM — :class:`repro.datagen.stream.StreamEvent` (a generated
+      stream's are an :class:`~repro.datagen.stream.EventColumns`, which
+      builds its events when one is read),
     * WEB_LOG / REVIEW — ``dict`` records,
     * KEY_VALUE — ``(key, fields_dict)`` pairs.
+
+    Read records by indexing, slicing (which gives a list), iterating
+    or ``len``; ``list(dataset.records)`` is the list they stand for.
     """
 
     name: str
     data_type: DataType
-    records: list[Any]
+    records: Sequence[Any]
     metadata: dict[str, Any] = field(default_factory=dict)
     #: What :meth:`estimated_bytes` returns, when whoever built the
     #: records knows it without walking them (the size map of
@@ -129,7 +135,14 @@ class DataSet:
         return self.data_type.structure
 
     def estimated_bytes(self) -> int:
-        """A cheap, deterministic estimate of the serialized data volume."""
+        """A cheap, deterministic estimate of the serialized data volume.
+
+        The sum of the records' sizes; a record sequence with a sizer of
+        its own (a stream's columns) adds them up itself.
+        """
+        sizer = _EXACT_SIZERS.get(type(self.records))
+        if sizer is not None:
+            return sizer(self.records)
         return sum(map(_record_size, self.records))
 
     def head(self, count: int = 5) -> list[Any]:
@@ -407,12 +420,15 @@ class DataGenerator(ABC):
             raise GenerationError(
                 f"num_partitions must be positive, got {num_partitions}"
             )
-        records = []
-        for partition in range(num_partitions):
-            records.extend(
-                self.generate_partition(volume, partition, num_partitions)
-            )
+        records = self._concatenate(
+            self.generate_partition(volume, partition, num_partitions)
+            for partition in range(num_partitions)
+        )
         return self._wrap(records, name)
+
+    def _concatenate(self, partitions: Iterator[Sequence[Any]]) -> Sequence[Any]:
+        """The records of ``partitions``, one partition after the other."""
+        return list(chain.from_iterable(partitions))
 
     def partition_volume(self, volume: int, partition: int, num_partitions: int) -> int:
         """The number of records partition ``partition`` must produce."""
@@ -425,7 +441,7 @@ class DataGenerator(ABC):
 
         return np.random.default_rng(mix_seed(self.seed, num_partitions, partition))
 
-    def _wrap(self, records: list[Any], name: str | None) -> DataSet:
+    def _wrap(self, records: Sequence[Any], name: str | None) -> DataSet:
         return DataSet(
             name=name or f"{self.name.lower()}-output",
             data_type=self.data_type,

@@ -36,6 +36,7 @@ import copy
 import enum
 import hashlib
 import os
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -62,7 +63,9 @@ def content_digest(value: Any) -> str:
 
     Covers what generator state and seed records are made of: scalars,
     strings, containers, enums, numpy arrays and scalars, and objects
-    with a ``__dict__`` (by class path and attributes).  Types keep
+    with a ``__dict__`` (by class path and attributes); a stream's
+    :class:`~repro.datagen.stream.EventColumns` is addressed as the list
+    of its events.  Types keep
     their identity (``1``, ``1.0`` and ``True`` differ) and dicts their
     order, which a schema's columns depend on.  Anything else — a
     callable, a lock, an open file — has no content address and raises
@@ -121,8 +124,19 @@ def _feed(update: Callable[[bytes], None], value: Any) -> None:
             _feed(update, name)
             _feed(update, item)
         update(b")")
+    elif _is_event_columns(value):
+        # A generated stream's records: the address of the list of
+        # events they stand for.
+        _feed(update, value.events())
     else:
         raise TypeError(f"{_class_path(kind)} has no content address")
+
+
+def _is_event_columns(value: Any) -> bool:
+    # Only a process that loaded the stream module can hold one, so
+    # digests of everything else import neither it nor numpy.
+    stream = sys.modules.get("repro.datagen.stream")
+    return stream is not None and isinstance(value, stream.EventColumns)
 
 
 def _class_path(kind: type) -> str:

@@ -15,15 +15,17 @@ arrival processes:
 :class:`StreamGenerator` combines an arrival process with a key
 distribution and an operation mix (insert/update/delete) — the *update
 frequency* facet of velocity that Section 5.1 says existing benchmarks
-ignore.
+ignore.  It returns a stream as :class:`EventColumns`, the drawn columns,
+which build their :class:`StreamEvent` objects only when one is read.
 """
 
 from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -224,6 +226,111 @@ class EmpiricalArrivals(ArrivalProcess):
 _KINDS_BY_CODE = np.array(
     [EventKind.UPDATE, EventKind.DELETE, EventKind.INSERT], dtype=object
 )
+#: ``len(repr(kind))`` by kind code.
+_KIND_SIZES = [len(repr(kind)) for kind in _KINDS_BY_CODE]
+
+
+class EventColumns(Sequence[StreamEvent]):
+    """A stream's events as the generator drew them: four columns.
+
+    An immutable sequence of :class:`StreamEvent`: ``timestamps``,
+    ``keys`` and ``values`` are read-only numpy arrays of one length,
+    ``kinds`` codes into :data:`_KINDS_BY_CODE`.  The events are built
+    from the columns, once, the first time an element is read (every
+    event is then ``timestamps.tolist()[i]``, ``keys.tolist()[i]``, ...).
+    Until then the streaming engine's queue and counting door and
+    :meth:`estimated_bytes` read the columns.  Indexing, slicing (a
+    list), iteration, ``==`` and ``repr`` are those of the list of
+    events; a copy or a pickle carries the columns;
+    :func:`repro.datagen.models.content_digest` addresses the list.
+    Two threads that read a sequence first at once may each build the
+    events: equal lists, and the sequence keeps one.
+    """
+
+    __slots__ = ("timestamps", "keys", "values", "kinds", "_events")
+
+    def __init__(
+        self, timestamps: Any, keys: Any, values: Any, kinds: Any
+    ) -> None:
+        columns = [np.asarray(column) for column in (timestamps, keys, values, kinds)]
+        if any(column.ndim != 1 for column in columns) or len(
+            {len(column) for column in columns}
+        ) != 1:
+            raise GenerationError("event columns must be 1-D and of one length")
+        for column in columns:
+            column.flags.writeable = False
+        self.timestamps, self.keys, self.values, self.kinds = columns
+        self._events: list[StreamEvent] | None = None
+
+    @classmethod
+    def concatenate(cls, parts: Sequence["EventColumns"]) -> "EventColumns":
+        """The events of ``parts`` one after the other."""
+        return cls(
+            *(
+                np.concatenate([getattr(part, name) for part in parts])
+                for name in ("timestamps", "keys", "values", "kinds")
+            )
+        )
+
+    def take(self, order: Any) -> "EventColumns":
+        """The events at the positions ``order`` lists, in that order."""
+        return EventColumns(
+            self.timestamps[order], self.keys[order],
+            self.values[order], self.kinds[order],
+        )
+
+    def events(self) -> list[StreamEvent]:
+        """The events, built a column at a time on the first call."""
+        events = self._events
+        if events is None:
+            events = self._events = build_by_column(
+                StreamEvent,
+                self.timestamps.tolist(),
+                self.keys.tolist(),
+                self.values.tolist(),
+                _KINDS_BY_CODE[self.kinds].tolist(),
+            )
+        return events
+
+    def estimated_bytes(self) -> int:
+        """``sum(map(_event_size, self))``, from the columns."""
+        text = sum(
+            sum(map(len, map(repr, column.tolist())))
+            for column in (self.timestamps, self.keys, self.values)
+        )
+        per_kind = np.bincount(self.kinds, minlength=len(_KIND_SIZES)).tolist()
+        return (
+            _EVENT_FRAME * len(self)
+            + text
+            + sum(map(int.__mul__, per_kind, _KIND_SIZES))
+        )
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self.events()[index]
+
+    def __iter__(self) -> Iterator[StreamEvent]:
+        return iter(self.events())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventColumns):
+            other = other.events()
+        elif not isinstance(other, list):
+            return NotImplemented
+        return self.events() == other
+
+    __hash__ = None  # type: ignore[assignment]  # as a list's
+
+    def __repr__(self) -> str:
+        return repr(self.events())
+
+    def __reduce__(self) -> tuple:
+        return (EventColumns, (self.timestamps, self.keys, self.values, self.kinds))
+
+
+_EXACT_SIZERS[EventColumns] = EventColumns.estimated_bytes
 
 
 class StreamGenerator(DataGenerator):
@@ -278,10 +385,8 @@ class StreamGenerator(DataGenerator):
 
     def generate_partition(
         self, volume: int, partition: int, num_partitions: int
-    ) -> list[StreamEvent]:
+    ) -> EventColumns:
         count = self.partition_volume(volume, partition, num_partitions)
-        if count == 0:
-            return []
         rng = self.rng_for_partition(partition, num_partitions)
         timestamps = self.arrivals.timestamps(rng, count)
         if self.key_skew > 1.0:
@@ -292,10 +397,8 @@ class StreamGenerator(DataGenerator):
             keys = rng.integers(0, self.key_space, size=count)
         values = rng.normal(0.0, 1.0, size=count)
         kind_draws = rng.random(count)
-        # Whole columns from here on: the kind of every event in two
-        # comparisons, each column converted to Python values once, and
-        # the events filled in a field at a time (half the time of one
-        # constructor call per event; measured in DESIGN §3.2).
+        # The kind of every event in two comparisons; the events are
+        # built from these columns when something reads them.
         kind_codes = np.where(
             kind_draws < self.update_fraction,
             0,
@@ -303,13 +406,12 @@ class StreamGenerator(DataGenerator):
                 kind_draws < self.update_fraction + self.delete_fraction, 1, 2
             ),
         )
-        return build_by_column(
-            StreamEvent,
-            np.asarray(timestamps, dtype=np.float64).tolist(),
-            keys.tolist(),
-            values.tolist(),
-            _KINDS_BY_CODE[kind_codes].tolist(),
+        return EventColumns(
+            np.asarray(timestamps, dtype=np.float64), keys, values, kind_codes
         )
+
+    def _concatenate(self, partitions: Iterator[EventColumns]) -> EventColumns:
+        return EventColumns.concatenate(list(partitions))
 
     def measured_rate(self, events: Sequence[StreamEvent]) -> float:
         """Events per second implied by a generated stream's timestamps."""

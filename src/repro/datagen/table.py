@@ -315,7 +315,34 @@ class _EmpiricalQuantile(ColumnDistribution):
 
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[Any]:
         quantiles = rng.uniform(0.0, 1.0, size=count)
-        sampled = np.quantile(self._sorted, quantiles, method="linear")
+        column = self._sorted
+        size = len(column)
+        if size == 0 or column[-1] != column[-1]:  # empty, or a NaN (last)
+            sampled = np.quantile(column, quantiles, method="linear")
+        else:
+            # ``np.quantile(column, quantiles, method="linear")`` step by
+            # step, over a column already sorted: no copy, partition or
+            # ``np.unique`` of the neighbours.  The virtual index, its
+            # floor and the next index (the last value at or past the
+            # end), then numpy's ``_lerp``, which interpolates down from
+            # the upper neighbour once the weight reaches one half.  The
+            # one difference: where the column holds both -0.0 and 0.0,
+            # which of them comes first is as arbitrary here as after
+            # numpy's partition.
+            virtual = (size - 1) * quantiles
+            previous = np.floor(virtual)
+            following = previous + 1
+            past_end = virtual >= size - 1
+            previous[past_end] = -1
+            following[past_end] = -1
+            previous = previous.astype(np.intp)
+            following = following.astype(np.intp)
+            gamma = virtual - previous
+            low = column[previous]
+            high = column[following]
+            step = high - low
+            sampled = low + step * gamma
+            np.subtract(high, step * (1 - gamma), out=sampled, where=gamma >= 0.5)
         if self._integral:  # exact at any magnitude, unlike an int64 cast
             return list(map(float.__trunc__, np.rint(sampled).tolist()))
         return sampled.tolist()

@@ -21,7 +21,7 @@ from typing import Any
 
 from repro._util import build_by_column
 from repro.core.errors import EngineError
-from repro.datagen.stream import StreamEvent
+from repro.datagen.stream import EventColumns, StreamEvent
 from repro.engines.base import Engine, EngineInfo
 
 
@@ -70,6 +70,22 @@ class WindowResult:
     value: Any
 
 
+def _in_time_order(events: Sequence[StreamEvent]) -> Sequence[StreamEvent]:
+    """``sorted(events, key=timestamp)``; columns stay columns.
+
+    A stable sort of the timestamp column, skipped when it is already
+    non-decreasing.  Columns with a NaN time that are out of order are
+    sorted as events: Python's sort and numpy's place a NaN differently.
+    """
+    if type(events) is EventColumns:
+        stamps = events.timestamps
+        if len(stamps) < 2 or (stamps[1:] >= stamps[:-1]).all():
+            return events
+        if not (stamps != stamps).any():
+            return events.take(stamps.argsort(kind="stable"))
+    return sorted(events, key=_TIMESTAMP)
+
+
 def _window_results(
     start: float, end: float, per_key: dict[Any, Any]
 ) -> list[WindowResult]:
@@ -86,22 +102,36 @@ def _window_results(
 
 
 def _read_counted(
-    np: Any, part: Sequence[StreamEvent], previous: float, size: float
-) -> tuple[list[float], list[int], Any, Any] | None:
-    """A slice's timestamps, keys, keys as an int64 array and window ids,
-    if the counting door may fold it with the watermark at ``previous``.
+    np: Any,
+    events: Sequence[StreamEvent],
+    low: int,
+    high: int,
+    previous: float,
+    size: float,
+) -> tuple[Any, Any, Any] | None:
+    """The timestamps (float64), keys (int64) and window ids of
+    ``events[low:high]``, if the counting door may fold that slice with
+    the watermark at ``previous``.
 
+    From the columns of an :class:`EventColumns` whose timestamps are
+    float64 and keys int64 (so every event's are a ``float`` and an
+    ``int`` that fits an int64); from the events of anything else.
     Below 2**53 a window id is the exact floor of time / size, so sorted
     times have sorted ids; that is checked too, not assumed."""
-    stamps = list(map(_TIMESTAMP, part))
-    keys = list(map(_KEY, part))
-    if {*map(type, stamps)} != _FLOAT or {*map(type, keys)} != _INT:
-        return None
-    try:
-        key_array = np.fromiter(keys, np.int64, len(keys))
-    except OverflowError:
-        return None
-    times = np.fromiter(stamps, np.float64, len(stamps))
+    if type(events) is EventColumns:
+        times = events.timestamps[low:high]
+        key_array = events.keys[low:high]
+    else:
+        part = events[low:high]
+        stamps = list(map(_TIMESTAMP, part))
+        keys = list(map(_KEY, part))
+        if {*map(type, stamps)} != _FLOAT or {*map(type, keys)} != _INT:
+            return None
+        try:
+            key_array = np.fromiter(keys, np.int64, len(keys))
+        except OverflowError:
+            return None
+        times = np.fromiter(stamps, np.float64, len(stamps))
     ids = np.floor_divide(times, size)
     # NaN fails every comparison; an infinite time has a NaN id.
     if not (
@@ -112,7 +142,7 @@ def _read_counted(
         and (ids[1:] >= ids[:-1]).all()
     ):
         return None
-    return stamps, keys, key_array, ids
+    return times, key_array, ids
 
 
 def _str_order(np: Any, low: int, high: int) -> tuple[Any, Any]:
@@ -307,18 +337,24 @@ class TumblingWindowAggregate(StreamOperator):
         ``str`` order with the value ``0.0 + 1 + ... + 1``, and leaves
         the last window open with its keys in first-seen order; so does
         this, a slice of whole windows at a time.  Nothing changes until
-        every slice has passed: False means the run was not folded.
+        every slice has passed: False means the run was not folded.  The
+        run is a list, a tuple or an :class:`EventColumns`, whose
+        float64 times and int64 keys are read as columns.
         """
         size = self.window_seconds
         if (
             self._windows
             or type(size) not in (int, float)
-            or not isinstance(events, (list, tuple))
+            or not isinstance(events, (list, tuple, EventColumns))
             or not events
         ):
             return False
         import numpy as np
 
+        if type(events) is EventColumns and not (
+            events.timestamps.dtype == np.float64 and events.keys.dtype == np.int64
+        ):
+            events = events.events()  # the exact-type checks read events
         total = len(events)
         # The run's key range so far in ``str`` order: one sort, not one
         # a slice, and one int object per key for the run, as the fold.
@@ -334,11 +370,11 @@ class TumblingWindowAggregate(StreamOperator):
                     # its first event was already checked against the
                     # one before; only the run's first needs the watermark.
                     read = _read_counted(
-                        np, events[low:high], self._watermark, size
+                        np, events, low, high, self._watermark, size
                     )
                     if read is None:
                         return False
-                    stamps, keys, key_array, ids = read
+                    times, key_array, ids = read
                     cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
                     if high == total or len(cuts):
                         break
@@ -377,11 +413,14 @@ class TumblingWindowAggregate(StreamOperator):
         shut = len(closed[-1])
         counted = dict(zip(cell_keys[shut:].tolist(), counts[shut:].tolist()))
         first = int(cuts[-1]) if len(cuts) else 0
-        table = {key: float(counted[key]) for key in dict.fromkeys(keys[first:])}
+        table = {
+            key: float(counted[key])
+            for key in dict.fromkeys(key_array[first:].tolist())
+        }
         # The fold's watermark is the first event that reached the latest
-        # time; equal times share a window, so this slice.
-        if stamps[-1] > self._watermark:
-            self._watermark = stamps[stamps.index(stamps[-1])]
+        # time (``-0.0 == 0.0``); equal times share a window, so this slice.
+        if times[-1] > self._watermark:
+            self._watermark = times[times.searchsorted(times[-1])].item()
         for results in closed:
             self._emitted += results
         self._windows[opened] = table
@@ -491,13 +530,18 @@ class SlidingWindowAggregate(StreamOperator):
 
     def _fold(self, events: Iterable[StreamEvent]) -> None:
         # Windows start at multiples of the slide; an event belongs to
-        # every window with start <= t < start + size.
+        # every window with 0 <= start <= t < start + size.  From the
+        # latest start (the window ``t // slide`` names) back, until a
+        # window ends at or before t, as every earlier one then does:
+        # at most ceil(size / slide) windows, one more for rounding.
+        # ``size // slide`` offsets are one too few when the slide does
+        # not divide the size (``0.3 // 0.1 == 2.0``).
         size = self.window_seconds
         slide = self.slide_seconds
         windows = self._windows
         reducer = self.reducer
         initial = self.initial
-        offsets = range(int(size // slide))
+        offsets = range(math.ceil(size / slide) + 1)
         for event in events:
             timestamp = event.timestamp
             last_start = int(timestamp // slide)
@@ -505,7 +549,7 @@ class SlidingWindowAggregate(StreamOperator):
                 start_index = last_start - offset
                 start = start_index * slide
                 if start < 0 or timestamp >= start + size:
-                    continue
+                    break
                 per_key = windows[start_index]
                 key = event.key
                 accumulator = per_key.get(key)
@@ -605,15 +649,22 @@ class StreamingEngine(Engine):
 
         Operator-major: each operator takes the whole ordered run
         through :meth:`StreamOperator.process_many` before the next one
-        sees what it let through.
+        sees what it let through.  An :class:`EventColumns` is ordered
+        and queued by its timestamp column and reaches the first
+        operator as columns.
         """
-        ordered = sorted(events, key=_TIMESTAMP)
+        ordered = _in_time_order(events)
+        stamps = (
+            ordered.timestamps.tolist()
+            if type(ordered) is EventColumns
+            else list(map(_TIMESTAMP, ordered))
+        )
         service_seconds = self.service_seconds_per_event
         operators = topology.operators
         latencies: list[float] = []
         record_latency = latencies.append
         departure = 0.0
-        for timestamp in map(_TIMESTAMP, ordered):
+        for timestamp in stamps:
             # Single-server queue: service starts when both the event has
             # arrived and the previous event has departed.
             start = departure if departure > timestamp else timestamp
@@ -632,11 +683,9 @@ class StreamingEngine(Engine):
         self.counters.compute_ops += compute_ops
         self.counters.records_written += len(results)
 
-        span = (
-            ordered[-1].timestamp - ordered[0].timestamp if len(ordered) > 1 else 0.0
-        )
-        arrival_rate = (len(ordered) - 1) / span if span > 0 else None
-        backlog = max(0.0, departure - (ordered[-1].timestamp if ordered else 0.0))
+        span = stamps[-1] - stamps[0] if len(stamps) > 1 else 0.0
+        arrival_rate = (len(stamps) - 1) / span if span > 0 else None
+        backlog = max(0.0, departure - (stamps[-1] if stamps else 0.0))
         return StreamRunReport(
             topology=topology.name,
             events_in=len(ordered),

@@ -192,3 +192,103 @@ class TestFittedTableGenerator:
         )
         # Hot-key share within 2x of the real share (both clearly skewed).
         assert synthetic_top_share > real_top_share / 2
+
+
+class _FixedDraws:
+    """A generator whose uniform draws are the quantiles given."""
+
+    def __init__(self, quantiles) -> None:
+        self.quantiles = np.asarray(quantiles, dtype=np.float64)
+
+    def uniform(self, low, high, size):
+        assert (low, high, size) == (0.0, 1.0, len(self.quantiles))
+        return self.quantiles.copy()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+class TestQuantileSteps:
+    """``_EmpiricalQuantile.sample`` takes numpy's linear-method steps over
+    its sorted column itself: it must return what ``np.quantile(...,
+    method="linear")`` returns, value for value (``repr``: infinities and
+    NaN too).  Not the sign of a zero where a column holds both ``-0.0``
+    and ``0.0``: which of two equal values ``np.sort`` and numpy's
+    partition leave first is arbitrary on both sides."""
+
+    @staticmethod
+    def _both(values, quantiles, integral=False):
+        from repro.datagen.table import _EmpiricalQuantile
+
+        distribution = _EmpiricalQuantile(values)
+        distribution._integral = integral
+        got = distribution.sample(_FixedDraws(quantiles), len(quantiles), 0)
+        expected = np.quantile(
+            np.sort(np.asarray(values, dtype=np.float64)),
+            np.asarray(quantiles, dtype=np.float64),
+            method="linear",
+        )
+        if integral:
+            expected = list(map(float.__trunc__, np.rint(expected).tolist()))
+        else:
+            expected = expected.tolist()
+        return repr(got), repr(expected)
+
+    EDGES = [0.0, 0.5, np.nextafter(1.0, 0.0), 0.25, 0.999999, 1e-300]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [3.0],
+            [2.0, 2.0, 2.0],
+            [1.0, 1.0, 2.0, 2.0, 2.0, 7.0],
+            [-0.0, -1.0, -0.0],
+            [1e308, -1e308, 1.7e308, 5.0],
+            [1e-320, 2e-320, 0.0],
+            [-np.inf, 1.0, np.inf],
+            [np.inf, np.inf],
+            list(range(10)),
+        ],
+        ids=[
+            "single", "all-equal", "duplicates", "negative-zeros", "huge",
+            "subnormal", "infinite-ends", "all-infinite", "ints",
+        ],
+    )
+    def test_edges(self, values):
+        got, expected = self._both(values, self.EDGES)
+        assert got == expected
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_columns_and_draws(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            size = int(rng.integers(1, 40))
+            values = [
+                rng.normal(size=size) * 10.0 ** rng.integers(-300, 300),
+                rng.integers(0, 5, size=size).astype(float),
+                np.round(rng.normal(size=size), 1) + 0.0,  # no -0.0
+            ][int(rng.integers(0, 3))]
+            quantiles = rng.uniform(0.0, 1.0, size=int(rng.integers(0, 30)))
+            got, expected = self._both(list(values), quantiles)
+            assert got == expected
+
+    def test_integral_columns(self):
+        values = [1.0, 4.0, 4.0, 9.0, 2.0**60, 2.0**60 + 2**10]
+        got, expected = self._both(values, self.EDGES, integral=True)
+        assert got == expected
+
+    def test_a_column_ending_in_nan_goes_to_np_quantile(self, monkeypatch):
+        from repro.datagen import table
+
+        calls = []
+        original = np.quantile
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs.get("method"))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(table.np, "quantile", spy)
+        got, expected = self._both([1.0, np.nan, 2.0], self.EDGES)
+        assert got == expected
+        assert calls == ["linear", "linear"]  # the sample, then the oracle
+        calls.clear()
+        self._both([1.0, 2.0], self.EDGES)
+        assert calls == ["linear"]  # the oracle only

@@ -13,7 +13,7 @@ import pytest
 
 from repro import api
 from repro.datagen import base as datagen_base
-from repro.datagen.stream import StreamEvent
+from repro.datagen.stream import EventColumns, StreamEvent
 from repro.engines.dbms import DbmsEngine, PlannerConfig, col, lit
 from repro.engines.dbms.expressions import Comparison
 from repro.engines.mapreduce.counters import CounterGroup
@@ -68,13 +68,26 @@ def test_one_run_sizes_each_record_of_its_data_set_once(monkeypatch):
 )
 def test_a_second_run_of_one_spec_sizes_nothing(monkeypatch, prescription):
     """One pass per *first* run: the size is a product of the content
-    address, and the process has seen that address."""
+    address, and the process has seen that address.  A record is sized
+    by ``_record_size`` or, in a stream's columns, by their own sizer,
+    which sizes all of them in one call."""
     sized = _count_calls(monkeypatch, datagen_base, "_record_size")
+    sized_columns: list[int] = []
+    column_sizer = datagen_base._EXACT_SIZERS[EventColumns]
+
+    def count_columns(records):
+        sized_columns.append(len(records))
+        return column_sizer(records)
+
+    monkeypatch.setitem(datagen_base._EXACT_SIZERS, EventColumns, count_columns)
     first = api.run(prescription, volume=200)
-    assert len(sized) == first.step("data-generation").detail["records"]
+    assert len(sized) + sum(sized_columns) == first.step(
+        "data-generation"
+    ).detail["records"]
     sized.clear()
+    sized_columns.clear()
     second = api.run(prescription, volume=200)
-    assert len(sized) == 0
+    assert len(sized) == sum(sized_columns) == 0
     details = [
         report.step("data-generation").detail for report in (first, second)
     ]

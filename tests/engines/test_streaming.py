@@ -7,7 +7,12 @@ import math
 import pytest
 
 from repro.core.errors import EngineError
-from repro.datagen.stream import EventKind, StreamEvent
+from repro.datagen.stream import (
+    EventKind,
+    PoissonArrivals,
+    StreamEvent,
+    StreamGenerator,
+)
 from repro.engines.streaming import (
     FilterOperator,
     MapOperator,
@@ -116,6 +121,52 @@ class TestSlidingWindows:
         """A NaN slide used to pass and fail at the first event."""
         with pytest.raises(EngineError, match=f"{name} must be positive and finite"):
             SlidingWindowAggregate(window, slide, lambda acc, v: acc)
+
+
+class TestSlidingOracle:
+    """Every window the definition puts an event in: windows start at
+    ``i * slide`` for ``0 <= i <= t // slide`` (the latest is the one
+    ``t // slide`` names, as a tumbling window's is ``t // size``) and
+    hold the events with ``t < start + size``."""
+
+    @staticmethod
+    def _oracle(events, size, slide):
+        cells = {}
+        for event in events:
+            for index in range(int(event.timestamp // slide) + 1):
+                start = index * slide
+                if event.timestamp < start + size:
+                    cell = (start, start + size, event.key)
+                    cells[cell] = cells.get(cell, 0) + 1
+        return cells
+
+    @pytest.mark.parametrize(
+        "size, slide",
+        [(0.3, 0.1), (1.0, 0.3), (0.1, 0.04), (0.7, 0.2), (0.5, 0.15),
+         (0.2, 0.05), (0.4, 0.4)],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_the_windows_are_the_brute_force_ones(self, size, slide, seed):
+        generator = StreamGenerator(
+            arrivals=PoissonArrivals(rate=100.0), key_space=3, seed=seed
+        )
+        events = list(generator.generate(300).records)
+        # And events exactly on window starts.
+        events += make_events([index * slide for index in range(12)], [1] * 12)
+        window = SlidingWindowAggregate(size, slide, lambda acc, v: acc + 1)
+        window.process_many(sorted(events, key=lambda event: event.timestamp))
+        found = {
+            (result.window_start, result.window_end, result.key): result.value
+            for result in window.flush()
+        }
+        assert found == self._oracle(events, size, slide)
+
+    def test_a_size_the_slide_does_not_divide(self):
+        """``0.3 // 0.1 == 2.0``: the third window used to be skipped."""
+        window = SlidingWindowAggregate(0.3, 0.1, lambda acc, v: acc + 1)
+        window.process_many(make_events([0.25]))
+        starts = [result.window_start for result in window.flush()]
+        assert starts == [0.0, 0.1, 0.2]
 
 
 class TestOperators:

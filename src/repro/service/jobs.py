@@ -27,7 +27,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.appendlog import AppendLog
 from repro.core.errors import ServiceError
@@ -182,9 +182,11 @@ class JobLog:
 
     The file is an :class:`~repro.core.appendlog.AppendLog`: concurrent
     writers are supported (every event lands whole, in one order), and
-    an event torn by a crash costs only itself.  Job *ids* are numbered
-    by each :class:`~repro.service.orchestrator.Orchestrator`, so two
-    live services on one store can still mint the same ``jNNNN``.
+    an event torn by a crash costs only itself.  Every line carries
+    ``seq``, the highest job number logged up to and including it, so
+    :meth:`submit` numbers a job from the tail under the log's lock, as
+    the run store numbers a record: services in any number of threads
+    and processes sharing one store never mint the same ``jNNNN``.
     """
 
     root: Path
@@ -204,17 +206,55 @@ class JobLog:
         self, job: Job, event: str, detail: dict[str, Any] | None = None
     ) -> None:
         """Append one lifecycle event (``event`` is the entered state)."""
+
+        def line(last: bytes | None) -> str:
+            seq = max(self._highest(last), _number(job.job_id))
+            return self._line(job, event, detail, seq)
+
+        self._log.append(line)
+
+    def submit(self, job: Job, admit: Callable[[Job], Any]) -> None:
+        """Number ``job`` after the highest ``jNNNN`` logged, ``admit`` it
+        and log it ``queued``, all under the log's lock.  When ``admit``
+        raises (the queue sheds the job) nothing is logged."""
+
+        def queued(last: bytes | None) -> str:
+            number = self._highest(last) + 1
+            job.job_id = f"j{number:04d}"
+            admit(job)
+            return self._line(job, "queued", None, number)
+
+        self._log.append(queued)
+
+    def _line(
+        self,
+        job: Job,
+        event: str,
+        detail: dict[str, Any] | None,
+        seq: int,
+    ) -> str:
         line: dict[str, Any] = {
             "job_id": job.job_id,
             "event": event,
             "at": job.timestamps.get(event, time.time()),
+            "seq": seq,
         }
         if event == "queued":
             line["job"] = job.as_dict()
         if detail:
             line["detail"] = detail
-        text = json.dumps(line, default=str)
-        self._log.append(lambda _last: text)
+        return json.dumps(line, default=str)
+
+    def _highest(self, last: bytes | None) -> int:
+        """The ``seq`` of the log's last line; a log written before
+        lines carried it is scanned (once: the line appended next
+        carries it)."""
+        if last is None:
+            return 0
+        try:
+            return int(json.loads(last)["seq"])
+        except (ValueError, KeyError, TypeError):
+            return self.last_sequence()
 
     def cancel(self, job_id: str, reason: str) -> Job:
         """Tombstone a non-terminal logged job, offline.
@@ -233,17 +273,15 @@ class JobLog:
     # -- reading ----------------------------------------------------------
 
     def last_sequence(self) -> int:
-        """The highest ``jNNNN`` number already logged (0 for a new log).
-
-        What a starting service numbers its jobs after, so sessions
-        sharing one store never reuse an id.  An unparsable line is
-        skipped rather than raised: a torn tail must not stop the
-        service starting (:meth:`events` still reports it to readers).
+        """The highest ``jNNNN`` number logged (0 for a new log), found
+        by reading every line.  An unparsable line is skipped rather
+        than raised: it must not stop a job being numbered
+        (:meth:`events` still reports it to readers).
         """
         highest = 0
         for _, line in self._log.lines():
             try:
-                number = int(json.loads(line)["job_id"][1:])
+                number = _number(json.loads(line)["job_id"])
             except (ValueError, KeyError, TypeError):
                 continue
             highest = max(highest, number)
@@ -296,3 +334,11 @@ class JobLog:
         raise ServiceError(
             f"no job {job_id!r} in {self.path}; known: {sorted(jobs)[-5:]}"
         )
+
+
+def _number(job_id: Any) -> int:
+    """The ``NNNN`` of a ``jNNNN`` id (0 for anything else)."""
+    try:
+        return int(job_id[1:])
+    except (ValueError, TypeError):
+        return 0

@@ -81,11 +81,9 @@ class Orchestrator:
             JobLog(resolve_store_dir(store_dir)) if log_jobs else None
         )
         self._jobs: dict[str, Job] = {}
-        # Number on from what the log already holds: a second session
-        # on the same store must not log a second ``j0001``.
-        self._seq = (
-            self.job_log.last_sequence() if self.job_log is not None else 0
-        )
+        # Without a log, this service numbers its own jobs; with one,
+        # the log numbers them (every service on the store shares it).
+        self._seq = 0
         self._threads: list[threading.Thread] = []
         self._runners: list[Any] = []
         self._runner_lock = threading.Lock()
@@ -175,18 +173,15 @@ class Orchestrator:
         # Enqueue and log under the lock the schedulers admit under: a
         # scheduler may take the job at once, but cannot log ``admitted``
         # ahead of this ``queued`` line (which carries the job itself).
+        job = Job(spec=spec, client=client, priority=priority)
         with self._cond:
-            self._seq += 1
-            job = Job(
-                spec=spec,
-                job_id=f"j{self._seq:04d}",
-                client=client,
-                priority=priority,
-            )
-            self.queue.submit(job)
-            self._jobs[job.job_id] = job
             if self.job_log is not None:
-                self.job_log.append(job, "queued")
+                self.job_log.submit(job, self.queue.submit)
+            else:
+                job.job_id = f"j{self._seq + 1:04d}"
+                self.queue.submit(job)
+                self._seq += 1
+            self._jobs[job.job_id] = job
         self._notify(JobEvent(job.job_id, "queued", job.submitted_at))
         return job
 

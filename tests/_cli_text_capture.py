@@ -13,10 +13,10 @@ object, ``argv → {code, stdout, stderr}``::
 ``tests/fixtures/cli_text_parent.json`` is this script's output on the
 commit before ``main`` built one verb's parser, with the interpreter
 version it ran on; argparse formats help differently across Python
-versions, so ``tests/test_cli.py`` compares only on that version.
-Rewrite it only with a deliberate change to the CLI's surface, as
-``knobs.json``.  Only ``_build_parser`` and ``main``, which exist on
-both sides, are used.
+versions, so row ``cli-text`` of ``tests/test_captures.py`` compares it
+only on that version.  Rewrite it only with a deliberate change to the
+CLI's surface, as ``knobs.json``.  Only ``_build_parser`` and ``main``,
+which exist on both sides, are used.
 """
 
 from __future__ import annotations

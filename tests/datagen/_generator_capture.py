@@ -8,11 +8,11 @@ whole arrays::
     PYTHONPATH=src python tests/datagen/_generator_capture.py \
         > tests/fixtures/generators_parent.json
 
-It is never regenerated: a difference is seeded output that changed.
-Each digest covers every record's ``repr`` and the type of every element
-(so ``1`` and ``1.0``, or ``int`` and ``np.int64``, differ).  Only public
-callables that exist on both sides are used, so the same script measures
-parent and change.
+It is never regenerated: a difference is seeded output that changed
+(row ``generators`` of ``tests/test_captures.py``).  Each digest covers
+every record's ``repr`` and the type of every element (so ``1`` and
+``1.0``, or ``int`` and ``np.int64``, differ).  Only public callables
+that exist on both sides are used, so one script measures both sides.
 """
 
 from __future__ import annotations

@@ -5,15 +5,13 @@ Equal means equal records *and* the same Python type for every element:
 ``1 == 1.0 == np.int64(1)``, and each of them would fork a content
 address, a ``repr`` digest or the bytes an engine meters.  The draws are
 the seeded contract, so the same seed, volume and partitioning must give
-the same records at every chunk size.  ``_generator_capture.py`` holds
-the same output to the fixture captured on the parent commit.
+the same records at every chunk size.  Row ``generators`` of
+``tests/test_captures.py`` holds them to the parent commit's fixture.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import count
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,14 +32,13 @@ from repro.datagen.table import (
 )
 from repro.datagen.text import RandomTextGenerator
 
-from _generator_capture import _float_table, _mixed_schema, _types, capture
+from _generator_capture import _float_table, _mixed_schema, _types
 from _reference_generators import (
     reference_batched,
     reference_iter_batches,
     reference_records,
 )
 
-ROOT = Path(__file__).resolve().parents[2]
 seeded = settings(derandomize=True, deadline=None, max_examples=60)
 
 
@@ -234,10 +231,3 @@ class TestNegativeVolume:
                 generator.generate(-5)
             with pytest.raises(GenerationError, match="non-negative"):
                 next(generator.iter_batches(-5, num_partitions=partitions))
-
-
-def test_capture_equals_the_parent_fixture():
-    """The records of the parent commit, digest for digest (CI's
-    ``bounded-memory-smoke`` also ``cmp``s the script's output)."""
-    fixture = ROOT / "tests" / "fixtures" / "generators_parent.json"
-    assert capture() == json.loads(fixture.read_text())

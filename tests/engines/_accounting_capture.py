@@ -14,7 +14,8 @@ script's output on the commit that introduced accounting version 2
 version 1, taken on the commit *before* the per-record book-keeping was
 hoisted out of the engines' inner loops; it is never regenerated, and
 the test holds the two fixtures equal in every leaf but the pair-metered
-bytes.  A fixture is rewritten only together with a version fork.
+bytes.  A fixture is rewritten only together with a version fork (row
+``accounting`` of ``tests/test_captures.py``).
 
 Only this file's own code and public callables that exist on both sides
 are used, so the same script measures parent and change.

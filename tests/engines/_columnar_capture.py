@@ -11,7 +11,8 @@ commit *before* the batch operators stopped materialising rows::
         > tests/fixtures/columnar_parent.json
 
 The fixture is never regenerated: a change that moves ``batches`` has
-changed a reported value.  Only this file's own code and public
+changed a reported value (the ``columnar`` row of
+``tests/test_captures.py``).  Only this file's own code and public
 callables that exist on both sides are used, so the same script
 measures parent and change.
 """

@@ -8,13 +8,13 @@ output on the commit before the tumbling window counted a run in bulk::
     PYTHONPATH=src python tests/engines/_window_capture.py \
         > tests/fixtures/windows_parent.json
 
-It is never regenerated: a difference is seeded output that changed.
-Every workload call of a run is caught on its way out of
-``Workload.run``; its digest covers every window result's ``repr`` and
-the types of its fields, the latencies, the cost counters, the record
-counts, the simulated seconds and ``extra``.  Only public callables that
-exist on both sides are used, so the same script measures parent and
-change.
+It is never regenerated: a difference is seeded output that changed
+(row ``windows`` of ``tests/test_captures.py``).  Every workload call of
+a run is caught on its way out of ``Workload.run``; its digest covers
+every window result's ``repr`` and the types of its fields, the
+latencies, the cost counters, the record counts, the simulated seconds
+and ``extra``.  Only public callables that exist on both sides are
+used, so the same script measures parent and change.
 """
 
 from __future__ import annotations

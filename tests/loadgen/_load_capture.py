@@ -8,7 +8,8 @@ queue::
     PYTHONPATH=src python tests/loadgen/_load_capture.py \
         > tests/fixtures/loadgen_parent.json
 
-It is never regenerated: a difference is a load report that changed.  The
+It is never regenerated: a difference is a load report that changed
+(the ``loadgen`` row of ``tests/test_captures.py``).  The
 grid crosses every arrival kind, queue capacity 0/4/64, concurrency 1/4,
 0/3/20 sessions (0 is the open loop) and think time 0/0.05, against a
 seeded synthetic target and one that sheds or raises on chosen request

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.errors import ServiceError
@@ -156,6 +158,28 @@ class TestJobLog:
             handle.write('{"job_id": "j0099", "event": "que\n')  # torn tail
             handle.write('["not", "an", "event"]\n')
         assert log.last_sequence() == 11
+
+    def test_submit_numbers_after_the_tail_and_logs_nothing_it_sheds(
+        self, tmp_path
+    ):
+        log = JobLog(tmp_path)
+        with log.path.open("a") as handle:  # lines from before ``seq``
+            for job_id in ("j0007", "j0003"):
+                line = {"job_id": job_id, "event": "queued",
+                        "job": make_job(job_id).as_dict()}
+                handle.write(json.dumps(line) + "\n")
+
+        def shed(job):
+            raise ServiceError("full")
+
+        jobs = [make_job(""), make_job(""), make_job("")]
+        log.submit(jobs[0], admit=lambda job: None)
+        with pytest.raises(ServiceError, match="full"):
+            log.submit(jobs[1], admit=shed)
+        log.submit(jobs[2], admit=lambda job: None)
+        assert [job.job_id for job in jobs] == ["j0008", "j0009", "j0009"]
+        assert [event.get("seq") for event in log.events()] == [None, None, 8, 9]
+        assert list(log.replay()) == ["j0007", "j0003", "j0008", "j0009"]
 
     def test_cancel_tombstones_a_non_terminal_job(self, tmp_path):
         log = JobLog(tmp_path)

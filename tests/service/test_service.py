@@ -336,6 +336,39 @@ class TestEventsAndLog:
         listing = capsys.readouterr().out
         assert "j0001" in listing and "j0002" in listing
 
+    def test_two_live_services_on_one_store_mint_distinct_ids(
+        self, tmp_path, capsys
+    ):
+        """Regression: each orchestrator read the highest logged id once,
+        when it was built, so two live on one store both minted
+        ``j0001`` and ``jobs list`` could not replay the log."""
+        from repro.cli import main
+
+        services = [Orchestrator(store_dir=str(tmp_path)).start()
+                    for _ in range(2)]
+        turns = threading.Barrier(2)
+        ids: list[str] = []
+
+        def submit(service):
+            for _ in range(3):
+                turns.wait(timeout=60)
+                ids.append(service.submit(make_spec(volume=10)).job_id)
+
+        threads = [threading.Thread(target=submit, args=(service,))
+                   for service in services]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for service in services:
+            service.shutdown()
+        assert sorted(ids) == [f"j{n:04d}" for n in range(1, 7)]
+        jobs = JobLog(tmp_path).replay()
+        assert sorted(jobs) == sorted(ids)
+        assert {job.state for job in jobs.values()} == {"done"}
+        assert main(["jobs", "list", "--store-dir", str(tmp_path)]) == 0
+        assert set(ids) <= set(capsys.readouterr().out.split())
+
     def test_a_torn_log_line_does_not_stop_the_service(self, tmp_path):
         from repro.cli import main
 

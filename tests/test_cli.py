@@ -5,10 +5,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -19,7 +15,6 @@ from repro.datagen.formats import available_formats
 
 from tests import _cli_text_capture
 
-FIXTURES = Path(__file__).parent / "fixtures"
 
 #: Generator → the seed data set its builtin prescriptions fit it on.
 _REPOSITORY = builtin_repository()
@@ -1039,21 +1034,3 @@ class TestOneVerbParser:
             except SystemExit:
                 pass
         assert seen == [built]
-
-    def test_what_the_cli_prints_is_the_parents(self):
-        """Every verb's ``--help`` and errors, the top-level help and an
-        unknown verb, as the commit before this parser printed them."""
-        expected = json.loads(
-            (FIXTURES / "cli_text_parent.json").read_text()
-        )
-        python = "%d.%d" % sys.version_info[:2]
-        if python != expected["python"]:
-            pytest.skip(f"captured on Python {expected['python']}; "
-                        f"argparse formats help differently on {python}")
-        completed = subprocess.run(
-            [sys.executable, str(Path(__file__).parent / "_cli_text_capture.py")],
-            env={**os.environ, "COLUMNS": "80",
-                 "PYTHONPATH": str(Path(cli.__file__).parents[1])},
-            capture_output=True, text=True, timeout=120, check=True,
-        )
-        assert json.loads(completed.stdout) == expected

@@ -12,13 +12,22 @@ Cold wall time of fresh interpreter processes, one row per command:
 Each command runs :data:`REPEATS` times; the row keeps the minimum and
 the lower quartile of the wall time, and the lower quartile of the
 child's CPU time (user + system, from ``RUSAGE_CHILDREN``): a process
-whose BLAS threads spin pays CPU beyond its wall.  One more process per
-command reports how many ``repro.*`` modules it ended with and whether
-numpy was loaded.  The result is appended to ``BENCH_startup.json``
-through :func:`_history.append_history`.
+whose BLAS threads spin pays CPU beyond its wall.  A CLI verb runs
+through :data:`_CLI_ENTRY`, which is ``python -m repro.cli`` plus a
+time stamp on stderr when the verb's ``SystemExit`` leaves the module;
+the row's ``exit_s`` is the median time from that stamp to the moment
+this process has reaped the child: what interpreter teardown costs the
+verb.  One more process per command reports how many ``repro.*``
+modules it ended with and whether numpy was loaded.  The result is
+appended to ``BENCH_startup.json`` through
+:func:`_history.append_history`.
 
-    PYTHONPATH=src python -m pytest benchmarks/bench_startup.py -q -s
     PYTHONPATH=src python benchmarks/bench_startup.py --src OTHER/src --source parent
+    PYTHONPATH=src python -m pytest benchmarks/bench_startup.py -q -s
+
+The pytest entry point (CI's ledger-smoke step) runs
+:data:`SMOKE_REPEATS` processes per command; its rows are their own
+series, since ``repeats`` is part of the fingerprint.
 
 ``--src`` measures another checkout's ``src`` (the parent commit's) with
 this script; ``--source`` labels the row.  The measured ``src`` is
@@ -61,6 +70,8 @@ from _history import append_history, run_child
 RESULTS_FILE = Path(__file__).parent / "BENCH_startup.json"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 REPEATS = 9
+#: What the pytest entry point (CI's ledger-smoke step) runs.
+SMOKE_REPEATS = 2
 
 #: Appended to a ``-c`` program: what the process had loaded at its end.
 _FOOTPRINT = (
@@ -68,6 +79,18 @@ _FOOTPRINT = (
     "print(json.dumps({'repro_modules': sum(m == 'repro' or "
     "m.startswith('repro.') for m in sys.modules), "
     "'numpy': 'numpy' in sys.modules}), file=sys.stderr)"
+)
+
+#: ``python -m repro.cli``, stamping ``time.time()`` on stderr as the
+#: verb's ``SystemExit`` passes: ``python -c _CLI_ENTRY <verb> ...``.
+_EXIT_STAMP = "exit-stamp "
+_CLI_ENTRY = (
+    "import runpy, sys, time\n"
+    "try:\n"
+    "    runpy.run_module('repro.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit:\n"
+    f"    print({_EXIT_STAMP!r} + repr(time.time()), file=sys.stderr)\n"
+    "    raise\n"
 )
 
 #: row name → CLI argv (``{store}`` is a fresh copy of the seeded store).
@@ -117,37 +140,51 @@ def _cli_argv(name: str, template: Path, scratch: Path) -> list[str]:
     return [part.format(store=store) for part in CLI_VERBS[name]]
 
 
-def _timed_child(src: Path, args: list[str], **variables: str) -> tuple[float, float]:
-    """Wall and CPU seconds (user + system) of one child process."""
+def _timed_child(
+    src: Path, args: list[str], **variables: str
+) -> tuple[float, float, float | None]:
+    """Wall and CPU seconds (user + system) of one child process, and
+    the seconds from its exit stamp to its reap (``None`` without one)."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     started = time.perf_counter()
-    run_child(src, args, **variables)
+    completed = run_child(src, args, **variables)
     wall = time.perf_counter() - started
+    reaped = time.time()
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return wall, cpu
+    stamps = [
+        float(line.removeprefix(_EXIT_STAMP))
+        for line in completed.stderr.splitlines()
+        if line.startswith(_EXIT_STAMP)
+    ]
+    return wall, cpu, (reaped - stamps[-1]) if stamps else None
 
 
-def _summary(samples: list[tuple[float, float]]) -> dict:
-    walls, cpus = zip(*samples)
-    return {
+def _summary(samples: list[tuple[float, float, float | None]]) -> dict:
+    walls, cpus, exits = zip(*samples)
+    summary = {
         "wall_first_s": walls[0],
         "wall_min_s": min(walls),
         "wall_q1_s": statistics.quantiles(walls, n=4)[0],
         "cpu_q1_s": statistics.quantiles(cpus, n=4)[0],
         "samples": len(walls),
     }
+    if None not in exits:
+        summary["exit_s"] = statistics.median(exits)
+    return summary
 
 
-def _measure(src: Path, name: str, template: Path, scratch: Path) -> dict:
-    """One row: cold runs of REPEATS processes plus the footprint probe."""
+def _measure(
+    src: Path, name: str, template: Path, scratch: Path, repeats: int
+) -> dict:
+    """One row: cold runs of ``repeats`` processes plus the footprint probe."""
     walls = _summary([
         _timed_child(
             src,
             ["-c", PROGRAMS[name]] if name in PROGRAMS
-            else ["-m", "repro.cli", *_cli_argv(name, template, scratch)],
+            else ["-c", _CLI_ENTRY, *_cli_argv(name, template, scratch)],
         )
-        for _ in range(REPEATS)
+        for _ in range(repeats)
     ])
     program = PROGRAMS.get(name) or (
         "import os\nfrom repro.cli import main\n"
@@ -159,7 +196,7 @@ def _measure(src: Path, name: str, template: Path, scratch: Path) -> dict:
 
 
 def _measure_without_bytecode(
-    src: Path, tmp: Path, template: Path, scratch: Path
+    src: Path, tmp: Path, template: Path, scratch: Path, repeats: int
 ) -> dict[str, dict]:
     """Cold runs of :data:`BYTECODE_VERBS` with and without compiled
     bytecode, the conditions taking turns process by process."""
@@ -192,7 +229,7 @@ def _measure_without_bytecode(
     for name in BYTECODE_VERBS:
         trees = conditions(name)
         samples: dict[str, list] = {condition: [] for condition in trees}
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             for condition, (tree, variables) in trees.items():
                 argv = _cli_argv(name, template, scratch)
                 samples[condition].append(
@@ -204,7 +241,9 @@ def _measure_without_bytecode(
     return rows
 
 
-def measure_startup(src: Path = SRC_DIR) -> tuple[dict[str, dict], dict]:
+def measure_startup(
+    src: Path = SRC_DIR, repeats: int = REPEATS
+) -> tuple[dict[str, dict], dict]:
     """``(row per command, BYTECODE_VERBS without bytecode)`` for ``src``."""
     with tempfile.TemporaryDirectory(prefix="bench-startup-") as tmp:
         template, scratch = Path(tmp) / "template", Path(tmp) / "scratch"
@@ -212,22 +251,27 @@ def measure_startup(src: Path = SRC_DIR) -> tuple[dict[str, dict], dict]:
         run_child(src, ["-m", "compileall", "-q", str(src)])
         _seed_store(src, template)
         rows = {
-            name: _measure(src, name, template, scratch)
+            name: _measure(src, name, template, scratch, repeats)
             for name in (*PROGRAMS, *CLI_VERBS)
         }
-        return rows, _measure_without_bytecode(src, Path(tmp), template, scratch)
+        return rows, _measure_without_bytecode(
+            src, Path(tmp), template, scratch, repeats
+        )
 
 
-def record_startup(src: Path = SRC_DIR, source: str = "worktree") -> dict:
-    rows, without_bytecode = measure_startup(src)
+def record_startup(
+    src: Path = SRC_DIR, source: str = "worktree", repeats: int = REPEATS
+) -> dict:
+    rows, without_bytecode = measure_startup(src, repeats)
     print(
         f"\n{'command':16s} {'min s':>8s} {'q1 s':>8s} {'cpu q1 s':>8s} "
-        f"{'repro.*':>8s} numpy"
+        f"{'exit ms':>8s} {'repro.*':>8s} numpy"
     )
     for name, row in rows.items():
+        exit_ms = f"{row['exit_s'] * 1e3:8.1f}" if "exit_s" in row else f"{'':8s}"
         print(
             f"{name:16s} {row['wall_min_s']:8.3f} {row['wall_q1_s']:8.3f} "
-            f"{row['cpu_q1_s']:8.3f} {row['repro_modules']:8d} "
+            f"{row['cpu_q1_s']:8.3f} {exit_ms} {row['repro_modules']:8d} "
             f"{'yes' if row['numpy'] else 'no'}"
         )
     print(
@@ -246,7 +290,7 @@ def record_startup(src: Path = SRC_DIR, source: str = "worktree") -> dict:
         RESULTS_FILE,
         "startup.cold_wall",
         {
-            "repeats": REPEATS,
+            "repeats": repeats,
             "programs": PROGRAMS,
             "cli_verbs": CLI_VERBS,
         },
@@ -260,12 +304,15 @@ def record_startup(src: Path = SRC_DIR, source: str = "worktree") -> dict:
 
 
 def test_startup_ledger():
-    rows = record_startup()
+    rows = record_startup(repeats=SMOKE_REPEATS)
     # The verbs that only read the registry or a JSONL file stay light.
     for name in ("import.repro", "cli.list", "cli.runs-list", "cli.compare",
                  "cli.jobs-list"):
         assert not rows[name]["numpy"], name
         assert rows[name]["repro_modules"] <= 30, name
+    # Every verb stamped its exit, and only the verbs did.
+    assert all(rows[name]["exit_s"] > 0 for name in CLI_VERBS)
+    assert not any("exit_s" in rows[name] for name in PROGRAMS)
 
 
 if __name__ == "__main__":

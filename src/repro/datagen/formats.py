@@ -60,6 +60,8 @@ class ConvertedData:
 
 @dataclass(frozen=True)
 class _Converter:
+    """A registered format: its transform and what it streams and needs."""
+
     name: str
     transform: Callable[[Iterator[Any], ConversionContext], Any]
     streaming: bool

@@ -242,6 +242,36 @@ def test_the_blas_thread_rows_are_a_parent_and_a_change_row():
         assert change[verb]["repro_modules"] == parent[verb]["repro_modules"], verb
 
 
+def test_the_exit_rows_are_a_parent_and_a_change_row():
+    """The start-up rows that carry ``exit_s`` (``bench_startup.py``): the
+    time from a verb's ``SystemExit`` to its reap.  On the parent the
+    interpreter's teardown collections walked the whole heap; on the
+    change ``process_main`` froze it first, so every verb's exit falls
+    and the seven together take less than half as long.  Those are the
+    first two rows that carry the stamp, in the series of every row
+    before them."""
+    (ledger,) = [path for path in LEDGERS if path.name == "BENCH_startup.json"]
+    history = json.loads(ledger.read_text())
+    rows = [
+        row for row in history
+        if "exit_s" in row["measurements"]["commands"]["cli.list"]
+    ][:2]
+    sides = {
+        row["measurements"]["source"]: row["measurements"]["commands"]
+        for row in rows
+    }
+    assert len(rows) == 2 and set(sides) == {"parent", "change"}
+    assert {row["series"] for row in rows} == {history[0]["series"]}
+    parent, change = sides["parent"], sides["change"]
+    verbs = [name for name in parent if name.startswith("cli.")]
+    assert len(verbs) == 7
+    for verb in verbs:
+        assert 0 < change[verb]["exit_s"] < parent[verb]["exit_s"], verb
+    assert 2 * sum(change[verb]["exit_s"] for verb in verbs) <= sum(
+        parent[verb]["exit_s"] for verb in verbs
+    )
+
+
 def test_the_slotted_stream_record_rows_are_a_parent_and_a_change_row():
     """The ``generator_rates.poisson-stream`` rows of slotted events built
     by column.  Each side is the fastest of seven generations in a fresh

@@ -11,12 +11,18 @@ of the layers those verbs do import (DESIGN.md, "Import layering").
 A CLI process also starts one BLAS thread, not one per CPU: its entry
 sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads, unless the user
 chose a count, and ``import repro`` and ``main()`` leave the
-environment alone.
+environment alone.  When the verb returns, the entry freezes the heap
+(``gc.freeze()``), so the interpreter's teardown collections skip it;
+``main()`` never freezes a caller's heap, and exit still joins threads,
+runs ``atexit`` handlers and flushes what the verb wrote.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
+import gc
+import io
 import json
 import os
 import subprocess
@@ -28,6 +34,7 @@ import pytest
 from repro import api
 from repro.analysis.baselines import BaselineManager
 from repro.analysis.store import spec_fingerprint
+from repro.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -180,6 +187,42 @@ def test_the_light_layers_do_not_import_numpy_at_module_level():
     )
 
 
+#: Prints every ``repro.*`` dataclass whose ``__doc__`` is the signature
+#: ``dataclass()`` generated, once everything under ``repro`` is imported.
+_UNDOCUMENTED_DATACLASSES = """
+import dataclasses, gc, importlib, json, pkgutil
+import repro
+for info in pkgutil.walk_packages(repro.__path__, "repro."):
+    importlib.import_module(info.name)
+print(json.dumps(sorted(
+    f"{cls.__module__}.{cls.__qualname__}"
+    for cls in gc.get_objects()
+    if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+    and cls.__module__.startswith("repro.")
+    and cls.__doc__.startswith(cls.__name__ + "(")
+)))
+"""
+
+
+def test_every_dataclass_has_its_own_docstring():
+    """A dataclass without a docstring gets one built with
+    ``inspect.signature`` each time its module is imported (about
+    0.3 ms a class, paid by every process that imports it)."""
+
+    @dataclasses.dataclass(frozen=True)
+    class Undocumented:
+        name: str
+
+    assert Undocumented.__doc__.startswith("Undocumented(")
+    completed = subprocess.run(
+        [sys.executable, "-c", _UNDOCUMENTED_DATACLASSES],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert json.loads(completed.stdout) == []
+
+
 # --- One BLAS thread per CLI process (DESIGN.md §3.16) ---------------------
 
 #: What OpenBLAS reads for its thread count (``repro.cli``).
@@ -187,10 +230,11 @@ BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_TH
 
 #: Appended to a program: its exit state, as JSON on the last stderr line.
 _REPORT = (
-    "\nimport json, os, sys\n"
+    "\nimport gc, json, os, sys\n"
     "print(json.dumps({'threads': len(os.listdir('/proc/self/task')), "
     "'numpy': 'numpy' in sys.modules, "
-    "'pin': os.environ.get('OPENBLAS_NUM_THREADS')}), file=sys.stderr)"
+    "'pin': os.environ.get('OPENBLAS_NUM_THREADS'), "
+    "'frozen': gc.get_freeze_count() > 0}), file=sys.stderr)"
 )
 
 #: ``run micro-wordcount --json`` through each door of a CLI process.
@@ -227,8 +271,8 @@ def _child_env(**variables: str) -> dict[str, str]:
 
 
 def _exit_state(program: str, **variables: str) -> dict:
-    """Threads, numpy and ``OPENBLAS_NUM_THREADS`` of a fresh interpreter
-    when ``program`` ends."""
+    """Threads, numpy, ``OPENBLAS_NUM_THREADS`` and whether the heap is
+    frozen, of a fresh interpreter when ``program`` ends."""
     completed = subprocess.run(
         [sys.executable, "-c", program + _REPORT], env=_child_env(**variables),
         capture_output=True, text=True, timeout=120,
@@ -247,14 +291,14 @@ class TestOneBlasThread:
     @pytest.mark.parametrize("entry", _ENTRIES)
     def test_a_cli_process_ends_with_one_thread(self, entry):
         state = _exit_state(_ENTRIES[entry])
-        assert state == {"threads": 1, "numpy": True, "pin": "1"}
+        assert state == {"threads": 1, "numpy": True, "pin": "1", "frozen": True}
 
     def test_without_the_entry_openblas_starts_a_thread_per_cpu(self):
         """The control: ``main`` alone does not pin, and OpenBLAS then
         starts more than one thread wherever there is more than one CPU."""
         program = _ENTRIES["console script"].replace("process_main", "main")
         state = _exit_state(program)
-        assert state["numpy"] and state["pin"] is None
+        assert state["numpy"] and state["pin"] is None and not state["frozen"]
         assert (state["threads"] > 1) == (_cpus() > 1)
 
     @pytest.mark.parametrize("variable", BLAS_THREAD_VARIABLES)
@@ -292,6 +336,50 @@ class TestOneBlasThread:
         )
         state = _exit_state(program)
         assert state["numpy"] and state["pin"] is None
+        assert not state["frozen"]
+
+
+def test_main_in_process_leaves_the_heap_unfrozen():
+    """A library caller's heap is never frozen: only the process entry
+    freezes, and only on its way out."""
+    before = gc.get_freeze_count()
+    for argv in (["list"], ["run", "micro-wordcount", "--volume", "20", "--json"]):
+        assert main(argv, out=io.StringIO()) == 0
+    assert gc.get_freeze_count() == before
+
+
+@linux_only
+@pytest.mark.parametrize("entry", _ENTRIES)
+def test_a_frozen_exit_still_does_its_work(entry, tmp_path):
+    """After the freeze, the interpreter still joins a non-daemon thread,
+    runs an ``atexit`` handler registered before the entry, and leaves
+    complete output: the ``--json`` document and the ``--trace-out``
+    file."""
+    trace = tmp_path / "trace.jsonl"
+    program = (
+        "import atexit, sys, threading, time\n"
+        "def late():\n"
+        "    time.sleep(0.2)\n"
+        "    print('thread joined', file=sys.stderr, flush=True)\n"
+        "threading.Thread(target=late).start()\n"
+        "atexit.register(print, 'atexit ran', file=sys.stderr)\n"
+        + _ENTRIES[entry].replace(
+            "'--json']", f"'--json', '--trace-out', {str(trace)!r}]"
+        )
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", program], env=_child_env(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr.splitlines()[-2:] == ["thread joined", "atexit ran"]
+    report = json.loads(completed.stdout)
+    assert report and all(result["engine"] for result in report)
+    spans = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [step["name"] for step in spans[0]["children"]] == [
+        "planning", "data-generation", "test-generation", "execution",
+        "analysis-evaluation",
+    ]
 
 
 #: ``learning-mlp`` (the one workload that calls BLAS), observed whole.

@@ -18,7 +18,11 @@ time stamp on stderr when the verb's ``SystemExit`` leaves the module;
 the row's ``exit_s`` is the median time from that stamp to the moment
 this process has reaped the child: what interpreter teardown costs the
 verb.  One more process per command reports how many ``repro.*``
-modules it ended with and whether numpy was loaded.  The result is
+modules it ended with, whether numpy was loaded, and how many method
+sources ``dataclasses`` compiled (``dataclass_compiles``: ``compile``
+audit events of ``def __create_fn__`` source; the processes before it
+share its cache home, so ``repro._bytecode``'s method table is warm by
+then).  The result is
 appended to ``BENCH_startup.json`` through
 :func:`_history.append_history`.
 
@@ -73,12 +77,26 @@ REPEATS = 9
 #: What the pytest entry point (CI's ledger-smoke step) runs.
 SMOKE_REPEATS = 2
 
-#: Appended to a ``-c`` program: what the process had loaded at its end.
+#: Put before a ``-c`` program: counts the method sources ``dataclasses``
+#: compiles in the process (``exec`` of a string raises the event too).
+_COUNT_METHOD_COMPILES = (
+    "import sys\n"
+    "_method_compiles = [0]\n"
+    "def _count_method_compiles(event, args):\n"
+    "    if event == 'compile' and isinstance(args[0], (str, bytes)) and (\n"
+    "            args[0][:17] in ('def __create_fn__', b'def __create_fn__')):\n"
+    "        _method_compiles[0] += 1\n"
+    "sys.addaudithook(_count_method_compiles)\n"
+)
+
+#: Appended to a ``-c`` program: what the process had loaded at its end,
+#: and how many dataclass methods it compiled.
 _FOOTPRINT = (
     "\nimport json, sys\n"
     "print(json.dumps({'repro_modules': sum(m == 'repro' or "
     "m.startswith('repro.') for m in sys.modules), "
-    "'numpy': 'numpy' in sys.modules}), file=sys.stderr)"
+    "'numpy': 'numpy' in sys.modules, "
+    "'dataclass_compiles': _method_compiles[0]}), file=sys.stderr)"
 )
 
 #: ``python -m repro.cli``, stamping ``time.time()`` on stderr as the
@@ -191,7 +209,9 @@ def _measure(
         f"main({_cli_argv(name, template, scratch)!r}, "
         "out=open(os.devnull, 'w'))"
     )
-    probe = run_child(src, ["-c", program + _FOOTPRINT])
+    probe = run_child(
+        src, ["-c", _COUNT_METHOD_COMPILES + program + _FOOTPRINT]
+    )
     return {**walls, **json.loads(probe.stderr.strip().splitlines()[-1])}
 
 
@@ -265,14 +285,14 @@ def record_startup(
     rows, without_bytecode = measure_startup(src, repeats)
     print(
         f"\n{'command':16s} {'min s':>8s} {'q1 s':>8s} {'cpu q1 s':>8s} "
-        f"{'exit ms':>8s} {'repro.*':>8s} numpy"
+        f"{'exit ms':>8s} {'repro.*':>8s} {'dc comp':>8s} numpy"
     )
     for name, row in rows.items():
         exit_ms = f"{row['exit_s'] * 1e3:8.1f}" if "exit_s" in row else f"{'':8s}"
         print(
             f"{name:16s} {row['wall_min_s']:8.3f} {row['wall_q1_s']:8.3f} "
             f"{row['cpu_q1_s']:8.3f} {exit_ms} {row['repro_modules']:8d} "
-            f"{'yes' if row['numpy'] else 'no'}"
+            f"{row['dataclass_compiles']:8d} {'yes' if row['numpy'] else 'no'}"
         )
     print(
         f"\n{'q1 s':16s} {'warm':>8s} {'repro':>8s} {'cache 1st':>9s} "
@@ -310,6 +330,8 @@ def test_startup_ledger():
                  "cli.jobs-list"):
         assert not rows[name]["numpy"], name
         assert rows[name]["repro_modules"] <= 30, name
+    # A verb's process after the first compiles no dataclass method.
+    assert all(rows[name]["dataclass_compiles"] == 0 for name in CLI_VERBS)
     # Every verb stamped its exit, and only the verbs did.
     assert all(rows[name]["exit_s"] > 0 for name in CLI_VERBS)
     assert not any("exit_s" in rows[name] for name in PROGRAMS)

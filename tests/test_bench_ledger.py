@@ -272,6 +272,37 @@ def test_the_exit_rows_are_a_parent_and_a_change_row():
     )
 
 
+def test_the_dataclass_method_rows_are_a_parent_and_a_change_row():
+    """The start-up rows that carry ``dataclass_compiles``
+    (``bench_startup.py``): the method sources ``dataclasses`` compiled
+    in each command's footprint process, which runs after the timed
+    processes of its command have used the same cache home.  On the
+    parent every verb compiled its classes' methods again; on the change
+    ``repro._bytecode``'s method table served every one of them, in each
+    verb and in ``first-result``.  Those are the first two rows that
+    carry the count, in the series of every row before them."""
+    (ledger,) = [path for path in LEDGERS if path.name == "BENCH_startup.json"]
+    history = json.loads(ledger.read_text())
+    rows = [
+        row for row in history
+        if "dataclass_compiles" in row["measurements"]["commands"]["cli.list"]
+    ][:2]
+    sides = {
+        row["measurements"]["source"]: row["measurements"]["commands"]
+        for row in rows
+    }
+    assert len(rows) == 2 and set(sides) == {"parent", "change"}
+    assert {row["series"] for row in rows} == {history[0]["series"]}
+    parent, change = sides["parent"], sides["change"]
+    verbs = [name for name in parent if name.startswith("cli.")]
+    assert len(verbs) == 7
+    for verb in verbs:
+        assert parent[verb]["dataclass_compiles"] > 0, verb
+        assert change[verb]["dataclass_compiles"] == 0, verb
+    assert parent["first-result"]["dataclass_compiles"] > 0
+    assert change["first-result"]["dataclass_compiles"] == 0
+
+
 def test_the_slotted_stream_record_rows_are_a_parent_and_a_change_row():
     """The ``generator_rates.poisson-stream`` rows of slotted events built
     by column.  Each side is the fastest of seven generations in a fresh

@@ -109,6 +109,8 @@ def store(tmp_path_factory) -> str:
 def test_import_repro_loads_the_tables_only():
     loaded = _loaded_after("import repro")
     assert not _heavy(loaded)
+    # The dataclass method table waits for ``dataclasses`` to be imported.
+    assert "dataclasses" not in loaded
     assert {m for m in loaded if m.startswith("repro")} == {
         "repro", "repro._bytecode", "repro._lazy", "repro.bootstrap", "repro.core",
         "repro.core.errors", "repro.core.registry",

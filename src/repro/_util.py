@@ -10,7 +10,7 @@ import os
 import threading
 import types
 from collections import deque
-from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from itertools import islice, repeat
 from typing import Any, TypeVar
@@ -102,27 +102,6 @@ def build_by_column(cls: type[T], *columns: Sequence[Any]) -> list[T]:
     for setter, column in zip(setters, columns):
         deque(map(setter, records, column), maxlen=0)
     return records
-
-
-@contextmanager
-def single_flight(
-    guard: threading.Lock, flights: dict[Hashable, threading.Lock], key: Hashable
-) -> Iterator[None]:
-    """Hold ``key``'s lock from ``flights``: one producer per key at a time.
-
-    ``guard`` protects the ``flights`` table itself.  The key's lock is
-    retired even when the block raises, or every later caller of that
-    key would wait on a dead flight.  Callers re-check their cache
-    inside the block: whoever held the flight before may have filled it.
-    """
-    with guard:
-        flight = flights.setdefault(key, threading.Lock())
-    with flight:
-        try:
-            yield
-        finally:
-            with guard:
-                flights.pop(key, None)
 
 
 def chunked(items: Sequence[T], num_chunks: int) -> list[Sequence[T]]:

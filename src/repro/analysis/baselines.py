@@ -5,12 +5,20 @@ A *baseline* is a recorded run promoted under a name ("main",
 live in a small JSON map next to the run store's JSONL file; promoting
 never copies the record — the name is a pointer, the record stays
 immutable in the store.
+
+Writers take turns under an ``flock`` on ``baselines.lock``, a file that
+is never replaced, and ``os.replace`` the map whole: no promotion is
+lost, and a reader (no lock) sees the old map or the new, never a torn one.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+import os
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,6 +57,7 @@ class BaselineManager:
     """Promote, list, and resolve named baselines for one run store."""
 
     FILENAME = "baselines.json"
+    LOCKNAME = "baselines.lock"
 
     def __init__(self, store: RunStore) -> None:
         self.store = store
@@ -70,16 +79,19 @@ class BaselineManager:
             name: Baseline.from_dict(entry) for name, entry in payload.items()
         }
 
-    def _save(self, baselines: dict[str, Baseline]) -> None:
+    @contextmanager
+    def _editing(self) -> Iterator[dict[str, Baseline]]:
+        """The map to change in the block, under the store's baselines
+        lock; written back atomically unless the block raises."""
         self.store.root.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(
-                {name: b.as_dict() for name, b in sorted(baselines.items())},
-                indent=2,
-            )
-            + "\n",
-            encoding="utf-8",
-        )
+        with open(self.store.root / self.LOCKNAME, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            baselines = self._load()
+            yield baselines
+            payload = {name: b.as_dict() for name, b in sorted(baselines.items())}
+            temporary = self.path.with_name(self.FILENAME + ".tmp")
+            temporary.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+            os.replace(temporary, self.path)
 
     # ------------------------------------------------------------------
 
@@ -105,9 +117,8 @@ class BaselineManager:
             series=record.series,
             promoted_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         )
-        baselines = self._load()
-        baselines[name] = baseline
-        self._save(baselines)
+        with self._editing() as baselines:
+            baselines[name] = baseline
         return baseline
 
     def all(self) -> dict[str, Baseline]:
@@ -127,8 +138,7 @@ class BaselineManager:
         return self.store.get(self.get(name).record_id)
 
     def remove(self, name: str) -> None:
-        baselines = self._load()
-        if name not in baselines:
-            raise AnalysisError(f"unknown baseline {name!r}")
-        del baselines[name]
-        self._save(baselines)
+        with self._editing() as baselines:
+            if name not in baselines:
+                raise AnalysisError(f"unknown baseline {name!r}")
+            del baselines[name]

@@ -60,7 +60,7 @@ def _shared_flags() -> argparse.Namespace:
                         help="record outcomes into the persistent run "
                              "store")
     pool = argparse.ArgumentParser(add_help=False)
-    pool.add_argument("--executor", default="serial",
+    pool.add_argument("--executor", default=None,
                       choices=["serial", "thread", "process"],
                       help="fan-out backend for independent runs")
     pool.add_argument("--workers", type=int, default=None,
@@ -535,7 +535,7 @@ def _spec(args, record: bool, **fields):
         volume=args.volume,
         repeats=args.repeats,
         params=_parse_params(args.param),
-        executor=args.executor,
+        executor=args.executor or "serial",
         max_workers=args.workers,
         record=record,
         layout=args.layout,
@@ -1026,7 +1026,7 @@ def _ablate(args, out) -> int:
         seed=args.seed,
         params=_parse_params(args.param),
         layout=args.layout,
-        executor=args.executor,
+        executor=args.executor or "serial",
         max_workers=args.workers,
         chunk_size=args.chunk_size,
         include_one_offs=not args.no_one_offs,
@@ -1092,19 +1092,13 @@ def _serve(args, out) -> int:
         payloads = [payloads]
     specs = [BenchmarkSpec.from_dict(payload) for payload in payloads]
     # The shared flags act as batch-wide overrides on top of whatever
-    # each payload says (the executor default can't be distinguished
-    # from an explicit "serial", so only a non-default value overrides).
-    overrides = {}
+    # each payload says, whenever they are given.
+    overrides = _given(args, "executor")
     if args.record:
         overrides["record"] = True
     if args.workers is not None:
         overrides["max_workers"] = args.workers
-    if args.executor != "serial":
-        overrides["executor"] = args.executor
-    if overrides:
-        specs = [
-            dataclasses.replace(spec, **overrides) for spec in specs
-        ]
+    specs = [dataclasses.replace(spec, **overrides) for spec in specs]
 
     def _echo(event) -> None:
         if not args.quiet:

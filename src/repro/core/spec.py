@@ -23,30 +23,9 @@ from repro.core.prescription import PrescriptionRepository
 #: version 2 added the explicit field; version 3 added the ``tuning``
 #: profile name (v2 payloads load as ``"normal"``); version 4 dropped
 #: ``warm_pool`` (the process backend has one path).  Bump this when a
-#: field is renamed or its meaning changes, and register a migration.
+#: field is renamed or its meaning changes, and add a migration to
+#: :data:`_SPEC_MIGRATIONS`.
 SPEC_VERSION = 4
-
-#: Migration hooks: ``version -> fn(payload) -> payload`` upgrading a
-#: serialized spec from ``version`` to ``version + 1``.
-_SPEC_MIGRATIONS: dict[int, Callable[[dict[str, Any]], dict[str, Any]]] = {}
-
-
-def register_spec_migration(
-    version: int, migrate: Callable[[dict[str, Any]], dict[str, Any]]
-) -> None:
-    """Register the payload migration from ``version`` to ``version + 1``.
-
-    :meth:`BenchmarkSpec.from_dict` chains registered migrations until
-    the payload reaches :data:`SPEC_VERSION`, so stored jobs and
-    recorded specs keep round-tripping across future schema changes.
-    Registering a version twice raises (a silent overwrite would make
-    stored-spec decoding depend on import order).
-    """
-    if version in _SPEC_MIGRATIONS:
-        raise SpecError(
-            f"a spec migration for version {version} is already registered"
-        )
-    _SPEC_MIGRATIONS[version] = migrate
 
 
 def _migrate_v1(payload: dict[str, Any]) -> dict[str, Any]:
@@ -65,9 +44,6 @@ def _migrate_v1(payload: dict[str, Any]) -> dict[str, Any]:
     return payload
 
 
-register_spec_migration(1, _migrate_v1)
-
-
 def _migrate_v2(payload: dict[str, Any]) -> dict[str, Any]:
     """Version 2 → 3: the pre-tuning schema.
 
@@ -78,9 +54,6 @@ def _migrate_v2(payload: dict[str, Any]) -> dict[str, Any]:
     payload = dict(payload)
     payload.setdefault("tuning", "normal")
     return payload
-
-
-register_spec_migration(2, _migrate_v2)
 
 
 def _migrate_v3(payload: dict[str, Any]) -> dict[str, Any]:
@@ -95,7 +68,14 @@ def _migrate_v3(payload: dict[str, Any]) -> dict[str, Any]:
     return payload
 
 
-register_spec_migration(3, _migrate_v3)
+#: ``version -> fn(payload) -> payload`` upgrading a serialized spec from
+#: ``version`` to ``version + 1``; :meth:`BenchmarkSpec.from_dict` chains
+#: them until the payload reaches :data:`SPEC_VERSION`.
+_SPEC_MIGRATIONS: dict[int, Callable[[dict[str, Any]], dict[str, Any]]] = {
+    1: _migrate_v1,
+    2: _migrate_v2,
+    3: _migrate_v3,
+}
 
 
 #: What a workload param may not be called: the named arguments on the
@@ -212,12 +192,11 @@ class BenchmarkSpec:
         """Rebuild a spec from a serialized payload of any known version.
 
         A payload without ``spec_version`` is the historical version-1
-        schema; older versions are upgraded through the registered
-        migration chain (see :func:`register_spec_migration`) before
-        construction, so job logs and exported specs written by earlier
-        releases keep loading.  Unknown keys that survive migration are
-        rejected — a typo'd field silently ignored would mean a spec
-        that runs the wrong benchmark.
+        schema; older versions are upgraded through the migration chain
+        (:data:`_SPEC_MIGRATIONS`) before construction, so job logs and
+        exported specs written by earlier releases keep loading.  Unknown
+        keys that survive migration are rejected — a typo'd field
+        silently ignored would mean a spec that runs the wrong benchmark.
         """
         payload = dict(payload)
         raw_version = payload.pop("spec_version", 1)
@@ -232,14 +211,10 @@ class BenchmarkSpec:
                 f"spec_version {version} is newer than this release "
                 f"understands (latest: {SPEC_VERSION})"
             )
-        while version < SPEC_VERSION:
-            migrate = _SPEC_MIGRATIONS.get(version)
-            if migrate is None:
-                raise SpecError(
-                    f"no migration registered from spec_version {version}"
-                )
-            payload = dict(migrate(payload))
-            version += 1
+        if version < 1:
+            raise SpecError(f"spec_version must be at least 1, got {version}")
+        for step in range(version, SPEC_VERSION):
+            payload = dict(_SPEC_MIGRATIONS[step](payload))
         known = {spec_field.name for spec_field in fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:

@@ -10,21 +10,22 @@ prescribe identical data can share one in-memory data set instead of
 regenerating it once per consumer (the BDGS scalable-generation
 requirement, applied to the single-host simulator).
 
-The cache is thread-safe: concurrent requests for the *same* key generate
-once and share the result, while distinct keys generate concurrently.
-Hit/miss counters are kept so run reports can surface how much generation
-work was avoided.
+One bounded, thread-safe, single-flight LRU (:class:`LruCache`) serves
+this cache and both tables of the fitted-model cache
+(:mod:`repro.datagen.models`): concurrent requests for the *same* key
+make the value once and share it, while distinct keys make theirs
+concurrently.  Hit/miss counters are kept so run reports can surface how
+much generation work was avoided.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Hashable, Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from repro._util import single_flight
 from repro.datagen.base import DataSet
 from repro.observability import current_tracer
 
@@ -79,7 +80,110 @@ class CacheStats:
         }
 
 
-class DatasetCache:
+class LruCache:
+    """At most ``capacity`` values by key, least recently used dropped first.
+
+    Thread-safe.  :meth:`get_or_make` is single-flight per key: one
+    caller makes a missing value while the others asking for that key
+    wait and then share it, and distinct keys are made concurrently.
+    ``hits`` and ``misses`` count lookups that found a value and values
+    made; a make that raises counts nothing and leaves no entry.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        self._lock = threading.Lock()
+        #: key → the lock its one maker holds while making it.
+        self._flights: dict[Hashable, threading.Lock] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key: Hashable) -> Any:
+        """The value for ``key`` (a hit, now the most recent), or None."""
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            return value
+
+    def get_or_make(
+        self, key: Hashable, make: Callable[[], Any]
+    ) -> tuple[Any, bool]:
+        """``(value, made)``: the cached value, or ``make()``'s, kept.
+
+        ``made`` is true for the one call that ran ``make``.  Whoever
+        held the key's flight before this call may have filled it, so
+        the lookup is repeated inside the flight.  The flight is retired
+        even when ``make`` raises, or every later caller of that key
+        would wait on a dead one.
+        """
+        value = self.get(key)
+        if value is not None:
+            return value, False
+        with self._lock:
+            flight = self._flights.setdefault(key, threading.Lock())
+        with flight:
+            try:
+                value = self.get(key)
+                made = value is None
+                if made:
+                    value = make()
+                    self.put(key, value)
+                    with self._lock:
+                        self.misses += 1
+                return value, made
+            finally:
+                with self._lock:
+                    self._flights.pop(key, None)
+
+    def put(self, key: Hashable, value: Any) -> None:
+        """Insert (or refresh) an entry, evicting the least recently used."""
+        with self._lock:
+            self._entries.pop(key, None)
+            self._entries[key] = value
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+
+    def peek(self, key: Hashable) -> Any:
+        """The cached entry, without touching counters or LRU order."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def clear(self) -> None:
+        """Drop every entry and reset the counters."""
+        with self._lock:
+            self._entries.clear()
+            self.hits = 0
+            self.misses = 0
+
+    def stats(self) -> CacheStats:
+        """A typed snapshot of the hit/miss counters for run reports."""
+        with self._lock:
+            return CacheStats(
+                hits=self.hits, misses=self.misses, entries=len(self._entries)
+            )
+
+    def after_fork(self) -> None:
+        """Make a forked child's copy usable: a new lock, no flights.
+
+        A lock or a flight held at fork time has no thread in the child
+        to release it; the entries and counters are kept.
+        """
+        self._lock = threading.Lock()
+        self._flights = {}
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, key: Hashable) -> bool:
+        with self._lock:
+            return key in self._entries
+
+
+class DatasetCache(LruCache):
     """An LRU cache of generated :class:`DataSet` objects.
 
     Entries are shared, not copied — callers must treat cached data sets
@@ -89,15 +193,7 @@ class DatasetCache:
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[CacheKey, DataSet] = OrderedDict()
-        self._lock = threading.Lock()
-        self._key_locks: dict[CacheKey, threading.Lock] = {}
-        self.hits = 0
-        self.misses = 0
-
-    # ------------------------------------------------------------------
-    # Keys
-    # ------------------------------------------------------------------
+        super().__init__(MAX_DATASETS)
 
     @staticmethod
     def make_key(
@@ -128,88 +224,13 @@ class DatasetCache:
             frozen_params,
         )
 
-    # ------------------------------------------------------------------
-    # Access
-    # ------------------------------------------------------------------
-
     def get_or_generate(
         self, key: CacheKey, factory: Callable[[], DataSet]
     ) -> DataSet:
-        """Return the cached data set for ``key``, generating on miss.
+        """The cached data set for ``key``, generated once on a miss.
 
-        Concurrent callers with the same key block on a per-key lock so
-        the factory runs exactly once; callers with different keys
-        generate concurrently.
+        Counts ``cache.hits`` or ``cache.misses`` on the current tracer.
         """
-        dataset = self._lookup(key)
-        if dataset is not None:
-            return dataset
-        with single_flight(self._lock, self._key_locks, key):
-            dataset = self._lookup(key)
-            if dataset is not None:
-                return dataset
-            dataset = factory()
-            self.put(key, dataset, _count_miss=True)
-            current_tracer().count("cache.misses")
-            return dataset
-
-    def _lookup(self, key: CacheKey) -> DataSet | None:
-        """A hit, or None on miss."""
-        with self._lock:
-            dataset = self._entries.get(key)
-            if dataset is None:
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-        current_tracer().count("cache.hits")
+        dataset, made = self.get_or_make(key, factory)
+        current_tracer().count("cache.misses" if made else "cache.hits")
         return dataset
-
-    def put(
-        self, key: CacheKey, dataset: DataSet, _count_miss: bool = False
-    ) -> None:
-        """Insert (or refresh) an entry, evicting the least recently used."""
-        with self._lock:
-            if _count_miss:
-                self.misses += 1
-            self._entries.pop(key, None)
-            self._entries[key] = dataset
-            while len(self._entries) > MAX_DATASETS:
-                self._entries.popitem(last=False)
-
-    def peek(self, key: CacheKey) -> DataSet | None:
-        """The cached entry, without touching counters or LRU order."""
-        with self._lock:
-            return self._entries.get(key)
-
-    def clear(self) -> None:
-        """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._key_locks.clear()
-            self.hits = 0
-            self.misses = 0
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-
-    def stats(self) -> CacheStats:
-        """A typed snapshot of the hit/miss counters for run reports."""
-        with self._lock:
-            return CacheStats(
-                hits=self.hits, misses=self.misses, entries=len(self._entries)
-            )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"DatasetCache(entries={len(self)}, hits={self.hits}, "
-            f"misses={self.misses})"
-        )

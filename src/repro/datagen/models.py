@@ -39,15 +39,14 @@ import os
 import sys
 import threading
 import time
-from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from typing import Any
 
-from repro._util import single_flight
 from repro.core.prescription import load_seed
 from repro.datagen.base import DataGenerator, DataSet
+from repro.datagen.cache import LruCache
 from repro.observability import current_tracer, trace_span
 
 #: Fitted generators kept per cache; a model is kilobytes, and no run
@@ -173,26 +172,32 @@ class ModelCache:
 
     Thread-safe: concurrent requests for one key run one fit and share
     it, distinct keys fit concurrently.  ``hits`` and ``misses`` count
-    requests over the cache's life; :meth:`recording` reports the
-    requests of one thread inside one block.
+    requests for content-addressed models over the cache's life;
+    :meth:`recording` reports the requests of one thread inside one
+    block.
 
     Beside the models it keeps the measured size of each data set they
     generated, by the same content address (:meth:`dataset_bytes`).
+    Both tables are :class:`~repro.datagen.cache.LruCache` s.
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[tuple, DataGenerator] = OrderedDict()
+        self._models = LruCache(MAX_MODELS)
         #: (generator address, volume, partitions) → ``estimated_bytes()``.
-        self._sizes: OrderedDict[tuple, int] = OrderedDict()
-        self._lock = threading.Lock()
-        self._flights: dict[tuple, threading.Lock] = {}
+        self._sizes = LruCache(MAX_SIZES)
         #: source → (the data set digested, its digest); ``load_seed``
         #: returns one object per source and process, so identity tells
         #: whether the digest is still of the data a fit would see.
         self._seed_digests: dict[str, tuple[DataSet, str]] = {}
         self._recorder = threading.local()
-        self.hits = 0
-        self.misses = 0
+
+    @property
+    def hits(self) -> int:
+        return self._models.hits
+
+    @property
+    def misses(self) -> int:
+        return self._models.misses
 
     def fitted(
         self, generator: DataGenerator, source: str | None
@@ -211,17 +216,16 @@ class ModelCache:
         if key is None:
             self._fit(generator, source)
             return generator
-        cached = self._hit(key)
-        if cached is None:
-            with single_flight(self._lock, self._flights, key):
-                cached = self._hit(key)
-                if cached is None:
-                    self._fit(generator, source)
-                    with self._lock:
-                        self._entries[key] = copy.copy(generator)
-                        while len(self._entries) > MAX_MODELS:
-                            self._entries.popitem(last=False)
-                    return generator
+
+        def fit() -> DataGenerator:
+            self._fit(generator, source)
+            return copy.copy(generator)
+
+        cached, made = self._models.get_or_make(key, fit)
+        if made:
+            return generator
+        current_tracer().count("cache.model_hits")
+        self._record(ModelUse(source, "hit", 0.0))
         return copy.copy(cached)
 
     def address(
@@ -251,20 +255,11 @@ class ModelCache:
         measures the data set and keeps the integer, later ones read it
         back; ``None`` (no content address) measures every time.
         """
-        with self._lock:
-            nbytes = self._sizes.get(address)
-            if nbytes is not None:
-                self._sizes.move_to_end(address)
-        sizing = "known"
-        if nbytes is None:
-            sizing = "measured"
-            nbytes = dataset.estimated_bytes()
-            if address is not None:
-                with self._lock:
-                    self._sizes[address] = nbytes
-                    while len(self._sizes) > MAX_SIZES:
-                        self._sizes.popitem(last=False)
-        self._record(SizeUse(sizing, nbytes))
+        if address is None:
+            nbytes, made = dataset.estimated_bytes(), True
+        else:
+            nbytes, made = self._sizes.get_or_make(address, dataset.estimated_bytes)
+        self._record(SizeUse("measured" if made else "known", nbytes))
         return nbytes
 
     def _seed_digest(self, source: str) -> str:
@@ -274,25 +269,11 @@ class ModelCache:
             memo = self._seed_digests[source] = (dataset, content_digest(dataset))
         return memo[1]
 
-    def _hit(self, key: tuple) -> DataGenerator | None:
-        source = key[1]
-        with self._lock:
-            cached = self._entries.get(key)
-            if cached is None:
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-        current_tracer().count("cache.model_hits")
-        self._record(ModelUse(source, "hit", 0.0))
-        return cached
-
     def _fit(self, generator: DataGenerator, source: str) -> None:
         with trace_span("fit", source=source):
             started = time.perf_counter()
             generator.fit(load_seed(source))
             seconds = time.perf_counter() - started
-        with self._lock:
-            self.misses += 1
         current_tracer().count("cache.model_misses")
         self._record(ModelUse(source, "fitted", seconds))
 
@@ -321,31 +302,17 @@ class ModelCache:
 
     def clear(self) -> None:
         """Drop every entry and reset the counters."""
-        with self._lock:
-            self._entries.clear()
-            self._sizes.clear()
-            self._seed_digests.clear()
-            self.hits = 0
-            self.misses = 0
+        self._models.clear()
+        self._sizes.clear()
+        self._seed_digests.clear()
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def _after_fork(self) -> None:
-        # A forked worker inherits the entries and the sizes, not the
-        # flights: a fit in progress in the parent has no thread here to
-        # finish it.
-        self._lock = threading.Lock()
-        self._flights = {}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ModelCache(entries={len(self)}, hits={self.hits}, "
-            f"misses={self.misses})"
-        )
+        return len(self._models)
 
 
 #: The process-wide cache every fitting path uses unless handed another.
 PROCESS_MODELS = ModelCache()
-os.register_at_fork(after_in_child=PROCESS_MODELS._after_fork)
+# A forked worker inherits the entries and the sizes, not the flights: a
+# fit in progress in the parent has no thread there to finish it.
+os.register_at_fork(after_in_child=PROCESS_MODELS._models.after_fork)
+os.register_at_fork(after_in_child=PROCESS_MODELS._sizes.after_fork)

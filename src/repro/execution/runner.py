@@ -28,7 +28,6 @@ submission-order slot and lets the rest of the batch complete.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import pickle
 import time
 from dataclasses import dataclass, field, replace
@@ -83,9 +82,9 @@ TRACE_EXTRA_KEY = "trace"
 TRACE_SUMMARY_KEY = "trace_summary"
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunnerOptions:
-    """Execution policy for one runner."""
+    """Execution policy for one runner, fixed when the runner is built."""
 
     repeats: int = 1
     warmup_runs: int = 0
@@ -192,38 +191,27 @@ class TestRunner:
         test_generator: TestGenerator | None = None,
         options: RunnerOptions | None = None,
         suite: MetricSuite | None = None,
-        store: Any = None,
     ) -> None:
         self.test_generator = test_generator or TestGenerator()
-        self.options = options or RunnerOptions()
+        self._options = options or RunnerOptions()
         self.suite = suite or MetricSuite.standard()
-        #: Optional :class:`~repro.analysis.store.RunStore`: when set,
-        #: every ``run_many`` batch auto-records its outcomes through
-        #: :func:`record_outcomes` (the five-step process calls that at
-        #: its analysis step instead, so it leaves this unset).
-        self.store = store
         self._executor: ParallelExecutor | None = None
-        self._executor_key: tuple[str, int | None] | None = None
         self._worker_pool: WorkerPool | None = None
-        self._worker_pool_key: tuple[str, int | None] | None = None
 
     # ------------------------------------------------------------------
 
     @property
-    def executor(self) -> ParallelExecutor:
-        """The fan-out backend the options select (created lazily).
+    def options(self) -> RunnerOptions:
+        """The policy this runner was built with; another is another runner."""
+        return self._options
 
-        Mutating ``options.executor`` / ``options.max_workers`` after
-        the first access is honored: the cached executor is shut down
-        and re-resolved whenever the options no longer match it.
-        """
-        wanted = (self.options.executor, self.options.max_workers)
-        if self._executor is not None and self._executor_key != wanted:
-            self._executor.shutdown()
-            self._executor = None
+    @property
+    def executor(self) -> ParallelExecutor:
+        """The fan-out backend the options select (created lazily, once)."""
         if self._executor is None:
-            self._executor = resolve_executor(*wanted)
-            self._executor_key = wanted
+            self._executor = resolve_executor(
+                self.options.executor, self.options.max_workers
+            )
         return self._executor
 
     def close(self) -> None:
@@ -234,7 +222,6 @@ class TestRunner:
         if self._worker_pool is not None:
             self._worker_pool.shutdown()
             self._worker_pool = None
-            self._worker_pool_key = None
 
     def __enter__(self) -> "TestRunner":
         return self
@@ -434,14 +421,14 @@ class TestRunner:
     def run_many(self, tasks: list[RunTask]) -> list[RunOutcome]:
         """Run independent tasks on the configured executor backend.
 
-        Validate, pick a transport, graft, record.  Every transport
-        calls :meth:`run_task` once per task and returns the outcomes
-        in submission order, so every backend is a drop-in replacement
-        for the serial loop.  ``serial`` and ``thread`` map over this
-        runner in-process (sharing its dataset cache); ``process``
-        streams lightweight descriptors to a warm worker pool that is
-        kept alive across calls (see :mod:`repro.execution.workers`) and
-        that received this runner's data sets when it was created.
+        Pick a transport, graft.  Every transport calls :meth:`run_task`
+        once per task and returns the outcomes in submission order, so
+        every backend is a drop-in replacement for the serial loop.
+        ``serial`` and ``thread`` map over this runner in-process
+        (sharing its dataset cache); ``process`` streams lightweight
+        descriptors to a warm worker pool that is kept alive across
+        calls (see :mod:`repro.execution.workers`) and that received
+        this runner's data sets when it was created.
 
         The failure policy is the options': ``on_error`` selects
         abort/continue semantics, ``retries``/``retry_backoff`` give the
@@ -450,7 +437,8 @@ class TestRunner:
         exhausted its attempts — on all three backends.
 
         When tracing is active, the parent grafts every task's finished
-        span tree here in submission order.
+        span tree here in submission order.  Nothing is recorded here: a
+        door that records passes the outcomes to :func:`record_outcomes`.
 
         The cyclic garbage collector is paused for the batch
         (:func:`repro._util.collector_paused`, DESIGN §3.21); a process
@@ -484,8 +472,6 @@ class TestRunner:
                 outcomes = self.executor.map(in_process, enumerate(tasks))
             if tracer.enabled:
                 self._graft_task_traces(tracer, outcomes)
-            if self.store is not None:
-                record_outcomes(self.store, tasks, outcomes, self.options)
         return outcomes
 
     @staticmethod
@@ -554,15 +540,14 @@ class TestRunner:
     # Process-backend plumbing
     # ------------------------------------------------------------------
 
-    def _worker_init(self) -> tuple[WorkerInit, str]:
-        """The pool initializer for the current runner state, plus its
-        content digest (the pool-identity half of the invalidation key).
+    def _worker_init(self) -> WorkerInit:
+        """The pool initializer: this runner's options scalars and suite.
 
         An unpicklable suite degrades to the standard suite in the
         worker.  Engine configurations are not pool state: they travel
         on each task.
         """
-        init = WorkerInit(
+        return WorkerInit(
             options={
                 "repeats": self.options.repeats,
                 "warmup_runs": self.options.warmup_runs,
@@ -571,25 +556,16 @@ class TestRunner:
             },
             suite=self.suite if _picklable(self.suite) else None,
         )
-        return init, hashlib.sha256(pickle.dumps(init)).hexdigest()
 
     def _ensure_worker_pool(self) -> WorkerPool:
-        """The warm pool matching current options (rebuilt when stale).
+        """The runner's warm pool, built at its first process batch.
 
-        The key pairs the initializer digest (options scalars, suite)
-        with ``max_workers``: mutating any of them between ``run_many``
-        calls shuts the old pool down and builds a fresh one, exactly
-        like the ``executor`` property's behavior.
+        Options are fixed when the runner is built, so the pool never
+        goes stale: it lives until :meth:`close`.
         """
-        init, digest = self._worker_init()
-        key = (digest, self.options.max_workers)
-        if self._worker_pool is not None and self._worker_pool_key != key:
-            self._worker_pool.shutdown()
-            self._worker_pool = None
         if self._worker_pool is None:
             max_workers = self.options.max_workers or default_max_workers()
-            self._worker_pool = WorkerPool(init, max_workers)
-            self._worker_pool_key = key
+            self._worker_pool = WorkerPool(self._worker_init(), max_workers)
         return self._worker_pool
 
     def _run_on_worker_pool(
@@ -715,8 +691,8 @@ def record_outcomes(
 
     The one place a series key is built: each fingerprint comes from
     the task's own request (its ``series`` annotation included) plus the
-    runner options, so the same request recorded by a runner-attached
-    store, the five-step process or the service lands in one series.
+    runner options, so the same request recorded by the five-step
+    process, the service or an ablation lands in one series.
     Returns the new :class:`~repro.analysis.store.RunRecord` s.
     """
     from repro.analysis.store import environment_fingerprint, spec_fingerprint

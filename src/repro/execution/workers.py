@@ -27,8 +27,8 @@ This module keeps the pool — and everything expensive in it — **warm**:
   task the pool sends it.
 * The pool itself outlives ``run_many``: :class:`WorkerPool` is cached
   on the runner and reused batch after batch (``pool_batch`` on each
-  task span counts the reuse), invalidated only when the options or
-  suite it was initialized with change.
+  task span counts the reuse) until the runner closes: a runner's
+  options are fixed when it is built, so its pool never goes stale.
 
 Batches are submitted with a computed :func:`compute_chunksize`, so a
 sweep of many small tasks costs a few pipe round-trips, not one per

@@ -12,7 +12,7 @@ service in front of it:
   ``retry_after`` resubmission hints);
 * :mod:`repro.service.orchestrator` — scheduler threads draining the
   queue through warm per-scheduler :class:`TestRunner` instances,
-  auto-recording into the :class:`RunStore`, streaming
+  recording into the :class:`RunStore` through ``record_outcomes``, streaming
   :class:`JobEvent` transitions, and tracing per-job spans with
   queue-depth counters;
 * :mod:`repro.service.client` — the in-process :class:`ServiceClient`

@@ -5,9 +5,10 @@ Turns the runner into a worker: a pool of scheduler threads drains the
 through the existing :class:`~repro.execution.runner.TestRunner`
 (per-scheduler runners are kept warm across jobs, so the process
 backend's worker pools amortize exactly as they do under ``run_many``),
-auto-records outcomes into the :class:`~repro.analysis.store.RunStore`
-when the spec asks, and appends every lifecycle transition to the
-append-only job log next to the store.
+records outcomes into the :class:`~repro.analysis.store.RunStore` through
+:func:`~repro.execution.runner.record_outcomes` when the spec asks, and
+appends every lifecycle transition to the append-only job log next to
+the store.
 
 Observability: each job executes under a ``job`` span on the
 orchestrator's tracer — queue-wait seconds, priority, and a
@@ -388,20 +389,22 @@ class Orchestrator:
 
         The spec is resolved by the same
         :func:`~repro.execution.plan.resolve` the direct five-step
-        process uses, so engines, metrics and series keys match it; the
-        run store is attached when the spec records.  The runner (and
+        process uses, so engines, metrics and series keys match it; when
+        the spec records, its outcomes go through the same
+        :func:`~repro.execution.runner.record_outcomes`.  The runner (and
         its warm process pool, dataset cache, and executor) persists on
         this scheduler thread across jobs with equal runner options.
         """
         from repro.analysis.store import RunStore
         from repro.execution.plan import resolve
+        from repro.execution.runner import record_outcomes
 
         plan = resolve(spec, self.repository, store_dir=self.store_dir)
-        runner = self._runner_for(plan.options)
-        runner.store = (
-            RunStore(plan.store_dir) if plan.store_dir is not None else None
-        )
-        return runner.run_many(plan.tasks)
+        outcomes = self._runner_for(plan.options).run_many(plan.tasks)
+        if plan.store_dir is not None:
+            store = RunStore(plan.store_dir)
+            record_outcomes(store, plan.tasks, outcomes, plan.options)
+        return outcomes
 
     def _runner_for(self, options: Any):
         """This scheduler thread's runner for ``options``.

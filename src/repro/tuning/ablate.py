@@ -416,7 +416,7 @@ def _run_cells(
     from repro.analysis.store import RunStore
     from repro.core.test_generator import TestGenerator
     from repro.execution.plan import resolve
-    from repro.execution.runner import TestRunner
+    from repro.execution.runner import TestRunner, record_outcomes
 
     if not cells:
         return
@@ -433,12 +433,11 @@ def _run_cells(
     runner = TestRunner(
         test_generator=TestGenerator(repository),
         options=replace(plans[0].options, warmup_runs=warmup),
-        store=RunStore(plans[0].store_dir),
     )
+    tasks = [task for plan in plans for task in plan.tasks]
     with runner:
-        outcomes = runner.run_many(
-            [task for plan in plans for task in plan.tasks]
-        )
+        outcomes = runner.run_many(tasks)
+    record_outcomes(RunStore(plans[0].store_dir), tasks, outcomes, runner.options)
     for cell, outcome in zip(cells, outcomes):
         cell.outcome = outcome
 

@@ -11,11 +11,7 @@ from repro.core.errors import MetricError, SpecError
 from repro.core.prescription import builtin_repository
 from repro.core.results import MetricStats, ResultAnalyzer, RunResult
 from repro.core import spec as spec_module
-from repro.core.spec import (
-    SPEC_VERSION,
-    BenchmarkSpec,
-    register_spec_migration,
-)
+from repro.core.spec import SPEC_VERSION, BenchmarkSpec
 from repro.engines.base import CostCounters
 from repro.workloads.base import WorkloadResult
 
@@ -163,9 +159,8 @@ class TestSpecVersioning:
         with pytest.raises(SpecError, match="missing 'prescription'"):
             BenchmarkSpec.from_dict({"spec_version": SPEC_VERSION})
 
-    def test_duplicate_migration_registration_rejected(self):
-        with pytest.raises(SpecError, match="already registered"):
-            register_spec_migration(1, lambda payload: payload)
+    def test_every_older_version_has_one_migration(self):
+        assert sorted(spec_module._SPEC_MIGRATIONS) == list(range(1, SPEC_VERSION))
 
 
 class TestWarmPoolFieldRemoved:

@@ -1,15 +1,19 @@
-"""Tests for the deterministic dataset cache."""
+"""Tests for the deterministic dataset cache and the LRU under both caches."""
 
 from __future__ import annotations
 
+import os
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.core.test_generator import TestGenerator
 from repro.datagen import cache as cache_module
 from repro.datagen.base import DataSet, DataType
-from repro.datagen.cache import CacheStats, DatasetCache
+from repro.datagen.cache import CacheStats, DatasetCache, LruCache
+from repro.datagen.models import ModelCache
 from repro.execution.runner import TestRunner
 
 
@@ -111,7 +115,7 @@ class TestGetOrGenerate:
 
         with pytest.raises(RuntimeError):
             cache.get_or_generate(key, explode)
-        assert cache._key_locks == {}
+        assert cache._flights == {}
         # The key stays generatable: the next caller must not deadlock
         # or see a stale entry.
         assert cache.get_or_generate(key, _dataset).name == "d"
@@ -169,6 +173,137 @@ class TestGetOrGenerate:
         delta = cache.stats().since(before)
         assert delta == CacheStats(hits=2, misses=0, entries=1)
         assert delta.hit_rate == 1.0
+
+
+@pytest.fixture(params=["datasets", "models", "sizes"])
+def table(request) -> LruCache:
+    """Each table the two generation caches keep, fresh."""
+    if request.param == "datasets":
+        return DatasetCache()
+    return getattr(ModelCache(), f"_{request.param}")
+
+
+class TestLruCache:
+    """The one bounded, single-flight LRU, as each cache holds it."""
+
+    def test_one_caller_makes_a_key_the_others_wait_and_share(self, table):
+        gate = threading.Event()
+        calls, values = [], []
+
+        def make():
+            gate.wait(timeout=5)
+            calls.append(1)
+            return object()
+
+        threads = [
+            threading.Thread(
+                target=lambda: values.append(table.get_or_make("k", make))
+            )
+            for _ in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        gate.set()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(calls) == 1 and len({id(value) for value, _ in values}) == 1
+        assert sorted(made for _, made in values) == [False, False, False, True]
+        assert (table.misses, table.hits) == (1, 3)
+        assert table._flights == {}
+
+    def test_many_threads_lose_no_update(self, table):
+        # More threads than cores, switching often: every request is
+        # either the one make of its key or a hit on it.
+        workers, rounds, keys = 8, 50, 3
+        errors = []
+
+        def ask(worker: int) -> None:
+            try:
+                for turn in range(rounds):
+                    key = (worker + turn) % keys
+                    value, _ = table.get_or_make(key, lambda: [key])
+                    assert value == [key]
+            except BaseException as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=ask, args=(worker,))
+                for worker in range(workers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert table.stats() == CacheStats(
+            hits=workers * rounds - keys, misses=keys, entries=keys
+        )
+        assert table._flights == {}
+
+    def test_a_raising_make_leaves_no_entry_no_flight_and_no_count(self, table):
+        def explode():
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            table.get_or_make("k", explode)
+        assert table._flights == {} and "k" not in table
+        assert table.stats() == CacheStats(hits=0, misses=0, entries=0)
+        assert table.get_or_make("k", lambda: 7) == (7, True)
+        assert table.get_or_make("k", explode) == (7, False)
+
+    def test_the_least_recently_used_entry_is_evicted(self, table):
+        table.capacity = 2
+        for key in "ab":
+            table.put(key, key.upper())
+        assert table.get("a") == "A"  # b is now the oldest
+        table.put("c", "C")
+        assert len(table) == 2 and "b" not in table
+        assert table.peek("a") == "A" and table.peek("c") == "C"
+
+    def test_a_forked_child_does_not_wait_for_a_parents_flight(self, table):
+        table.put("kept", 1)
+        started, go_on = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            go_on.wait(timeout=30)
+            return 2
+
+        thread = threading.Thread(target=lambda: table.get_or_make("k", slow))
+        thread.start()
+        try:
+            assert started.wait(timeout=10) and len(table._flights) == 1
+            with table._lock:
+                pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    table.after_fork()
+                    made = table.get_or_make("k", lambda: 3)
+                    status = 0 if (made, table.peek("kept")) == ((3, True), 1) else 2
+                finally:
+                    os._exit(status)
+            for _ in range(200):
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    break
+                time.sleep(0.05)
+            else:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on its parent's flight")
+            assert os.waitstatus_to_exitcode(status) == 0
+        finally:
+            go_on.set()
+            thread.join(timeout=30)
+        assert table.get_or_make("k", lambda: 3) == (2, False)
 
 
 class TestGeneratorIntegration:

@@ -173,7 +173,7 @@ class TestSingleFlight:
         monkeypatch.setattr(LdaModel, "fit", explode)
         with pytest.raises(RuntimeError, match="training failed"):
             cache.fitted(_lda(), "text-corpus")
-        assert len(cache) == 0 and cache._flights == {}
+        assert len(cache) == 0 and cache._models._flights == {}
         assert (cache.misses, cache.hits) == (0, 0)
         monkeypatch.setattr(LdaModel, "fit", original)
         assert cache.fitted(_lda(), "text-corpus").is_fitted
@@ -214,7 +214,7 @@ class TestSingleFlight:
         assert not errors
         assert cache.misses == seeds == len(cache)
         assert cache.hits + cache.misses == workers * rounds
-        assert cache._flights == {}
+        assert cache._models._flights == {}
 
 
 class TestContentAddress:
@@ -524,7 +524,7 @@ def test_a_forked_child_does_not_wait_for_the_parents_fit():
     thread.start()
     try:
         assert _Stalled.started.wait(timeout=10)
-        assert len(PROCESS_MODELS._flights) == 1
+        assert len(PROCESS_MODELS._models._flights) == 1
         pid = os.fork()
         if pid == 0:
             status = 1

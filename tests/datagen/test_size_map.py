@@ -195,7 +195,8 @@ class TestWhatIsKept:
     def test_integers_only(self):
         cache = ModelCache()
         _select(cache, WINDOW, 200)
-        ((address, nbytes),) = cache._sizes.items()
+        (address,) = cache._sizes._entries
+        nbytes = cache._sizes.peek(address)
         assert type(nbytes) is int
         digest, source, seed_digest, volume, partitions = address
         assert (type(digest), source, seed_digest) == (str, None, None)
@@ -261,15 +262,15 @@ class TestSharing:
         finally:
             sys.setswitchinterval(interval)
         assert answers == [expected] * 200
-        assert cache._sizes[address] == expected and len(cache._sizes) == 8
+        assert cache._sizes.peek(address) == expected and len(cache._sizes) == 8
 
     def test_a_forked_child_reads_the_parents_sizes_without_its_lock(self):
         # Forked pool workers inherit the process-wide map.  A lock held
         # at fork time (a scheduler thread mid-lookup) has no thread in
         # the child to release it.
         dataset, _ = _select(PROCESS_MODELS, WINDOW, 60)
-        (address,) = PROCESS_MODELS._sizes
-        with PROCESS_MODELS._lock:
+        (address,) = PROCESS_MODELS._sizes._entries
+        with PROCESS_MODELS._sizes._lock:
             pid = os.fork()
             if pid == 0:
                 status = 1

@@ -22,7 +22,7 @@ from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import TestGenerator
 from repro.engines.faults import FaultSpec, FaultyEngine, InjectedFault
 from repro.execution.config import SystemConfiguration
-from repro.execution.parallel import SerialExecutor, ThreadExecutor
+from repro.execution.parallel import ThreadExecutor
 from repro.execution.report import render_results
 from repro.execution.retry import (
     ON_ERROR_POLICIES,
@@ -223,25 +223,18 @@ class TestFaultToleranceOptions:
 
 
 class TestExecutorInvalidation:
-    def test_mutating_options_rebuilds_the_executor(self):
-        with TestRunner(options=RunnerOptions(executor="serial")) as runner:
-            assert isinstance(runner.executor, SerialExecutor)
-            runner.options.executor = "thread"
-            assert isinstance(runner.executor, ThreadExecutor)
-
-    def test_mutating_max_workers_rebuilds_the_executor(self):
-        with TestRunner(
-            options=RunnerOptions(executor="thread", max_workers=1)
-        ) as runner:
-            first = runner.executor
-            runner.options.max_workers = 2
-            second = runner.executor
-            assert second is not first
-            assert second.max_workers == 2
-
     def test_stable_options_keep_the_executor(self):
         with TestRunner() as runner:
             assert runner.executor is runner.executor
+
+    def test_options_are_fixed_when_the_runner_is_built(self):
+        with TestRunner(options=RunnerOptions(executor="thread")) as runner:
+            assert isinstance(runner.executor, ThreadExecutor)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                runner.options.executor = "serial"
+            with pytest.raises(AttributeError):
+                runner.options = RunnerOptions(executor="serial")
+            assert isinstance(runner.executor, ThreadExecutor)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +277,16 @@ class TestRetryLoop:
         assert "attempts" not in outcome.extra
 
     def test_replaced_options_apply_to_the_next_batch(self):
+        # Another policy is another runner over the same test generator.
         tasks = _tasks(["dbms"], fault=FaultSpec(fail_attempts=(0,)))
         with _runner("serial", retries=0) as runner:
             with pytest.raises(InjectedFault):
                 runner.run_many(tasks)
-            runner.options = dataclasses.replace(runner.options, retries=1)
-            (outcome,) = runner.run_many(tasks)
+        with TestRunner(
+            runner.test_generator,
+            dataclasses.replace(runner.options, retries=1),
+        ) as retrying:
+            (outcome,) = retrying.run_many(tasks)
         assert outcome.ok and outcome.extra["attempts"] == 2
 
     def test_timeout_failure_is_captured(self):

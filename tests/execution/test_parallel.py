@@ -224,7 +224,7 @@ class TestProcessPayloads:
 
     def test_picklable_suite_ships_by_value(self):
         runner = TestRunner(suite=_extended_suite())
-        init, _ = runner._worker_init()
+        init = runner._worker_init()
         assert init.suite is runner.suite
 
     def test_unpicklable_suite_falls_back_to_standard(self):
@@ -238,7 +238,7 @@ class TestProcessPayloads:
         with TestRunner(
             options=options, suite=MetricSuite([LocalMetric()])
         ) as runner:
-            init, _ = runner._worker_init()
+            init = runner._worker_init()
             assert init.suite is None
             results = runner.run_on_engines(PRESCRIPTION, ENGINES[:2], 60)
         # The workers computed the standard suite instead.

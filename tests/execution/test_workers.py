@@ -1,11 +1,11 @@
 """Tests for the warm process worker pool (``execution/workers.py``).
 
-Covers the pool's lifetime contract (reuse across ``run_many`` calls,
-invalidation when the options it was initialized from mutate, shutdown
-on ``close``), how workers get their data sets (the parent's, handed
-over when the pool is created; regenerated by each worker otherwise),
-payload-size observability on traced runs, and parity with the serial
-runner (the oracle) under the default and the ``spawn`` start method.
+Covers the pool's lifetime contract (built once per runner, reused
+across ``run_many`` calls, shut down on ``close``), how workers get
+their data sets (the parent's, handed over when the pool is created;
+regenerated by each worker otherwise), payload-size observability on
+traced runs, and parity with the serial runner (the oracle) under the
+default and the ``spawn`` start method.
 """
 
 from __future__ import annotations
@@ -73,24 +73,20 @@ class TestPoolLifetime:
             assert runner._worker_pool is pool
             assert pool.batches == 2
 
-    def test_pool_invalidated_when_options_mutate(self):
-        with _process_runner() as runner:
-            runner.run_many(SHARED_DATA_TASKS)
-            stale = runner._worker_pool
-            runner.options.repeats = 2
-            runner.run_many(SHARED_DATA_TASKS)
-            fresh = runner._worker_pool
-            assert fresh is not stale
-            assert fresh.batches == 1
+    def test_one_pool_per_runner_and_no_digest(self, monkeypatch):
+        from repro.execution import runner as runner_module
 
-    def test_pool_invalidated_when_max_workers_mutate(self):
-        with _process_runner(max_workers=2) as runner:
-            runner.run_many(SHARED_DATA_TASKS)
-            stale = runner._worker_pool
-            runner.options.max_workers = 1
-            runner.run_many(SHARED_DATA_TASKS)
-            assert runner._worker_pool is not stale
-            assert runner._worker_pool.max_workers == 1
+        assert not hasattr(runner_module, "hashlib")
+        with _process_runner() as runner:
+            built = []
+            original = runner._worker_init
+            monkeypatch.setattr(
+                runner, "_worker_init", lambda: built.append(1) or original()
+            )
+            for _ in range(3):
+                runner.run_many(SHARED_DATA_TASKS)
+            assert runner._worker_pool.batches == 3
+        assert built == [1]
 
     def test_close_releases_pool_and_exports(self):
         runner = _process_runner()

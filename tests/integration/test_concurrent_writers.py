@@ -1,8 +1,10 @@
-"""Concurrent writers on one store directory (DESIGN.md §3.18).
+"""Concurrent writers on one store directory (DESIGN.md §3.18, §3.10).
 
 Record ids come from the log's tail under an inter-process file lock, so
 any mix of processes, threads and ``RunStore`` objects appending to one
-``runs.jsonl`` gets distinct ids in file order and whole lines.
+``runs.jsonl`` gets distinct ids in file order and whole lines.  Baseline
+promotions take turns under a lock of their own and replace
+``baselines.json`` whole, so none is lost and no reader sees a torn map.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ import json
 import multiprocessing
 import sys
 import threading
+import time
 
+from repro.analysis.baselines import BaselineManager
 from repro.analysis.store import RunStore
 from repro.core.results import MetricStats, RunResult
 from repro.core.spec import BenchmarkSpec
@@ -159,3 +163,61 @@ def test_interleaved_sessions_replay_like_sessions_in_sequence(tmp_path):
         f"j{number:04d}": ("done", volume, [volume])
         for number, volume in enumerate(first + second, start=1)
     }
+
+
+# -- baselines promoted at once ----------------------------------------------
+
+PROMOTERS = 8
+PROMOTIONS = 10
+
+
+def _store_with_one_run(root) -> None:
+    result = RunResult(
+        test_name="baseline", workload="wordcount", engine="mapreduce",
+        repeats=1, metrics={"duration": MetricStats("duration", [1.0])},
+    )
+    RunStore(root).record_outcome(result, {"writer": 0}, ENVIRONMENT)
+
+
+def _promote_many(root, promoter: int, barrier) -> None:
+    manager = BaselineManager(RunStore(root))
+    barrier.wait(timeout=30)
+    for index in range(PROMOTIONS):
+        manager.promote("latest", f"b{promoter}-{index}")
+
+
+def _read_until_complete(root, barrier) -> None:
+    """Read the map without pause until every promotion is in it; a
+    torn file raises here and fails the process."""
+    manager = BaselineManager(RunStore(root))
+    barrier.wait(timeout=30)
+    deadline = time.monotonic() + 60
+    while len(manager.all()) < PROMOTERS * PROMOTIONS:
+        assert time.monotonic() < deadline, "a promotion never arrived"
+
+
+def test_processes_promoting_at_once_keep_every_baseline(tmp_path):
+    _store_with_one_run(tmp_path)
+    barrier = FORK.Barrier(PROMOTERS)
+    _run_processes(
+        (_promote_many, (tmp_path, promoter, barrier))
+        for promoter in range(PROMOTERS)
+    )
+    payload = json.loads((tmp_path / BaselineManager.FILENAME).read_text())
+    assert sorted(payload) == sorted(
+        f"b{promoter}-{index}"
+        for promoter in range(PROMOTERS) for index in range(PROMOTIONS)
+    )
+    assert {entry["record_id"] for entry in payload.values()} == {"r0001"}
+
+
+def test_a_reader_racing_the_promoters_never_sees_a_torn_file(tmp_path):
+    _store_with_one_run(tmp_path)
+    barrier = FORK.Barrier(PROMOTERS + 1)
+    _run_processes(
+        [(_read_until_complete, (tmp_path, barrier))]
+        + [
+            (_promote_many, (tmp_path, promoter, barrier))
+            for promoter in range(PROMOTERS)
+        ]
+    )

@@ -19,7 +19,7 @@ from repro.core.prescription import builtin_repository
 from repro.core.results import RunResult, TaskFailure
 from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import TestGenerator
-from repro.execution.runner import RunnerOptions, RunTask, TestRunner
+from repro.execution.runner import RunnerOptions, RunTask, TestRunner, record_outcomes
 from repro.observability import Tracer
 from repro.service import (
     AdmissionError,
@@ -56,10 +56,12 @@ class TestParityWithDirectRunner:
         try:
             from repro.analysis.store import RunStore
 
-            runner.store = RunStore(tmp_path / "direct")
             prescription = repository.get(spec.prescription)
-            direct_outcomes = runner.run_many(
-                [RunTask(prescription, "mapreduce", spec.volume, {})]
+            tasks = [RunTask(prescription, "mapreduce", spec.volume, {})]
+            direct_outcomes = runner.run_many(tasks)
+            record_outcomes(
+                RunStore(tmp_path / "direct"), tasks, direct_outcomes,
+                runner.options,
             )
         finally:
             runner.close()

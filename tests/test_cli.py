@@ -572,6 +572,22 @@ class TestServiceVerbs:
         assert code == 1
         assert "0/1 job(s) done" in output
 
+    def test_serve_records_the_executor_the_flag_names(self, tmp_path):
+        from repro.analysis.store import RunStore
+
+        store = tmp_path / "store"
+        spec_file = tmp_path / "thread.json"
+        spec_file.write_text(json.dumps(
+            {"prescription": "micro-wordcount", "engines": ["mapreduce"],
+             "volume": 30, "executor": "thread"}
+        ))
+        code, _ = run_cli(
+            "serve", "--spec-file", str(spec_file), "--quiet",
+            "--executor", "serial", "--record", "--store-dir", str(store),
+        )
+        assert code == 0
+        assert RunStore(store).latest().fingerprint["executor"] == "serial"
+
     def test_jobs_list_empty_store(self, tmp_path):
         code, output = run_cli(
             "jobs", "list", "--store-dir", str(tmp_path / "store")
@@ -909,6 +925,24 @@ class TestFlagScoping:
             True, "thread", 2
         )
         assert (spec.prescription, spec.volume) == ("micro-wordcount", 30)
+
+    @pytest.mark.parametrize(
+        ("flags", "executor"),
+        [([], "thread"), (["--executor", "serial"], "serial")],
+    )
+    def test_serve_executor_overrides_the_payload_when_given(
+        self, monkeypatch, tmp_path, flags, executor
+    ):
+        from repro.api import BenchmarkSpec
+
+        spec_file = tmp_path / "batch.json"
+        spec_file.write_text(json.dumps(
+            BenchmarkSpec("micro-wordcount", executor="thread").as_dict()
+        ))
+        seen = _stub_service(monkeypatch)
+        with pytest.raises(_Reached):
+            run_cli("serve", "--spec-file", str(spec_file), *flags)
+        assert seen["spec"].executor == executor
 
     def test_run_and_submit_build_the_same_spec(self, monkeypatch):
         """One spec builder: the flags the two verbs share yield equal

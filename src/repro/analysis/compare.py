@@ -292,8 +292,12 @@ def compare_samples(
         raise AnalysisError(
             f"metric {metric!r}: cannot compare empty sample lists"
         )
-    if tolerance < 0:
-        raise AnalysisError(f"tolerance must be non-negative, got {tolerance}")
+    if not 0 <= tolerance < math.inf:
+        raise AnalysisError(
+            f"tolerance must be finite and non-negative, got {tolerance}"
+        )
+    if not 0 < alpha < 1:
+        raise AnalysisError(f"alpha must be in (0, 1), got {alpha}")
     direction = direction or metric_direction(metric)
     if direction not in ("lower", "higher"):
         raise AnalysisError(

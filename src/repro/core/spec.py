@@ -8,12 +8,13 @@ eagerly so misconfiguration fails at the Planning step, not mid-run.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.core import registry
-from repro.core.errors import SpecError
+from repro.core.errors import ExecutionError, SpecError
 from repro.core.prescription import PrescriptionRepository
 
 #: The schema version :meth:`BenchmarkSpec.as_dict` stamps on every
@@ -249,43 +250,19 @@ class BenchmarkSpec:
             raise SpecError(
                 f"chunk_size must be positive, got {self.chunk_size}"
             )
-        if self.repeats <= 0:
-            raise SpecError(f"repeats must be positive, got {self.repeats}")
-        # Imported lazily: core.spec must not pull the execution package
-        # in at import time.
-        from repro.execution.parallel import EXECUTOR_BACKENDS
-        from repro.execution.retry import ON_ERROR_POLICIES
+        # The runner-policy fields are checked by the options they
+        # become.  Imported lazily: core.spec must not pull the
+        # execution package in at import time.
+        from repro.execution.plan import runner_options
 
-        if self.executor not in EXECUTOR_BACKENDS:
+        try:
+            runner_options(self)
+        except ExecutionError as error:
+            raise SpecError(str(error)) from None
+        latency = self.inject_latency
+        if latency is not None and not 0 <= latency < math.inf:
             raise SpecError(
-                f"unknown executor backend {self.executor!r}; "
-                f"available: {', '.join(EXECUTOR_BACKENDS)}"
-            )
-        if self.max_workers is not None and self.max_workers <= 0:
-            raise SpecError(
-                f"max_workers must be positive, got {self.max_workers}"
-            )
-        if self.on_error not in ON_ERROR_POLICIES:
-            raise SpecError(
-                f"unknown on_error policy {self.on_error!r}; "
-                f"available: {', '.join(ON_ERROR_POLICIES)}"
-            )
-        if self.retries < 0:
-            raise SpecError(
-                f"retries must be non-negative, got {self.retries}"
-            )
-        if self.retry_backoff < 0:
-            raise SpecError(
-                f"retry_backoff must be non-negative, got {self.retry_backoff}"
-            )
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise SpecError(
-                f"task_timeout must be positive, got {self.task_timeout}"
-            )
-        if self.inject_latency is not None and self.inject_latency < 0:
-            raise SpecError(
-                f"inject_latency must be non-negative, got "
-                f"{self.inject_latency}"
+                f"inject_latency must be finite and non-negative, got {latency}"
             )
         if self.layout not in ("row", "columnar"):
             raise SpecError(

@@ -38,7 +38,7 @@ from repro.engines.base import Engine, EngineInfo
 
 
 class InjectedFault(EngineError):
-    """The failure a fault-injecting wrapper raises (retryable)."""
+    """The failure a fault-injecting wrapper raises (retried like any other)."""
 
 
 @dataclass(frozen=True)

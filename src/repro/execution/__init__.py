@@ -23,7 +23,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "RunnerOptions", "RunOutcome", "RunTask", "TestRunner",
         ),
         "repro.execution.workers": (
-            "TaskDescriptor", "WorkerInit", "WorkerPool", "WorkerPoolError",
+            "TaskDescriptor", "WorkerPool", "WorkerPoolError",
         ),
     },
 )

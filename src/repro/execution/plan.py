@@ -25,7 +25,8 @@ The rules (DESIGN "spec → plan"):
    row/normal defaults so historical keys stay byte-identical).  What
    an engine reports having executed (``result.extra["layout"]``)
    never feeds the key.
-3. ``check_format`` is off: the spec was validated at planning.
+3. :func:`runner_options` is the one place a spec becomes
+   :class:`RunnerOptions`; ``check_format`` is off (validated already).
 4. Records are written in submission (task) order.
 """
 
@@ -70,6 +71,20 @@ def engine_configuration(
             if inject_latency
             else None
         ),
+    )
+
+
+def runner_options(spec: BenchmarkSpec) -> RunnerOptions:
+    """The runner policy ``spec`` asks for; ``spec.validate`` checks it here."""
+    return RunnerOptions(
+        repeats=spec.repeats,
+        check_format=False,
+        executor=spec.executor,
+        max_workers=spec.max_workers,
+        on_error=spec.on_error,
+        retries=spec.retries,
+        retry_backoff=spec.retry_backoff,
+        task_timeout=spec.task_timeout,
     )
 
 
@@ -129,16 +144,7 @@ def resolve(
     return ExecutionPlan(
         prescription=prescription,
         engines=engines,
-        options=RunnerOptions(
-            repeats=spec.repeats,
-            check_format=False,
-            executor=spec.executor,
-            max_workers=spec.max_workers,
-            on_error=spec.on_error,
-            retries=spec.retries,
-            retry_backoff=spec.retry_backoff,
-            task_timeout=spec.task_timeout,
-        ),
+        options=runner_options(spec),
         tasks=tuple(tasks),
         store_dir=(
             resolve_store_dir(spec.store_dir or store_dir)

@@ -38,33 +38,30 @@ class TaskTimeoutError(ExecutionError):
     """A task exceeded its per-task wall-clock budget and was abandoned."""
 
 
+#: Growth of the backoff from one failed attempt to the next.
+BACKOFF_FACTOR = 2.0
+#: Symmetric jitter fraction: a delay lands within ±10 % of its base.
+JITTER = 0.1
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Deterministic bounded-retry policy for one batch of tasks.
 
     ``max_attempts`` counts every try including the first; a policy with
     ``max_attempts=1`` never retries.  Backoff before attempt *n* (the
-    n-th being 2-based) grows exponentially from ``backoff_seconds`` by
-    ``backoff_factor`` and is clamped to ``max_backoff_seconds``.
+    n-th being 2-based) grows from ``backoff_seconds`` by
+    :data:`BACKOFF_FACTOR` and is clamped to ``max_backoff_seconds``.
 
     Jitter is *seeded*: the perturbation applied before a given attempt
-    of a given task is a pure function of ``(seed, task key, attempt)``,
-    so serial, thread, and process backends sleep the same schedule and
-    a rerun of the batch is bit-identical in its retry behavior.
-
-    ``retryable`` filters which exception types are worth another
-    attempt; anything else fails the task immediately (but is still
-    captured, not lost, under ``on_error="continue"``).
+    of a given task is a pure function of ``(task key, attempt)``, so
+    serial, thread, and process backends sleep the same schedule and a
+    rerun of the batch is bit-identical in its retry behavior.
     """
 
     max_attempts: int = 1
     backoff_seconds: float = 0.0
-    backoff_factor: float = 2.0
     max_backoff_seconds: float = 30.0
-    #: Symmetric jitter fraction (0.1 → ±10% of the base delay).
-    jitter: float = 0.1
-    seed: int = 0
-    retryable: tuple[type[BaseException], ...] = (Exception,)
 
     def __post_init__(self) -> None:
         if self.max_attempts <= 0:
@@ -76,38 +73,23 @@ class RetryPolicy:
                 f"backoff_seconds must be non-negative, got "
                 f"{self.backoff_seconds}"
             )
-        if self.backoff_factor < 1.0:
-            raise ExecutionError(
-                f"backoff_factor must be at least 1, got {self.backoff_factor}"
-            )
-        if not 0.0 <= self.jitter < 1.0:
-            raise ExecutionError(
-                f"jitter must be in [0, 1), got {self.jitter}"
-            )
-
-    def should_retry(self, error: BaseException, attempt: int) -> bool:
-        """Whether the ``attempt``-th try (1-based) deserves another."""
-        if attempt >= self.max_attempts:
-            return False
-        return isinstance(error, self.retryable)
 
     def delay(self, failed_attempt: int, key: str = "") -> float:
         """Seconds to wait after the ``failed_attempt``-th try (1-based).
 
-        Deterministic: the same ``(seed, key, failed_attempt)`` always
+        Deterministic: the same ``(key, failed_attempt)`` always
         produces the same delay, in any thread or process.
         """
         if self.backoff_seconds <= 0:
             return 0.0
-        base = self.backoff_seconds * self.backoff_factor ** (failed_attempt - 1)
+        base = self.backoff_seconds * BACKOFF_FACTOR ** (failed_attempt - 1)
         base = min(base, self.max_backoff_seconds)
-        if not self.jitter:
-            return base
         # random.Random seeds strings through SHA-512 (seeding version 2),
         # so the jitter stream is identical across processes regardless
-        # of PYTHONHASHSEED.
-        rng = random.Random(f"{self.seed}|{key}|{failed_attempt}")
-        return base * (1.0 + self.jitter * (2.0 * rng.random() - 1.0))
+        # of PYTHONHASHSEED.  The "0|" (a seed it once took) keeps every
+        # delay the one it always was.
+        rng = random.Random(f"0|{key}|{failed_attempt}")
+        return base * (1.0 + JITTER * (2.0 * rng.random() - 1.0))
 
 
 def call_with_timeout(

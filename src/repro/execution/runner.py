@@ -17,17 +17,19 @@ results in the same order as the serial path.
 
 Fan-out is fault tolerant.  Every task attempt runs under the options'
 :class:`~repro.execution.retry.RetryPolicy` (bounded attempts, seeded
-exponential backoff) and optional per-task timeout, uniformly on all
-three backends.  The ``on_error`` policy decides what a task that
-exhausts its attempts does to the batch: ``"abort"`` (the default)
-re-raises — the historical fail-fast semantics — while ``"continue"``
-captures a :class:`~repro.core.results.TaskFailure` in the task's
-submission-order slot and lets the rest of the batch complete.
+exponential backoff) and optional per-task timeout, on all three
+backends: a process worker's runner is built from the same options.
+The ``on_error`` policy decides what a task that exhausts its attempts
+does to the batch: ``"abort"`` (the default) re-raises — the historical
+fail-fast semantics — while ``"continue"`` captures a
+:class:`~repro.core.results.TaskFailure` in the task's submission-order
+slot and lets the rest of the batch complete.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import pickle
 import time
 from dataclasses import dataclass, field, replace
@@ -52,7 +54,6 @@ from repro.execution.parallel import (
 )
 from repro.execution.workers import (
     TaskDescriptor,
-    WorkerInit,
     WorkerPool,
     WorkerPoolError,
     shipped_prescription,
@@ -84,7 +85,8 @@ TRACE_SUMMARY_KEY = "trace_summary"
 
 @dataclass(frozen=True)
 class RunnerOptions:
-    """Execution policy for one runner, fixed when the runner is built."""
+    """Execution policy for one runner, fixed when the runner is built,
+    and the one place its values are checked (a spec's too)."""
 
     repeats: int = 1
     warmup_runs: int = 0
@@ -132,13 +134,16 @@ class RunnerOptions:
             raise ExecutionError(
                 f"retries must be non-negative, got {self.retries}"
             )
-        if self.retry_backoff < 0:
+        # NaN fails every comparison, so these range tests refuse it too.
+        if not 0 <= self.retry_backoff < math.inf:
             raise ExecutionError(
-                f"retry_backoff must be non-negative, got {self.retry_backoff}"
+                "retry_backoff must be finite and non-negative, "
+                f"got {self.retry_backoff}"
             )
-        if self.task_timeout is not None and self.task_timeout <= 0:
+        if self.task_timeout is not None and not 0 < self.task_timeout < math.inf:
             raise ExecutionError(
-                f"task_timeout must be positive, got {self.task_timeout}"
+                "task_timeout must be finite and positive, "
+                f"got {self.task_timeout}"
             )
 
     def retry_policy(self) -> RetryPolicy:
@@ -190,11 +195,10 @@ class TestRunner:
         self,
         test_generator: TestGenerator | None = None,
         options: RunnerOptions | None = None,
-        suite: MetricSuite | None = None,
     ) -> None:
         self.test_generator = test_generator or TestGenerator()
         self._options = options or RunnerOptions()
-        self.suite = suite or MetricSuite.standard()
+        self.suite = MetricSuite.standard()
         self._executor: ParallelExecutor | None = None
         self._worker_pool: WorkerPool | None = None
 
@@ -320,8 +324,6 @@ class TestRunner:
     def run_task(
         self,
         task: RunTask,
-        policy: RetryPolicy,
-        on_error: str,
         *,
         index: int = 0,
         trace: bool = False,
@@ -333,13 +335,13 @@ class TestRunner:
         thread) through :meth:`run_many`, process workers through
         :meth:`~repro.execution.workers.WorkerContext.run`.
 
-        Each attempt executes inside a :func:`fault_attempt` scope (so
-        injected faults key their seeded decisions on the task and the
-        attempt index — identically on every backend) and, when a
-        per-task timeout is configured, inside a wall-clock bound.  The
-        loop retries failures the policy deems retryable, sleeping its
-        deterministic backoff schedule; once attempts are exhausted the
-        ``on_error`` policy decides between re-raising (``abort``) and
+        Under this runner's options, each attempt executes inside a
+        :func:`fault_attempt` scope (so injected faults key their seeded
+        decisions on the task and the attempt index — identically on
+        every backend) and, when ``task_timeout`` is set, inside a
+        wall-clock bound.  The loop retries any failure while attempts
+        last, sleeping the deterministic backoff schedule; then
+        ``on_error`` decides between re-raising (``abort``) and
         returning a :class:`TaskFailure` (``continue``).
 
         With ``trace`` on, the task records into a task-local tracer
@@ -352,6 +354,7 @@ class TestRunner:
         prescription_name, workload_name = self._task_identity(task)
         task_key = f"{prescription_name}@{task.engine_name}"
         tracer = Tracer() if trace else NULL_TRACER
+        policy = self.options.retry_policy()
 
         def attempt_once(attempt: int) -> RunResult:
             with fault_attempt(task_key, attempt):
@@ -381,10 +384,10 @@ class TestRunner:
                         self.options.task_timeout,
                     )
                     break
-                except Exception as caught:  # noqa: BLE001 — policy-filtered
+                except Exception as caught:  # noqa: BLE001 — every failure retries
                     error = caught
                     tracer.count("task.failed_attempts")
-                    if not policy.should_retry(caught, attempts):
+                    if attempts >= policy.max_attempts:
                         break
                     tracer.count("task.retries")
                     delay = policy.delay(attempts, task_key)
@@ -403,7 +406,7 @@ class TestRunner:
                     status="failed",
                     error=type(error).__name__,
                 )
-                if on_error == "abort":
+                if self.options.on_error == "abort":
                     raise error
                 outcome = TaskFailure.from_exception(
                     test_name=task_key,
@@ -430,11 +433,12 @@ class TestRunner:
         calls (see :mod:`repro.execution.workers`) and that received
         this runner's data sets when it was created.
 
-        The failure policy is the options': ``on_error`` selects
-        abort/continue semantics, ``retries``/``retry_backoff`` give the
-        retry policy.  Under ``on_error="continue"`` the returned list
-        holds a :class:`TaskFailure` in the slot of every task that
-        exhausted its attempts — on all three backends.
+        The failure policy is the options', which :meth:`run_task`
+        applies: ``on_error`` selects abort/continue semantics,
+        ``retries``/``retry_backoff`` give the retry policy.  Under
+        ``on_error="continue"`` the returned list holds a
+        :class:`TaskFailure` in the slot of every task that exhausted
+        its attempts — on all three backends.
 
         When tracing is active, the parent grafts every task's finished
         span tree here in submission order.  Nothing is recorded here: a
@@ -445,14 +449,10 @@ class TestRunner:
         worker pauses its own per task.
         """
         tasks = list(tasks)
-        on_error = self.options.on_error
-        policy = self.options.retry_policy()
         tracer = current_tracer()
         with collector_paused():
             if self.options.executor == "process" and len(tasks) > 1:
-                outcomes = self._run_on_worker_pool(
-                    tasks, policy, on_error, tracer
-                )
+                outcomes = self._run_on_worker_pool(tasks, tracer)
             else:
                 submitted = time.perf_counter()
 
@@ -460,8 +460,6 @@ class TestRunner:
                     index, task = indexed
                     return self.run_task(
                         task,
-                        policy,
-                        on_error,
                         index=index,
                         trace=tracer.enabled,
                         queue_wait=max(0.0, time.perf_counter() - submitted),
@@ -540,46 +538,28 @@ class TestRunner:
     # Process-backend plumbing
     # ------------------------------------------------------------------
 
-    def _worker_init(self) -> WorkerInit:
-        """The pool initializer: this runner's options scalars and suite.
-
-        An unpicklable suite degrades to the standard suite in the
-        worker.  Engine configurations are not pool state: they travel
-        on each task.
-        """
-        return WorkerInit(
-            options={
-                "repeats": self.options.repeats,
-                "warmup_runs": self.options.warmup_runs,
-                "check_format": self.options.check_format,
-                "task_timeout": self.options.task_timeout,
-            },
-            suite=self.suite if _picklable(self.suite) else None,
-        )
-
     def _ensure_worker_pool(self) -> WorkerPool:
         """The runner's warm pool, built at its first process batch.
 
-        Options are fixed when the runner is built, so the pool never
-        goes stale: it lives until :meth:`close`.
+        Its workers' runners are built from this runner's options,
+        which are fixed, so the pool never goes stale: it lives until
+        :meth:`close`.  Engine configurations travel on each task.
         """
         if self._worker_pool is None:
-            max_workers = self.options.max_workers or default_max_workers()
-            self._worker_pool = WorkerPool(self._worker_init(), max_workers)
+            self._worker_pool = WorkerPool(
+                replace(self.options, executor="serial"),
+                self.options.max_workers or default_max_workers(),
+            )
         return self._worker_pool
 
     def _run_on_worker_pool(
-        self,
-        tasks: list[RunTask],
-        policy: RetryPolicy,
-        on_error: str,
-        tracer: Tracer,
+        self, tasks: list[RunTask], tracer: Tracer
     ) -> list[RunOutcome]:
         """The process transport: one descriptor per task to warm workers.
 
         A descriptor is the task itself (prescription in its shipped
-        form) plus what only the transport knows.  The policy ships by
-        value.  An engine configuration that cannot be pickled cannot
+        form) plus what only the transport knows; the policy is the
+        pool's.  An engine configuration that cannot be pickled cannot
         run on this backend at all and raises :class:`WorkerPoolError`.
         """
         unpicklable = sorted(
@@ -604,8 +584,6 @@ class TestRunner:
                 task=replace(
                     task, prescription=self._shipped_task_prescription(task)
                 ),
-                on_error=on_error,
-                retry_policy=policy,
                 task_index=index,
                 submitted_wall=submitted_wall,
                 trace=tracer.enabled,

@@ -10,11 +10,12 @@ the same deterministic data set N times.
 This module keeps the pool — and everything expensive in it — **warm**:
 
 * Each worker runs :func:`_initialize_worker` once, building a serial
-  :class:`~repro.execution.runner.TestRunner`, resolving the metric
-  suite, and putting the data sets the parent held when the pool was
-  created into its local :class:`~repro.datagen.cache.DatasetCache`.
-  They travel as the initializer's arguments: a forked worker inherits
-  them in memory, any other start method pickles them once per worker.
+  :class:`~repro.execution.runner.TestRunner` from the parent runner's
+  options (the whole policy, so no task carries any), and putting the
+  data sets the parent held when the pool was created into its local
+  :class:`~repro.datagen.cache.DatasetCache`.  Both travel as the
+  initializer's arguments: a forked worker inherits them in memory,
+  any other start method pickles them once per worker.
 * Tasks then arrive as :class:`TaskDescriptor` objects — the ``RunTask``
   with a prescription *name* when the worker can resolve it, and a
   handful of transport scalars — and run through the same
@@ -42,7 +43,7 @@ import os
 import time
 import weakref
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro._util import collector_paused
@@ -53,10 +54,10 @@ if TYPE_CHECKING:
     from concurrent.futures import ProcessPoolExecutor
 
     from repro.datagen.base import DataSet
+    from repro.execution.runner import RunnerOptions
 
 __all__ = [
     "TaskDescriptor",
-    "WorkerInit",
     "WorkerPool",
     "WorkerPoolError",
     "annotate_task_trace",
@@ -76,26 +77,11 @@ class WorkerPoolError(ExecutionError):
 
 
 @dataclass
-class WorkerInit:
-    """Everything a worker needs exactly once, pickled at pool spawn.
-
-    ``options`` holds the scalar :class:`RunnerOptions` kwargs for the
-    worker's serial runner (repeats, warmups, format checking, task
-    timeout); the retry and on-error policy travel per task instead.
-    """
-
-    options: dict[str, Any] = field(default_factory=dict)
-    #: The runner's metric suite (None → the worker builds the standard
-    #: suite, which is also what an unpicklable suite degrades to).
-    suite: Any = None
-
-
-@dataclass
 class TaskDescriptor:
     """One task on the warm path: the ``RunTask`` plus transport fields.
 
-    Deliberately tiny — the worker already holds the runner and suite,
-    and the records never travel with a task.
+    Deliberately tiny — the worker already holds the runner and its
+    options, and the records never travel with a task.
     ``task`` is the :class:`~repro.execution.runner.RunTask`
     itself with its prescription in shipped form (a worker-resolvable
     name when possible), so a new task field crosses the boundary
@@ -104,9 +90,6 @@ class TaskDescriptor:
     """
 
     task: Any
-    on_error: str
-    #: The :class:`~repro.execution.retry.RetryPolicy`, by value.
-    retry_policy: Any
     task_index: int
     #: Parent wall clock at submission (``time.time()`` — the one clock
     #: both sides of the boundary share).
@@ -128,7 +111,7 @@ _CONTEXT: "WorkerContext | None" = None
 
 
 def _initialize_worker(
-    init: WorkerInit, datasets: Mapping[tuple, DataSet]
+    options: RunnerOptions, datasets: Mapping[tuple, DataSet]
 ) -> None:
     """Pool initializer: build the worker's context exactly once.
 
@@ -140,7 +123,7 @@ def _initialize_worker(
     import repro  # noqa: F401 — fills the registries in the worker
 
     gc.enable()
-    _CONTEXT = WorkerContext(init, datasets)
+    _CONTEXT = WorkerContext(options, datasets)
 
 
 def _run_descriptor(descriptor: TaskDescriptor) -> Any:
@@ -150,17 +133,14 @@ def _run_descriptor(descriptor: TaskDescriptor) -> Any:
 
 
 class WorkerContext:
-    """Per-worker state: a serial runner that persists across tasks."""
+    """Per-worker state: a runner on the pool's options, kept across tasks."""
 
     def __init__(
-        self, init: WorkerInit, datasets: Mapping[tuple, DataSet]
+        self, options: RunnerOptions, datasets: Mapping[tuple, DataSet]
     ) -> None:
-        from repro.execution.runner import RunnerOptions, TestRunner
+        from repro.execution.runner import TestRunner
 
-        self.runner = TestRunner(
-            options=RunnerOptions(executor="serial", **init.options),
-            suite=init.suite,
-        )
+        self.runner = TestRunner(options=options)
         # The first task to ask is a hit.
         cache = self.runner.test_generator.dataset_cache
         for key, dataset in datasets.items():
@@ -175,8 +155,6 @@ class WorkerContext:
         with collector_paused():
             outcome = self.runner.run_task(
                 descriptor.task,
-                descriptor.retry_policy,
-                descriptor.on_error,
                 index=descriptor.task_index,
                 trace=descriptor.trace,
                 queue_wait=max(0.0, time.time() - descriptor.submitted_wall),
@@ -238,12 +216,13 @@ class WorkerPool:
     Owned by a :class:`~repro.execution.runner.TestRunner` and kept
     alive across ``run_many`` / sweep calls; the underlying
     :class:`ProcessPoolExecutor` is created lazily by the first batch,
-    whose data sets ride along in the worker initializer.  Shutdown
-    (explicit or via garbage collection) releases the workers.
+    whose data sets ride along in the worker initializer with
+    ``options``, its workers' runner options.  Shutdown (explicit or
+    via garbage collection) releases the workers.
     """
 
-    def __init__(self, init: WorkerInit, max_workers: int) -> None:
-        self.init = init
+    def __init__(self, options: RunnerOptions, max_workers: int) -> None:
+        self.options = options
         self.max_workers = max_workers
         #: ``run_many`` batches served — the pool-reuse counter.
         self.batches = 0
@@ -283,7 +262,7 @@ class WorkerPool:
             self._state["pool"] = ProcessPoolExecutor(
                 max_workers=self.max_workers,
                 initializer=_initialize_worker,
-                initargs=(self.init, datasets),
+                initargs=(self.options, datasets),
             )
         return self._state["pool"]
 

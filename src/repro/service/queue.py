@@ -5,10 +5,10 @@ block until a scheduler frees up — it must **admit or reject at the
 door**.  :class:`AdmissionQueue` is a bounded priority queue that sheds
 load instead of blocking: a submission that would exceed the queue
 capacity or the per-client quota raises a typed :class:`AdmissionError`
-immediately, carrying a ``retry_after`` hint computed from the same
-deterministic :class:`~repro.execution.retry.RetryPolicy` machinery the
-runner uses for task retries — so a well-behaved client backs off on a
-seeded exponential schedule rather than hammering the queue.
+immediately, carrying a ``retry_after`` hint from
+:data:`DEFAULT_HINT_POLICY`, a deterministic
+:class:`~repro.execution.retry.RetryPolicy` like the runner's — so a
+well-behaved client backs off on a seeded exponential schedule.
 
 Quotas count a client's *active* jobs (queued or running); the
 orchestrator releases the slot when a job reaches a terminal state, so
@@ -29,9 +29,9 @@ from repro.service.jobs import Job
 #: Why an admission was refused.
 ADMISSION_REASONS = ("queue_full", "quota_exceeded", "closed")
 
-#: Default backoff schedule behind ``retry_after`` hints: 50 ms doubling
-#: per consecutive rejection, capped at 5 s, with the policy's seeded
-#: jitter so stampeding clients decorrelate deterministically.
+#: The backoff schedule behind every ``retry_after`` hint: 50 ms doubling
+#: per consecutive rejection, capped at 5 s, with seeded jitter keyed on
+#: the client so stampeding clients decorrelate deterministically.
 DEFAULT_HINT_POLICY = RetryPolicy(
     max_attempts=1, backoff_seconds=0.05, max_backoff_seconds=5.0
 )
@@ -65,7 +65,6 @@ class AdmissionQueue:
         self,
         capacity: int = 64,
         per_client_quota: int | None = None,
-        hint_policy: RetryPolicy | None = None,
     ) -> None:
         if capacity <= 0:
             raise ServiceError(f"capacity must be positive, got {capacity}")
@@ -75,7 +74,6 @@ class AdmissionQueue:
             )
         self.capacity = capacity
         self.per_client_quota = per_client_quota
-        self.hint_policy = hint_policy or DEFAULT_HINT_POLICY
         self._heap: list[tuple[int, int, Job]] = []
         self._seq = 0
         self._active: Counter[str] = Counter()
@@ -128,7 +126,7 @@ class AdmissionQueue:
         attempt = self._rejections[client] + 1
         if bump:
             self._rejections[client] = attempt
-        return self.hint_policy.delay(attempt, key=client)
+        return DEFAULT_HINT_POLICY.delay(attempt, key=client)
 
     # -- draining ----------------------------------------------------------
 

@@ -9,6 +9,7 @@ categories, and software-stack shape, producing real measurements.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -446,10 +447,12 @@ MINIATURES = {
 
 
 def run_miniature(name: str, scale: float = 1.0) -> MiniatureReport:
-    """Run one suite miniature by name."""
+    """Run one suite miniature by name, its volumes scaled by ``scale``."""
     runner = MINIATURES.get(name)
     if runner is None:
         raise ExecutionError(
             f"unknown miniature {name!r}; available: {sorted(MINIATURES)}"
         )
+    if not 0 < scale < math.inf:
+        raise ExecutionError(f"scale must be finite and positive, got {scale}")
     return runner(scale)

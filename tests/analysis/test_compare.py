@@ -144,6 +144,20 @@ class TestVerdicts:
         with pytest.raises(AnalysisError, match="empty"):
             compare_samples("duration", [], [1.0])
 
+    @pytest.mark.parametrize("tolerance", [-0.1, float("nan"), float("inf")])
+    def test_a_tolerance_that_is_not_finite_and_non_negative_raises(
+        self, tolerance
+    ):
+        """With ``nan`` every single-sample verdict read ``inconclusive``,
+        so a 20x regression passed the gate."""
+        with pytest.raises(AnalysisError, match="tolerance must be finite"):
+            compare_samples("duration", [1.0], [20.0], tolerance=tolerance)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 2.0, float("nan")])
+    def test_an_alpha_outside_the_unit_interval_raises(self, alpha):
+        with pytest.raises(AnalysisError, match="alpha must be in"):
+            compare_samples("duration", BASELINE, SLOWER, alpha=alpha)
+
     def test_percentile_snapshots_ride_along(self):
         comparison = compare_samples("duration", BASELINE, SLOWER)
         assert set(comparison.baseline_percentiles) == {"p50", "p95", "p99"}

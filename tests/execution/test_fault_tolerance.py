@@ -21,6 +21,7 @@ from repro.core.results import MetricStats, RunResult, TaskFailure, split_outcom
 from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import TestGenerator
 from repro.engines.faults import FaultSpec, FaultyEngine, InjectedFault
+from repro.execution import retry
 from repro.execution.config import SystemConfiguration
 from repro.execution.parallel import ThreadExecutor
 from repro.execution.report import render_results
@@ -103,57 +104,60 @@ def _outcome_fingerprint(outcomes) -> list[tuple]:
 
 class TestRetryPolicy:
     def test_delay_is_deterministic(self):
-        policy = RetryPolicy(max_attempts=4, backoff_seconds=0.5, seed=7)
+        policy = RetryPolicy(max_attempts=4, backoff_seconds=0.5)
         for attempt in (1, 2, 3):
             assert policy.delay(attempt, "k") == policy.delay(attempt, "k")
 
-    def test_delay_without_jitter_is_exact_exponential(self):
-        policy = RetryPolicy(
-            max_attempts=5, backoff_seconds=0.5, backoff_factor=2.0, jitter=0.0
-        )
+    def test_delays_are_the_ones_they_always_were(self):
+        """The factor and the jitter became constants and the jitter key
+        kept its leading ``0|``: every delay is bit for bit the one the
+        policy slept when they were settings."""
+        policy = RetryPolicy(max_attempts=3, backoff_seconds=0.5)
+        assert [policy.delay(n, "k") for n in (1, 2, 3)] == [
+            0.4685342160307183, 1.0054856482093664, 1.9536947327088858,
+        ]
+
+    def test_delay_without_jitter_is_exact_exponential(self, monkeypatch):
+        monkeypatch.setattr(retry, "JITTER", 0.0)
+        policy = RetryPolicy(max_attempts=5, backoff_seconds=0.5)
         assert policy.delay(1) == 0.5
         assert policy.delay(2) == 1.0
         assert policy.delay(3) == 2.0
 
     def test_delay_clamped_to_max_backoff(self):
         policy = RetryPolicy(
-            max_attempts=20, backoff_seconds=1.0, jitter=0.0,
-            max_backoff_seconds=4.0,
+            max_attempts=20, backoff_seconds=1.0, max_backoff_seconds=4.0,
         )
-        assert policy.delay(10) == 4.0
+        for attempt in range(3, 20):
+            assert 0.9 * 4.0 <= policy.delay(attempt, "task") <= 1.1 * 4.0
 
     def test_jitter_stays_within_fraction(self):
-        policy = RetryPolicy(max_attempts=3, backoff_seconds=1.0, jitter=0.25)
+        assert retry.JITTER == 0.1
+        policy = RetryPolicy(max_attempts=3, backoff_seconds=1.0)
         for attempt in range(1, 10):
             base = min(2.0 ** (attempt - 1), policy.max_backoff_seconds)
-            assert 0.75 * base <= policy.delay(attempt, "task") <= 1.25 * base
+            assert 0.9 * base <= policy.delay(attempt, "task") <= 1.1 * base
 
-    def test_jitter_varies_by_key_and_seed(self):
-        base = RetryPolicy(max_attempts=3, backoff_seconds=1.0, seed=0)
-        delays_a = [base.delay(1, f"k{i}") for i in range(10)]
-        assert len(set(delays_a)) > 1  # keys perturb the stream
-        reseeded = RetryPolicy(max_attempts=3, backoff_seconds=1.0, seed=1)
-        assert [reseeded.delay(1, f"k{i}") for i in range(10)] != delays_a
+    def test_jitter_varies_by_key(self):
+        policy = RetryPolicy(max_attempts=3, backoff_seconds=1.0)
+        assert len({policy.delay(1, f"k{i}") for i in range(10)}) > 1
 
     def test_zero_backoff_means_zero_delay(self):
         assert RetryPolicy(max_attempts=3).delay(1, "k") == 0.0
 
     def test_should_retry_respects_budget(self):
-        policy = RetryPolicy(max_attempts=2)
-        assert policy.should_retry(ValueError(), 1)
-        assert not policy.should_retry(ValueError(), 2)
-
-    def test_should_retry_filters_types(self):
-        policy = RetryPolicy(max_attempts=5, retryable=(InjectedFault,))
-        assert policy.should_retry(InjectedFault("x"), 1)
-        assert not policy.should_retry(ValueError("x"), 1)
+        """A failed attempt is retried while the attempt budget lasts,
+        and not after it: the runner's loop makes ``retries + 1``
+        attempts of a task that always fails."""
+        always = FaultSpec(fail_attempts=tuple(range(10)))
+        for retries in (0, 1, 3):
+            with _runner("serial", retries=retries, on_error="continue") as runner:
+                (failure,) = runner.run_many(_tasks(["mapreduce"], fault=always))
+            assert failure.attempts == retries + 1
 
     @pytest.mark.parametrize("kwargs", [
         {"max_attempts": 0},
         {"backoff_seconds": -1.0},
-        {"backoff_factor": 0.5},
-        {"jitter": 1.0},
-        {"jitter": -0.1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ExecutionError):
@@ -203,9 +207,8 @@ class TestFaultToleranceOptions:
         policy = RunnerOptions(retries=2, retry_backoff=0.25).retry_policy()
         assert policy.max_attempts == 3
         assert policy.backoff_seconds == 0.25
-        # Jitter and its seed are the policy's own defaults.
-        default = RetryPolicy()
-        assert (policy.jitter, policy.seed) == (default.jitter, default.seed)
+        # The clamp is the policy's own default.
+        assert policy == RetryPolicy(max_attempts=3, backoff_seconds=0.25)
 
     @pytest.mark.parametrize("kwargs", [
         {"on_error": "panic"},
@@ -217,6 +220,29 @@ class TestFaultToleranceOptions:
         spec = BenchmarkSpec(prescription=PRESCRIPTION, **kwargs)
         with pytest.raises(SpecError):
             spec.validate(builtin_repository())
+
+    @pytest.mark.parametrize("field, value", [
+        ("repeats", 0),
+        ("executor", "gpu"),
+        ("max_workers", 0),
+        ("on_error", "panic"),
+        ("retries", -1),
+        ("retry_backoff", -0.5),
+        ("retry_backoff", float("nan")),
+        ("retry_backoff", float("inf")),
+        ("task_timeout", 0.0),
+        ("task_timeout", float("nan")),
+        ("task_timeout", float("inf")),
+    ])
+    def test_a_spec_refuses_what_the_runner_options_refuse(self, field, value):
+        """The seven runner-policy fields are checked once, by
+        ``RunnerOptions``: the spec's refusal is the options' message."""
+        with pytest.raises(ExecutionError) as refused:
+            RunnerOptions(**{field: value})
+        spec = BenchmarkSpec(prescription=PRESCRIPTION, **{field: value})
+        with pytest.raises(SpecError) as invalid:
+            spec.validate(builtin_repository())
+        assert str(invalid.value) == str(refused.value)
 
     def test_on_error_policies(self):
         assert ON_ERROR_POLICIES == ("abort", "continue")

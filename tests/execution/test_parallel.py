@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ExecutionError
-from repro.core.metrics import Metric, MetricKind, MetricSuite
 from repro.core.prescription import Prescription
 from repro.core.process import BenchmarkingProcess
 from repro.core.spec import BenchmarkSpec
@@ -179,25 +178,9 @@ class TestBackendParity:
         assert threaded.series("throughput") == serial.series("throughput")
 
 
-class _RecordsInMetric(Metric):
-    """Module-level (picklable) custom metric for suite-shipping tests."""
-
-    name = "records_in"
-    kind = MetricKind.ARCHITECTURE
-    unit = "records"
-
-    def compute(self, evidence):
-        return float(evidence.records_in)
-
-
-def _extended_suite() -> MetricSuite:
-    return MetricSuite(MetricSuite.standard().metrics + [_RecordsInMetric()])
-
-
 class TestProcessPayloads:
-    """What crosses the process boundary: the pool initializer built by
-    ``_worker_init`` (suite, configuration table) and each task's
-    shipped prescription."""
+    """What crosses the process boundary with each task: its shipped
+    prescription."""
 
     def test_picklable_prescription_ships_by_value(self):
         import dataclasses
@@ -221,44 +204,6 @@ class TestProcessPayloads:
             RunTask("search-pagerank", "mapreduce")
         )
         assert shipped == "search-pagerank"
-
-    def test_picklable_suite_ships_by_value(self):
-        runner = TestRunner(suite=_extended_suite())
-        init = runner._worker_init()
-        assert init.suite is runner.suite
-
-    def test_unpicklable_suite_falls_back_to_standard(self):
-        class LocalMetric(Metric):  # local class: cannot pickle instances
-            name = "local"
-
-            def compute(self, evidence):
-                return 1.0
-
-        options = RunnerOptions(executor="process", max_workers=2)
-        with TestRunner(
-            options=options, suite=MetricSuite([LocalMetric()])
-        ) as runner:
-            init = runner._worker_init()
-            assert init.suite is None
-            results = runner.run_on_engines(PRESCRIPTION, ENGINES[:2], 60)
-        # The workers computed the standard suite instead.
-        for result in results:
-            assert "local" not in result.metrics
-            assert "duration" in result.metrics
-
-    def test_custom_suite_survives_the_process_boundary(self):
-        """Workers must compute the runner's suite, not silently revert
-        to the standard one (the historical bug)."""
-        options = RunnerOptions(executor="process", max_workers=2)
-        with TestRunner(options=options, suite=_extended_suite()) as runner:
-            results = runner.run_on_engines(PRESCRIPTION, ENGINES[:2], 60)
-        with TestRunner(suite=_extended_suite()) as serial_runner:
-            serial = serial_runner.run_on_engines(PRESCRIPTION, ENGINES[:2], 60)
-        for result, expected in zip(results, serial):
-            assert "records_in" in result.metrics
-            # records_in counts dataset records — deterministic, so the
-            # worker's value must equal the serial path's exactly.
-            assert result.mean("records_in") == expected.mean("records_in")
 
 
 class TestTracedBackends:

@@ -22,7 +22,6 @@ from repro.core.prescription import builtin_repository
 from repro.engines.faults import FaultSpec
 from repro.execution.config import SystemConfiguration
 from repro.execution.parallel import compute_chunksize
-from repro.execution.retry import RetryPolicy
 from repro.execution.runner import RunnerOptions, RunTask, TestRunner
 from repro.execution.workers import (
     TaskDescriptor,
@@ -77,16 +76,31 @@ class TestPoolLifetime:
         from repro.execution import runner as runner_module
 
         assert not hasattr(runner_module, "hashlib")
+        built = []
+
+        class CountedPool(WorkerPool):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(runner_module, "WorkerPool", CountedPool)
         with _process_runner() as runner:
-            built = []
-            original = runner._worker_init
-            monkeypatch.setattr(
-                runner, "_worker_init", lambda: built.append(1) or original()
-            )
             for _ in range(3):
                 runner.run_many(SHARED_DATA_TASKS)
             assert runner._worker_pool.batches == 3
         assert built == [1]
+
+    def test_the_pool_holds_the_runners_options_on_the_serial_backend(self):
+        """The runner's options are the pool initializer's argument: the
+        workers' runners carry the whole policy, so no task does."""
+        with _process_runner(
+            repeats=2, on_error="continue", retries=2, retry_backoff=0.001,
+            task_timeout=30.0,
+        ) as runner:
+            runner.run_many(SHARED_DATA_TASKS)
+            assert runner._worker_pool.options == dataclasses.replace(
+                runner.options, executor="serial"
+            )
 
     def test_close_releases_pool_and_exports(self):
         runner = _process_runner()
@@ -229,7 +243,7 @@ class TestDescriptorShape:
 
         def run_batch(pool, descriptors, datasets):
             shipped.extend(descriptors)
-            context = WorkerContext(pool.init, datasets)
+            context = WorkerContext(pool.options, datasets)
             return [
                 context.run(pickle.loads(pickle.dumps(descriptor)))
                 for descriptor in descriptors
@@ -249,21 +263,20 @@ class TestDescriptorShape:
         assert [outcome.ok for outcome in outcomes] == [True, True]
         assert [descriptor.task for descriptor in shipped] == tasks
         assert {field.name for field in dataclasses.fields(TaskDescriptor)} == {
-            "task", "on_error", "retry_policy", "task_index",
-            "submitted_wall", "trace", "pool_batch", "payload_bytes",
+            "task", "task_index", "submitted_wall", "trace", "pool_batch",
+            "payload_bytes",
         }
         for index, descriptor in enumerate(shipped):
             assert descriptor.task_index == index
-            assert descriptor.on_error == "continue"
-            assert descriptor.retry_policy == RetryPolicy(max_attempts=3)
             assert descriptor.trace is False
             assert descriptor.payload_bytes is None
 
 
 class TestRetryPolicyShipping:
     def test_the_worker_sleeps_the_serial_backoff_schedule(self):
-        """The policy ships by value: a worker's retry loop sleeps the
-        delays the serial oracle sleeps for the same task."""
+        """The policy crosses with the pool's options: a worker's retry
+        loop sleeps the delays the serial oracle sleeps for the same
+        task."""
         options = {"retries": 2, "retry_backoff": 0.004}
         policy = RunnerOptions(**options).retry_policy()
         prescription = builtin_repository().get("database-aggregate-join")

@@ -10,7 +10,11 @@ import pytest
 from repro.core.errors import ServiceError
 from repro.core.spec import BenchmarkSpec
 from repro.service.jobs import Job
-from repro.service.queue import AdmissionError, AdmissionQueue
+from repro.service.queue import (
+    DEFAULT_HINT_POLICY,
+    AdmissionError,
+    AdmissionQueue,
+)
 
 
 def make_job(job_id: str, *, client: str = "anonymous",
@@ -39,6 +43,22 @@ class TestAdmission:
             hints.append(excinfo.value.retry_after)
         assert hints == sorted(hints)
         assert hints[0] < hints[-1]
+
+    def test_hints_follow_the_default_policy_bit_for_bit(self):
+        """Every queue hints from ``DEFAULT_HINT_POLICY``; its delays are
+        the ones the queue gave before the policy's factor and jitter
+        became constants."""
+        assert [DEFAULT_HINT_POLICY.delay(n, "cli") for n in (1, 2, 8)] == [
+            0.053527643954058436, 0.10403261783833967, 4.587027367443875,
+        ]
+        queue = AdmissionQueue(capacity=1)
+        queue.submit(make_job("j1", client="cli"))
+        hints = []
+        for attempt in range(2):
+            with pytest.raises(AdmissionError) as excinfo:
+                queue.submit(make_job(f"r{attempt}", client="cli"))
+            hints.append(excinfo.value.retry_after)
+        assert hints == [0.053527643954058436, 0.10403261783833967]
 
     def test_rejection_count_resets_on_success(self):
         queue = AdmissionQueue(capacity=1)

@@ -68,6 +68,16 @@ class TestFacadeSurface:
             api.sweep("micro-wordcount", "mapreduce", volumes=[20],
                       chunk_size=5)
 
+    @pytest.mark.parametrize("field", [
+        "retry_backoff", "task_timeout", "inject_latency",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_run_refuses_a_policy_value_that_is_not_finite(self, field, value):
+        """``inf`` used to end in an ``OverflowError`` mid-run, ``nan``
+        in a ``ValueError``, in a NaN ``duration``, or in no backoff."""
+        with pytest.raises(SpecError, match=f"^{field} must be finite"):
+            api.run("micro-wordcount", volume=20, **{field: value})
+
     def test_compare_and_gate_round_trip(self, tmp_path):
         store_dir = str(tmp_path)
         for _ in range(2):

@@ -25,6 +25,15 @@ FIT_SOURCES = {
 }
 
 
+#: A runner-policy or latency flag, and how the Planning step refuses
+#: a value of it that is not finite.
+NON_FINITE_POLICY = [
+    ("--retry-backoff", "retry_backoff must be finite and non-negative"),
+    ("--task-timeout", "task_timeout must be finite and positive"),
+    ("--inject-latency", "inject_latency must be finite and non-negative"),
+]
+
+
 def run_cli(*argv: str) -> tuple[int, str]:
     out = io.StringIO()
     code = main(list(argv), out=out)
@@ -166,6 +175,19 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"error: {name} must be positive and finite, got {value}\n"
         )
+
+    @pytest.mark.parametrize("flag, message", NON_FINITE_POLICY)
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_a_policy_value_that_is_not_finite(
+        self, flag, message, value, capsys
+    ):
+        """Each used to end in a traceback, in a NaN ``duration``, or
+        in a run whose retries never back off."""
+        code, output = run_cli(
+            "run", "micro-wordcount", "--volume", "20", flag, value
+        )
+        assert (code, output) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}, got {value}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -434,6 +456,26 @@ class TestResultAnalysis:
             "regressed"
         )
 
+    def test_gate_refuses_a_tolerance_that_is_not_finite(self, tmp_path):
+        """A one-repeat baseline against a 20x slower run regresses; with
+        ``--tolerance nan`` it used to read ``inconclusive`` and pass."""
+        store = str(tmp_path / "store")
+        for extra in ((), ("--inject-latency", "0.05")):
+            run_cli("run", "micro-wordcount", "--volume", "20", "--record",
+                    "--store-dir", store, *extra)
+            if not extra:
+                run_cli("baseline", "promote", "latest", "main",
+                        "--store-dir", store)
+        code, output = run_cli("gate", "--baseline", "main",
+                               "--store-dir", store)
+        assert code == 1
+        assert "duration regressed" in output
+        for tolerance in ("nan", "inf", "-0.1"):
+            code, output = run_cli("gate", "--baseline", "main",
+                                   "--store-dir", store,
+                                   "--tolerance", tolerance)
+            assert (code, output) == (2, "")
+
     def test_baseline_list_and_remove(self, tmp_path):
         self._record(tmp_path)
         run_cli(
@@ -491,6 +533,16 @@ class TestMiniature:
         code, _ = run_cli("miniature", "SparkBench")
         assert code == 2
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_a_scale_that_is_not_positive_and_finite(self, scale, capsys):
+        """``inf`` and ``nan`` used to end in a traceback; ``0`` and
+        ``-1`` silently ran every volume at 10."""
+        code, output = run_cli("miniature", "GridMix", "--scale", scale)
+        assert (code, output) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: scale must be finite and positive, got {float(scale)}\n"
+        )
+
 
 class TestServiceVerbs:
     """submit / serve / jobs against a tmp store."""
@@ -544,6 +596,25 @@ class TestServiceVerbs:
         code, output = run_cli("runs", "list", "--store-dir", store)
         assert code == 0
         assert "r0001" in output and "r0002" in output
+
+    @pytest.mark.parametrize("flag, message", NON_FINITE_POLICY)
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_serve_refuses_a_policy_value_that_is_not_finite(
+        self, tmp_path, flag, message, value, capsys
+    ):
+        """JSON's ``NaN`` and ``Infinity`` reach a payload's fields the
+        way the flags reach a spec, and are refused the same way."""
+        spec_file = tmp_path / "job.json"
+        spec_file.write_text(json.dumps(
+            {"prescription": "micro-wordcount", "engines": ["mapreduce"],
+             "volume": 20, flag[2:].replace("-", "_"): value}
+        ))
+        code, _ = run_cli(
+            "serve", "--spec-file", str(spec_file), "--quiet",
+            "--store-dir", str(tmp_path / "store"),
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}, got {value}\n"
 
     def test_serve_single_object_spec_file(self, tmp_path):
         spec_file = tmp_path / "one.json"

@@ -39,13 +39,14 @@ def _dataclasses() -> dict[str, type]:
     from repro.core.spec import BenchmarkSpec
     from repro.engines.dbms.planner import PlannerConfig
     from repro.engines.mapreduce.job import JobConf
+    from repro.execution.retry import RetryPolicy
     from repro.execution.runner import RunnerOptions, RunTask
-    from repro.execution.workers import TaskDescriptor, WorkerInit
+    from repro.execution.workers import TaskDescriptor
 
     return {
         cls.__name__: cls
         for cls in (
-            BenchmarkSpec, RunnerOptions, RunTask, WorkerInit,
+            BenchmarkSpec, RunnerOptions, RetryPolicy, RunTask,
             TaskDescriptor, JobConf, PlannerConfig,
         )
     }

@@ -13,6 +13,7 @@ from conftest import print_banner
 from repro import BenchmarkSpec
 from repro.core.metrics import MetricKind
 from repro.execution.report import ascii_table
+from repro.execution.runner import TestRunner
 
 
 def test_user_interface_layer(benchmark, framework):
@@ -70,11 +71,12 @@ def test_function_layer(benchmark, framework):
 
 def test_execution_layer(benchmark, framework):
     el = framework.execution_layer
+    runner = TestRunner(framework.function_layer.test_generator)
 
     def configure_convert_run_report():
         dataset = framework.function_layer.generate_data("random-text", 60)
         converted = el.convert_format(dataset, "text-lines")
-        result = el.runner.run("micro-wordcount", "mapreduce", 60)
+        result = runner.run("micro-wordcount", "mapreduce", 60)
         table = el.report([result], ["duration", "throughput",
                                      "ops_per_second"])
         return converted, result, table

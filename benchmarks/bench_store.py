@@ -177,9 +177,7 @@ def _probe_idle_shutdown(repeats: int) -> dict[str, float]:
     walls = []
     with tempfile.TemporaryDirectory(prefix="bench-store-") as root:
         for _ in range(max(repeats, 5)):
-            service = Orchestrator(
-                schedulers=2, store_dir=root, log_jobs=False
-            ).start()
+            service = Orchestrator(schedulers=2, store_dir=root).start()
             time.sleep(0.005)  # both schedulers are waiting for work
             started = time.perf_counter()
             service.shutdown()

@@ -68,9 +68,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "builtin_repository",
         ),
         "repro.core.process": ("BenchmarkingProcess", "ProcessReport"),
-        "repro.core.results": (
-            "ResultAnalyzer", "RunResult", "TaskFailure", "split_outcomes",
-        ),
+        "repro.core.results": ("ResultAnalyzer", "RunResult", "TaskFailure"),
         "repro.core.spec": ("SPEC_VERSION", "BenchmarkSpec"),
         "repro.core.test_generator": ("PrescribedTest", "TestGenerator"),
         "repro.datagen.base": ("DataSet", "DataType"),

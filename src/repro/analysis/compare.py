@@ -4,9 +4,10 @@ Comparing two benchmark runs honestly means separating three questions
 the verdict has to answer at once:
 
 1. **Is the difference real?** — a seeded bootstrap confidence interval
-   on the relative difference of means (percentile method).  Resampling
-   makes no normality assumption, which matters for latency-shaped
-   samples; seeding makes the interval reproducible.
+   at ``1 - alpha`` on the relative difference of means (percentile
+   method), so the interval and the test below judge at one level.
+   Resampling makes no normality assumption, which matters for
+   latency-shaped samples; seeding makes the interval reproducible.
 2. **Does the evidence agree?** — a two-sided Mann–Whitney U test
    (normal approximation with tie correction).  Rank-based, so a single
    outlier cannot manufacture significance.  With very small samples
@@ -81,11 +82,11 @@ def bootstrap_mean_delta_ci(
     baseline: list[float],
     candidate: list[float],
     *,
-    iterations: int = DEFAULT_BOOTSTRAP_ITERATIONS,
-    confidence: float = 0.95,
+    alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Percentile-bootstrap CI on the relative difference of means.
+    """Percentile-bootstrap ``1 - alpha`` CI on the relative difference
+    of means.
 
     The statistic is ``(mean(candidate*) - mean(baseline*)) / scale``
     with ``scale = |mean(baseline)|`` fixed from the observed baseline
@@ -98,14 +99,15 @@ def bootstrap_mean_delta_ci(
     scale = abs(fmean(baseline)) or 1.0
     rng = random.Random(f"bootstrap|{seed}|{len(baseline)}|{len(candidate)}")
     deltas = []
-    for _ in range(iterations):
+    for _ in range(DEFAULT_BOOTSTRAP_ITERATIONS):
         resampled_b = rng.choices(baseline, k=len(baseline))
         resampled_c = rng.choices(candidate, k=len(candidate))
         deltas.append((fmean(resampled_c) - fmean(resampled_b)) / scale)
     deltas.sort()
-    tail = (1.0 - confidence) / 2.0
-    low_index = int(math.floor(tail * (iterations - 1)))
-    high_index = int(math.ceil((1.0 - tail) * (iterations - 1)))
+    tail = alpha / 2.0
+    last = DEFAULT_BOOTSTRAP_ITERATIONS - 1
+    low_index = int(math.floor(tail * last))
+    high_index = int(math.ceil((1.0 - tail) * last))
     return deltas[low_index], deltas[high_index]
 
 
@@ -271,10 +273,8 @@ def compare_samples(
     baseline: list[float],
     candidate: list[float],
     *,
-    direction: str | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     alpha: float = DEFAULT_ALPHA,
-    iterations: int = DEFAULT_BOOTSTRAP_ITERATIONS,
     seed: int = 0,
 ) -> MetricComparison:
     """Compare one metric's samples and emit a verdict.
@@ -282,9 +282,9 @@ def compare_samples(
     Decision rule, in order:
 
     1. effect below ``tolerance`` → ``unchanged`` (however certain);
-    2. n ≥ 2 both sides: directional verdict iff the bootstrap CI
-       excludes zero *and* the U test agrees wherever its resolution
-       covers ``alpha``; otherwise ``inconclusive``;
+    2. n ≥ 2 both sides: directional verdict iff the ``1 - alpha``
+       bootstrap CI excludes zero *and* the U test agrees wherever its
+       resolution covers ``alpha``; otherwise ``inconclusive``;
     3. n = 1 on a side: directional only beyond
        ``SINGLE_SAMPLE_FACTOR × tolerance``, else ``inconclusive``.
     """
@@ -298,11 +298,7 @@ def compare_samples(
         )
     if not 0 < alpha < 1:
         raise AnalysisError(f"alpha must be in (0, 1), got {alpha}")
-    direction = direction or metric_direction(metric)
-    if direction not in ("lower", "higher"):
-        raise AnalysisError(
-            f"direction must be 'lower' or 'higher', got {direction!r}"
-        )
+    direction = metric_direction(metric)
     mean_b, mean_c = fmean(baseline), fmean(candidate)
     scale = abs(mean_b) or 1.0
     relative_delta = (mean_c - mean_b) / scale
@@ -310,7 +306,7 @@ def compare_samples(
     ci_low = ci_high = p_value = None
     if len(baseline) >= 2 and len(candidate) >= 2:
         ci_low, ci_high = bootstrap_mean_delta_ci(
-            baseline, candidate, iterations=iterations, seed=seed
+            baseline, candidate, alpha=alpha, seed=seed
         )
         _, p_value = mann_whitney_u(baseline, candidate)
         significant = not (ci_low <= 0.0 <= ci_high)
@@ -389,10 +385,7 @@ def compare_records(
     *,
     metrics: list[str] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    tolerances: dict[str, float] | None = None,
-    directions: dict[str, str] | None = None,
     alpha: float = DEFAULT_ALPHA,
-    iterations: int = DEFAULT_BOOTSTRAP_ITERATIONS,
     seed: int = 0,
 ) -> Comparison:
     """Compare two runs metric by metric.
@@ -425,10 +418,8 @@ def compare_records(
             name,
             baseline_samples[name],
             candidate_samples[name],
-            direction=(directions or {}).get(name),
-            tolerance=(tolerances or {}).get(name, tolerance),
+            tolerance=tolerance,
             alpha=alpha,
-            iterations=iterations,
             seed=seed,
         )
     return comparison

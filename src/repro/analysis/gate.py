@@ -3,9 +3,10 @@
 ``check_regressions`` evaluates a candidate run against a named
 baseline and returns a machine-readable :class:`GateReport` whose
 ``exit_code`` carries CI semantics: 0 when no metric regressed, 1
-otherwise.  Per-metric direction (lower-is-better vs higher) and
-tolerance come from the comparison engine; the gate only decides what
-to *do* with the verdicts.
+otherwise.  Each metric's direction (lower-is-better vs higher) comes
+from :func:`~repro.analysis.compare.metric_direction`, and one
+tolerance and one ``alpha`` hold for every metric; the gate only
+decides what to *do* with the verdicts.
 
 The default candidate is the newest record in the baseline's own
 series — "did the latest run of this exact configuration get slower
@@ -66,8 +67,6 @@ def check_regressions(
     *,
     metrics: list[str] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    tolerances: dict[str, float] | None = None,
-    directions: dict[str, str] | None = None,
     alpha: float = DEFAULT_ALPHA,
     fail_on_inconclusive: bool = False,
 ) -> GateReport:
@@ -122,8 +121,6 @@ def check_regressions(
         candidate_record,
         metrics=metrics,
         tolerance=tolerance,
-        tolerances=tolerances,
-        directions=directions,
         alpha=alpha,
     )
     report.comparison = comparison

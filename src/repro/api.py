@@ -276,32 +276,23 @@ def load(
         WorkloadTarget,
     )
 
-    if service:
-        # None keeps ServiceTarget's stock spec; a named prescription
-        # gets every argument that shapes its jobs.
-        spec = None
-        if prescription is not None:
-            spec = BenchmarkSpec(
-                prescription,
-                engines=[engine] if engine else [],
-                volume=volume,
-                params=dict(params or {}),
-                layout=layout,
-            )
-        target: Any = ServiceTarget(
-            spec=spec,
-            store_dir=store_dir,
-            schedulers=schedulers,
-        )
-    elif prescription is not None:
-        target = WorkloadTarget(
+    # One spec for a named prescription, whichever target runs it; a
+    # service without one keeps ServiceTarget's stock spec.
+    spec = None
+    if prescription is not None:
+        spec = BenchmarkSpec(
             prescription,
-            engine=engine,
+            engines=[engine] if engine else [],
             volume=volume,
-            params=params,
+            params=dict(params or {}),
             layout=layout,
-            repository=repository,
         )
+    if service:
+        target: Any = ServiceTarget(
+            spec, store_dir=store_dir, schedulers=schedulers
+        )
+    elif spec is not None:
+        target = WorkloadTarget(spec, repository=repository)
     else:
         target = SyntheticTarget(
             mean_service=mean_service,
@@ -342,7 +333,7 @@ def ablate(
     :class:`~repro.tuning.ablate.AblationReport`; render it with
     :func:`repro.tuning.render_ablation`.  Keyword ``options`` mirror
     :func:`repro.tuning.ablate.run_ablation` (``repeats``, ``seed``,
-    ``layout``, ``warmup``, ...).
+    ``layout``, ``alpha``, ...).
     """
     from repro._util import collector_paused
     from repro.tuning.ablate import run_ablation

@@ -610,7 +610,7 @@ def _run(args, out) -> int:
     report = api.run(spec, repository=repository, tracer=tracer)
     if args.trace_out is not None:
         Path(args.trace_out).write_text(tracer.to_jsonl() + "\n")
-    outcomes = report.results + report.failures
+    outcomes = report.outcomes
     if args.json:
         print(render_results(outcomes, style="json"), file=out)
         return 0

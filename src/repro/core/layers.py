@@ -4,8 +4,8 @@
   browse prescriptions/domains/engines/metrics, build and validate specs.
 * :class:`FunctionLayer` — data generators, the test generator, and the
   metric taxonomy.
-* :class:`ExecutionLayer` — system configuration tools, format
-  conversion, the runner, and the result analyzer/reporter.
+* :class:`ExecutionLayer` — format conversion and the result
+  reporter; the five-step process builds the runner each run uses.
 
 :class:`BigDataBenchmark` wires the three layers into the single facade a
 user needs: ``BigDataBenchmark().run(spec)``.
@@ -29,7 +29,6 @@ from repro.core.test_generator import TestGenerator
 from repro.datagen.base import DataSet
 from repro.datagen.formats import available_formats, convert
 from repro.execution.report import render_results
-from repro.execution.runner import TestRunner
 from repro.observability import Tracer
 
 
@@ -82,10 +81,7 @@ class FunctionLayer:
 
 
 class ExecutionLayer:
-    """Configuration, format conversion, running, reporting."""
-
-    def __init__(self, test_generator: TestGenerator) -> None:
-        self.runner = TestRunner(test_generator=test_generator)
+    """Format conversion and reporting."""
 
     def convert_format(self, dataset: DataSet, format_name: str):
         return convert(dataset, format_name)
@@ -108,7 +104,7 @@ class BigDataBenchmark:
         self.repository = repository or builtin_repository()
         self.user_interface = UserInterfaceLayer(self.repository)
         self.function_layer = FunctionLayer(self.repository)
-        self.execution_layer = ExecutionLayer(self.function_layer.test_generator)
+        self.execution_layer = ExecutionLayer()
         self._process = BenchmarkingProcess(
             self.repository, self.function_layer.test_generator
         )

@@ -14,16 +14,13 @@ from typing import Any
 
 from repro._util import collector_paused
 from repro.core.prescription import PrescriptionRepository, builtin_repository
-from repro.core.results import (
-    ResultAnalyzer,
-    RunResult,
-    TaskFailure,
-    split_outcomes,
-)
+from repro.core.results import ResultAnalyzer, RunResult, TaskFailure
 from repro.core.spec import BenchmarkSpec
-from repro.core.test_generator import PrescribedTest, TestGenerator
+from repro.core.test_generator import TestGenerator
 from repro.datagen.base import DataSet
 from repro.datagen.models import ModelUse
+from repro.execution.plan import resolve
+from repro.execution.runner import TestRunner, record_outcomes
 from repro.observability import Tracer, current_tracer
 
 
@@ -40,19 +37,29 @@ class StepReport:
 class ProcessReport:
     """The complete audit trail of one benchmarking run.
 
-    Under ``spec.on_error="continue"`` a misbehaving engine no longer
-    aborts the run: its captured :class:`TaskFailure` lands in
-    ``failures`` (and in the execution step's ``detail["failures"]``)
-    while every completed result stays in ``results``.
+    ``outcomes`` holds one outcome per engine in submission order, as
+    every other door returns them.  Under ``spec.on_error="continue"``
+    a misbehaving engine no longer aborts the run: its captured
+    :class:`TaskFailure` keeps its slot (and lands in the execution
+    step's ``detail["failures"]``) while every completed result keeps
+    its own; ``results`` and ``failures`` are the two kinds, each in
+    that order.
     """
 
     spec: BenchmarkSpec
     steps: list[StepReport] = field(default_factory=list)
-    results: list[RunResult] = field(default_factory=list)
-    failures: list[TaskFailure] = field(default_factory=list)
+    outcomes: list[RunResult | TaskFailure] = field(default_factory=list)
     #: Run-store record ids, in outcome order (empty unless the spec
     #: asked for recording — see ``BenchmarkSpec.should_record``).
     record_ids: list[str] = field(default_factory=list)
+
+    @property
+    def results(self) -> list[RunResult]:
+        return [o for o in self.outcomes if isinstance(o, RunResult)]
+
+    @property
+    def failures(self) -> list[TaskFailure]:
+        return [o for o in self.outcomes if isinstance(o, TaskFailure)]
 
     @property
     def analyzer(self) -> ResultAnalyzer:
@@ -108,8 +115,6 @@ class BenchmarkingProcess:
         # Step 1: Planning — validate the spec, then resolve it into the
         # execution plan (engines, runner options, one task per engine).
         started = time.perf_counter()
-        from repro.execution.plan import resolve
-
         with tracer.span("planning"):
             spec.validate(self.repository)
             plan = resolve(spec, self.repository)
@@ -178,44 +183,32 @@ class BenchmarkingProcess:
             )
         )
 
-        # Step 3: Test Generation — bind the prescription per engine.
+        # Step 3: Test Generation — one test per planned engine.  The
+        # runner binds each from its task (engine built as the task's
+        # configuration says), so this step names them and builds
+        # nothing.
         started = time.perf_counter()
         with tracer.span("test-generation"):
-            tests: list[PrescribedTest] = []
-            workload = self.test_generator.workloads.create(
-                prescription.workload
-            )
-            for engine_name in engine_names:
-                tests.append(
-                    PrescribedTest(
-                        prescription=prescription,
-                        engine=self.test_generator.engines.create(engine_name),
-                        workload=workload,
-                        dataset=dataset,
-                    )
-                )
+            tests = [f"{prescription.name}@{engine}" for engine in engine_names]
         report.steps.append(
             StepReport(
                 "test-generation",
                 time.perf_counter() - started,
-                {"tests": [test.name for test in tests]},
+                {"tests": tests},
             )
         )
 
         # Step 4: Execution — the plan's tasks on the plan's runner
         # options (repeats on fresh engines, fanned out over the spec's
-        # executor backend).  The runner regenerates each test, but the
-        # data set is served from the dataset cache warmed by step 2 (a
+        # executor backend).  The runner binds each test, but the data
+        # set is served from the dataset cache warmed by step 2 (a
         # process pool's workers start with it), so generation happens
         # once for the whole run.
         started = time.perf_counter()
-        from repro.execution.runner import TestRunner, record_outcomes
-
         runner = TestRunner(
             test_generator=self.test_generator, options=plan.options
         )
-        cache = self.test_generator.dataset_cache
-        cache_before = cache.stats()
+        cache_before = self.test_generator.dataset_cache.stats()
         with tracer.span("execution", executor=spec.executor):
             try:
                 outcomes = runner.run_many(plan.tasks)
@@ -226,11 +219,10 @@ class BenchmarkingProcess:
             # can tell a run that paid for the fit from one that did not.
             for outcome in outcomes:
                 outcome.extra["model"] = dict(generation_detail["model"])
-        results, failures = split_outcomes(outcomes)
-        report.results.extend(results)
-        report.failures.extend(failures)
+        report.outcomes = outcomes
+        failures = report.failures
         execution_detail: dict[str, Any] = {
-            "runs": spec.repeats * len(tests),
+            "runs": spec.repeats * len(engine_names),
             "executor": spec.executor,
             "layout": spec.layout,
         }
@@ -242,20 +234,9 @@ class BenchmarkingProcess:
                 failure.as_dict() for failure in failures
             ]
         # This run's delta, not process-lifetime totals: earlier runs
-        # through the same framework must not inflate it.  A process
-        # run looks up in its workers' caches: their deltas count too,
-        # beside the parent's gauge.
-        cache_delta = cache.stats().since(cache_before)
-        workers = [
-            outcome.extra["worker_cache"]
-            for outcome in outcomes
-            if "worker_cache" in outcome.extra
-        ]
-        execution_detail["dataset_cache"] = replace(
-            cache_delta,
-            hits=cache_delta.hits + sum(worker["hits"] for worker in workers),
-            misses=cache_delta.misses
-            + sum(worker["misses"] for worker in workers),
+        # through the same framework must not inflate it.
+        execution_detail["dataset_cache"] = runner.cache_delta(
+            cache_before, outcomes
         ).as_dict()
         report.steps.append(
             StepReport(

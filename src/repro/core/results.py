@@ -340,15 +340,6 @@ def outcome_from_dict(payload: dict[str, Any]) -> "RunResult | TaskFailure":
     return RunResult.from_dict(payload)
 
 
-def split_outcomes(
-    outcomes: list,
-) -> tuple[list[RunResult], list[TaskFailure]]:
-    """Partition merged outcomes into successes and captured failures."""
-    results = [o for o in outcomes if isinstance(o, RunResult)]
-    failures = [o for o in outcomes if isinstance(o, TaskFailure)]
-    return results, failures
-
-
 class ResultAnalyzer:
     """Cross-result comparison (who wins, by what factor).
 

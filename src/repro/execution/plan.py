@@ -105,23 +105,19 @@ def resolve(
     spec: BenchmarkSpec,
     repository: PrescriptionRepository,
     *,
-    profiles: dict[str, TuningProfile] | None = None,
     store_dir: str | None = None,
 ) -> ExecutionPlan:
     """Resolve a (validated) spec into its execution plan.  Pure.
 
-    ``profiles`` maps an engine to a profile *object* standing in for
-    the name in ``spec.tuning`` (the ablation driver's custom profiles
-    have no registered name).  ``store_dir`` is the caller's default
-    run-store directory, used when the spec records without naming one.
+    Each engine's profile is the built-in one ``spec.tuning`` names.
+    ``store_dir`` is the caller's default run-store directory, used
+    when the spec records without naming one.
     """
     prescription = repository.get(spec.prescription)
     engines = tuple(spec.resolved_engines(repository))
     tasks = []
     for engine in engines:
-        profile = (profiles or {}).get(engine) or get_profile(
-            engine, spec.tuning
-        )
+        profile = get_profile(engine, spec.tuning)
         tasks.append(
             RunTask(
                 prescription,

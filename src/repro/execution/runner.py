@@ -43,6 +43,7 @@ from repro.core.prescription import Prescription, PrescriptionRepository
 from repro.core.results import RunResult, TaskFailure
 from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import PrescribedTest, TestGenerator
+from repro.datagen.cache import CacheStats
 from repro.engines.faults import fault_attempt
 from repro.execution.config import SystemConfiguration, prepare_input
 from repro.execution.parallel import (
@@ -500,8 +501,9 @@ class TestRunner:
 
         The deterministic data set is generated once and shared by every
         engine through the dataset cache; the hit/miss delta *of this
-        call* (not process-lifetime totals) is attached to each
-        outcome's ``extra["dataset_cache"]``.  Options with
+        call* (not process-lifetime totals, its workers' lookups
+        included: :meth:`cache_delta`) is attached to each outcome's
+        ``extra["dataset_cache"]``.  Options with
         ``on_error="continue"`` keep one misbehaving engine from
         discarding the comparison: its slot holds a :class:`TaskFailure`
         while the other engines' results survive.
@@ -526,13 +528,34 @@ class TestRunner:
         )
         # An empty engine list is no engines, not "every supported one".
         tasks = resolve(spec, repository).tasks if engine_names else ()
-        cache = self.test_generator.dataset_cache
-        before = cache.stats()
+        before = self.test_generator.dataset_cache.stats()
         outcomes = self.run_many(tasks)
-        delta = cache.stats().since(before)
+        delta = self.cache_delta(before, outcomes)
         for outcome in outcomes:
             outcome.extra["dataset_cache"] = delta.as_dict()
         return outcomes
+
+    def cache_delta(
+        self, before: CacheStats, outcomes: list[RunOutcome]
+    ) -> CacheStats:
+        """The dataset-cache lookups of the batch that made ``outcomes``.
+
+        ``before`` is this runner's cache snapshot from before the
+        batch.  A process batch looks up in its workers' caches, so each
+        outcome's ``extra["worker_cache"]`` delta counts beside the
+        parent's; the ``entries`` gauge stays the parent's.
+        """
+        delta = self.test_generator.dataset_cache.stats().since(before)
+        workers = [
+            outcome.extra["worker_cache"]
+            for outcome in outcomes
+            if "worker_cache" in outcome.extra
+        ]
+        return replace(
+            delta,
+            hits=delta.hits + sum(worker["hits"] for worker in workers),
+            misses=delta.misses + sum(worker["misses"] for worker in workers),
+        )
 
     # ------------------------------------------------------------------
     # Process-backend plumbing

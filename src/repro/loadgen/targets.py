@@ -105,55 +105,36 @@ class SyntheticTarget(LoadTarget):
 class WorkloadTarget(LoadTarget):
     """One request = one prescribed-workload execution on one engine.
 
-    Setup runs the test-generation half of Figure 4 once (dataset
-    generated, engine built, workload bound), so per-request cost is the
-    workload execution itself — the "serving" shape of an online
-    workload, with the data already loaded.
+    ``spec`` is the :class:`~repro.core.spec.BenchmarkSpec` the request
+    runs: its prescription, volume, params and layout, on its first
+    resolved engine.  Setup runs the test-generation half of Figure 4
+    once (dataset generated, engine built, workload bound), so
+    per-request cost is the workload execution itself — the "serving"
+    shape of an online workload, with the data already loaded.
     """
 
     name = "workload"
 
-    def __init__(
-        self,
-        prescription: str,
-        engine: str | None = None,
-        volume: int | None = None,
-        params: dict[str, Any] | None = None,
-        layout: str = "row",
-        repository: Any = None,
-    ) -> None:
-        self.prescription = prescription
-        self.engine = engine
-        self.volume = volume
-        self.params = dict(params or {})
-        self.layout = layout
+    def __init__(self, spec: Any, repository: Any = None) -> None:
+        self.spec = spec
         self.repository = repository
         self._test = None
 
     def setup(self) -> None:
-        from repro.core.spec import BenchmarkSpec
         from repro.core.test_generator import TestGenerator
         from repro.execution.plan import resolve
 
         generator = TestGenerator(self.repository)
-        spec = BenchmarkSpec(
-            self.prescription,
-            engines=[self.engine] if self.engine else [],
-            volume=self.volume,
-            params=dict(self.params),
-            layout=self.layout,
-        )
-        spec.validate(generator.repository)
+        self.spec.validate(generator.repository)
         # The first resolved engine, built as api.run builds it.
-        task = resolve(spec, generator.repository).tasks[0]
+        task = resolve(self.spec, generator.repository).tasks[0]
         self._test = generator.generate(
             task.prescription,
             task.engine_name,
             volume_override=task.volume_override,
             configuration=task.configuration,
         )
-        self.engine = task.engine_name
-        self.name = f"workload:{self.prescription}@{task.engine_name}"
+        self.name = f"workload:{self.spec.prescription}@{task.engine_name}"
 
     def teardown(self) -> None:
         self._test = None
@@ -167,14 +148,14 @@ class WorkloadTarget(LoadTarget):
         # Paused per request, as the runner pauses per batch (DESIGN
         # §3.21).
         with collector_paused():
-            self._test.run(**self.params)
+            self._test.run(**self.spec.params)
 
 
 class ServiceTarget(LoadTarget):
     """One request = one job through the benchmark service.
 
-    Drives an :class:`~repro.service.orchestrator.Orchestrator` (owned,
-    or shared via an existing client): submit, then wait for the
+    Drives the :class:`~repro.service.orchestrator.Orchestrator` of a
+    client it builds from ``service_options``: submit, then wait for the
     terminal state.  The service's admission queue pushing back —
     :class:`~repro.service.queue.AdmissionError` — is re-raised as is;
     the runner counts it as a shed request, so the queue-depth and
@@ -183,17 +164,9 @@ class ServiceTarget(LoadTarget):
 
     name = "service"
 
-    def __init__(
-        self,
-        spec: Any = None,
-        client: Any = None,
-        submit_client: str = "loadgen",
-        **service_options: Any,
-    ) -> None:
+    def __init__(self, spec: Any = None, **service_options: Any) -> None:
         self.spec = spec
-        self.submit_client = submit_client
-        self._client = client
-        self._owns_client = client is None
+        self._client = None
         self._service_options = service_options
 
     def setup(self) -> None:
@@ -203,14 +176,11 @@ class ServiceTarget(LoadTarget):
             self.spec = BenchmarkSpec(
                 "micro-wordcount", engines=["mapreduce"], volume=40
             )
-        elif isinstance(self.spec, str):
-            self.spec = BenchmarkSpec(self.spec)
-        if self._client is None:
-            self._client = ServiceClient(**self._service_options)
+        self._client = ServiceClient(**self._service_options)
         self.name = f"service:{self.spec.prescription}"
 
     def teardown(self) -> None:
-        if self._owns_client and self._client is not None:
+        if self._client is not None:
             self._client.close()
             self._client = None
 
@@ -222,7 +192,7 @@ class ServiceTarget(LoadTarget):
                 "ServiceTarget.execute before setup(); the runner calls "
                 "setup() — are you driving the target by hand?"
             )
-        handle = self._client.submit(self.spec, client=self.submit_client)
+        handle = self._client.submit(self.spec, client="loadgen")
         job = handle.wait()
         if job.state != "done":
             raise ServiceError(

@@ -88,24 +88,14 @@ class JobHandle:
 class ServiceClient:
     """Submit, watch, fetch, and cancel benchmark jobs in-process.
 
-    Wraps an :class:`Orchestrator` — either one you pass in (shared
-    with other clients) or a private one built from the keyword
-    arguments (``schedulers``, ``store_dir``, ``queue``, ``tracer``,
-    ...) and started lazily on first submit.  Closing the client shuts
-    down a private orchestrator (draining queued jobs first) but leaves
-    a shared one alone.
+    Owns an :class:`Orchestrator` built from the keyword arguments
+    (``schedulers``, ``store_dir``, ``queue``, ``tracer``, ...) and
+    started lazily on first submit.  Closing the client shuts it down,
+    draining queued jobs first.
     """
 
-    def __init__(
-        self, orchestrator: Orchestrator | None = None, **options: Any
-    ) -> None:
-        if orchestrator is not None and options:
-            raise ServiceError(
-                "pass either a shared orchestrator or construction "
-                f"options, not both (got {sorted(options)})"
-            )
-        self._owns_orchestrator = orchestrator is None
-        self.orchestrator = orchestrator or Orchestrator(**options)
+    def __init__(self, **options: Any) -> None:
+        self.orchestrator = Orchestrator(**options)
 
     def submit(
         self,
@@ -144,9 +134,8 @@ class ServiceClient:
         self.orchestrator.subscribe(callback)
 
     def close(self) -> None:
-        """Drain and shut down a private orchestrator (idempotent)."""
-        if self._owns_orchestrator:
-            self.orchestrator.shutdown()
+        """Drain and shut down the orchestrator (idempotent)."""
+        self.orchestrator.shutdown()
 
     def __enter__(self) -> "ServiceClient":
         return self

@@ -65,7 +65,6 @@ class Orchestrator:
         repository: PrescriptionRepository | None = None,
         store_dir: str | None = None,
         tracer: Tracer | None = None,
-        log_jobs: bool = True,
     ) -> None:
         if schedulers <= 0:
             raise ServiceError(
@@ -78,13 +77,9 @@ class Orchestrator:
         self.tracer = tracer or NULL_TRACER
         from repro.analysis.store import resolve_store_dir
 
-        self.job_log = (
-            JobLog(resolve_store_dir(store_dir)) if log_jobs else None
-        )
+        # The log numbers the jobs: every service on the store shares it.
+        self.job_log = JobLog(resolve_store_dir(store_dir))
         self._jobs: dict[str, Job] = {}
-        # Without a log, this service numbers its own jobs; with one,
-        # the log numbers them (every service on the store shares it).
-        self._seq = 0
         self._threads: list[threading.Thread] = []
         self._runners: list[Any] = []
         self._runner_lock = threading.Lock()
@@ -116,29 +111,20 @@ class Orchestrator:
             self._threads.append(thread)
         return self
 
-    def shutdown(self, wait: bool = True, drain: bool = True) -> None:
-        """Stop accepting work; optionally finish what is queued.
+    def shutdown(self) -> None:
+        """Stop accepting work, finish what is queued, join the schedulers.
 
-        ``drain=True`` (the default) lets queued jobs run to completion
-        before the schedulers exit; ``drain=False`` cancels everything
-        still queued.  Running jobs always finish — the runner has no
-        preemption, and killing mid-benchmark would corrupt results.
+        Queued jobs run to completion before the schedulers exit, and
+        running jobs always finish — the runner has no preemption, and
+        killing mid-benchmark would corrupt results.  A job to drop is
+        withdrawn with :meth:`cancel` first.
         """
         self.queue.close()
-        if not drain:
-            with self._cond:
-                queued = [
-                    job for job in self._jobs.values()
-                    if job.state == "queued"
-                ]
-            for job in queued:
-                self.cancel(job.job_id)
         with self._cond:
             self._closing = True
             self._cond.notify_all()
-        if wait:
-            for thread in self._threads:
-                thread.join()
+        for thread in self._threads:
+            thread.join()
         with self._runner_lock:
             runners, self._runners = self._runners, []
         for runner in runners:
@@ -176,12 +162,7 @@ class Orchestrator:
         # ahead of this ``queued`` line (which carries the job itself).
         job = Job(spec=spec, client=client, priority=priority)
         with self._cond:
-            if self.job_log is not None:
-                self.job_log.submit(job, self.queue.submit)
-            else:
-                job.job_id = f"j{self._seq + 1:04d}"
-                self.queue.submit(job)
-                self._seq += 1
+            self.job_log.submit(job, self.queue.submit)
             self._jobs[job.job_id] = job
         self._notify(JobEvent(job.job_id, "queued", job.submitted_at))
         return job
@@ -302,8 +283,7 @@ class Orchestrator:
         a client returning from ``result()``, the next scheduler — finds
         it already in ``jobs.jsonl`` and the log replays in order."""
         at = job.transition(state)
-        if self.job_log is not None:
-            self.job_log.append(job, state, detail)
+        self.job_log.append(job, state, detail)
         self._cond.notify_all()
         return at
 

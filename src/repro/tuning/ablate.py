@@ -333,24 +333,14 @@ def _format_ci(lead: Any) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _profiles_for(
-    engine: str,
-    include_one_offs: bool,
-    profiles: dict[str, list[TuningProfile]] | None,
-) -> list[TuningProfile]:
+def _profiles_for(engine: str, include_one_offs: bool) -> list[TuningProfile]:
     """The profile column for one engine: normal first, then tuned.
 
-    A custom ``profiles`` mapping replaces the built-in set for its
-    engine (normal is prepended if absent).  The built-in set is
-    normal + optimized (+ per-knob one-offs); an optimized profile
-    equal to normal (e.g. streaming) is dropped — running it would
-    double-count the baseline series under a second label.
+    Every profile is a built-in one: normal + optimized (+ per-knob
+    one-offs), each resolvable by name.  An optimized profile equal to
+    normal (e.g. streaming) is dropped — running it would double-count
+    the baseline series under a second label.
     """
-    if profiles is not None and engine in profiles:
-        column = [profile.validate() for profile in profiles[engine]]
-        if not any(profile.is_normal for profile in column):
-            column.insert(0, normal(engine))
-        return column
     column = [normal(engine)]
     tuned = optimized(engine)
     if not tuned.is_normal:
@@ -366,7 +356,6 @@ def _build_cells(
     prescription_names: list[str],
     engine_names: list[str],
     include_one_offs: bool,
-    profiles: dict[str, list[TuningProfile]] | None,
     repository: Any,
 ) -> list[AblationCell]:
     from repro.core import registry
@@ -388,7 +377,7 @@ def _build_cells(
                     )
                 )
                 continue
-            for profile in _profiles_for(engine, include_one_offs, profiles):
+            for profile in _profiles_for(engine, include_one_offs):
                 cells.append(
                     AblationCell(name, prescription.workload, engine, profile)
                 )
@@ -410,9 +399,7 @@ def _cell_spec(base: Any, cell: AblationCell) -> Any:
     )
 
 
-def _run_cells(
-    cells: list[AblationCell], base: Any, repository: Any, warmup: int
-) -> None:
+def _run_cells(cells: list[AblationCell], base: Any, repository: Any) -> None:
     from repro.analysis.store import RunStore
     from repro.core.test_generator import TestGenerator
     from repro.execution.plan import resolve
@@ -420,19 +407,9 @@ def _run_cells(
 
     if not cells:
         return
-    # The cell's profile object stands in for the name the spec
-    # carries: custom profiles have no registered name.
-    plans = [
-        resolve(
-            _cell_spec(base, cell),
-            repository,
-            profiles={cell.engine: cell.profile},
-        )
-        for cell in cells
-    ]
+    plans = [resolve(_cell_spec(base, cell), repository) for cell in cells]
     runner = TestRunner(
-        test_generator=TestGenerator(repository),
-        options=replace(plans[0].options, warmup_runs=warmup),
+        test_generator=TestGenerator(repository), options=plans[0].options
     )
     tasks = [task for plan in plans for task in plan.tasks]
     with runner:
@@ -452,7 +429,6 @@ def run_ablation(
     engines: str | Iterable[str] | None = None,
     *,
     repeats: int = 5,
-    warmup: int = 0,
     volume: int | None = None,
     seed: int = 0,
     params: dict[str, Any] | None = None,
@@ -461,7 +437,6 @@ def run_ablation(
     max_workers: int | None = None,
     chunk_size: int | None = None,
     include_one_offs: bool = True,
-    profiles: dict[str, list[TuningProfile]] | None = None,
     metrics: list[str] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     alpha: float = DEFAULT_ALPHA,
@@ -495,7 +470,7 @@ def run_ablation(
     prescription_names = resolve_workloads(workloads, repository)
     engine_names = _resolve_engines(engines)
     cells = _build_cells(
-        prescription_names, engine_names, include_one_offs, profiles, repository
+        prescription_names, engine_names, include_one_offs, repository
     )
     runnable = [cell for cell in cells if cell.supported]
     resolved_dir = resolve_store_dir(store_dir)
@@ -517,7 +492,7 @@ def run_ablation(
         record=True,
         store_dir=resolved_dir,
     )
-    _run_cells(runnable, base, repository, warmup)
+    _run_cells(runnable, base, repository)
 
     # One read of the store for the whole matrix, after every cell ran.
     series_of = {record.record_id: record.series for record in store.records()}

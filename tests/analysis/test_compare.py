@@ -108,9 +108,7 @@ class TestVerdicts:
         # The same upward shift is an improvement when higher is better.
         comparison = compare_samples("throughput", BASELINE, SLOWER)
         assert comparison.verdict == "improved"
-        comparison = compare_samples(
-            "custom", BASELINE, SLOWER, direction="lower"
-        )
+        comparison = compare_samples("duration", BASELINE, SLOWER)
         assert comparison.verdict == "regressed"
 
     def test_certain_but_tiny_delta_is_unchanged(self):
@@ -157,6 +155,18 @@ class TestVerdicts:
     def test_an_alpha_outside_the_unit_interval_raises(self, alpha):
         with pytest.raises(AnalysisError, match="alpha must be in"):
             compare_samples("duration", BASELINE, SLOWER, alpha=alpha)
+
+    def test_alpha_sets_the_interval_the_verdict_rests_on(self):
+        """At n = 3 a side the U test cannot reach 0.01 (min p = 0.1), so
+        the verdict rests on the interval alone.  It was a 95 % interval
+        whatever ``alpha`` said, and this case read ``regressed``."""
+        baseline, candidate = [1.0, 1.1, 0.9], [1.15, 1.25, 1.05]
+        assert compare_samples("duration", baseline, candidate).verdict == (
+            "regressed"
+        )
+        strict = compare_samples("duration", baseline, candidate, alpha=0.01)
+        assert strict.ci_low <= 0.0 <= strict.ci_high
+        assert strict.verdict == "inconclusive"
 
     def test_percentile_snapshots_ride_along(self):
         comparison = compare_samples("duration", BASELINE, SLOWER)

@@ -1,4 +1,5 @@
-"""Edge cases of ResultAnalyzer, split_outcomes, and result round-trips.
+"""Edge cases of ResultAnalyzer, a report's outcome split, and result
+round-trips.
 
 The result-analysis subsystem leans on these behaviors: the analyzer
 must degrade gracefully on empty and all-failed batches, percentiles
@@ -11,14 +12,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import MetricError
+from repro.core.process import ProcessReport
 from repro.core.results import (
     MetricStats,
     ResultAnalyzer,
     RunResult,
     TaskFailure,
     outcome_from_dict,
-    split_outcomes,
 )
+from repro.core.spec import BenchmarkSpec
 
 
 def make_result(engine="mapreduce", samples=(1.0, 1.1, 0.9)):
@@ -42,19 +44,26 @@ def make_failure(engine="dbms"):
     )
 
 
+def split(outcomes):
+    report = ProcessReport(BenchmarkSpec("micro-wordcount"), outcomes=outcomes)
+    return report.results, report.failures
+
+
 class TestSplitOutcomes:
+    """``ProcessReport.results`` / ``.failures`` over its ``outcomes``."""
+
     def test_empty_list(self):
-        assert split_outcomes([]) == ([], [])
+        assert split([]) == ([], [])
 
     def test_all_failed_batch(self):
         failures = [make_failure(), make_failure("nosql")]
-        results, split_failures = split_outcomes(failures)
+        results, split_failures = split(failures)
         assert results == []
         assert split_failures == failures
 
     def test_mixed_batch_preserves_both_sides(self):
         outcomes = [make_result(), make_failure(), make_result("nosql")]
-        results, failures = split_outcomes(outcomes)
+        results, failures = split(outcomes)
         assert [r.engine for r in results] == ["mapreduce", "nosql"]
         assert [f.engine for f in failures] == ["dbms"]
 

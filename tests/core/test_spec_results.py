@@ -81,7 +81,7 @@ class TestBenchmarkSpec:
     def test_the_service_refuses_such_a_job_before_queueing(self, tmp_path):
         from repro.service.orchestrator import Orchestrator
 
-        with Orchestrator(store_dir=str(tmp_path), log_jobs=False) as service:
+        with Orchestrator(store_dir=str(tmp_path)) as service:
             with pytest.raises(SpecError, match="argument names"):
                 service.submit(
                     BenchmarkSpec("micro-wordcount", params={"dataset": 1})

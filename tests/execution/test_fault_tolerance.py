@@ -15,9 +15,9 @@ import time
 import pytest
 
 from repro.core.errors import ExecutionError, SpecError
-from repro.core.process import BenchmarkingProcess
+from repro.core.process import BenchmarkingProcess, ProcessReport
 from repro.core.prescription import builtin_repository
-from repro.core.results import MetricStats, RunResult, TaskFailure, split_outcomes
+from repro.core.results import MetricStats, RunResult, TaskFailure
 from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import TestGenerator
 from repro.engines.faults import FaultSpec, FaultyEngine, InjectedFault
@@ -379,9 +379,9 @@ class TestErrorPathParity:
             outcomes = runner.run_many(
                 _tasks(["mapreduce"]) + _tasks(["dbms"], fault=spec)
             )
-        results, failures = split_outcomes(outcomes)
-        assert [r.engine for r in results] == ["mapreduce"]
-        assert [f.engine for f in failures] == ["dbms"]
+        report = ProcessReport(BenchmarkSpec("micro-sort"), outcomes=outcomes)
+        assert [r.engine for r in report.results] == ["mapreduce"]
+        assert [f.engine for f in report.failures] == ["dbms"]
 
 
 class TestQueueWaitRegression:

@@ -216,11 +216,14 @@ class TestApi:
         assert [point.value for point in report.points] == [2, 4]
 
     def test_load_workload_target_layout(self):
+        from repro.core.spec import BenchmarkSpec
         from repro.loadgen.targets import WorkloadTarget
 
         target = WorkloadTarget(
-            "database-aggregate-join", engine="dbms", volume=80,
-            layout="columnar",
+            BenchmarkSpec(
+                "database-aggregate-join", engines=["dbms"], volume=80,
+                layout="columnar",
+            )
         )
         target.setup()
         try:

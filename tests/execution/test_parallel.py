@@ -164,6 +164,20 @@ class TestBackendParity:
         # Step 2 generated the data set: every task is a hit.
         assert (stats["hits"], stats["misses"]) == (len(ENGINES), 0)
 
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_run_on_engines_counts_every_lookup(self, backend):
+        """``run_on_engines`` counts as step 4 does, a process run's
+        worker lookups included (it read hits 0, misses 1 while each
+        worker logged a hit)."""
+        options = RunnerOptions(executor=backend, max_workers=2)
+        with TestRunner(options=options) as runner:
+            results = runner.run_on_engines(PRESCRIPTION, ENGINES, 60)
+        for result in results:
+            stats = result.extra["dataset_cache"]
+            # Generated once (here, not in a step 2); every engine looked.
+            assert stats["misses"] == 1
+            assert stats["hits"] >= len(ENGINES) - 1
+
     def test_volume_sweep_thread_matches_serial(self, monkeypatch):
         from repro import api
 

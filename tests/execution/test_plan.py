@@ -119,17 +119,6 @@ class TestResolve:
             assert b.configuration.fault is not None
             assert a.series == b.series
 
-    def test_profile_object_stands_in_for_the_name(self):
-        custom = TuningProfile("dbms", "mine", {"join_algorithm": "hash"})
-        plan = resolve(
-            _spec(engines=["dbms"], tuning="mine"),
-            builtin_repository(),
-            profiles={"dbms": custom},
-        )
-        (task,) = plan.tasks
-        assert task.configuration.options == {"join_algorithm": "hash"}
-        assert task.series["tuning"] == custom.fingerprint()
-
     def test_store_dir_resolution(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
         repository = builtin_repository()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.errors import LoadGenError, RequestShed
+from repro.core.spec import BenchmarkSpec
 from repro.loadgen import (
     LoadPlan,
     LoadRunner,
@@ -298,7 +299,8 @@ class TestTargets:
         from repro.loadgen import WorkloadTarget
 
         report = LoadRunner(
-            WorkloadTarget("micro-wordcount", volume=30), concurrency=2
+            WorkloadTarget(BenchmarkSpec("micro-wordcount", volume=30)),
+            concurrency=2,
         ).run(LoadPlan(rate=20.0, duration=0.5, seed=1))
         assert report.completed > 0
         assert report.error_fraction == 0.0
@@ -343,7 +345,10 @@ class TestTargets:
         )
         monkeypatch.setattr(Workload, "run", original)
         target = WorkloadTarget(
-            prescription, engine=engine, volume=40, layout=layout
+            BenchmarkSpec(
+                prescription, engines=[engine] if engine else [], volume=40,
+                layout=layout,
+            )
         )
         target.setup()
         try:
@@ -357,8 +362,10 @@ class TestTargets:
         from repro.loadgen import WorkloadTarget
 
         for target in (
-            WorkloadTarget("micro-wordcount", engine="dbms"),
-            WorkloadTarget("micro-wordcount", params={"engine": "x"}),
+            WorkloadTarget(BenchmarkSpec("micro-wordcount", engines=["dbms"])),
+            WorkloadTarget(
+                BenchmarkSpec("micro-wordcount", params={"engine": "x"})
+            ),
         ):
             with pytest.raises(SpecError):
                 target.setup()

@@ -24,6 +24,7 @@ from repro.observability import Tracer
 from repro.service import (
     AdmissionError,
     AdmissionQueue,
+    JobHandle,
     JobLog,
     Orchestrator,
     ServiceClient,
@@ -44,8 +45,7 @@ class TestParityWithDirectRunner:
         spec = make_spec(repeats=2, record=True,
                          store_dir=str(tmp_path / "service"))
 
-        with ServiceClient(store_dir=str(tmp_path / "service"),
-                           log_jobs=False) as client:
+        with ServiceClient(store_dir=str(tmp_path / "service")) as client:
             service_outcomes = client.submit(spec).result(timeout=60)
 
         repository = builtin_repository()
@@ -94,8 +94,8 @@ class TestParityWithDirectRunner:
             set(service_record.as_dict()) == set(direct_record.as_dict())
         )
 
-    def test_string_spec_submission(self):
-        with ServiceClient(log_jobs=False) as client:
+    def test_string_spec_submission(self, tmp_path):
+        with ServiceClient(store_dir=str(tmp_path)) as client:
             outcomes = client.submit("micro-wordcount").result(timeout=60)
         assert all(isinstance(o, RunResult) for o in outcomes)
 
@@ -156,9 +156,7 @@ class TestLifecycle:
         # Cancelling again (or a terminal job) is a no-op.
         assert orchestrator.cancel(job.job_id) is False
         with pytest.raises(ServiceError, match="cancelled"):
-            ServiceClient(orchestrator=orchestrator).handle(
-                job.job_id
-            ).result(timeout=1)
+            JobHandle(job, orchestrator).result(timeout=1)
         orchestrator.shutdown()
 
     def test_quota_rejection_surfaces_retry_hint(self, tmp_path):
@@ -214,7 +212,7 @@ class TestLifecycle:
         job = orchestrator.submit(make_spec())
         with pytest.raises(ServiceError, match="timed out"):
             orchestrator.wait(job.job_id, timeout=0.01)
-        orchestrator.shutdown(drain=False)
+        orchestrator.shutdown()
 
     def test_unknown_job_raises(self, tmp_path):
         orchestrator = Orchestrator(store_dir=str(tmp_path))
@@ -248,9 +246,7 @@ class TestLifecycle:
         schedulers' 50 ms poll (ten of them: half a second)."""
         started = time.monotonic()
         for _ in range(10):
-            Orchestrator(
-                schedulers=2, store_dir=str(tmp_path), log_jobs=False
-            ).start().shutdown()
+            Orchestrator(schedulers=2, store_dir=str(tmp_path)).start().shutdown()
         assert time.monotonic() - started < 0.25
 
 
@@ -400,18 +396,3 @@ class TestServiceClient:
         with pytest.raises(AdmissionError):
             client.orchestrator.submit(make_spec())
 
-    def test_shared_orchestrator_survives_client_close(self, tmp_path):
-        orchestrator = Orchestrator(store_dir=str(tmp_path)).start()
-        with ServiceClient(orchestrator=orchestrator) as client:
-            client.submit(make_spec(volume=60)).wait(timeout=60)
-        # The shared orchestrator is still open for business.
-        job = orchestrator.submit(make_spec(volume=60))
-        orchestrator.wait(job.job_id, timeout=60)
-        assert job.state == "done"
-        orchestrator.shutdown()
-
-    def test_orchestrator_and_options_are_exclusive(self, tmp_path):
-        orchestrator = Orchestrator(store_dir=str(tmp_path))
-        with pytest.raises(ServiceError, match="not both"):
-            ServiceClient(orchestrator=orchestrator, schedulers=4)
-        orchestrator.shutdown()

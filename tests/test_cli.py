@@ -117,6 +117,29 @@ class TestRun:
         assert code == 0
         assert "failures" not in output  # clean run: no failure section
 
+    def test_a_failed_engine_keeps_its_place(self, monkeypatch):
+        """Regression: ``run`` listed results first and failures last, so
+        a failed dbms came after mapreduce and nosql; ``submit`` of the
+        same spec keeps submission order."""
+        from repro.workloads.relational import RelationalQueryWorkload
+
+        def broken(self, engine, dataset, **params):
+            raise RuntimeError("dbms down")
+
+        monkeypatch.setattr(RelationalQueryWorkload, "run_dbms", broken)
+        code, output = run_cli(
+            "run", "database-aggregate-join", "--volume", "60",
+            "--executor", "serial", "--on-error", "continue", "--json",
+        )
+        assert code == 0
+        rows = [
+            (row["engine"], row.get("status", "ok"))
+            for row in json.loads(output)
+        ]
+        assert rows == [
+            ("dbms", "failed"), ("mapreduce", "ok"), ("nosql", "ok"),
+        ]
+
     def test_on_error_rejects_unknown_policy(self):
         with pytest.raises(SystemExit):
             run_cli("run", "micro-wordcount", "--on-error", "panic")

@@ -1,4 +1,4 @@
-"""Tooling: the knob ledger — every option the run path has, pinned.
+"""Tooling: the knob ledger — every option the program's doors have, pinned.
 
 Each independently settable value doubles what tests and benchmarks
 must cover, so the whole surface is read off the code by introspection
@@ -53,13 +53,21 @@ def _dataclasses() -> dict[str, type]:
 
 
 def _callables() -> dict[str, Any]:
+    from repro import api
+    from repro.analysis.compare import compare_records, compare_samples
+    from repro.analysis.gate import check_regressions
     from repro.core.test_generator import TestGenerator
     from repro.datagen.base import DataGenerator
     from repro.datagen.cache import DatasetCache
     from repro.engines.mapreduce.runtime import MapReduceEngine
     from repro.execution.runner import RunnerOptions, TestRunner
+    from repro.loadgen.runner import LoadRunner
+    from repro.loadgen.targets import ServiceTarget, WorkloadTarget
+    from repro.service.client import ServiceClient
     from repro.service.orchestrator import Orchestrator
+    from repro.tuning.ablate import run_ablation
 
+    doors = ("run", "sweep", "compare", "gate", "load", "ablate", "serve")
     return {
         "TestRunner.__init__": TestRunner.__init__,
         "TestRunner.run_many": TestRunner.run_many,
@@ -70,6 +78,17 @@ def _callables() -> dict[str, Any]:
         "DatasetCache.__init__": DatasetCache.__init__,
         "MapReduceEngine.__init__": MapReduceEngine.__init__,
         "Orchestrator.__init__": Orchestrator.__init__,
+        # The doors behind the other verbs, and what each calls.
+        **{f"api.{name}": getattr(api, name) for name in doors},
+        "compare_records": compare_records,
+        "compare_samples": compare_samples,
+        "check_regressions": check_regressions,
+        "run_ablation": run_ablation,
+        "ServiceClient.__init__": ServiceClient.__init__,
+        "Orchestrator.shutdown": Orchestrator.shutdown,
+        "WorkloadTarget.__init__": WorkloadTarget.__init__,
+        "ServiceTarget.__init__": ServiceTarget.__init__,
+        "LoadRunner.__init__": LoadRunner.__init__,
     }
 
 

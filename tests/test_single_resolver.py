@@ -130,6 +130,17 @@ def test_a_task_attempt_happens_in_one_place():
         )
 
 
+def test_a_batch_counts_its_cache_lookups_in_one_place():
+    """A dataset-cache delta is taken by ``TestRunner.cache_delta`` (the
+    parent's, plus its workers') and by a process worker for its own
+    task, nowhere else: a door that subtracted snapshots itself missed
+    the workers' lookups."""
+    sites = sorted({module for module, _ in CALLS.get("since", [])})
+    assert sites == ["execution/runner.py", "execution/workers.py"], (
+        f".since(...) called from {sites}: call TestRunner.cache_delta"
+    )
+
+
 def test_the_worker_rebuilds_nothing_the_parent_shipped():
     strays = [
         (name, line)

@@ -50,7 +50,6 @@ def small_report(tmp_path_factory):
         "relational,micro",
         "dbms,mapreduce",
         repeats=7,
-        warmup=1,
         volume=500,
         store_dir=str(store_dir),
     )

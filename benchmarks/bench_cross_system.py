@@ -17,28 +17,30 @@ from __future__ import annotations
 
 from conftest import print_banner
 
+from repro import api
 from repro.core.results import ResultAnalyzer
+from repro.core.spec import BenchmarkSpec
+from repro.execution.plan import resolve
 from repro.execution.report import ascii_table
 from repro.execution.runner import RunnerOptions, TestRunner
 
 
 def test_relational_query_dbms_vs_mapreduce(benchmark):
+    # Its own runner: a spec has no warmup runs.
     runner = TestRunner(options=RunnerOptions(repeats=3, warmup_runs=1))
+    spec = BenchmarkSpec(
+        "database-aggregate-join", engines=["dbms", "mapreduce"], volume=400
+    )
+    tasks = resolve(spec, runner.test_generator.repository).tasks
 
     def compare():
-        return ResultAnalyzer(
-            runner.run_on_engines(
-                "database-aggregate-join", ["dbms", "mapreduce"], 400
-            )
-        )
+        return ResultAnalyzer(runner.run_many(tasks))
 
     analyzer = benchmark.pedantic(compare, rounds=1, iterations=1)
     rows = analyzer.summary_rows(["duration", "ops_per_second", "energy"])
     print_banner("E10", "select→join→aggregate — DBMS vs MapReduce")
     print(ascii_table(rows))
-    factors = analyzer.speedup(
-        "duration", baseline_engine="mapreduce", higher_is_better=False
-    )
+    factors = analyzer.speedup("duration", baseline_engine="mapreduce")
     print(f"  speedup over MapReduce: {factors}")
     # Pavlo's shape: the DBMS wins relational queries.
     assert factors["dbms"] > 1.0
@@ -49,7 +51,6 @@ def test_relational_query_row_vs_columnar(benchmark):
     identical deterministic answers, and the recorded row-vs-columnar
     delta on the full five-step path (both engines' batch paths — DBMS
     vectorized operators, MapReduce combiner batching — engage)."""
-    from repro import api
 
     def run_layouts():
         reports = {}
@@ -100,15 +101,11 @@ def test_relational_query_row_vs_columnar(benchmark):
 
 
 def test_ycsb_mix_nosql_vs_dbms(benchmark):
-    runner = TestRunner(options=RunnerOptions(repeats=2))
-
     def compare():
-        return ResultAnalyzer(
-            runner.run_on_engines(
-                "oltp-read-write", ["nosql", "dbms"], 300,
-                operation_count=400,
-            )
-        )
+        return api.run(
+            "oltp-read-write", engines=["nosql", "dbms"], volume=300,
+            repeats=2, params={"operation_count": 400},
+        ).analyzer
 
     analyzer = benchmark.pedantic(compare, rounds=1, iterations=1)
     rows = analyzer.summary_rows(["mean_latency", "latency_p99", "throughput"])

@@ -12,6 +12,7 @@ from conftest import print_banner
 
 from repro import BenchmarkSpec
 from repro.core.metrics import MetricKind
+from repro.execution.plan import resolve
 from repro.execution.report import ascii_table
 from repro.execution.runner import TestRunner
 
@@ -71,12 +72,15 @@ def test_function_layer(benchmark, framework):
 
 def test_execution_layer(benchmark, framework):
     el = framework.execution_layer
-    runner = TestRunner(framework.function_layer.test_generator)
+    test_generator = framework.function_layer.test_generator
+    runner = TestRunner(test_generator)
+    spec = BenchmarkSpec("micro-wordcount", engines=["mapreduce"], volume=60)
+    tasks = resolve(spec, test_generator.repository).tasks
 
     def configure_convert_run_report():
         dataset = framework.function_layer.generate_data("random-text", 60)
         converted = el.convert_format(dataset, "text-lines")
-        result = runner.run("micro-wordcount", "mapreduce", 60)
+        (result,) = runner.run_many(tasks)
         table = el.report([result], ["duration", "throughput",
                                      "ops_per_second"])
         return converted, result, table

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 from conftest import print_banner
 
+from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import TestGenerator
 from repro.execution.report import ascii_table
 
@@ -24,9 +25,15 @@ CASES = {
 def test_generate_and_bind(benchmark, domain):
     prescription_name, volume = CASES[domain]
     generator = TestGenerator()
+    engines = BenchmarkSpec(prescription_name).resolved_engines(
+        generator.repository
+    )
 
     def generate_all():
-        return generator.generate_for_all_engines(prescription_name, volume)
+        return [
+            generator.generate(prescription_name, engine, volume)
+            for engine in engines
+        ]
 
     tests = benchmark.pedantic(generate_all, rounds=2, iterations=1)
     rows = []

@@ -29,6 +29,8 @@ from _history import append_history
 from conftest import print_banner
 
 from repro.core.results import ResultAnalyzer
+from repro.core.spec import BenchmarkSpec
+from repro.execution.plan import resolve
 from repro.execution.report import ascii_table
 from repro.execution.runner import RunnerOptions, TestRunner
 
@@ -60,13 +62,18 @@ def _deterministic_means(results) -> dict[str, float]:
     return means
 
 
+def _compare(runner: TestRunner, volume: int) -> ResultAnalyzer:
+    """The cross-engine comparison: the tasks ``resolve`` makes of it."""
+    spec = BenchmarkSpec(PRESCRIPTION, engines=ENGINES, volume=volume)
+    tasks = resolve(spec, runner.test_generator.repository).tasks
+    return ResultAnalyzer(runner.run_many(tasks))
+
+
 def _timed_compare(backend: str):
     options = RunnerOptions(executor=backend, max_workers=len(ENGINES))
     with TestRunner(options=options) as runner:
         started = time.perf_counter()
-        analyzer = ResultAnalyzer(
-            runner.run_on_engines(PRESCRIPTION, ENGINES, VOLUME)
-        )
+        analyzer = _compare(runner, VOLUME)
         elapsed = time.perf_counter() - started
         cache_stats = runner.test_generator.dataset_cache.stats().as_dict()
     return elapsed, analyzer.results, cache_stats
@@ -170,9 +177,7 @@ def test_warm_pool_steady_state(benchmark):
         for _ in range(5):
             started = time.perf_counter()
             with TestRunner(options=RunnerOptions(executor="serial")) as runner:
-                analyzer = ResultAnalyzer(
-                    runner.run_on_engines(PRESCRIPTION, ENGINES, WARM_VOLUME)
-                )
+                analyzer = _compare(runner, WARM_VOLUME)
             cold_seconds.append(time.perf_counter() - started)
         serial_means = _deterministic_means(analyzer.results)
 
@@ -181,9 +186,7 @@ def test_warm_pool_steady_state(benchmark):
         worker_lookups = Counter()
 
         def compare():
-            analyzer = ResultAnalyzer(
-                runner.run_on_engines(PRESCRIPTION, ENGINES, WARM_VOLUME)
-            )
+            analyzer = _compare(runner, WARM_VOLUME)
             for result in analyzer.results:
                 delta = result.extra["worker_cache"]
                 worker_lookups.update(hits=delta["hits"], misses=delta["misses"])
@@ -278,7 +281,7 @@ def test_dataset_cache_scaling(benchmark):
     def drive():
         options = RunnerOptions(repeats=3)
         with TestRunner(options=options) as runner:
-            runner.run_on_engines(PRESCRIPTION, ENGINES, VOLUME)
+            _compare(runner, VOLUME)
             return runner.test_generator.dataset_cache.stats().as_dict()
 
     stats = benchmark.pedantic(drive, rounds=2, iterations=1)

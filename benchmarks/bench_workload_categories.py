@@ -12,16 +12,22 @@ from __future__ import annotations
 import pytest
 from conftest import print_banner
 
+from repro import api
 from repro.execution.report import ascii_table
-from repro.execution.runner import RunnerOptions, TestRunner
 
-RUNNER = TestRunner(options=RunnerOptions(repeats=2))
+
+def _run(prescription: str, engine: str, volume: int, **params):
+    """The one result of ``prescription`` on ``engine``, two repeats."""
+    report = api.run(
+        prescription, engines=[engine], volume=volume, repeats=2,
+        params=params,
+    )
+    return report.results[0]
 
 
 def test_online_services_latency(benchmark):
     def run():
-        return RUNNER.run("oltp-read-write", "nosql", 300,
-                          operation_count=500)
+        return _run("oltp-read-write", "nosql", 300, operation_count=500)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print_banner("E11", "online services — request latency (YCSB A)")
@@ -44,7 +50,7 @@ def test_online_services_latency(benchmark):
 )
 def test_offline_analytics_duration(benchmark, prescription, volume):
     def run():
-        return RUNNER.run(prescription, "mapreduce", volume)
+        return _run(prescription, "mapreduce", volume)
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print_banner("E11", f"offline analytics — {prescription}")

@@ -25,7 +25,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "repro.analysis.baselines": ("Baseline", "BaselineManager"),
         "repro.analysis.compare": (
             "Comparison", "MetricComparison", "VERDICTS", "compare_records",
-            "compare_samples", "metric_direction",
+            "compare_samples",
         ),
         "repro.analysis.gate": ("GateReport", "check_regressions"),
         "repro.analysis.store": (

@@ -36,17 +36,11 @@ from typing import Any
 
 from repro.analysis.store import RunRecord
 from repro.core.errors import AnalysisError
+from repro.core.metrics import metric_direction
 from repro.core.results import MetricStats, RunResult
 
 #: The four verdicts a per-metric comparison can emit.
 VERDICTS = ("improved", "regressed", "unchanged", "inconclusive")
-
-#: Metrics where a smaller value is the better one, by exact name;
-#: :func:`metric_direction` adds the name families (latencies and
-#: their percentiles, shed/error fractions).
-LOWER_IS_BETTER = frozenset(
-    {"duration", "energy", "cost", "latency", "queue_depth_max"}
-)
 
 #: Default relative effect-size threshold: deltas below 5% are noise.
 DEFAULT_TOLERANCE = 0.05
@@ -57,20 +51,6 @@ DEFAULT_BOOTSTRAP_ITERATIONS = 2000
 #: With n=1 on a side, only a delta this many times the tolerance earns
 #: a directional verdict; smaller non-trivial deltas are inconclusive.
 SINGLE_SAMPLE_FACTOR = 3.0
-
-
-def metric_direction(metric: str) -> str:
-    """``"lower"`` or ``"higher"`` — which way is better for a metric.
-
-    The one definition: comparisons, the gate and the five-step
-    process's engine ranking all ask here.
-    """
-    lower = (
-        metric in LOWER_IS_BETTER
-        or metric.endswith(("_latency", "_fraction"))
-        or (metric.startswith("latency_p") and metric[9:].isdigit())
-    )
-    return "lower" if lower else "higher"
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@
 baseline and returns a machine-readable :class:`GateReport` whose
 ``exit_code`` carries CI semantics: 0 when no metric regressed, 1
 otherwise.  Each metric's direction (lower-is-better vs higher) comes
-from :func:`~repro.analysis.compare.metric_direction`, and one
+from :func:`~repro.core.metrics.metric_direction`, and one
 tolerance and one ``alpha`` hold for every metric; the gate only
 decides what to *do* with the verdicts.
 

@@ -289,7 +289,10 @@ def load(
         )
     if service:
         target: Any = ServiceTarget(
-            spec, store_dir=store_dir, schedulers=schedulers
+            spec,
+            store_dir=store_dir,
+            schedulers=schedulers,
+            repository=repository,
         )
     elif spec is not None:
         target = WorkloadTarget(spec, repository=repository)

@@ -23,6 +23,28 @@ from repro.core.errors import MetricError
 from repro.engines.base import CostCounters
 
 
+#: Metrics where a smaller value is the better one, by exact name;
+#: :func:`metric_direction` adds the name families (latencies and
+#: their percentiles, shed/error fractions).
+LOWER_IS_BETTER = frozenset(
+    {"duration", "energy", "cost", "latency", "queue_depth_max"}
+)
+
+
+def metric_direction(metric: str) -> str:
+    """``"lower"`` or ``"higher"`` — which way is better for a metric.
+
+    The one definition: comparisons, the gate and the result analyzer's
+    rankings and speedups all ask here.
+    """
+    lower = (
+        metric in LOWER_IS_BETTER
+        or metric.endswith(("_latency", "_fraction"))
+        or (metric.startswith("latency_p") and metric[9:].isdigit())
+    )
+    return "lower" if lower else "higher"
+
+
 class MetricKind(enum.Enum):
     """The paper's two metric families."""
 

@@ -251,12 +251,8 @@ class BenchmarkingProcess:
         with tracer.span("analysis-evaluation"):
             analysis: dict[str, Any] = {}
             if metric_names and report.results:
-                from repro.analysis.compare import metric_direction
-
                 lead = metric_names[0]
-                ranking = report.analyzer.ranking(
-                    lead, higher_is_better=metric_direction(lead) == "higher"
-                )
+                ranking = report.analyzer.ranking(lead)
                 analysis["lead_metric"] = lead
                 analysis["ranking"] = [
                     (result.engine, result.mean(lead))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import MetricError
-from repro.core.metrics import MetricSuite
+from repro.core.metrics import MetricSuite, metric_direction
 
 
 def _interpolate(ordered: list[float], q: float) -> float:
@@ -362,19 +362,19 @@ class ResultAnalyzer:
             grouped.setdefault(result.engine, []).append(result)
         return grouped
 
-    def ranking(self, metric: str, higher_is_better: bool = True) -> list[RunResult]:
-        """Results ordered best-first by one metric's mean."""
+    def ranking(self, metric: str) -> list[RunResult]:
+        """Results ordered best-first by one metric's mean
+        (:func:`~repro.core.metrics.metric_direction` says which is best)."""
         comparable = [r for r in self.results if metric in r.metrics]
         return sorted(
             comparable,
             key=lambda result: result.mean(metric),
-            reverse=higher_is_better,
+            reverse=metric_direction(metric) == "higher",
         )
 
-    def speedup(
-        self, metric: str, baseline_engine: str, higher_is_better: bool = True
-    ) -> dict[str, float]:
-        """Per-engine factor relative to a baseline engine's mean."""
+    def speedup(self, metric: str, baseline_engine: str) -> dict[str, float]:
+        """Per-engine factor relative to a baseline engine's mean; above
+        1 is better than the baseline, whichever way the metric points."""
         by_engine = self.by_engine()
         if baseline_engine not in by_engine:
             raise MetricError(
@@ -391,13 +391,14 @@ class ResultAnalyzer:
                 f"baseline engine has no samples of metric {metric!r}"
             )
         baseline = statistics.fmean(baseline_values)
+        higher = metric_direction(metric) == "higher"
         factors: dict[str, float] = {}
         for engine, results in by_engine.items():
             values = [r.mean(metric) for r in results if metric in r.metrics]
             if not values:
                 continue
             mean_value = statistics.fmean(values)
-            if higher_is_better:
+            if higher:
                 factors[engine] = mean_value / baseline if baseline else float("inf")
             else:
                 factors[engine] = baseline / mean_value if mean_value else float("inf")

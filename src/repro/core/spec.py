@@ -79,15 +79,12 @@ _SPEC_MIGRATIONS: dict[int, Callable[[dict[str, Any]], dict[str, Any]]] = {
 }
 
 
-#: What a workload param may not be called: the named arguments on the
-#: call path from ``TestRunner.run`` down to ``Workload.run``, which
-#: receive the params as keywords (a param named like one of them is a
-#: ``TypeError`` mid-run).  ``tests/core/test_spec_results.py`` derives
-#: the set from those signatures.
-_CALL_PATH_ARGUMENTS = frozenset({
-    "chunk_size", "configuration", "data_partitions", "dataset", "engine",
-    "engine_name", "prescription", "self", "test", "volume_override",
-})
+#: What a workload param may not be called: the named arguments of the
+#: calls that receive the params as keywords, ``PrescribedTest.run`` and
+#: ``Workload.run`` (a param named like one of them is a ``TypeError``
+#: mid-run).  ``tests/core/test_spec_results.py`` derives the set from
+#: those signatures.
+_CALL_PATH_ARGUMENTS = frozenset({"dataset", "engine", "self"})
 
 
 def _default_executor() -> str:

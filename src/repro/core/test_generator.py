@@ -252,6 +252,17 @@ class TestGenerator:
     # Step 5: bind to a system
     # ------------------------------------------------------------------
 
+    def build_engine(self, engine_name: str, configuration: Any = None) -> Engine:
+        """The one engine recipe: ``configuration`` built, else the bare
+        registry engine ``engine_name``.
+
+        ``configuration`` is an optional
+        :class:`~repro.execution.config.SystemConfiguration`.
+        """
+        if configuration is not None:
+            return configuration.build()
+        return self.engines.create(engine_name)
+
     def generate(
         self,
         prescription: Prescription | str,
@@ -263,10 +274,8 @@ class TestGenerator:
     ) -> PrescribedTest:
         """Produce a prescribed test for one engine (Figure 4, step 5).
 
-        ``configuration`` is an optional
-        :class:`~repro.execution.config.SystemConfiguration`; when
-        given the engine is built from it instead of the bare registry
-        default.
+        The engine is :meth:`build_engine`'s for ``engine_name`` and
+        ``configuration``.
         """
         if isinstance(prescription, str):
             prescription = self.repository.get(prescription)
@@ -276,11 +285,7 @@ class TestGenerator:
                 f"workload {prescription.workload!r} does not run on engine "
                 f"{engine_name!r}; supported: {workload.supported_engines()}"
             )
-        engine: Engine = (
-            configuration.build()
-            if configuration is not None
-            else self.engines.create(engine_name)
-        )
+        engine = self.build_engine(engine_name, configuration)
         dataset = self.select_data(
             prescription.data, volume_override, partitions_override, chunk_size
         )
@@ -290,27 +295,3 @@ class TestGenerator:
             workload=workload,
             dataset=dataset,
         )
-
-    def generate_for_all_engines(
-        self, prescription: Prescription | str, volume_override: int | None = None
-    ) -> list[PrescribedTest]:
-        """Bind one prescription to every engine its workload supports.
-
-        This is the cross-system comparison the functional view enables:
-        the same abstract test on every capable system.
-        """
-        if isinstance(prescription, str):
-            prescription = self.repository.get(prescription)
-        workload = self.workloads.create(prescription.workload)
-        tests = []
-        for engine_name in workload.supported_engines():
-            if engine_name in self.engines:
-                tests.append(
-                    self.generate(prescription, engine_name, volume_override)
-                )
-        if not tests:
-            raise TestGenerationError(
-                f"no registered engine supports workload "
-                f"{prescription.workload!r}"
-            )
-        return tests

@@ -17,9 +17,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.datagen.cache": ("CacheStats", "DatasetCache"),
         "repro.datagen.models": ("ModelCache",),
-        "repro.datagen.formats": (
-            "available_formats", "convert", "convert_batches",
-        ),
+        "repro.datagen.formats": ("available_formats", "convert"),
         "repro.datagen.source": (
             "DatasetSource", "GeneratorSource", "as_source", "ensure_dataset",
         ),

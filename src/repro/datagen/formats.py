@@ -6,12 +6,12 @@ set into an appropriate format capable of being used as the input of a
 test running on a specific system."
 
 Converters are record-stream transformers: each maps an iterator of
-records to an iterator of converted records, so the same converter serves
-both :func:`convert` (materialize the whole payload at once) and
-:func:`convert_batches` (transform a :class:`~repro.datagen.source.DatasetSource`
-chunk by chunk with bounded memory).  Cross-record state — the CSV header
-row, the global key-value index — lives inside one generator that spans
-the full stream, so chunking never changes the output.
+records to an iterator of converted records, and :func:`convert`
+collects the result.  It reads a :class:`~repro.datagen.source.DatasetSource`
+batch by batch as readily as a materialized data set; cross-record
+state — the CSV header row, the global key-value index — lives inside
+one generator that spans the full stream, so chunking never changes
+the output.
 
 The only non-streaming format is ``adjacency-list``: its payload is a
 dict keyed by vertex, which inherently needs every edge before it is
@@ -28,7 +28,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from typing import Any
 
 from repro.core.errors import FormatConversionError
-from repro.datagen.base import DEFAULT_CHUNK_SIZE, DataSet, DataType
+from repro.datagen.base import DataSet, DataType
 
 
 @dataclass
@@ -103,11 +103,6 @@ def available_formats() -> list[str]:
     return sorted(_CONVERTERS)
 
 
-def is_streaming_format(name: str) -> bool:
-    """Whether the named format can convert chunk by chunk."""
-    return _lookup(name).streaming
-
-
 def _lookup(format_name: str) -> _Converter:
     converter = _CONVERTERS.get(format_name)
     if converter is None:
@@ -169,53 +164,6 @@ def convert(data: Any, format_name: str) -> ConvertedData:
         source_name=ctx.source_name,
         num_records=num_records,
     )
-
-
-def convert_batches(
-    data: Any, format_name: str, chunk_size: int | None = None
-) -> Iterator[list[Any]]:
-    """Convert a dataset source chunk by chunk with bounded memory.
-
-    Yields lists of at most ``chunk_size`` converted records.  The
-    converter runs as one generator over the whole stream, so formats
-    with cross-record state (CSV headers, global indexes) produce output
-    identical to :func:`convert` — chunking is re-slicing, not
-    re-converting.
-    """
-    converter = _lookup(format_name)
-    if not converter.streaming:
-        raise FormatConversionError(
-            f"format {format_name!r} cannot be converted incrementally; "
-            "use convert() to materialize it"
-        )
-    ctx = _context_of(data)
-    _check_type(converter, ctx)
-    chunk_size = DEFAULT_CHUNK_SIZE if chunk_size is None else chunk_size
-    if chunk_size <= 0:
-        raise FormatConversionError(
-            f"chunk_size must be positive, got {chunk_size}"
-        )
-
-    # Validation above is eager (this is a plain function returning a
-    # generator, not a generator function), so a bad format or data type
-    # fails at the call, before anything pulls from the stream.
-    def _stream() -> Iterator[list[Any]]:
-        try:
-            transformed = converter.transform(_iter_records(data), ctx)
-            while True:
-                chunk = list(itertools.islice(transformed, chunk_size))
-                if not chunk:
-                    return
-                yield chunk
-        except FormatConversionError:
-            raise
-        except Exception as exc:
-            raise FormatConversionError(
-                f"converting {ctx.source_name!r} to {format_name!r} "
-                f"failed: {exc}"
-            ) from exc
-
-    return _stream()
 
 
 @register_format("records")

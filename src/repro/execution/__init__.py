@@ -5,7 +5,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.execution.config": ("SystemConfiguration", "prepare_input"),
+        "repro.execution.config": ("SystemConfiguration",),
         "repro.execution.harness": ("SweepPoint", "SweepReport"),
         "repro.execution.parallel": (
             "EXECUTOR_BACKENDS", "ParallelExecutor", "SerialExecutor",

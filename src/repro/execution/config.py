@@ -3,8 +3,8 @@
 "The system configuration tools enable a generated test running in a
 specific software stack."  Concretely: named engine configurations
 (cluster size, planner knobs, store partitioning, stream service rate)
-that the runner uses to instantiate engines, plus input format
-conversion so a data set matches what the engine consumes.
+that the runner uses to instantiate engines.  Format conversion is
+:func:`repro.datagen.formats.convert`.
 """
 
 from __future__ import annotations
@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.core.errors import ExecutionError
-from repro.datagen.base import DataSet
-from repro.datagen.formats import (
-    ConvertedData,
-    convert,
-    convert_batches,
-    is_streaming_format,
-)
-from repro.engines.base import Engine, EngineInfo, SimulatedClusterSpec
+from repro.engines.base import Engine, SimulatedClusterSpec
 
 
 @dataclass
@@ -90,29 +83,3 @@ def layout_options(layout: str) -> dict[str, dict[str, Any]]:
     if layout != "columnar":
         return {}
     return {"dbms": {"layout": "columnar"}}
-
-
-def prepare_input(dataset: Any, engine: Engine) -> ConvertedData:
-    """Convert a data set into the engine's declared input format.
-
-    This is the format-conversion step of Section 2.3 — the runner calls
-    it before every execution so a test never sees a mismatched format.
-
-    A streaming :class:`~repro.datagen.source.DatasetSource` headed for a
-    streaming format is validated eagerly (format exists, data type
-    matches) but converted lazily: the returned payload is an unconsumed
-    record iterator, so the check never materializes the stream.  Only a
-    non-streaming format (``adjacency-list``) forces materialization.
-    """
-    info: EngineInfo = engine.info
-    if not isinstance(dataset, DataSet) and is_streaming_format(
-        info.input_format
-    ):
-        chunks = convert_batches(dataset, info.input_format)
-        return ConvertedData(
-            format_name=info.input_format,
-            payload=(record for chunk in chunks for record in chunk),
-            source_name=dataset.name,
-            num_records=dataset.num_records,
-        )
-    return convert(dataset, info.input_format)

@@ -7,8 +7,9 @@ which engines, under which :class:`RunnerOptions`, built from which
 :class:`~repro.execution.config.SystemConfiguration`, recorded under
 which series annotation.  Every door builds a spec and takes its tasks
 from :func:`resolve`: the five-step process, the service orchestrator,
-the ablation, ``api.sweep``, ``TestRunner.run_on_engines`` and the
-workload load target.  ``RunTask(`` and :func:`engine_configuration`
+the ablation, ``api.sweep`` and the workload load target, and a
+:class:`~repro.execution.runner.TestRunner` runs nothing but those
+tasks (``run_many``).  ``RunTask(`` and :func:`engine_configuration`
 are called in this module only, so one spec means one engine
 configuration, one set of deterministic metrics and one series key on
 every path.
@@ -17,7 +18,8 @@ The rules (DESIGN "spec → plan"):
 
 1. An engine is the **bare registry engine** plus layout options plus
    tuning-profile knobs plus the latency fault, carried on the task as
-   its ``configuration``; there is no other way to configure one.
+   its ``configuration``; there is no other way to configure one, and
+   ``TestGenerator.build_engine`` is the one recipe that builds it.
 2. The **series key is a function of the request**: the requested
    ``layout`` and the profile's ``fingerprint()`` travel on each
    :class:`RunTask` as its ``series`` annotation (keywords of
@@ -26,7 +28,7 @@ The rules (DESIGN "spec → plan"):
    an engine reports having executed (``result.extra["layout"]``)
    never feeds the key.
 3. :func:`runner_options` is the one place a spec becomes
-   :class:`RunnerOptions`; ``check_format`` is off (validated already).
+   :class:`RunnerOptions`.
 4. Records are written in submission (task) order.
 """
 
@@ -78,7 +80,6 @@ def runner_options(spec: BenchmarkSpec) -> RunnerOptions:
     """The runner policy ``spec`` asks for; ``spec.validate`` checks it here."""
     return RunnerOptions(
         repeats=spec.repeats,
-        check_format=False,
         executor=spec.executor,
         max_workers=spec.max_workers,
         on_error=spec.on_error,

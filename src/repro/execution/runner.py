@@ -1,8 +1,10 @@
 """The test runner (Execution step of Figure 1).
 
-Runs prescribed tests with warmup and repeats, computes metric statistics
-through the standard metric suite, and returns
+Runs the :class:`RunTask` s :func:`repro.execution.plan.resolve` makes
+— one prescribed test each, with warmup and repeats — computes metric
+statistics through the standard metric suite, and returns
 :class:`~repro.core.results.RunResult` objects ready for analysis.
+:meth:`TestRunner.run_many` is the one way in.
 
 Engines are rebuilt per repeat so repeats stay independent — a DBMS that
 cached tables from the previous repeat, or a KV store already containing
@@ -39,13 +41,12 @@ from typing import Any
 from repro._util import collector_paused
 from repro.core.errors import ExecutionError
 from repro.core.metrics import MetricSuite
-from repro.core.prescription import Prescription, PrescriptionRepository
+from repro.core.prescription import Prescription
 from repro.core.results import RunResult, TaskFailure
-from repro.core.spec import BenchmarkSpec
-from repro.core.test_generator import PrescribedTest, TestGenerator
+from repro.core.test_generator import TestGenerator
 from repro.datagen.cache import CacheStats
 from repro.engines.faults import fault_attempt
-from repro.execution.config import SystemConfiguration, prepare_input
+from repro.execution.config import SystemConfiguration
 from repro.execution.parallel import (
     EXECUTOR_BACKENDS,
     ParallelExecutor,
@@ -71,7 +72,6 @@ from repro.observability import (
     current_tracer,
     summarize_spans,
 )
-from repro.workloads.base import WorkloadResult
 
 #: What the fan-out entry points return per task.
 RunOutcome = RunResult | TaskFailure
@@ -91,8 +91,6 @@ class RunnerOptions:
 
     repeats: int = 1
     warmup_runs: int = 0
-    #: Validate format convertibility before running (Section 2.3).
-    check_format: bool = True
     #: Fan-out backend for independent runs: "serial", "thread",
     #: "process".  Defaults to "serial" unless the ``REPRO_EXECUTOR``
     #: environment variable names another backend.
@@ -159,9 +157,9 @@ class RunTask:
     """One independent run request, ready to be fanned out.
 
     A plain-data description (picklable as long as the prescription is)
-    of everything :meth:`TestRunner.run` needs, so a batch of tasks can
-    be dispatched to any executor backend and merged in submission
-    order.
+    of everything :meth:`TestRunner.run_task` needs, so a batch of tasks
+    can be dispatched to any executor backend and merged in submission
+    order.  :func:`repro.execution.plan.resolve` makes them.
     """
 
     prescription: Prescription | str
@@ -236,80 +234,53 @@ class TestRunner:
 
     # ------------------------------------------------------------------
 
-    def _build_engine(
-        self, engine_name: str, configuration: SystemConfiguration | None = None
-    ):
-        if configuration is not None:
-            return configuration.build()
-        return self.test_generator.engines.create(engine_name)
+    def _run(self, task: RunTask) -> RunResult:
+        """One attempt at ``task``: its test, warmups and repeats.
 
-    def run_once(self, test: PrescribedTest, **overrides: Any) -> WorkloadResult:
-        """One execution of an already-bound prescribed test."""
-        if self.options.check_format:
-            prepare_input(test.dataset, test.engine)
-        return test.run(**overrides)
-
-    def run(
-        self,
-        prescription: Prescription | str,
-        engine_name: str,
-        volume_override: int | None = None,
-        *,
-        configuration: SystemConfiguration | None = None,
-        data_partitions: int | None = None,
-        chunk_size: int | None = None,
-        **overrides: Any,
-    ) -> RunResult:
-        """Generate and run one prescribed test with repeats.
-
-        The data set is generated once (same data every repeat — and
-        served from the dataset cache when an identical deterministic
-        request already ran); the engine is rebuilt per repeat for
-        independence.  With ``chunk_size`` set, the test binds a lazily
-        streaming source instead — determinism makes every repeat see
-        the same records either way.
+        The test is generated once, its engine built as the task's
+        ``configuration`` says, and its data set served from the
+        dataset cache when an identical deterministic request already
+        ran (a lazily streaming source when ``chunk_size`` is set;
+        determinism makes every execution see the same records either
+        way).  Each of the ``warmup_runs + repeats`` executions gets an
+        engine of its own: the one ``generate`` built serves the first,
+        :meth:`TestGenerator.build_engine` builds the rest.
         """
         tracer = current_tracer()
-        prescription_name = (
-            prescription if isinstance(prescription, str) else prescription.name
-        )
+        prescription_name, _ = self._task_identity(task)
         with tracer.span(
-            "run", prescription=prescription_name, engine=engine_name
+            "run", prescription=prescription_name, engine=task.engine_name
         ):
             with tracer.span("test-generation"):
                 test = self.test_generator.generate(
-                    prescription,
-                    engine_name,
-                    volume_override,
-                    data_partitions,
-                    chunk_size,
+                    task.prescription,
+                    task.engine_name,
+                    task.volume_override,
+                    task.data_partitions,
+                    task.chunk_size,
+                    task.configuration,
                 )
-            for index in range(self.options.warmup_runs):
-                with tracer.span("warmup", index=index):
-                    fresh = self._rebind(test, engine_name, configuration)
-                    self.run_once(fresh, **overrides)
+            warmups = self.options.warmup_runs
             workload_results = []
-            for index in range(self.options.repeats):
-                with tracer.span("repeat", index=index):
-                    fresh = self._rebind(test, engine_name, configuration)
-                    workload_results.append(self.run_once(fresh, **overrides))
+            for number in range(warmups + self.options.repeats):
+                warmup = number < warmups
+                with tracer.span(
+                    "warmup" if warmup else "repeat",
+                    index=number if warmup else number - warmups,
+                ):
+                    if number:  # the first runs on the engine generate built
+                        test = replace(
+                            test,
+                            engine=self.test_generator.build_engine(
+                                task.engine_name, task.configuration
+                            ),
+                        )
+                    result = test.run(**task.overrides)
+                if not warmup:
+                    workload_results.append(result)
             return RunResult.from_workload_results(
                 test.name, workload_results, self.suite
             )
-
-    def _rebind(
-        self,
-        test: PrescribedTest,
-        engine_name: str,
-        configuration: SystemConfiguration | None = None,
-    ) -> PrescribedTest:
-        """The same prescription and data on a fresh engine instance."""
-        return PrescribedTest(
-            prescription=test.prescription,
-            engine=self._build_engine(engine_name, configuration),
-            workload=test.workload,
-            dataset=test.dataset,
-        )
 
     # ------------------------------------------------------------------
     # Fan-out
@@ -359,15 +330,7 @@ class TestRunner:
 
         def attempt_once(attempt: int) -> RunResult:
             with fault_attempt(task_key, attempt):
-                return self.run(
-                    task.prescription,
-                    task.engine_name,
-                    task.volume_override,
-                    configuration=task.configuration,
-                    data_partitions=task.data_partitions,
-                    chunk_size=task.chunk_size,
-                    **task.overrides,
-                )
+                return self._run(task)
 
         with tracer.activate(), tracer.span(
             "task", index=index, engine=task.engine_name
@@ -489,51 +452,6 @@ class TestRunner:
             spans = [Span.from_dict(payload) for payload in payloads]
             tracer.graft(spans)
             outcome.extra[TRACE_SUMMARY_KEY] = summarize_spans(spans)
-
-    def run_on_engines(
-        self,
-        prescription: Prescription | str,
-        engine_names: list[str],
-        volume_override: int | None = None,
-        **overrides: Any,
-    ) -> list[RunOutcome]:
-        """The same prescription across several engines (system view).
-
-        The deterministic data set is generated once and shared by every
-        engine through the dataset cache; the hit/miss delta *of this
-        call* (not process-lifetime totals, its workers' lookups
-        included: :meth:`cache_delta`) is attached to each outcome's
-        ``extra["dataset_cache"]``.  Options with
-        ``on_error="continue"`` keep one misbehaving engine from
-        discarding the comparison: its slot holds a :class:`TaskFailure`
-        while the other engines' results survive.
-
-        The tasks are :func:`~repro.execution.plan.resolve`'s for the
-        spec naming these engines, volume and overrides, so each engine
-        is built and keyed exactly as :func:`repro.api.run` builds it.
-        """
-        from repro.execution.plan import resolve  # plan imports this module
-
-        repository = self.test_generator.repository
-        if not isinstance(prescription, str):
-            # A prescription object need not be in any repository.
-            repository = PrescriptionRepository()
-            repository.add(prescription)
-            prescription = prescription.name
-        spec = BenchmarkSpec(
-            prescription,
-            engines=list(engine_names),
-            volume=volume_override,
-            params=dict(overrides),
-        )
-        # An empty engine list is no engines, not "every supported one".
-        tasks = resolve(spec, repository).tasks if engine_names else ()
-        before = self.test_generator.dataset_cache.stats()
-        outcomes = self.run_many(tasks)
-        delta = self.cache_delta(before, outcomes)
-        for outcome in outcomes:
-            outcome.extra["dataset_cache"] = delta.as_dict()
-        return outcomes
 
     def cache_delta(
         self, before: CacheStats, outcomes: list[RunOutcome]

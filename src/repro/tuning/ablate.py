@@ -291,7 +291,7 @@ class AblationReport:
                 "delta": (
                     f"{lead.relative_delta:+.1%}" if lead is not None else "-"
                 ),
-                "ci95": _format_ci(lead),
+                _ci_column(self.alpha): _format_ci(lead),
                 "p": (
                     f"{lead.p_value:.4f}"
                     if lead is not None and lead.p_value is not None
@@ -320,6 +320,12 @@ class AblationReport:
             "verdicts": [verdict.as_dict() for verdict in self.verdicts],
             "attribution": self.attribution_rows(),
         }
+
+
+def _ci_column(alpha: float) -> str:
+    """The interval column's name: the interval is taken at ``1 - alpha``,
+    so ``ci95`` at the default alpha."""
+    return f"ci{100 * (1 - alpha):g}"
 
 
 def _format_ci(lead: Any) -> str:
@@ -587,7 +593,7 @@ def _judge(
                                 if lead_cmp is not None
                                 else "-"
                             ),
-                            "ci95": _format_ci(lead_cmp),
+                            _ci_column(report.alpha): _format_ci(lead_cmp),
                             "p": (
                                 f"{lead_cmp.p_value:.4f}"
                                 if lead_cmp is not None

@@ -11,10 +11,10 @@ from repro.analysis.compare import (
     compare_records,
     compare_samples,
     mann_whitney_u,
-    metric_direction,
     min_achievable_p,
 )
 from repro.core.errors import AnalysisError
+from repro.core.metrics import metric_direction
 from repro.core.results import MetricStats, RunResult
 
 BASELINE = [1.00, 1.02, 0.98, 1.01, 0.99]

@@ -88,16 +88,14 @@ class TestResultAnalyzerEdges:
             [make_result(), make_failure(), make_result("nosql", (2.0,))]
         )
         assert sorted(analyzer.by_engine()) == ["mapreduce", "nosql"]
-        ranking = analyzer.ranking("duration", higher_is_better=False)
+        ranking = analyzer.ranking("duration")
         assert [r.engine for r in ranking] == ["mapreduce", "nosql"]
 
     def test_single_repeat_runs_rank_and_summarize(self):
         analyzer = ResultAnalyzer(
             [make_result(samples=(1.0,)), make_result("nosql", (2.0,))]
         )
-        factors = analyzer.speedup(
-            "duration", "mapreduce", higher_is_better=False
-        )
+        factors = analyzer.speedup("duration", "mapreduce")
         assert factors["nosql"] == pytest.approx(0.5)
         rows = analyzer.summary_rows(["duration"])
         assert [row["repeats"] for row in rows] == [1, 1]

@@ -63,14 +63,10 @@ class TestBenchmarkSpec:
         import inspect
 
         from repro.core.test_generator import PrescribedTest
-        from repro.execution.runner import TestRunner
         from repro.workloads.base import Workload
 
         named = set()
-        for function in (
-            TestRunner.run, TestRunner.run_once, PrescribedTest.run,
-            Workload.run,
-        ):
+        for function in (PrescribedTest.run, Workload.run):
             named |= {
                 parameter.name
                 for parameter in inspect.signature(function).parameters.values()
@@ -350,15 +346,22 @@ class TestResultAnalyzer:
         return [fast, slow]
 
     def test_ranking_lower_is_better(self):
+        """``metric_direction`` says which way is best: a bare
+        ``ranking("duration")`` used to list the slowest engine first."""
         analyzer = ResultAnalyzer(self._results())
-        ranked = analyzer.ranking("duration", higher_is_better=False)
+        ranked = analyzer.ranking("duration")
+        assert [result.engine for result in ranked] == ["dbms", "mapreduce"]
+
+    def test_ranking_higher_is_better(self):
+        analyzer = ResultAnalyzer(self._results())
+        ranked = analyzer.ranking("throughput")
         assert [result.engine for result in ranked] == ["dbms", "mapreduce"]
 
     def test_speedup_relative_to_baseline(self):
+        """Above 1 is faster than the baseline; a bare
+        ``speedup("duration", …)`` used to invert the factor."""
         analyzer = ResultAnalyzer(self._results())
-        factors = analyzer.speedup(
-            "duration", baseline_engine="mapreduce", higher_is_better=False
-        )
+        factors = analyzer.speedup("duration", baseline_engine="mapreduce")
         assert factors["dbms"] == pytest.approx(4.0)
         assert factors["mapreduce"] == pytest.approx(1.0)
 

@@ -9,6 +9,7 @@ from repro.core.errors import TestGenerationError
 from repro.core.operations import operations
 from repro.core.patterns import SingleOperationPattern
 from repro.core.prescription import DataRequirement
+from repro.core.spec import BenchmarkSpec
 from repro.core.test_generator import TestGenerator
 from repro.datagen.base import DataType
 
@@ -101,18 +102,36 @@ class TestGenerate:
 
 
 class TestGenerateForAllEngines:
+    """One prescription bound to every engine a spec naming no engines
+    runs on: ``BenchmarkSpec.resolved_engines``, the supported engines
+    that are registered."""
+
+    @staticmethod
+    def _generate_for_all_engines(generator, prescription, volume):
+        spec = BenchmarkSpec(prescription)
+        return [
+            generator.generate(prescription, engine, volume)
+            for engine in spec.resolved_engines(generator.repository)
+        ]
+
     def test_relational_query_binds_to_all_system_types(self, generator):
-        tests = generator.generate_for_all_engines("database-aggregate-join", 50)
+        tests = self._generate_for_all_engines(
+            generator, "database-aggregate-join", 50
+        )
         engines = sorted(test.engine.name for test in tests)
         assert engines == ["dbms", "mapreduce", "nosql"]
 
     def test_oltp_binds_to_both_stores(self, generator):
-        tests = generator.generate_for_all_engines("oltp-read-write", 30)
+        tests = self._generate_for_all_engines(
+            generator, "oltp-read-write", 30
+        )
         engines = sorted(test.engine.name for test in tests)
         assert engines == ["dbms", "nosql"]
 
     def test_all_tests_share_one_dataset_volume(self, generator):
-        tests = generator.generate_for_all_engines("database-aggregate-join", 40)
+        tests = self._generate_for_all_engines(
+            generator, "database-aggregate-join", 40
+        )
         assert all(test.dataset.num_records == 40 for test in tests)
 
 

@@ -15,6 +15,7 @@ from repro.datagen.base import DataSet, DataType
 from repro.datagen.cache import CacheStats, DatasetCache, LruCache
 from repro.datagen.models import ModelCache
 from repro.execution.runner import TestRunner
+from tests._runs import run_on_engines, run_one
 
 
 def _dataset(name: str = "d", records: int = 3) -> DataSet:
@@ -340,23 +341,23 @@ class TestRunnerIntegration:
     def test_run_on_engines_generates_once(self):
         runner = TestRunner()
         engines = ["dbms", "mapreduce", "nosql"]
-        results = runner.run_on_engines("database-aggregate-join", engines, 60)
+        before = runner.test_generator.dataset_cache.stats()
+        results = run_on_engines(runner, "database-aggregate-join", engines, 60)
         stats = runner.test_generator.dataset_cache.stats()
         assert stats.misses == 1
         assert stats.hits == len(engines) - 1
-        for result in results:
-            assert result.extra["dataset_cache"]["misses"] == 1
+        assert runner.cache_delta(before, results).misses == 1
 
     def test_run_on_engines_reports_per_call_deltas(self):
         runner = TestRunner()
         engines = ["dbms", "mapreduce", "nosql"]
-        runner.run_on_engines("database-aggregate-join", engines, 60)
-        results = runner.run_on_engines("database-aggregate-join", engines, 60)
-        # The second call is fully served from cache, and its results must
-        # carry that call's delta — not process-lifetime totals.
-        for result in results:
-            assert result.extra["dataset_cache"]["misses"] == 0
-            assert result.extra["dataset_cache"]["hits"] == len(engines)
+        run_on_engines(runner, "database-aggregate-join", engines, 60)
+        before = runner.test_generator.dataset_cache.stats()
+        results = run_on_engines(runner, "database-aggregate-join", engines, 60)
+        # The second call is fully served from cache, and its delta is
+        # that call's — not process-lifetime totals.
+        delta = runner.cache_delta(before, results)
+        assert (delta.misses, delta.hits) == (0, len(engines))
         lifetime = runner.test_generator.dataset_cache.stats()
         assert lifetime.misses == 1
         assert lifetime.hits == 2 * len(engines) - 1
@@ -365,8 +366,8 @@ class TestRunnerIntegration:
         from repro.execution.runner import RunnerOptions
 
         runner = TestRunner(options=RunnerOptions(repeats=3))
-        runner.run("micro-wordcount", "mapreduce", 30)
-        runner.run("micro-wordcount", "mapreduce", 30)
+        run_one(runner, "micro-wordcount", "mapreduce", 30)
+        run_one(runner, "micro-wordcount", "mapreduce", 30)
         stats = runner.test_generator.dataset_cache.stats()
         assert stats.misses == 1
         assert stats.hits == 1

@@ -149,77 +149,41 @@ class TestCommonLog:
             convert(table_dataset, "common-log")
 
 
+class _OneRecordBatches:
+    """A data set's records as a source, one record per batch; counts
+    the batches pulled."""
+
+    def __init__(self, dataset):
+        self.name = dataset.name
+        self.data_type = dataset.data_type
+        self.metadata = dataset.metadata
+        self._dataset = dataset
+        self.pulled = 0
+
+    def batches(self):
+        for batch in self._dataset.batches(chunk_size=1):
+            self.pulled += 1
+            yield batch
+
+
 class TestStreamingConversion:
-    """convert_batches: bounded-memory conversion, identical output."""
+    """convert over a batch-by-batch source: identical output."""
 
     def test_matches_convert_for_csv(self, table_dataset):
-        from repro.datagen.formats import convert_batches
-
-        chunked = [
-            line
-            for chunk in convert_batches(table_dataset, "csv", chunk_size=1)
-            for line in chunk
-        ]
+        chunked = convert(_OneRecordBatches(table_dataset), "csv").payload
         assert chunked == convert(table_dataset, "csv").payload
 
     def test_matches_convert_for_key_value(self):
-        from repro.datagen.formats import convert_batches
-
         dataset = as_dataset([f"doc {i}" for i in range(10)], DataType.TEXT)
-        chunked = [
-            pair
-            for chunk in convert_batches(dataset, "key-value", chunk_size=3)
-            for pair in chunk
-        ]
-        # The global key index spans chunk boundaries unbroken.
+        chunked = convert(_OneRecordBatches(dataset), "key-value").payload
+        # The global key index spans batch boundaries unbroken.
         assert chunked == convert(dataset, "key-value").payload
 
-    def test_non_streaming_format_rejected_eagerly(self, graph_dataset):
-        from repro.datagen.formats import convert_batches
-
-        with pytest.raises(FormatConversionError):
-            convert_batches(graph_dataset, "adjacency-list")
-
     def test_type_mismatch_rejected_before_consuming(self, table_dataset):
-        from repro.datagen.formats import convert_batches
-
-        # A plain call (no iteration) already raises: validation is
-        # eager even though conversion is lazy.
+        source = _OneRecordBatches(table_dataset)
         with pytest.raises(FormatConversionError):
-            convert_batches(table_dataset, "common-log")
-
-    def test_chunk_size_validated(self, table_dataset):
-        from repro.datagen.formats import convert_batches
-
-        with pytest.raises(FormatConversionError):
-            convert_batches(table_dataset, "csv", chunk_size=0)
-
-    def test_streaming_source_converts_lazily(self):
-        from repro.datagen.formats import convert_batches
-
-        pulled = []
-
-        class _Source:
-            name = "lazy"
-            data_type = DataType.TEXT
-            metadata = {}
-
-            def batches(self):
-                from repro.datagen.base import RecordBatch
-
-                for index in range(3):
-                    pulled.append(index)
-                    yield RecordBatch(
-                        records=[f"doc {index}"],
-                        data_type=DataType.TEXT,
-                        index=index,
-                        offset=index,
-                    )
-
-        chunks = convert_batches(_Source(), "text-lines", chunk_size=1)
-        assert pulled == []  # nothing consumed until iteration
-        assert next(iter(chunks)) == ["doc 0"]
-        assert pulled == [0]
+            convert(source, "common-log")
+        assert source.pulled == 0
 
     def test_lazy_converted_data_len(self):
         from repro.datagen.formats import ConvertedData
@@ -228,9 +192,3 @@ class TestStreamingConversion:
             "text-lines", iter(["a", "b"]), "s", num_records=2
         )
         assert len(lazy) == 2
-
-    def test_is_streaming_format(self):
-        from repro.datagen.formats import is_streaming_format
-
-        assert is_streaming_format("csv")
-        assert not is_streaming_format("adjacency-list")

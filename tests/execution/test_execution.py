@@ -11,7 +11,7 @@ from repro import api
 from repro.core.errors import ExecutionError
 from repro.core.results import ResultAnalyzer, RunResult
 from repro.engines.dbms import PlannerConfig
-from repro.execution.config import SystemConfiguration, prepare_input
+from repro.execution.config import SystemConfiguration
 from repro.execution.report import (
     RESULT_STYLES,
     ascii_table,
@@ -22,6 +22,7 @@ from repro.execution.report import (
 )
 from repro.execution.runner import RunnerOptions, RunTask, TestRunner
 from repro.observability import Span
+from tests._runs import run_on_engines, run_one
 
 
 class TestSystemConfiguration:
@@ -45,35 +46,28 @@ class TestSystemConfiguration:
         with pytest.raises(ExecutionError):
             SystemConfiguration("spark").build()
 
-    def test_prepare_input_uses_engine_format(self, text_corpus):
-        from repro.engines.mapreduce import MapReduceEngine
-
-        converted = prepare_input(text_corpus, MapReduceEngine())
-        assert converted.format_name == "key-value"
-
 
 class TestRunnerBehaviour:
     def test_run_aggregates_repeats(self):
         runner = TestRunner(options=RunnerOptions(repeats=3))
-        result = runner.run("micro-wordcount", "mapreduce", 20)
+        result = run_one(runner, "micro-wordcount", "mapreduce", 20)
         assert result.repeats == 3
         assert result.mean("throughput") > 0
 
     def test_warmup_runs_not_counted(self):
         runner = TestRunner(options=RunnerOptions(repeats=2, warmup_runs=1))
-        result = runner.run("micro-wordcount", "mapreduce", 15)
+        result = run_one(runner, "micro-wordcount", "mapreduce", 15)
         assert result.repeats == 2
 
     def test_repeats_use_fresh_engines(self):
         """A stateful engine (DBMS) must not see tables from prior repeats."""
         runner = TestRunner(options=RunnerOptions(repeats=3))
-        result = runner.run("database-aggregate-join", "dbms", 60)
+        result = run_one(runner, "database-aggregate-join", "dbms", 60)
         assert result.repeats == 3  # would raise "table exists" otherwise
 
     def test_run_on_engines(self):
-        runner = TestRunner()
-        results = runner.run_on_engines(
-            "database-aggregate-join", ["dbms", "mapreduce"], 50
+        results = run_on_engines(
+            TestRunner(), "database-aggregate-join", ["dbms", "mapreduce"], 50
         )
         assert [result.engine for result in results] == ["dbms", "mapreduce"]
 
@@ -84,16 +78,54 @@ class TestRunnerBehaviour:
             RunnerOptions(warmup_runs=-1)
 
     def test_overrides_flow_through(self):
-        runner = TestRunner()
-        result = runner.run(
-            "micro-grep", "mapreduce", 40, pattern_text=""
+        result = run_one(
+            TestRunner(), "micro-grep", "mapreduce", 40, pattern_text=""
         )
         assert result.extra.get("jobs") == ["grep"]
 
 
+class TestEngineBuilds:
+    """Engines are built exactly as often as they execute."""
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_each_execution_builds_one_engine(
+        self, backend, tmp_path, monkeypatch
+    ):
+        """A task of W warmups and R repeats builds W + R engines: the
+        one ``generate`` builds serves the first execution (there was
+        one more, bare, that ran nothing)."""
+        from repro.engines.mapreduce import MapReduceEngine
+
+        built = tmp_path / "built"
+        build = MapReduceEngine.__init__
+
+        def counted(engine, *args, **kwargs):
+            # A file, not a list: process workers (forked after the
+            # patch) count here too.
+            with built.open("a") as log:
+                log.write("x")
+            build(engine, *args, **kwargs)
+
+        monkeypatch.setattr(MapReduceEngine, "__init__", counted)
+        warmups, repeats = 2, 3
+        options = RunnerOptions(
+            warmup_runs=warmups, repeats=repeats, executor=backend,
+            max_workers=2,
+        )
+        # Two tasks: a process batch of one runs inline.
+        tasks = [
+            RunTask("micro-wordcount", "mapreduce", volume)
+            for volume in (20, 30)
+        ]
+        with TestRunner(options=options) as runner:
+            outcomes = runner.run_many(tasks)
+        assert all(outcome.ok for outcome in outcomes)
+        assert len(built.read_text()) == len(tasks) * (warmups + repeats)
+
+
 class TestHarness:
-    """The sweep and comparison patterns: ``api.sweep`` and
-    ``TestRunner.run_on_engines``."""
+    """The sweep and comparison patterns: ``api.sweep`` and one spec on
+    several engines."""
 
     def test_volume_sweep_series(self, monkeypatch):
         # Serial on purpose: the duration-grows assertion compares
@@ -116,13 +148,12 @@ class TestHarness:
 
     def test_compare_engines_returns_analyzer(self):
         analyzer = ResultAnalyzer(
-            TestRunner().run_on_engines(
-                "database-aggregate-join", ["dbms", "mapreduce"], 50
+            run_on_engines(
+                TestRunner(), "database-aggregate-join", ["dbms", "mapreduce"],
+                50,
             )
         )
-        factors = analyzer.speedup(
-            "duration", baseline_engine="mapreduce", higher_is_better=False
-        )
+        factors = analyzer.speedup("duration", baseline_engine="mapreduce")
         assert set(factors) == {"dbms", "mapreduce"}
 
     def test_configuration_sweep_restores_originals(self):
@@ -141,7 +172,7 @@ class TestHarness:
         assert all(result.ok for result in results)
         # A swept configuration stays on its task: the next engine the
         # runner builds is the bare one again.
-        bare = runner._build_engine("dbms").planner.config
+        bare = runner.test_generator.build_engine("dbms").planner.config
         assert bare == PlannerConfig()
 
     def test_sweep_rows(self):
@@ -153,8 +184,7 @@ class TestHarness:
 
 class TestReporting:
     def _results(self) -> list[RunResult]:
-        runner = TestRunner()
-        return [runner.run("micro-wordcount", "mapreduce", 15)]
+        return [run_one(TestRunner(), "micro-wordcount", "mapreduce", 15)]
 
     def test_ascii_table_aligns_columns(self):
         table = ascii_table([{"a": 1, "b": "xy"}, {"a": 22, "b": "z"}])
@@ -206,8 +236,7 @@ class TestReporting:
 
 class TestRenderFacade:
     def _results(self) -> list[RunResult]:
-        runner = TestRunner()
-        return [runner.run("micro-wordcount", "mapreduce", 15)]
+        return [run_one(TestRunner(), "micro-wordcount", "mapreduce", 15)]
 
     def test_style_registry(self):
         assert RESULT_STYLES == ("ascii", "markdown", "json", "history")

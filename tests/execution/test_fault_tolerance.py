@@ -52,9 +52,7 @@ DETERMINISTIC_METRICS = {
 def _runner(backend: str, **options: object) -> TestRunner:
     return TestRunner(
         test_generator=TestGenerator(builtin_repository()),
-        options=RunnerOptions(
-            check_format=False, executor=backend, max_workers=3, **options
-        ),
+        options=RunnerOptions(executor=backend, max_workers=3, **options),
     )
 
 
@@ -298,7 +296,7 @@ class TestRetryLoop:
         assert failed.traceback_summary  # post-mortem breadcrumbs captured
 
     def test_clean_runs_carry_no_retry_metadata(self):
-        with TestRunner(options=RunnerOptions(check_format=False)) as runner:
+        with TestRunner() as runner:
             (outcome,) = runner.run_many(_tasks(["dbms"]))
         assert "attempts" not in outcome.extra
 
@@ -391,9 +389,7 @@ class TestQueueWaitRegression:
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_queue_wait_bounded_by_batch_wall_time(self, backend):
         tracer = Tracer()
-        options = RunnerOptions(
-            check_format=False, executor=backend, max_workers=2
-        )
+        options = RunnerOptions(executor=backend, max_workers=2)
         with TestRunner(options=options) as runner, tracer.activate():
             started = time.perf_counter()
             runner.run_many(_tasks())

@@ -23,6 +23,7 @@ from repro.execution.parallel import (
 )
 from repro.execution.runner import RunnerOptions, RunTask, TestRunner
 from repro.observability import Tracer
+from tests._runs import run_on_engines, run_one
 
 ENGINES = ["dbms", "mapreduce", "nosql"]
 PRESCRIPTION = "database-aggregate-join"
@@ -130,23 +131,26 @@ class TestBackendParity:
     engines in the same order, identical deterministic metric means."""
 
     @pytest.fixture(scope="class")
-    def serial_results(self):
+    def serial_run(self):
+        """The serial results and the batch's dataset-cache delta."""
         with TestRunner(options=RunnerOptions(executor="serial")) as runner:
-            return runner.run_on_engines(PRESCRIPTION, ENGINES, 60)
+            before = runner.test_generator.dataset_cache.stats()
+            results = run_on_engines(runner, PRESCRIPTION, ENGINES, 60)
+            return results, runner.cache_delta(before, results)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_run_on_engines_matches_serial(self, backend, serial_results):
+    def test_run_on_engines_matches_serial(self, backend, serial_run):
+        serial_results, _ = serial_run
         options = RunnerOptions(executor=backend, max_workers=2)
         with TestRunner(options=options) as runner:
-            results = runner.run_on_engines(PRESCRIPTION, ENGINES, 60)
+            results = run_on_engines(runner, PRESCRIPTION, ENGINES, 60)
         assert [r.engine for r in results] == [r.engine for r in serial_results]
         assert _metric_means(results) == _metric_means(serial_results)
 
-    def test_serial_results_carry_cache_stats(self, serial_results):
-        for result in serial_results:
-            stats = result.extra["dataset_cache"]
-            assert stats["misses"] == 1
-            assert stats["hits"] == len(ENGINES) - 1
+    def test_serial_results_carry_cache_stats(self, serial_run):
+        _, stats = serial_run
+        assert stats.misses == 1
+        assert stats.hits == len(ENGINES) - 1
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_execution_step_counts_every_lookup(self, backend):
@@ -166,17 +170,17 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_run_on_engines_counts_every_lookup(self, backend):
-        """``run_on_engines`` counts as step 4 does, a process run's
-        worker lookups included (it read hits 0, misses 1 while each
-        worker logged a hit)."""
+        """A batch's ``cache_delta`` counts as step 4 does, a process
+        run's worker lookups included (it read hits 0, misses 1 while
+        each worker logged a hit)."""
         options = RunnerOptions(executor=backend, max_workers=2)
         with TestRunner(options=options) as runner:
-            results = runner.run_on_engines(PRESCRIPTION, ENGINES, 60)
-        for result in results:
-            stats = result.extra["dataset_cache"]
-            # Generated once (here, not in a step 2); every engine looked.
-            assert stats["misses"] == 1
-            assert stats["hits"] >= len(ENGINES) - 1
+            before = runner.test_generator.dataset_cache.stats()
+            results = run_on_engines(runner, PRESCRIPTION, ENGINES, 60)
+            stats = runner.cache_delta(before, results)
+        # Generated once (here, not in a step 2); every engine looked.
+        assert stats.misses == 1
+        assert stats.hits >= len(ENGINES) - 1
 
     def test_volume_sweep_thread_matches_serial(self, monkeypatch):
         from repro import api
@@ -230,7 +234,7 @@ class TestTracedBackends:
         tracer = Tracer()
         options = RunnerOptions(executor=backend, max_workers=2)
         with TestRunner(options=options) as runner, tracer.activate():
-            results = runner.run_on_engines(PRESCRIPTION, ENGINES, 60)
+            results = run_on_engines(runner, PRESCRIPTION, ENGINES, 60)
         roots = tracer.roots()
         assert [root.name for root in roots] == ["task"] * len(ENGINES)
         assert [root.attrs["engine"] for root in roots] == ENGINES
@@ -269,7 +273,7 @@ class TestTracedBackends:
         tracer = Tracer(enabled=False)
         options = RunnerOptions(executor=backend, max_workers=2)
         with TestRunner(options=options) as runner, tracer.activate():
-            results = runner.run_on_engines(PRESCRIPTION, ENGINES[:2], 60)
+            results = run_on_engines(runner, PRESCRIPTION, ENGINES[:2], 60)
         assert tracer.roots() == []
         for result in results:
             assert "trace" not in result.extra
@@ -277,10 +281,10 @@ class TestTracedBackends:
 
     def test_traced_results_match_untraced_results(self):
         with TestRunner() as runner:
-            untraced = runner.run_on_engines(PRESCRIPTION, ENGINES, 60)
+            untraced = run_on_engines(runner, PRESCRIPTION, ENGINES, 60)
         tracer = Tracer()
         with TestRunner() as runner, tracer.activate():
-            traced = runner.run_on_engines(PRESCRIPTION, ENGINES, 60)
+            traced = run_on_engines(runner, PRESCRIPTION, ENGINES, 60)
         assert _metric_means(traced) == _metric_means(untraced)
 
 
@@ -318,7 +322,7 @@ class TestConfigurationSweep:
         }
         with pytest.raises(ExecutionError):
             self._sweep(configs, 20, runner)
-        assert runner.run("micro-wordcount", "mapreduce", 20).ok
+        assert run_one(runner, "micro-wordcount", "mapreduce", 20).ok
 
     def test_larger_cluster_is_faster(self):
         points = self._sweep(self.CONFIGS, 120)

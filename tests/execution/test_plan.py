@@ -80,8 +80,6 @@ class TestResolve:
             "continue", 1, 0.5,
         )
         assert options.task_timeout == 9.0
-        # The spec was validated at planning; repeats do not re-check.
-        assert options.check_format is False
         for task in plan.tasks:
             assert task.prescription is plan.prescription
             assert task.volume_override == 80

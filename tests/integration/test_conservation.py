@@ -167,9 +167,9 @@ class TestDfs:
 
 
 def test_every_door_builds_the_same_nosql_engine(tmp_path):
-    """``api.sweep`` and a library ``TestRunner()`` used to read a table
-    of defaults (NoSQL RF=2: ``mean_latency`` 0.633 ms) that ``api.run``
-    and ``submit`` never saw (RF=1: 0.422 ms)."""
+    """``api.sweep`` used to read a table of defaults (NoSQL RF=2:
+    ``mean_latency`` 0.633 ms) that ``api.run`` and ``submit`` never saw
+    (RF=1: 0.422 ms)."""
     params = {"operation_count": OPERATIONS}
     spec = BenchmarkSpec(
         "oltp-read-write", engines=["nosql"], volume=RECORDS, params=params,
@@ -181,13 +181,9 @@ def test_every_door_builds_the_same_nosql_engine(tmp_path):
     swept = api.sweep(
         "oltp-read-write", "nosql", volumes=[RECORDS], **params
     ).points[0].result
-    with TestRunner() as runner:
-        library = runner.run("oltp-read-write", "nosql", RECORDS, **params)
     expected = [ran.mean(name) for name in NOSQL_DETERMINISTIC]
     assert ran.mean("network_rate") == 0.0
-    for door, result in (
-        ("submit", submitted), ("sweep", swept), ("TestRunner", library),
-    ):
+    for door, result in (("submit", submitted), ("sweep", swept)):
         assert [
             result.mean(name) for name in NOSQL_DETERMINISTIC
         ] == expected, door

@@ -66,7 +66,7 @@ class TestFacadeSurface:
             api.sweep("micro-wordcount", "dbms", volumes=[20])
         with pytest.raises(SpecError, match="argument names"):
             api.sweep("micro-wordcount", "mapreduce", volumes=[20],
-                      chunk_size=5)
+                      dataset=5)
 
     @pytest.mark.parametrize("field", [
         "retry_backoff", "task_timeout", "inject_latency",
@@ -202,6 +202,35 @@ class TestLoadFacade:
             assert job.spec.volume == 60
             assert job.spec.params == {"seed": 3}
             assert job.spec.layout == "columnar"
+
+    def test_service_load_resolves_in_the_callers_repository(
+        self, tmp_path
+    ):
+        """``service=True`` used to resolve against the built-in
+        repository, so a prescription only the caller's repository holds
+        failed every request (0 completed, ``error_fraction`` 1.0)."""
+        import dataclasses
+
+        from repro.core.prescription import (
+            PrescriptionRepository,
+            builtin_repository,
+        )
+
+        repository = PrescriptionRepository()
+        repository.add(
+            dataclasses.replace(
+                builtin_repository().get("micro-wordcount"),
+                name="my-wordcount",
+            )
+        )
+        for service in (False, True):
+            report = api.load(
+                "my-wordcount", service=service, repository=repository,
+                volume=30, rate=10.0, duration=0.3,
+                store_dir=str(tmp_path),
+            )
+            assert report.completed > 0, service
+            assert report.errors == 0, service
 
     def test_arrival_options_pass_through(self):
         report = api.load(

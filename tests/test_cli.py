@@ -159,7 +159,7 @@ class TestRun:
         "verb", ["run", "submit"],
     )
     @pytest.mark.parametrize(
-        "param", ["chunk_size=5", "engine=dbms", "volume_override=3", "self=1"],
+        "param", ["dataset=5", "engine=dbms", "self=1"],
     )
     def test_a_param_named_like_a_run_argument(
         self, verb, param, capsys, tmp_path

@@ -71,7 +71,6 @@ def _callables() -> dict[str, Any]:
     return {
         "TestRunner.__init__": TestRunner.__init__,
         "TestRunner.run_many": TestRunner.run_many,
-        "TestRunner.run_on_engines": TestRunner.run_on_engines,
         "RunnerOptions.retry_policy": RunnerOptions.retry_policy,
         "DataGenerator.generate_parallel": DataGenerator.generate_parallel,
         "TestGenerator.__init__": TestGenerator.__init__,

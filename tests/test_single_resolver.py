@@ -175,6 +175,107 @@ def test_an_engine_is_configured_on_its_task_and_nowhere_else():
     )
 
 
+def _enclosing_functions(predicate) -> set[tuple[str, str]]:
+    """(module, ``Class.function``) of every call under ``src/repro``
+    that ``predicate`` accepts."""
+    found = set()
+
+    def visit(module: str, node: ast.AST, scope: tuple[str, ...]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(
+                child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                visit(module, child, (*scope, child.name))
+                continue
+            if isinstance(child, ast.Call) and predicate(child):
+                found.add((module, ".".join(scope)))
+            visit(module, child, scope)
+
+    for module, tree in TREES.items():
+        visit(module, tree, ())
+    return found
+
+
+def _builds_an_engine(call: ast.Call) -> bool:
+    """A configuration's ``.build()`` or a registry's ``engines.create(``."""
+    function = call.func
+    if not isinstance(function, ast.Attribute):
+        return False
+    receiver = ast.unparse(function.value)
+    return (
+        function.attr == "build"
+        and not call.args
+        and "configuration" in receiver.lower()
+    ) or (function.attr == "create" and receiver.endswith("engines"))
+
+
+def test_an_engine_is_built_from_its_task_in_one_function():
+    """``TestGenerator.build_engine`` is the one recipe (the runner kept
+    a copy of it); ``TuningProfile.validate`` builds one to check its
+    knobs and runs nothing on it."""
+    assert _enclosing_functions(_builds_an_engine) == {
+        ("core/test_generator.py", "TestGenerator.build_engine"),
+        ("tuning/profiles.py", "TuningProfile.validate"),
+    }
+
+
+#: ``TestRunner`` methods anyone may call: the one way in, the batch's
+#: cache delta, and the release of its pools.
+RUNNER_DOORS = {"run_many", "cache_delta", "close"}
+#: Who may call ``run_task``: ``run_many`` and the process worker.
+RUN_TASK_CALLERS = {"execution/runner.py", "execution/workers.py"}
+
+
+def _runner_methods() -> set[str]:
+    (runner,) = (
+        node for node in ast.walk(TREES["execution/runner.py"])
+        if isinstance(node, ast.ClassDef) and node.name == "TestRunner"
+    )
+    return {
+        node.name for node in runner.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not any(
+            isinstance(decorator, ast.Name) and decorator.id == "property"
+            for decorator in node.decorator_list
+        )
+    }
+
+
+def test_a_runner_runs_work_one_way():
+    """Nothing under ``src/``, ``benchmarks/`` or ``examples/`` calls a
+    ``TestRunner`` method but ``run_many``, ``cache_delta`` and
+    ``close``: a runner runs the tasks ``resolve`` made (a second door,
+    ``run`` / ``run_on_engines``, took prescriptions and overrides)."""
+    methods = _runner_methods()
+    public = {name for name in methods if not name.startswith("_")}
+    assert public == RUNNER_DOORS | {"run_task"}, sorted(public)
+    trees = dict(TREES)
+    root = SRC.parent.parent
+    for directory in ("benchmarks", "examples"):
+        for path in sorted((root / directory).rglob("*.py")):
+            trees[path.relative_to(root).as_posix()] = ast.parse(
+                path.read_text()
+            )
+    del trees["execution/runner.py"]  # its methods call each other
+    strays = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in methods - RUNNER_DOORS
+            ):
+                continue
+            if node.func.attr == "run_task" and module in RUN_TASK_CALLERS:
+                continue
+            strays.append((module, node.lineno, node.func.attr))
+    assert not strays, (
+        f"TestRunner methods called beside run_many: {strays}; build a "
+        "BenchmarkSpec and run the tasks of repro.execution.plan.resolve"
+    )
+
+
 def test_engines_and_generators_import_nothing_from_the_execution_layer():
     """Who fans out is the runner: no engine and no generator resolves
     an executor of its own (DESIGN.md §3.16)."""
@@ -198,9 +299,13 @@ def test_engines_and_generators_import_nothing_from_the_execution_layer():
 
 
 def test_metric_direction_is_defined_once():
-    """Step 5 ranks engines by asking ``compare.metric_direction``: the
-    process holds no metric names of its own to fall out of step."""
-    from repro.analysis.compare import metric_direction
+    """The result analyzer ranks and compares by asking
+    ``core.metrics.metric_direction``: no caller passes a direction, and
+    step 5 holds no metric names of its own to fall out of step."""
+    import inspect
+
+    from repro.core.metrics import metric_direction
+    from repro.core.results import ResultAnalyzer
 
     tree = TREES["core/process.py"]
     named = sorted(
@@ -211,6 +316,16 @@ def test_metric_direction_is_defined_once():
         and metric_direction(node.value) == "lower"
     )
     assert not named, f"core/process.py spells out metric names: {named}"
-    assert "metric_direction" in {
-        node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
-    }
+    for method in (ResultAnalyzer.ranking, ResultAnalyzer.speedup):
+        assert "metric_direction" in inspect.getsource(method), method
+        assert set(inspect.signature(method).parameters) <= {
+            "self", "metric", "baseline_engine",
+        }, method
+    definitions = [
+        module
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name == "metric_direction"
+    ]
+    assert definitions == ["core/metrics.py"], definitions

@@ -216,6 +216,27 @@ class TestDeterminism:
         )
 
 
+class TestIntervalColumn:
+    """The interval is taken at ``1 - alpha``; its column says so."""
+
+    def test_the_default_alpha_labels_it_ci95(self, small_report):
+        assert "ci95" in small_report.verdict_rows()[0]
+        assert "ci95" in small_report.attribution_rows()[0]
+
+    def test_another_alpha_renames_it(self, tmp_path):
+        """``alpha=0.01`` used to print a 99 % interval under ``ci95``."""
+        report = run_ablation(
+            "relational", "dbms", repeats=2, volume=60, alpha=0.01,
+            store_dir=str(tmp_path),
+        )
+        rows = report.verdict_rows() + report.attribution_rows()
+        assert report.attribution_rows()
+        for row in rows:
+            assert "ci99" in row and "ci95" not in row
+        assert "ci99" in render_ablation(report, "ascii")
+        assert "ci95" not in json.dumps(report.as_dict())
+
+
 class TestRendering:
     def test_ascii_has_all_sections(self, small_report):
         text = render_ablation(small_report, "ascii")

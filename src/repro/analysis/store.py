@@ -73,6 +73,7 @@ def spec_fingerprint(
     data_partitions: int | None = None,
     layout: str = "row",
     tuning: Any = None,
+    generation: int | None = None,
 ) -> dict[str, Any]:
     """The canonical spec fingerprint two comparable runs must share.
 
@@ -95,6 +96,11 @@ def spec_fingerprint(
     counters are sized by ``estimate_pair_bytes``, whose definition is
     versioned, so bytes of two definitions never share a series, while
     the key of every engine that meters no pair stays what it was.
+    ``generation`` is the same rule for data: the
+    :attr:`~repro.datagen.base.DataGenerator.generation_version` of the
+    spec's generator, joined only when it declares one, so a run of a
+    re-versioned generator starts a new series and every other key is
+    unchanged.
     """
     params = dict(params or {})
     fingerprint = {
@@ -116,6 +122,8 @@ def spec_fingerprint(
     accounting = _accounting_version(engine)
     if accounting is not None:
         fingerprint["accounting"] = accounting
+    if generation is not None:
+        fingerprint["generation"] = generation
     return fingerprint
 
 

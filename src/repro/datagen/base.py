@@ -24,6 +24,15 @@ from repro.observability import current_tracer
 if TYPE_CHECKING:
     import numpy as np
 
+#: The current definition of seeded output for a generator that declares
+#: :attr:`DataGenerator.generation_version`.  A change to which draws
+#: such a generator makes (not only how it assembles records from them)
+#: bumps this number, and the execution plan joins it to the series key
+#: of every spec that generates with it, so records of two definitions
+#: never share a series.  Version 2: ``lda-text`` draws per block of
+#: documents.
+GENERATION_VERSION = 2
+
 #: Default records per batch on the chunked data path.  Chosen so a batch
 #: of typical records stays in the megabyte range: small enough to bound
 #: memory, large enough to amortise per-batch overhead.
@@ -286,6 +295,10 @@ class DataGenerator(ABC):
     data_type: DataType = DataType.TEXT
     #: Whether this generator learns a model from real data (veracity).
     veracity_aware: bool = False
+    #: :data:`GENERATION_VERSION` on a generator whose seeded output is
+    #: defined by that version; ``None`` where the draw order is the one
+    #: the generator was written with.
+    generation_version: int | None = None
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)

@@ -47,15 +47,9 @@ class ConvertedData:
     format_name: str
     payload: Any
     source_name: str
-    num_records: int | None = None
 
     def __len__(self) -> int:
-        try:
-            return len(self.payload)
-        except TypeError:
-            # Lazy payloads (iterators) report the record count when known
-            # instead of consuming the stream.
-            return self.num_records or 0
+        return len(self.payload)
 
 
 @dataclass(frozen=True)
@@ -157,12 +151,8 @@ def convert(data: Any, format_name: str) -> ConvertedData:
         raise FormatConversionError(
             f"converting {ctx.source_name!r} to {format_name!r} failed: {exc}"
         ) from exc
-    num_records = len(payload) if hasattr(payload, "__len__") else None
     return ConvertedData(
-        format_name=format_name,
-        payload=payload,
-        source_name=ctx.source_name,
-        num_records=num_records,
+        format_name=format_name, payload=payload, source_name=ctx.source_name
     )
 
 

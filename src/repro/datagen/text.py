@@ -7,17 +7,22 @@ on that data set, and (3) generates synthetic text from the trained model.
 
 The LDA trainer is a from-scratch collapsed Gibbs sampler.  Its seeded
 output is pinned to the first implementation, which drew every topic with
-``rng.choice(K, p=weights)`` and every word with ``rng.choice(V, p=phi[k])``:
-``choice`` consumes exactly one ``rng.random()`` and inverts
-``cumsum(p) / cumsum(p)[-1]`` with ``searchsorted(side="right")``, so the
-same uniforms are drawn here a document at a time and inverted inline —
-in ``fit`` on plain Python floats, normalised by a sum taken in
-``ndarray.sum``'s order (:func:`_ndarray_sum`) and with ``phi`` normalised
-on a C-contiguous array (the transposed view sums in another order and
-lands 1 ulp away); in ``sample_document`` by one ``searchsorted`` per
-topic the document drew, on CDFs computed once per fitted model.  The original loops are the
-test oracle (``tests/datagen/_lda_reference.py``); records, fingerprints
-and cache keys are byte-identical, so nothing forks.
+``rng.choice(K, p=weights)``: ``choice`` consumes exactly one
+``rng.random()`` and inverts ``cumsum(p) / cumsum(p)[-1]`` with
+``searchsorted(side="right")``, so the same uniforms are drawn here a
+document at a time and inverted inline on plain Python floats,
+normalised by a sum taken in ``ndarray.sum``'s order
+(:func:`_ndarray_sum`), with ``phi`` normalised on a C-contiguous array
+(the transposed view sums in another order and lands 1 ulp away).  The
+original loop is the test oracle (``tests/datagen/_lda_reference.py``),
+so fitted models and their cache keys are byte-identical.
+
+Sampling is generation version 2
+(:data:`repro.datagen.base.GENERATION_VERSION`): documents are drawn a
+block at a time (:meth:`LdaModel.sample_block`) with the same
+inversions, so its seeded output differs from version 1's one document
+at a time, and every series that generates ``lda-text`` carries the
+version in its key.
 
 Two baseline generators are provided for veracity ablations:
 
@@ -39,6 +44,7 @@ import numpy as np
 
 from repro.core.errors import GenerationError
 from repro.datagen.base import (
+    GENERATION_VERSION,
     DataGenerator,
     DataSet,
     DataType,
@@ -85,6 +91,10 @@ class Vocabulary:
         return list(self._words)
 
 
+#: Documents :meth:`LdaModel.sample_block` samples at once (generation
+#: version 2): part of the seeded output, like a draw's order.
+_LDA_DOCUMENTS_PER_DRAW = 256
+
 _DEGENERATE_WEIGHTS = (
     "LDA topic weights do not normalise: a word or topic has zero mass "
     "(alpha and beta must leave every topic reachable)"
@@ -123,6 +133,23 @@ def _ndarray_sum(values: Sequence[float]) -> float:
     half = count // 2
     half -= half % 8
     return _ndarray_sum(values[:half]) + _ndarray_sum(values[half:])
+
+
+def _refuse_like_choice(thetas: np.ndarray) -> None:
+    """Raise the ``ValueError`` ``rng.choice(K, p=theta)`` raises for any
+    row it refuses: NaN, a negative entry or a sum off 1.
+
+    Rows that certainly pass (none negative, sum within 1e-9 of 1,
+    against ``choice``'s 1.5e-8) are not handed to ``choice`` at all;
+    the others are, on a generator of their own, so checking draws
+    nothing from the block's stream.  A row ``choice`` accepts is
+    sampled as any other.
+    """
+    doubtful = ~(
+        (thetas.min(axis=1) >= 0.0) & (np.abs(thetas.sum(axis=1) - 1.0) <= 1e-9)
+    )
+    for theta in thetas[doubtful]:
+        np.random.default_rng(0).choice(len(theta), p=theta)
 
 
 def _choose(weights: list[float], uniform: float) -> int:
@@ -289,42 +316,60 @@ class LdaModel:
             raise GenerationError("LDA model is not fitted")
         return self.phi.mean(axis=0)
 
-    def sample_document(self, rng: np.random.Generator, length: int | None = None) -> list[str]:
-        """Sample one synthetic document from the fitted model."""
+    def sample_block(self, rng: np.random.Generator, count: int) -> list[str]:
+        """Sample ``count`` synthetic documents, each as space-joined words.
+
+        Generation version 2: four draws per block, in this order —
+        every length (``poisson``, at least one word), every theta
+        (``dirichlet``), one uniform per word for its topic and one per
+        word for the word itself — then arithmetic that draws nothing.
+        A word's topic is ``choice``'s inversion of its document's theta
+        (how many CDF entries are ``<= u``), its word the inversion of
+        that topic's word CDF.
+        """
         if self.phi is None or self.vocabulary is None:
             raise GenerationError("LDA model is not fitted")
-        if length is None:
-            length = max(1, int(rng.poisson(self.mean_document_length)))
-        theta = rng.dirichlet(self._topic_prior)
-        weights = theta.tolist()
-        if min(weights) >= 0.0 and abs(sum(weights) - 1.0) <= 1e-9:
-            # ``rng.choice(K, size=length, p=theta)`` on a theta it
-            # certainly accepts (its tolerance is 1.5e-8), as it draws.
-            cdf = theta.cumsum()
-            cdf /= cdf[-1]
-            topics = cdf.searchsorted(rng.random(length), side="right")
-        else:
-            # NaN, a negative entry or a bad sum: choice's own refusal.
-            topics = rng.choice(self.num_topics, size=length, p=theta)
-        drawn = set(topics.tolist())
-        if not self._unreachable_topics.isdisjoint(drawn):
+        lengths = np.maximum(rng.poisson(self.mean_document_length, count), 1)
+        thetas = rng.dirichlet(self._topic_prior, count)
+        total = int(lengths.sum())
+        topic_uniforms = rng.random(total)
+        word_uniforms = rng.random(total)
+        _refuse_like_choice(thetas)
+        cdfs = thetas.cumsum(axis=1)
+        cdfs /= cdfs[:, -1:]
+        # The last CDF entry is 1.0 and never <= u: K - 1 columns count.
+        # The smallest unsigned type sorts by radix below.
+        owner = np.repeat(np.arange(count), lengths)
+        topics = np.zeros(total, dtype=np.min_scalar_type(self.num_topics - 1))
+        for column in cdfs[:, :-1].T:
+            topics += topic_uniforms >= column[owner]
+        per_topic = np.bincount(topics, minlength=self.num_topics)
+        if not self._unreachable_topics.isdisjoint(
+            np.flatnonzero(per_topic).tolist()
+        ):
             raise ValueError(_DEGENERATE_WEIGHTS)
-        # One uniform per word, as one ``rng.choice(V, p=phi[topic])`` per
-        # word drew them, inverted against that topic's precomputed CDF:
-        # one search per topic the document drew.
-        uniforms = rng.random(length)
-        if len(drawn) == 1:
-            word_ids = self._word_cdfs[drawn.pop()].searchsorted(
-                uniforms, side="right"
-            )
-        else:
-            word_ids = np.empty(length, dtype=np.int64)
-            for topic in drawn:
-                of_topic = topics == topic
-                word_ids[of_topic] = self._word_cdfs[topic].searchsorted(
-                    uniforms[of_topic], side="right"
+        # Words grouped by topic, one search per topic the block drew on
+        # the CDFs of ``fit``, then put back in document order.
+        order = np.argsort(topics, kind="stable")
+        grouped = word_uniforms[order]
+        found = np.empty(total, dtype=np.intp)
+        start = 0
+        for topic, drawn in enumerate(per_topic.tolist()):
+            if drawn:
+                end = start + drawn
+                found[start:end] = self._word_cdfs[topic].searchsorted(
+                    grouped[start:end], side="right"
                 )
-        return self._words[word_ids].tolist()
+                start = end
+        word_ids = np.empty(total, dtype=np.intp)
+        word_ids[order] = found
+        words = self._words[word_ids].tolist()
+        documents = []
+        start = 0
+        for end in lengths.cumsum().tolist():
+            documents.append(" ".join(words[start:end]))
+            start = end
+        return documents
 
     def infer_document_mixture(
         self, tokens: Sequence[str], iterations: int = 30
@@ -371,6 +416,7 @@ class LdaTextGenerator(DataGenerator):
 
     data_type = DataType.TEXT
     veracity_aware = True
+    generation_version = GENERATION_VERSION
 
     def __init__(
         self,
@@ -398,14 +444,16 @@ class LdaTextGenerator(DataGenerator):
     def iter_partition(
         self, volume: int, partition: int, num_partitions: int
     ):
-        # Streamed: one sampled document at a time, same RNG consumption
-        # order as the materialized list — bit-identical at every chunk
-        # size.
+        # Streamed one block at a time: the block boundaries depend on
+        # the partition's volume only, so the materialized list and
+        # every chunk size see the same draws; memory stays one block.
         self._require_fitted()
         count = self.partition_volume(volume, partition, num_partitions)
         rng = self.rng_for_partition(partition, num_partitions)
-        for _ in range(count):
-            yield " ".join(self.model.sample_document(rng))
+        for start in range(0, count, _LDA_DOCUMENTS_PER_DRAW):
+            yield from self.model.sample_block(
+                rng, min(_LDA_DOCUMENTS_PER_DRAW, count - start)
+            )
 
 
 def default_lda_text_generator() -> LdaTextGenerator:

@@ -21,8 +21,10 @@ The rules (DESIGN "spec → plan"):
    its ``configuration``; there is no other way to configure one, and
    ``TestGenerator.build_engine`` is the one recipe that builds it.
 2. The **series key is a function of the request**: the requested
-   ``layout`` and the profile's ``fingerprint()`` travel on each
-   :class:`RunTask` as its ``series`` annotation (keywords of
+   ``layout``, the profile's ``fingerprint()`` and the generation
+   version of the prescription's data generator (only when it declares
+   one, :func:`generation_version`) travel on each :class:`RunTask` as
+   its ``series`` annotation (keywords of
    :func:`~repro.analysis.store.spec_fingerprint`, which drops the
    row/normal defaults so historical keys stay byte-identical).  What
    an engine reports having executed (``result.extra["layout"]``)
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 from repro.analysis.store import resolve_store_dir
 from repro.core.prescription import Prescription, PrescriptionRepository
+from repro.core.registry import generators
 from repro.core.spec import BenchmarkSpec
 from repro.engines.faults import FaultSpec
 from repro.execution.config import SystemConfiguration, layout_options
@@ -74,6 +77,16 @@ def engine_configuration(
             else None
         ),
     )
+
+
+def generation_version(generator: str) -> int | None:
+    """What the named data generator declares
+    (:attr:`~repro.datagen.base.DataGenerator.generation_version`).
+    None for a generator that declares none and for a name the registry
+    does not know (the data step reports that one)."""
+    if generator not in generators:
+        return None
+    return getattr(generators.create(generator), "generation_version", None)
 
 
 def runner_options(spec: BenchmarkSpec) -> RunnerOptions:
@@ -116,9 +129,13 @@ def resolve(
     """
     prescription = repository.get(spec.prescription)
     engines = tuple(spec.resolved_engines(repository))
+    generation = generation_version(prescription.data.generator)
     tasks = []
     for engine in engines:
         profile = get_profile(engine, spec.tuning)
+        series = {"layout": spec.layout, "tuning": profile.fingerprint()}
+        if generation is not None:
+            series["generation"] = generation
         tasks.append(
             RunTask(
                 prescription,
@@ -132,10 +149,7 @@ def resolve(
                     spec.data_partitions if spec.data_partitions > 1 else None
                 ),
                 chunk_size=spec.chunk_size,
-                series={
-                    "layout": spec.layout,
-                    "tuning": profile.fingerprint(),
-                },
+                series=series,
             )
         )
     return ExecutionPlan(

@@ -175,7 +175,8 @@ class RunTask:
     #: streaming source (bounded memory) instead of a materialized list.
     chunk_size: int | None = None
     #: The request-side entries of the run-store series key: the
-    #: requested ``layout`` and the tuning profile's ``fingerprint()``,
+    #: requested ``layout``, the tuning profile's ``fingerprint()`` and,
+    #: for a generator that declares one, its ``generation`` version,
     #: passed as keywords to
     #: :func:`repro.analysis.store.spec_fingerprint` (which drops the
     #: row/normal defaults, so historical series stay intact).  Purely a

@@ -1,20 +1,24 @@
-"""Test-only oracle: the numpy/``rng.choice`` LDA loops as they stood before
-the scalar rewrite of :mod:`repro.datagen.text`.
+"""Test-only oracles for :mod:`repro.datagen.text`.
 
-The bodies of ``LdaModel.fit`` and ``LdaModel.sample_document`` are kept
-verbatim (``self`` is the model under comparison), so the fast paths in
-``src/`` can be held to byte-identical ``phi`` and documents.  Nothing in
-``src/`` may import this module.
+``reference_fit`` is the numpy/``rng.choice`` Gibbs loop as it stood
+before the scalar rewrite, kept verbatim (``self`` is the model under
+comparison), so ``LdaModel.fit`` can be held to a byte-identical
+``phi``.  ``reference_sample_block`` is generation version 2's sampler
+written one document and one word at a time: it makes the same four
+block draws as ``LdaModel.sample_block`` and inverts each uniform on its
+own, so the vectorised arithmetic can be held to byte-identical
+documents.  Nothing in ``src/`` may import this module.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.errors import GenerationError
-from repro.datagen.text import LdaModel, Vocabulary
+from repro.datagen.text import _DEGENERATE_WEIGHTS, LdaModel, Vocabulary
 
 
 def reference_fit(self: LdaModel, documents: Sequence[Sequence[str]]) -> LdaModel:
@@ -77,18 +81,37 @@ def reference_fit(self: LdaModel, documents: Sequence[Sequence[str]]) -> LdaMode
     return self
 
 
-def reference_sample_document(
-    self: LdaModel, rng: np.random.Generator, length: int | None = None
+def reference_sample_block(
+    self: LdaModel, rng: np.random.Generator, count: int
 ) -> list[str]:
-    """Sample one synthetic document from the fitted model."""
+    """``count`` documents of generation version 2, one word at a time."""
     if self.phi is None or self.vocabulary is None:
         raise GenerationError("LDA model is not fitted")
-    if length is None:
-        length = max(1, int(rng.poisson(self.mean_document_length)))
-    theta = rng.dirichlet(np.full(self.num_topics, max(self.alpha, 1e-6)))
-    topics = rng.choice(self.num_topics, size=length, p=theta)
-    words: list[str] = []
-    for topic in topics:
-        word_id = int(rng.choice(self.phi.shape[1], p=self.phi[topic]))
-        words.append(self.vocabulary.word_of(word_id))
-    return words
+    lengths = [
+        max(1, length)
+        for length in rng.poisson(self.mean_document_length, count).tolist()
+    ]
+    thetas = rng.dirichlet(np.full(self.num_topics, max(self.alpha, 1e-6)), count)
+    topic_uniforms = iter(rng.random(sum(lengths)).tolist())
+    word_uniforms = iter(rng.random(sum(lengths)).tolist())
+    for theta in thetas:
+        # choice's own validation; its draw comes from a generator of its own.
+        np.random.default_rng(0).choice(self.num_topics, p=theta)
+    word_cdfs = {}
+    documents = []
+    for length, theta in zip(lengths, thetas):
+        topic_cdf = theta.cumsum()
+        topic_cdf /= topic_cdf[-1]
+        words = []
+        for _ in range(length):
+            topic = bisect_right(topic_cdf.tolist(), next(topic_uniforms))
+            if np.isnan(self.phi[topic]).any():
+                raise ValueError(_DEGENERATE_WEIGHTS)
+            if topic not in word_cdfs:
+                word_cdf = self.phi[topic].cumsum()
+                word_cdf /= word_cdf[-1]
+                word_cdfs[topic] = word_cdf.tolist()
+            word_id = bisect_right(word_cdfs[topic], next(word_uniforms))
+            words.append(self.vocabulary.word_of(word_id))
+        documents.append(" ".join(words))
+    return documents

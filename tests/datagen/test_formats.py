@@ -184,11 +184,3 @@ class TestStreamingConversion:
         with pytest.raises(FormatConversionError):
             convert(source, "common-log")
         assert source.pulled == 0
-
-    def test_lazy_converted_data_len(self):
-        from repro.datagen.formats import ConvertedData
-
-        lazy = ConvertedData(
-            "text-lines", iter(["a", "b"]), "s", num_records=2
-        )
-        assert len(lazy) == 2

@@ -1,8 +1,10 @@
-"""The scalar LDA paths in ``src/`` against the numpy/``rng.choice`` oracle.
+"""The LDA paths in ``src/`` against their oracles.
 
 Seeded output is a contract (caches, series keys and golden digests hang
-off it), so the rewrite is held to *byte* equality with the loops it
-replaced, not to a statistical tolerance.
+off it), so ``fit`` is held to *byte* equality with the numpy/
+``rng.choice`` loop it replaced, and the version-2 block sampler to byte
+equality with its one-word-at-a-time definition, draws consumed
+included, not to a statistical tolerance.
 """
 
 from __future__ import annotations
@@ -14,9 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.datagen.text import LdaModel, _ndarray_sum, tokenize
+from repro.datagen.text import (
+    _LDA_DOCUMENTS_PER_DRAW,
+    LdaModel,
+    _ndarray_sum,
+    tokenize,
+)
 
-from _lda_reference import reference_fit, reference_sample_document
+from _lda_reference import reference_fit, reference_sample_block
 
 #: Around every branch of numpy's summation: 1, sequential (<8), the
 #: 8-lane block with and without a tail, and the >128 recursive split.
@@ -45,15 +52,15 @@ class TestAgainstReference:
         assert fast.phi.flags.c_contiguous
         assert fast.mean_document_length == reference.mean_document_length
         assert fast.vocabulary.words == reference.vocabulary.words
-        for length in (None, 25):
-            fast_rng = np.random.default_rng(seed + 1)
-            reference_rng = np.random.default_rng(seed + 1)
-            for _ in range(50):
-                assert fast.sample_document(fast_rng, length) == (
-                    reference_sample_document(reference, reference_rng, length)
-                )
-            # Same number of draws consumed, not just the same words.
-            assert fast_rng.random() == reference_rng.random()
+        # Blocks of one, an odd count, and one past the generator's block.
+        fast_rng = np.random.default_rng(seed + 1)
+        reference_rng = np.random.default_rng(seed + 1)
+        for count in (1, 37, 257):
+            assert fast.sample_block(fast_rng, count) == (
+                reference_sample_block(reference, reference_rng, count)
+            )
+        # Same number of draws consumed, not just the same words.
+        assert fast_rng.random() == reference_rng.random()
 
     def test_default_hyperparameters_over_many_sweeps(self, documents):
         fast, reference = _fit_pair(documents, iterations=12, seed=3)
@@ -61,8 +68,9 @@ class TestAgainstReference:
 
     def test_generator_paths_agree_with_the_reference(self, fitted_lda):
         """generate == chunked iter_batches, generate_parallel == the
-        partitioned stream, and both are what the old sampler drew."""
-        volume = 12
+        partitioned stream, and both are what the reference draws, a
+        block of at most ``_LDA_DOCUMENTS_PER_DRAW`` at a time."""
+        volume = _LDA_DOCUMENTS_PER_DRAW + 13
         materialized = fitted_lda.generate(volume).records
         chunked = [
             record
@@ -71,10 +79,9 @@ class TestAgainstReference:
         ]
         assert chunked == materialized
         rng = fitted_lda.rng_for_partition(0, 1)
-        assert materialized == [
-            " ".join(reference_sample_document(fitted_lda.model, rng))
-            for _ in range(volume)
-        ]
+        assert materialized == reference_sample_block(
+            fitted_lda.model, rng, _LDA_DOCUMENTS_PER_DRAW
+        ) + reference_sample_block(fitted_lda.model, rng, 13)
 
         parallel = fitted_lda.generate_parallel(volume, 2).records
         partitioned = [
@@ -86,10 +93,10 @@ class TestAgainstReference:
         expected = []
         for partition in range(2):
             rng = fitted_lda.rng_for_partition(partition, 2)
-            expected += [
-                " ".join(reference_sample_document(fitted_lda.model, rng))
-                for _ in range(fitted_lda.partition_volume(volume, partition, 2))
-            ]
+            expected += reference_sample_block(
+                fitted_lda.model, rng,
+                fitted_lda.partition_volume(volume, partition, 2),
+            )
         assert parallel == expected
 
 
@@ -106,14 +113,22 @@ def models_by_alpha(documents):
     }
 
 
-def _topics_drawn(model, rng, length):
-    """How many distinct topics the next document from ``rng`` draws
-    (the oracle's own topic draw, on a copy of the generator)."""
+def _topics_drawn(model, rng, count):
+    """The largest number of distinct topics one document of the next
+    block from ``rng`` draws (the reference's own draws, on a copy of
+    the generator)."""
     probe = copy.deepcopy(rng)
-    if length is None:
-        length = max(1, int(probe.poisson(model.mean_document_length)))
-    theta = probe.dirichlet(np.full(model.num_topics, max(model.alpha, 1e-6)))
-    return len(set(probe.choice(model.num_topics, size=length, p=theta).tolist()))
+    lengths = np.maximum(probe.poisson(model.mean_document_length, count), 1)
+    thetas = probe.dirichlet(np.full(model.num_topics, max(model.alpha, 1e-6)), count)
+    uniforms = probe.random(int(lengths.sum()))
+    cdfs = thetas.cumsum(axis=1)
+    cdfs /= cdfs[:, -1:]
+    drawn = 0
+    for length, cdf in zip(lengths.tolist(), cdfs):
+        topics = set(cdf.searchsorted(uniforms[:length], side="right").tolist())
+        drawn = max(drawn, len(topics))
+        uniforms = uniforms[length:]
+    return drawn
 
 
 class _RiggedTheta(np.random.Generator):
@@ -124,44 +139,62 @@ class _RiggedTheta(np.random.Generator):
         self.theta = np.array(theta, dtype=np.float64)
 
     def dirichlet(self, alpha, size=None):
-        return self.theta.copy()
+        super().dirichlet(alpha, size)  # consumed as the real draw is
+        return np.tile(self.theta, (size, 1))
+
+
+class _RiggedTies(_RiggedTheta):
+    """A rigged-theta generator whose uniform arrays repeat ``ties``:
+    values equal to CDF entries, where ``<=`` and ``<`` part ways."""
+
+    def __init__(self, seed, theta, ties):
+        super().__init__(seed, theta)
+        self.ties = np.array(ties, dtype=np.float64)
+
+    def random(self, size=None, *args, **kwargs):
+        if size is None:
+            return super().random()
+        return np.resize(self.ties, size)
 
 
 class TestOneSearchPerDrawnTopic:
-    """``sample_document`` inverts theta's CDF itself and searches each
-    topic's word CDF once, for the topics the document drew; every case
-    is held to the ``rng.choice`` oracle, draws consumed included."""
+    """``sample_block`` counts each word's topic against its document's
+    theta CDF and searches each topic's word CDF once, for the topics the
+    block drew; every case is held to the one-word-at-a-time reference,
+    draws consumed included."""
 
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 2**63),
         alpha=st.sampled_from(ALPHAS),
-        lengths=st.lists(
-            st.one_of(st.none(), st.integers(0, 120)), min_size=1, max_size=6
-        ),
+        counts=st.lists(st.integers(1, 40), min_size=1, max_size=6),
     )
     def test_documents_and_draws_equal_the_oracle(
-        self, models_by_alpha, seed, alpha, lengths
+        self, models_by_alpha, seed, alpha, counts
     ):
         fast, reference = models_by_alpha[alpha]
         fast_rng = np.random.default_rng(seed)
         reference_rng = np.random.default_rng(seed)
-        for length in lengths:
-            assert fast.sample_document(fast_rng, length) == (
-                reference_sample_document(reference, reference_rng, length)
+        for count in counts:
+            assert fast.sample_block(fast_rng, count) == (
+                reference_sample_block(reference, reference_rng, count)
             )
         assert fast_rng.random() == reference_rng.random()
 
-    @pytest.mark.parametrize("length", [0, 1])
-    def test_the_shortest_documents(self, models_by_alpha, length):
-        fast, reference = models_by_alpha[0.1]
-        fast_rng = np.random.default_rng(length)
-        reference_rng = np.random.default_rng(length)
-        for _ in range(30):
-            document = fast.sample_document(fast_rng, length)
-            assert len(document) == length
-            assert document == reference_sample_document(
-                reference, reference_rng, length
+    @pytest.mark.parametrize("mean_length", [0, 1])
+    def test_the_shortest_documents(self, models_by_alpha, mean_length):
+        # A Poisson length of 0 becomes 1: no document is empty.
+        fast, reference = (
+            copy.copy(model) for model in models_by_alpha[0.1]
+        )
+        fast.mean_document_length = reference.mean_document_length = mean_length
+        fast_rng = np.random.default_rng(mean_length)
+        reference_rng = np.random.default_rng(mean_length)
+        for _ in range(5):
+            documents = fast.sample_block(fast_rng, 30)
+            assert min(len(document.split()) for document in documents) == 1
+            assert documents == reference_sample_block(
+                reference, reference_rng, 30
             )
         assert fast_rng.random() == reference_rng.random()
 
@@ -170,10 +203,10 @@ class TestOneSearchPerDrawnTopic:
         for alpha, (fast, reference) in models_by_alpha.items():
             fast_rng = np.random.default_rng(11)
             reference_rng = np.random.default_rng(11)
-            for _ in range(100):
-                drawn_counts.add(_topics_drawn(reference, reference_rng, None))
-                assert fast.sample_document(fast_rng) == (
-                    reference_sample_document(reference, reference_rng)
+            for _ in range(20):
+                drawn_counts.add(_topics_drawn(reference, reference_rng, 5))
+                assert fast.sample_block(fast_rng, 5) == (
+                    reference_sample_block(reference, reference_rng, 5)
                 )
             assert fast_rng.random() == reference_rng.random(), alpha
         assert {1, 2, 4} <= drawn_counts
@@ -194,25 +227,42 @@ class TestOneSearchPerDrawnTopic:
         fast_rng = _RiggedTheta(3, theta)
         reference_rng = _RiggedTheta(3, theta)
         with pytest.raises(ValueError, match=refusal) as fast_error:
-            fast.sample_document(fast_rng, 10)
+            fast.sample_block(fast_rng, 10)
         with pytest.raises(ValueError) as reference_error:
-            reference_sample_document(reference, reference_rng, 10)
+            reference_sample_block(reference, reference_rng, 10)
         assert str(fast_error.value) == str(reference_error.value)
+        assert fast_rng.random() == reference_rng.random()
+
+    def test_a_uniform_equal_to_a_cdf_entry_counts_that_entry(
+        self, models_by_alpha
+    ):
+        # choice returns how many CDF entries are <= u: a tie goes right,
+        # for the topic (theta's CDF is 0.25, 0.5, 0.75, 1) and the word.
+        fast, reference = models_by_alpha[0.1]
+        ties = [0.0, 0.25, 0.5, 0.75, *fast._word_cdfs[:, :-1].ravel()]
+        theta = [0.25, 0.25, 0.25, 0.25]
+        fast_rng = _RiggedTies(5, theta, ties)
+        reference_rng = _RiggedTies(5, theta, ties)
+        for _ in range(3):
+            assert fast.sample_block(fast_rng, 40) == (
+                reference_sample_block(reference, reference_rng, 40)
+            )
         assert fast_rng.random() == reference_rng.random()
 
     @pytest.mark.parametrize("excess", [2e-9, 1e-8])
     def test_a_theta_within_choices_tolerance_only_is_sampled_by_choice(
         self, models_by_alpha, excess
     ):
-        # Off 1 by more than the inline path's own margin (1e-9) but
-        # within choice's 1.5e-8: choice accepts it, and draws as ever.
+        # Off 1 by more than the inline check's own margin (1e-9) but
+        # within choice's 1.5e-8: choice accepts it, and it is sampled
+        # like any other theta.
         theta = [0.25 + excess, 0.25, 0.25, 0.25]
         fast, reference = models_by_alpha[0.1]
         fast_rng = _RiggedTheta(4, theta)
         reference_rng = _RiggedTheta(4, theta)
         for _ in range(5):
-            assert fast.sample_document(fast_rng, 40) == (
-                reference_sample_document(reference, reference_rng, 40)
+            assert fast.sample_block(fast_rng, 40) == (
+                reference_sample_block(reference, reference_rng, 40)
             )
         assert fast_rng.random() == reference_rng.random()
 
@@ -253,26 +303,25 @@ class TestDegenerateModels:
             LdaModel(**options).fit(self.CORPUS)
 
     def test_an_emptied_topic_raises_only_when_drawn(self):
-        # Sixteen topics, two of them ever assigned: most documents at
-        # alpha=0.05 draw only emptied topics, some only live ones.
+        # Sixteen topics, two of them ever assigned: most blocks at
+        # alpha=0.05 draw an emptied topic, some only live ones.
         options = dict(num_topics=16, alpha=0.05, beta=0.0, iterations=0)
         fast = LdaModel(**options).fit(self.CORPUS)
         reference = reference_fit(LdaModel(**options), self.CORPUS)
         outcomes = set()
         for seed in range(60):
+            fast_rng = np.random.default_rng(seed)
+            reference_rng = np.random.default_rng(seed)
             try:
-                expected = reference_sample_document(
-                    reference, np.random.default_rng(seed), length=3
-                )
+                expected = reference_sample_block(reference, reference_rng, 2)
             except ValueError:
                 with pytest.raises(ValueError, match="do not normalise"):
-                    fast.sample_document(np.random.default_rng(seed), length=3)
+                    fast.sample_block(fast_rng, 2)
                 outcomes.add("raised")
             else:
-                assert fast.sample_document(
-                    np.random.default_rng(seed), length=3
-                ) == expected
+                assert fast.sample_block(fast_rng, 2) == expected
                 outcomes.add("sampled")
+            assert fast_rng.random() == reference_rng.random()
         assert outcomes == {"raised", "sampled"}
 
     def test_emptied_topic_refuses_to_sample(self):
@@ -282,13 +331,11 @@ class TestDegenerateModels:
         fast = LdaModel(**options).fit(self.CORPUS)
         reference = reference_fit(LdaModel(**options), self.CORPUS)
         assert np.isnan(reference.phi).any()
-        # alpha=0.5 over 16 topics: 30 words land on an empty topic.
+        # alpha=0.5 over 16 topics: ten documents land on an empty topic.
         with pytest.raises(ValueError):
-            reference_sample_document(
-                reference, np.random.default_rng(0), length=30
-            )
+            reference_sample_block(reference, np.random.default_rng(0), 10)
         with pytest.raises(ValueError):
-            fast.sample_document(np.random.default_rng(0), length=30)
+            fast.sample_block(np.random.default_rng(0), 10)
 
     @pytest.mark.parametrize("priors", [dict(alpha=-0.1), dict(beta=-0.01)])
     def test_negative_priors_rejected(self, priors):

@@ -63,13 +63,17 @@ class TestLdaModel:
         for row in model.phi:
             assert abs(row.sum() - 1.0) < 1e-9
 
-    def test_sample_document_uses_learned_vocabulary(self, fitted_lda):
+    def test_sample_block_uses_learned_vocabulary(self, fitted_lda):
         import numpy as np
 
         model = fitted_lda.model
-        words = model.sample_document(np.random.default_rng(0), length=20)
-        assert len(words) == 20
-        assert all(word in model.vocabulary for word in words)
+        documents = model.sample_block(np.random.default_rng(0), 20)
+        assert len(documents) == 20
+        assert all(
+            word in model.vocabulary
+            for document in documents
+            for word in document.split(" ")
+        )
 
     def test_topics_separate_topical_words(self, fitted_lda):
         """Each embedded topic's vocabulary should dominate some topic."""

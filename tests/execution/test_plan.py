@@ -10,6 +10,7 @@ from repro import api
 from repro.analysis.store import fingerprint_hash
 from repro.core.prescription import builtin_repository
 from repro.core.spec import BenchmarkSpec
+from repro.datagen.base import GENERATION_VERSION
 from repro.engines.faults import FaultSpec, FaultyEngine
 from repro.execution.plan import engine_configuration, resolve
 from repro.tuning.profiles import TuningProfile, normal, optimized
@@ -207,3 +208,43 @@ class TestGoldenSeries:
             assert ("accounting" in record.fingerprint) == (
                 record.engine in ("mapreduce", "nosql")
             )
+
+
+#: The specs whose data generator declares a generation version
+#: (``lda-text``, version 2), at volume 60 on the serial row/normal
+#: path: new key -> the key the same spec had under generation
+#: version 1, captured from ``api.run`` on the parent of the fork.
+GENERATION_V1_SERIES = {
+    "daa433651c9c": "c7c461b14367",  # micro-grep
+    "93248ed3cb8a": "f6b6f86759be",  # search-index
+    "66c834ab5304": "e7a89ad683a5",  # ecommerce-classify
+}
+
+
+class TestGenerationVersion:
+    @pytest.mark.parametrize(
+        "prescription", ["micro-grep", "search-index", "ecommerce-classify"]
+    )
+    def test_the_generation_entry_is_the_only_fork(self, tmp_path, prescription):
+        api.run(_spec(prescription, volume=60, store_dir=str(tmp_path)))
+        (record,) = api.RunStore(str(tmp_path)).records()
+        assert record.fingerprint["generation"] == GENERATION_VERSION
+        unversioned = {
+            key: value for key, value in record.fingerprint.items()
+            if key != "generation"
+        }
+        assert fingerprint_hash(unversioned) == (
+            GENERATION_V1_SERIES[record.series]
+        )
+
+    def test_only_a_versioned_generator_adds_the_entry(self):
+        repository = builtin_repository()
+        versioned = set()
+        for name in repository.names():
+            plan = resolve(_spec(name), repository)
+            entries = {task.series.get("generation") for task in plan.tasks}
+            assert len(entries) == 1, name
+            if entries != {None}:
+                assert entries == {GENERATION_VERSION}, name
+                versioned.add(plan.prescription.data.generator)
+        assert versioned == {"lda-text"}

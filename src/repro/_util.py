@@ -104,6 +104,20 @@ def build_by_column(cls: type[T], *columns: Sequence[Any]) -> list[T]:
     return records
 
 
+def sequential_sum(values: Iterable[Any]) -> Any:
+    """``sum(values)`` as Python 3.11 adds it, on every Python: from
+    ``int`` 0, each value added to the total in turn.
+
+    From 3.12 ``sum`` of floats is compensated (gh-100425), so a float
+    total would read differently there from the 3.11 every seeded series
+    and capture was recorded with (DESIGN.md §3.4).
+    """
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 def chunked(items: Sequence[T], num_chunks: int) -> list[Sequence[T]]:
     """Split ``items`` into ``num_chunks`` contiguous, near-equal chunks.
 

@@ -115,8 +115,7 @@ class MapReduceJob:
     with one input split, it returns what grouping the mapper's pairs
     over that split by key gives, keys in first-emission order, each
     with the list of its values.  A map task calls it in place of the
-    per-pair loop; only the combine path groups, so a door needs a
-    combiner.
+    per-pair loop, with or without a combiner.
     """
 
     name: str
@@ -125,10 +124,3 @@ class MapReduceJob:
     combiner: Reducer | None = None
     conf: JobConf = field(default_factory=JobConf)
     group_split: GroupSplit | None = None
-
-    def __post_init__(self) -> None:
-        if self.group_split is not None and self.combiner is None:
-            raise EngineError(
-                f"group_split of job {self.name!r} needs a combiner: "
-                "only the combine path groups a split"
-            )

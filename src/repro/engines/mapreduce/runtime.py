@@ -133,8 +133,7 @@ class MapReduceEngine(Engine):
                     # (post-combine) output; the split is the input part.
                     span.set(
                         splits=len(map_outputs),
-                        door=job.combiner is not None
-                        and job.group_split is not None,
+                        door=job.group_split is not None,
                         records_per_split=[
                             weight - len(task_output)
                             for weight, task_output in zip(
@@ -239,30 +238,33 @@ class MapReduceEngine(Engine):
         mapper = job.mapper
         input_bytes = estimate_pair_bytes(split)
         combine_groups = combined = 0
-        if job.combiner is not None:
+        if job.group_split is not None:
+            grouped = job.group_split(split)
+            if not isinstance(grouped, dict) or not all(
+                map(isinstance, grouped.values(), repeat(list))
+            ):
+                raise EngineError(
+                    f"group_split of job {job.name!r} must return a "
+                    "dict of lists"
+                )
+            if job.combiner is None:
+                # The groups as pairs, keys in first-emission order.  The
+                # shuffle cannot tell them from the mapper loop's pairs:
+                # each key's values keep their order, and each partition
+                # meets its keys first in the same order.
+                task_output = list(chain.from_iterable(
+                    map(zip, map(repeat, grouped), grouped.values())
+                ))
+        elif job.combiner is not None:
             # Combine once at task end: group the pairs as they are
             # mapped instead of listing them only to regroup the list.
-            if job.group_split is not None:
-                grouped = job.group_split(split)
-                if not isinstance(grouped, dict) or not all(
-                    map(isinstance, grouped.values(), repeat(list))
-                ):
-                    raise EngineError(
-                        f"group_split of job {job.name!r} must return a "
-                        "dict of lists"
-                    )
-            else:
-                grouped = defaultdict(list)
-                for key, value in split:
-                    for out_pair in mapper(key, value):
-                        if not isinstance(out_pair, tuple) or len(out_pair) != 2:
-                            raise _not_a_pair(job, "mapper", out_pair)
-                        out_key, out_value = out_pair
-                        grouped[out_key].append(out_value)
-            mapped = sum(map(len, grouped.values()))
-            combine_groups = len(grouped)
-            task_output = _combine(job, grouped)
-            combined = len(task_output)
+            grouped = defaultdict(list)
+            for key, value in split:
+                for out_pair in mapper(key, value):
+                    if not isinstance(out_pair, tuple) or len(out_pair) != 2:
+                        raise _not_a_pair(job, "mapper", out_pair)
+                    out_key, out_value = out_pair
+                    grouped[out_key].append(out_value)
         else:
             task_output = []
             emit = task_output.append
@@ -271,6 +273,12 @@ class MapReduceEngine(Engine):
                     if not isinstance(out_pair, tuple) or len(out_pair) != 2:
                         raise _not_a_pair(job, "mapper", out_pair)
                     emit(out_pair)
+        if job.combiner is not None:
+            mapped = sum(map(len, grouped.values()))
+            combine_groups = len(grouped)
+            task_output = _combine(job, grouped)
+            combined = len(task_output)
+        else:
             mapped = len(task_output)
 
         counters = CounterGroup()

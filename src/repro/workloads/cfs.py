@@ -21,7 +21,7 @@ import itertools
 from collections.abc import Iterator
 from typing import Any
 
-from repro._util import batched
+from repro._util import batched, sequential_sum
 from repro.core.errors import ExecutionError
 from repro.core.operations import operations
 from repro.core.patterns import MultiOperationPattern
@@ -130,7 +130,7 @@ class CfsWorkload(Workload):
             report = engine.delete_file(path)
             latencies["delete"].append(report.simulated_seconds)
 
-        simulated = sum(sum(samples) for samples in latencies.values())
+        simulated = sequential_sum(map(sequential_sum, latencies.values()))
         all_latencies = [
             value for samples in latencies.values() for value in samples
         ]
@@ -141,7 +141,10 @@ class CfsWorkload(Workload):
                 "files": len(file_meta),
                 "bytes": bytes_total,
                 "mean_latency_by_op": {
-                    op: (sum(samples) / len(samples) if samples else 0.0)
+                    op: (
+                        sequential_sum(samples) / len(samples)
+                        if samples else 0.0
+                    )
                     for op, samples in latencies.items()
                 },
             },
@@ -153,7 +156,7 @@ class CfsWorkload(Workload):
             simulated_seconds=simulated,
             extra={
                 "write_throughput_bytes_per_second":
-                    bytes_total / sum(latencies["write"])
+                    bytes_total / sequential_sum(latencies["write"])
                     if latencies["write"] else 0.0,
             },
         )

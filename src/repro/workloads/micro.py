@@ -207,7 +207,7 @@ class WordCountWorkload(Workload):
                 num_map_tasks=num_map_tasks,
                 num_reduce_tasks=num_reduce_tasks,
             ),
-            group_split=_count_words if use_combiner else None,
+            group_split=_count_words,
         )
         result = engine.run(job, _text_pairs(dataset))
         return _result_from_jobs(self.name, engine, [result], dataset.num_records)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro._util import sequential_sum
 from repro.core.errors import ExecutionError
 from repro.core.operations import operations
 from repro.core.patterns import MultiOperationPattern
@@ -235,7 +236,7 @@ class RelationalQueryWorkload(Workload):
             duration_seconds=0.0,  # filled by the dispatcher
             cost=CostCounters().merge(engine.counters),
             latencies=latencies,
-            simulated_seconds=sum(latencies),
+            simulated_seconds=sequential_sum(latencies),
             extra={"operations": len(latencies)},
         )
 

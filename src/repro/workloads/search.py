@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro._util import sequential_sum
 from repro.core.operations import operations
 from repro.core.patterns import (
     ConvergenceCondition,
@@ -117,7 +118,7 @@ class PageRankWorkload(Workload):
             current = dict(ranks)
             # Mass on vertices without out-edges would otherwise leak;
             # redistribute it uniformly (the standard dangling-node fix).
-            dangling = sum(
+            dangling = sequential_sum(
                 rank for vertex, rank in current.items()
                 if not adjacency.get(vertex)
             )
@@ -133,9 +134,10 @@ class PageRankWorkload(Workload):
                         yield target, ("mass", share)
 
             def rank_reduce(vertex: int, contributions: list[tuple[str, float]]):
-                mass = sum(
-                    value for kind, value in contributions if kind == "mass"
-                )
+                mass = 0
+                for kind, value in contributions:
+                    if kind == "mass":
+                        mass += value
                 yield vertex, (
                     (1.0 - damping) / count
                     + damping * (mass + dangling_share)
@@ -150,7 +152,7 @@ class PageRankWorkload(Workload):
             result = engine.run(job, list(current.items()))
             new_ranks = dict(result.output)
             # Vertices with no in-edges still appear via the keep marker.
-            delta = sum(
+            delta = sequential_sum(
                 abs(new_ranks.get(vertex, 0.0) - current[vertex])
                 for vertex in vertices
             )

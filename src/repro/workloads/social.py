@@ -9,10 +9,15 @@ iterative MapReduce job chains.
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from collections import deque
+from collections.abc import Sequence
+from itertools import chain, repeat
 from operator import itemgetter, pow as power, sub
 from typing import Any
 
+import numpy as np
+
+from repro._util import sequential_sum
 from repro.core.errors import ExecutionError
 from repro.core.operations import operations
 from repro.core.patterns import (
@@ -39,16 +44,19 @@ _SQUARE = repeat(2)
 
 
 def _distance_squared(a: Point, b: Point) -> float:
-    """``sum((x - y) ** 2 for x, y in zip(a, b))`` in fewer interpreter steps.
+    """``sum((x - y) ** 2 for x, y in zip(a, b))`` as Python 3.11 adds it,
+    in fewer interpreter steps.
 
     The same ``** 2`` (``operator.pow`` makes the ``float_pow`` call the
-    operator makes) and the same left-to-right ``sum`` from ``int`` 0, so
-    every seeded centroid is bit for bit what the generator expression
-    gave.  ``x * x``, ``math.dist``, ``math.fsum`` or numpy would not be:
-    a multiply need not round like ``pow``, and neither of the last two
-    adds left to right (DESIGN.md §3.4).
+    operator makes) and the same left-to-right additions from ``int`` 0
+    (:func:`~repro._util.sequential_sum`: from 3.12 ``sum`` compensates),
+    so every seeded centroid is bit for bit what the generator expression
+    gave on 3.11, and :func:`_nearest_block` adds the same way.
+    ``x * x``, ``math.dist`` or ``math.fsum`` would not be: a multiply
+    need not round like ``pow``, and neither of the last two adds left to
+    right (DESIGN.md §3.4).
     """
-    return sum(map(power, map(sub, a, b), _SQUARE))
+    return sequential_sum(map(power, map(sub, a, b), _SQUARE))
 
 
 def _nearest(point: Point, centroids: list[Point]) -> int:
@@ -56,6 +64,82 @@ def _nearest(point: Point, centroids: list[Point]) -> int:
     ``min(range(len(centroids)), key=…)`` picks it, ties and NaN included."""
     distances = [_distance_squared(point, centroid) for centroid in centroids]
     return distances.index(min(distances))
+
+
+def _float_columns(
+    vectors: Sequence[Point], dimensions: int
+) -> np.ndarray | None:
+    """``vectors`` as ``dimensions`` columns of float64, or ``None`` unless
+    there is a vector, every vector holds exactly ``dimensions`` values,
+    at least one, and every value is a ``float``."""
+    if dimensions < 1 or set(map(len, vectors)) != {dimensions}:
+        return None
+    coordinates = list(chain.from_iterable(vectors))
+    if set(map(type, coordinates)) != {float}:
+        return None
+    return np.array(coordinates).reshape(len(vectors), dimensions).T.copy()
+
+
+def _block_distances(columns: np.ndarray, means: np.ndarray) -> np.ndarray:
+    """``_distance_squared(point, centroid)`` for every centroid (row) and
+    point (column), with the points and the centroids given as columns
+    (:func:`_float_columns`); bit for bit where it is finite.
+
+    The same subtraction; the square by ``np.float_power(d, 2.0)``, which
+    calls libm ``pow`` as ``float ** 2`` does (``np.square`` and ``d * d``
+    round differently); the terms added dimension by dimension, left to
+    right.  Where ``** 2`` raises ``OverflowError`` this reads ``inf`` or
+    NaN, never a finite value.
+    """
+    with np.errstate(all="ignore"):
+        squares = np.float_power(
+            columns[np.newaxis, :, :] - means.T[:, :, np.newaxis], 2.0
+        )
+        distances = squares[:, 0, :].copy()
+        for dimension in range(1, len(columns)):
+            distances += squares[:, dimension, :]
+    return distances
+
+
+def _nearest_block(points: Sequence[Point], centroids: list[Point]) -> list[int]:
+    """``[_nearest(point, centroids) for point in points]`` in one numpy
+    pass, bit for bit.
+
+    :func:`_block_distances`, then the centroids in order, each
+    displacing the best so far only where it is strictly nearer, so the
+    first minimum wins, as ``distances.index(min(distances))`` picks it.
+    Float coordinates of one dimension take this path (``_extract_points``
+    makes only those); any other input, and a block with a non-finite
+    distance (where ``** 2`` raises ``OverflowError`` and ``min`` keeps a
+    NaN), goes through :func:`_nearest` point by point.
+    """
+    dimensions = len(centroids[0]) if centroids else 0
+    columns = _float_columns(points, dimensions)
+    means = _float_columns(centroids, dimensions)
+    if columns is not None and means is not None:
+        distances = _block_distances(columns, means)
+        if np.isfinite(distances).all():
+            best = distances[0]
+            nearest = np.zeros(len(points), dtype=np.intp)
+            for index in range(1, len(centroids)):
+                nearer = distances[index] < best
+                nearest[nearer] = index
+                np.minimum(best, distances[index], out=best)
+            return nearest.tolist()
+    return [_nearest(point, centroids) for point in points]
+
+
+def _group_by_cluster(
+    points: Sequence[Point], clusters: list[int]
+) -> dict[int, list[Point]]:
+    """``{cluster: [point, ...]}``, clusters in first-emission order: what
+    grouping ``assign_map``'s pairs gives.  ``map`` appends each point to
+    its cluster's list in C, with no Python loop per point."""
+    groups: dict[int, list[Point]] = {
+        cluster: [] for cluster in dict.fromkeys(clusters)
+    }
+    deque(map(list.append, map(groups.__getitem__, clusters), points), maxlen=0)
+    return groups
 
 
 class KMeansWorkload(Workload):
@@ -103,10 +187,16 @@ class KMeansWorkload(Workload):
             def assign_map(point_id: int, point: Point):
                 yield _nearest(point, frozen), point
 
+            def assign_split(split: Sequence[tuple[int, Point]]):
+                split_points = list(map(itemgetter(1), split))
+                return _group_by_cluster(
+                    split_points, _nearest_block(split_points, frozen)
+                )
+
             def centroid_reduce(cluster: int, members: list[Point]):
                 dimensions = len(members[0])
                 mean = tuple(
-                    sum(map(itemgetter(d), members)) / len(members)
+                    sequential_sum(map(itemgetter(d), members)) / len(members)
                     for d in range(dimensions)
                 )
                 yield cluster, mean
@@ -116,6 +206,7 @@ class KMeansWorkload(Workload):
                 assign_map,
                 centroid_reduce,
                 conf=JobConf(sort_keys=False),
+                group_split=assign_split,
             )
             result = engine.run(job, list(enumerate(points)))
             updated = dict(result.output)
@@ -131,7 +222,7 @@ class KMeansWorkload(Workload):
             wall += result.wall_seconds
             iterations += 1
 
-        assignments = [_nearest(point, centroids) for point in points]
+        assignments = _nearest_block(points, centroids)
         return WorkloadResult(
             workload=self.name,
             engine=engine.name,

@@ -10,18 +10,24 @@ runner's serial and thread backends.  ``accounting_parent.json`` is the
 version-1 capture, taken before the engines' per-record book-keeping
 was hoisted out of their inner loops: leaf by leaf, the two fixtures
 differ in the pair-metered bytes and in nothing else, once the specs
-that generate ``lda-text`` are compared on generation version 1's data.  Beside it: the
-conservation laws the counters obey and the guarantee that a failed
-task attempt leaves nothing behind.
+that generate ``lda-text`` are compared on generation version 1's data.  The specs
+that add seeded floats report the same under Python 3.12's compensated
+``sum``, emulated.  Beside it: the conservation laws the counters obey
+and the guarantee that a failed task attempt leaves nothing behind.
 """
 
 from __future__ import annotations
 
+import builtins
 import json
+import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from repro._util import sequential_sum
 from repro.datagen.stream import StreamEvent
 from repro.engines.faults import FaultInjector, FaultSpec, InjectedFault
 from repro.engines.mapreduce import JobConf, MapReduceEngine, MapReduceJob
@@ -72,6 +78,109 @@ def test_a_spec_reports_what_it_reported_before(name, executor):
 @pytest.mark.parametrize("name", EDGE_JOBS)
 def test_a_corner_case_job_reports_what_it_reported_before(name):
     assert capture_edge(name) == FIXTURE[f"edge:{name}"]
+
+
+# ---------------------------------------------------------------------------
+# A float total is what Python 3.11's ``sum`` gave, on every Python
+# ---------------------------------------------------------------------------
+
+_LONG = range(-(2**63), 2**63)
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as CPython 3.12 computes it (``builtin_sum_impl``,
+    gh-100425): ints added exactly while the total fits a C ``long``,
+    then floats with Neumaier's compensation (ints that fit a ``long``
+    added without it), anything else by ``+``."""
+    items = iter(iterable)
+    total = start
+    if type(total) is int and total in _LONG:
+        for item in items:
+            if type(item) in (int, bool) and item in _LONG and (
+                total + item in _LONG
+            ):
+                total += item
+                continue
+            total = total + item
+            break
+    if type(total) is float:
+        compensation = 0.0
+        for item in items:
+            if type(item) is float:
+                added = total + item
+                if abs(total) >= abs(item):
+                    compensation += (total - added) + item
+                else:
+                    compensation += (item - added) + total
+                total = added
+            elif isinstance(item, int) and item in _LONG:
+                total += float(item)
+            else:
+                if compensation and math.isfinite(compensation):
+                    total += compensation
+                total = total + item
+                break
+        else:
+            if compensation and math.isfinite(compensation):
+                total += compensation
+            return total
+    for item in items:
+        total = total + item
+    return total
+
+
+def _summands(seed: int) -> list[list]:
+    """2 000 lists of floats over many magnitudes, some with ints, an
+    infinity or a NaN, some empty."""
+    rng = np.random.default_rng(seed)
+    lists = []
+    for _ in range(2000):
+        size = int(rng.integers(0, 600))
+        values = (rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size))
+        values = values.tolist()
+        if rng.random() < 0.2 and values:
+            values[int(rng.integers(len(values)))] = int(rng.integers(-99, 99))
+        if rng.random() < 0.05 and values:
+            values[int(rng.integers(len(values)))] = float(
+                rng.choice([math.inf, -math.inf, math.nan])
+            )
+        lists.append(values)
+    return lists
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="sum of floats compensates from 3.12"
+)
+def test_sequential_sum_is_this_pythons_sum():
+    for values in _summands(311):
+        assert repr(sequential_sum(values)) == repr(sum(values))
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 12), reason="sum of floats compensates from 3.12"
+)
+def test_the_emulated_sum_is_this_pythons_sum():
+    for values in _summands(312):
+        assert repr(compensated_sum(values)) == repr(sum(values))
+
+
+def test_the_emulated_sum_compensates():
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert sequential_sum([0.1] * 10) == 0.9999999999999999
+    assert compensated_sum([1e100, 1.0, -1e100, 1.0]) == 2.0
+    assert compensated_sum([1, 2, 2**70, 0.5]) == float(2**70 + 3) + 0.5
+    assert compensated_sum([[1], [2]], []) == [1, 2]
+
+
+#: The specs whose workloads add seeded floats: their captures moved
+#: under a compensated ``sum`` until every such total added in order.
+SUMMING = ("kmeans-mr", "pagerank-mr", "cfs-text", "relational-3eng")
+
+
+@pytest.mark.parametrize("name", SUMMING)
+def test_a_spec_reports_the_same_under_a_compensated_sum(monkeypatch, name):
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert capture(name) == FIXTURE[name]
 
 
 # ---------------------------------------------------------------------------

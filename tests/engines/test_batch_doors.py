@@ -509,6 +509,34 @@ def _reported(report) -> list[dict]:
     return results
 
 
+def _spread(key, line):
+    """A mapper whose keys repeat within and across lines and splits:
+    words, an ``int``, a tuple, and a key whose text is a number's."""
+    for word in line.split():
+        yield word, key
+    yield key % 3, line
+    yield (key % 2, "side"), key
+    yield str(key % 3), len(line)
+
+
+def _grouping_door(mapper):
+    """The door the contract describes: ``mapper``'s pairs over a split,
+    grouped by key in first-emission order."""
+
+    def group_split(split):
+        grouped: dict = {}
+        for key, value in split:
+            for out_key, out_value in mapper(key, value):
+                grouped.setdefault(out_key, []).append(out_value)
+        return grouped
+
+    return group_split
+
+
+def _by_length(key, partitions):
+    return len(str(key)) % partitions
+
+
 class TestGroupSplit:
     @given(st.lists(lines, max_size=40), st.integers(1, 5))
     @settings(max_examples=60, deadline=None)
@@ -554,9 +582,41 @@ class TestGroupSplit:
         without = api.run("micro-wordcount", volume=2500, **options)
         assert _reported(with_door) == _reported(without)
 
-    def test_a_door_needs_a_combiner(self):
-        with pytest.raises(EngineError, match="combiner"):
-            MapReduceJob("wc", identity_mapper, group_split=lambda split: {})
+    @given(
+        st.lists(lines, max_size=30),
+        st.integers(1, 5),
+        st.integers(1, 3),
+        st.booleans(),
+        st.sampled_from([None, 1, 4]),
+        st.sampled_from([default_partitioner, _by_length]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_a_door_without_a_combiner_equals_the_mapper_loop(
+        self, texts, map_tasks, reduce_tasks, sort_keys, split_records,
+        partitioner,
+    ):
+        job = MapReduceJob(
+            "spread", _spread, identity_reducer,
+            conf=JobConf(
+                num_map_tasks=map_tasks, num_reduce_tasks=reduce_tasks,
+                sort_keys=sort_keys, split_records=split_records,
+                partitioner=partitioner,
+            ),
+            group_split=_grouping_door(_spread),
+        )
+        pairs = list(enumerate(texts))
+        runs, doors = [], []
+        for candidate in (job, dataclasses.replace(job, group_split=None)):
+            tracer = Tracer()
+            with tracer.activate():
+                runs.append(MapReduceEngine().run(candidate, pairs))
+            (phase,) = [
+                span for root in tracer.roots() for span in root.walk()
+                if span.name == "map-phase"
+            ]
+            doors.append(phase.attrs["door"])
+        _same_job_run(*runs)
+        assert doors == [True, False]
 
     @pytest.mark.parametrize(
         "returned", [[("a", [1])], {"a": (1,)}, {"a": [1], "b": 1}],

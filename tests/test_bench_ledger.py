@@ -187,6 +187,41 @@ def test_the_workload_kernel_rows_are_a_parent_and_a_change_row():
     assert change["share"] > parent["share"]
 
 
+def test_the_kmeans_door_rows_are_a_parent_and_a_change_row():
+    """The ``bench_accounting.py`` rows of k-means' batch door (a split
+    assigned in one numpy pass).  ``kmeans-mr`` reports less time; the
+    pair meter sizes the same pairs in the same number of calls, so its
+    share of the job rises."""
+    (ledger,) = [
+        path for path in LEDGERS if path.name == "BENCH_accounting.json"
+    ]
+    rows: dict[tuple[str, str], dict] = {}
+    for row in json.loads(ledger.read_text()):
+        measurements = row["measurements"]
+        if "k-means batch door" in measurements["source"]:
+            side = measurements["source"].split()[0].rstrip(":")
+            rows[side, row["fingerprint"]["benchmark"]] = measurements
+    assert set(rows) == {
+        (side, benchmark)
+        for side in ("parent", "change")
+        for benchmark in (
+            "accounting.meter_cost", "accounting.batch_doors",
+            "accounting.pair_meter",
+        )
+    }
+    parent, change = (
+        rows[side, "accounting.meter_cost"]["duration_s"]["kmeans-mr.mapreduce"]
+        for side in ("parent", "change")
+    )
+    assert change < parent
+    parent, change = (
+        rows[side, "accounting.pair_meter"]["share"]["kmeans-mr"]
+        for side in ("parent", "change")
+    )
+    assert parent["calls"] == change["calls"] > 0
+    assert change["share"] > parent["share"]
+
+
 def test_the_bytecode_cache_rows_are_a_parent_and_a_change_row():
     """The start-up rows that price ``repro_cached`` (``bench_startup.py``).
     On the parent the cache does not exist and the condition compiles

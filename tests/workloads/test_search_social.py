@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+from functools import reduce
+from operator import add
+from unittest import mock
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._util import chunked
 from repro.datagen.base import DataType, as_dataset
 from repro.datagen.graph import RmatGraphGenerator
 from repro.datagen.mixture import GaussianMixtureGenerator
@@ -141,7 +149,11 @@ class TestKMeans:
 
 
 def _old_distance_squared(a, b):
-    return sum((x - y) ** 2 for x, y in zip(a, b))
+    """The generator expression k-means started from, added left to right
+    from ``int`` 0 as ``sum`` adds it up to Python 3.11: the arithmetic
+    every seeded series was recorded with (from 3.12 ``sum`` of floats
+    is compensated)."""
+    return reduce(add, ((x - y) ** 2 for x, y in zip(a, b)), 0)
 
 
 def _old_nearest(point, centroids):
@@ -178,7 +190,7 @@ def _old_kmeans(engine, dataset, num_clusters=4, tolerance=1e-3, max_iterations=
         def centroid_reduce(cluster, members):
             dimensions = len(members[0])
             mean = tuple(
-                sum(point[d] for point in members) / len(members)
+                reduce(add, (point[d] for point in members), 0) / len(members)
                 for d in range(dimensions)
             )
             yield cluster, mean
@@ -223,6 +235,20 @@ _coordinates = st.one_of(
 )
 
 
+#: Floats only, what ``_extract_points`` makes: NaN, ±inf, -0.0, values
+#: whose square overflows or underflows, and values that ``x * x``
+#: rounds differently from ``x ** 2``.
+_float_coordinates = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(-1e6, 1e6),
+    st.sampled_from([
+        0.0, -0.0, 2.5, 1e200, -1e160, 1e-170,
+        2.9312511603933788e-151, -7.4819760855314485e-152,
+        6.410830388085625e-152, 1.1025695579972517e-153,
+    ]),
+)
+
+
 class TestKMeansKernels:
     """The k-means kernels equal the code they replaced, bit for bit."""
 
@@ -244,6 +270,105 @@ class TestKMeansKernels:
         assert _outcome(social._nearest, point, centroids) == (
             _outcome(_old_nearest, point, centroids)
         )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_block_equals_nearest_point_by_point(self, data):
+        dimensions = data.draw(st.integers(1, 8))
+        vector = st.tuples(*[_float_coordinates] * dimensions)
+        centroids = data.draw(st.lists(vector, min_size=1, max_size=6))
+        points = data.draw(st.lists(vector, max_size=12))
+        # Ties: repeat some centroids, and sometimes a point.
+        centroids += data.draw(
+            st.lists(st.sampled_from(centroids + points), max_size=3)
+        )
+        # Sometimes a coordinate that is not a float, or a short point.
+        points += data.draw(st.lists(
+            st.tuples(*[_coordinates] * dimensions)
+            | st.tuples(*[_float_coordinates] * (dimensions - 1)),
+            max_size=1,
+        ))
+        assert _outcome(social._nearest_block, points, centroids) == _outcome(
+            lambda: [social._nearest(point, centroids) for point in points]
+        )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_block_distances_equal_distance_squared(self, data):
+        dimensions = data.draw(st.integers(1, 8))
+        vector = st.tuples(*[_float_coordinates] * dimensions)
+        centroids = data.draw(st.lists(vector, min_size=1, max_size=6))
+        points = data.draw(st.lists(vector, min_size=1, max_size=12))
+        distances = social._block_distances(
+            social._float_columns(points, dimensions),
+            social._float_columns(centroids, dimensions),
+        ).tolist()
+        for centroid, row in zip(centroids, distances, strict=True):
+            for point, distance in zip(points, row, strict=True):
+                expected = _outcome(social._distance_squared, point, centroid)
+                if expected == "OverflowError":
+                    assert not math.isfinite(distance)
+                else:
+                    assert repr(distance) == expected
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_a_finite_float_block_never_falls_back(self, data):
+        dimensions = data.draw(st.integers(1, 8))
+        vector = st.tuples(*[st.floats(-1e100, 1e100)] * dimensions)
+        centroids = data.draw(st.lists(vector, min_size=1, max_size=6))
+        points = data.draw(st.lists(vector, min_size=1, max_size=12))
+        expected = [social._nearest(point, centroids) for point in points]
+        with mock.patch.object(social, "_nearest", side_effect=AssertionError):
+            assert social._nearest_block(points, centroids) == expected
+
+    def test_float_power_squares_as_the_operator_does(self):
+        """The premise of the block kernel: ``np.float_power(x, 2.0)``
+        calls libm ``pow`` as ``x ** 2`` does, so they agree bit for bit
+        on every magnitude whose square is finite, subnormals included
+        (``np.square`` and ``x * x`` need not)."""
+        rng = np.random.default_rng(48)
+        x = rng.uniform(1.0, 2.0, 200_000) * np.exp2(
+            rng.integers(-560, 511, 200_000)
+        )
+        x[::2] *= -1
+        # Four that ``x * x`` rounds differently from glibc's ``pow``.
+        x[:4] = [
+            2.9312511603933788e-151, 7.4819760855314485e-152,
+            6.410830388085625e-152, 1.1025695579972517e-153,
+        ]
+        assert (
+            np.float_power(x, 2.0).view(np.int64).tolist()
+            == np.array([value ** 2 for value in x.tolist()])
+            .view(np.int64).tolist()
+        )
+
+    def test_the_door_equals_the_mapper_loop(self):
+        """Each job's ``group_split`` groups what ``assign_map`` emits, split
+        by split, and the job with it reports what the job without it does."""
+        checked = []
+
+        class Checking(MapReduceEngine):
+            def run(self, job, pairs):
+                for split in chunked(pairs, job.conf.num_map_tasks):
+                    grouped: dict = {}
+                    for key, value in split:
+                        for cluster, point in job.mapper(key, value):
+                            grouped.setdefault(cluster, []).append(point)
+                    assert repr(job.group_split(split)) == repr(grouped)
+                result = super().run(job, pairs)
+                loop = MapReduceEngine().run(
+                    dataclasses.replace(job, group_split=None), pairs
+                )
+                assert repr(result.output) == repr(loop.output)
+                assert result.counters.snapshot() == loop.counters.snapshot()
+                assert result.cost == loop.cost
+                checked.append(job.name)
+                return result
+
+        data = GaussianMixtureGenerator(seed=6).generate(400)
+        KMeansWorkload().run(Checking(), data, num_clusters=5)
+        assert len(checked) > 1
 
     def test_ties_and_nan_pick_what_min_picked(self):
         nan = float("nan")

@@ -117,8 +117,8 @@ def test_ycsb_mix_nosql_vs_dbms(benchmark):
 
 def test_consistency_latency_tradeoff(benchmark):
     """The YCSB paper's consistency dimension on the simulated store:
-    stronger consistency costs latency; weak reads can observe stale
-    data until anti-entropy runs."""
+    stronger consistency costs latency; weak reads can observe the stale
+    replicas weak writes leave behind."""
     from repro.engines.nosql import ConsistencyLevel, LatencyModel, NoSqlStore
 
     def drive():

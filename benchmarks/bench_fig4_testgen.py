@@ -43,7 +43,7 @@ def test_generate_and_bind(benchmark, domain):
             {
                 "prescribed test": test.name,
                 "engine": test.engine.name,
-                "stack": test.engine.info.software_stack,
+                "stack": test.engine.software_stack,
                 "records in": result.records_in,
                 "records out": result.records_out,
             }

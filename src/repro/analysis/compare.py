@@ -228,9 +228,6 @@ class Comparison:
                 return verdict
         return "unchanged"
 
-    def with_verdict(self, verdict: str) -> list[MetricComparison]:
-        return [c for c in self.metrics.values() if c.verdict == verdict]
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "baseline": self.baseline,

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro._util import sequential_sum
 from repro.core.appendlog import AppendLog
 from repro.core.errors import AnalysisError
 from repro.core.results import RunResult, TaskFailure
@@ -130,8 +131,7 @@ def spec_fingerprint(
 def _accounting_version(engine: str) -> int | None:
     """What the registered engine class declares.  None for an engine
     whose counters meter no pair, for a name the registry does not know,
-    and for one registered as a factory that is not the engine class
-    (``register_instance``)."""
+    and for one registered as a factory that is not the engine class."""
     from repro.core.registry import engines
 
     if engine not in engines:
@@ -234,7 +234,7 @@ class RunRecord:
 
     def mean(self, metric: str) -> float:
         samples = self.samples(metric)
-        return sum(samples) / len(samples)
+        return sequential_sum(samples) / len(samples)
 
     # -- serialization ----------------------------------------------------
 

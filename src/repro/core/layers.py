@@ -76,9 +76,6 @@ class FunctionLayer:
         )
         return generator.generate(volume)
 
-    def describe_metrics(self) -> list[str]:
-        return [metric.describe() for metric in self.metric_suite.metrics]
-
 
 class ExecutionLayer:
     """Format conversion and reporting."""
@@ -92,9 +89,6 @@ class ExecutionLayer:
     def report(self, results: list[RunResult], metric_names: list[str],
                style: str = "ascii") -> str:
         return render_results(results, style=style, metrics=metric_names)
-
-    def report_json(self, results: list[RunResult]) -> str:
-        return render_results(results, style="json")
 
 
 class BigDataBenchmark:

@@ -18,7 +18,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 import enum
 
-from repro._util import percentile
+from repro._util import percentile, sequential_sum
 from repro.core.errors import MetricError
 from repro.engines.base import CostCounters
 
@@ -128,7 +128,7 @@ class MeanLatencyMetric(Metric):
     def compute(self, evidence: RunEvidence) -> float:
         if not evidence.latencies:
             raise MetricError("run recorded no request latencies")
-        return sum(evidence.latencies) / len(evidence.latencies)
+        return sequential_sum(evidence.latencies) / len(evidence.latencies)
 
 
 class LatencyPercentileMetric(Metric):
@@ -218,9 +218,6 @@ class EnergyModel:
         active = self.joules_per_million_ops * evidence.cost.compute_ops / 1e6
         return idle + active
 
-    def as_metric(self) -> "EnergyMetric":
-        return EnergyMetric(self)
-
 
 class EnergyMetric(Metric):
     """Total simulated energy of the run."""
@@ -246,9 +243,6 @@ class CostModel:
     def cost_dollars(self, evidence: RunEvidence) -> float:
         hours = evidence.effective_seconds / 3600.0
         return self.num_nodes * hours * self.dollars_per_node_hour
-
-    def as_metric(self) -> "CostMetric":
-        return CostMetric(self)
 
 
 class CostMetric(Metric):

@@ -98,10 +98,3 @@ def operation(name: str) -> AbstractOperation:
 def operations(*names: str) -> list[AbstractOperation]:
     """Look up several standard operations at once."""
     return [operation(name) for name in names]
-
-
-def by_category(category: OperationCategory) -> list[AbstractOperation]:
-    """All standard operations of one arity category."""
-    return [
-        op for op in STANDARD_OPERATIONS.values() if op.category is category
-    ]

@@ -8,28 +8,22 @@ paper defines exactly three:
 * **iterative-operation** — a body repeated under a stopping condition,
   so "the exact number of operations can [only] be known at run time".
 
-:meth:`WorkloadPattern.unroll` drives execution: it yields operation
-lists step by step, consulting the stopping condition between iterations
-for the iterative pattern.
+A pattern describes a prescription's operations: it is reported and
+serialized with the prescription, and the workload runs its own loop.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.errors import TestGenerationError
 from repro.core.operations import AbstractOperation
 
 
-class StoppingCondition(ABC):
-    """Decides, at run time, whether an iterative pattern should stop."""
-
-    @abstractmethod
-    def should_stop(self, iteration: int, state: Any) -> bool:
-        """``iteration`` counts completed body executions (from 1)."""
+class StoppingCondition:
+    """When an iterative pattern stops, decided at run time."""
 
     def describe(self) -> str:
         return type(self).__name__
@@ -47,24 +41,17 @@ class FixedIterations(StoppingCondition):
                 f"iteration count must be positive, got {self.count}"
             )
 
-    def should_stop(self, iteration: int, state: Any) -> bool:
-        return iteration >= self.count
-
     def describe(self) -> str:
         return f"after {self.count} iterations"
 
 
 @dataclass
 class ConvergenceCondition(StoppingCondition):
-    """Stop when successive states change less than ``tolerance``.
-
-    ``distance`` maps (previous_state, state) to a float; the default
-    works for numeric states.
-    """
+    """Stop when successive states change less than ``tolerance``, or
+    after ``max_iterations``."""
 
     tolerance: float
     max_iterations: int = 100
-    distance: Callable[[Any, Any], float] = lambda a, b: abs(b - a)
 
     def __post_init__(self) -> None:
         if self.tolerance < 0:
@@ -75,17 +62,6 @@ class ConvergenceCondition(StoppingCondition):
             raise TestGenerationError(
                 f"max_iterations must be positive, got {self.max_iterations}"
             )
-        self._previous: Any = None
-
-    def should_stop(self, iteration: int, state: Any) -> bool:
-        if iteration >= self.max_iterations:
-            return True
-        if self._previous is None:
-            self._previous = state
-            return False
-        delta = self.distance(self._previous, state)
-        self._previous = state
-        return delta <= self.tolerance
 
     def describe(self) -> str:
         return f"on convergence (tol={self.tolerance}, cap={self.max_iterations})"
@@ -99,20 +75,6 @@ class WorkloadPattern(ABC):
     def pattern_name(self) -> str:
         """The paper's name for this pattern."""
 
-    @abstractmethod
-    def unroll(
-        self, state_after_step: Callable[[int], Any] | None = None
-    ) -> Iterator[list[AbstractOperation]]:
-        """Yield operation batches in execution order.
-
-        For iterative patterns, ``state_after_step(iteration)`` supplies
-        the runtime state the stopping condition inspects.
-        """
-
-    @abstractmethod
-    def static_operation_count(self) -> int | None:
-        """Operations known before running, or None for iterative patterns."""
-
 
 class SingleOperationPattern(WorkloadPattern):
     """Exactly one abstract operation."""
@@ -123,14 +85,6 @@ class SingleOperationPattern(WorkloadPattern):
     @property
     def pattern_name(self) -> str:
         return "single-operation"
-
-    def unroll(
-        self, state_after_step: Callable[[int], Any] | None = None
-    ) -> Iterator[list[AbstractOperation]]:
-        yield [self.operation]
-
-    def static_operation_count(self) -> int | None:
-        return 1
 
     def __repr__(self) -> str:
         return f"SingleOperationPattern({self.operation.name})"
@@ -155,14 +109,6 @@ class MultiOperationPattern(WorkloadPattern):
     def pattern_name(self) -> str:
         return "multi-operation"
 
-    def unroll(
-        self, state_after_step: Callable[[int], Any] | None = None
-    ) -> Iterator[list[AbstractOperation]]:
-        yield list(self.operations)
-
-    def static_operation_count(self) -> int | None:
-        return len(self.operations)
-
     def __repr__(self) -> str:
         names = ", ".join(op.name for op in self.operations)
         return f"MultiOperationPattern([{names}])"
@@ -186,20 +132,6 @@ class IterativeOperationPattern(WorkloadPattern):
     @property
     def pattern_name(self) -> str:
         return "iterative-operation"
-
-    def unroll(
-        self, state_after_step: Callable[[int], Any] | None = None
-    ) -> Iterator[list[AbstractOperation]]:
-        iteration = 0
-        while True:
-            yield list(self.body)
-            iteration += 1
-            state = state_after_step(iteration) if state_after_step else None
-            if self.stopping_condition.should_stop(iteration, state):
-                return
-
-    def static_operation_count(self) -> int | None:
-        return None  # only known at run time, per the paper
 
     def __repr__(self) -> str:
         names = ", ".join(op.name for op in self.body)

@@ -94,12 +94,6 @@ class PlatformProjection:
     seconds: float
     energy_joules: float
 
-    @property
-    def performance_per_watt(self) -> float:
-        if self.energy_joules <= 0:
-            return float("inf")
-        return 1.0 / self.energy_joules
-
 
 def project(
     result: WorkloadResult,

@@ -104,13 +104,6 @@ class PrescriptionRepository:
     def names(self) -> list[str]:
         return sorted(self._prescriptions)
 
-    def by_domain(self, domain: str) -> list[Prescription]:
-        return [
-            prescription
-            for prescription in self._prescriptions.values()
-            if prescription.domain == domain
-        ]
-
     def domains(self) -> list[str]:
         return sorted({p.domain for p in self._prescriptions.values()})
 

@@ -42,10 +42,6 @@ class Registry(Generic[T]):
             )
         self._factories[name] = factory
 
-    def register_instance(self, name: str, instance: T) -> None:
-        """Register an already-built instance (returned on every create)."""
-        self.register(name, lambda: instance)
-
     def create(self, name: str) -> T:
         """Instantiate the named component."""
         return self.resolve(name)()

@@ -327,19 +327,6 @@ class TaskFailure:
 RunOutcome = "RunResult | TaskFailure"
 
 
-def outcome_from_dict(payload: dict[str, Any]) -> "RunResult | TaskFailure":
-    """Rebuild either outcome type from its serialized form.
-
-    Dispatches on the serialized ``status``: ``"failed"`` payloads come
-    back as :class:`TaskFailure`, everything else as
-    :class:`RunResult` — with its recorded status preserved, not reset
-    to ok.
-    """
-    if payload.get("status") == "failed":
-        return TaskFailure.from_dict(payload)
-    return RunResult.from_dict(payload)
-
-
 class ResultAnalyzer:
     """Cross-result comparison (who wins, by what factor).
 

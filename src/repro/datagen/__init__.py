@@ -13,13 +13,13 @@ __getattr__, __dir__, __all__ = lazy_exports(
     {
         "repro.datagen.base": (
             "DEFAULT_CHUNK_SIZE", "DataGenerator", "DataSet", "DataType",
-            "RecordBatch", "StructureClass", "as_dataset", "mix_seed",
+            "RecordBatch", "StructureClass", "mix_seed",
         ),
         "repro.datagen.cache": ("CacheStats", "DatasetCache"),
         "repro.datagen.models": ("ModelCache",),
         "repro.datagen.formats": ("available_formats", "convert"),
         "repro.datagen.source": (
-            "DatasetSource", "GeneratorSource", "as_source", "ensure_dataset",
+            "DatasetSource", "GeneratorSource", "ensure_dataset",
         ),
         "repro.datagen.graph": (
             "ErdosRenyiGenerator", "PreferentialAttachmentGenerator",
@@ -27,7 +27,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.datagen.media": ("SyntheticImageGenerator", "image_features"),
         "repro.datagen.resume": ("ResumeGenerator", "cluster_cohesion"),
-        "repro.datagen.sampling": ("scale_down",),
         "repro.datagen.stream": (
             "BurstyArrivals", "DiurnalArrivals", "EmpiricalArrivals",
             "EventKind", "PoissonArrivals", "StreamEvent", "StreamGenerator",
@@ -43,7 +42,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
             "UnigramTextGenerator", "tokenize", "word_distribution",
         ),
         "repro.datagen.veracity": (
-            "VeracityReport", "chi_square_statistic", "graph_veracity",
+            "VeracityReport", "graph_veracity",
             "jensen_shannon_divergence", "kl_divergence", "model_veracity",
             "stream_veracity", "table_veracity", "text_veracity",
             "topic_structure_veracity", "total_variation",

@@ -482,10 +482,3 @@ class PurelySyntheticMixin:
     """
 
     veracity_aware = False
-
-
-def as_dataset(
-    records: Sequence[Any], data_type: DataType, name: str = "adhoc", **metadata: Any
-) -> DataSet:
-    """Convenience wrapper turning a plain record sequence into a DataSet."""
-    return DataSet(name=name, data_type=data_type, records=list(records), metadata=dict(metadata))

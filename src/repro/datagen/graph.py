@@ -45,16 +45,6 @@ def degree_counts(edges: Iterable[Edge]) -> Counter[int]:
     return degrees
 
 
-def degree_distribution(edges: Iterable[Edge]) -> dict[int, float]:
-    """Empirical distribution of vertex degrees (degree → probability)."""
-    degrees = degree_counts(edges)
-    histogram: Counter[int] = Counter(degrees.values())
-    total = sum(histogram.values())
-    if total == 0:
-        return {}
-    return {degree: count / total for degree, count in sorted(histogram.items())}
-
-
 def average_degree(edges: Sequence[Edge]) -> float:
     """Mean vertex degree of an undirected edge list."""
     degrees = degree_counts(edges)

@@ -9,13 +9,12 @@ graph structure, so graph-specific samplers are provided too.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Hashable, Iterable, Sequence
-from typing import Any, TypeVar
+from collections.abc import Iterable, Sequence
+from typing import TypeVar
 
 import numpy as np
 
 from repro.core.errors import GenerationError
-from repro.datagen.base import DataSet
 
 T = TypeVar("T")
 
@@ -42,50 +41,6 @@ def reservoir_sample(
             if slot < sample_size:
                 reservoir[slot] = item
     return reservoir
-
-
-def stratified_sample(
-    items: Sequence[T],
-    key: Callable[[T], Hashable],
-    fraction: float,
-    seed: int = 0,
-) -> list[T]:
-    """Sample ``fraction`` of each stratum, preserving group proportions.
-
-    Every non-empty stratum keeps at least one item, so rare categories
-    survive scale-down (a veracity concern for skewed data).
-    """
-    if not 0.0 < fraction <= 1.0:
-        raise GenerationError(f"fraction must be in (0, 1], got {fraction}")
-    strata: dict[Hashable, list[T]] = defaultdict(list)
-    for item in items:
-        strata[key(item)].append(item)
-    rng = np.random.default_rng(seed)
-    sampled: list[T] = []
-    for stratum_key in sorted(strata, key=str):
-        members = strata[stratum_key]
-        keep = max(1, int(round(len(members) * fraction)))
-        indexes = rng.choice(len(members), size=keep, replace=False)
-        sampled.extend(members[int(i)] for i in sorted(indexes))
-    return sampled
-
-
-def random_node_sample(
-    edges: Sequence[Edge], fraction: float, seed: int = 0
-) -> list[Edge]:
-    """Induced-subgraph sample: keep a vertex fraction, then both-end edges."""
-    if not 0.0 < fraction <= 1.0:
-        raise GenerationError(f"fraction must be in (0, 1], got {fraction}")
-    vertices = sorted({v for edge in edges for v in edge})
-    if not vertices:
-        return []
-    rng = np.random.default_rng(seed)
-    keep_count = max(1, int(round(len(vertices) * fraction)))
-    kept = set(
-        vertices[int(i)]
-        for i in rng.choice(len(vertices), size=keep_count, replace=False)
-    )
-    return [edge for edge in edges if edge[0] in kept and edge[1] in kept]
 
 
 def random_edge_sample(
@@ -151,20 +106,3 @@ def forest_fire_sample(
                 burned.add(neighbour)
                 frontier.append(neighbour)
     return [edge for edge in edges if edge[0] in burned and edge[1] in burned]
-
-
-def scale_down(dataset: DataSet, fraction: float, seed: int = 0) -> DataSet:
-    """Scale any data set down to ``fraction`` with a type-appropriate sampler."""
-    from repro.datagen.base import DataType
-
-    if dataset.data_type is DataType.GRAPH:
-        records: list[Any] = forest_fire_sample(dataset.records, fraction, seed=seed)
-    else:
-        keep = max(1, int(round(dataset.num_records * fraction)))
-        records = reservoir_sample(dataset.records, keep, seed=seed)
-    return DataSet(
-        name=f"{dataset.name}-scaled-{fraction:g}",
-        data_type=dataset.data_type,
-        records=records,
-        metadata={**dataset.metadata, "scaled_from": dataset.num_records},
-    )

@@ -164,15 +164,6 @@ class GeneratorSource:
         )
 
 
-def as_source(data: DataSet | DatasetSource) -> DatasetSource:
-    """Coerce a DataSet or source to the source protocol (no copying)."""
-    if isinstance(data, DatasetSource):
-        return data
-    raise GenerationError(
-        f"expected a DataSet or DatasetSource, got {type(data).__name__}"
-    )
-
-
 def ensure_dataset(data: DataSet | DatasetSource) -> DataSet:
     """The materialized form of ``data`` (identity for a DataSet)."""
     if isinstance(data, DataSet):

@@ -413,17 +413,6 @@ class StreamGenerator(DataGenerator):
     def _concatenate(self, partitions: Iterator[EventColumns]) -> EventColumns:
         return EventColumns.concatenate(list(partitions))
 
-    def measured_rate(self, events: Sequence[StreamEvent]) -> float:
-        """Events per second implied by a generated stream's timestamps."""
-        if len(events) < 2:
-            raise GenerationError("need at least two events to measure a rate")
-        span = max(event.timestamp for event in events) - min(
-            event.timestamp for event in events
-        )
-        if span <= 0:
-            raise GenerationError("stream timestamps have no extent")
-        return (len(events) - 1) / span
-
 
 def default_poisson_stream_generator() -> StreamGenerator:
     """The registry's ``poisson-stream``: 1000 events/s, one update in five."""

@@ -399,13 +399,6 @@ class LdaModel:
             theta /= theta.sum()
         return theta
 
-    def top_words(self, topic: int, count: int = 10) -> list[str]:
-        """The highest-probability words of one topic, for inspection."""
-        if self.phi is None or self.vocabulary is None:
-            raise GenerationError("LDA model is not fitted")
-        order = np.argsort(self.phi[topic])[::-1][:count]
-        return [self.vocabulary.word_of(int(word_id)) for word_id in order]
-
 
 class LdaTextGenerator(DataGenerator):
     """The paper's reference veracity-preserving text generator.

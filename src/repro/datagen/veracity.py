@@ -93,17 +93,6 @@ def total_variation(
     return float(0.5 * np.sum(np.abs(p_vector - q_vector)))
 
 
-def chi_square_statistic(
-    observed: Mapping[Any, float] | Sequence[float] | np.ndarray,
-    expected: Mapping[Any, float] | Sequence[float] | np.ndarray,
-) -> float:
-    """Pearson's chi-square statistic between two aligned distributions."""
-    observed_vector, expected_vector = _as_vectors(observed, expected)
-    return float(
-        np.sum((observed_vector - expected_vector) ** 2 / expected_vector)
-    )
-
-
 @dataclass
 class VeracityReport:
     """Scores from comparing a synthetic data set against the real one.

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.engines.base": (
-            "CostCounters", "Engine", "EngineInfo", "SimulatedClusterSpec",
+            "CostCounters", "Engine", "SimulatedClusterSpec",
         ),
         "repro.engines.faults": (
             "FaultSpec", "FaultyEngine", "InjectedFault",

@@ -12,10 +12,9 @@ in :mod:`repro.engines` therefore implements this small common surface:
 from __future__ import annotations
 
 import marshal
-from abc import ABC, abstractmethod
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, ClassVar
 
 
 @dataclass
@@ -125,19 +124,15 @@ def _pair_bytes(pair: tuple[Any, Any]) -> int:
     return total
 
 
-@dataclass
-class EngineInfo:
-    """Descriptive metadata every engine reports (feeds Table 2)."""
+class Engine:
+    """Base class for all execution substrates.
 
-    name: str
-    system_type: str  # e.g. "MapReduce", "DBMS", "NoSQL", "Streaming"
-    software_stack: str  # e.g. "Hadoop-like", "relational DBMS"
-    input_format: str  # the repro.datagen.formats name this engine consumes
-    description: str = ""
+    A concrete engine names itself (``name``, what workloads dispatch on,
+    ``run_<name>``) and the system it stands in for (``software_stack``).
+    """
 
-
-class Engine(ABC):
-    """Base class for all execution substrates."""
+    name: ClassVar[str]
+    software_stack: ClassVar[str]
 
     #: :data:`ACCOUNTING_VERSION` on an engine whose byte counters come
     #: from :func:`estimate_pair_bytes`; ``None`` where no pair is
@@ -146,15 +141,6 @@ class Engine(ABC):
 
     def __init__(self) -> None:
         self.counters = CostCounters()
-
-    @property
-    @abstractmethod
-    def info(self) -> EngineInfo:
-        """Static metadata about this engine."""
-
-    @property
-    def name(self) -> str:
-        return self.info.name
 
 
 @dataclass
@@ -194,10 +180,6 @@ class SimulatedClusterSpec:
                 )
             if any(factor <= 0 for factor in self.node_speed_factors):
                 raise ValueError("node speed factors must be positive")
-
-    @property
-    def total_slots(self) -> int:
-        return self.num_nodes * self.slots_per_node
 
     def slot_speeds(self) -> list[float]:
         """One speed factor per slot (nodes contribute all their slots)."""

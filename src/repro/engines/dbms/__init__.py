@@ -5,7 +5,7 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
-        "repro.engines.dbms.catalog": ("Catalog", "TableStats"),
+        "repro.engines.dbms.catalog": ("Catalog",),
         "repro.engines.dbms.engine": ("DbmsEngine", "QueryResult"),
         "repro.engines.dbms.expressions": ("col", "lit"),
         "repro.engines.dbms.planner": (

@@ -1,23 +1,13 @@
-"""The system catalog: table metadata and statistics."""
+"""The system catalog: the tables of one database."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.core.errors import EngineError
 from repro.engines.dbms.storage import HeapTable
 
 
-@dataclass
-class TableStats:
-    """Planner-facing statistics about one table."""
-
-    row_count: int
-    indexed_columns: tuple[str, ...]
-
-
 class Catalog:
-    """Name → table registry with statistics for the planner."""
+    """Name → table registry."""
 
     def __init__(self) -> None:
         self._tables: dict[str, HeapTable] = {}
@@ -44,10 +34,3 @@ class Catalog:
 
     def has_table(self, name: str) -> bool:
         return name in self._tables
-
-    def stats(self, name: str) -> TableStats:
-        table = self.table(name)
-        return TableStats(
-            row_count=len(table),
-            indexed_columns=tuple(sorted(table.indexes)),
-        )

@@ -15,8 +15,8 @@ from typing import Any
 
 from repro.core.errors import EngineError
 from repro.datagen.base import DataSet, DataType
-from repro.engines.base import CostCounters, Engine, EngineInfo
-from repro.engines.dbms.catalog import Catalog, TableStats
+from repro.engines.base import CostCounters, Engine
+from repro.engines.dbms.catalog import Catalog
 from repro.engines.dbms.expressions import Expression
 from repro.engines.dbms.planner import Planner, PlannerConfig, Query, QueryBuilder
 from repro.engines.dbms.storage import HeapTable
@@ -51,23 +51,14 @@ class QueryResult:
 class DbmsEngine(Engine):
     """An in-memory relational database with a rule-based planner."""
 
+    name = "dbms"
+    software_stack = "relational DBMS (parallel-DBMS substitute)"
+
     def __init__(self, planner_config: PlannerConfig | None = None) -> None:
         super().__init__()
         self.catalog = Catalog()
         self.planner = Planner(self.catalog, planner_config)
 
-    @property
-    def info(self) -> EngineInfo:
-        return EngineInfo(
-            name="dbms",
-            system_type="DBMS",
-            software_stack="relational DBMS (parallel-DBMS substitute)",
-            input_format="records",
-            description=(
-                "heap tables, secondary indexes, rule-based planner with "
-                "pushdown, join selection, and row/columnar layouts"
-            ),
-        )
 
     @property
     def execution_layout(self) -> str:
@@ -191,9 +182,6 @@ class DbmsEngine(Engine):
             query = query.build()
         plan = self.planner.plan(query, CostCounters(), layout=layout)
         return {"layout": _plan_layout(plan), **plan.explain()}
-
-    def stats(self, table: str) -> TableStats:
-        return self.catalog.stats(table)
 
 
 def _plan_layout(plan: Any) -> str:

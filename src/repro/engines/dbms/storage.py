@@ -103,8 +103,7 @@ class HeapTable:
     """An append-oriented in-memory table with optional secondary indexes.
 
     Deleted rows are tombstoned (set to ``None``) so row ids stay stable
-    for the indexes; :meth:`compact` rebuilds storage when fragmentation
-    grows.
+    for the indexes.
     """
 
     def __init__(self, name: str, schema: Sequence[str]) -> None:
@@ -255,20 +254,6 @@ class HeapTable:
 
     def has_index(self, column: str) -> bool:
         return column in self.indexes
-
-    def compact(self) -> int:
-        """Drop tombstones and rebuild indexes; returns reclaimed slots."""
-        reclaimed = len(self._rows) - self._live_count
-        self._rows = [row for row in self._rows if row is not None]
-        self._version += 1
-        for column in list(self.indexes):
-            position = self._layout[column]
-            index = SortedIndex(column)
-            index.build(
-                (row[position], row_id) for row_id, row in enumerate(self._rows)
-            )
-            self.indexes[column] = index
-        return reclaimed
 
     # ------------------------------------------------------------------
     # Columnar view

@@ -6,7 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.engines.dfs.filesystem": (
-            "BlockLocation", "DataNode", "DfsOpReport",
+            "DataNode", "DfsOpReport",
             "DistributedFileSystem", "FileEntry",
         ),
     },

@@ -17,16 +17,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.core.errors import EngineError
-from repro.engines.base import Engine, EngineInfo
-
-
-@dataclass
-class BlockLocation:
-    """One stored block replica."""
-
-    block_id: int
-    node_id: int
-    data: bytes
+from repro.engines.base import Engine
 
 
 @dataclass
@@ -79,6 +70,9 @@ class DataNode:
 class DistributedFileSystem(Engine):
     """Block-based DFS with replication and a throughput model."""
 
+    name = "dfs"
+    software_stack = "distributed file system (HDFS substitute)"
+
     def __init__(
         self,
         num_nodes: int = 4,
@@ -111,18 +105,6 @@ class DistributedFileSystem(Engine):
         self._block_locations: dict[int, list[int]] = {}
         self._next_block_id = 0
 
-    @property
-    def info(self) -> EngineInfo:
-        return EngineInfo(
-            name="dfs",
-            system_type="FileSystem",
-            software_stack="distributed file system (HDFS substitute)",
-            input_format="records",
-            description=(
-                "block-based namespace, R-way replication, balanced "
-                "placement, disk/network throughput model"
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Placement
@@ -261,17 +243,6 @@ class DistributedFileSystem(Engine):
     def exists(self, path: str) -> bool:
         return path in self._namespace
 
-    def list_files(self, prefix: str = "") -> list[str]:
-        return sorted(
-            path for path in self._namespace if path.startswith(prefix)
-        )
-
-    def file_size(self, path: str) -> int:
-        entry = self._namespace.get(path)
-        if entry is None:
-            raise EngineError(f"no such file: {path!r}")
-        return entry.size
-
     # ------------------------------------------------------------------
     # Fault injection & maintenance
     # ------------------------------------------------------------------
@@ -325,7 +296,3 @@ class DistributedFileSystem(Engine):
             for block_id, nodes in self._block_locations.items()
             if not nodes
         ]
-
-    def utilization(self) -> list[float]:
-        """Per-node storage utilisation in [0, 1]."""
-        return [node.used_bytes / node.capacity_bytes for node in self.nodes]

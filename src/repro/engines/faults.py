@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.core.errors import EngineError
-from repro.engines.base import Engine, EngineInfo
+from repro.engines.base import Engine
 
 
 class InjectedFault(EngineError):
@@ -202,10 +202,11 @@ class FaultInjector:
 class FaultyEngine(Engine):
     """An engine proxy that injects faults before every workload run.
 
-    The proxy preserves the inner engine's name, so workload dispatch
+    Every attribute the proxy does not define (the inner engine's
+    ``name`` and ``software_stack``, its counters, engine-specific
+    methods) delegates to the wrapped instance, so workload dispatch
     (``run_<engine-name>``) and format conversion behave exactly as with
-    the bare engine; every other attribute (counters, engine-specific
-    methods) delegates to the wrapped instance.  The injection point is
+    the bare engine.  The injection point is
     :meth:`inject_fault`, which :meth:`repro.workloads.base.Workload.run`
     calls on any engine that defines it — modeling a system that is
     intermittently unavailable or slow *before* useful work starts.
@@ -216,10 +217,6 @@ class FaultyEngine(Engine):
         # (workload implementations read them through the proxy).
         self._inner = inner
         self._injector = FaultInjector(spec, default_key=inner.name)
-
-    @property
-    def info(self) -> EngineInfo:
-        return self._inner.info
 
     def inject_fault(self, detail: str = "") -> float:
         return self._injector.inject(detail or f"engine {self._inner.name!r}")

@@ -35,20 +35,6 @@ class ClusterReport:
         """End-to-end makespan: phases are barriers, so times add."""
         return sum(phase.seconds for phase in self.phases)
 
-    @property
-    def total_work_seconds(self) -> float:
-        """Total simulated compute across all tasks (serial-equivalent)."""
-        return sum(sum(phase.task_costs) for phase in self.phases)
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of slot-seconds actually doing work."""
-        capacity = self.simulated_seconds * self.spec.total_slots
-        if capacity <= 0:
-            return 0.0
-        return min(1.0, self.total_work_seconds / capacity)
-
-
 class ClusterModel:
     """Turns per-task costs into simulated phase timings."""
 

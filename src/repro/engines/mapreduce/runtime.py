@@ -31,7 +31,6 @@ from repro.engines.base import (
     ACCOUNTING_VERSION,
     CostCounters,
     Engine,
-    EngineInfo,
     SimulatedClusterSpec,
     estimate_pair_bytes,
 )
@@ -82,24 +81,14 @@ def _publish(counters: CounterGroup, group: str, **amounts: int) -> None:
 class MapReduceEngine(Engine):
     """A from-scratch MapReduce runtime with a simulated cluster model."""
 
+    name = "mapreduce"
+    software_stack = "Hadoop-like MapReduce runtime"
     accounting_version = ACCOUNTING_VERSION
 
     def __init__(self, cluster: SimulatedClusterSpec | None = None) -> None:
         super().__init__()
         self.cluster_model = ClusterModel(cluster)
 
-    @property
-    def info(self) -> EngineInfo:
-        return EngineInfo(
-            name="mapreduce",
-            system_type="MapReduce",
-            software_stack="Hadoop-like MapReduce runtime",
-            input_format="key-value",
-            description=(
-                "in-memory map/combine/shuffle/sort/reduce with Hadoop-style "
-                "counters and a simulated multi-node cluster"
-            ),
-        )
 
     # ------------------------------------------------------------------
     # Public API

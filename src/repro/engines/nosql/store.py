@@ -10,7 +10,7 @@ workloads assume a range-partitioned or ordered store.
 Reads and writes take a tunable :class:`ConsistencyLevel` (ONE / QUORUM /
 ALL), reproducing the consistency/latency trade-off the YCSB paper
 studied across Cassandra, HBase, and PNUTS: ONE is fastest but may
-return stale replicas after an asynchronously propagated write; QUORUM
+return stale replicas after a write that reached only some; QUORUM
 overlaps with the write quorum and stays fresh; ALL is freshest and
 slowest.
 """
@@ -33,7 +33,6 @@ from repro.datagen.base import DEFAULT_CHUNK_SIZE
 from repro.engines.base import (
     ACCOUNTING_VERSION,
     Engine,
-    EngineInfo,
     estimate_pair_bytes,
 )
 
@@ -92,6 +91,8 @@ class OpResult:
 class NoSqlStore(Engine):
     """An in-memory partitioned KV store with a latency model."""
 
+    name = "nosql"
+    software_stack = "partitioned key-value store (Cassandra/HBase substitute)"
     accounting_version = ACCOUNTING_VERSION
 
     def __init__(
@@ -129,23 +130,12 @@ class NoSqlStore(Engine):
         self._sorted_keys: list[str] = []
         #: Per-partition in-flight depth for the queueing model.
         self._partition_load: list[int] = [0] * num_partitions
-        #: Writes not yet propagated to all replicas (weak consistency).
-        self._pending_sync: list[tuple[int, str, Fields, int]] = []
+        #: ``(partition, key)`` of every replica a weak write has not
+        #: reached (weak consistency).
+        self._pending_sync: list[tuple[int, str]] = []
         self._write_clock = 0
         self.total_latency_seconds = 0.0
 
-    @property
-    def info(self) -> EngineInfo:
-        return EngineInfo(
-            name="nosql",
-            system_type="NoSQL",
-            software_stack="partitioned key-value store (Cassandra/HBase substitute)",
-            input_format="key-value",
-            description=(
-                "hash partitioning, R-way replication, ordered scan index, "
-                "service-time latency model"
-            ),
-        )
 
     # ------------------------------------------------------------------
 
@@ -200,8 +190,7 @@ class NoSqlStore(Engine):
         for partition in replicas[:required]:
             self._apply_write(partition, key, fields, version, merge)
         for partition in replicas[required:]:
-            # Asynchronous propagation: applied later by anti-entropy.
-            self._pending_sync.append((partition, key, dict(fields), version))
+            self._pending_sync.append((partition, key))
         extra = self.latency.replica_write_seconds * (required - 1)
         latency = self._charge(replicas[0], self.latency.write_seconds, extra)
         self.counters.records_written += 1
@@ -216,8 +205,8 @@ class NoSqlStore(Engine):
     ) -> OpResult:
         """Insert (or overwrite) a row, replicated R ways.
 
-        With consistency below ALL, the remaining replicas receive the
-        write asynchronously (see :meth:`anti_entropy`).
+        With consistency below ALL, the remaining replicas are left owing
+        the write (see :attr:`pending_replications`).
         """
         replicas = self._replica_partitions(key)
         if key not in self._partitions[replicas[0]]:
@@ -392,23 +381,6 @@ class NoSqlStore(Engine):
             self.counters.records_read += 1
             return OpResult(ok=False, latency_seconds=latency)
         return self._write(replicas, key, fields, consistency, merge=True)
-
-    def anti_entropy(self) -> int:
-        """Propagate pending weak writes to their replicas; returns count.
-
-        The background repair process of eventually consistent stores;
-        after it runs, every replica holds the newest version.
-        """
-        applied = 0
-        applied_bytes = 0
-        for partition, key, fields, version in self._pending_sync:
-            if self._versions[partition].get(key, 0) < version:
-                self._apply_write(partition, key, fields, version, merge=True)
-                applied_bytes += estimate_pair_bytes(fields.items())
-                applied += 1
-        self.counters.network_bytes += applied_bytes
-        self._pending_sync.clear()
-        return applied
 
     @property
     def pending_replications(self) -> int:

@@ -6,7 +6,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
     __name__,
     {
         "repro.engines.streaming.engine": (
-            "FilterOperator", "MapOperator", "SlidingWindowAggregate",
+            "FilterOperator", "SlidingWindowAggregate",
             "StreamingEngine", "StreamOperator", "StreamRunReport", "Topology",
             "TumblingWindowAggregate", "WindowResult", "count",
         ),

@@ -22,7 +22,7 @@ from typing import Any
 from repro._util import build_by_column
 from repro.core.errors import EngineError
 from repro.datagen.stream import EventColumns, StreamEvent
-from repro.engines.base import Engine, EngineInfo
+from repro.engines.base import Engine
 
 
 _TIMESTAMP = attrgetter("timestamp")
@@ -258,19 +258,6 @@ class StreamOperator(ABC):
         return ()
 
 
-class MapOperator(StreamOperator):
-    """Apply a function to each event's value."""
-
-    def __init__(self, function: Callable[[StreamEvent], StreamEvent]) -> None:
-        self.function = function
-
-    def process(self, event: StreamEvent) -> Iterable[StreamEvent]:
-        yield self.function(event)
-
-    def process_many(self, events: Sequence[StreamEvent]) -> list[StreamEvent]:
-        return list(map(self.function, events))
-
-
 class FilterOperator(StreamOperator):
     """Drop events failing a predicate."""
 
@@ -485,9 +472,7 @@ class TumblingWindowAggregate(StreamOperator):
         for window in sorted(self._windows):
             self._emit_window(window)
         self._oldest_open = float("inf")
-        emitted = self._emitted
-        self._emitted = []
-        return emitted
+        return self.take_emitted()
 
     def take_emitted(self) -> list[WindowResult]:
         """Results of windows already closed by the watermark."""
@@ -588,7 +573,6 @@ class Topology:
 class StreamRunReport:
     """Evidence from one streaming run."""
 
-    topology: str
     events_in: int
     results: list[WindowResult]
     #: Per-event queueing latency (departure − arrival), simulated.
@@ -612,15 +596,11 @@ class StreamRunReport:
             return self.events_in < 2
         return self.service_rate >= self.arrival_rate
 
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-
 class StreamingEngine(Engine):
     """Runs topologies over event streams with a queueing-time model."""
+
+    name = "streaming"
+    software_stack = "stream processor (real-time analytics substitute)"
 
     def __init__(self, service_seconds_per_event: float = 50e-6) -> None:
         super().__init__()
@@ -631,18 +611,6 @@ class StreamingEngine(Engine):
             )
         self.service_seconds_per_event = service_seconds_per_event
 
-    @property
-    def info(self) -> EngineInfo:
-        return EngineInfo(
-            name="streaming",
-            system_type="Streaming",
-            software_stack="stream processor (real-time analytics substitute)",
-            input_format="records",
-            description=(
-                "linear operator topologies, tumbling/sliding windows, "
-                "single-server queueing latency model"
-            ),
-        )
 
     def run(self, topology: Topology, events: Sequence[StreamEvent]) -> StreamRunReport:
         """Process an event stream through a topology.
@@ -687,7 +655,6 @@ class StreamingEngine(Engine):
         arrival_rate = (len(stamps) - 1) / span if span > 0 else None
         backlog = max(0.0, departure - (stamps[-1] if stamps else 0.0))
         return StreamRunReport(
-            topology=topology.name,
             events_in=len(ordered),
             results=results,
             latencies=latencies,

@@ -77,15 +77,6 @@ class Span:
             self.counters[counter] = value
         return self
 
-    @property
-    def self_seconds(self) -> float:
-        """Time spent in this span excluding its children."""
-        return max(
-            0.0,
-            self.duration_seconds
-            - sum(child.duration_seconds for child in self.children),
-        )
-
     def walk(self):
         """Depth-first iteration over this span and all descendants."""
         yield self
@@ -209,12 +200,6 @@ class Tracer:
             return None
         stack = self._stack()
         return stack[-1] if stack else None
-
-    def annotate(self, **attrs: Any) -> None:
-        """Set attributes on the current span (no-op when none is open)."""
-        span = self.current()
-        if span is not None:
-            span.set(**attrs)
 
     def count(self, counter: str, amount: float = 1) -> None:
         """Bump a counter on the current span (no-op when none is open)."""

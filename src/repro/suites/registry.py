@@ -53,8 +53,6 @@ class SuiteModel:
     capability: GeneratorCapability
     workloads: tuple[WorkloadEntry, ...]
     software_stacks: str
-    #: Which target systems the suite evaluates (Section 4.2 prose).
-    target_systems: str = ""
     notes: str = ""
 
 
@@ -82,7 +80,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
                 WorkloadEntry("Real-time analytics", "Nutch Indexing"),
             ),
             software_stacks="Hadoop and Hive",
-            target_systems="MapReduce Hadoop systems",
         ),
         SuiteModel(
             name="GridMix",
@@ -101,7 +98,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
                 WorkloadEntry("Online services", "Sort, sampling a large dataset"),
             ),
             software_stacks="Hadoop",
-            target_systems="MapReduce Hadoop systems",
         ),
         SuiteModel(
             name="PigMix",
@@ -118,7 +114,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
             ),
             workloads=(WorkloadEntry("Online services", "12 data queries"),),
             software_stacks="Hadoop",
-            target_systems="MapReduce Hadoop systems",
         ),
         SuiteModel(
             name="YCSB",
@@ -137,9 +132,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
                 WorkloadEntry("Online services", "OLTP (read, write, scan, update)"),
             ),
             software_stacks="NoSQL systems",
-            target_systems=(
-                "Cassandra and HBase vs PNUTS and MySQL (cloud serving stores)"
-            ),
         ),
         SuiteModel(
             name="Performance benchmark",
@@ -161,7 +153,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
                 ),
             ),
             software_stacks="DBMS and Hadoop",
-            target_systems="parallel SQL DBMSs (DBMS-X, Vertica) vs MapReduce",
         ),
         SuiteModel(
             name="TPC-DS",
@@ -182,7 +173,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
                 ),
             ),
             software_stacks="DBMS",
-            target_systems="decision-support DBMSs",
             notes="MUDD generates a small portion of crucial data sets from "
             "realistic distributions",
         ),
@@ -207,7 +197,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
                 WorkloadEntry("Offline analytics", "K-means, classification"),
             ),
             software_stacks="DBMS and Hadoop",
-            target_systems="Teradata Aster DBMS and MapReduce systems",
             notes="web logs and reviews derive from the table data",
         ),
         SuiteModel(
@@ -231,7 +220,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
                 ),
             ),
             software_stacks="DBMS",
-            target_systems="MySQL storing Facebook's social graph",
         ),
         SuiteModel(
             name="CloudSuite",
@@ -253,7 +241,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
                 ),
             ),
             software_stacks="NoSQL systems, Hadoop, GraphLab",
-            target_systems="cloud service architectures",
         ),
         SuiteModel(
             name="BigDataBench",
@@ -287,7 +274,6 @@ def _suite_models() -> tuple[SuiteModel, ...]:
             software_stacks=(
                 "NoSQL systems, DBMS, real-time and offline analytics systems"
             ),
-            target_systems="a hybrid of different big data systems",
         ),
     )
 

@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(
         ),
         "repro.tuning.profiles": (
             "ENGINE_KNOBS", "TuningProfile",
-            "available_profiles", "builtin_profiles", "get_profile", "normal",
+            "available_profiles", "get_profile", "normal",
             "one_off_profiles", "optimized",
         ),
     },

@@ -277,13 +277,3 @@ def available_profiles(engine: str) -> list[str]:
         names.extend(f"{ONE_OFF_PREFIX}{knob}" for knob in sorted(knobs))
     return names
 
-
-def builtin_profiles() -> dict[str, dict[str, TuningProfile]]:
-    """engine → name → profile, for every engine with a tuning surface."""
-    table: dict[str, dict[str, TuningProfile]] = {}
-    for engine in ENGINE_KNOBS:
-        table[engine] = {
-            name: get_profile(engine, name)
-            for name in available_profiles(engine)
-        }
-    return table

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from repro._util import choice_cdf
+from repro._util import choice_cdf, sequential_sum
 from repro.core.errors import ExecutionError
 from repro.core.operations import operations
 from repro.core.patterns import MultiOperationPattern
@@ -50,7 +50,7 @@ class ArrivalPattern:
 
     @property
     def total_rate(self) -> float:
-        return sum(self.rates.values())
+        return sequential_sum(self.rates.values())
 
     def mix_probabilities(self) -> dict[str, float]:
         total = self.total_rate
@@ -187,7 +187,7 @@ class HybridWorkload(Workload):
             latency for samples in per_class.values() for latency in samples
         ]
         mean_by_class = {
-            name: (sum(samples) / len(samples) if samples else 0.0)
+            name: (sequential_sum(samples) / len(samples) if samples else 0.0)
             for name, samples in per_class.items()
         }
         return WorkloadResult(

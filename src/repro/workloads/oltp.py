@@ -20,7 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from repro._util import choice_cdf
+from repro._util import choice_cdf, sequential_sum
 from repro.core.errors import EngineError, ExecutionError
 from repro.core.operations import operations
 from repro.core.patterns import MultiOperationPattern
@@ -325,7 +325,7 @@ class YcsbWorkload(Workload):
             output={"operations": operation_count, "mix": spec.name},
             records_in=dataset.num_records,
             records_out=operation_count,
-            duration_seconds=sum(latencies),
+            duration_seconds=sequential_sum(latencies),
             cost=CostCounters().merge(engine.counters),
             latencies=latencies,
             extra={"mix": spec.name},

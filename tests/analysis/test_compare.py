@@ -185,9 +185,6 @@ class TestComparisonRollup:
         assert comparison.metrics["duration"].verdict == "regressed"
         assert comparison.metrics["throughput"].verdict == "unchanged"
         assert comparison.overall == "regressed"
-        assert [c.metric for c in comparison.with_verdict("regressed")] == [
-            "duration"
-        ]
 
     def test_all_unchanged_rolls_up_unchanged(self):
         comparison = compare_records(

@@ -18,7 +18,6 @@ from repro.core.results import (
     ResultAnalyzer,
     RunResult,
     TaskFailure,
-    outcome_from_dict,
 )
 from repro.core.spec import BenchmarkSpec
 
@@ -138,18 +137,6 @@ class TestStatusRoundTrip:
         clone = RunResult.from_dict(result.as_dict())
         assert clone.status == "degraded"
         assert not clone.ok
-
-    def test_outcome_from_dict_dispatches_on_status(self):
-        failure = make_failure()
-        clone = outcome_from_dict(failure.as_dict())
-        assert isinstance(clone, TaskFailure)
-        assert not clone.ok
-        assert clone.status == "failed"
-        assert clone.error == "EngineError: boom"
-        assert clone.attempts == 3
-        result = outcome_from_dict(make_result().as_dict())
-        assert isinstance(result, RunResult)
-        assert result.ok
 
     def test_summary_only_payload_reconstructs_from_mean(self):
         stats = MetricStats.from_dict("duration", {"mean": 2.5})

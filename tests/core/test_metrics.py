@@ -110,10 +110,6 @@ class TestEnergyAndCost:
             4 * (2.0 / 3600) * 0.9
         )
 
-    def test_as_metric_helpers(self):
-        assert isinstance(EnergyModel().as_metric(), EnergyMetric)
-        assert isinstance(CostModel().as_metric(), CostMetric)
-
 
 class TestMetricSuite:
     def test_standard_suite_covers_both_kinds(self):

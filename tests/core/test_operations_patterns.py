@@ -7,9 +7,7 @@ import pytest
 from repro.core.errors import TestGenerationError, UnknownOperationError
 from repro.core.operations import (
     STANDARD_OPERATIONS,
-    AbstractOperation,
     OperationCategory,
-    by_category,
     operation,
     operations,
 )
@@ -28,10 +26,6 @@ class TestOperations:
         for name in ("select", "put", "get", "delete", "read", "write",
                      "update", "scan", "sort", "join", "aggregate"):
             assert name in STANDARD_OPERATIONS
-
-    def test_three_categories_populated(self):
-        for category in OperationCategory:
-            assert by_category(category)
 
     def test_element_operations(self):
         assert operation("get").category is OperationCategory.ELEMENT
@@ -60,15 +54,6 @@ class TestOperations:
 
 
 class TestSingleOperationPattern:
-    def test_unrolls_once(self):
-        pattern = SingleOperationPattern(operation("sort"))
-        batches = list(pattern.unroll())
-        assert len(batches) == 1
-        assert batches[0][0].name == "sort"
-
-    def test_static_count(self):
-        assert SingleOperationPattern(operation("sort")).static_operation_count() == 1
-
     def test_pattern_name(self):
         assert SingleOperationPattern(operation("sort")).pattern_name == (
             "single-operation"
@@ -79,12 +64,7 @@ class TestMultiOperationPattern:
     def test_preserves_order(self):
         """The paper: 'the select operation executes first'."""
         pattern = MultiOperationPattern(operations("select", "put"))
-        (batch,) = pattern.unroll()
-        assert [op.name for op in batch] == ["select", "put"]
-
-    def test_static_count_known_in_advance(self):
-        pattern = MultiOperationPattern(operations("select", "join", "aggregate"))
-        assert pattern.static_operation_count() == 3
+        assert [op.name for op in pattern.operations] == ["select", "put"]
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(TestGenerationError):
@@ -92,41 +72,6 @@ class TestMultiOperationPattern:
 
 
 class TestIterativeOperationPattern:
-    def test_fixed_iterations(self):
-        pattern = IterativeOperationPattern(
-            operations("rank"), FixedIterations(4)
-        )
-        batches = list(pattern.unroll())
-        assert len(batches) == 4
-
-    def test_count_unknown_statically(self):
-        """The paper: 'the exact number of operations can be known at
-        run time' only."""
-        pattern = IterativeOperationPattern(
-            operations("rank"), FixedIterations(4)
-        )
-        assert pattern.static_operation_count() is None
-
-    def test_convergence_stops_early(self):
-        # State halves each step: 1.0, 0.5, 0.25 ... converges under 0.1
-        # when successive states differ by less than the tolerance.
-        states = [1.0 / (2**i) for i in range(20)]
-        pattern = IterativeOperationPattern(
-            operations("rank"),
-            ConvergenceCondition(tolerance=0.1, max_iterations=20),
-        )
-        batches = list(pattern.unroll(lambda i: states[i - 1]))
-        assert 2 <= len(batches) < 20
-
-    def test_convergence_respects_cap(self):
-        pattern = IterativeOperationPattern(
-            operations("rank"),
-            ConvergenceCondition(tolerance=0.0, max_iterations=5),
-        )
-        # State never converges (keeps growing), so the cap must stop it.
-        batches = list(pattern.unroll(lambda i: float(i)))
-        assert len(batches) == 5
-
     def test_empty_body_rejected(self):
         with pytest.raises(TestGenerationError):
             IterativeOperationPattern([], FixedIterations(1))

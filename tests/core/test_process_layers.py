@@ -88,11 +88,6 @@ class TestLayers:
         )
         assert dataset.num_records == 8
 
-    def test_function_layer_describes_metrics(self, framework):
-        descriptions = framework.function_layer.describe_metrics()
-        assert any("user-perceivable" in line for line in descriptions)
-        assert any("architecture" in line for line in descriptions)
-
     def test_execution_layer_formats(self, framework):
         assert "csv" in framework.execution_layer.available_formats()
 
@@ -108,8 +103,6 @@ class TestLayers:
             report.results, ["duration", "throughput"]
         )
         assert "duration" in table
-        json_text = framework.execution_layer.report_json(report.results)
-        assert '"metrics"' in json_text
 
     def test_prescription_accessor(self, framework):
         assert framework.prescription("micro-sort").workload == "sort"

@@ -37,12 +37,6 @@ class TestRegistry:
         with pytest.raises(RegistryError):
             reg.create("missing")
 
-    def test_register_instance_returns_same_object(self):
-        reg: Registry[list] = Registry("thing")
-        instance = [1]
-        reg.register_instance("shared", instance)
-        assert reg.create("shared") is instance
-
     def test_contains_and_names(self):
         reg: Registry[list] = Registry("thing")
         reg.register("b", list)
@@ -133,12 +127,6 @@ class TestPrescriptionRepository:
     def test_unknown_prescription_rejected(self):
         with pytest.raises(TestGenerationError):
             PrescriptionRepository().get("nope")
-
-    def test_by_domain(self):
-        repository = builtin_repository()
-        micro = repository.by_domain("micro benchmarks")
-        assert {p.workload for p in micro} == {"sort", "wordcount", "grep",
-                                               "cfs"}
 
     def test_describe(self):
         repository = builtin_repository()

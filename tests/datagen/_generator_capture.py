@@ -25,7 +25,7 @@ from typing import Any
 import repro  # noqa: F401 — fills the registries
 from repro.core import registry
 from repro.core.prescription import load_seed
-from repro.datagen.base import DataType, as_dataset
+from repro.datagen.base import DataSet, DataType
 from repro.datagen.table import (
     Categorical,
     ForeignKey,
@@ -93,7 +93,12 @@ def _float_table():
         (i * 0.37 - 11.0, (i * 7919) % 1000 * 2**60, i % 3, f"t{i % 5}")
         for i in range(400)
     ]
-    return as_dataset(rows, DataType.TABLE, schema=("x", "big", "small", "label"))
+    return DataSet(
+        name="adhoc",
+        data_type=DataType.TABLE,
+        records=rows,
+        metadata={"schema": ("x", "big", "small", "label")},
+    )
 
 
 def generators() -> dict[str, Any]:

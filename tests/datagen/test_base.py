@@ -9,13 +9,13 @@ import pytest
 
 from repro.core.errors import GenerationError, ModelNotFittedError
 from repro.datagen.base import (
-    DataSet,
     DataType,
     StructureClass,
-    as_dataset,
     mix_seed,
 )
 from repro.datagen.text import RandomTextGenerator, UnigramTextGenerator
+
+from tests._datasets import as_dataset
 
 
 class TestDataType:

@@ -7,9 +7,11 @@ import json
 import pytest
 
 from repro.core.errors import FormatConversionError
-from repro.datagen.base import DataType, as_dataset
+from repro.datagen.base import DataType
 from repro.datagen.formats import available_formats, convert
 from repro.datagen.stream import EventKind, StreamEvent
+
+from tests._datasets import as_dataset
 
 
 @pytest.fixture()

@@ -5,16 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import GenerationError
-from repro.datagen.base import DataType, as_dataset
+from repro.datagen.base import DataType
 from repro.datagen.graph import (
     ErdosRenyiGenerator,
     PreferentialAttachmentGenerator,
     RmatGraphGenerator,
     average_degree,
     degree_counts,
-    degree_distribution,
     log_binned_degree_distribution,
 )
+
+from tests._datasets import as_dataset
 
 
 class TestDegreeHelpers:
@@ -24,13 +25,6 @@ class TestDegreeHelpers:
         degrees = degree_counts(self.EDGES)
         assert degrees[0] == 3
         assert degrees[3] == 1
-
-    def test_degree_distribution_sums_to_one(self):
-        distribution = degree_distribution(self.EDGES)
-        assert abs(sum(distribution.values()) - 1.0) < 1e-9
-
-    def test_degree_distribution_empty(self):
-        assert degree_distribution([]) == {}
 
     def test_average_degree(self):
         # 4 edges, 4 vertices → average degree 2.

@@ -22,7 +22,7 @@ from repro.core import prescription, registry
 from repro.core.prescription import builtin_repository, load_seed
 from repro.core.registry import Registry
 from repro.core.test_generator import TestGenerator
-from repro.datagen.base import DataGenerator, DataType, as_dataset
+from repro.datagen.base import DataGenerator, DataType
 from repro.datagen import models
 from repro.datagen.corpus import load_text_corpus
 from repro.datagen.models import (
@@ -33,6 +33,8 @@ from repro.datagen.models import (
 )
 from repro.datagen.text import LdaModel, LdaTextGenerator
 from repro.observability import Tracer
+
+from tests._datasets import as_dataset
 
 #: prescription → (generator it names, volume, sha256 of the records).
 PINNED = {

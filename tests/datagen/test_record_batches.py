@@ -20,15 +20,15 @@ from repro.datagen.base import (
     DataSet,
     DataType,
     RecordBatch,
-    as_dataset,
 )
 from repro.datagen.source import (
     DatasetSource,
     GeneratorSource,
-    as_source,
     ensure_dataset,
 )
 from repro.observability import Tracer
+
+from tests._datasets import as_dataset
 
 #: Seed data for the veracity-aware generators (everything else is
 #: ready to generate straight from the registry).
@@ -146,7 +146,6 @@ class TestDataSetBatches:
         dataset = as_dataset(["x"], DataType.TEXT)
         assert isinstance(dataset, DatasetSource)
         assert dataset.materialize() is dataset
-        assert as_source(dataset) is dataset
 
 
 class TestGeneratorSource:

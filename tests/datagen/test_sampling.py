@@ -7,15 +7,11 @@ from collections import Counter
 import pytest
 
 from repro.core.errors import GenerationError
-from repro.datagen.base import DataType, as_dataset
 from repro.datagen.graph import average_degree
 from repro.datagen.sampling import (
     forest_fire_sample,
     random_edge_sample,
-    random_node_sample,
     reservoir_sample,
-    scale_down,
-    stratified_sample,
 )
 
 
@@ -53,37 +49,7 @@ class TestReservoirSample:
         assert len(sample) == 5
 
 
-class TestStratifiedSample:
-    ITEMS = [("a", i) for i in range(90)] + [("b", i) for i in range(10)]
-
-    def test_preserves_group_proportions(self):
-        sample = stratified_sample(self.ITEMS, key=lambda t: t[0], fraction=0.2, seed=1)
-        counts = Counter(item[0] for item in sample)
-        assert counts["a"] == 18
-        assert counts["b"] == 2
-
-    def test_rare_stratum_survives(self):
-        items = self.ITEMS + [("rare", 0)]
-        sample = stratified_sample(items, key=lambda t: t[0], fraction=0.01, seed=2)
-        assert any(item[0] == "rare" for item in sample)
-
-    def test_fraction_validation(self):
-        with pytest.raises(GenerationError):
-            stratified_sample([1], key=lambda x: x, fraction=0.0)
-        with pytest.raises(GenerationError):
-            stratified_sample([1], key=lambda x: x, fraction=1.5)
-
-
 class TestGraphSampling:
-    def test_random_node_keeps_induced_edges(self, social_graph):
-        sample = random_node_sample(social_graph.records, 0.5, seed=1)
-        kept_vertices = {v for edge in sample for v in edge}
-        # Every sampled edge has both ends in the kept set, by construction.
-        assert all(
-            src in kept_vertices and dst in kept_vertices for src, dst in sample
-        )
-        assert len(sample) < len(social_graph.records)
-
     def test_random_edge_fraction(self, social_graph):
         sample = random_edge_sample(social_graph.records, 0.25, seed=2)
         assert len(sample) == pytest.approx(
@@ -114,25 +80,5 @@ class TestGraphSampling:
             forest_fire_sample([(0, 1)], 0.0)
 
     def test_empty_graph(self):
-        assert random_node_sample([], 0.5) == []
         assert random_edge_sample([], 0.5) == []
         assert forest_fire_sample([], 0.5) == []
-
-
-class TestScaleDown:
-    def test_text_dataset_scales(self, text_corpus):
-        scaled = scale_down(text_corpus, 0.25, seed=1)
-        assert scaled.num_records == pytest.approx(
-            0.25 * text_corpus.num_records, abs=1
-        )
-        assert scaled.metadata["scaled_from"] == text_corpus.num_records
-
-    def test_graph_dataset_uses_forest_fire(self, social_graph):
-        scaled = scale_down(social_graph, 0.4, seed=2)
-        assert scaled.data_type is DataType.GRAPH
-        assert 0 < len(scaled.records) < len(social_graph.records)
-
-    def test_name_records_fraction(self):
-        dataset = as_dataset(list(range(50)), DataType.TABLE, name="tbl")
-        scaled = scale_down(dataset, 0.1, seed=3)
-        assert "scaled" in scaled.name

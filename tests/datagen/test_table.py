@@ -154,7 +154,7 @@ class TestFittedTableGenerator:
             FittedTableGenerator().generate(5)
 
     def test_empty_table_rejected(self, retail_tables):
-        from repro.datagen.base import as_dataset
+        from tests._datasets import as_dataset
 
         empty = as_dataset([], DataType.TABLE, schema=("a",))
         with pytest.raises(GenerationError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import GenerationError
-from repro.datagen.base import DataType, as_dataset
+from repro.datagen.base import DataType
 from repro.datagen.text import (
     LdaModel,
     LdaTextGenerator,
@@ -15,6 +15,8 @@ from repro.datagen.text import (
     tokenize,
     word_distribution,
 )
+
+from tests._datasets import as_dataset
 
 
 class TestTokenize:
@@ -82,7 +84,8 @@ class TestLdaModel:
         model = fitted_lda.model
         dominated = set()
         for topic in range(model.num_topics):
-            top = set(model.top_words(topic, 8))
+            order = model.phi[topic].argsort()[::-1][:8]
+            top = {model.vocabulary.word_of(int(word)) for word in order}
             for name, vocabulary in TOPIC_VOCABULARIES.items():
                 if len(top & set(vocabulary)) >= 4:
                     dominated.add(name)

@@ -13,7 +13,6 @@ from repro.datagen.text import RandomTextGenerator
 from repro.datagen.veracity import (
     VeracityReport,
     align_distributions,
-    chi_square_statistic,
     graph_veracity,
     jensen_shannon_divergence,
     kl_divergence,
@@ -58,10 +57,6 @@ class TestDivergencePrimitives:
         q = {"b": 1.0}
         assert total_variation(p, q) == pytest.approx(1.0, abs=1e-6)
         assert total_variation(p, p) == pytest.approx(0.0, abs=1e-6)
-
-    def test_chi_square_zero_for_identical(self):
-        p = {"a": 0.4, "b": 0.6}
-        assert chi_square_statistic(p, p) == pytest.approx(0.0, abs=1e-6)
 
     def test_vectors_accepted(self):
         assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == pytest.approx(0.0, abs=1e-6)

@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import GenerationError
-from repro.datagen.base import DataType, as_dataset
+from repro.datagen.base import DataType
 from repro.datagen.kv import KeyValueGenerator
 from repro.datagen.mixture import GaussianMixtureGenerator
 from repro.datagen.weblog import ReviewGenerator, WebLogGenerator
+
+from tests._datasets import as_dataset
 
 
 class TestWebLogGenerator:

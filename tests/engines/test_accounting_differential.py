@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import api
 from repro._util import sequential_sum
 from repro.datagen.stream import StreamEvent
 from repro.engines.faults import FaultInjector, FaultSpec, InjectedFault
@@ -181,6 +182,37 @@ SUMMING = ("kmeans-mr", "pagerank-mr", "cfs-text", "relational-3eng")
 def test_a_spec_reports_the_same_under_a_compensated_sum(monkeypatch, name):
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     assert capture(name) == FIXTURE[name]
+
+
+#: Prescriptions (and the engine each runs on) whose reported metrics
+#: are means or totals of seeded floats: latencies, arrival rates.
+AVERAGING = (
+    ("oltp-read-write", "nosql"),
+    ("micro-cfs", "dfs"),
+    ("database-aggregate-join", "nosql"),
+    ("realtime-windowed-aggregation", "streaming"),
+    ("oltp-hybrid", "nosql"),
+)
+
+
+def _reported(prescription: str, engine: str) -> dict[str, str]:
+    """Every metric a run reports, as ``repr`` of its samples, but
+    ``duration``: the wall clock differs from run to run."""
+    (result,) = api.run(prescription, engines=[engine]).results
+    return {
+        metric: repr(stats.samples)
+        for metric, stats in result.metrics.items()
+        if metric != "duration"
+    }
+
+
+@pytest.mark.parametrize(("prescription", "engine"), AVERAGING)
+def test_a_run_reports_the_same_metrics_under_a_compensated_sum(
+    monkeypatch, prescription, engine
+):
+    plain = _reported(prescription, engine)
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert _reported(prescription, engine) == plain
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro._util import stable_hashes
 from repro.core.errors import EngineError
-from repro.datagen.base import DataType, as_dataset
+from repro.datagen.base import DataType
 from repro.datagen.stream import (
     EventKind,
     PoissonArrivals,
@@ -52,7 +52,6 @@ from repro.engines.nosql.store import ConsistencyLevel, LatencyModel, NoSqlStore
 from repro.engines.streaming import engine as streaming_engine
 from repro.engines.streaming.engine import (
     FilterOperator,
-    MapOperator,
     SlidingWindowAggregate,
     StreamingEngine,
     StreamOperator,
@@ -63,6 +62,8 @@ from repro.engines.streaming.engine import (
 from repro.observability import Tracer
 from repro.workloads import micro
 from repro.workloads.micro import WordCountWorkload
+
+from tests._datasets import as_dataset
 
 from _accounting_reference import (
     ReferenceTumblingWindow,
@@ -89,10 +90,6 @@ stream_events = st.builds(
 runs = st.lists(stream_events, max_size=40)
 
 
-def _double(event: StreamEvent) -> StreamEvent:
-    return StreamEvent(event.timestamp, event.key, event.value * 2, event.kind)
-
-
 def _is_update(event: StreamEvent) -> bool:
     return event.kind is EventKind.UPDATE
 
@@ -102,7 +99,6 @@ def _sum(accumulator, value):
 
 
 OPERATORS = {
-    "map": lambda: MapOperator(_double),
     "filter": lambda: FilterOperator(_is_update),
     "tumbling": lambda: TumblingWindowAggregate(0.5, _sum),
     "sliding": lambda: SlidingWindowAggregate(1.0, 0.25, _sum),
@@ -115,7 +111,7 @@ def _state(operator: StreamOperator) -> dict:
         {
             name: value
             for name, value in vars(operator).items()
-            if name not in ("function", "predicate", "reducer", "initial")
+            if name not in ("predicate", "reducer", "initial")
         }
     )
 
@@ -431,9 +427,6 @@ CHAINS = {
     "filter-sliding": lambda: Topology("rate")
     .then(OPERATORS["filter"]())
     .then(OPERATORS["sliding"]()),
-    "map-tumbling": lambda: Topology("sum")
-    .then(OPERATORS["map"]())
-    .then(OPERATORS["tumbling"]()),
     "tumbling": lambda: Topology("count").then(OPERATORS["tumbling"]()),
     "empty": lambda: Topology("nothing"),
 }

@@ -94,18 +94,6 @@ class TestHeapTable:
         assert table.indexes["a"].lookup(9) == [row_id]
         assert table.indexes["a"].lookup(1) == []
 
-    def test_compact_reclaims_tombstones(self):
-        table = HeapTable("t", ("a",))
-        for value in range(6):
-            table.insert((value,))
-        table.create_index("a")
-        table.delete_row(0)
-        table.delete_row(3)
-        reclaimed = table.compact()
-        assert reclaimed == 2
-        assert len(table) == 4
-        assert table.indexes["a"].lookup(5) != []
-
     def test_duplicate_index_rejected(self):
         table = HeapTable("t", ("a",))
         table.create_index("a")
@@ -356,7 +344,7 @@ class TestDml:
         engine = DbmsEngine()
         name = engine.load_dataset(retail_tables["orders"], "orders")
         assert name == "orders"
-        assert engine.stats("orders").row_count == 300
+        assert len(engine.catalog.table("orders")) == 300
 
     def test_load_requires_table_type(self, text_corpus):
         engine = DbmsEngine()

@@ -83,10 +83,10 @@ class TestFaultyEngine:
     def _engine(self, spec: FaultSpec) -> FaultyEngine:
         return FaultyEngine(registry.engines.create("nosql"), spec)
 
-    def test_preserves_name_and_info(self):
+    def test_preserves_name_and_software_stack(self):
         engine = self._engine(FaultSpec())
         assert engine.name == "nosql"
-        assert engine.info.name == "nosql"
+        assert engine.software_stack == engine._inner.software_stack
 
     def test_delegates_attributes_and_dunders(self):
         engine = self._engine(FaultSpec())

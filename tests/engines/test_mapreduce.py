@@ -173,10 +173,6 @@ class TestClusterModel:
         fast = large.run(job, pairs).simulated_seconds
         assert fast < slow
 
-    def test_utilization_bounded(self):
-        result = MapReduceEngine().run(word_count_job(), PAIRS)
-        assert 0.0 <= result.cluster_report.utilization <= 1.0
-
     def test_three_phases_reported(self):
         result = MapReduceEngine().run(word_count_job(), PAIRS)
         assert [phase.name for phase in result.cluster_report.phases] == [

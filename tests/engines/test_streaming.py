@@ -15,7 +15,6 @@ from repro.datagen.stream import (
 )
 from repro.engines.streaming import (
     FilterOperator,
-    MapOperator,
     SlidingWindowAggregate,
     StreamingEngine,
     Topology,
@@ -182,19 +181,6 @@ class TestOperators:
         )
         report = StreamingEngine().run(topology, events)
         assert sum(result.value for result in report.results) == 1
-
-    def test_map_transforms_values(self):
-        events = make_events([0.1], values=[2.0])
-        doubler = MapOperator(
-            lambda e: StreamEvent(e.timestamp, e.key, e.value * 2, e.kind)
-        )
-        topology = (
-            Topology("double")
-            .then(doubler)
-            .then(TumblingWindowAggregate(1.0, lambda acc, v: acc + v))
-        )
-        report = StreamingEngine().run(topology, events)
-        assert report.results[0].value == pytest.approx(4.0)
 
 
 class TestQueueingModel:

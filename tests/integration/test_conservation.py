@@ -14,9 +14,8 @@ import pytest
 
 from repro import api
 from repro.core.spec import BenchmarkSpec
-from repro.engines.base import estimate_pair_bytes
 from repro.engines.dfs import DistributedFileSystem
-from repro.engines.nosql.store import ConsistencyLevel, NoSqlStore
+from repro.engines.nosql.store import NoSqlStore
 from repro.execution.config import SystemConfiguration
 from repro.execution.runner import RunnerOptions, RunTask, TestRunner
 from repro.observability import Tracer
@@ -115,21 +114,6 @@ class TestNoSql:
             assert accounted() == issued
             assert result.latency_seconds > 0
         assert len(store) == len(rows)
-
-    def test_anti_entropy_adds_exactly_the_bytes_it_applies(self):
-        store = NoSqlStore(num_partitions=4, replication=3)
-        rows = {f"key{index}": {"field": "x" * (index + 1)} for index in range(9)}
-        for key, fields in rows.items():
-            store.insert(key, fields, ConsistencyLevel.ONE)
-        written = sum(estimate_pair_bytes(row.items()) for row in rows.values())
-        assert store.counters.bytes_written == written
-        assert store.counters.network_bytes == written * (3 - 1)
-        # Distinct keys written once at ONE: both lagging replicas of
-        # every row are still owed the write.
-        assert store.anti_entropy() == 2 * len(rows)
-        assert store.counters.network_bytes == written * (3 - 1) + 2 * written
-        assert store.anti_entropy() == 0
-        assert store.counters.network_bytes == written * (3 - 1) + 2 * written
 
 
 class TestDfs:

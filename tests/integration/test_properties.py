@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro._util import chunked, percentile
-from repro.datagen.sampling import reservoir_sample, stratified_sample
+from repro.datagen.sampling import reservoir_sample
 from repro.datagen.veracity import (
     jensen_shannon_divergence,
     kl_divergence,
@@ -84,13 +84,6 @@ class TestSamplingProperties:
         counts = Counter(items)
         sample_counts = Counter(sample)
         assert all(sample_counts[k] <= counts[k] for k in sample_counts)
-
-    @given(st.lists(st.tuples(st.sampled_from("xyz"), st.integers()),
-                    min_size=1, max_size=100),
-           st.floats(min_value=0.05, max_value=1.0))
-    def test_stratified_keeps_every_stratum(self, items, fraction):
-        sample = stratified_sample(items, key=lambda t: t[0], fraction=fraction)
-        assert {t[0] for t in sample} == {t[0] for t in items}
 
 
 class TestSchedulingProperties:

@@ -117,15 +117,12 @@ class TestRegistryReferences:
         assert isinstance(catalogue.create("decoder"), json.JSONDecoder)
         assert catalogue._factories["decoder"] is json.JSONDecoder
 
-    def test_callables_and_instances_register_beside_references(self):
+    def test_callables_register_beside_references(self):
         catalogue: Registry = Registry("thing")
         catalogue.register("reference", "collections:OrderedDict")
         catalogue.register("callable", dict)
-        shared = [1]
-        catalogue.register_instance("instance", shared)
-        assert catalogue.names() == ["callable", "instance", "reference"]
+        assert catalogue.names() == ["callable", "reference"]
         assert catalogue.create("callable") == {}
-        assert catalogue.create("instance") is shared
 
     @pytest.mark.parametrize(
         "reference",

@@ -12,7 +12,6 @@ from repro.tuning.profiles import (
     ONE_OFF_PREFIX,
     TuningProfile,
     available_profiles,
-    builtin_profiles,
     get_profile,
     normal,
     one_off_profiles,
@@ -125,12 +124,6 @@ class TestRegistry:
         for engine in sorted(ENGINE_KNOBS):
             for name in available_profiles(engine):
                 assert get_profile(engine, name).name == name
-
-    def test_builtin_profiles_table(self):
-        table = builtin_profiles()
-        assert set(table) == set(ENGINE_KNOBS)
-        for engine, column in table.items():
-            assert "normal" in column and "optimized" in column
 
 
 class TestSerialization:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ExecutionError
-from repro.datagen.base import DataType, as_dataset
+from repro.datagen.base import DataType
 from repro.datagen.weblog import WebLogGenerator
 from repro.engines.dbms import DbmsEngine
 from repro.engines.mapreduce import MapReduceEngine
@@ -17,6 +17,8 @@ from repro.workloads import (
     derive_products,
     label_document,
 )
+
+from tests._datasets import as_dataset
 
 
 class TestCollaborativeFiltering:

@@ -313,7 +313,8 @@ class TestHybridWorkload:
         assert hybrid.simulated_seconds > serving_only.simulated_seconds
 
     def test_empty_dataset_rejected(self):
-        from repro.datagen.base import DataType, as_dataset
+        from repro.datagen.base import DataType
+        from tests._datasets import as_dataset
 
         empty = as_dataset([], DataType.KEY_VALUE)
         with pytest.raises(ExecutionError):

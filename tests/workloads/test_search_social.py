@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import chunked
-from repro.datagen.base import DataType, as_dataset
+from repro.datagen.base import DataType
 from repro.datagen.graph import RmatGraphGenerator
 from repro.datagen.mixture import GaussianMixtureGenerator
 from repro.datagen.text import tokenize
@@ -26,6 +26,8 @@ from repro.workloads import (
     KMeansWorkload,
     PageRankWorkload,
 )
+
+from tests._datasets import as_dataset
 
 
 class TestInvertedIndex:

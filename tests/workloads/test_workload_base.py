@@ -5,13 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ExecutionError
-from repro.datagen.base import DataType, as_dataset
+from repro.datagen.base import DataType
 from repro.engines.mapreduce import MapReduceEngine
 from repro.engines.nosql import NoSqlStore
 from repro.bootstrap import WORKLOADS
 from repro.core.registry import resolve_reference
 from repro.workloads import SortWorkload
 from repro.workloads.base import WorkloadResult
+
+from tests._datasets import as_dataset
 
 ALL_WORKLOADS = [resolve_reference(reference) for reference in WORKLOADS.values()]
 

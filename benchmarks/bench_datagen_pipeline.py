@@ -48,10 +48,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import time
 from pathlib import Path
 
-from _history import append_history, run_child
+from _history import append_history, child_env, run_child
 from conftest import print_banner
 
 import repro  # noqa: F401 — fills the registries
@@ -464,7 +465,8 @@ def record_lda_rate(
 
 
 #: One fitted-model scenario per process, so each starts with nothing
-#: fitted; ``LdaModel.fit`` is counted by wrapping it.
+#: fitted, in memory or on disk (its cache home has no ``models``
+#: directory); ``LdaModel.fit`` is counted by wrapping it.
 _MODEL_CHILD = """
 import json
 import sys
@@ -520,8 +522,10 @@ def measure_model_cache(
 ) -> dict[str, dict]:
     """``{measurement: {"seconds": min, "fits": n}}`` for the ``src`` tree."""
     rows: dict[str, dict] = {}
+    models = Path(child_env(src)["XDG_CACHE_HOME"]) / "repro" / "models"
     for scenario in ("run-twice", "sweep", "chunked"):
         for _ in range(repeats):
+            shutil.rmtree(models, ignore_errors=True)
             completed = run_child(
                 src, ["-c", _MODEL_CHILD, scenario, json.dumps(sizes)]
             )

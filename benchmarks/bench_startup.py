@@ -7,7 +7,14 @@ Cold wall time of fresh interpreter processes, one row per command:
 * the seven ``cli-cold`` verbs of the end-to-end benchmark
   (``benchmarks/e2e``), against a small seeded store;
 * time to first result of ``api.run('micro-wordcount', volume=50)``, so
-  that work moved out of import shows up if it merely moved.
+  that work moved out of import shows up if it merely moved;
+* what a fitted model left on disk is worth (``model_reuse`` in the
+  row): :data:`MODEL_REUSE` runs twice in a row in a cache home of its
+  own, :data:`REPEATS` times.  Each home starts with the bytecode the
+  rows above left (so the first process compiles nothing) and without
+  models: ``first`` fits the ``lda-text`` model, ``second`` may read the
+  file ``first`` left, and ``second_saved_q1_s`` is the lower quartile
+  of the difference per pair.
 
 Each command runs :data:`REPEATS` times; the row keeps the minimum and
 the lower quartile of the wall time, and the lower quartile of the
@@ -69,7 +76,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from _history import append_history, run_child
+from _history import append_history, child_env, run_child
 
 RESULTS_FILE = Path(__file__).parent / "BENCH_startup.json"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -127,6 +134,9 @@ CLI_VERBS = {
 
 #: The verbs timed again without a valid bytecode cache.
 BYTECODE_VERBS = ("cli.list", "cli.run-small", "cli.run-record")
+
+#: The CLI argv run twice per cache home: its data set is fitted LDA text.
+MODEL_REUSE = ["run", "micro-grep", "--json"]
 
 #: row name → ``python -c`` program.
 PROGRAMS = {
@@ -261,10 +271,33 @@ def _measure_without_bytecode(
     return rows
 
 
+def _measure_model_reuse(src: Path, tmp: Path, repeats: int) -> dict:
+    """:data:`MODEL_REUSE` twice in a row per fresh cache home."""
+    bytecode = Path(child_env(src)["XDG_CACHE_HOME"]) / "repro" / "bytecode"
+    pairs = []
+    for turn in range(repeats):
+        home = tmp / f"model-home-{turn}"
+        if bytecode.is_dir():
+            shutil.copytree(bytecode, home / "repro" / "bytecode")
+        pairs.append([
+            _timed_child(src, ["-m", "repro.cli", *MODEL_REUSE],
+                         XDG_CACHE_HOME=str(home))
+            for _ in range(2)
+        ])
+    first, second = zip(*pairs)
+    saved = [one[0] - two[0] for one, two in pairs]
+    return {
+        "first": _summary(list(first)),
+        "second": _summary(list(second)),
+        "second_saved_q1_s": statistics.quantiles(saved, n=4)[0],
+    }
+
+
 def measure_startup(
     src: Path = SRC_DIR, repeats: int = REPEATS
-) -> tuple[dict[str, dict], dict]:
-    """``(row per command, BYTECODE_VERBS without bytecode)`` for ``src``."""
+) -> tuple[dict[str, dict], dict, dict]:
+    """``(row per command, BYTECODE_VERBS without bytecode, model
+    reuse)`` for ``src``."""
     with tempfile.TemporaryDirectory(prefix="bench-startup-") as tmp:
         template, scratch = Path(tmp) / "template", Path(tmp) / "scratch"
         scratch.mkdir()
@@ -274,15 +307,17 @@ def measure_startup(
             name: _measure(src, name, template, scratch, repeats)
             for name in (*PROGRAMS, *CLI_VERBS)
         }
-        return rows, _measure_without_bytecode(
-            src, Path(tmp), template, scratch, repeats
+        return (
+            rows,
+            _measure_without_bytecode(src, Path(tmp), template, scratch, repeats),
+            _measure_model_reuse(src, Path(tmp), repeats),
         )
 
 
 def record_startup(
     src: Path = SRC_DIR, source: str = "worktree", repeats: int = REPEATS
 ) -> dict:
-    rows, without_bytecode = measure_startup(src, repeats)
+    rows, without_bytecode, model_reuse = measure_startup(src, repeats)
     print(
         f"\n{'command':16s} {'min s':>8s} {'q1 s':>8s} {'cpu q1 s':>8s} "
         f"{'exit ms':>8s} {'repro.*':>8s} {'dc comp':>8s} numpy"
@@ -306,6 +341,12 @@ def record_startup(
             f"{row['repro_cached']['wall_q1_s']:8.3f} "
             f"{row['nothing_compiled']['wall_q1_s']:8.3f}"
         )
+    print(
+        f"\n{' '.join(MODEL_REUSE)}: first q1 "
+        f"{model_reuse['first']['wall_q1_s']:.3f} s, second q1 "
+        f"{model_reuse['second']['wall_q1_s']:.3f} s, saved q1 "
+        f"{model_reuse['second_saved_q1_s']:.3f} s"
+    )
     append_history(
         RESULTS_FILE,
         "startup.cold_wall",
@@ -313,11 +354,13 @@ def record_startup(
             "repeats": repeats,
             "programs": PROGRAMS,
             "cli_verbs": CLI_VERBS,
+            "model_reuse": MODEL_REUSE,
         },
         {
             "source": source,
             "commands": rows,
             "without_bytecode": without_bytecode,
+            "model_reuse": model_reuse,
         },
     )
     return rows

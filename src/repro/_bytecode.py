@@ -6,7 +6,8 @@ recompiles every ``repro`` module it imports in every process, a third
 of a CLI command or more.  :func:`install` then puts a
 :class:`BytecodeFinder` first on ``sys.meta_path``: for ``repro.*``
 names only, it keeps the compiled code in a private cache directory
-(:func:`cache_root`, in the ``PYTHONPYCACHEPREFIX`` layout) as checked
+(``bytecode`` under :func:`repro._filecache.cache_root`, in the
+``PYTHONPYCACHEPREFIX`` layout) as checked
 hash-based pycs (PEP 552).  A cached file is used only when its magic
 number, flags and source hash match the source just read, so an edit
 that keeps size and mtime is never served stale.  Any ``OSError`` on
@@ -20,15 +21,16 @@ class's ``__init__``, ``__repr__``, ``__eq__`` and the rest: it compiles
 that source text again in every process.  So :func:`install` always
 sets up a :class:`MethodTable` as well, whatever Python writes: the
 ``exec`` that ``dataclasses`` calls serves the code of source whose
-globals are a ``repro`` module's from one file in :func:`cache_root`,
+globals are a ``repro`` module's from one file in that directory,
 keyed by module and by the exact text, and passes every other call to
 the builtin.
 
 Imported first by ``repro/__init__.py``, so everything after it is
 cached; it loads nothing a bare interpreter has not already loaded but
-``importlib.machinery``, and ``dataclasses`` gets the table's ``exec``
-when something else imports it (DESIGN.md §3.16, "Bytecode survives the
-process").
+``importlib.machinery`` and :mod:`repro._filecache` (the rule every file
+that outlives a process follows), and ``dataclasses`` gets the table's
+``exec`` when something else imports it (DESIGN.md §3.16, "Bytecode
+survives the process").
 """
 
 import _imp
@@ -41,29 +43,20 @@ from importlib.machinery import PathFinder, SourceFileLoader
 from importlib.util import MAGIC_NUMBER, cache_from_source, source_hash
 from types import CodeType
 
+from repro import _filecache
+
 #: PEP 552 flags of a hash-based pyc whose hash is checked against the source.
 CHECKED_HASH = (0b11).to_bytes(4, "little")
 
 
-def cache_root() -> str:
-    """``$XDG_CACHE_HOME/repro/bytecode``, or ``~/.cache/repro/bytecode``
-    when that variable is unset or not an absolute path."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "repro", "bytecode")
-
-
 def install() -> None:
-    """Keep ``repro``'s dataclass methods in :func:`cache_root`, and its
-    modules too when Python will not write ``__pycache__``.  Idempotent:
-    a reloaded ``repro`` (whose ``_bytecode`` may be a new module with
-    new classes) finds its finder and its table by name and adds no
-    second one."""
-    root = cache_root()
-    # Without a home directory ``~`` stays unexpanded: no cache, rather
-    # than one relative to whatever the working directory is.
-    if not os.path.isabs(root):
+    """Keep ``repro``'s dataclass methods in the cache's ``bytecode``
+    directory, and its modules too when Python will not write
+    ``__pycache__``.  Idempotent: a reloaded ``repro`` (whose
+    ``_bytecode`` may be a new module with new classes) finds its finder
+    and its table by name and adds no second one."""
+    root = _filecache.cache_root("bytecode")
+    if root is None:
         return
     dataclasses = sys.modules.get("dataclasses")
     if dataclasses is None:
@@ -132,11 +125,7 @@ class CachedSourceLoader(SourceFileLoader):
         source_path = self.get_filename(fullname)
         source = self.get_data(source_path)
         header = MAGIC_NUMBER + CHECKED_HASH + source_hash(source)
-        try:
-            with open(self.cached, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            data = b""
+        data = _filecache.read(self.cached) or b""
         if data.startswith(header):
             try:
                 code = marshal.loads(memoryview(data)[len(header):])
@@ -148,7 +137,7 @@ class CachedSourceLoader(SourceFileLoader):
                 _imp._fix_co_filename(code, source_path)
                 return code
         code = self.source_to_code(source, source_path)
-        _write_atomic(self.cached, header, code)
+        _filecache.write(self.cached, header + marshal.dumps(code))
         return code
 
 
@@ -230,11 +219,7 @@ class MethodTable:
         """The file's table, module → marshalled entries: empty when the
         file is missing, unreadable or damaged, or was not written by
         this interpreter's version."""
-        try:
-            with open(self.path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            return {}
+        data = _filecache.read(self.path) or b""
         if data.startswith(MAGIC_NUMBER):
             try:
                 table = marshal.loads(memoryview(data)[len(MAGIC_NUMBER):])
@@ -252,31 +237,4 @@ class MethodTable:
             table = self._read()
             for module, entries in self.generated.items():
                 table[module] = marshal.dumps(entries)
-            _write_atomic(self.path, MAGIC_NUMBER, table)
-
-
-def _write_atomic(path: str, header: bytes, data) -> None:
-    """``header`` and the marshalled ``data`` at ``path``, whole or not
-    at all; an ``OSError`` writes nothing."""
-    temporary = f"{path}.{os.getpid()}.tmp"
-    try:
-        _private_dirs(os.path.dirname(path))
-        with open(temporary, "wb") as handle:
-            handle.write(header)
-            marshal.dump(data, handle)
-        os.replace(temporary, path)
-    except OSError:
-        try:
-            os.unlink(temporary)
-        except OSError:
-            pass
-
-
-def _private_dirs(directory: str) -> None:
-    """``os.makedirs`` with every directory it creates at mode ``0o700``."""
-    if not os.path.isdir(directory):
-        _private_dirs(os.path.dirname(directory))
-        try:
-            os.mkdir(directory, 0o700)
-        except FileExistsError:
-            pass
+            _filecache.write(self.path, MAGIC_NUMBER + marshal.dumps(table))

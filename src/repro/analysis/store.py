@@ -25,14 +25,16 @@ only itself.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field
+from importlib.util import source_hash
 from pathlib import Path
 from typing import Any
 
+from repro import _filecache
 from repro._util import sequential_sum
 from repro.core.appendlog import AppendLog
 from repro.core.errors import AnalysisError
@@ -56,6 +58,9 @@ def fingerprint_hash(fingerprint: dict[str, Any]) -> str:
     truncated to 12 hex chars: collision-safe at any plausible number of
     distinct configurations and short enough to type.
     """
+    # Imported by the first hash, not by every reader of the store.
+    import hashlib
+
     canonical = json.dumps(fingerprint, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
@@ -167,16 +172,56 @@ def environment_fingerprint(refresh: bool = False) -> dict[str, Any]:
     """
     global _ENV_CACHE
     if _ENV_CACHE is None or refresh:
-        # Imported by the first recording, not by every reader of the store.
-        import platform
-
         _ENV_CACHE = {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
+            **_platform_strings(),
             "cpus": os.cpu_count(),
             "git_sha": _git_sha(),
         }
     return dict(_ENV_CACHE)
+
+
+#: The first bytes of a platform-string file: its format.
+PLATFORM_FORMAT = b"repro platform strings 1\n"
+
+
+def _platform_strings() -> dict[str, str]:
+    """``platform.python_version()`` and ``platform.platform()``.
+
+    ``platform.platform()`` scans the interpreter binary for its C
+    library and runs ``uname -p``, a few milliseconds of every recording
+    process, so the two strings are kept on disk under the interpreter
+    (its real path, size and mtime) and the kernel (``os.uname()``) that
+    decide them (DESIGN.md §3.16).
+    """
+    root = _filecache.cache_root("platform")
+    try:
+        interpreter = os.path.realpath(sys.executable)
+        stat = os.stat(interpreter)
+        kernel = list(os.uname())
+    except (OSError, ValueError, AttributeError):  # no uname on Windows
+        root = None
+    path = key = None
+    if root is not None:
+        key = json.dumps([interpreter, stat.st_size, stat.st_mtime_ns, kernel])
+        path = os.path.join(root, source_hash(key.encode()).hex())
+        try:
+            document = json.loads(_filecache.load(path, PLATFORM_FORMAT) or b"{}")
+            strings = {
+                name: document["strings"][name] for name in ("python", "platform")
+            }
+            if document["key"] == key and all(type(s) is str for s in strings.values()):
+                return strings
+        except (ValueError, KeyError, TypeError):
+            pass  # no file, or one that is not what it claims: ask again
+    import platform
+
+    strings = {"python": platform.python_version(), "platform": platform.platform()}
+    if path is not None:
+        _filecache.store(
+            path, PLATFORM_FORMAT,
+            json.dumps({"key": key, "strings": strings}).encode(),
+        )
+    return strings
 
 
 @dataclass

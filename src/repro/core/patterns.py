@@ -67,6 +67,23 @@ class ConvergenceCondition(StoppingCondition):
         return f"on convergence (tol={self.tolerance}, cap={self.max_iterations})"
 
 
+# The stopping rule of each built-in iterative workload, defined once:
+# its prescription's pattern states it and its loop obeys it, reading
+# the rule when it runs (a spec param of the loop's own name overrides
+# it for that run).  Here, not in the workload modules, so building the
+# prescriptions imports no workload.
+
+#: PageRank: the L1 change of the ranks.
+PAGERANK_STOP = ConvergenceCondition(tolerance=1e-4, max_iterations=30)
+#: k-means: the total movement of the centroids.
+KMEANS_STOP = ConvergenceCondition(tolerance=1e-3, max_iterations=20)
+#: Label propagation: until no label changes.
+LABEL_PROPAGATION_STOP = ConvergenceCondition(tolerance=0.0, max_iterations=50)
+#: MLP training: the loss improving by less than the tolerance in an
+#: epoch, from the fifth epoch on (``min_loss_improvement`` / ``max_epochs``).
+MLP_STOP = ConvergenceCondition(tolerance=1e-3, max_iterations=40)
+
+
 class WorkloadPattern(ABC):
     """Base class of the three workload patterns."""
 

@@ -18,13 +18,16 @@ from typing import Any
 from repro.core.errors import TestGenerationError
 from repro.core.operations import AbstractOperation, operations
 from repro.core.patterns import (
-    ConvergenceCondition,
-    FixedIterations,
+    KMEANS_STOP,
+    LABEL_PROPAGATION_STOP,
+    MLP_STOP,
+    PAGERANK_STOP,
     IterativeOperationPattern,
     MultiOperationPattern,
     SingleOperationPattern,
     WorkloadPattern,
 )
+from repro.core.registry import resolve_reference
 from repro.datagen.base import DataSet, DataType
 
 
@@ -115,50 +118,34 @@ class PrescriptionRepository:
 
 
 # ---------------------------------------------------------------------------
-# Seed ("real") data sources for veracity-aware generation.  The loaders
-# import the embedded corpus (and with it numpy) when called, not when this
-# module is imported.
+# Seed ("real") data sources for veracity-aware generation.
 # ---------------------------------------------------------------------------
 
 
-def _load_text_corpus() -> DataSet:
-    from repro.datagen.corpus import load_text_corpus
-
-    return load_text_corpus()
-
-
-def _load_social_graph() -> DataSet:
-    from repro.datagen.corpus import load_social_graph
-
-    return load_social_graph()
-
-
-def _load_orders() -> DataSet:
-    from repro.datagen.corpus import load_retail_tables
-
-    return load_retail_tables()["orders"]
-
-
-#: name → loader of embedded seed data sets (DESIGN.md §2 substitutions).
-SEED_SOURCES: dict[str, Callable[[], DataSet]] = {
-    "text-corpus": _load_text_corpus,
-    "social-graph": _load_social_graph,
-    "retail-orders": _load_orders,
+#: name → loader of an embedded seed data set (DESIGN.md §2
+#: substitutions): a callable or, like a registry entry, a
+#: ``"module:attr"`` reference to one, imported (and with it the corpus
+#: and numpy) at the first load, not when this module is imported.  The
+#: fitted-model cache names a seed set by its loader, never by a digest
+#: of the data, so a model on disk is found without loading its seed.
+SEED_SOURCES: dict[str, Callable[[], DataSet] | str] = {
+    "text-corpus": "repro.datagen.corpus:load_text_corpus",
+    "social-graph": "repro.datagen.corpus:load_social_graph",
+    "retail-orders": "repro.datagen.corpus:load_retail_orders",
 }
 
 
 #: name → (the loader that built it, the data set): seed sets are
 #: constants, so each is built once per process.
-_LOADED_SEEDS: dict[str, tuple[Callable[[], DataSet], DataSet]] = {}
+_LOADED_SEEDS: dict[str, tuple[Callable[[], DataSet] | str, DataSet]] = {}
 
 
 def load_seed(name: str) -> DataSet:
     """One embedded seed data set by name.
 
-    Built on first use and shared by every later caller in the process
-    (the fitted-model cache fingerprints it once): treat it as
-    read-only.  A loader replaced in :data:`SEED_SOURCES` is loaded
-    afresh.
+    Built on first use and shared by every later caller in the process:
+    treat it as read-only.  A loader replaced in :data:`SEED_SOURCES` is
+    loaded afresh.
     """
     loader = SEED_SOURCES.get(name)
     if loader is None:
@@ -167,7 +154,8 @@ def load_seed(name: str) -> DataSet:
         )
     loaded = _LOADED_SEEDS.get(name)
     if loaded is None or loaded[0] is not loader:
-        loaded = _LOADED_SEEDS[name] = (loader, loader())
+        load = resolve_reference(loader) if isinstance(loader, str) else loader
+        loaded = _LOADED_SEEDS[name] = (loader, load())
     return loaded[1]
 
 
@@ -251,10 +239,7 @@ def builtin_repository() -> PrescriptionRepository:
             domain="search engine",
             data=graph,
             operations=operations("rank"),
-            pattern=IterativeOperationPattern(
-                operations("rank"),
-                ConvergenceCondition(tolerance=1e-4, max_iterations=30),
-            ),
+            pattern=IterativeOperationPattern(operations("rank"), PAGERANK_STOP),
             workload="pagerank",
             metric_names=_ALL_METRICS,
         )
@@ -276,9 +261,7 @@ def builtin_repository() -> PrescriptionRepository:
             domain="social network",
             data=features,
             operations=operations("cluster"),
-            pattern=IterativeOperationPattern(
-                operations("cluster"), FixedIterations(10)
-            ),
+            pattern=IterativeOperationPattern(operations("cluster"), KMEANS_STOP),
             workload="kmeans",
             metric_names=_ALL_METRICS,
             params={"num_clusters": 4},
@@ -291,8 +274,7 @@ def builtin_repository() -> PrescriptionRepository:
             data=graph,
             operations=operations("cluster"),
             pattern=IterativeOperationPattern(
-                operations("cluster"),
-                ConvergenceCondition(tolerance=0.0, max_iterations=50),
+                operations("cluster"), LABEL_PROPAGATION_STOP
             ),
             workload="connected-components",
             metric_names=_ALL_METRICS,
@@ -377,8 +359,7 @@ def builtin_repository() -> PrescriptionRepository:
             data=features,
             operations=operations("transform", "classify"),
             pattern=IterativeOperationPattern(
-                operations("transform", "classify"),
-                ConvergenceCondition(tolerance=1e-3, max_iterations=60),
+                operations("transform", "classify"), MLP_STOP
             ),
             workload="mlp-classification",
             metric_names=_ALL_METRICS,

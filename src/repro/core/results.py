@@ -14,8 +14,6 @@ and reports *what* failed instead of discarding everything.
 from __future__ import annotations
 
 import math
-import statistics
-import traceback
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -49,7 +47,9 @@ class MetricStats:
 
     @property
     def mean(self) -> float:
-        return statistics.fmean(self.samples)
+        # ``statistics.fmean`` exactly, without importing ``statistics``
+        # into every reader of a result.
+        return math.fsum(self.samples) / len(self.samples)
 
     @property
     def minimum(self) -> float:
@@ -72,6 +72,8 @@ class MetricStats:
             return 0.0
         known = self._stdev
         if known is None or known[0] != self.samples:
+            import statistics
+
             known = self._stdev = (
                 list(self.samples), statistics.stdev(self.samples)
             )
@@ -305,6 +307,8 @@ class TaskFailure:
         max_frames: int = 3,
     ) -> "TaskFailure":
         """Capture an exception (innermost ``max_frames`` frames only)."""
+        import traceback
+
         frames = traceback.extract_tb(error.__traceback__)[-max_frames:]
         summary = "; ".join(
             f"{frame.filename.rsplit('/', 1)[-1]}:{frame.lineno} "
@@ -377,14 +381,14 @@ class ResultAnalyzer:
             raise MetricError(
                 f"baseline engine has no samples of metric {metric!r}"
             )
-        baseline = statistics.fmean(baseline_values)
+        baseline = math.fsum(baseline_values) / len(baseline_values)
         higher = metric_direction(metric) == "higher"
         factors: dict[str, float] = {}
         for engine, results in by_engine.items():
             values = [r.mean(metric) for r in results if metric in r.metrics]
             if not values:
                 continue
-            mean_value = statistics.fmean(values)
+            mean_value = math.fsum(values) / len(values)
             if higher:
                 factors[engine] = mean_value / baseline if baseline else float("inf")
             else:

@@ -322,6 +322,21 @@ class DataGenerator(ABC):
         self._fitted = True
         return self
 
+    def fitted_state(self) -> dict[str, Any]:
+        """What :meth:`fit` learnt, by name: JSON values (no tuples) and
+        numpy arrays.  The fitted-model cache keeps it on disk
+        (:mod:`repro.datagen.models`), and :meth:`restore_fitted` of an
+        unfitted twin must make that twin generate what this generator
+        does, byte for byte.  A class that overrides ``fit`` overrides
+        both, or its models are kept in memory only; the base ``fit``
+        learns nothing."""
+        return {}
+
+    def restore_fitted(self, state: dict[str, Any]) -> None:
+        """Bind what :meth:`fitted_state` returned, as :meth:`fit` would
+        have bound it (new objects, read-only arrays)."""
+        self._fitted = True
+
     def _require_fitted(self) -> None:
         if not self._fitted:
             raise ModelNotFittedError(

@@ -225,6 +225,12 @@ def load_retail_tables(
     }
 
 
+def load_retail_orders() -> DataSet:
+    """The ``orders`` table of :func:`load_retail_tables` (the
+    ``retail-orders`` seed set)."""
+    return load_retail_tables()["orders"]
+
+
 # ---------------------------------------------------------------------------
 # Web-log templates.
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -146,6 +147,17 @@ class RmatGraphGenerator(DataGenerator):
         self._fitted = True
         return self
 
+    def fitted_state(self) -> dict[str, Any]:
+        return {
+            "a": self.a, "b": self.b, "c": self.c,
+            "edges_per_vertex": self.edges_per_vertex,
+        }
+
+    def restore_fitted(self, state: dict[str, Any]) -> None:
+        self.set_parameters(state["a"], state["b"], state["c"])
+        self.edges_per_vertex = state["edges_per_vertex"]
+        self._fitted = True
+
     def generate_partition(
         self, volume: int, partition: int, num_partitions: int
     ) -> list[Edge]:
@@ -188,6 +200,13 @@ class PreferentialAttachmentGenerator(DataGenerator):
         self.edges_per_vertex = max(1, round(average_degree(edges) / 2.0))
         self._fitted = True
         return self
+
+    def fitted_state(self) -> dict[str, Any]:
+        return {"edges_per_vertex": self.edges_per_vertex}
+
+    def restore_fitted(self, state: dict[str, Any]) -> None:
+        self.edges_per_vertex = state["edges_per_vertex"]
+        self._fitted = True
 
     def generate_partition(
         self, volume: int, partition: int, num_partitions: int

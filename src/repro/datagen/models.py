@@ -9,15 +9,26 @@ one process fit each model once.
 
 The key is a content address, not a name: the generator's class and its
 whole unfitted state (seed and hyperparameters, nested models included),
-the name of the seed source, and a digest of the seed data itself.  Two
-registries that bind one name differently, or one generator at different
-hyperparameters, never share an entry.  A state with no content address
-(:func:`content_digest` raises) is fitted every time.
+the name of the seed source and the loader :data:`SEED_SOURCES` binds it
+to.  Two registries that bind one name differently, or one generator at
+different hyperparameters, never share an entry.  A state with no
+content address (:func:`content_digest` raises) is fitted every time.
 
 A hit hands back a shallow copy of the cached generator, so the fitted
 model is shared, never copied.  That is safe under the contract
 :class:`~repro.datagen.base.DataGenerator` states: fitted state is
 immutable, ``fit`` binds new objects instead of writing into old ones.
+
+A miss asks the disk before it fits (DESIGN.md §3.16): a fitted model
+is a file under ``$XDG_CACHE_HOME/repro/models``, its
+:meth:`~repro.datagen.base.DataGenerator.fitted_state` as JSON plus
+numpy arrays (never a pickle), named by the memory address extended by
+what the process cannot see change: the source hash of the modules of
+the generator's class and its bases, the source hash of the loader's
+module, and the numpy and Python versions.  No digest of the seed data
+is taken, so a disk hit loads no seed set at all.  A loader or class
+defined inside a function, or a class whose ``fit`` comes without its
+own ``fitted_state``, is kept in memory only.
 
 The same address, extended by the volume and the partition count, names
 one deterministic data set, and the size of that data set
@@ -25,9 +36,9 @@ one deterministic data set, and the size of that data set
 The cache remembers the integer, so a process measures each data set it
 generates once (:meth:`ModelCache.dataset_bytes`).
 
-Only fitted generators and integers are held, never records, and nothing
-is written to disk.  ``generator.fit(dataset)`` called directly does not
-come here and fits every time.
+Only fitted generators and integers are held, never records.
+``generator.fit(dataset)`` called directly does not come here and fits
+every time.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ from __future__ import annotations
 import copy
 import enum
 import hashlib
+import io
+import json
 import os
 import sys
 import threading
@@ -42,9 +55,11 @@ import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass
+from importlib.util import find_spec, source_hash
 from typing import Any
 
-from repro.core.prescription import load_seed
+from repro import _filecache
+from repro.core.prescription import SEED_SOURCES, load_seed
 from repro.datagen.base import DataGenerator, DataSet
 from repro.datagen.cache import LruCache
 from repro.observability import current_tracer, trace_span
@@ -55,6 +70,9 @@ MAX_MODELS = 16
 #: Data-set sizes kept per cache: an address and an integer each, so a
 #: long sweep fits and a service that runs for days stays bounded.
 MAX_SIZES = 1024
+#: The first bytes of a model file: its format, which no other file in
+#: the cache starts with.
+MODEL_FORMAT = b"repro fitted model 1\n"
 
 
 def content_digest(value: Any) -> str:
@@ -148,7 +166,8 @@ class ModelUse:
 
     #: The seed source the generator is fitted on.
     source: str
-    #: ``"hit"`` (served from the cache) or ``"fitted"`` (trained now).
+    #: ``"hit"`` (served from memory), ``"disk"`` (read from the model
+    #: an earlier process fitted) or ``"fitted"`` (trained now).
     cache: str
     #: Seconds this request spent in ``fit``; zero on a hit.
     fit_seconds: float
@@ -185,10 +204,6 @@ class ModelCache:
         self._models = LruCache(MAX_MODELS)
         #: (generator address, volume, partitions) → ``estimated_bytes()``.
         self._sizes = LruCache(MAX_SIZES)
-        #: source → (the data set digested, its digest); ``load_seed``
-        #: returns one object per source and process, so identity tells
-        #: whether the digest is still of the data a fit would see.
-        self._seed_digests: dict[str, tuple[DataSet, str]] = {}
         self._recorder = threading.local()
 
     @property
@@ -206,9 +221,9 @@ class ModelCache:
 
         The one place a registered generator meets its seed data.  A
         generator with no seed source is returned as it is.  On a miss
-        ``generator`` itself is fitted and returned (the cache keeps a
-        copy); on a hit it is left untouched and a copy of the cached
-        generator is returned.
+        ``generator`` itself is restored from disk or fitted and
+        returned (the cache keeps a copy); on a hit it is left untouched
+        and a copy of the cached generator is returned.
         """
         if source is None:
             return generator
@@ -217,11 +232,18 @@ class ModelCache:
             self._fit(generator, source)
             return generator
 
-        def fit() -> DataGenerator:
-            self._fit(generator, source)
+        def restore_or_fit() -> DataGenerator:
+            path = _model_path(generator, key)
+            if path is None or not _read_model(path, generator):
+                self._fit(generator, source)
+                if path is not None:
+                    _write_model(path, generator)
+            else:
+                current_tracer().count("cache.model_disk_hits")
+                self._record(ModelUse(source, "disk", 0.0))
             return copy.copy(generator)
 
-        cached, made = self._models.get_or_make(key, fit)
+        cached, made = self._models.get_or_make(key, restore_or_fit)
         if made:
             return generator
         current_tracer().count("cache.model_hits")
@@ -234,17 +256,14 @@ class ModelCache:
         """The content address of ``generator`` once fitted on ``source``.
 
         The generator's class and whole state as it stands (so ask
-        before fitting), the source's name and a digest of its data;
+        before fitting), the source's name and the name of its loader;
         ``None`` when the state has no content address.
         """
         try:
-            return (
-                content_digest(generator),
-                source,
-                None if source is None else self._seed_digest(source),
-            )
+            digest = content_digest(generator)
         except (TypeError, RecursionError):
             return None
+        return (digest, source, None if source is None else _loader_name(source))
 
     def dataset_bytes(self, address: tuple | None, dataset: DataSet) -> int:
         """``dataset.estimated_bytes()``, walked once per address.
@@ -261,13 +280,6 @@ class ModelCache:
             nbytes, made = self._sizes.get_or_make(address, dataset.estimated_bytes)
         self._record(SizeUse("measured" if made else "known", nbytes))
         return nbytes
-
-    def _seed_digest(self, source: str) -> str:
-        dataset = load_seed(source)
-        memo = self._seed_digests.get(source)
-        if memo is None or memo[0] is not dataset:
-            memo = self._seed_digests[source] = (dataset, content_digest(dataset))
-        return memo[1]
 
     def _fit(self, generator: DataGenerator, source: str) -> None:
         with trace_span("fit", source=source):
@@ -301,13 +313,135 @@ class ModelCache:
             uses.append(use)
 
     def clear(self) -> None:
-        """Drop every entry and reset the counters."""
+        """Drop every entry and reset the counters (the disk keeps its
+        models)."""
         self._models.clear()
         self._sizes.clear()
-        self._seed_digests.clear()
 
     def __len__(self) -> int:
         return len(self._models)
+
+
+# ----------------------------------------------------------------------
+# The disk tier
+# ----------------------------------------------------------------------
+
+
+def _loader_name(source: str) -> str | None:
+    """The ``"module:qualified name"`` of the loader bound to ``source``."""
+    loader = SEED_SOURCES.get(source)
+    if isinstance(loader, str) or loader is None:
+        return loader
+    qualified = getattr(loader, "__qualname__", None)
+    return None if qualified is None else f"{loader.__module__}:{qualified}"
+
+
+def _module_hash(name: str) -> str | None:
+    """``importlib.util.source_hash`` of a module's source file, found
+    without importing the module; ``None`` when there is no source."""
+    module = sys.modules.get(name)
+    path = getattr(module, "__file__", None)
+    if path is None:
+        try:
+            spec = find_spec(name)
+        except (ImportError, ValueError):
+            return None
+        path = None if spec is None else spec.origin
+    data = _filecache.read(path) if path and path.endswith(".py") else None
+    return None if data is None else source_hash(data).hex()
+
+
+def _model_path(generator: DataGenerator, address: tuple) -> str | None:
+    """Where the model of ``generator`` at memory ``address`` lives on
+    disk; ``None`` when it is kept in memory only."""
+    kind = type(generator)
+    owner = next((klass for klass in kind.__mro__ if "fit" in vars(klass)), object)
+    loader = address[2]
+    if (
+        "fitted_state" not in vars(owner) or loader is None
+        or "<" in kind.__qualname__ or "<" in loader
+    ):
+        return None
+    modules = sorted({
+        klass.__module__ for klass in kind.__mro__
+        if klass.__module__.partition(".")[0] not in sys.stdlib_module_names
+    })
+    hashes = [_module_hash(name) for name in (*modules, loader.partition(":")[0])]
+    root = _filecache.cache_root("models")
+    if root is None or None in hashes:
+        return None
+    import numpy
+
+    name = json.dumps(
+        [*address, modules, hashes, numpy.__version__, sys.version]
+    )
+    return os.path.join(root, hashlib.sha256(name.encode()).hexdigest() + ".model")
+
+
+def _write_model(path: str, generator: DataGenerator) -> None:
+    """The fitted state of ``generator`` at ``path``: JSON, a newline,
+    then an ``.npz`` of its arrays.  Nothing is written for a state that
+    JSON and plain numpy arrays cannot hold exactly."""
+    import numpy
+
+    state = generator.fitted_state()
+    arrays = {
+        name: value for name, value in state.items()
+        if isinstance(value, numpy.ndarray)
+    }
+    plain = {name: value for name, value in state.items() if name not in arrays}
+    if not _is_plain(plain) or any(array.dtype.hasobject for array in arrays.values()):
+        return
+    npz = io.BytesIO()
+    numpy.savez(npz, **arrays)
+    document = {"address": _address_of(path), "state": plain}
+    _filecache.store(
+        path, MODEL_FORMAT, json.dumps(document).encode() + b"\n" + npz.getvalue()
+    )
+
+
+def _read_model(path: str, generator: DataGenerator) -> bool:
+    """Restore ``generator`` from the model at ``path``; ``False`` when
+    there is none to restore from."""
+    payload = _filecache.load(path, MODEL_FORMAT)
+    if payload is None:
+        return False
+    import numpy
+    from zipfile import BadZipFile
+
+    text, _, npz = payload.partition(b"\n")
+    try:
+        document = json.loads(text)
+        if document["address"] != _address_of(path):
+            return False  # a model of another address, under this name
+        with numpy.load(io.BytesIO(npz), allow_pickle=False) as arrays:
+            state = {**document["state"], **{name: arrays[name] for name in arrays}}
+        generator.restore_fitted(state)
+    # A file that passed its check but does not decode, or decodes to
+    # what this generator cannot take, is a miss like any other: the
+    # generator is fitted, which binds every fitted attribute anew.
+    except (
+        ValueError, TypeError, LookupError, AttributeError, EOFError, OSError,
+        BadZipFile,
+    ):
+        return False
+    return True
+
+
+def _address_of(path: str) -> str:
+    return os.path.basename(path).removesuffix(".model")
+
+
+def _is_plain(value: Any) -> bool:
+    """Whether JSON gives ``value`` back as it is, types included."""
+    kind = type(value)
+    if value is None or kind in (bool, int, float, str):
+        return True
+    if kind is list:
+        return all(map(_is_plain, value))
+    if kind is dict:
+        return all(type(key) is str and _is_plain(item) for key, item in value.items())
+    return False
 
 
 #: The process-wide cache every fitting path uses unless handed another.
@@ -316,3 +450,4 @@ PROCESS_MODELS = ModelCache()
 # fit in progress in the parent has no thread there to finish it.
 os.register_at_fork(after_in_child=PROCESS_MODELS._models.after_fork)
 os.register_at_fork(after_in_child=PROCESS_MODELS._sizes.after_fork)
+

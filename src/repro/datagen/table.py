@@ -269,6 +269,30 @@ class FittedTableGenerator(DataGenerator):
         self._fitted = True
         return self
 
+    def fitted_state(self) -> dict[str, Any]:
+        # A categorical column by its values and weights, a numeric one
+        # by its sorted values, an array named after its position.
+        state: dict[str, Any] = {"schema": list(self._schema), "columns": []}
+        for index, column in enumerate(self._columns):
+            if isinstance(column, Categorical):
+                state["columns"].append(
+                    {"values": list(column.values), "weights": list(column.weights)}
+                )
+            else:
+                state["columns"].append({"integral": column._integral})
+                state[f"quantile_{index}"] = column._sorted
+        return state
+
+    def restore_fitted(self, state: dict[str, Any]) -> None:
+        self._schema = tuple(state["schema"])
+        self._columns = [
+            _EmpiricalQuantile.of_sorted(state[f"quantile_{index}"], column["integral"])
+            if "integral" in column
+            else Categorical(tuple(column["values"]), tuple(column["weights"]))
+            for index, column in enumerate(state["columns"])
+        ]
+        self._fitted = True
+
     def _fit_column(self, values: list[Any]) -> ColumnDistribution:
         if all(isinstance(value, (int, float)) and not isinstance(value, bool)
                for value in values):
@@ -312,6 +336,15 @@ class _EmpiricalQuantile(ColumnDistribution):
         self._sorted = np.sort(np.asarray(values, dtype=np.float64))
         self._sorted.setflags(write=False)
         self._integral = all(float(v).is_integer() for v in values)
+
+    @classmethod
+    def of_sorted(cls, column: np.ndarray, integral: bool) -> "_EmpiricalQuantile":
+        """The distribution whose ``_sorted`` and ``_integral`` these are."""
+        distribution = cls.__new__(cls)
+        column.setflags(write=False)
+        distribution._sorted = column
+        distribution._integral = integral
+        return distribution
 
     def sample(self, rng: np.random.Generator, count: int, start_row: int) -> list[Any]:
         quantiles = rng.uniform(0.0, 1.0, size=count)

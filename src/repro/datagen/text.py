@@ -39,6 +39,7 @@ import copy
 import re
 from collections import Counter
 from collections.abc import Iterable, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -286,13 +287,23 @@ class LdaModel:
         phi = np.ascontiguousarray(np.array(word_topic, dtype=np.float64).T)
         phi += beta
         phi /= phi.sum(axis=1, keepdims=True)
+        return self.bind(
+            vocabulary, phi, float(np.mean([len(tokens) for tokens in doc_tokens]))
+        )
+
+    def bind(
+        self, vocabulary: Vocabulary, phi: np.ndarray, mean_document_length: float
+    ) -> "LdaModel":
+        """Take on a fitted model: what :meth:`fit` learnt, or what the
+        fitted-model cache kept of an earlier fit (these three are all
+        of it)."""
         word_cdfs = phi.cumsum(axis=1)
         word_cdfs /= word_cdfs[:, -1:]
         # What every sampled document reads, derived once per fit and
         # only here (the unfitted state is the model's content address):
         # the Dirichlet prior, the topics whose phi row is NaN (emptied
         # under beta=0) and the words by id.
-        prior = np.full(num_topics, max(alpha, 1e-6))
+        prior = np.full(self.num_topics, max(self.alpha, 1e-6))
         words = np.array(vocabulary.words, dtype=object)
         # Fitted state is shared by every holder of this model.
         for array in (phi, word_cdfs, prior, words):
@@ -305,9 +316,7 @@ class LdaModel:
         )
         self._words = words
         self.vocabulary = vocabulary
-        self.mean_document_length = float(
-            np.mean([len(tokens) for tokens in doc_tokens])
-        )
+        self.mean_document_length = mean_document_length
         return self
 
     def topic_distribution(self) -> np.ndarray:
@@ -434,6 +443,22 @@ class LdaTextGenerator(DataGenerator):
         self._fitted = True
         return self
 
+    def fitted_state(self) -> dict[str, Any]:
+        model = self.model
+        return {
+            "words": model.vocabulary.words,
+            "phi": model.phi,
+            "mean_document_length": model.mean_document_length,
+        }
+
+    def restore_fitted(self, state: dict[str, Any]) -> None:
+        self.model = copy.copy(self.model).bind(
+            Vocabulary(state["words"]),
+            state["phi"],
+            float(state["mean_document_length"]),
+        )
+        self._fitted = True
+
     def iter_partition(
         self, volume: int, partition: int, num_partitions: int
     ):
@@ -487,6 +512,20 @@ class UnigramTextGenerator(DataGenerator):
         self._mean_length = float(np.mean(lengths))
         self._fitted = True
         return self
+
+    def fitted_state(self) -> dict[str, Any]:
+        return {
+            "words": self._words,
+            "probabilities": self._probabilities,
+            "mean_length": self._mean_length,
+        }
+
+    def restore_fitted(self, state: dict[str, Any]) -> None:
+        self._words = list(state["words"])
+        self._probabilities = state["probabilities"]
+        self._probabilities.setflags(write=False)
+        self._mean_length = float(state["mean_length"])
+        self._fitted = True
 
     def iter_partition(
         self, volume: int, partition: int, num_partitions: int

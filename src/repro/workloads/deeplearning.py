@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.errors import ExecutionError
 from repro.core.operations import operations
-from repro.core.patterns import ConvergenceCondition, IterativeOperationPattern
+from repro.core.patterns import MLP_STOP, IterativeOperationPattern
 from repro.datagen.base import DataSet, DataType
 from repro.engines.base import CostCounters
 from repro.engines.mapreduce import JobConf, MapReduceEngine, MapReduceJob
@@ -89,8 +89,7 @@ class MlpClassificationWorkload(Workload):
     data_type = DataType.TABLE
     abstract_operations = tuple(operations("transform", "classify"))
     pattern = IterativeOperationPattern(
-        operations("transform", "classify"),
-        ConvergenceCondition(tolerance=1e-3, max_iterations=60),
+        operations("transform", "classify"), MLP_STOP
     )
 
     def run_mapreduce(
@@ -99,12 +98,17 @@ class MlpClassificationWorkload(Workload):
         dataset: DataSet,
         hidden_units: int = 16,
         learning_rate: float = 0.5,
-        max_epochs: int = 40,
-        min_loss_improvement: float = 1e-3,
+        max_epochs: int | None = None,
+        min_loss_improvement: float | None = None,
         train_fraction: float = 0.7,
         seed: int = 0,
         **params: Any,
     ) -> WorkloadResult:
+        rule = self.pattern.stopping_condition
+        if max_epochs is None:
+            max_epochs = rule.max_iterations
+        if min_loss_improvement is None:
+            min_loss_improvement = rule.tolerance
         features, labels = self._extract(dataset)
         if len(features) < 10:
             raise ExecutionError("need at least 10 rows to train an MLP")

@@ -14,7 +14,7 @@ from typing import Any
 from repro._util import sequential_sum
 from repro.core.operations import operations
 from repro.core.patterns import (
-    ConvergenceCondition,
+    PAGERANK_STOP,
     IterativeOperationPattern,
     SingleOperationPattern,
 )
@@ -81,19 +81,22 @@ class PageRankWorkload(Workload):
     category = WorkloadCategory.OFFLINE_ANALYTICS
     data_type = DataType.GRAPH
     abstract_operations = tuple(operations("rank"))
-    pattern = IterativeOperationPattern(
-        operations("rank"), ConvergenceCondition(tolerance=1e-4, max_iterations=30)
-    )
+    pattern = IterativeOperationPattern(operations("rank"), PAGERANK_STOP)
 
     def run_mapreduce(
         self,
         engine: MapReduceEngine,
         dataset: DataSet,
         damping: float = 0.85,
-        tolerance: float = 1e-4,
-        max_iterations: int = 30,
+        tolerance: float | None = None,
+        max_iterations: int | None = None,
         **params: Any,
     ) -> WorkloadResult:
+        rule = self.pattern.stopping_condition
+        if tolerance is None:
+            tolerance = rule.tolerance
+        if max_iterations is None:
+            max_iterations = rule.max_iterations
         # Build adjacency once (the "graph building" job in real stacks).
         adjacency: dict[int, list[int]] = {}
         vertices: set[int] = set()

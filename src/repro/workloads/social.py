@@ -21,8 +21,8 @@ from repro._util import sequential_sum
 from repro.core.errors import ExecutionError
 from repro.core.operations import operations
 from repro.core.patterns import (
-    ConvergenceCondition,
-    FixedIterations,
+    KMEANS_STOP,
+    LABEL_PROPAGATION_STOP,
     IterativeOperationPattern,
 )
 from repro.datagen.base import DataSet, DataType
@@ -155,19 +155,22 @@ class KMeansWorkload(Workload):
     category = WorkloadCategory.OFFLINE_ANALYTICS
     data_type = DataType.TABLE
     abstract_operations = tuple(operations("cluster"))
-    pattern = IterativeOperationPattern(
-        operations("cluster"), FixedIterations(10)
-    )
+    pattern = IterativeOperationPattern(operations("cluster"), KMEANS_STOP)
 
     def run_mapreduce(
         self,
         engine: MapReduceEngine,
         dataset: DataSet,
         num_clusters: int = 4,
-        tolerance: float = 1e-3,
-        max_iterations: int = 20,
+        tolerance: float | None = None,
+        max_iterations: int | None = None,
         **params: Any,
     ) -> WorkloadResult:
+        rule = self.pattern.stopping_condition
+        if tolerance is None:
+            tolerance = rule.tolerance
+        if max_iterations is None:
+            max_iterations = rule.max_iterations
         points = self._extract_points(dataset)
         if len(points) < num_clusters:
             raise ExecutionError(
@@ -263,17 +266,18 @@ class ConnectedComponentsWorkload(Workload):
     data_type = DataType.GRAPH
     abstract_operations = tuple(operations("cluster"))
     pattern = IterativeOperationPattern(
-        operations("cluster"),
-        ConvergenceCondition(tolerance=0.0, max_iterations=50),
+        operations("cluster"), LABEL_PROPAGATION_STOP
     )
 
     def run_mapreduce(
         self,
         engine: MapReduceEngine,
         dataset: DataSet,
-        max_iterations: int = 50,
+        max_iterations: int | None = None,
         **params: Any,
     ) -> WorkloadResult:
+        if max_iterations is None:
+            max_iterations = self.pattern.stopping_condition.max_iterations
         adjacency: dict[int, set[int]] = {}
         for src, dst in dataset.records:
             adjacency.setdefault(src, set()).add(dst)

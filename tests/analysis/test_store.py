@@ -63,6 +63,48 @@ class TestFingerprints:
         assert env["cpus"] >= 1
 
 
+class TestPlatformStrings:
+    """``platform.platform()`` is asked once per interpreter and kernel,
+    then read from the cache (DESIGN.md §3.16)."""
+
+    @pytest.fixture(autouse=True)
+    def home(self, empty_cache_home):
+        return empty_cache_home
+
+    def test_a_warm_cache_records_what_platform_says(self, tmp_path, monkeypatch):
+        import platform
+
+        truth = {
+            "python": platform.python_version(), "platform": platform.platform(),
+        }
+        store = RunStore(tmp_path / "store")
+        for _ in range(2):
+            environment_fingerprint(refresh=True)
+            store.record_outcome(make_result(), spec_fingerprint("p", "e"))
+            # The second recording must not ask platform again.
+            monkeypatch.setattr(platform, "platform", _unasked)
+        for record in store.records():
+            assert {key: record.environment[key] for key in truth} == truth
+
+    def test_a_damaged_file_is_asked_again(self, home):
+        first = environment_fingerprint(refresh=True)
+        (path,) = (home / "repro" / "platform").iterdir()
+        path.write_bytes(path.read_bytes()[:-3])
+        assert environment_fingerprint(refresh=True) == first
+        path.write_bytes(b"not a platform file")
+        assert environment_fingerprint(refresh=True) == first
+
+    def test_an_unwritable_home_asks_every_time(self, tmp_path, monkeypatch):
+        home = tmp_path / "a-file"
+        home.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+        assert environment_fingerprint(refresh=True)["platform"]
+
+
+def _unasked(*args, **kwargs):
+    raise AssertionError("platform.platform() was asked with a warm cache")
+
+
 class TestRunStore:
     def test_record_round_trips_samples_and_status(self, tmp_path):
         store = RunStore(tmp_path / "runs")

@@ -17,10 +17,33 @@ from repro.datagen.models import PROCESS_MODELS
 from repro.datagen.text import LdaTextGenerator
 
 
+@pytest.fixture(scope="session", autouse=True)
+def private_cache_home(tmp_path_factory):
+    """One ``XDG_CACHE_HOME`` for the session and the processes it
+    starts: models fitted on disk serve later tests, and nothing is read
+    from or left in the user's cache.  Set after ``import repro``, so
+    this process keeps its bytecode where it was."""
+    home = str(tmp_path_factory.mktemp("cache-home"))
+    patch = pytest.MonkeyPatch()
+    patch.setenv("XDG_CACHE_HOME", home)
+    yield home
+    patch.undo()
+
+
+@pytest.fixture
+def empty_cache_home(tmp_path, monkeypatch):
+    """An ``XDG_CACHE_HOME`` of the test's own, empty: a model it asks
+    for is fitted, never read from an earlier test's file."""
+    home = tmp_path / "cache-home"
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
 @pytest.fixture(autouse=True)
 def cold_model_cache():
-    """Every test starts with no fitted model in the process-wide cache,
-    so none can pass (or fail) on a fit an earlier test paid for."""
+    """Every test starts with no fitted model in the process-wide cache;
+    what an earlier test fitted it may read from the session's disk
+    tier, except in a test that asks for ``empty_cache_home``."""
     PROCESS_MODELS.clear()
 
 

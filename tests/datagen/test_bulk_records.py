@@ -25,6 +25,7 @@ from repro.core.prescription import load_seed
 from repro.datagen.base import DataGenerator, DataType
 from repro.datagen.graph import RmatGraphGenerator
 from repro.datagen.mixture import GaussianMixtureGenerator
+from repro.datagen.models import PROCESS_MODELS
 from repro.datagen.table import (
     FittedTableGenerator,
     TableGenerator,
@@ -207,10 +208,9 @@ FIT_ON = {
 def every_generator():
     generators = {}
     for name in sorted(registry.generators.names()):
-        generator = registry.generators.create(name)
-        if name in FIT_ON:
-            generator.fit(load_seed(FIT_ON[name]))
-        generators[name] = generator
+        generators[name] = PROCESS_MODELS.fitted(
+            registry.generators.create(name), FIT_ON.get(name)
+        )
     return generators
 
 

@@ -25,6 +25,9 @@ from repro.datagen.text import (
 
 from _lda_reference import reference_fit, reference_sample_block
 
+#: Tests about fitting start from no model on disk either.
+pytestmark = pytest.mark.usefixtures("empty_cache_home")
+
 #: Around every branch of numpy's summation: 1, sequential (<8), the
 #: 8-lane block with and without a tail, and the >128 recursive split.
 TOPIC_COUNTS = [1, 2, 4, 7, 8, 9, 16, 33, 130]

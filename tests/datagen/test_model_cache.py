@@ -36,6 +36,9 @@ from repro.observability import Tracer
 
 from tests._datasets import as_dataset
 
+#: Tests about fitting start from no model on disk either.
+pytestmark = pytest.mark.usefixtures("empty_cache_home")
+
 #: prescription → (generator it names, volume, sha256 of the records).
 PINNED = {
     "micro-grep": (
@@ -425,9 +428,12 @@ class TestBound:
         cache.fitted(_lda(seed=2), "text-corpus")
         assert len(cache) == 2 and fit_count() == 3
         cache.fitted(_lda(seed=0), "text-corpus")
-        assert fit_count() == 3
-        cache.fitted(_lda(seed=1), "text-corpus")
-        assert fit_count() == 4
+        assert fit_count() == 3 and cache.misses == 3
+        # Evicted from memory, still on disk: a miss that fits nothing.
+        with cache.recording() as uses:
+            cache.fitted(_lda(seed=1), "text-corpus")
+        assert [use.cache for use in uses] == ["disk"]
+        assert fit_count() == 3 and cache.misses == 4
 
     def test_clear_forgets_entries_and_counters(self):
         cache = ModelCache()

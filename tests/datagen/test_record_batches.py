@@ -14,13 +14,13 @@ import pytest
 import repro  # noqa: F401 — fills the registries
 from repro.core import registry
 from repro.core.errors import GenerationError
-from repro.core.prescription import load_seed
 from repro.datagen.base import (
     DEFAULT_CHUNK_SIZE,
     DataSet,
     DataType,
     RecordBatch,
 )
+from repro.datagen.models import PROCESS_MODELS
 from repro.datagen.source import (
     DatasetSource,
     GeneratorSource,
@@ -42,11 +42,12 @@ VOLUME = 30
 
 
 def _fitted(name: str):
-    generator = registry.generators.create(name)
-    fit_on = FIT_SOURCES.get(name)
-    if fit_on is not None:
-        generator.fit(load_seed(fit_on))
-    return generator
+    # Through the model cache, like every run: a model an earlier test or
+    # process fitted is read from disk (byte for byte a fresh fit's,
+    # tests/datagen/test_model_disk.py).
+    return PROCESS_MODELS.fitted(
+        registry.generators.create(name), FIT_SOURCES.get(name)
+    )
 
 
 def all_generator_names() -> list[str]:

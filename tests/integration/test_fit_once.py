@@ -20,6 +20,9 @@ from repro import api
 from repro.datagen.table import FittedTableGenerator
 from repro.datagen.text import LdaModel
 
+#: Tests about fitting start from no model on disk either.
+pytestmark = pytest.mark.usefixtures("empty_cache_home")
+
 
 @pytest.fixture
 def fits(monkeypatch, tmp_path):

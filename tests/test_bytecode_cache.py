@@ -127,10 +127,11 @@ def _files(root: Path) -> dict[str, int]:
 def test_a_second_process_compiles_nothing(tmp_path, src):
     cold = _child(_count_compiles(src), tmp_path, src)
     warm = _child(_count_compiles(src), tmp_path, src)
-    # The package and the cache itself load before the finder exists
-    # (compiled unless a ``__pycache__`` beside them holds them).
+    # The package, the cache and its file rule load before the finder
+    # exists (compiled unless a ``__pycache__`` beside them holds them).
     uncached = {
-        str(src / "repro" / "__init__.py"), str(src / "repro" / "_bytecode.py"),
+        str(src / "repro" / name)
+        for name in ("__init__.py", "_bytecode.py", "_filecache.py")
     }
     assert set(warm) <= uncached
     assert len(set(cold) - uncached) >= 10
@@ -147,7 +148,8 @@ def test_nothing_is_written_under_src(tmp_path, src):
             "import json, sys\nfrom repro import api\n"
             "print(json.dumps(sorted(\n"
             "    m.__cached__ for n, m in sys.modules.items()\n"
-            "    if n.startswith('repro.') and n != 'repro._bytecode'\n"
+            "    if n.startswith('repro.')\n"
+            "    and n not in ('repro._bytecode', 'repro._filecache')\n"
             f"    and not m.__cached__.startswith({str(tmp_path)!r}))))\n",
             tmp_path, src,
         )

@@ -6,6 +6,11 @@ comparisons and boolean combinators are built with Python operators:
 
 >>> predicate = (col("age") >= lit(18)) & (col("country") == lit("us"))
 
+A row operator evaluates through :meth:`Expression.bind`: the layout
+is resolved once per query into a function of one row, equal to
+:meth:`Expression.evaluate` on every row, so no row looks a column up
+by name or an operator up by symbol.
+
 Every node also evaluates batch-at-a-time: :meth:`Expression.
 evaluate_batch` takes named column vectors and returns one output value
 per position, element-wise identical to looping :meth:`Expression.
@@ -19,6 +24,7 @@ from __future__ import annotations
 import operator
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Mapping, Sequence
+from itertools import repeat
 from typing import Any
 
 from repro.core.errors import EngineError
@@ -36,6 +42,16 @@ class Expression(ABC):
     @abstractmethod
     def evaluate(self, row: Row, layout: Layout) -> Any:
         """Evaluate against one row."""
+
+    @abstractmethod
+    def bind(self, layout: Layout) -> Callable[[Row], Any]:
+        """:meth:`evaluate` with ``layout`` resolved: a function of one row.
+
+        ``bind(layout)(row)`` equals ``evaluate(row, layout)`` on every
+        row, an exception included: column positions and operators are
+        looked up here, once, and an unknown column still raises
+        :class:`EngineError` only when a row is evaluated.
+        """
 
     @abstractmethod
     def evaluate_batch(self, columns: Columns, count: int) -> Sequence[Any]:
@@ -116,9 +132,22 @@ class Column(Expression):
         try:
             return row[layout[self.name]]
         except KeyError:
-            raise EngineError(
-                f"unknown column {self.name!r}; available: {sorted(layout)}"
-            ) from None
+            raise self._unknown(layout) from None
+
+    def bind(self, layout: Layout) -> Callable[[Row], Any]:
+        position = layout.get(self.name)
+        if position is not None:
+            return operator.itemgetter(position)
+
+        def unknown(row: Row) -> Any:
+            raise self._unknown(layout)
+
+        return unknown
+
+    def _unknown(self, layout: Layout) -> EngineError:
+        return EngineError(
+            f"unknown column {self.name!r}; available: {sorted(layout)}"
+        )
 
     def evaluate_batch(self, columns: Columns, count: int) -> Sequence[Any]:
         try:
@@ -144,6 +173,10 @@ class Literal(Expression):
     def evaluate(self, row: Row, layout: Layout) -> Any:
         return self.value
 
+    def bind(self, layout: Layout) -> Callable[[Row], Any]:
+        value = self.value
+        return lambda row: value
+
     def evaluate_batch(self, columns: Columns, count: int) -> Sequence[Any]:
         return [self.value] * count
 
@@ -163,47 +196,80 @@ _COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
     ">=": operator.ge,
 }
 
+_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+}
 
-class Comparison(Expression):
-    """A binary comparison between two sub-expressions."""
+
+class _BinaryOp(Expression):
+    """``left op right``, the operator looked up in ``_OPERATORS``."""
+
+    _OPERATORS: dict[str, Callable[[Any, Any], Any]]
+    _KIND: str
 
     def __init__(self, left: Expression, op: str, right: Expression) -> None:
-        if op not in _COMPARATORS:
-            raise EngineError(f"unknown comparison operator {op!r}")
+        if op not in self._OPERATORS:
+            raise EngineError(f"unknown {self._KIND} operator {op!r}")
         self.left = left
         self.op = op
         self.right = right
 
-    def evaluate(self, row: Row, layout: Layout) -> bool:
-        return _COMPARATORS[self.op](
+    def evaluate(self, row: Row, layout: Layout) -> Any:
+        return self._OPERATORS[self.op](
             self.left.evaluate(row, layout), self.right.evaluate(row, layout)
         )
 
-    def evaluate_batch(self, columns: Columns, count: int) -> Sequence[Any]:
-        compare = _COMPARATORS[self.op]
-        # Constant operands skip the broadcast list a Literal would build.
+    def bind(self, layout: Layout) -> Callable[[Row], Any]:
+        apply = self._OPERATORS[self.op]
+        left = self.left.bind(layout)
         if isinstance(self.right, Literal):
             constant = self.right.value
-            return [
-                compare(item, constant)
-                for item in self.left.evaluate_batch(columns, count)
-            ]
+            return lambda row: apply(left(row), constant)
+        right = self.right.bind(layout)
+        return lambda row: apply(left(row), right(row))
+
+    def evaluate_batch(self, columns: Columns, count: int) -> Sequence[Any]:
+        apply = self._OPERATORS[self.op]
+        # Constant operands skip the broadcast list a Literal would build.
+        if isinstance(self.right, Literal):
+            return list(
+                map(
+                    apply,
+                    self.left.evaluate_batch(columns, count),
+                    repeat(self.right.value),
+                )
+            )
         if isinstance(self.left, Literal):
-            constant = self.left.value
-            return [
-                compare(constant, item)
-                for item in self.right.evaluate_batch(columns, count)
-            ]
-        return [
-            compare(left_item, right_item)
-            for left_item, right_item in zip(
+            return list(
+                map(
+                    apply,
+                    repeat(self.left.value),
+                    self.right.evaluate_batch(columns, count),
+                )
+            )
+        return list(
+            map(
+                apply,
                 self.left.evaluate_batch(columns, count),
                 self.right.evaluate_batch(columns, count),
             )
-        ]
+        )
 
     def columns(self) -> frozenset[str]:
         return self.left.columns() | self.right.columns()
+
+    def __repr__(self) -> str:
+        return f"({self.left!r} {self.op} {self.right!r})"
+
+
+class Comparison(_BinaryOp):
+    """A binary comparison between two sub-expressions."""
+
+    _OPERATORS = _COMPARATORS
+    _KIND = "comparison"
 
     @property
     def is_equality_on_column(self) -> bool:
@@ -213,9 +279,6 @@ class Comparison(Expression):
             and isinstance(self.left, Column)
             and isinstance(self.right, Literal)
         )
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.op} {self.right!r})"
 
 
 class BooleanOp(Expression):
@@ -236,6 +299,13 @@ class BooleanOp(Expression):
         return bool(self.left.evaluate(row, layout)) or bool(
             self.right.evaluate(row, layout)
         )
+
+    def bind(self, layout: Layout) -> Callable[[Row], bool]:
+        left = self.left.bind(layout)
+        right = self.right.bind(layout)
+        if self.op == "and":
+            return lambda row: bool(left(row)) and bool(right(row))
+        return lambda row: bool(left(row)) or bool(right(row))
 
     def evaluate_batch(self, columns: Columns, count: int) -> Sequence[Any]:
         left = self.left.evaluate_batch(columns, count)
@@ -266,6 +336,10 @@ class NotOp(Expression):
     def evaluate(self, row: Row, layout: Layout) -> bool:
         return not bool(self.inner.evaluate(row, layout))
 
+    def bind(self, layout: Layout) -> Callable[[Row], bool]:
+        inner = self.inner.bind(layout)
+        return lambda row: not bool(inner(row))
+
     def evaluate_batch(self, columns: Columns, count: int) -> Sequence[Any]:
         return [
             not bool(item)
@@ -279,56 +353,11 @@ class NotOp(Expression):
         return f"(not {self.inner!r})"
 
 
-_ARITHMETIC: dict[str, Callable[[Any, Any], Any]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-}
-
-
-class Arithmetic(Expression):
+class Arithmetic(_BinaryOp):
     """Binary arithmetic between two sub-expressions."""
 
-    def __init__(self, left: Expression, op: str, right: Expression) -> None:
-        if op not in _ARITHMETIC:
-            raise EngineError(f"unknown arithmetic operator {op!r}")
-        self.left = left
-        self.op = op
-        self.right = right
-
-    def evaluate(self, row: Row, layout: Layout) -> Any:
-        return _ARITHMETIC[self.op](
-            self.left.evaluate(row, layout), self.right.evaluate(row, layout)
-        )
-
-    def evaluate_batch(self, columns: Columns, count: int) -> Sequence[Any]:
-        combine = _ARITHMETIC[self.op]
-        if isinstance(self.right, Literal):
-            constant = self.right.value
-            return [
-                combine(item, constant)
-                for item in self.left.evaluate_batch(columns, count)
-            ]
-        if isinstance(self.left, Literal):
-            constant = self.left.value
-            return [
-                combine(constant, item)
-                for item in self.right.evaluate_batch(columns, count)
-            ]
-        return [
-            combine(left_item, right_item)
-            for left_item, right_item in zip(
-                self.left.evaluate_batch(columns, count),
-                self.right.evaluate_batch(columns, count),
-            )
-        ]
-
-    def columns(self) -> frozenset[str]:
-        return self.left.columns() | self.right.columns()
-
-    def __repr__(self) -> str:
-        return f"({self.left!r} {self.op} {self.right!r})"
+    _OPERATORS = _ARITHMETIC
+    _KIND = "arithmetic"
 
 
 def col(name: str) -> Column:

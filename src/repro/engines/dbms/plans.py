@@ -5,14 +5,26 @@ generator of output tuples), and ``explain()`` (a nested plan description
 used by the planner ablation benchmarks).  Operators charge their work to
 a shared :class:`~repro.engines.base.CostCounters` so architecture
 metrics can be derived from any query.
+
+An operator pays per query, not per row: it counts in locals and adds
+each total to the shared counters once, in a ``finally``, so the totals
+are what a bump per row would have left wherever the query stopped (its
+input drained, or a ``LIMIT`` closing it at a yield).  Predicates and
+projections run bound (:meth:`Expression.bind`), and ``GROUP BY`` folds
+through :class:`_GroupFold`, which the columnar twin shares.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from array import array
 from collections import defaultdict
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import chain, compress, filterfalse, islice, repeat
+from itertools import count as count_from
+from operator import eq, iadd, is_not, itemgetter, truediv
 from typing import Any
 
 from repro.core.errors import EngineError
@@ -59,9 +71,12 @@ class SeqScan(PhysicalOperator):
         return self.table.schema
 
     def rows(self) -> Iterator[Row]:
-        for row in self.table.scan():
-            self.cost.records_read += 1
-            yield row
+        read = 0
+        try:
+            for read, row in enumerate(self.table.scan(), 1):
+                yield row
+        finally:
+            self.cost.records_read += read
 
     def explain(self) -> dict[str, Any]:
         return {"op": "SeqScan", "table": self.table.name, "rows": len(self.table)}
@@ -109,9 +124,13 @@ class IndexScan(PhysicalOperator):
             row_ids = index.lookup(self.value)
         else:
             row_ids = index.range_scan(self.low, self.high)
-        for row_id in row_ids:
-            self.cost.records_read += 1
-            yield self.table.fetch(row_id)
+        fetch = self.table.fetch
+        read = 0
+        try:
+            for read, row_id in enumerate(row_ids, 1):
+                yield fetch(row_id)
+        finally:
+            self.cost.records_read += read
 
     def explain(self) -> dict[str, Any]:
         return {
@@ -137,11 +156,14 @@ class Filter(PhysicalOperator):
         return self.child.schema
 
     def rows(self) -> Iterator[Row]:
-        layout = self.child.layout
-        for row in self.child.rows():
-            self.cost.compute_ops += 1
-            if self.predicate.evaluate(row, layout):
-                yield row
+        accepts = self.predicate.bind(self.child.layout)
+        evaluated = 0
+        try:
+            for evaluated, row in enumerate(self.child.rows(), 1):
+                if accepts(row):
+                    yield row
+        finally:
+            self.cost.compute_ops += evaluated
 
     def explain(self) -> dict[str, Any]:
         return {
@@ -172,11 +194,13 @@ class Project(PhysicalOperator):
 
     def rows(self) -> Iterator[Row]:
         layout = self.child.layout
-        for row in self.child.rows():
-            self.cost.compute_ops += 1
-            yield tuple(
-                expression.evaluate(row, layout) for _, expression in self.columns
-            )
+        outputs = [expression.bind(layout) for _, expression in self.columns]
+        projected = 0
+        try:
+            for projected, row in enumerate(self.child.rows(), 1):
+                yield tuple([output(row) for output in outputs])
+        finally:
+            self.cost.compute_ops += projected
 
     def explain(self) -> dict[str, Any]:
         return {
@@ -210,14 +234,24 @@ class NestedLoopJoin(PhysicalOperator):
 
     def rows(self) -> Iterator[Row]:
         inner_rows = list(self.inner.rows())
-        inner_position = self.inner.layout[self.inner_column]
+        inner_key = itemgetter(self.inner.layout[self.inner_column])
+        inner_keys = list(map(inner_key, inner_rows))
         outer_position = self.outer.layout[self.outer_column]
-        for outer_row in self.outer.rows():
-            key = outer_row[outer_position]
-            for inner_row in inner_rows:
-                self.cost.compute_ops += 1
-                if inner_row[inner_position] == key:
-                    yield outer_row + inner_row
+        positions = range(len(inner_rows))
+        # Comparisons of finished outer rows, and of the current one up to
+        # its last match: what one bump per comparison leaves at a yield.
+        compared = partial_row = 0
+        try:
+            for outer_row in self.outer.rows():
+                key = outer_row[outer_position]
+                matches = map(eq, inner_keys, repeat(key))
+                for position in compress(positions, matches):
+                    partial_row = position + 1
+                    yield outer_row + inner_rows[position]
+                compared += len(inner_rows)
+                partial_row = 0
+        finally:
+            self.cost.compute_ops += compared + partial_row
 
     def explain(self) -> dict[str, Any]:
         return {
@@ -252,15 +286,18 @@ class HashJoin(PhysicalOperator):
 
     def rows(self) -> Iterator[Row]:
         inner_position = self.inner.layout[self.inner_column]
-        build: dict[Any, list[Row]] = defaultdict(list)
-        for inner_row in self.inner.rows():
-            self.cost.compute_ops += 1
-            build[inner_row[inner_position]].append(inner_row)
         outer_position = self.outer.layout[self.outer_column]
-        for outer_row in self.outer.rows():
-            self.cost.compute_ops += 1
-            for inner_row in build.get(outer_row[outer_position], ()):
-                yield outer_row + inner_row
+        build: dict[Any, list[Row]] = defaultdict(list)
+        built = probed = 0
+        try:
+            for built, inner_row in enumerate(self.inner.rows(), 1):
+                build[inner_row[inner_position]].append(inner_row)
+            matches = build.get
+            for probed, outer_row in enumerate(self.outer.rows(), 1):
+                for inner_row in matches(outer_row[outer_position], ()):
+                    yield outer_row + inner_row
+        finally:
+            self.cost.compute_ops += built + probed
 
     def explain(self) -> dict[str, Any]:
         return {
@@ -296,34 +333,38 @@ class MergeJoin(PhysicalOperator):
     def rows(self) -> Iterator[Row]:
         outer_position = self.outer.layout[self.outer_column]
         inner_position = self.inner.layout[self.inner_column]
-        outer_rows = sorted(self.outer.rows(), key=lambda row: row[outer_position])
-        inner_rows = sorted(self.inner.rows(), key=lambda row: row[inner_position])
-        self.cost.compute_ops += len(outer_rows) + len(inner_rows)
+        outer_rows = sorted(self.outer.rows(), key=itemgetter(outer_position))
+        inner_rows = sorted(self.inner.rows(), key=itemgetter(inner_position))
+        compared = len(outer_rows) + len(inner_rows)
         outer_index = inner_index = 0
-        while outer_index < len(outer_rows) and inner_index < len(inner_rows):
-            outer_key = outer_rows[outer_index][outer_position]
-            inner_key = inner_rows[inner_index][inner_position]
-            self.cost.compute_ops += 1
-            if outer_key < inner_key:
-                outer_index += 1
-            elif outer_key > inner_key:
-                inner_index += 1
-            else:
-                # Emit the cross product of this key group.
-                inner_group_end = inner_index
-                while (
-                    inner_group_end < len(inner_rows)
-                    and inner_rows[inner_group_end][inner_position] == inner_key
-                ):
-                    inner_group_end += 1
-                while (
-                    outer_index < len(outer_rows)
-                    and outer_rows[outer_index][outer_position] == outer_key
-                ):
-                    for position in range(inner_index, inner_group_end):
-                        yield outer_rows[outer_index] + inner_rows[position]
+        try:
+            while outer_index < len(outer_rows) and inner_index < len(inner_rows):
+                outer_key = outer_rows[outer_index][outer_position]
+                inner_key = inner_rows[inner_index][inner_position]
+                compared += 1
+                if outer_key < inner_key:
                     outer_index += 1
-                inner_index = inner_group_end
+                elif outer_key > inner_key:
+                    inner_index += 1
+                else:
+                    # Emit the cross product of this key group.
+                    inner_group_end = inner_index
+                    while (
+                        inner_group_end < len(inner_rows)
+                        and inner_rows[inner_group_end][inner_position]
+                        == inner_key
+                    ):
+                        inner_group_end += 1
+                    while (
+                        outer_index < len(outer_rows)
+                        and outer_rows[outer_index][outer_position] == outer_key
+                    ):
+                        for position in range(inner_index, inner_group_end):
+                            yield outer_rows[outer_index] + inner_rows[position]
+                        outer_index += 1
+                    inner_index = inner_group_end
+        finally:
+            self.cost.compute_ops += compared
 
     def explain(self) -> dict[str, Any]:
         return {
@@ -354,37 +395,160 @@ class Aggregate:
             raise EngineError(f"aggregate {self.function!r} needs a column")
 
 
-class _AggState:
-    """Incremental state of one aggregate over one group."""
+#: Rows a row operator hands the group fold at a time: one batch's worth.
+_FOLD_CHUNK = 1024
 
-    def __init__(self, function: str) -> None:
-        self.function = function
-        self.count = 0
-        self.total = 0.0
-        self.minimum: Any = None
-        self.maximum: Any = None
+_is_value = partial(is_not, None)
 
-    def update(self, value: Any) -> None:
-        self.count += 1
-        if self.function in ("sum", "avg") and value is not None:
-            self.total += value
-        if self.function == "min":
-            if self.minimum is None or value < self.minimum:
-                self.minimum = value
-        if self.function == "max":
-            if self.maximum is None or value > self.maximum:
-                self.maximum = value
 
-    def result(self) -> Any:
-        if self.function == "count":
-            return self.count
-        if self.function == "sum":
-            return self.total
-        if self.function == "avg":
-            return self.total / self.count if self.count else None
-        if self.function == "min":
-            return self.minimum
-        return self.maximum
+class _GroupFold:
+    """The groups of one GROUP BY and its aggregates, in either layout.
+
+    Input arrives a chunk of rows at a time (a batch, or a run of row
+    tuples) as ``add(column, count)``, ``column(slot)`` being the chunk's
+    values of one input column.  The fold keeps each row's group id (ids
+    in first-seen order of the group keys) and each aggregated column's
+    chunks, and folds every group once, in :meth:`results`: ``count``
+    counts the group's rows; ``sum`` adds its non-``None`` values to
+    ``0.0`` in row order, and ``avg`` divides that by the group's row
+    count; ``min``/``max`` skip leading ``None`` values and compare the
+    rest as the builtins do, so a ``None`` after a value raises.  Both
+    layouts fold through this one class, so they agree bit for bit,
+    exceptions included, whatever the batch size.
+    """
+
+    def __init__(
+        self,
+        layout: dict[str, int],
+        group_by: Sequence[str],
+        aggregates: Sequence[Aggregate],
+    ) -> None:
+        self.key_slots = [layout[column] for column in group_by]
+        self.functions = [aggregate.function for aggregate in aggregates]
+        slots = [
+            layout[aggregate.column] if aggregate.column is not None else None
+            for aggregate in aggregates
+        ]
+        #: The input column each aggregate folds (``count`` reads none).
+        self.value_slots = [
+            None if function == "count" else slot
+            for function, slot in zip(self.functions, slots)
+        ]
+        #: Group key → group id, in first-seen order.  One key column
+        #: groups by its values: equal values are equal 1-tuples.
+        self.group_ids: dict[Any, int] = {}
+        self.ids: list[int] = []
+        self.chunks: list[list[Sequence[Any]]] = [[] for _ in self.functions]
+
+    def add(self, column: Callable[[int], Sequence[Any]], count: int) -> None:
+        key_slots = self.key_slots
+        if not key_slots:
+            keys: Sequence[Any] = [()] * count
+        elif len(key_slots) == 1:
+            keys = column(key_slots[0])
+        else:
+            keys = list(zip(*map(column, key_slots)))
+        group_ids = self.group_ids
+        group_ids.update(
+            zip(
+                filterfalse(group_ids.__contains__, dict.fromkeys(keys)),
+                count_from(len(group_ids)),
+            )
+        )
+        self.ids.extend(map(group_ids.__getitem__, keys))
+        for chunks, slot in zip(self.chunks, self.value_slots):
+            if slot is not None:
+                chunks.append(column(slot))
+
+    def results(self) -> list[Row]:
+        """One row per group, first-seen order: its key, then each aggregate."""
+        groups = len(self.group_ids)
+        if not groups:
+            return []
+        import numpy as np
+
+        ids = np.array(self.ids, dtype=np.intp)
+        counts = np.bincount(ids, minlength=groups).tolist()
+        columns = [
+            self._fold(function, chunks, ids, counts)
+            for function, chunks in zip(self.functions, self.chunks)
+        ]
+        one_column = len(self.key_slots) == 1
+        return [
+            ((key,) if one_column else key)
+            + tuple(column[group] for column in columns)
+            for group, key in enumerate(self.group_ids)
+        ]
+
+    def _fold(
+        self,
+        function: str,
+        chunks: list[Sequence[Any]],
+        ids: Any,
+        counts: list[int],
+    ) -> list[Any]:
+        if function == "count":
+            return counts
+        weights = None
+        if function in ("sum", "avg"):
+            weights = _float_weights(chunks, len(self.ids))
+        if weights is not None:
+            import numpy as np
+
+            # Each group's running total takes its rows' weights one
+            # after another from 0.0: the additions in Python, bit for bit.
+            totals = np.bincount(ids, weights, minlength=len(counts)).tolist()
+        else:
+            members: list[list[Any]] = [[] for _ in counts]
+            for group, value in zip(self.ids, chain.from_iterable(chunks)):
+                members[group].append(value)
+            if function in ("sum", "avg"):
+                totals = [
+                    reduce(iadd, filter(_is_value, values), 0.0)
+                    for values in members
+                ]
+            else:
+                pick = min if function == "min" else max
+                return [_extreme(pick, values) for values in members]
+        if function == "sum":
+            return totals
+        return list(map(truediv, totals, counts))
+
+
+def _float_weights(chunks: list[Sequence[Any]], count: int) -> Any:
+    """The ``count`` values of ``chunks`` as one float64 array, or ``None``.
+
+    Only when every value is an ``int`` or a ``float`` (no ``None``, no
+    ``bool``): a typed column chunk is one by construction, and numpy
+    turns a Python ``int`` into a double as ``0.0 + int`` does, an
+    ``int`` too large for a double raising ``OverflowError`` in both
+    (that case is left to the additions in Python, which raise it).
+    """
+    import numpy as np
+
+    if all(type(chunk) is array for chunk in chunks):
+        return np.concatenate(
+            [np.frombuffer(chunk, chunk.typecode) for chunk in chunks]
+        ).astype(np.float64)
+    if not all({*map(type, chunk)} <= _NUMBERS for chunk in chunks):
+        return None
+    try:
+        return np.fromiter(chain.from_iterable(chunks), np.float64, count)
+    except OverflowError:
+        return None
+
+
+_NUMBERS = {int, float}
+
+
+def _extreme(pick: Callable[..., Any], values: list[Any]) -> Any:
+    """``min``/``max`` of one group: leading ``None`` values skipped, then
+    ``value < lowest`` (``>``) row by row, the builtin's comparisons."""
+    rest = iter(values)
+    for first in rest:
+        if first is not None:
+            return pick(chain((first,), rest))
+    return None
 
 
 class HashAggregate(PhysicalOperator):
@@ -409,26 +573,18 @@ class HashAggregate(PhysicalOperator):
         return tuple(self.group_by) + tuple(agg.alias for agg in self.aggregates)
 
     def rows(self) -> Iterator[Row]:
-        layout = self.child.layout
-        key_positions = [layout[column] for column in self.group_by]
-        agg_positions = [
-            layout[agg.column] if agg.column is not None else None
-            for agg in self.aggregates
-        ]
-        groups: dict[tuple, list[_AggState]] = {}
-        order: list[tuple] = []
-        for row in self.child.rows():
-            self.cost.compute_ops += 1
-            key = tuple(row[position] for position in key_positions)
-            states = groups.get(key)
-            if states is None:
-                states = [_AggState(agg.function) for agg in self.aggregates]
-                groups[key] = states
-                order.append(key)
-            for state, position in zip(states, agg_positions):
-                state.update(row[position] if position is not None else 1)
-        for key in order:
-            yield key + tuple(state.result() for state in groups[key])
+        fold = _GroupFold(self.child.layout, self.group_by, self.aggregates)
+        child_rows = self.child.rows()
+        folded = 0
+        try:
+            while chunk := list(islice(child_rows, _FOLD_CHUNK)):
+                folded += len(chunk)
+                fold.add(
+                    lambda slot: list(map(itemgetter(slot), chunk)), len(chunk)
+                )
+        finally:
+            self.cost.compute_ops += folded
+        yield from fold.results()
 
     def explain(self) -> dict[str, Any]:
         return {

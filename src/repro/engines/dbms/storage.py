@@ -16,7 +16,7 @@ from __future__ import annotations
 import array as _array
 import bisect
 from collections.abc import Iterable, Iterator, Sequence
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import Any
 
 from repro.core.errors import EngineError
@@ -367,14 +367,25 @@ def _pack_column(values: list[Any]) -> Sequence[Any]:
     type: ``array('q')`` round-trips ints exactly and ``array('d')``
     floats, while a mixed or bool-carrying column stays a plain list so
     every value (including ``True``/``None``/strings) reads back
-    bit-identical to the heap row.
+    bit-identical to the heap row.  The check counts the values whose
+    type is the first value's, and numpy fills the array (an int that
+    does not fit int64 raises ``OverflowError`` there, as in ``array``).
     """
-    types = set(map(type, values))
-    if types == {int}:
-        try:
-            return _array.array("q", values)
-        except OverflowError:
-            return values
-    if types == {float}:
-        return _array.array("d", values)
-    return values
+    if not values:
+        return values
+    kind = type(values[0])
+    typecode = _TYPECODES.get(kind)
+    if typecode is None or countOf(map(type, values), kind) != len(values):
+        return values
+    import numpy as np
+
+    try:
+        packed = np.fromiter(values, typecode, len(values))
+    except OverflowError:
+        return values
+    column = _array.array(typecode)
+    column.frombytes(packed.tobytes())
+    return column
+
+
+_TYPECODES = {int: "q", float: "d"}

@@ -4,9 +4,10 @@ The row operators in :mod:`repro.engines.dbms.plans` pull one tuple at a
 time through the iterator tree; these operators pull a
 :class:`ColumnBatch` — up to :data:`DEFAULT_BATCH_SIZE` rows held as
 parallel column vectors — so per-row interpreter overhead (generator
-resumption, per-row counter bumps, per-row expression-tree recursion) is
-paid once per batch instead of once per row.  Predicates and projections
-evaluate through :meth:`Expression.evaluate_batch`.
+resumption, a bound predicate called per row) is paid once per batch
+instead of once per row.  Predicates and projections evaluate through
+:meth:`Expression.evaluate_batch`, and a typed column (``array('q')`` /
+``array('d')``) is compared and gathered in numpy without boxing a value.
 
 Materialisation is late.  A batch that dropped, reordered or joined rows
 does not copy them: it records *where* its rows are — positions into the
@@ -32,18 +33,22 @@ falls back to a row-only algorithm (e.g. merge join) mid-plan.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter, defaultdict
+from array import array
+from collections import defaultdict
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from itertools import chain, compress, repeat
+from itertools import count as count_from
+from operator import ne
 from typing import Any
 
 from repro.core.errors import EngineError
 from repro.engines.base import CostCounters
-from repro.engines.dbms.expressions import Expression
+from repro.engines.dbms.expressions import Column, Comparison, Expression, Literal
 from repro.engines.dbms.plans import (
     NO_VALUE,
     Aggregate,
     PhysicalOperator,
+    _GroupFold,
     _join_schema,
 )
 from repro.engines.dbms.storage import ColumnarTable, HeapTable
@@ -56,7 +61,8 @@ DEFAULT_BATCH_SIZE = 1024
 
 
 #: Which rows of a vector a batch holds: all of them in order (``None``),
-#: a contiguous run (a ``range``), or an explicit list of positions.
+#: a contiguous run (a ``range``), or explicit positions (a list, or the
+#: numpy integer array a typed predicate leaves).
 Positions = Sequence[int] | None
 #: One column of a batch, not gathered yet: ``read(key)`` is a vector
 #: below the batch (a table column, a column of the batch it was taken
@@ -69,7 +75,19 @@ def _gather(vector: Sequence[Any], positions: Positions) -> Sequence[Any]:
         return vector
     if type(positions) is range:
         return vector[positions.start : positions.stop]
-    return [vector[position] for position in positions]
+    if type(vector) is array:
+        # A typed column stays typed: one numpy gather, no value boxed.
+        import numpy as np
+
+        gathered = array(vector.typecode)
+        if len(positions):
+            gathered.frombytes(
+                np.frombuffer(vector, vector.typecode)[positions].tobytes()
+            )
+        return gathered
+    if type(positions) is not list:
+        positions = positions.tolist()
+    return list(map(vector.__getitem__, positions))
 
 
 class ColumnBatch:
@@ -274,23 +292,46 @@ class ColumnarScan(VectorOperator):
     def batches(self) -> Iterator[ColumnBatch]:
         view = self.table.columnar()
         total = view.num_rows
+        survivors = self._survivors(view)
         for start in range(0, total, self.batch_size):
             positions: Sequence[int] = range(
                 start, min(start + self.batch_size, total)
             )
             count = len(positions)
             self.cost.records_read += count
-            batch = _table_batch(view, positions)
             if self.predicate is not None:
                 self.cost.compute_ops += count
-                mask = self.predicate.evaluate_batch(batch.column_map(), count)
-                positions = list(compress(positions, mask))
-                if not positions:
+                positions = survivors(positions)
+                if not len(positions):
                     continue
-                if len(positions) < count:
-                    batch = _table_batch(view, positions)
             self.cost.batches += 1
-            yield batch
+            yield _table_batch(view, positions)
+
+    def _survivors(
+        self, view: ColumnarTable
+    ) -> Callable[[range], Sequence[int]]:
+        """The positions of a slice the predicate keeps (the slice itself
+        when it keeps all of them)."""
+        mask = _typed_mask(self.predicate, view)
+        if mask is not None:
+            import numpy as np
+
+            def typed(positions: range) -> Sequence[int]:
+                kept = np.flatnonzero(mask[positions.start : positions.stop])
+                if len(kept) == len(positions):
+                    return positions
+                return kept + positions.start
+
+            return typed
+        predicate = self.predicate
+
+        def evaluated(positions: range) -> Sequence[int]:
+            batch = _table_batch(view, positions)
+            keeps = predicate.evaluate_batch(batch.column_map(), len(positions))
+            kept = list(compress(positions, keeps))
+            return positions if len(kept) == len(positions) else kept
+
+        return evaluated
 
     def explain(self) -> dict[str, Any]:
         explained: dict[str, Any] = {
@@ -302,6 +343,43 @@ class ColumnarScan(VectorOperator):
         if self.predicate is not None:
             explained["predicate"] = repr(self.predicate)
         return explained
+
+
+def _typed_mask(predicate: Expression | None, view: ColumnarTable) -> Any:
+    """``col op lit`` over a whole typed column, in numpy, or ``None``.
+
+    Only where numpy's comparison is Python's: an int64 column against
+    an ``int`` that fits one, a float64 column against a ``float`` or an
+    ``int`` a double holds exactly (NaN compares as in Python: unequal,
+    unordered).  Anything else is evaluated value by value.
+    """
+    if not (
+        view.num_rows
+        and isinstance(predicate, Comparison)
+        and isinstance(predicate.left, Column)
+        and isinstance(predicate.right, Literal)
+        and predicate.left.name in view.schema
+    ):
+        return None
+    column = view.column(predicate.left.name)
+    constant = predicate.right.value
+    if type(column) is not array or not _compares_exactly(
+        column.typecode, constant
+    ):
+        return None
+    import numpy as np
+
+    return Comparison._OPERATORS[predicate.op](
+        np.frombuffer(column, column.typecode), constant
+    )
+
+
+def _compares_exactly(typecode: str, constant: Any) -> bool:
+    if type(constant) is int:
+        if typecode == "q":
+            return -(2**63) <= constant < 2**63
+        return abs(constant) <= 2**53
+    return type(constant) is float and typecode == "d"
 
 
 class ColumnarIndexScan(VectorOperator):
@@ -438,10 +516,11 @@ class BatchProject(VectorOperator):
 class BatchHashJoin(VectorOperator):
     """Equi-join: build a hash table on the inner side, probe per batch.
 
-    The table maps a key to the positions of its inner rows; probing an
-    outer key vector yields two position lists, and an output batch is
-    those two lists over the outer batch and the inner input — no row
-    is assembled here.  Output row order matches
+    The table maps a key to the positions of its inner rows (to its one
+    position when every inner key is distinct; see :func:`_probe`);
+    probing an outer key vector yields two position lists, and an
+    output batch is those two lists over the outer batch and the inner
+    input — no row is assembled here.  Output row order matches
     :class:`~repro.engines.dbms.plans.HashJoin` exactly — outer order,
     inner matches in build-insertion order.
     """
@@ -471,38 +550,16 @@ class BatchHashJoin(VectorOperator):
             self.cost.compute_ops += batch.num_rows
             inner_batches.append(batch)
         inner = ColumnBatch.concatenated(self.inner.schema, inner_batches)
-        build: dict[Any, list[int]] = defaultdict(list)
-        inner_keys = inner.column(self.inner.layout[self.inner_column])
-        for position, key in enumerate(inner_keys):
-            build[key].append(position)
+        probe = _probe(inner.column(self.inner.layout[self.inner_column]))
         inner_slots = range(len(inner.schema))
         outer_slot = self.outer.layout[self.outer_column]
         outer_slots = range(len(self.outer.schema))
-        lookup = build.get
         for batch in self.outer.batches():
             self.cost.compute_ops += batch.num_rows
-            # Per outer row, the inner positions under its key (or None).
-            found = list(map(lookup, batch.column(outer_slot)))
-            matches = list(filter(None, found))
-            if not matches:
+            matched = probe(batch.column(outer_slot), batch.num_rows)
+            if matched is None:
                 continue
-            inner_positions = list(chain.from_iterable(matches))
-            outer_positions: Positions = None
-            if len(inner_positions) > len(matches):
-                # Some key matched several inner rows: its outer row
-                # repeats once per match, matches in build order.
-                outer_positions = list(
-                    chain.from_iterable(
-                        map(
-                            repeat,
-                            compress(range(batch.num_rows), found),
-                            map(len, matches),
-                        )
-                    )
-                )
-            elif len(matches) < batch.num_rows:
-                outer_positions = list(compress(range(batch.num_rows), found))
-            # else every outer row matched once: its columns as they are.
+            outer_positions, inner_positions = matched
             self.cost.batches += 1
             yield ColumnBatch.deferred(
                 self._schema,
@@ -520,60 +577,63 @@ class BatchHashJoin(VectorOperator):
         }
 
 
-class _ColumnFold:
-    """One aggregate over every group: a value per group id, folded a
-    column at a time.
+#: What probing one outer key vector gives: the outer positions of the
+#: output rows (``None``: every outer row once, in order) and their inner
+#: positions; ``None`` when no outer row matched.
+Matches = tuple[Positions, list[int]] | None
 
-    The column twin of :class:`~repro.engines.dbms.plans._AggState`: to
-    each group it applies the same updates with the same values in the
-    same row order, so a float ``sum`` is the one the row path adds up
-    and a comparison that raises there raises here.  ``count`` keeps
-    nothing and reads no column: the operator counts each group's rows
-    once for all its aggregates.
-    """
 
-    def __init__(self, function: str, slot: int | None) -> None:
-        self.function = function
-        self.slot = slot
-        self.values: list[Any] = []
+def _probe(inner_keys: Sequence[Any]) -> Callable[[Sequence[Any], int], Matches]:
+    """The matcher of one build side: outer rows in order, each one's
+    inner matches in build order (nested-loop order)."""
+    first = dict(zip(inner_keys, count_from()))
+    if len(first) == len(inner_keys):
+        # Every key names one inner row: a key maps to its position.
+        def unique(keys: Sequence[Any], rows: int) -> Matches:
+            found = list(map(first.get, keys, repeat(-1)))
+            missing = found.count(-1)
+            if missing == rows:
+                return None
+            if not missing:
+                return None, found
+            kept = list(map(ne, found, repeat(-1)))
+            return list(compress(range(rows), kept)), list(compress(found, kept))
 
-    def update(self, batch: ColumnBatch, ids: list[int], groups: int) -> None:
-        """Fold one batch in; row ``i`` is in group ``ids[i] < groups``."""
-        function = self.function
-        if function == "count":
-            return
-        values = self.values
-        adds = function in ("sum", "avg")
-        values.extend([0.0 if adds else None] * (groups - len(values)))
-        column = batch.column(self.slot)
-        if adds:
-            for group, value in zip(ids, column):
-                if value is not None:
-                    values[group] += value
-        elif function == "min":
-            for group, value in zip(ids, column):
-                lowest = values[group]
-                if lowest is None or value < lowest:
-                    values[group] = value
-        else:
-            for group, value in zip(ids, column):
-                highest = values[group]
-                if highest is None or value > highest:
-                    values[group] = value
+        return unique
+    build: dict[Any, list[int]] = defaultdict(list)
+    for position, key in enumerate(inner_keys):
+        build[key].append(position)
+    lookup = build.get
 
-    def result(self, group: int, count: int) -> Any:
-        if self.function == "count":
-            return count
-        if self.function == "avg":
-            return self.values[group] / count
-        return self.values[group]
+    def general(keys: Sequence[Any], rows: int) -> Matches:
+        # Per outer row, the inner positions under its key (or None).
+        found = list(map(lookup, keys))
+        matches = list(filter(None, found))
+        if not matches:
+            return None
+        inner_positions = list(chain.from_iterable(matches))
+        if len(inner_positions) > len(matches):
+            # Some key matched several inner rows: its outer row repeats
+            # once per match, matches in build order.
+            return list(
+                chain.from_iterable(
+                    map(repeat, compress(range(rows), found), map(len, matches))
+                )
+            ), inner_positions
+        if len(matches) < rows:
+            return list(compress(range(rows), found)), inner_positions
+        return None, inner_positions
+
+    return general
 
 
 class BatchAggregate(VectorOperator):
     """GROUP BY over column keys, preserving first-seen group order.
 
-    A batch's rows get their group ids in one pass over the key columns;
-    each aggregate then folds its own value column against those ids.
+    Each batch hands its key and value columns to the
+    :class:`~repro.engines.dbms.plans._GroupFold` the row
+    :class:`~repro.engines.dbms.plans.HashAggregate` folds through, so
+    the two layouts share one fold.
     """
 
     def __init__(
@@ -595,37 +655,11 @@ class BatchAggregate(VectorOperator):
         return tuple(self.group_by) + tuple(agg.alias for agg in self.aggregates)
 
     def batches(self) -> Iterator[ColumnBatch]:
-        layout = self.child.layout
-        key_slots = [layout[column] for column in self.group_by]
-        folds = [
-            _ColumnFold(
-                agg.function,
-                layout[agg.column] if agg.column is not None else None,
-            )
-            for agg in self.aggregates
-        ]
-        #: Group key → group id, in first-seen order.
-        group_ids: dict[tuple, int] = {}
-        counts: list[int] = []
+        fold = _GroupFold(self.child.layout, self.group_by, self.aggregates)
         for batch in self.child.batches():
             self.cost.compute_ops += batch.num_rows
-            if key_slots:
-                keys = list(zip(*map(batch.column, key_slots)))
-            else:
-                keys = [()] * batch.num_rows
-            for key in dict.fromkeys(keys):
-                if key not in group_ids:
-                    group_ids[key] = len(group_ids)
-                    counts.append(0)
-            ids = list(map(group_ids.__getitem__, keys))
-            for group, seen in Counter(ids).items():
-                counts[group] += seen
-            for fold in folds:
-                fold.update(batch, ids, len(counts))
-        results = [
-            key + tuple(fold.result(group, counts[group]) for fold in folds)
-            for key, group in group_ids.items()
-        ]
+            fold.add(batch.column, batch.num_rows)
+        results = fold.results()
         if results:
             self.cost.batches += 1
             yield ColumnBatch.from_rows(self.schema, results)

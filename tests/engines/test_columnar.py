@@ -24,6 +24,7 @@ from repro.engines.dbms import (
     col,
     lit,
 )
+from repro.engines.dbms.expressions import Comparison
 from repro.engines.dbms.planner import JoinSpec, Query
 from repro.engines.dbms.storage import ColumnarTable, HeapTable
 from repro.engines.dbms.vector_plans import (
@@ -521,6 +522,132 @@ class TestRowColumnarProperty:
                    differential.SEEDS) > 1024
 
 
+def _sequential_sum(values):
+    """The row path's sum: non-None values added to 0.0 in row order."""
+    total = 0.0
+    for value in values:
+        if value is not None:
+            total += value
+    return total
+
+
+class TestOneFold:
+    """Both layouts fold GROUP BY through one fold: rows and exceptions
+    (type and message) agree at every batch size, and a sum is the row
+    path's additions in row order, bit for bit."""
+
+    #: Float sums across groups with None values; ``b`` is all None.
+    SUMS = [
+        ("a", 0.1), ("b", None), ("a", None), ("c", None), ("a", 0.2),
+        ("c", 3.0), ("b", None), ("a", 1e16), ("c", 1.0), ("a", 1.0),
+        ("a", -1e16), ("c", 2.0),
+    ]
+    #: Leading None values; ``e`` holds 1, True and 1.0, which compare
+    #: equal, so the first one seen stays.
+    EXTREMES = [
+        ("c", None), ("b", None), ("c", 3.0), ("e", 1), ("c", 1.0),
+        ("b", None), ("e", True), ("c", 2.0), ("e", 1.0),
+    ]
+    #: A None after a value: ``min`` compares None with 1.5 and raises.
+    RAISES = [("a", 1.5), ("b", 2), ("a", None), ("b", 1)]
+
+    AGGREGATES = {
+        "SUMS": ["count", "sum", "avg"],
+        "EXTREMES": ["count", "min", "max"],
+        "RAISES": ["min"],
+    }
+
+    @staticmethod
+    def _outcome(rows, functions, layout, batch_size):
+        engine = DbmsEngine(
+            PlannerConfig(layout=layout, batch_size=batch_size)
+        )
+        engine.create_table("t", ("g", "v"))
+        engine.insert("t", rows)
+        query = Query(
+            table="t",
+            group_by=["g"],
+            aggregates=[Aggregate("count", None, "n")]
+            + [Aggregate(function, "v", function) for function in functions],
+        )
+        try:
+            result = engine.execute(query)
+        except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+            return ("raises", type(exc), str(exc))
+        assert result.plan["layout"] == layout
+        return [repr(row) for row in result.rows]
+
+    @pytest.mark.parametrize("table", sorted(AGGREGATES))
+    def test_layouts_and_batch_sizes_agree(self, table):
+        rows = getattr(self, table)
+        functions = self.AGGREGATES[table]
+        oracle = self._outcome(rows, functions, "row", 1024)
+        for batch_size in (1, 3, 1024):
+            assert self._outcome(
+                rows, functions, "columnar", batch_size
+            ) == oracle, (table, batch_size)
+
+    def test_the_fold_keeps_the_row_semantics(self):
+        sums = self._outcome(self.SUMS, ["count", "sum", "avg"], "row", 1024)
+        total_a = _sequential_sum([0.1, None, 0.2, 1e16, 1.0, -1e16])
+        assert sums == [
+            repr(("a", 6, 6, total_a, total_a / 6)),
+            repr(("b", 2, 2, 0.0, 0.0)),
+            repr(("c", 4, 4, 6.0, 1.5)),
+        ]
+        extremes = self._outcome(
+            self.EXTREMES, ["count", "min", "max"], "row", 1024
+        )
+        assert extremes == [
+            repr(("c", 4, 4, 1.0, 3.0)),
+            repr(("b", 2, 2, None, None)),
+            repr(("e", 3, 3, 1, 1)),
+        ]
+        raised = self._outcome(self.RAISES, ["min"], "row", 1024)
+        assert raised[:2] == ("raises", TypeError)
+        assert "NoneType" in raised[2]
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            # Floats whose order of addition shows in the last bits.
+            [
+                random.Random(seed).choice([-1, 1])
+                * random.Random(seed + 1).random()
+                * 10.0 ** random.Random(seed + 2).randint(-3, 16)
+                for seed in range(0, 900, 3)
+            ],
+            # Ints a double does not hold exactly: each addition rounds.
+            [
+                (2**60 + 12345 * seed) * (-1) ** seed + seed
+                for seed in range(300)
+            ],
+        ],
+        ids=["floats", "big-ints"],
+    )
+    def test_typed_sums_are_the_sequential_additions(self, values):
+        rows = [(f"g{index % 5}", value) for index, value in enumerate(values)]
+        expected = [
+            repr(
+                (
+                    f"g{group}",
+                    len(values[group::5]),
+                    _sequential_sum(values[group::5]),
+                )
+            )
+            for group in range(5)
+        ]
+        for layout in ("row", "columnar"):
+            for batch_size in (1, 3, 1024):
+                assert self._outcome(
+                    rows, ["sum"], layout, batch_size
+                ) == expected, (layout, batch_size)
+        engine = DbmsEngine()
+        engine.create_table("t", ("g", "v"))
+        engine.insert("t", rows)
+        assert isinstance(engine.catalog.table("t").columnar().column("v"), array)
+
+
 class TestLateMaterialisation:
     """Positions travel up the plan; a column is read where it is named."""
 
@@ -698,3 +825,36 @@ class TestPredicatePushdown:
         ]
         assert columnar.cost.records_read == row.cost.records_read
         assert columnar.cost.compute_ops == row.cost.compute_ops
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [0, -1, 7, 2**62, -(2**63), 2**63 - 1, 9007199254740993],
+            [0.0, -0.0, 1.5, float("nan"), float("inf"), 2.0**53, -3.25],
+        ],
+        ids=["int64", "float64"],
+    )
+    def test_a_typed_column_filters_as_the_row_path(self, values):
+        """The fused scan compares a typed column in numpy only where
+        that is Python's comparison; every literal type and operator
+        agrees with the row oracle (batch size 3: several slices)."""
+        constants = [
+            0, -0.0, 1.5, float("nan"), 2**53 + 1, 2**63, -(2**63) - 1,
+            9007199254740993, 2.0**53, True, 7,
+        ]
+        engine = DbmsEngine(PlannerConfig(batch_size=3))
+        engine.create_table("t", ("v", "i"))
+        engine.insert("t", [(value, i) for i, value in enumerate(values)])
+        assert isinstance(engine.catalog.table("t").columnar().column("v"), array)
+        for constant in constants:
+            for op in ("=", "!=", "<", "<=", ">", ">="):
+                query = Query(
+                    table="t", predicate=Comparison(col("v"), op, lit(constant))
+                )
+                row = engine.execute(query, layout="row")
+                columnar = engine.execute(query, layout="columnar")
+                assert columnar.plan["op"] == "ColumnarScan"
+                assert [repr(r) for r in columnar.rows] == [
+                    repr(r) for r in row.rows
+                ], (constant, op)
+                assert columnar.cost.compute_ops == row.cost.compute_ops

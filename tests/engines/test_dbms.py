@@ -145,6 +145,107 @@ class TestExpressions:
         assert rebuilt.evaluate(row, layout) == predicate.evaluate(row, layout)
 
 
+def _outcome(evaluate):
+    """What one evaluation lets a caller see: a value (with its type) or
+    an exception (with its message)."""
+    try:
+        value = evaluate()
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return ("raises", type(exc), str(exc))
+    return ("value", type(value), repr(value))
+
+
+class TestBind:
+    """``bind(layout)`` is ``evaluate`` with the layout resolved once."""
+
+    LAYOUT = {"x": 0, "y": 1, "s": 2, "n": 3}
+    ROWS = [
+        (5, 10, "a", None),
+        (3, 3, "b", 1.5),
+        (0, -2, "", 0),
+        (7.5, 0, "c", True),
+        (-1, 4, None, "n"),
+    ]
+    OPERANDS = (
+        col("x"), col("y"), col("s"), col("n"), lit(3), lit(None), lit("b"),
+    )
+
+    def _expressions(self):
+        expressions = list(self.OPERANDS)
+        for left in self.OPERANDS:
+            for right in self.OPERANDS:
+                expressions += [
+                    left == right, left != right, left < right,
+                    left <= right, left > right, left >= right,
+                    left + right, left - right, left * right, left / right,
+                ]
+        expressions += [
+            (col("x") > lit(1)) & (col("n") < lit(2)),
+            (col("x") > lit(100)) & (col("n") < lit(2)),
+            (col("x") > lit(1)) | (col("n") < lit(2)),
+            (col("x") < lit(-5)) | (col("n") < lit(2)),
+            ~(col("x") >= col("y")),
+            ~col("s"),
+            (col("x") * lit(2) - col("y")) / (col("y") + lit(1)),
+        ]
+        return expressions
+
+    def test_bind_equals_evaluate_for_every_kind_and_operator(self):
+        raised = set()
+        for expression in self._expressions():
+            bound = expression.bind(self.LAYOUT)
+            for row in self.ROWS:
+                outcome = _outcome(lambda: bound(row))
+                assert outcome == _outcome(
+                    lambda: expression.evaluate(row, self.LAYOUT)
+                ), (expression, row)
+                if outcome[0] == "raises":
+                    raised.add(outcome[1])
+        # None operands, str against int, division by zero all raise.
+        assert raised == {TypeError, ZeroDivisionError}
+
+    def test_a_none_operand_raises_the_same_type_error(self):
+        predicate = col("n") < lit(2)
+        row = (1, 2, "a", None)
+        with pytest.raises(TypeError) as bound_error:
+            predicate.bind(self.LAYOUT)(row)
+        with pytest.raises(TypeError) as evaluated_error:
+            predicate.evaluate(row, self.LAYOUT)
+        assert str(bound_error.value) == str(evaluated_error.value)
+
+    def test_an_unknown_column_raises_only_when_a_row_is_evaluated(self):
+        for expression in (
+            col("zzz"),
+            col("zzz") > lit(1),
+            lit(1) + col("zzz"),
+            (col("x") > lit(0)) & (col("zzz") == lit(2)),
+            ~col("zzz"),
+        ):
+            bound = expression.bind(self.LAYOUT)  # no error yet
+            row = self.ROWS[0]
+            outcome = _outcome(lambda: bound(row))
+            assert outcome[1] is EngineError
+            assert outcome == _outcome(
+                lambda: expression.evaluate(row, self.LAYOUT)
+            )
+
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    def test_a_projection_of_an_unknown_column_over_no_rows_is_empty(
+        self, layout
+    ):
+        from repro.engines.dbms.planner import Query
+
+        engine = DbmsEngine()
+        engine.create_table("t", ("a", "b"))
+        query = Query(
+            table="t", projection=[("a", col("a")), ("z", col("nope"))]
+        )
+        assert engine.execute(query, layout=layout).rows == []
+        engine.insert("t", [(1, 2)])
+        with pytest.raises(EngineError, match="unknown column 'nope'"):
+            engine.execute(query, layout=layout)
+
+
 class TestQueries:
     def test_filter(self, people_db):
         result = people_db.execute(
@@ -356,3 +457,55 @@ class TestDml:
         assert not people_db.catalog.has_table("people")
         with pytest.raises(EngineError):
             people_db.drop_table("people")
+
+
+class TestCountersAtAnEarlyStop:
+    """Row operators count in locals and publish once; a ``LIMIT`` that
+    closes the plan mid-stream must leave the totals one bump per row
+    left.  The literals are the commit-before-the-change's counts (one
+    bump per row then) for the same queries."""
+
+    @staticmethod
+    def _engine(algorithm):
+        engine = DbmsEngine(PlannerConfig(join_algorithm=algorithm))
+        engine.create_table("orders", ("order_id", "product", "quantity"))
+        engine.insert("orders", [(i, i % 7, i % 5) for i in range(40)])
+        engine.create_table("products", ("product", "name"))
+        # Keys 0..4 name two products each: a probe can stop between them.
+        engine.insert("products", [(p % 7, f"p{p}") for p in range(12)])
+        return engine
+
+    #: algorithm → {limit: (records_read, compute_ops)}
+    PARENT_COUNTS = {
+        "hash": {0: (15, 17), 1: (15, 18), 3: (16, 22), 5: (17, 26), 8: (21, 35)},
+        "nested_loop": {
+            0: (15, 7), 1: (15, 15), 3: (16, 31), 5: (17, 47), 8: (21, 68),
+        },
+        "merge": {0: (52, 78), 1: (52, 79), 3: (52, 81), 5: (52, 83), 8: (52, 87)},
+    }
+
+    @pytest.mark.parametrize("algorithm", sorted(PARENT_COUNTS))
+    def test_limit_without_order_by_counts_what_was_pulled(self, algorithm):
+        engine = self._engine(algorithm)
+        join_op = {
+            "hash": "HashJoin", "nested_loop": "NestedLoopJoin",
+            "merge": "MergeJoin",
+        }[algorithm]
+        for limit, counts in self.PARENT_COUNTS[algorithm].items():
+            result = engine.execute(
+                engine.query("orders")
+                .where(col("quantity") >= lit(2))
+                .join("products", "product", "product")
+                .select("order_id", "name")
+                .limit(limit)
+            )
+            # Limit → Project → join over a filtered scan and a scan.
+            assert result.plan["op"] == "Limit"
+            join = result.plan["child"]["child"]
+            assert join["op"] == join_op
+            assert join["outer"]["op"] == "Filter"
+            assert join["outer"]["child"]["op"] == "SeqScan"
+            assert len(result.rows) == limit
+            assert (
+                result.cost.records_read, result.cost.compute_ops
+            ) == counts, (algorithm, limit)

@@ -117,6 +117,16 @@ class PlannerConfig:
             )
 
 
+def _check_columns(columns: list[str], schema: tuple[str, ...]) -> None:
+    """Refuse, at plan time, a clause column its input does not have."""
+    known = set(schema)
+    for column in columns:
+        if column not in known:
+            raise EngineError(
+                f"unknown column {column!r}; available: {sorted(known)}"
+            )
+
+
 class Planner:
     """Turns logical queries into physical operator trees."""
 
@@ -172,6 +182,13 @@ class Planner:
             )
 
         if query.group_by or query.aggregates:
+            _check_columns(
+                [
+                    *query.group_by,
+                    *(a.column for a in query.aggregates if a.column is not None),
+                ],
+                operator.schema,
+            )
             operator = (
                 BatchAggregate(operator, query.group_by, query.aggregates, cost)
                 if vectorized
@@ -186,6 +203,7 @@ class Planner:
                 else Project(operator, query.projection, cost)
             )
         if query.order_by:
+            _check_columns([column for column, _ in query.order_by], operator.schema)
             operator = (
                 BatchSort(operator, query.order_by, cost)
                 if vectorized

@@ -7,6 +7,7 @@ suite stays fast; tests must not mutate them.
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.datagen.corpus import (
     load_retail_tables,
@@ -15,6 +16,14 @@ from repro.datagen.corpus import (
 )
 from repro.datagen.models import PROCESS_MODELS
 from repro.datagen.text import LdaTextGenerator
+
+# Every property draws the same examples on every run and host, so a
+# tier-1 failure reproduces; none is timed, because a slow host is not
+# a failure.  ``max_examples`` stays each test's own.
+settings.register_profile(
+    "repro", derandomize=True, deadline=None, database=None
+)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -210,7 +210,7 @@ _LENGTHS = st.one_of(
 
 
 class TestTailReader:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(
         lengths=st.lists(_LENGTHS, min_size=1, max_size=5),
         torn=st.one_of(st.just(0), _LENGTHS),

@@ -40,9 +40,6 @@ from _reference_generators import (
     reference_records,
 )
 
-seeded = settings(derandomize=True, deadline=None, max_examples=60)
-
-
 def assert_identical(actual: list, expected: list) -> None:
     assert actual == expected
     assert list(map(_types, actual)) == list(map(_types, expected))
@@ -89,7 +86,7 @@ volumes = st.one_of(
 
 class TestRecordsEqualTheLoops:
     @pytest.mark.parametrize("case", sorted(MAKERS))
-    @seeded
+    @settings(max_examples=60)
     @given(
         seed=st.integers(0, 2**32 - 1),
         volume=volumes,
@@ -181,7 +178,7 @@ class TestChunkBoundaries:
 
 
 class TestBatched:
-    @seeded
+    @settings(max_examples=60)
     @given(st.integers(0, 60), st.integers(1, 70), st.booleans())
     def test_equals_the_old_loop(self, length, batch_size, lazy):
         items = list(range(length))

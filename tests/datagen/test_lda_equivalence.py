@@ -166,7 +166,7 @@ class TestOneSearchPerDrawnTopic:
     block drew; every case is held to the one-word-at-a-time reference,
     draws consumed included."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         seed=st.integers(0, 2**63),
         alpha=st.sampled_from(ALPHAS),
@@ -271,7 +271,7 @@ class TestOneSearchPerDrawnTopic:
 
 
 class TestSummationOrder:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         st.lists(
             st.floats(min_value=0.0, max_value=1e12, allow_nan=False),

@@ -21,7 +21,7 @@ from collections import OrderedDict, defaultdict, namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import _util
@@ -233,10 +233,6 @@ def string_bytes(value) -> int:
     return 5 + len(str(value).encode("utf-8", "surrogatepass"))
 
 
-#: The same examples on every run: a failure is a diff, not a draw.
-seeded = settings(derandomize=True, deadline=None)
-
-
 class TestPairBytes:
     """Accounting version 2 (DESIGN.md, "Accounting contract").
 
@@ -267,7 +263,6 @@ class TestPairBytes:
         assert estimate_pair_bytes([pair]) == expected
         assert estimate_pair_bytes([]) == 0
 
-    @seeded
     @given(pair_lists, st.integers(0, 12))
     def test_pairs_are_sized_by_their_wire_forms(self, pairs, cut):
         total = estimate_pair_bytes(pairs)
@@ -279,7 +274,6 @@ class TestPairBytes:
         )
         assert total == sum(estimate_pair_bytes([pair]) for pair in pairs)
 
-    @seeded
     @given(pair_lists)
     def test_a_copy_costs_what_the_original_costs(self, pairs):
         # What the process executor hands a worker.
@@ -287,7 +281,6 @@ class TestPairBytes:
             estimate_pair_bytes(pairs)
         )
 
-    @seeded
     @given(st.lists(st.tuples(short_text, short_text), max_size=8))
     def test_interning_and_sharing_do_not_show(self, pairs):
         interned = [(sys.intern(key), sys.intern(value)) for key, value in pairs]
@@ -299,7 +292,6 @@ class TestPairBytes:
             2 * estimate_pair_bytes(fresh)
         )
 
-    @seeded
     @given(
         st.lists(
             st.tuples(hashables, values), max_size=6,
@@ -319,7 +311,6 @@ class TestPairBytes:
             wire_bytes(member) for member in set(members)
         )
 
-    @seeded
     @given(pair_lists.filter(len), st.data(), unmarshallable, st.booleans())
     def test_a_rejected_value_is_charged_by_str_in_its_own_pair(
         self, pairs, data, rejected, as_key
@@ -335,7 +326,6 @@ class TestPairBytes:
             own - wire_bytes(pairs[index])
         )
 
-    @seeded
     @given(pair_lists, st.lists(unmarshallable, max_size=2))
     def test_any_iterable_of_pairs_costs_what_its_list_costs(self, pairs, odd):
         pairs = pairs + [(index, value) for index, value in enumerate(odd)]

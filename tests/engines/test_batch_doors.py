@@ -293,7 +293,7 @@ class TestCountingFold:
         st.sampled_from([2048, 1, 2, 3, 5]),
         st.sampled_from([1 << 15, 6, 24]),
     )
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     def test_the_door_equals_the_per_event_fold(
         self, calls, size, slice_events, table_entries
     ):
@@ -532,7 +532,7 @@ def _by_length(key, partitions):
 
 class TestGroupSplit:
     @given(st.lists(lines, max_size=40), st.integers(1, 5))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_the_door_equals_the_mapper_loop(self, texts, map_tasks):
         job = _word_count_job()
         job.conf = JobConf(num_map_tasks=map_tasks)
@@ -583,7 +583,7 @@ class TestGroupSplit:
         st.sampled_from([None, 1, 4]),
         st.sampled_from([default_partitioner, _by_length]),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_a_door_without_a_combiner_equals_the_mapper_loop(
         self, texts, map_tasks, reduce_tasks, sort_keys, split_records,
         partitioner,
@@ -686,7 +686,7 @@ class TestShuffleRoute:
         ),
         st.integers(1, 7),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_the_route_equals_the_partitioner_pair_by_pair(
         self, map_outputs, partitions
     ):
@@ -767,7 +767,7 @@ class TestBuiltEvents:
         partitions=st.integers(1, 3),
         seed=st.integers(0, 3),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_every_partition_equals_the_loop(
         self, update, delete, skew, key_space, volume, partitions, seed
     ):

@@ -80,7 +80,7 @@ class TestOneScheduler:
     """Unit speeds, no speculation: the one scheduler is the LPT
     scheduler it replaced, to the float."""
 
-    @settings(derandomize=True, deadline=None, max_examples=400)
+    @settings(max_examples=400)
     @given(costs, st.integers(min_value=1, max_value=12))
     @example([], 4)
     @example([0.0, 0.0, 0.0], 12)

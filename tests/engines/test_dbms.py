@@ -246,6 +246,42 @@ class TestBind:
             engine.execute(query, layout=layout)
 
 
+class TestClauseColumns:
+    """GROUP BY, aggregate and ORDER BY columns are checked once, when
+    the query is planned, against the schema each clause reads."""
+
+    @pytest.mark.parametrize("rows", [[], [(1, 2), (3, 4)]])
+    @pytest.mark.parametrize(
+        "clause",
+        [
+            dict(group_by=["nope"], aggregates=[Aggregate("count", None, "n")]),
+            dict(aggregates=[Aggregate("sum", "nope", "s")]),
+            dict(order_by=[("nope", False)]),
+            dict(projection=[("a", col("a"))], order_by=[("b", True)]),
+        ],
+        ids=["group-by", "aggregate", "order-by", "order-by-projected-away"],
+    )
+    @pytest.mark.parametrize("layout", ["row", "columnar"])
+    def test_a_clause_over_an_unknown_column_is_refused_when_planned(
+        self, layout, clause, rows
+    ):
+        from repro.engines.dbms.planner import Query
+
+        engine = DbmsEngine()
+        engine.create_table("t", ("a", "b"))
+        engine.insert("t", rows)
+        message = r"unknown column '(nope|b)'; available: \["
+        with pytest.raises(EngineError, match=message):
+            engine.execute(Query(table="t", **clause), layout=layout)
+
+    def test_sql_order_by_an_unknown_column_is_refused(self):
+        engine = DbmsEngine()
+        engine.create_table("t", ("a", "b"))
+        message = r"unknown column 'nope'; available: \['a'\]"
+        with pytest.raises(EngineError, match=message):
+            engine.sql("SELECT a FROM t ORDER BY nope")
+
+
 class TestQueries:
     def test_filter(self, people_db):
         result = people_db.execute(

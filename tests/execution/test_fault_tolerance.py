@@ -37,18 +37,6 @@ from repro.observability import Tracer, summarize_spans
 ENGINES = ["dbms", "mapreduce", "nosql"]
 PRESCRIPTION = "database-aggregate-join"
 
-#: Wall-clock-free metrics per engine (see test_parallel.py): the subset
-#: whose means must match bit-for-bit across executor backends.
-DETERMINISTIC_METRICS = {
-    "mapreduce": [
-        "throughput", "ops_per_second", "data_rate",
-        "network_rate", "energy", "cost",
-    ],
-    "nosql": ["throughput", "mean_latency", "latency_p95", "latency_p99"],
-    "dbms": [],
-}
-
-
 def _runner(backend: str, **options: object) -> TestRunner:
     return TestRunner(
         test_generator=TestGenerator(builtin_repository()),
@@ -80,10 +68,11 @@ def _outcome_fingerprint(outcomes) -> list[tuple]:
     fingerprint = []
     for outcome in outcomes:
         if outcome.ok:
+            # Wall-clock time moves ``duration`` and every DBMS rate.
             means = tuple(
                 (name, outcome.mean(name))
-                for name in DETERMINISTIC_METRICS[outcome.engine]
-                if name in outcome.metrics
+                for name in outcome.metrics
+                if name != "duration" and outcome.engine != "dbms"
             )
             fingerprint.append(
                 (outcome.test_name, "ok", outcome.extra.get("attempts"), means)

@@ -5,7 +5,9 @@ surface down to the engines: :class:`BenchmarkSpec` carries it through
 the five-step process, the shared CLI parent exposes ``--layout``,
 ``api.sweep``/``api.load`` thread it into the harness and load
 targets, and the run-store fingerprint includes it only when
-non-default so historical row series stay byte-identical.
+non-default so historical row series stay byte-identical.  That every
+door runs and records a columnar spec as ``api.run`` does is the plan
+product property's (``tests/integration/test_plan_product.py``).
 """
 
 from __future__ import annotations
@@ -91,18 +93,7 @@ class TestProcess:
         report = BenchmarkingProcess().execute(spec)
         [result] = report.results
         assert result.extra["layout"] == "row"
-
-    def test_layouts_return_identical_answers(self):
-        plans = {}
-        for layout in ("row", "columnar"):
-            spec = BenchmarkSpec(
-                "database-aggregate-join", engines=["dbms"], volume=150,
-                layout=layout,
-            )
-            [result] = BenchmarkingProcess().execute(spec).results
-            plans[layout] = result.extra["plan"]
-        assert plans["row"]["layout"] == "row"
-        assert plans["columnar"]["layout"] == "columnar"
+        assert result.extra["plan"]["layout"] == "row"
 
 
 class TestFingerprint:
@@ -117,25 +108,6 @@ class TestFingerprint:
         columnar = spec_fingerprint("p", "dbms", layout="columnar")
         assert columnar["layout"] == "columnar"
         assert fingerprint_hash(row) != fingerprint_hash(columnar)
-
-    def test_recorded_columnar_run_lands_in_its_own_series(self, tmp_path):
-        series = {}
-        for layout in ("row", "columnar"):
-            spec = BenchmarkSpec(
-                "database-aggregate-join", engines=["dbms"], volume=100,
-                layout=layout, record=True, store_dir=str(tmp_path),
-            )
-            report = BenchmarkingProcess().execute(spec)
-            assert report.record_ids
-            from repro.analysis.store import RunStore
-
-            record = RunStore(tmp_path).get(report.record_ids[-1])
-            series[layout] = record.series
-            if layout == "columnar":
-                assert record.fingerprint["layout"] == "columnar"
-            else:
-                assert "layout" not in record.fingerprint
-        assert series["row"] != series["columnar"]
 
 
 class TestCli:
@@ -164,47 +136,7 @@ class TestCli:
             )
 
 
-class TestService:
-    def test_submitted_columnar_job_runs_columnar(self, tmp_path):
-        """The orchestrator applies layout options, not just the CLI.
-
-        Regression: ``_execute`` built the runner's engine table
-        without merging :func:`layout_options`, so a submitted columnar
-        spec silently ran row and recorded into the row series.  A
-        service-recorded columnar run must carry the layout in its
-        fingerprint and land in the same series as the direct ``run``.
-        """
-        from repro import api
-        from repro.analysis.store import RunStore
-
-        spec = api.BenchmarkSpec(
-            "database-aggregate-join", engines=["dbms"], volume=100,
-            layout="columnar", record=True, store_dir=str(tmp_path),
-        )
-        with api.serve(store_dir=str(tmp_path)) as client:
-            job = client.submit(spec).wait()
-        assert job.state == "done"
-        store = RunStore(tmp_path)
-        [record_id] = job.record_ids
-        via_service = store.get(record_id)
-        assert via_service.fingerprint["layout"] == "columnar"
-
-        report = BenchmarkingProcess().execute(spec)
-        via_direct = store.get(report.record_ids[-1])
-        assert via_direct.series == via_service.series
-
-
 class TestApi:
-    def test_sweep_threads_layout(self):
-        from repro import api
-
-        report = api.sweep(
-            "database-aggregate-join", "dbms", volumes=[80, 160],
-            layout="columnar",
-        )
-        for point in report.points:
-            assert point.result.extra["layout"] == "columnar"
-
     def test_param_sweep_threads_layout(self):
         from repro import api
 

@@ -1,9 +1,10 @@
 """Tests for the parallel execution layer.
 
-Covers the executor abstraction itself (ordering, validation), backend
-parity — thread and process fan-out must reproduce the serial path's
-deterministic metrics exactly — and the configuration-sweep isolation
-guarantee.
+Covers the executor abstraction itself (ordering, validation), the
+cache lookups and traces every backend reports, and the
+configuration-sweep isolation guarantee.  That thread and process
+fan-out reproduce the serial run is the plan product property's
+(``tests/integration/test_plan_product.py``).
 """
 
 from __future__ import annotations
@@ -28,31 +29,21 @@ from tests._runs import run_on_engines, run_one
 ENGINES = ["dbms", "mapreduce", "nosql"]
 PRESCRIPTION = "database-aggregate-join"
 
-#: Metrics that do not depend on wall-clock time, per engine: mapreduce
-#: metrics derive from the simulated cluster makespan, nosql metrics
-#: from the store's seeded latency model.  Every dbms metric is
-#: wall-clock based, so it has no deterministic subset to compare.
-DETERMINISTIC_METRICS = {
-    "mapreduce": [
-        "throughput", "ops_per_second", "data_rate",
-        "network_rate", "energy", "cost",
-    ],
-    "nosql": ["throughput", "mean_latency", "latency_p95", "latency_p99"],
-    "dbms": [],
-}
-
 
 def _square(value: int) -> int:  # module level: picklable for "process"
     return value * value
 
 
 def _metric_means(results) -> dict[tuple[str, str], float]:
-    means = {}
-    for result in results:
-        for name in DETERMINISTIC_METRICS[result.engine]:
-            if name in result.metrics:
-                means[(result.engine, name)] = result.mean(name)
-    return means
+    """The means that wall-clock time does not move: not ``duration``,
+    and nothing of the DBMS, whose every rate divides by it."""
+    return {
+        (result.engine, name): result.mean(name)
+        for result in results
+        if result.engine != "dbms"
+        for name in result.metrics
+        if name != "duration"
+    }
 
 
 class TestResolveExecutor:
@@ -127,28 +118,15 @@ class TestRunnerOptionsValidation:
 
 
 class TestBackendParity:
-    """Thread and process fan-out must be drop-in replacements: same
-    engines in the same order, identical deterministic metric means."""
+    """Every backend counts the batch's dataset-cache lookups.  That it
+    runs a spec as the serial backend does is the plan product
+    property's (``tests/integration/test_plan_product.py``)."""
 
-    @pytest.fixture(scope="class")
-    def serial_run(self):
-        """The serial results and the batch's dataset-cache delta."""
+    def test_serial_results_carry_cache_stats(self):
         with TestRunner(options=RunnerOptions(executor="serial")) as runner:
             before = runner.test_generator.dataset_cache.stats()
             results = run_on_engines(runner, PRESCRIPTION, ENGINES, 60)
-            return results, runner.cache_delta(before, results)
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_run_on_engines_matches_serial(self, backend, serial_run):
-        serial_results, _ = serial_run
-        options = RunnerOptions(executor=backend, max_workers=2)
-        with TestRunner(options=options) as runner:
-            results = run_on_engines(runner, PRESCRIPTION, ENGINES, 60)
-        assert [r.engine for r in results] == [r.engine for r in serial_results]
-        assert _metric_means(results) == _metric_means(serial_results)
-
-    def test_serial_results_carry_cache_stats(self, serial_run):
-        _, stats = serial_run
+            stats = runner.cache_delta(before, results)
         assert stats.misses == 1
         assert stats.hits == len(ENGINES) - 1
 
@@ -181,19 +159,6 @@ class TestBackendParity:
         # Generated once (here, not in a step 2); every engine looked.
         assert stats.misses == 1
         assert stats.hits >= len(ENGINES) - 1
-
-    def test_volume_sweep_thread_matches_serial(self, monkeypatch):
-        from repro import api
-
-        volumes = [20, 40, 60]
-        # A sweep runs on its plan's options, whose executor is the
-        # spec default: REPRO_EXECUTOR picks it.
-        monkeypatch.setenv("REPRO_EXECUTOR", "serial")
-        serial = api.sweep("micro-wordcount", "mapreduce", volumes=volumes)
-        monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-        threaded = api.sweep("micro-wordcount", "mapreduce", volumes=volumes)
-        assert [point.value for point in threaded.points] == volumes
-        assert threaded.series("throughput") == serial.series("throughput")
 
 
 class TestProcessPayloads:

@@ -3,8 +3,7 @@
 Two claims, tested at the seams where they could break:
 
 1. **Equivalence** — a chunked run produces results identical to a
-   materialized run at the same seed, on every executor backend and in
-   every engine's ingest path (determinism makes chunking re-slicing,
+   materialized run at the same seed, in every engine's ingest path (determinism makes chunking re-slicing,
    not re-sampling).
 2. **Boundedness** — chunked generation completes under an address-space
    cap that the materialized path cannot fit in (the whole point of
@@ -30,22 +29,10 @@ from repro.datagen.source import GeneratorSource
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
 
 
-def _execute(executor: str, chunk_size: int | None):
-    spec = BenchmarkSpec(
-        "micro-wordcount",
-        engines=["mapreduce"],
-        volume=80,
-        executor=executor,
-        chunk_size=chunk_size,
-    )
-    report = BenchmarkingProcess().execute(spec)
-    assert report.results, report.failures
-    assert report.results[0].ok
-    return report
-
-
 class TestExecutorParity:
-    """Chunked == materialized on serial, thread, and process backends."""
+    """Chunked == materialized in the workload's output.  That a chunked
+    run is the same on every backend is the plan product property's
+    (``tests/integration/test_plan_product.py``)."""
 
     def test_workload_output_parity(self):
         generator = TestGenerator()
@@ -55,16 +42,14 @@ class TestExecutorParity:
         )
         assert chunked.run().output == materialized.run().output
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_cost_metric_parity_across_backends(self, executor):
-        # Wall-clock metrics vary between backends; the cost metric is a
-        # pure function of the records and the split structure, so the
-        # same chunked run must cost the same on every backend.
-        baseline = _execute("serial", 7).results[0].mean("cost")
-        assert _execute(executor, 7).results[0].mean("cost") == baseline
-
     def test_streamed_generation_detail(self):
-        detail = _execute("serial", 7).step("data-generation").detail
+        spec = BenchmarkSpec(
+            "micro-wordcount", engines=["mapreduce"], volume=80,
+            executor="serial", chunk_size=7,
+        )
+        report = BenchmarkingProcess().execute(spec)
+        assert [result.ok for result in report.results] == [True]
+        detail = report.step("data-generation").detail
         assert detail["streamed"] is True
         assert detail["chunk_size"] == 7
         assert detail["records"] == 80

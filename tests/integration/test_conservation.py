@@ -4,16 +4,14 @@ Counters are reported values (DESIGN.md §3.17), so they must add up:
 every operation a workload issues is accounted exactly once, and
 replication traffic is what the replication factor says it is.  The
 bare engine and an engine configured by a ``SystemConfiguration`` on
-the ``RunTask`` are checked on every executor backend, and every door
-into the execution layer must hand the same request the same engine.
+the ``RunTask`` are checked on every executor backend; that every door
+hands the same request the same engine is ``test_plan_product.py``'s.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import api
-from repro.core.spec import BenchmarkSpec
 from repro.engines.dfs import DistributedFileSystem
 from repro.engines.nosql.store import NoSqlStore
 from repro.execution.config import SystemConfiguration
@@ -148,26 +146,3 @@ class TestDfs:
         assert bare["bytes_written"] == tripled["bytes_written"] > 0
         assert bare["network_bytes"] == bare["bytes_written"]
         assert tripled["network_bytes"] == 2 * tripled["bytes_written"]
-
-
-def test_every_door_builds_the_same_nosql_engine(tmp_path):
-    """``api.sweep`` used to read a table of defaults (NoSQL RF=2:
-    ``mean_latency`` 0.633 ms) that ``api.run`` and ``submit`` never saw
-    (RF=1: 0.422 ms)."""
-    params = {"operation_count": OPERATIONS}
-    spec = BenchmarkSpec(
-        "oltp-read-write", engines=["nosql"], volume=RECORDS, params=params,
-        executor="serial",
-    )
-    (ran,) = api.run(spec).results
-    with api.serve(schedulers=1, store_dir=str(tmp_path)) as client:
-        (submitted,) = client.submit(spec).result(timeout=120)
-    swept = api.sweep(
-        "oltp-read-write", "nosql", volumes=[RECORDS], **params
-    ).points[0].result
-    expected = [ran.mean(name) for name in NOSQL_DETERMINISTIC]
-    assert ran.mean("network_rate") == 0.0
-    for door, result in (("submit", submitted), ("sweep", swept)):
-        assert [
-            result.mean(name) for name in NOSQL_DETERMINISTIC
-        ] == expected, door

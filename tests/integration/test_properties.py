@@ -125,8 +125,7 @@ class TestPercentileProperties:
 
 
 class TestMapReduceProperties:
-    @settings(max_examples=25, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
     @given(documents,
            st.integers(min_value=1, max_value=6),
            st.integers(min_value=1, max_value=6))
@@ -148,7 +147,7 @@ class TestMapReduceProperties:
             reference.update(doc.split())
         assert dict(result.output) == dict(reference)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(documents)
     def test_sort_is_permutation_and_ordered(self, docs):
         def sort_map(key, value):
@@ -169,7 +168,7 @@ class TestMapReduceProperties:
 
 
 class TestKvStoreProperties:
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.lists(
         st.tuples(
             st.sampled_from(["put", "delete"]),
@@ -195,7 +194,7 @@ class TestKvStoreProperties:
             assert result.fields == {"v": value}
         assert len(store) == len(model)
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=20)
     @given(st.sets(st.text(alphabet="abcdef", min_size=1, max_size=4),
                    max_size=20),
            st.integers(min_value=1, max_value=10))

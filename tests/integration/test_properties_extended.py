@@ -23,8 +23,7 @@ file_ops = st.lists(
 
 
 class TestDfsProperties:
-    @settings(max_examples=40, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.too_slow])
     @given(file_ops, st.integers(min_value=1, max_value=3))
     def test_dfs_matches_dict_model(self, operations, replication):
         dfs = DistributedFileSystem(
@@ -48,7 +47,7 @@ class TestDfsProperties:
             assert result.ok
             assert result.data == payload
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(st.binary(min_size=1, max_size=2000),
            st.integers(min_value=8, max_value=256))
     def test_any_payload_roundtrips_any_block_size(self, payload, block_size):
@@ -57,7 +56,7 @@ class TestDfsProperties:
         dfs.write_file("/f", payload)
         assert dfs.read_file("/f").data == payload
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     @given(st.binary(min_size=1, max_size=1000),
            st.integers(min_value=0, max_value=2))
     def test_single_node_failure_never_loses_replicated_data(
@@ -94,7 +93,7 @@ def _load(rows) -> DbmsEngine:
 
 
 class TestSqlEquivalenceProperties:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(rows_strategy, st.integers(min_value=-100, max_value=100))
     def test_filter_equivalence(self, rows, threshold):
         engine = _load(rows)
@@ -104,7 +103,7 @@ class TestSqlEquivalenceProperties:
         )
         assert sorted(via_sql.rows) == sorted(via_builder.rows)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(rows_strategy)
     def test_group_by_equivalence(self, rows):
         engine = _load(rows)
@@ -121,7 +120,7 @@ class TestSqlEquivalenceProperties:
         )
         assert via_sql.rows == via_builder.rows
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(rows_strategy, st.integers(min_value=1, max_value=10))
     def test_order_limit_equivalence(self, rows, limit):
         engine = _load(rows)
@@ -137,7 +136,7 @@ class TestSqlEquivalenceProperties:
         )
         assert via_sql.rows == via_builder.rows
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     @given(rows_strategy)
     def test_aggregates_match_python_reference(self, rows):
         engine = _load(rows)

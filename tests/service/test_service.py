@@ -1,8 +1,8 @@
 """End-to-end tests for the orchestrator and the service client.
 
 The service's contract: same results as the direct runner path (it owns
-the lifecycle, not the semantics), plus admission control, cancellation,
-and an auditable job log.
+the lifecycle, not the semantics; ``test_plan_product.py`` holds it to
+that), plus admission control, cancellation, and an auditable job log.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import time
 import pytest
 
 from repro.core.errors import ServiceError, SpecError
-from repro.core.prescription import builtin_repository
 from repro.core.results import RunResult, TaskFailure
 from repro.core.spec import BenchmarkSpec
-from repro.core.test_generator import TestGenerator
-from repro.execution.runner import RunnerOptions, RunTask, TestRunner, record_outcomes
 from repro.observability import Tracer
 from repro.service import (
     AdmissionError,
@@ -39,60 +36,8 @@ def make_spec(**overrides) -> BenchmarkSpec:
 
 
 class TestParityWithDirectRunner:
-    def test_submit_wait_result_matches_run_many(self, tmp_path):
-        """A service job yields the same outcome and record shape as the
-        equivalent direct ``TestRunner.run_many`` call."""
-        spec = make_spec(repeats=2, record=True,
-                         store_dir=str(tmp_path / "service"))
-
-        with ServiceClient(store_dir=str(tmp_path / "service")) as client:
-            service_outcomes = client.submit(spec).result(timeout=60)
-
-        repository = builtin_repository()
-        runner = TestRunner(
-            test_generator=TestGenerator(repository),
-            options=RunnerOptions(repeats=2),
-        )
-        try:
-            from repro.analysis.store import RunStore
-
-            prescription = repository.get(spec.prescription)
-            tasks = [RunTask(prescription, "mapreduce", spec.volume, {})]
-            direct_outcomes = runner.run_many(tasks)
-            record_outcomes(
-                RunStore(tmp_path / "direct"), tasks, direct_outcomes,
-                runner.options,
-            )
-        finally:
-            runner.close()
-
-        assert len(service_outcomes) == len(direct_outcomes) == 1
-        service_result, direct_result = (
-            service_outcomes[0], direct_outcomes[0],
-        )
-        assert isinstance(service_result, RunResult)
-        assert service_result.test_name == direct_result.test_name
-        assert service_result.engine == direct_result.engine
-        assert set(service_result.metrics) == set(direct_result.metrics)
-        for name in service_result.metrics:
-            assert len(service_result.metrics[name].samples) == 2
-
-        # Recorded entries land in the *same comparable series*: the
-        # fingerprint is a pure function of the request, not of the
-        # path (service vs. direct) that executed it.
-        from repro.analysis.store import RunStore
-
-        service_record = RunStore(tmp_path / "service").latest()
-        direct_record = RunStore(tmp_path / "direct").latest()
-        assert service_record.fingerprint == direct_record.fingerprint
-        assert service_record.series == direct_record.series
-        assert (
-            set(service_record.result["metrics"])
-            == set(direct_record.result["metrics"])
-        )
-        assert (
-            set(service_record.as_dict()) == set(direct_record.as_dict())
-        )
+    """That a job runs and records its spec as the direct run does is
+    the plan product property's (``tests/integration/test_plan_product.py``)."""
 
     def test_string_spec_submission(self, tmp_path):
         with ServiceClient(store_dir=str(tmp_path)) as client:

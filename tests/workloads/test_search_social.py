@@ -254,7 +254,7 @@ _float_coordinates = st.one_of(
 class TestKMeansKernels:
     """The k-means kernels equal the code they replaced, bit for bit."""
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(st.data())
     def test_distance_and_nearest_equal_the_old_expressions(self, data):
         dimensions = data.draw(st.integers(1, 8))
@@ -273,7 +273,7 @@ class TestKMeansKernels:
             _outcome(_old_nearest, point, centroids)
         )
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(st.data())
     def test_a_block_equals_nearest_point_by_point(self, data):
         dimensions = data.draw(st.integers(1, 8))
@@ -294,7 +294,7 @@ class TestKMeansKernels:
             lambda: [social._nearest(point, centroids) for point in points]
         )
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(st.data())
     def test_block_distances_equal_distance_squared(self, data):
         dimensions = data.draw(st.integers(1, 8))
@@ -313,7 +313,7 @@ class TestKMeansKernels:
                 else:
                     assert repr(distance) == expected
 
-    @settings(max_examples=100, deadline=None, derandomize=True)
+    @settings(max_examples=100)
     @given(st.data())
     def test_a_finite_float_block_never_falls_back(self, data):
         dimensions = data.draw(st.integers(1, 8))
